@@ -11,10 +11,11 @@ original diagram.
 from __future__ import annotations
 
 import logging
-import xml.etree.ElementTree as ET
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
-from . import feel
+from . import feel, safexml
 from .errors import RoleConflictError, SchemaError, UnsupportedElementError
 from .feel import ast
 
@@ -86,7 +87,12 @@ class ProcessGraph:
     nodes: tuple[tuple[str, str], ...]  # (id, label) in document order
     edges: tuple[tuple[str, str], ...]  # (source id, target id) in document order
 
-    def distinct_edges(self) -> frozenset[tuple[str, str]]:
+    @cached_property
+    def node_ids(self) -> frozenset[str]:
+        return frozenset(node_id for node_id, _ in self.nodes)
+
+    @cached_property
+    def edge_set(self) -> frozenset[tuple[str, str]]:
         return frozenset(self.edges)
 
 
@@ -117,6 +123,17 @@ class ProcessModel:
         return next(n for n in self.nodes if n.kind == "start")
 
 
+def adjacency(flows) -> tuple[dict[str, list[SequenceFlow]], dict[str, list[SequenceFlow]]]:
+    """(outgoing, incoming): node id -> its flows, in document order. A node
+    without flows on a side maps to an empty list."""
+    out: dict[str, list[SequenceFlow]] = defaultdict(list)
+    inc: dict[str, list[SequenceFlow]] = defaultdict(list)
+    for flow in flows:
+        out[flow.source].append(flow)
+        inc[flow.target].append(flow)
+    return out, inc
+
+
 def _local(tag) -> str:
     return tag.rsplit("}", 1)[-1]
 
@@ -132,10 +149,7 @@ def _strip_expr(text: str) -> str:
 
 def parse_bpmn(data: bytes | str) -> ProcessModel:
     """Parse one BPMN document (one process) into a preprocessed, validated model."""
-    try:
-        root = ET.fromstring(data)
-    except ET.ParseError as exc:
-        raise SchemaError(f"malformed BPMN XML: {exc}") from exc
+    root = safexml.fromstring(data, "BPMN")
 
     processes = [el for el in root.iter() if _local(el.tag) == "process"]
     if not processes:
@@ -378,30 +392,40 @@ class _Builder:
 
 
 def _fix_multi_output_nodes(model: ProcessModel) -> None:
-    """Insert an exclusive gateway behind every non-gateway node that has
-    several outgoing flows. Idempotent: a second application is a no-op."""
-    for node in list(model.nodes):
-        if node.kind in ("exclusive_gateway", "parallel_gateway", "inclusive_gateway",
-                         "join_gateway"):
-            continue
-        outgoing = model.outgoing(node.id)
-        if len(outgoing) <= 1:
-            continue
-        gw_id = f"autogw_{node.id}"
-        model.nodes.insert(model.nodes.index(node) + 1,
-                           Node(gw_id, node.label, "exclusive_gateway"))
-        first_idx = min(model.flows.index(f) for f in outgoing)
-        for flow in outgoing:  # conditions and default flags move with the flows
-            model.flows[model.flows.index(flow)] = replace(flow, source=gw_id)
-        model.flows.insert(first_idx, SequenceFlow(f"autoflow_{node.id}", node.id, gw_id))
-        model.diagnostics.append(f"inserted {gw_id} for multi-output node {node.id}")
+    """Insert an exclusive gateway `autogw_<id>` behind every non-gateway node
+    that has several outgoing flows. The gateway follows the node, and the
+    flow `autoflow_<id>` into it precedes the node's first outgoing flow.
+    Idempotent: a second application is a no-op."""
+    out, _ = adjacency(model.flows)
+    split = {node.id for node in model.nodes
+             if node.kind not in ("exclusive_gateway", "parallel_gateway",
+                                  "inclusive_gateway", "join_gateway")
+             and len(out[node.id]) > 1}
+    nodes = []
+    for node in model.nodes:
+        nodes.append(node)
+        if node.id in split:
+            gw_id = f"autogw_{node.id}"
+            nodes.append(Node(gw_id, node.label, "exclusive_gateway"))
+            model.diagnostics.append(f"inserted {gw_id} for multi-output node {node.id}")
+    flows = []
+    rerouted = set()
+    for flow in model.flows:
+        if flow.source in split:
+            gw_id = f"autogw_{flow.source}"
+            if flow.source not in rerouted:
+                rerouted.add(flow.source)
+                flows.append(SequenceFlow(f"autoflow_{flow.source}", flow.source, gw_id))
+            flow = replace(flow, source=gw_id)  # conditions and default flags move along
+        flows.append(flow)
+    model.nodes = nodes
+    model.flows = flows
 
 
 def _mark_defaults_from_attributes(model: ProcessModel, builder_defaults: dict[str, str]):
-    for node_id, flow_id in builder_defaults.items():
-        for i, flow in enumerate(model.flows):
-            if flow.id == flow_id:
-                model.flows[i] = replace(flow, is_default=True)
+    default_ids = set(builder_defaults.values())
+    model.flows = [replace(flow, is_default=True) if flow.id in default_ids else flow
+                   for flow in model.flows]
 
 
 def _validate(model: ProcessModel) -> None:
@@ -419,40 +443,41 @@ def _validate(model: ProcessModel) -> None:
         raise SchemaError(f"expected exactly one start event, found {len(starts)}")
     if not ends:
         raise SchemaError("process has no end event")
+    out, inc = adjacency(model.flows)
     start = starts[0]
-    if model.incoming(start.id) or len(model.outgoing(start.id)) != 1:
+    if inc[start.id] or len(out[start.id]) != 1:
         raise SchemaError("start event must have no incoming and one outgoing flow")
     for end in ends:
-        if model.outgoing(end.id) or len(model.incoming(end.id)) != 1:
+        if out[end.id] or len(inc[end.id]) != 1:
             raise SchemaError(f"end event {end.id!r} must have one incoming and no "
                               f"outgoing flow")
 
-    _classify_gateways(model)
+    _classify_gateways(model, out, inc)
 
     for node in model.nodes:
         if node.kind in ("exclusive_gateway", "inclusive_gateway"):
-            defaults = [f for f in model.outgoing(node.id) if f.is_default]
+            defaults = [f for f in out[node.id] if f.is_default]
             if len(defaults) > 1:
                 raise SchemaError(f"gateway {node.id!r} has several default flows")
         if node.kind not in ("exclusive_gateway", "inclusive_gateway"):
-            for flow in model.outgoing(node.id):
+            for flow in out[node.id]:
                 if flow.condition is not None:
                     raise SchemaError(
                         f"flow {flow.id!r} carries a condition but leaves {node.kind} "
                         f"{node.id!r}; conditions belong on exclusive/inclusive gateways")
-        if node.kind in TASK_KINDS and len(model.outgoing(node.id)) > 1:
+        if node.kind in TASK_KINDS and len(out[node.id]) > 1:
             raise SchemaError(f"node {node.id!r} still has several outgoing flows "
                               f"after preprocessing")
 
     _check_weakly_connected(model)
 
 
-def _classify_gateways(model: ProcessModel) -> None:
+def _classify_gateways(model: ProcessModel, out, inc) -> None:
     for i, node in enumerate(model.nodes):
         if node.kind not in ("exclusive_gateway", "parallel_gateway", "inclusive_gateway"):
             continue
-        n_in = len(model.incoming(node.id))
-        n_out = len(model.outgoing(node.id))
+        n_in = len(inc[node.id])
+        n_out = len(out[node.id])
         if n_in == 1 and n_out >= 2:
             continue  # split; keeps its kind
         if n_in >= 2 and n_out == 1:

@@ -7,10 +7,13 @@ inspection; execution interprets the routines directly.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import dmn, feel, inputs as inputs_mod
-from .bpmn import (ProcessGraph, ProcessModel, classify_variables, extract_graph)
+from .bpmn import (ProcessGraph, ProcessModel, SequenceFlow, adjacency, classify_variables,
+                   extract_graph)
 from .errors import SchemaError, UnresolvedTableError
 from .feel import ast
 from .feel.types import StaticType
@@ -112,6 +115,16 @@ class ExecutableModel:
     def input_spec(self, name: str) -> inputs_mod.InputSpec:
         return next(s for s in self.input_vars if s.name == name)
 
+    @cached_property
+    def channel_names(self) -> tuple[str, ...]:
+        """Every channel a send or receive step names, in first-seen order."""
+        names: dict[str, None] = {}
+        for routine in self.routines.values():
+            for step in routine.steps:
+                if isinstance(step, (Send, Receive)):
+                    names.setdefault(step.channel)
+        return tuple(names)
+
 
 def _display_name(node) -> str:
     prefix = {"start": "EVENT", "end_success": "EVENT", "end_error": "EVENT",
@@ -140,11 +153,14 @@ def compile_model(model: ProcessModel, tables, *, sample_seed: int = 0,
     roles = classify_variables(model, tables)
     diagnostics = list(model.diagnostics)
 
+    out, _ = adjacency(model.flows)
+    barriers = {n.id for n in model.nodes
+                if n.kind == "join_gateway" and n.join_kind in ("parallel", "inclusive")}
     used_tables: dict[str, dmn.DecisionTable] = {}
     routines: dict[str, Routine] = {}
     for node in model.nodes:
         routines[node.id] = Routine(node.id, _display_name(node),
-                                    _lower(node, model, table_by_ref, used_tables))
+                                    _lower(node, out, barriers, table_by_ref, used_tables))
 
     types = _infer_variable_types(model, table_by_ref, roles, diagnostics)
     domains, domain_diags = _infer_input_domains(model, table_by_ref, roles)
@@ -168,8 +184,9 @@ def compile_model(model: ProcessModel, tables, *, sample_seed: int = 0,
     )
 
 
-def _lower(node, model: ProcessModel, table_by_ref, used_tables) -> tuple[Step, ...]:
-    outgoing = model.outgoing(node.id)
+def _lower(node, out: dict[str, list[SequenceFlow]], barriers: set[str], table_by_ref,
+           used_tables) -> tuple[Step, ...]:
+    outgoing = out[node.id]
 
     def continuation() -> Step:
         return Continue(outgoing[0].target)
@@ -238,7 +255,7 @@ def _lower(node, model: ProcessModel, table_by_ref, used_tables) -> tuple[Step, 
         return (Branch(tuple(cases), default),)
 
     if node.kind in ("parallel_gateway", "inclusive_gateway"):
-        join_id = _matching_join(node.id, model)
+        join_id = _matching_join(node.id, out, barriers)
         targets = tuple(f.target for f in outgoing)
         if node.kind == "parallel_gateway":
             return (Fork(targets, join_id),)
@@ -258,34 +275,43 @@ def _lower(node, model: ProcessModel, table_by_ref, used_tables) -> tuple[Step, 
     raise SchemaError(f"cannot lower node kind {node.kind!r}")
 
 
-def _matching_join(gateway_id: str, model: ProcessModel) -> str:
-    """The join gateway every branch of the split reaches; structured
-    diagrams have exactly one such nearest join."""
-    succ: dict[str, list[str]] = {}
-    for flow in model.flows:
-        succ.setdefault(flow.source, []).append(flow.target)
+def _matching_join(gateway_id: str, out: dict[str, list[SequenceFlow]],
+                   barriers: set[str]) -> str:
+    """The parallel/inclusive join every branch of the split reaches: the one
+    with the least maximum BFS distance over the branches, ties broken on id.
 
-    def distances(origin: str) -> dict[str, int]:
-        dist = {origin: 0}
-        frontier = [origin]
-        while frontier:
+    The branches' searches advance one level at a time, together, counting
+    per barrier how many branches have reached it, and stop at the first
+    level where some barrier has been reached by all of them. So the search
+    covers the split's region, not the whole model.
+    """
+    frontiers = [[f.target] for f in out[gateway_id]]
+    seen = [set(frontier) for frontier in frontiers]
+    reached: Counter[str] = Counter()
+    complete = []
+
+    def arrive(node_id: str) -> None:
+        if node_id in barriers:
+            reached[node_id] += 1
+            if reached[node_id] == len(frontiers):
+                complete.append(node_id)
+
+    for (target,) in frontiers:
+        arrive(target)
+    while not complete and any(frontiers):
+        for i, frontier in enumerate(frontiers):
             nxt = []
             for node_id in frontier:
-                for target in succ.get(node_id, ()):
-                    if target not in dist:
-                        dist[target] = dist[node_id] + 1
-                        nxt.append(target)
-            frontier = nxt
-        return dist
-
-    branch_dists = [distances(f.target) for f in model.outgoing(gateway_id)]
-    barriers = [n.id for n in model.nodes
-                if n.kind == "join_gateway" and n.join_kind in ("parallel", "inclusive")]
-    common = [b for b in barriers if all(b in d for d in branch_dists)]
-    if not common:
+                for flow in out[node_id]:
+                    if flow.target not in seen[i]:
+                        seen[i].add(flow.target)
+                        nxt.append(flow.target)
+                        arrive(flow.target)
+            frontiers[i] = nxt
+    if not complete:
         raise SchemaError(f"parallel/inclusive split {gateway_id!r} has no join gateway "
                           f"reachable from every branch")
-    return min(common, key=lambda b: (max(d[b] for d in branch_dists), b))
+    return min(complete)
 
 
 # --- variable typing and input domains --------------------------------------

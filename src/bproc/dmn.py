@@ -5,10 +5,9 @@ Tables are immutable after parse; evaluate_table is pure and thread-safe.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
-from . import feel
+from . import feel, safexml
 from .errors import (AnyConflictError, NoMatchError, SchemaError,
                      UniquenessViolationError, UnsupportedHitPolicyError)
 from .feel import ast
@@ -75,10 +74,7 @@ def parse_dmn(data: bytes | str) -> list[DecisionTable]:
     A missing hitPolicy attribute maps to First. Policies other than
     UNIQUE/ANY/FIRST (and their U/A/F abbreviations) are rejected.
     """
-    try:
-        root = ET.fromstring(data)
-    except ET.ParseError as exc:
-        raise SchemaError(f"malformed DMN XML: {exc}") from exc
+    root = safexml.fromstring(data, "DMN")
 
     tables = []
     for decision in _find_all(root, "decision"):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import collections
 import itertools
 import queue
-import random
 import threading
 import time
 from dataclasses import dataclass, field
@@ -94,7 +93,6 @@ class RunOptions:
 class ExecState:
     bindings: dict
     cursors: dict
-    rng: random.Random
 
 
 class _Aborted(Exception):
@@ -124,7 +122,6 @@ class _Engine:
         self.state = ExecState(
             bindings={name: UNDEFINED for name in model.declared_variables()},
             cursors={name: 0 for name in input_lists},
-            rng=random.Random(options.seed),
         )
         self.trace = Trace()
         self.diagnostics: list[str] = []
@@ -139,19 +136,10 @@ class _Engine:
         self._local = threading.local()  # logical branch id; idents get reused
         self._branch_counter = itertools.count(1)
         self._threads: list[threading.Thread] = []
-        self._channels = self._create_channels(model, options.mode)
+        new_channel = queue.SimpleQueue if options.mode == "parallel" else collections.deque
+        self._channels = {name: new_channel() for name in model.channel_names}
         self._started = time.monotonic()
         self._deadline = self._started + options.timeout_s
-
-    @staticmethod
-    def _create_channels(model: ExecutableModel, mode: str) -> dict:
-        channels = {}
-        for routine in model.routines.values():
-            for step in routine.steps:
-                if isinstance(step, (Send, Receive)) and step.channel not in channels:
-                    channels[step.channel] = (queue.SimpleQueue() if mode == "parallel"
-                                              else collections.deque())
-        return channels
 
     # --- bookkeeping ---
 

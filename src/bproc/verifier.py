@@ -59,12 +59,10 @@ def accumulate_coverage(report: CoverageReport, trace: runtime.Trace,
     Raises UnknownIdError when the trace mentions anything outside the
     graph; that signals a compiler/runtime mismatch, not bad luck.
     """
-    node_ids = {node_id for node_id, _ in graph.nodes}
-    edge_set = graph.distinct_edges()
     nodes = set(trace.node_sequence())
     edges = set(trace.edges())
-    stray_nodes = nodes - node_ids
-    stray_edges = edges - edge_set
+    stray_nodes = nodes - graph.node_ids
+    stray_edges = edges - graph.edge_set
     if stray_nodes or stray_edges:
         raise UnknownIdError(f"trace mentions unknown nodes {sorted(stray_nodes)} "
                              f"or edges {sorted(stray_edges)}")

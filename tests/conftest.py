@@ -39,6 +39,35 @@ def child_env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(entries)}
 
 
+_LAUGHS = "".join(['<!ENTITY lol0 "lol">'] + [f'<!ENTITY lol{i} "{f"&lol{i - 1};" * 10}">'
+                                                for i in range(1, 10)])
+
+# minimal valid models with a `{ref}` placeholder, for `with_doctype`
+DTD_BPMN = ('<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL">'
+            '<process id="p" name="P{ref}"><startEvent id="s"/><endEvent id="e"/>'
+            '<sequenceFlow id="f" sourceRef="s" targetRef="e"/></process></definitions>')
+DTD_DMN = ('<definitions xmlns="https://www.omg.org/spec/DMN/20191111/MODEL/">'
+           '<decision id="D1" name="d{ref}"><decisionTable id="DT1">'
+           '<input label="x"><inputExpression><text>x</text></inputExpression></input>'
+           '<output name="y"/><rule><inputEntry><text>-</text></inputEntry>'
+           '<outputEntry><text>1</text></outputEntry></rule>'
+           '</decisionTable></decision></definitions>')
+
+
+def with_doctype(attack: str, document: str) -> str:
+    """`document` (no XML declaration, a `{ref}` placeholder inside) behind a
+    document type declaration: "laughs" nests ten entities ten deep, 10**9
+    characters once `&lol9;` at the placeholder is expanded; "system" names an
+    external DTD. Without the declaration (and with `{ref}` empty) the
+    document is well formed."""
+    root = document.lstrip("<").split(None, 1)[0]
+    if attack == "laughs":
+        return (f'<?xml version="1.0"?><!DOCTYPE {root} [{_LAUGHS}]>'
+                + document.format(ref="&lol9;"))
+    return (f'<?xml version="1.0"?><!DOCTYPE {root} SYSTEM "bproc-model.dtd">'
+            + document.format(ref=""))
+
+
 @pytest.fixture(scope="session")
 def shipment():
     return compile_fixture("shipment", "shipment", sample_seed=42)

@@ -9,6 +9,10 @@ plain comparisons.
 `walk_process` interprets a parsed process model and its tables directly,
 never touching the compiled routines, and yields the unique node path and
 write sequence for a concrete input vector.
+
+`reference_matching_join` is the original join search for a parallel or
+inclusive split: a full BFS from every branch, then the common barrier join
+with the least maximum distance, ties broken on id.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import random
 from dataclasses import dataclass
 
 from bproc import dmn, feel
+from bproc.errors import SchemaError
 from bproc.feel import ast
 from bproc.feel.values import FeelRange
 
@@ -197,6 +202,38 @@ def walk_process(model, tables, input_values: dict, max_nodes: int = 10_000) -> 
         else:
             raise AssertionError(f"oracle cannot walk node kind {node.kind!r}")
     raise AssertionError("walk exceeded the node budget; is the model acyclic?")
+
+
+# --- reference join matching --------------------------------------------------
+
+def reference_matching_join(gateway_id: str, model) -> str:
+    """The join gateway every branch of the split reaches; structured
+    diagrams have exactly one such nearest join."""
+    succ: dict[str, list[str]] = {}
+    for flow in model.flows:
+        succ.setdefault(flow.source, []).append(flow.target)
+
+    def distances(origin: str) -> dict[str, int]:
+        dist = {origin: 0}
+        frontier = [origin]
+        while frontier:
+            nxt = []
+            for node_id in frontier:
+                for target in succ.get(node_id, ()):
+                    if target not in dist:
+                        dist[target] = dist[node_id] + 1
+                        nxt.append(target)
+            frontier = nxt
+        return dist
+
+    branch_dists = [distances(f.target) for f in model.outgoing(gateway_id)]
+    barriers = [n.id for n in model.nodes
+                if n.kind == "join_gateway" and n.join_kind in ("parallel", "inclusive")]
+    common = [b for b in barriers if all(b in d for d in branch_dists)]
+    if not common:
+        raise SchemaError(f"parallel/inclusive split {gateway_id!r} has no join gateway "
+                          f"reachable from every branch")
+    return min(common, key=lambda b: (max(d[b] for d in branch_dists), b))
 
 
 def boundary_vectors(specs, overrides=None) -> list[dict]:

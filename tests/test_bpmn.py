@@ -6,6 +6,8 @@ from bproc import classify_variables, extract_graph, parse_bpmn
 from bproc.bpmn import _fix_multi_output_nodes
 from bproc.errors import RoleConflictError, SchemaError, UnsupportedElementError
 
+from conftest import DTD_BPMN, with_doctype
+
 HEADER = '<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL" ' \
          'xmlns:ext="http://x/ext">'
 
@@ -262,3 +264,42 @@ def test_roles_partition_input_and_process(shipment_parsed):
     process = {n for n, r in roles.items() if r.role == "process"}
     assert inputs & process == set()
     assert inputs | process == set(roles)
+
+
+def test_multi_output_fix_keeps_document_order():
+    model = parse_bpmn(doc("""
+      <startEvent id="s"/>
+      <manualTask id="a" default="fa2"/>
+      <manualTask id="b" name="second" default="fb2"/>
+      <endEvent id="e1"/><endEvent id="e2"/><endEvent id="e3"/>
+      <sequenceFlow id="f0" sourceRef="s" targetRef="a"/>
+      <sequenceFlow id="fa1" sourceRef="a" targetRef="b">
+        <conditionExpression>1 = 1</conditionExpression>
+      </sequenceFlow>
+      <sequenceFlow id="fb1" sourceRef="b" targetRef="e1">
+        <conditionExpression>1 = 1</conditionExpression>
+      </sequenceFlow>
+      <sequenceFlow id="fa2" sourceRef="a" targetRef="e3"/>
+      <sequenceFlow id="fb2" sourceRef="b" targetRef="e2"/>
+    """))
+    assert [n.id for n in model.nodes] == ["s", "a", "autogw_a", "b", "autogw_b",
+                                           "e1", "e2", "e3"]
+    assert model.node("autogw_b").label == "second"
+    assert [(f.id, f.source, f.target, f.is_default) for f in model.flows] == [
+        ("f0", "s", "a", False),
+        ("autoflow_a", "a", "autogw_a", False),
+        ("fa1", "autogw_a", "b", False),
+        ("autoflow_b", "b", "autogw_b", False),
+        ("fb1", "autogw_b", "e1", False),
+        ("fa2", "autogw_a", "e3", True),
+        ("fb2", "autogw_b", "e2", True),
+    ]
+    assert model.diagnostics == ["inserted autogw_a for multi-output node a",
+                                 "inserted autogw_b for multi-output node b"]
+
+
+@pytest.mark.parametrize("attack", ["laughs", "system"])
+def test_document_type_declaration_rejected(attack):
+    assert parse_bpmn(DTD_BPMN.format(ref="")).name == "P"
+    with pytest.raises(SchemaError, match="document type declarations are not accepted"):
+        parse_bpmn(with_doctype(attack, DTD_BPMN))

@@ -3,9 +3,11 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from bproc.cli import main
 
-from conftest import FIXTURES, child_env
+from conftest import DTD_BPMN, DTD_DMN, FIXTURES, child_env, with_doctype
 
 SHIPMENT = [str(FIXTURES / "shipment.bpmn"), str(FIXTURES / "shipment.dmn")]
 
@@ -113,6 +115,18 @@ def test_missing_dmn_is_a_model_error(tmp_path):
     code, _, err = run_cli("test", str(FIXTURES / "shipment.bpmn"), cwd=tmp_path)
     assert code == 3
     assert "UnresolvedTable" in err
+
+
+@pytest.mark.parametrize("attack", ["laughs", "system"])
+def test_document_type_declaration_is_a_model_error(tmp_path, attack):
+    bpmn_file, dmn_file = tmp_path / "hostile.bpmn", tmp_path / "hostile.dmn"
+    bpmn_file.write_text(with_doctype(attack, DTD_BPMN))
+    dmn_file.write_text(with_doctype(attack, DTD_DMN))
+    for paths in ([str(bpmn_file), SHIPMENT[1]], [SHIPMENT[0], str(dmn_file)]):
+        code, _, err = run_cli("translate", *paths, cwd=tmp_path)
+        assert code == 3
+        assert "document type declarations are not accepted" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_usage_errors(tmp_path):

@@ -10,6 +10,7 @@ from bproc.errors import (AnyConflictError, NoMatchError, SchemaError,
                           UniquenessViolationError, UnsupportedHitPolicyError)
 from bproc.feel import ast
 
+from conftest import DTD_DMN, with_doctype
 from oracles import NO_MATCH, formula_table_outputs, random_table
 
 MINIMAL_DMN = """<?xml version="1.0"?>
@@ -228,3 +229,10 @@ def test_appending_default_row_only_converts_no_match(seed):
             assert evaluate_table(widened, args) == {o: "fallback" for o in base.outputs}
         else:
             assert evaluate_table(widened, args) == before
+
+
+@pytest.mark.parametrize("attack", ["laughs", "system"])
+def test_document_type_declaration_rejected(attack):
+    assert [t.name for t in parse_dmn(DTD_DMN.format(ref=""))] == ["d"]
+    with pytest.raises(SchemaError, match="document type declarations are not accepted"):
+        parse_dmn(with_doctype(attack, DTD_DMN))

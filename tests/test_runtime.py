@@ -227,6 +227,52 @@ def test_fifo_delivery_order():
     assert writes == {"a": 1, "b": 2}
 
 
+LEFTOVER = """
+  <startEvent id="s"/>
+  <parallelGateway id="split"/>
+  <sendTask id="send1" messageRef="M1">
+    <extensionElements><ext:ioMapping channel="c">
+      <ext:input source="=1" target="v"/>
+    </ext:ioMapping></extensionElements>
+  </sendTask>
+  <sendTask id="send2" messageRef="M1">
+    <extensionElements><ext:ioMapping channel="c">
+      <ext:input source="=2" target="v"/>
+    </ext:ioMapping></extensionElements>
+  </sendTask>
+  <sendTask id="send3" messageRef="M1">
+    <extensionElements><ext:ioMapping channel="b">
+      <ext:input source="=3" target="v"/>
+    </ext:ioMapping></extensionElements>
+  </sendTask>
+  <receiveTask id="recv1" messageRef="M1">
+    <extensionElements><ext:ioMapping channel="c">
+      <ext:output source="v" target="a"/>
+    </ext:ioMapping></extensionElements>
+  </receiveTask>
+  <parallelGateway id="join"/>
+  <endEvent id="e"/>
+  <sequenceFlow id="f1" sourceRef="s" targetRef="split"/>
+  <sequenceFlow id="f2" sourceRef="split" targetRef="send1"/>
+  <sequenceFlow id="f3" sourceRef="split" targetRef="recv1"/>
+  <sequenceFlow id="f4" sourceRef="send1" targetRef="send2"/>
+  <sequenceFlow id="f5" sourceRef="send2" targetRef="send3"/>
+  <sequenceFlow id="f6" sourceRef="send3" targetRef="join"/>
+  <sequenceFlow id="f7" sourceRef="recv1" targetRef="join"/>
+  <sequenceFlow id="f8" sourceRef="join" targetRef="e"/>
+"""
+
+
+@pytest.mark.parametrize("mode", ["sequential", "parallel"])
+def test_every_run_gets_fresh_channels(mode):
+    x = compile_inline(LEFTOVER, prelude=MSG_PRELUDE)
+    assert x.channel_names == ("c", "b")  # first seen, in document order
+    for _ in range(3):  # a message left over from a run never reaches the next
+        trace, summary = run_once(x, {}, RunOptions(mode=mode))
+        assert summary.status == "success"
+        assert trace.writes() == [("a", 1)]
+
+
 INCLUSIVE = """
   <startEvent id="s"/>
   <scriptTask id="t" resultVariable="x"><script>{value}</script></scriptTask>

@@ -96,6 +96,10 @@ def test_unknown_id_rejected(diamond):
     with pytest.raises(UnknownIdError):
         accumulate_coverage(empty_report(diamond.graph),
                             Trace([NodeActivated("ghost")]), diamond.graph)
+    entry = diamond.graph.nodes[0][0]
+    with pytest.raises(UnknownIdError):  # known nodes, but no such flow
+        accumulate_coverage(empty_report(diamond.graph),
+                            Trace([EdgeTraversed(entry, entry)]), diamond.graph)
 
 
 def test_coverage_monotone_over_runs(diamond):
