@@ -151,23 +151,30 @@ def parse_bpmn(data: bytes | str) -> ProcessModel:
     """Parse one BPMN document (one process) into a preprocessed, validated model."""
     root = safexml.fromstring(data, "BPMN")
 
-    processes = [el for el in root.iter() if _local(el.tag) == "process"]
+    processes, messages, errors, data_names = [], [], {}, {}
+    has_participant = False
+    for el in root.iter():  # one walk over the document collects every kind
+        tag = _local(el.tag)
+        if tag == "process":
+            processes.append(el)
+        elif tag == "participant":
+            has_participant = True
+        elif tag == "message":
+            messages.append(MessageDef(el.get("id") or el.get("name"),
+                                       el.get("name") or el.get("id")))
+        elif tag == "error":
+            errors[el.get("id")] = (el.get("errorCode"), el.get("name"))
+        elif tag in ("dataObjectReference", "dataObject"):
+            data_names[el.get("id")] = el.get("name") or el.get("id")
     if not processes:
         raise SchemaError("document contains no process element")
     if len(processes) > 1:
         raise SchemaError("document contains more than one process; one per file is supported")
     process = processes[0]
 
-    if any(_local(el.tag) == "participant" for el in root.iter()):
+    if has_participant:
         log.warning("pools/lanes present; they carry no execution semantics and are skipped")
 
-    messages = [MessageDef(el.get("id") or el.get("name"), el.get("name") or el.get("id"))
-                for el in root.iter() if _local(el.tag) == "message"]
-    errors = {el.get("id"): (el.get("errorCode"), el.get("name"))
-              for el in root.iter() if _local(el.tag) == "error"}
-    data_names = {el.get("id"): el.get("name") or el.get("id")
-                  for el in root.iter()
-                  if _local(el.tag) in ("dataObjectReference", "dataObject")}
     message_names = {m.id: m.name for m in messages}
 
     builder = _Builder(errors, data_names, message_names)

@@ -1,20 +1,25 @@
 """Execution engine: runs a compiled model once.
 
 A run owns a variable store (every declared variable starts undefined),
-per-variable input cursors, FIFO message channels and a trace. Parallel
-branches either get real threads (the default) or run sequentially in
-case order; sequential execution of synchronizing branches can deadlock,
-which is reported as an engine fault naming the blocked receive node.
-Execution is worklist-based, so trace length is bounded by the step
-budget and the wall-clock timeout rather than any call stack.
+per-variable input cursors, FIFO message channels and a trace. One
+interpreter serves both modes: each branch of a run is a generator that
+yields at every node boundary, hands its children over at a fork, and
+yields while the channel of its receive is empty. A scheduler on a single
+OS thread decides which branch steps next. Sequential mode runs the
+branches one at a time in case order, so a receive that waits for a later
+branch is a deadlock. Parallel mode gives each step to a runnable branch
+drawn with a random generator seeded from `RunOptions.seed`, so every
+interleaving is reproducible from the seed, and a run whose live branches
+all wait on empty channels ends as a deadlock. Both deadlocks are engine
+faults naming the blocked receive node. Trace length is bounded by the
+step budget and the wall-clock timeout rather than any call stack.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
-import queue
-import threading
+import random
 import time
 from dataclasses import dataclass, field
 
@@ -85,7 +90,7 @@ class RunSummary:
 class RunOptions:
     mode: str = "parallel"  # "parallel" | "sequential"
     timeout_s: float = DEFAULT_TIMEOUT_S
-    seed: int | None = None
+    seed: int | None = None  # parallel mode: seeds the branch scheduler
     max_steps: int = DEFAULT_MAX_STEPS
 
 
@@ -96,22 +101,25 @@ class ExecState:
 
 
 class _Aborted(Exception):
-    """Internal: the run outcome has been decided; unwind the worker."""
+    """Internal: the timeout or the step budget decided the run outcome."""
+
+
+_ENDED = object()  # what `next` returns for a branch that has finished
 
 
 class _Barrier:
+    __slots__ = ("join_id", "expected", "parent", "_arrived")
+
     def __init__(self, join_id: str, expected: int, parent: "_Barrier | None"):
         self.join_id = join_id
         self.expected = expected
         self.parent = parent
         self._arrived = 0
-        self._lock = threading.Lock()
 
     def arrive(self) -> bool:
         """True exactly once, for the arrival that releases the continuation."""
-        with self._lock:
-            self._arrived += 1
-            return self._arrived == self.expected
+        self._arrived += 1
+        return self._arrived == self.expected
 
 
 class _Engine:
@@ -124,64 +132,163 @@ class _Engine:
             cursors={name: 0 for name in input_lists},
         )
         self.trace = Trace()
+        self._record = self.trace.records.append
         self.diagnostics: list[str] = []
-        self._trace_lock = threading.Lock()
-        self._outcome_lock = threading.Lock()
         self._outcome: tuple[str, str, str] | None = None
-        self._outcome_event = threading.Event()
-        self._stop = threading.Event()
+        self._parallel = options.mode == "parallel"
         self._steps = 0
-        self._step_lock = threading.Lock()
         self._writers: dict[str, set[int]] = {}
-        self._local = threading.local()  # logical branch id; idents get reused
-        self._branch_counter = itertools.count(1)
-        self._threads: list[threading.Thread] = []
-        new_channel = queue.SimpleQueue if options.mode == "parallel" else collections.deque
-        self._channels = {name: new_channel() for name in model.channel_names}
+        self._branch = 1  # id of the branch being stepped
+        self._branch_ids = itertools.count(2)
+        self._ready: list[tuple[int, object]] = []  # (branch id, walker) that can step
+        self._waiting: dict[str, list] = {}  # channel -> (branch id, walker, node)
+        self._channels = {name: collections.deque() for name in model.channel_names}
         self._started = time.monotonic()
         self._deadline = self._started + options.timeout_s
 
     # --- bookkeeping ---
 
-    def _record(self, record):
-        with self._trace_lock:
-            self.trace.records.append(record)
-
     def _set_outcome(self, status: str, code: str, message: str):
-        with self._outcome_lock:
-            if self._outcome is None:
-                self._outcome = (status, code, message)
-                self._stop.set()
-                self._outcome_event.set()
+        if self._outcome is None:
+            self._outcome = (status, code, message)
 
     def _tick(self):
-        if self._stop.is_set():
-            raise _Aborted()
         if time.monotonic() > self._deadline:
             self._set_outcome("timeout", "TIMEOUT",
                               f"execution exceeded {self.options.timeout_s:g}s")
             raise _Aborted()
-        with self._step_lock:
-            self._steps += 1
-            if self._steps > self.options.max_steps:
-                self._set_outcome("fault", "ENGINE_FAULT",
-                                  f"step budget of {self.options.max_steps} exceeded")
-                raise _Aborted()
+        self._steps += 1
+        if self._steps > self.options.max_steps:
+            self._set_outcome("fault", "ENGINE_FAULT",
+                              f"step budget of {self.options.max_steps} exceeded")
+            raise _Aborted()
 
     def _write(self, name: str, value):
         self.state.bindings[name] = value
         self._record(VarWritten(name, value))
-        writers = self._writers.setdefault(name, set())
-        writers.add(getattr(self._local, "branch", 0))
-        if len(writers) > 1 and self.options.mode == "parallel":
-            note = f"variable {name!r} written by several parallel branches"
-            if note not in self.diagnostics:
-                self.diagnostics.append(note)
+        if self._parallel:
+            writers = self._writers.setdefault(name, set())
+            writers.add(self._branch)
+            if len(writers) > 1:
+                note = f"variable {name!r} written by several parallel branches"
+                if note not in self.diagnostics:
+                    self.diagnostics.append(note)
 
-    def _channel(self, name: str):
-        return self._channels[name]
+    # --- scheduling ---
 
-    # --- step execution (shared between modes) ---
+    def run(self):
+        """Step the branches, from the entry node, until the run has an outcome."""
+        parallel = self._parallel
+        ready = self._ready
+        ready.append((self._branch, self._walk(self.model.entry, None, None)))
+        rng = None  # built when two branches first compete for a step
+        try:
+            while ready and self._outcome is None:
+                index = -1  # sequential: the top of the stack
+                if parallel and len(ready) > 1:
+                    if rng is None:
+                        rng = random.Random(self.options.seed)
+                    index = rng.randrange(len(ready))
+                branch, walker = ready[index]
+                self._branch = branch
+                event = next(walker, _ENDED)
+                if event is None:  # a node boundary: the branch stays runnable
+                    continue
+                del ready[index]
+                if event is _ENDED:
+                    continue
+                if type(event) is list:  # a fork: its children, in case order
+                    children = [(next(self._branch_ids), self._walk(*child))
+                                for child in event]
+                    ready.extend(reversed(children))  # the first case on top
+                else:  # a receive on an empty channel
+                    node, channel = event
+                    if parallel:
+                        self._waiting.setdefault(channel, []).append((branch, walker, node))
+                    else:
+                        self._set_outcome("fault", "ENGINE_FAULT",
+                                          f"sequential deadlock: receive {node!r} blocked "
+                                          f"on empty channel {channel!r}")
+        except _Aborted:
+            pass
+        except BprocError as exc:
+            self._set_outcome("fault", "ENGINE_FAULT", str(exc))
+        if self._outcome is None and self._waiting:
+            blocked = "; ".join(f"receive {node!r} blocked on empty channel {channel!r}"
+                                for channel, waiters in self._waiting.items()
+                                for _, _, node in waiters)
+            self._set_outcome("fault", "ENGINE_FAULT",
+                              f"deadlock: every branch is waiting: {blocked}")
+        elif self._outcome is None:
+            self._set_outcome("fault", "ENGINE_FAULT",
+                              "all branches ended without an outcome" if parallel
+                              else "run ended without an outcome")
+
+    # --- interpretation of one branch ---
+
+    def _walk(self, current: str, barrier: _Barrier | None, source: str | None):
+        """Interpret one branch from `current`, entered over the fork edge
+        from `source` when it has one.
+
+        Yields None after every node, the list of (target, barrier, split)
+        children at a fork (and then ends), and (node, channel) while a
+        receive waits on an empty channel. Ends at a join some other
+        branch still has to reach, or once the run has an outcome.
+        """
+        routines = self.model.routines
+        record = self._record
+        if source is not None:
+            record(EdgeTraversed(source, current))
+        while True:
+            if barrier is not None and current == barrier.join_id:
+                if not barrier.arrive():
+                    return  # another arrival will continue past the join
+                self._tick()
+                record(NodeActivated(current))
+                target = routines[current].steps[0].next
+                record(EdgeTraversed(current, target))
+                current, barrier = target, barrier.parent
+                yield
+                continue
+            self._tick()
+            record(NodeActivated(current))
+            for step in routines[current].steps:
+                if isinstance(step, Terminate):
+                    self._set_outcome("success" if step.status == "success" else "error",
+                                      step.code, step.message)
+                    return
+                if isinstance(step, Continue):
+                    record(EdgeTraversed(current, step.target))
+                    current = step.target
+                    break
+                if isinstance(step, Branch):
+                    current = self._pick_branch(step, current)
+                    if current is None:
+                        return
+                    break
+                if isinstance(step, JoinBarrier):
+                    raise BprocError(f"join {current!r} reached outside its fork")
+                if isinstance(step, Fork):
+                    try:
+                        selected = self._selected_branches(step)
+                    except BprocError as exc:
+                        self._set_outcome("fault", "ENGINE_FAULT", f"{current}: {exc}")
+                        return
+                    child = _Barrier(step.join_id, len(selected), barrier)
+                    yield [(target, child, current) for target in selected]
+                    return
+                if isinstance(step, Receive):
+                    while not self._channels[step.channel]:
+                        yield current, step.channel
+                try:
+                    self._run_plain_step(step, current)
+                except BprocError as exc:
+                    self._set_outcome("fault", "ENGINE_FAULT", f"{current}: {exc}")
+                    return
+            else:
+                raise BprocError(f"routine {current!r} fell through without a "
+                                 f"terminal step")
+            yield
 
     def _run_plain_step(self, step, node_id: str):
         if isinstance(step, ConsumeInput):
@@ -202,15 +309,12 @@ class _Engine:
         elif isinstance(step, Send):
             payload = {part: feel.evaluate(expr, self.state.bindings)
                        for part, expr in step.parts}
-            channel = self._channel(step.channel)
-            message = (step.msg_type, payload)
-            if isinstance(channel, collections.deque):
-                channel.append(message)
-            else:
-                channel.put(message)
+            self._channels[step.channel].append((step.msg_type, payload))
+            waiters = self._waiting.pop(step.channel, None)
+            if waiters:  # they compete for the message again
+                self._ready.extend((branch, walker) for branch, walker, _ in waiters)
         elif isinstance(step, Receive):
-            message = self._receive(step, node_id)
-            msg_type, payload = message
+            msg_type, payload = self._channels[step.channel].popleft()
             if msg_type != step.msg_type:
                 raise MessageTypeMismatchError(
                     f"receive {node_id!r} expected message type {step.msg_type!r}, "
@@ -222,18 +326,6 @@ class _Engine:
                 self._write(var, payload[part])
         else:
             raise ConfigError(f"unexpected step {step!r}")
-
-    def _receive(self, step: Receive, node_id: str):
-        channel = self._channel(step.channel)
-        if isinstance(channel, collections.deque):
-            if not channel:
-                raise _SequentialDeadlock(node_id, step.channel)
-            return channel.popleft()
-        while True:
-            try:
-                return channel.get(timeout=0.02)
-            except queue.Empty:
-                self._tick()
 
     def _selected_branches(self, step: Fork):
         if step.conditions is None:
@@ -248,63 +340,6 @@ class _Engine:
         if not selected:
             raise BprocError("no inclusive gateway condition holds (unhandled condition)")
         return selected
-
-    # --- sequential interpretation ---
-
-    def run_sequential(self):
-        try:
-            self._walk_seq(self.model.entry, stop_join=None)
-        except _SequentialDeadlock as exc:
-            self._set_outcome("fault", "ENGINE_FAULT",
-                              f"sequential deadlock: receive {exc.node!r} blocked on "
-                              f"empty channel {exc.channel!r}")
-        except _Aborted:
-            pass
-        except BprocError as exc:
-            self._set_outcome("fault", "ENGINE_FAULT", str(exc))
-
-    def _walk_seq(self, current: str, stop_join: str | None) -> str:
-        """Interpret from `current`; returns "arrived" at stop_join or
-        "terminated" when the run outcome is decided."""
-        while True:
-            if current == stop_join:
-                return "arrived"
-            self._tick()
-            routine = self.model.routines[current]
-            self._record(NodeActivated(current))
-            for step in routine.steps:
-                if isinstance(step, Terminate):
-                    self._set_outcome(
-                        "success" if step.status == "success" else "error",
-                        step.code, step.message)
-                    return "terminated"
-                if isinstance(step, Continue):
-                    self._record(EdgeTraversed(current, step.target))
-                    current = step.target
-                    break
-                if isinstance(step, Branch):
-                    target = self._pick_branch(step, current)
-                    if target is None:
-                        return "terminated"
-                    current = target
-                    break
-                if isinstance(step, JoinBarrier):
-                    raise BprocError(f"join {current!r} reached outside its fork")
-                if isinstance(step, Fork):
-                    current = self._fork_sequential(step, current)
-                    if current is None:
-                        return "terminated"
-                    break
-                try:
-                    self._run_plain_step(step, current)
-                except _SequentialDeadlock:
-                    raise
-                except BprocError as exc:
-                    self._set_outcome("fault", "ENGINE_FAULT", f"{current}: {exc}")
-                    return "terminated"
-            else:
-                raise BprocError(f"routine {current!r} fell through without a "
-                                 f"terminal step")
 
     def _pick_branch(self, step: Branch, current: str) -> str | None:
         for condition, target in step.cases:
@@ -326,114 +361,6 @@ class _Engine:
         self._set_outcome("error", "UNHANDLED_CONDITION", "unhandled condition")
         return None
 
-    def _fork_sequential(self, step: Fork, current: str) -> str | None:
-        try:
-            selected = self._selected_branches(step)
-        except BprocError as exc:
-            self._set_outcome("fault", "ENGINE_FAULT", f"{current}: {exc}")
-            return None
-        for target in selected:  # one branch at a time, in case order
-            self._record(EdgeTraversed(current, target))
-            if self._walk_seq(target, stop_join=step.join_id) == "terminated":
-                return None
-        join_routine = self.model.routines[step.join_id]
-        self._record(NodeActivated(step.join_id))
-        barrier_step = join_routine.steps[0]
-        self._record(EdgeTraversed(step.join_id, barrier_step.next))
-        return barrier_step.next
-
-    # --- parallel interpretation ---
-
-    def run_parallel(self):
-        self._spawn(self.model.entry, None)
-        remaining = self._deadline - time.monotonic()
-        self._outcome_event.wait(timeout=max(remaining, 0) + 0.25)
-        if self._outcome is None:
-            if time.monotonic() > self._deadline:
-                self._set_outcome("timeout", "TIMEOUT",
-                                  f"execution exceeded {self.options.timeout_s:g}s")
-            else:
-                self._set_outcome("fault", "ENGINE_FAULT",
-                                  "all branches ended without an outcome")
-        self._stop.set()
-        for thread in self._threads:
-            thread.join(timeout=0.5)
-
-    def _spawn(self, start: str, barrier: _Barrier | None):
-        thread = threading.Thread(target=self._thread_main,
-                                  args=(start, barrier, next(self._branch_counter)),
-                                  daemon=True)
-        self._threads.append(thread)
-        thread.start()
-
-    def _thread_main(self, current: str, barrier: _Barrier | None, branch: int):
-        self._local.branch = branch
-        try:
-            self._walk_par(current, barrier)
-        except _Aborted:
-            pass
-        except BprocError as exc:
-            self._set_outcome("fault", "ENGINE_FAULT", str(exc))
-
-    def _walk_par(self, current: str, barrier: _Barrier | None):
-        while True:
-            if barrier is not None and current == barrier.join_id:
-                if not barrier.arrive():
-                    return  # another arrival will release the continuation
-                join_routine = self.model.routines[current]
-                self._tick()
-                self._record(NodeActivated(current))
-                barrier_step = join_routine.steps[0]
-                self._record(EdgeTraversed(current, barrier_step.next))
-                current = barrier_step.next
-                barrier = barrier.parent
-                continue
-            self._tick()
-            routine = self.model.routines[current]
-            self._record(NodeActivated(current))
-            dispatch = self._run_routine_par(routine, current, barrier)
-            if dispatch is None:
-                return
-            current = dispatch
-
-    def _run_routine_par(self, routine, current: str, barrier: _Barrier | None):
-        for step in routine.steps:
-            if isinstance(step, Terminate):
-                self._set_outcome("success" if step.status == "success" else "error",
-                                  step.code, step.message)
-                return None
-            if isinstance(step, Continue):
-                self._record(EdgeTraversed(current, step.target))
-                return step.target
-            if isinstance(step, Branch):
-                return self._pick_branch(step, current)
-            if isinstance(step, JoinBarrier):
-                raise BprocError(f"join {current!r} reached outside its fork")
-            if isinstance(step, Fork):
-                try:
-                    selected = self._selected_branches(step)
-                except BprocError as exc:
-                    self._set_outcome("fault", "ENGINE_FAULT", f"{current}: {exc}")
-                    return None
-                child = _Barrier(step.join_id, len(selected), parent=barrier)
-                for target in selected:
-                    self._record(EdgeTraversed(current, target))
-                    self._spawn(target, child)
-                return None  # the forking thread terminates
-            try:
-                self._run_plain_step(step, current)
-            except BprocError as exc:
-                self._set_outcome("fault", "ENGINE_FAULT", f"{current}: {exc}")
-                return None
-        raise BprocError(f"routine {current!r} fell through without a terminal step")
-
-
-class _SequentialDeadlock(Exception):
-    def __init__(self, node: str, channel: str):
-        super().__init__(node)
-        self.node = node
-        self.channel = channel
-
 
 def run_once(model: ExecutableModel, input_lists: dict[str, list],
              options: RunOptions | None = None) -> tuple[Trace, RunSummary]:
@@ -454,12 +381,7 @@ def run_once(model: ExecutableModel, input_lists: dict[str, list],
         raise ConfigError(f"no input values supplied for {missing}")
 
     engine = _Engine(model, input_lists, options)
-    if options.mode == "sequential":
-        engine.run_sequential()
-        if engine._outcome is None:
-            engine._set_outcome("fault", "ENGINE_FAULT", "run ended without an outcome")
-    else:
-        engine.run_parallel()
+    engine.run()
 
     status, code, message = engine._outcome
     inputs_used = {s.name: input_lists[s.name][0] for s in model.input_vars}

@@ -229,9 +229,11 @@ def run_campaign(model: ExecutableModel, cfg: CampaignConfig,
     def execute(index: int) -> _RunResult:
         run_rng = random.Random(cfg.seed * 1_000_003 + index)
         lists = draw_input_lists(model.input_vars, overrides, run_rng)
+        # the scheduler seed comes after the inputs from the same stream, so a
+        # run is a function of (cfg.seed, index) and the inputs stay as drawn
         options = runtime.RunOptions(
             mode="sequential" if cfg.sequential else "parallel",
-            timeout_s=cfg.timeout_s, seed=index)
+            timeout_s=cfg.timeout_s, seed=run_rng.getrandbits(64))
         trace, summary = runtime.run_once(model, lists, options)
         return _RunResult(index, trace, summary)
 

@@ -303,3 +303,36 @@ def test_document_type_declaration_rejected(attack):
     assert parse_bpmn(DTD_BPMN.format(ref="")).name == "P"
     with pytest.raises(SchemaError, match="document type declarations are not accepted"):
         parse_bpmn(with_doctype(attack, DTD_BPMN))
+
+
+def test_document_level_definitions_anywhere_in_the_document(caplog):
+    # messages, errors and data objects before, inside and after the process
+    text = (f'<?xml version="1.0"?>{HEADER}'
+            '<collaboration id="c"><participant id="pool" processRef="p"/></collaboration>'
+            '<message id="M2" name="Second"/><error id="Err" errorCode="OLD"/>'
+            '<process id="p" name="P">'
+            '<dataObject id="d"/><dataObjectReference id="dr" name="amount" dataObjectRef="d"/>'
+            '<startEvent id="s"><dataOutputAssociation id="a">'
+            '<targetRef>dr</targetRef></dataOutputAssociation></startEvent>'
+            '<endEvent id="e"><errorEventDefinition errorRef="Err"/></endEvent>'
+            '<sequenceFlow id="f" sourceRef="s" targetRef="e"/></process>'
+            '<message name="First"/><error id="Err" errorCode="LATE" name="late error"/>'
+            '</definitions>')
+    with caplog.at_level("WARNING", logger="bproc"):
+        model = parse_bpmn(text)
+    assert any("pools/lanes" in m for m in caplog.messages)
+    assert [(m.id, m.name) for m in model.messages] == [("M2", "Second"),
+                                                        ("First", "First")]
+    end = model.node("e")
+    assert (end.error_code, end.error_description) == ("LATE", "late error")  # last wins
+    assert model.node("s").writes == ("amount",)
+
+
+@pytest.mark.parametrize("processes, message", [
+    ("", "no process element"),
+    ('<process id="p1"/><process id="p2"/>', "more than one process"),
+], ids=["no_process", "two_processes"])
+def test_process_count_errors(processes, message):
+    with pytest.raises(SchemaError, match=message):
+        parse_bpmn(f'<?xml version="1.0"?>{HEADER}<message id="m"/>{processes}'
+                   f'</definitions>')

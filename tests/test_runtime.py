@@ -1,9 +1,13 @@
+import threading
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bproc import RunOptions, compile_model, parse_bpmn, run_once
 from bproc.errors import ConfigError
 from bproc.runtime import (TableEvaluated, parse_summary_inputs, render_graph_file,
                            render_summary_file, render_trace_file, write_artifacts)
+from bproc.verifier import draw_input_lists
 
 from conftest import compile_fixture
 
@@ -88,7 +92,7 @@ def test_input_cursor_never_exceeds_list_length():
 
     x = compile_inline(LOOP_TWICE)
     engine = _Engine(x, {"v": [5]}, RunOptions(mode="sequential"))
-    engine.run_sequential()
+    engine.run()
     assert engine._outcome[0] == "success"
     assert engine.state.cursors["v"] == 1  # consumed twice, list of one
 
@@ -409,3 +413,163 @@ def test_timeout_summary_status():
     x = compile_fixture("loop")
     _, summary = run_once(x, {}, RunOptions(mode="sequential", timeout_s=0.05))
     assert "timeout" in render_summary_file(summary)
+
+
+# --- the branch scheduler ---------------------------------------------------------
+
+CROSS_RECEIVE = """
+  <startEvent id="s"/>
+  <parallelGateway id="split"/>
+  <receiveTask id="recvA" messageRef="M1">
+    <extensionElements><ext:ioMapping channel="toA">
+      <ext:output source="v" target="a"/>
+    </ext:ioMapping></extensionElements>
+  </receiveTask>
+  <sendTask id="sendA" messageRef="M1">
+    <extensionElements><ext:ioMapping channel="toB">
+      <ext:input source="=1" target="v"/>
+    </ext:ioMapping></extensionElements>
+  </sendTask>
+  <receiveTask id="recvB" messageRef="M1">
+    <extensionElements><ext:ioMapping channel="toB">
+      <ext:output source="v" target="b"/>
+    </ext:ioMapping></extensionElements>
+  </receiveTask>
+  <sendTask id="sendB" messageRef="M1">
+    <extensionElements><ext:ioMapping channel="toA">
+      <ext:input source="=2" target="v"/>
+    </ext:ioMapping></extensionElements>
+  </sendTask>
+  <parallelGateway id="join"/>
+  <endEvent id="e"/>
+  <sequenceFlow id="f1" sourceRef="s" targetRef="split"/>
+  <sequenceFlow id="f2" sourceRef="split" targetRef="recvA"/>
+  <sequenceFlow id="f3" sourceRef="split" targetRef="recvB"/>
+  <sequenceFlow id="f4" sourceRef="recvA" targetRef="sendA"/>
+  <sequenceFlow id="f5" sourceRef="recvB" targetRef="sendB"/>
+  <sequenceFlow id="f6" sourceRef="sendA" targetRef="join"/>
+  <sequenceFlow id="f7" sourceRef="sendB" targetRef="join"/>
+  <sequenceFlow id="f8" sourceRef="join" targetRef="e"/>
+"""
+
+SPIN_BESIDE_RECEIVE = """
+  <startEvent id="s"/>
+  <parallelGateway id="split"/>
+  <scriptTask id="init" resultVariable="n"><script>0</script></scriptTask>
+  <exclusiveGateway id="merge"/>
+  <scriptTask id="spin" resultVariable="n"><script>n + 1</script></scriptTask>
+  <exclusiveGateway id="again" default="f_back"/>
+  <receiveTask id="recv" messageRef="M1">
+    <extensionElements><ext:ioMapping channel="c">
+      <ext:output source="v" target="a"/>
+    </ext:ioMapping></extensionElements>
+  </receiveTask>
+  <parallelGateway id="join"/>
+  <endEvent id="e"/>
+  <sequenceFlow id="f1" sourceRef="s" targetRef="split"/>
+  <sequenceFlow id="f2" sourceRef="split" targetRef="init"/>
+  <sequenceFlow id="f3" sourceRef="init" targetRef="merge"/>
+  <sequenceFlow id="f4" sourceRef="merge" targetRef="spin"/>
+  <sequenceFlow id="f5" sourceRef="spin" targetRef="again"/>
+  <sequenceFlow id="f_out" sourceRef="again" targetRef="join">
+    <conditionExpression>n &lt; 0</conditionExpression>
+  </sequenceFlow>
+  <sequenceFlow id="f_back" sourceRef="again" targetRef="merge"/>
+  <sequenceFlow id="f6" sourceRef="split" targetRef="recv"/>
+  <sequenceFlow id="f7" sourceRef="recv" targetRef="join"/>
+  <sequenceFlow id="f8" sourceRef="join" targetRef="e"/>
+"""
+
+
+def _outcome(summary):
+    return (summary.status, summary.code, summary.message, summary.diagnostics,
+            summary.inputs_used)
+
+
+@pytest.mark.parametrize("name", ["pingpong", "two_sends"])
+def test_parallel_run_is_a_function_of_its_seed(name):
+    x = compile_fixture("pingpong") if name == "pingpong" \
+        else compile_inline(TWO_SENDS, prelude=MSG_PRELUDE)
+    for seed in range(50):
+        first, again = (run_once(x, {}, RunOptions(mode="parallel", seed=seed))
+                        for _ in range(2))
+        assert first[0].records == again[0].records, f"seed {seed}"
+        assert _outcome(first[1]) == _outcome(again[1]), f"seed {seed}"
+
+
+def test_parallel_seeds_reach_several_interleavings():
+    x = compile_inline(TWO_SENDS, prelude=MSG_PRELUDE)
+    interleavings = set()
+    for seed in range(200):
+        trace, summary = run_once(x, {}, RunOptions(mode="parallel", seed=seed))
+        assert summary.status == "success", f"seed {seed}: {summary.message}"
+        assert dict(trace.writes()) == {"a": 1, "b": 2}  # FIFO in every schedule
+        interleavings.add(tuple(trace.records))
+    assert len(interleavings) >= 2
+
+
+def test_parallel_cross_receive_deadlock_is_a_fault():
+    x = compile_inline(CROSS_RECEIVE, prelude=MSG_PRELUDE)
+    for seed in range(20):
+        _, summary = run_once(x, {}, RunOptions(mode="parallel", seed=seed, timeout_s=5))
+        assert summary.status == "fault" and summary.code == "ENGINE_FAULT"
+        assert "deadlock" in summary.message
+        assert "recvA" in summary.message and "recvB" in summary.message
+        assert summary.elapsed_s < 0.5
+
+
+def test_branch_spinning_beside_a_blocked_receive_is_no_deadlock():
+    x = compile_inline(SPIN_BESIDE_RECEIVE, prelude=MSG_PRELUDE)
+    _, summary = run_once(x, {}, RunOptions(mode="parallel", seed=3, max_steps=2000))
+    assert (summary.status, summary.message) == ("fault", "step budget of 2000 exceeded")
+    _, summary = run_once(x, {}, RunOptions(mode="parallel", seed=3, timeout_s=0.1))
+    assert summary.status == "timeout"
+
+
+def test_parallel_runs_start_no_threads(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a run started an OS thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    x = compile_fixture("pingpong")
+    for seed in range(200):
+        trace, summary = run_once(x, {}, RunOptions(mode="parallel", seed=seed))
+        assert summary.status == "success", f"seed {seed}: {summary.message}"
+        assert trace.node_sequence().count("Gateway_Sync") == 1
+
+
+# --- parallel mode against sequential mode ------------------------------------------
+
+FORK_FREE = {"shipment": ("shipment",), "discount": ("discount",), "triage": (),
+             "quote": (), "onboarding": (), "loop": ()}
+
+
+@pytest.fixture(scope="module")
+def fork_free_models():
+    return {name: compile_fixture(name, *dmns, sample_seed=42)
+            for name, dmns in FORK_FREE.items()}
+
+
+@pytest.mark.parametrize("name", sorted(FORK_FREE))
+@given(rng=st.randoms(use_true_random=False), seed=st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fork_free_parallel_run_equals_sequential(fork_free_models, name, rng, seed):
+    x = fork_free_models[name]
+    lists = draw_input_lists(x.input_vars, {}, rng)
+    runs = {mode: run_once(x, lists, RunOptions(mode=mode, seed=seed, max_steps=300))
+            for mode in ("sequential", "parallel")}
+    (seq_trace, seq), (par_trace, par) = runs["sequential"], runs["parallel"]
+    assert par_trace.records == seq_trace.records
+    assert (par.status, par.code, par.message) == (seq.status, seq.code, seq.message)
+
+
+@given(seed=st.integers(0, 2**64))
+@settings(max_examples=100, deadline=None)
+def test_send_first_parallel_run_matches_sequential(seed):
+    x = compile_fixture("pingpong_sendfirst")
+    seq_trace, seq = run_once(x, {}, RunOptions(mode="sequential"))
+    par_trace, par = run_once(x, {}, RunOptions(mode="parallel", seed=seed))
+    assert sorted(par_trace.node_sequence()) == sorted(seq_trace.node_sequence())
+    assert dict(par_trace.writes()) == dict(seq_trace.writes())
+    assert (par.status, par.code, par.message) == (seq.status, seq.code, seq.message)

@@ -313,3 +313,20 @@ def test_config_validation():
         CampaignConfig(mode=FixedBudget(combiner="xor"))
     with pytest.raises(ConfigError):
         CampaignConfig(parallel_runners=0)
+
+
+def test_parallel_campaign_runs_follow_from_the_config(tmp_path):
+    x = compile_fixture("pingpong")
+    configs = {"first": CampaignConfig(mode=FixedBudget(n=30), seed=5),
+               "again": CampaignConfig(mode=FixedBudget(n=30), seed=5),
+               "pooled": CampaignConfig(mode=FixedBudget(n=30), seed=5, parallel_runners=3),
+               "other_seed": CampaignConfig(mode=FixedBudget(n=30), seed=6)}
+    files = {}
+    for name, cfg in configs.items():
+        run_campaign(x, cfg, out_dir=str(tmp_path / name))
+        runs = tmp_path / name / "runs"
+        files[name] = {p.name: p.read_bytes() for p in runs.iterdir()}
+    assert len(files["first"]) == 60
+    assert files["again"] == files["first"]
+    assert files["pooled"] == files["first"]
+    assert files["other_seed"] != files["first"]  # the campaign seed picks the schedules
