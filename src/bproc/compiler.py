@@ -1,7 +1,10 @@
 """Lowering of a process model plus its decision tables into an executable
 model: one routine per element, one evaluator per table, plus the inferred
 input specifications. A readable source rendering is available for
-inspection; execution interprets the routines directly.
+inspection. The routines are plain data; the runtime lowers them once per
+model, on its first run, into closures (`runtime` module), and each used
+table compiles itself once into a closure with its output entries folded
+(`dmn` module), which type inference reads too.
 """
 
 from __future__ import annotations
@@ -108,6 +111,12 @@ class ExecutableModel:
     input_vars: list[inputs_mod.InputSpec]
     process_vars: list[tuple[str, StaticType]]
     diagnostics: list[str] = field(default_factory=list)
+    # The runtime's lowered form of the routines (closures), built on the
+    # first run; it is not pickled, and an unpickled model builds it again.
+    program: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "program": None}
 
     def declared_variables(self) -> list[str]:
         return [s.name for s in self.input_vars] + [n for n, _ in self.process_vars]
@@ -419,8 +428,8 @@ def _infer_variable_types(model, table_by_ref, roles, diagnostics) -> dict[str, 
                 out_map = node.output_map or tuple((o, o) for o in table.outputs)
                 for out_name, var in out_map:
                     col = table.outputs.index(out_name)
-                    for rule in table.rules:
-                        value = feel.evaluate(rule.output_entries[col], {})
+                    for i in range(len(table.rules)):
+                        value = table.output_value(i, col)  # folded once per table
                         if value is not None:
                             note(var, feel.type_of_constant(value))
             elif node.kind == "receive_task":

@@ -1,11 +1,15 @@
 """Decision-table model: DMN XML parsing and hit-policy evaluation.
 
 Tables are immutable after parse; evaluate_table is pure and thread-safe.
+A table compiles itself on first use: each cell test becomes a closure,
+and each variable-free output entry is evaluated once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 from . import feel, safexml
 from .errors import (AnyConflictError, NoMatchError, SchemaError,
@@ -54,6 +58,33 @@ class DecisionTable:
         if self.rules and self.rules[-1].is_all_dash():
             return self.rules[-1]
         return None
+
+    # The compiled forms below are built on first use and shared by every
+    # model that uses the table; they are not pickled.
+
+    @cached_property
+    def folded_outputs(self) -> tuple[tuple[tuple[object, object], ...], ...]:
+        """Each rule's output entries, each evaluated once: (value, None)
+        when the value can be shared, else (None, the compiled entry), which
+        gives a fresh list or context, or raises the entry's error again, at
+        each use."""
+        return tuple(tuple(_fold(entry) for entry in rule.output_entries)
+                     for rule in self.rules)
+
+    def output_value(self, rule_index: int, column: int):
+        """The value of one output entry (see `folded_outputs`)."""
+        value, evaluate = self.folded_outputs[rule_index][column]
+        return value if evaluate is None else evaluate({})
+
+    @cached_property
+    def evaluator(self) -> Callable[[list], dict[str, object]]:
+        """`evaluate_table` on arguments in input-column order, compiled
+        once: every cell test a closure, the output entries folded."""
+        return _compile_table(self)
+
+    def __getstate__(self):
+        return {key: value for key, value in self.__dict__.items()
+                if key not in ("folded_outputs", "evaluator")}
 
 
 def _local(tag: str) -> str:
@@ -139,48 +170,77 @@ def _parse_table(dt, decision_id: str, name: str) -> DecisionTable:
                          tuple(rules))
 
 
-def _rule_matches(rule: Rule, args_in_order) -> bool:
-    return all(feel.match_unary(test, value)
-               for test, value in zip(rule.input_entries, args_in_order))
-
-
-def _rule_outputs(table: DecisionTable, rule: Rule) -> dict[str, object]:
-    return {name: feel.evaluate(entry, {})
-            for name, entry in zip(table.outputs, rule.output_entries)}
-
-
 def evaluate_table(table: DecisionTable, args: dict[str, object]) -> dict[str, object]:
     """Apply the table's hit policy to fully bound arguments.
 
     First takes the lowest-index matching rule; Unique requires exactly one
     match; Any requires all matches to agree. An all-dash last row serves as
     the default when nothing else matches; with no default, NoMatchError is
-    raised and the caller must end the decision with a failure.
+    raised and the caller must end the decision with a failure. Every rule
+    is matched, so a cell that cannot judge its argument raises under every
+    policy.
     """
     missing = [label for label, _ in table.inputs if label not in args]
     if missing:
         raise SchemaError(f"table {table.id!r} called without arguments {missing}")
-    ordered = [args[label] for label, _ in table.inputs]
+    return table.evaluator([args[label] for label, _ in table.inputs])
 
+
+def _fold(entry: ast.FeelExpr) -> tuple[object, Callable | None]:
+    evaluate = feel.compile_expr(entry)
+    try:
+        value = evaluate({})
+    except Exception:  # raised again at each use
+        return None, evaluate
+    if isinstance(value, (list, dict)):  # each use gets a list or context of its own
+        return None, evaluate
+    return value, None
+
+
+def _outputs_builder(names: tuple[str, ...], folded) -> Callable[[], dict[str, object]]:
+    """A function that gives a fresh output dict of one rule."""
+    if all(evaluate is None for _, evaluate in folded):
+        items = tuple(zip(names, (value for value, _ in folded)))
+        return lambda: dict(items)
+    entries = tuple(zip(names, folded))
+    return lambda: {name: value if evaluate is None else evaluate({})
+                    for name, (value, evaluate) in entries}
+
+
+def _compile_table(table: DecisionTable) -> Callable[[list], dict[str, object]]:
     default = table.default_rule()
     candidates = table.rules[:-1] if default is not None else table.rules
-    matches = [i for i, rule in enumerate(candidates) if _rule_matches(rule, ordered)]
+    rules = tuple(tuple(feel.compile_unary(test) for test in rule.input_entries)
+                  for rule in candidates)
+    outputs = tuple(_outputs_builder(table.outputs, folded) for folded in table.folded_outputs)
+    default_outputs = outputs[-1] if default is not None else None
+    table_id, policy = table.id, table.hit_policy
 
-    if not matches:
-        if default is not None:
-            return _rule_outputs(table, default)
-        raise NoMatchError(table.id)
+    def evaluate(ordered: list) -> dict[str, object]:
+        matches = []
+        for i, cells in enumerate(rules):
+            for cell, value in zip(cells, ordered):
+                if not cell(value):
+                    break
+            else:
+                matches.append(i)
 
-    if table.hit_policy == "First":
-        return _rule_outputs(table, candidates[matches[0]])
-    if table.hit_policy == "Unique":
-        if len(matches) > 1:
-            raise UniquenessViolationError(table.id, [m + 1 for m in matches])
-        return _rule_outputs(table, candidates[matches[0]])
-    # Any
-    outcomes = [_rule_outputs(table, candidates[i]) for i in matches]
-    first = outcomes[0]
-    for other in outcomes[1:]:
-        if set(other) != set(first) or not all(feel.equals(other[k], first[k]) for k in first):
-            raise AnyConflictError(table.id)
-    return first
+        if not matches:
+            if default_outputs is not None:
+                return default_outputs()
+            raise NoMatchError(table_id)
+        if policy == "First":
+            return outputs[matches[0]]()
+        if policy == "Unique":
+            if len(matches) > 1:
+                raise UniquenessViolationError(table_id, [m + 1 for m in matches])
+            return outputs[matches[0]]()
+        # Any
+        outcomes = [outputs[i]() for i in matches]
+        first = outcomes[0]
+        for other in outcomes[1:]:
+            if set(other) != set(first) or not all(feel.equals(other[k], first[k])
+                                                   for k in first):
+                raise AnyConflictError(table_id)
+        return first
+    return evaluate

@@ -3,7 +3,7 @@ expression subset used in gateway conditions, script tasks, decision-table
 cells and message parts."""
 
 from . import ast
-from .evaluator import evaluate, match_unary
+from .evaluator import compile_expr, compile_unary, evaluate, match_unary
 from .parser import parse_expr, parse_unary_test
 from .render import render, render_unary_test
 from .types import StaticType, infer_types, synthesize, type_of_constant
@@ -15,6 +15,8 @@ __all__ = [
     "parse_unary_test",
     "evaluate",
     "match_unary",
+    "compile_expr",
+    "compile_unary",
     "render",
     "render_unary_test",
     "render_value",

@@ -1,32 +1,41 @@
 """Execution engine: runs a compiled model once.
 
+On its first run, a model's routines are lowered once into a node program
+(Feeley & Lapalme, "Using Closures for Code Generation", 1987): per node,
+its plain steps as closures over the engine, a terminal closure that picks
+the next node, and the node's activation and edge trace records, built
+once and shared by every run. Expressions inside are compiled closures
+too, and decision tables compile themselves once with their output
+entries folded. So no step is dispatched on its type while a run goes on.
+
 A run owns a variable store (every declared variable starts undefined),
-per-variable input cursors, FIFO message channels and a trace. One
-interpreter serves both modes: each branch of a run is a generator that
-yields at every node boundary, hands its children over at a fork, and
-yields while the channel of its receive is empty. A scheduler on a single
-OS thread decides which branch steps next. Sequential mode runs the
-branches one at a time in case order, so a receive that waits for a later
-branch is a deadlock. Parallel mode gives each step to a runnable branch
-drawn with a random generator seeded from `RunOptions.seed`, so every
-interleaving is reproducible from the seed, and a run whose live branches
-all wait on empty channels ends as a deadlock. Both deadlocks are engine
-faults naming the blocked receive node. Trace length is bounded by the
-step budget and the wall-clock timeout rather than any call stack.
+per-variable input cursors, FIFO message channels and a trace. One walker
+serves both modes: each branch of a run is a generator that hands its
+children over at a fork and yields while the channel of its receive is
+empty; in parallel mode it also yields at every node boundary. A
+scheduler on a single OS thread decides which branch steps next.
+Sequential mode runs the branches one at a time in case order, so a
+receive that waits for a later branch is a deadlock. Parallel mode gives
+each step to a runnable branch drawn with a random generator seeded from
+`RunOptions.seed`, so every interleaving is reproducible from the seed,
+and a run whose live branches all wait on empty channels ends as a
+deadlock. Both deadlocks are engine faults naming the blocked receive
+node. Parallel mode also notes a variable written by two branches that no
+fork or join edge orders. Trace length is bounded by the step budget and
+the wall-clock timeout rather than any call stack.
 """
 
 from __future__ import annotations
 
 import collections
-import itertools
 import random
 import time
 from dataclasses import dataclass, field
 
-from . import dmn, feel
+from . import feel
 from .compiler import (Assign, Branch, Continue, ConsumeInput, ExecutableModel, Fork,
                        InvokeTable, JoinBarrier, Receive, Send, Terminate)
-from .errors import BprocError, ConfigError, MessageTypeMismatchError
+from .errors import BprocError, ConfigError, MessageTypeMismatchError, SchemaError
 from .feel.values import UNDEFINED
 
 DEFAULT_TIMEOUT_S = 5.0
@@ -35,24 +44,24 @@ DEFAULT_MAX_STEPS = 1_000_000
 
 # --- trace records ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeActivated:
     node: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeTraversed:
     source: str
     target: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableEvaluated:
     table: str
     outputs: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarWritten:
     name: str
     value: object
@@ -100,6 +109,193 @@ class ExecState:
     cursors: dict
 
 
+# --- lowering: each routine once per model, into closures ---------------------
+
+class _Node:
+    """A lowered routine.
+
+    `steps` are its plain steps, functions of the engine that return None,
+    except a receive on an empty channel, which returns (node, channel)
+    and does nothing. `terminal` is a function of the engine that returns
+    the next node id, None (the branch ended and the outcome is set) or
+    the fork's children, (target, fork edge) pairs; a fork's children meet
+    at `join_id`. A continue has no terminal function: the walker goes on
+    to `next` over `edge` itself, as does an arrival that passes a barrier
+    join. The trace records are built here once and shared by every run:
+    they are frozen and compared by value.
+    """
+
+    __slots__ = ("activated", "steps", "terminal", "next", "edge", "join_id")
+
+    def __init__(self, node_id: str):
+        self.activated = NodeActivated(node_id)
+        self.steps: tuple = ()
+        self.terminal = self.next = self.edge = self.join_id = None
+
+
+def _program(model: ExecutableModel) -> dict[str, _Node]:
+    """The model's routines lowered to closures; built on the first run."""
+    program = model.program
+    if program is None:
+        program = model.program = {node_id: _lower(routine, model)
+                                   for node_id, routine in model.routines.items()}
+    return program
+
+
+def _lower(routine, model: ExecutableModel) -> _Node:
+    node_id = routine.id
+    node = _Node(node_id)
+    steps = []
+    for step in routine.steps:
+        if isinstance(step, Continue):
+            node.next, node.edge = step.target, EdgeTraversed(node_id, step.target)
+            break
+        if isinstance(step, (Terminate, Branch, Fork, JoinBarrier)):
+            node.terminal = _lower_terminal(step, node_id, node)
+            break
+        steps.append(_lower_step(step, node_id, model))
+    else:
+        node.terminal = _fault(f"routine {node_id!r} fell through without a terminal step")
+    node.steps = tuple(steps)
+    return node
+
+
+def _fault(message: str):
+    def fault(engine):
+        engine._set_outcome("fault", "ENGINE_FAULT", message)
+    return fault
+
+
+def _lower_terminal(step, node_id: str, node: _Node):
+    if isinstance(step, Terminate):
+        outcome = ("success" if step.status == "success" else "error", step.code, step.message)
+        return lambda engine: engine._set_outcome(*outcome)
+
+    if isinstance(step, Branch):
+        cases = tuple((feel.compile_expr(condition), target, EdgeTraversed(node_id, target))
+                      for condition, target in step.cases)
+        default = step.default
+        default_edge = EdgeTraversed(node_id, default) if default is not None else None
+
+        def branch(engine):
+            bindings = engine.bindings
+            for condition, target, edge in cases:
+                verdict = condition(bindings)
+                if verdict is True:
+                    engine._record(edge)
+                    return target
+                if verdict is not False:
+                    raise BprocError("condition is not boolean")
+            if default is not None:
+                engine._record(default_edge)
+                return default
+            engine._set_outcome("error", "UNHANDLED_CONDITION", "unhandled condition")
+        return branch
+
+    if isinstance(step, Fork):
+        node.join_id = step.join_id
+        children = tuple((target, EdgeTraversed(node_id, target)) for target in step.targets)
+        if step.conditions is None:
+            return lambda engine: children
+        guarded = tuple(zip(map(feel.compile_expr, step.conditions), children))
+
+        def inclusive_fork(engine):
+            bindings = engine.bindings
+            selected = []
+            for condition, child in guarded:
+                verdict = condition(bindings)
+                if not isinstance(verdict, bool):
+                    raise BprocError(f"inclusive condition is not boolean: {verdict!r}")
+                if verdict:
+                    selected.append(child)
+            if not selected:
+                raise BprocError("no inclusive gateway condition holds (unhandled condition)")
+            return selected
+        return inclusive_fork
+
+    # a join barrier: arrivals from its fork continue past it (see _Engine._walk)
+    node.next, node.edge = step.next, EdgeTraversed(node_id, step.next)
+    return _fault(f"join {node_id!r} reached outside its fork")
+
+
+def _lower_step(step, node_id: str, model: ExecutableModel):
+    if isinstance(step, ConsumeInput):
+        var = step.var
+
+        def consume(engine):
+            values = engine.input_lists[var]
+            cursors = engine.state.cursors
+            j = cursors[var]
+            cursors[var] = min(j + 1, len(values))
+            engine._write(var, values[min(j, len(values) - 1)])
+        return consume
+
+    if isinstance(step, Assign):
+        var, evaluate = step.var, feel.compile_expr(step.expr)
+        return lambda engine: engine._write(var, evaluate(engine.bindings))
+
+    if isinstance(step, InvokeTable):
+        table = model.tables[step.table_ref]
+        by_label = dict(step.arg_bindings)
+        missing = [label for label, _ in table.inputs if label not in by_label]
+        if missing:
+            message = f"table {table.id!r} called without arguments {missing}"
+
+            def unbound(engine):
+                raise SchemaError(message)
+            return unbound
+        # the arguments in input-column order, as the compiled table takes them
+        args = tuple(feel.compile_expr(by_label[label]) for label, _ in table.inputs)
+        evaluator, out_bindings = table.evaluator, step.out_bindings
+
+        def invoke(engine):
+            bindings = engine.bindings
+            outputs = evaluator([arg(bindings) for arg in args])
+            engine._record(TableEvaluated(table.id, tuple(sorted(outputs.items()))))
+            for out_name, var in out_bindings:
+                engine._write(var, outputs[out_name])
+        return invoke
+
+    if isinstance(step, Send):
+        channel, msg_type = step.channel, step.msg_type
+        parts = tuple((part, feel.compile_expr(expr)) for part, expr in step.parts)
+
+        def send(engine):
+            bindings = engine.bindings
+            payload = {part: evaluate(bindings) for part, evaluate in parts}
+            engine._channels[channel].append((msg_type, payload))
+            waiters = engine._waiting.pop(channel, None)
+            if waiters:  # they compete for the message again
+                engine._ready.extend((branch, walker) for branch, walker, _ in waiters)
+        return send
+
+    if isinstance(step, Receive):
+        channel, expected, targets = step.channel, step.msg_type, step.targets
+        blocked = (node_id, channel)
+
+        def receive(engine):
+            queue = engine._channels[channel]
+            if not queue:
+                return blocked
+            msg_type, payload = queue.popleft()
+            if msg_type != expected:
+                raise MessageTypeMismatchError(
+                    f"receive {node_id!r} expected message type {expected!r}, "
+                    f"got {msg_type!r}")
+            for part, var in targets:
+                if part not in payload:
+                    raise MessageTypeMismatchError(
+                        f"message on channel {channel!r} has no part {part!r}")
+                engine._write(var, payload[part])
+        return receive
+
+    def unexpected(engine):
+        raise ConfigError(f"unexpected step {step!r}")
+    return unexpected
+
+
+# --- execution ------------------------------------------------------------------
+
 class _Aborted(Exception):
     """Internal: the timeout or the step budget decided the run outcome."""
 
@@ -122,6 +318,27 @@ class _Barrier:
         return self._arrived == self.expected
 
 
+class _Branch:
+    """A branch of a run, named by its path: one (fork barrier, branch
+    index) pair per fork it is inside, outermost first."""
+
+    __slots__ = ("path",)
+
+    def __init__(self, path: tuple):
+        self.path = path
+
+
+def _concurrent(a: tuple, b: tuple) -> bool:
+    """Do two branch paths lie in different branches of one fork? Only
+    then does no fork or join edge order what the two branches do."""
+    for (fork_a, i), (fork_b, j) in zip(a, b):
+        if fork_a is not fork_b:
+            return False
+        if i != j:
+            return True
+    return False
+
+
 class _Engine:
     def __init__(self, model: ExecutableModel, input_lists: dict, options: RunOptions):
         self.model = model
@@ -131,17 +348,18 @@ class _Engine:
             bindings={name: UNDEFINED for name in model.declared_variables()},
             cursors={name: 0 for name in input_lists},
         )
+        self.bindings = self.state.bindings
         self.trace = Trace()
         self._record = self.trace.records.append
         self.diagnostics: list[str] = []
         self._outcome: tuple[str, str, str] | None = None
         self._parallel = options.mode == "parallel"
+        self._program = _program(model)
         self._steps = 0
-        self._writers: dict[str, set[int]] = {}
-        self._branch = 1  # id of the branch being stepped
-        self._branch_ids = itertools.count(2)
-        self._ready: list[tuple[int, object]] = []  # (branch id, walker) that can step
-        self._waiting: dict[str, list] = {}  # channel -> (branch id, walker, node)
+        self._last_writer: dict[str, tuple] = {}  # variable -> path of its last writer
+        self._branch: _Branch | None = None  # the branch being stepped
+        self._ready: list[tuple] = []  # (branch, walker) that can step
+        self._waiting: dict[str, list] = {}  # channel -> (branch, walker, receive node)
         self._channels = {name: collections.deque() for name in model.channel_names}
         self._started = time.monotonic()
         self._deadline = self._started + options.timeout_s
@@ -164,23 +382,29 @@ class _Engine:
             raise _Aborted()
 
     def _write(self, name: str, value):
-        self.state.bindings[name] = value
+        self.bindings[name] = value
         self._record(VarWritten(name, value))
         if self._parallel:
-            writers = self._writers.setdefault(name, set())
-            writers.add(self._branch)
-            if len(writers) > 1:
+            path = self._branch.path
+            last = self._last_writer.get(name)
+            self._last_writer[name] = path
+            if last is not None and _concurrent(last, path):
                 note = f"variable {name!r} written by several parallel branches"
                 if note not in self.diagnostics:
                     self.diagnostics.append(note)
 
     # --- scheduling ---
 
+    def _start(self, path: tuple, target: str, barrier: _Barrier | None,
+               entry: EdgeTraversed | None) -> tuple:
+        branch = _Branch(path)
+        return branch, self._walk(target, barrier, entry, branch)
+
     def run(self):
         """Step the branches, from the entry node, until the run has an outcome."""
         parallel = self._parallel
         ready = self._ready
-        ready.append((self._branch, self._walk(self.model.entry, None, None)))
+        ready.append(self._start((), self.model.entry, None, None))
         rng = None  # built when two branches first compete for a step
         try:
             while ready and self._outcome is None:
@@ -198,8 +422,8 @@ class _Engine:
                 if event is _ENDED:
                     continue
                 if type(event) is list:  # a fork: its children, in case order
-                    children = [(next(self._branch_ids), self._walk(*child))
-                                for child in event]
+                    children = [self._start(branch.path + ((barrier, i),), target, barrier, edge)
+                                for i, (target, barrier, edge) in enumerate(event)]
                     ready.extend(reversed(children))  # the first case on top
                 else:  # a receive on an empty channel
                     node, channel = event
@@ -211,8 +435,6 @@ class _Engine:
                                           f"on empty channel {channel!r}")
         except _Aborted:
             pass
-        except BprocError as exc:
-            self._set_outcome("fault", "ENGINE_FAULT", str(exc))
         if self._outcome is None and self._waiting:
             blocked = "; ".join(f"receive {node!r} blocked on empty channel {channel!r}"
                                 for channel, waiters in self._waiting.items()
@@ -224,142 +446,63 @@ class _Engine:
                               "all branches ended without an outcome" if parallel
                               else "run ended without an outcome")
 
-    # --- interpretation of one branch ---
+    # --- one branch ---
 
-    def _walk(self, current: str, barrier: _Barrier | None, source: str | None):
-        """Interpret one branch from `current`, entered over the fork edge
-        from `source` when it has one.
+    def _walk(self, current: str, barrier: _Barrier | None, entry: EdgeTraversed | None,
+              branch: _Branch):
+        """Run one branch from `current`, entered over the fork edge `entry`
+        when it has one.
 
-        Yields None after every node, the list of (target, barrier, split)
-        children at a fork (and then ends), and (node, channel) while a
-        receive waits on an empty channel. Ends at a join some other
-        branch still has to reach, or once the run has an outcome.
+        In parallel mode, yields None after every node; in both modes,
+        yields the list of (target, barrier, fork edge) children at a fork
+        (and then ends), and (node, channel) while a receive waits on an
+        empty channel. Ends at a join some other branch still has to reach,
+        or once the run has an outcome. A sequential branch keeps the only
+        step until it yields, so it needs no node boundaries.
         """
-        routines = self.model.routines
+        program = self._program
         record = self._record
-        if source is not None:
-            record(EdgeTraversed(source, current))
+        tick = self._tick
+        parallel = self._parallel
+        if entry is not None:
+            record(entry)
         while True:
+            node = program[current]
             if barrier is not None and current == barrier.join_id:
                 if not barrier.arrive():
                     return  # another arrival will continue past the join
-                self._tick()
-                record(NodeActivated(current))
-                target = routines[current].steps[0].next
-                record(EdgeTraversed(current, target))
-                current, barrier = target, barrier.parent
-                yield
+                tick()
+                record(node.activated)
+                record(node.edge)
+                current, barrier = node.next, barrier.parent
+                branch.path = branch.path[:-1]  # the fork's own branch again
+                if parallel:
+                    yield
                 continue
-            self._tick()
-            record(NodeActivated(current))
-            for step in routines[current].steps:
-                if isinstance(step, Terminate):
-                    self._set_outcome("success" if step.status == "success" else "error",
-                                      step.code, step.message)
-                    return
-                if isinstance(step, Continue):
-                    record(EdgeTraversed(current, step.target))
-                    current = step.target
-                    break
-                if isinstance(step, Branch):
-                    current = self._pick_branch(step, current)
-                    if current is None:
-                        return
-                    break
-                if isinstance(step, JoinBarrier):
-                    raise BprocError(f"join {current!r} reached outside its fork")
-                if isinstance(step, Fork):
-                    try:
-                        selected = self._selected_branches(step)
-                    except BprocError as exc:
-                        self._set_outcome("fault", "ENGINE_FAULT", f"{current}: {exc}")
-                        return
-                    child = _Barrier(step.join_id, len(selected), barrier)
-                    yield [(target, child, current) for target in selected]
-                    return
-                if isinstance(step, Receive):
-                    while not self._channels[step.channel]:
-                        yield current, step.channel
-                try:
-                    self._run_plain_step(step, current)
-                except BprocError as exc:
-                    self._set_outcome("fault", "ENGINE_FAULT", f"{current}: {exc}")
-                    return
-            else:
-                raise BprocError(f"routine {current!r} fell through without a "
-                                 f"terminal step")
-            yield
-
-    def _run_plain_step(self, step, node_id: str):
-        if isinstance(step, ConsumeInput):
-            values = self.input_lists[step.var]
-            j = self.state.cursors[step.var]
-            self.state.cursors[step.var] = min(j + 1, len(values))
-            self._write(step.var, values[min(j, len(values) - 1)])
-        elif isinstance(step, Assign):
-            self._write(step.var, feel.evaluate(step.expr, self.state.bindings))
-        elif isinstance(step, InvokeTable):
-            table = self.model.tables[step.table_ref]
-            args = {label: feel.evaluate(expr, self.state.bindings)
-                    for label, expr in step.arg_bindings}
-            outputs = dmn.evaluate_table(table, args)
-            self._record(TableEvaluated(table.id, tuple(sorted(outputs.items()))))
-            for out_name, var in step.out_bindings:
-                self._write(var, outputs[out_name])
-        elif isinstance(step, Send):
-            payload = {part: feel.evaluate(expr, self.state.bindings)
-                       for part, expr in step.parts}
-            self._channels[step.channel].append((step.msg_type, payload))
-            waiters = self._waiting.pop(step.channel, None)
-            if waiters:  # they compete for the message again
-                self._ready.extend((branch, walker) for branch, walker, _ in waiters)
-        elif isinstance(step, Receive):
-            msg_type, payload = self._channels[step.channel].popleft()
-            if msg_type != step.msg_type:
-                raise MessageTypeMismatchError(
-                    f"receive {node_id!r} expected message type {step.msg_type!r}, "
-                    f"got {msg_type!r}")
-            for part, var in step.targets:
-                if part not in payload:
-                    raise MessageTypeMismatchError(
-                        f"message on channel {step.channel!r} has no part {part!r}")
-                self._write(var, payload[part])
-        else:
-            raise ConfigError(f"unexpected step {step!r}")
-
-    def _selected_branches(self, step: Fork):
-        if step.conditions is None:
-            return list(step.targets)
-        selected = []
-        for target, condition in zip(step.targets, step.conditions):
-            verdict = feel.evaluate(condition, self.state.bindings)
-            if not isinstance(verdict, bool):
-                raise BprocError(f"inclusive condition is not boolean: {verdict!r}")
-            if verdict:
-                selected.append(target)
-        if not selected:
-            raise BprocError("no inclusive gateway condition holds (unhandled condition)")
-        return selected
-
-    def _pick_branch(self, step: Branch, current: str) -> str | None:
-        for condition, target in step.cases:
+            tick()
+            record(node.activated)
             try:
-                verdict = feel.evaluate(condition, self.state.bindings)
+                for step in node.steps:
+                    while (blocked := step(self)) is not None:
+                        yield blocked
+                if node.terminal is None:  # a continue
+                    record(node.edge)
+                    following = node.next
+                else:
+                    following = node.terminal(self)
             except BprocError as exc:
                 self._set_outcome("fault", "ENGINE_FAULT", f"{current}: {exc}")
-                return None
-            if not isinstance(verdict, bool):
-                self._set_outcome("fault", "ENGINE_FAULT",
-                                  f"{current}: condition is not boolean")
-                return None
-            if verdict:
-                self._record(EdgeTraversed(current, target))
-                return target
-        if step.default is not None:
-            self._record(EdgeTraversed(current, step.default))
-            return step.default
-        self._set_outcome("error", "UNHANDLED_CONDITION", "unhandled condition")
-        return None
+                return
+            if following.__class__ is str:
+                current = following
+                if parallel:
+                    yield
+            elif following is None:
+                return
+            else:  # a fork
+                child = _Barrier(node.join_id, len(following), barrier)
+                yield [(target, child, edge) for target, edge in following]
+                return
 
 
 def run_once(model: ExecutableModel, input_lists: dict[str, list],

@@ -13,17 +13,28 @@ write sequence for a concrete input vector.
 `reference_matching_join` is the original join search for a parallel or
 inclusive split: a full BFS from every branch, then the common barrier join
 with the least maximum distance, ties broken on id.
+
+`reference_evaluate`, `reference_match_unary` and `reference_evaluate_table`
+are the original tree-walking evaluators of expressions, cell tests and
+decision tables, which re-walk the tree (and re-evaluate every output entry
+and comparison bound) on every call. The compiled closures must agree with
+them value for value and error for error.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from typing import Mapping
 
 from bproc import dmn, feel
-from bproc.errors import SchemaError
+from bproc.errors import (AnyConflictError, DivisionByZeroError, FeelTypeError,
+                          IndexOutOfRangeError, NoMatchError, SchemaError,
+                          UndefinedValueError, UniquenessViolationError)
 from bproc.feel import ast
-from bproc.feel.values import FeelRange
+from bproc.feel.values import (SECONDS_PER_DAY, FeelRange, Temporal, check_defined, compare,
+                               equals, kind_of)
 
 NO_MATCH = object()
 
@@ -234,6 +245,245 @@ def reference_matching_join(gateway_id: str, model) -> str:
         raise SchemaError(f"parallel/inclusive split {gateway_id!r} has no join gateway "
                           f"reachable from every branch")
     return min(common, key=lambda b: (max(d[b] for d in branch_dists), b))
+
+
+# --- reference evaluators -------------------------------------------------------
+
+_REF_ORDER_OPS = {"<", "<=", ">", ">="}
+
+
+def reference_evaluate(expr: ast.FeelExpr, env: Mapping[str, object]):
+    """Value of `expr` under `env`, by walking the tree."""
+    if isinstance(expr, ast.Lit):
+        return expr.value
+    if isinstance(expr, ast.Var):
+        if expr.name not in env:
+            raise UndefinedValueError(f"variable {expr.name!r} is not bound")
+        return check_defined(env[expr.name])
+    if isinstance(expr, ast.Neg):
+        v = reference_evaluate(expr.operand, env)
+        if kind_of(v) != "number":
+            raise FeelTypeError(f"cannot negate a {kind_of(v)}")
+        return -v
+    if isinstance(expr, ast.Not):
+        v = reference_evaluate(expr.operand, env)
+        if kind_of(v) != "boolean":
+            raise FeelTypeError(f"'not' needs a boolean, got {kind_of(v)}")
+        return not v
+    if isinstance(expr, ast.BinOp):
+        return _ref_binop(expr, env)
+    if isinstance(expr, ast.Call):
+        return _ref_call(expr, env)
+    if isinstance(expr, ast.ListLit):
+        return [reference_evaluate(item, env) for item in expr.items]
+    if isinstance(expr, ast.Index):
+        seq = reference_evaluate(expr.seq, env)
+        if kind_of(seq) != "list":
+            raise FeelTypeError(f"cannot index a {kind_of(seq)}")
+        idx = reference_evaluate(expr.index, env)
+        if kind_of(idx) != "number" or isinstance(idx, float):
+            raise FeelTypeError("list index must be an integer")
+        if not 1 <= idx <= len(seq):
+            raise IndexOutOfRangeError(f"index {idx} outside 1..{len(seq)}")
+        return seq[idx - 1]
+    if isinstance(expr, ast.Filter):
+        seq = reference_evaluate(expr.seq, env)
+        if kind_of(seq) != "list":
+            raise FeelTypeError(f"cannot filter a {kind_of(seq)}")
+        kept = []
+        for element in seq:
+            scoped = dict(env)
+            scoped["item"] = element
+            verdict = reference_evaluate(expr.predicate, scoped)
+            if kind_of(verdict) != "boolean":
+                raise FeelTypeError("filter predicate must be boolean")
+            if verdict:
+                kept.append(element)
+        return kept
+    if isinstance(expr, ast.ContextLit):
+        return {k: reference_evaluate(v, env) for k, v in expr.entries}
+    if isinstance(expr, ast.Path):
+        base = reference_evaluate(expr.base, env)
+        if kind_of(base) != "context":
+            raise FeelTypeError(f"cannot access '.{expr.key}' on a {kind_of(base)}")
+        if expr.key not in base:
+            raise FeelTypeError(f"context has no entry {expr.key!r}")
+        return base[expr.key]
+    if isinstance(expr, ast.RangeLit):
+        lo = reference_evaluate(expr.lo, env)
+        hi = reference_evaluate(expr.hi, env)
+        compare(lo, hi)  # endpoints must be mutually ordered
+        return FeelRange(lo, hi, expr.lo_incl, expr.hi_incl)
+    if isinstance(expr, ast.InTest):
+        return _ref_membership(reference_evaluate(expr.item, env), reference_evaluate(expr.container, env))
+    if isinstance(expr, ast.InstanceOf):
+        v = reference_evaluate(expr.operand, env)
+        kind = kind_of(v)
+        check_defined(v)
+        return kind == expr.type_name
+    raise FeelTypeError(f"cannot evaluate node {type(expr).__name__}")
+
+
+def _ref_binop(expr: ast.BinOp, env):
+    op = expr.op
+    if op in ("and", "or"):
+        left = reference_evaluate(expr.left, env)
+        if kind_of(left) != "boolean":
+            raise FeelTypeError(f"{op!r} needs boolean operands, got {kind_of(left)}")
+        if op == "and" and not left:
+            return False
+        if op == "or" and left:
+            return True
+        right = reference_evaluate(expr.right, env)
+        if kind_of(right) != "boolean":
+            raise FeelTypeError(f"{op!r} needs boolean operands, got {kind_of(right)}")
+        return right
+
+    left = reference_evaluate(expr.left, env)
+    right = reference_evaluate(expr.right, env)
+    if op == "=":
+        return equals(left, right)
+    if op == "!=":
+        return not equals(left, right)
+    if op in _REF_ORDER_OPS:
+        c = compare(left, right)
+        return {"<": c < 0, "<=": c <= 0, ">": c > 0, ">=": c >= 0}[op]
+
+    # arithmetic
+    lk, rk = kind_of(left), kind_of(right)
+    if op == "+" and lk == rk == "string":
+        return left + right
+    if op == "+" and lk == rk == "time":
+        return Temporal("time", (left.scalar + right.scalar) % SECONDS_PER_DAY)
+    if lk != "number" or rk != "number":
+        raise FeelTypeError(f"cannot apply {op!r} to {lk} and {rk}")
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if op == "/":
+        if right == 0:
+            raise DivisionByZeroError("division by zero")
+        return left / right
+    if op == "**":
+        try:
+            result = left ** right
+        except ZeroDivisionError as exc:
+            raise DivisionByZeroError("zero raised to a negative power") from exc
+        except OverflowError as exc:
+            raise FeelTypeError("power overflows") from exc
+        if isinstance(result, complex):  # negative base, fractional exponent
+            raise FeelTypeError("power of a negative base with a fractional exponent")
+        return result
+    raise FeelTypeError(f"unknown operator {op!r}")
+
+
+def _ref_call(expr: ast.Call, env):
+    args = [reference_evaluate(a, env) for a in expr.args]
+
+    def one_number():
+        if len(args) != 1 or kind_of(args[0]) != "number":
+            raise FeelTypeError(f"{expr.name}(...) takes one number")
+        return args[0]
+
+    if expr.name == "abs":
+        return abs(one_number())
+    if expr.name == "floor":
+        return math.floor(one_number())
+    if expr.name == "ceiling":
+        return math.ceil(one_number())
+    if expr.name == "sqrt":
+        v = one_number()
+        if v < 0:
+            raise FeelTypeError("sqrt of a negative number")
+        return math.sqrt(v)
+    if expr.name == "length":
+        if len(args) != 1 or kind_of(args[0]) not in ("string", "list"):
+            raise FeelTypeError("length(...) takes one string or list")
+        return len(args[0])
+    if expr.name == "overlaps before":
+        if len(args) != 2 or not all(isinstance(a, FeelRange) for a in args):
+            raise FeelTypeError("overlaps before(...) takes two ranges")
+        return _ref_overlaps_before(args[0], args[1])
+    raise FeelTypeError(f"unknown function {expr.name!r}")
+
+
+def _ref_overlaps_before(a: FeelRange, b: FeelRange) -> bool:
+    # a starts before b, they overlap, and a ends inside b
+    starts_before = compare(a.lo, b.lo) < 0 or (
+        compare(a.lo, b.lo) == 0 and a.lo_incl and not b.lo_incl)
+    overlap = compare(a.hi, b.lo) > 0 or (
+        compare(a.hi, b.lo) == 0 and a.hi_incl and b.lo_incl)
+    ends_inside = compare(a.hi, b.hi) < 0 or (
+        compare(a.hi, b.hi) == 0 and (not a.hi_incl or b.hi_incl))
+    return starts_before and overlap and ends_inside
+
+
+def _ref_membership(item, container) -> bool:
+    if isinstance(container, FeelRange):
+        return container.contains(item)
+    if kind_of(container) == "list":
+        return any(equals(item, element) for element in container)
+    raise FeelTypeError(f"'in' needs a list or range, got {kind_of(container)}")
+
+
+def reference_match_unary(test: ast.UnaryTest, value) -> bool:
+    """Does `value` satisfy a decision-table input entry? By walking the test."""
+    if kind_of(value) in ("list", "context"):
+        raise FeelTypeError(f"cell tests apply to scalars, got a {kind_of(value)}")
+    if isinstance(test, ast.Dash):
+        return True
+    check_defined(value)
+    if isinstance(test, ast.EqualsConst):
+        return equals(value, test.value)
+    if isinstance(test, ast.Comparison):
+        bound = reference_evaluate(test.operand, {})
+        c = compare(value, bound)
+        return {"<": c < 0, "<=": c <= 0, ">": c > 0, ">=": c >= 0}[test.op]
+    if isinstance(test, ast.RangeTest):
+        return test.range.contains(value)
+    if isinstance(test, ast.Negation):
+        return not reference_match_unary(test.inner, value)
+    if isinstance(test, ast.Disjunction):
+        return any(reference_match_unary(t, value) for t in test.alternatives)
+    raise FeelTypeError(f"unknown test {type(test).__name__}")
+
+
+def reference_evaluate_table(table: dmn.DecisionTable, args: dict[str, object]) -> dict:
+    """Hit-policy evaluation that matches every rule and evaluates the
+    output entries of each hit, through the reference walkers."""
+    missing = [label for label, _ in table.inputs if label not in args]
+    if missing:
+        raise SchemaError(f"table {table.id!r} called without arguments {missing}")
+    ordered = [args[label] for label, _ in table.inputs]
+
+    def outputs(rule):
+        return {name: reference_evaluate(entry, {})
+                for name, entry in zip(table.outputs, rule.output_entries)}
+
+    default = table.default_rule()
+    candidates = table.rules[:-1] if default is not None else table.rules
+    matches = [i for i, rule in enumerate(candidates)
+               if all(reference_match_unary(test, value)
+                      for test, value in zip(rule.input_entries, ordered))]
+    if not matches:
+        if default is not None:
+            return outputs(default)
+        raise NoMatchError(table.id)
+    if table.hit_policy == "First":
+        return outputs(candidates[matches[0]])
+    if table.hit_policy == "Unique":
+        if len(matches) > 1:
+            raise UniquenessViolationError(table.id, [m + 1 for m in matches])
+        return outputs(candidates[matches[0]])
+    outcomes = [outputs(candidates[i]) for i in matches]
+    first = outcomes[0]
+    for other in outcomes[1:]:
+        if set(other) != set(first) or not all(feel.equals(other[k], first[k]) for k in first):
+            raise AnyConflictError(table.id)
+    return first
 
 
 def boundary_vectors(specs, overrides=None) -> list[dict]:

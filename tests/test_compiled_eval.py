@@ -1,0 +1,187 @@
+"""The compiled evaluators against the tree-walking references in oracles.py.
+
+Expressions, cell tests and decision tables are generated from the AST
+constructors, so they reach cases the parser never builds: unbound and
+undefined variables, kind errors, division by zero, non-boolean
+conditions, unknown operators and functions. For each one the compiled
+closure and the reference must give equal values, or raise the same
+exception type with the same message.
+"""
+
+import math
+
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from bproc import feel
+from bproc.dmn import DecisionTable, Rule, evaluate_table
+from bproc.feel import ast
+from bproc.feel.values import UNDEFINED, FeelRange, Temporal
+
+from oracles import reference_evaluate, reference_evaluate_table, reference_match_unary
+
+NAMES = ("a", "b", "s", "u", "l", "c", "missing")  # "missing" is never bound
+ENV = {"a": 3, "b": 2.5, "s": "x", "u": UNDEFINED, "l": [1, 2.0, "x"], "c": {"k": 1}}
+
+numbers = st.one_of(st.integers(-3, 3), st.floats(allow_nan=True, allow_infinity=True),
+                    st.sampled_from([0, 0.0, 10**20, 1e308]))
+scalars = st.one_of(numbers, st.sampled_from(["x", "y", "", True, False, None]),
+                    st.builds(Temporal, st.sampled_from(["date", "time"]),
+                              st.integers(0, 800_000)))
+values = st.one_of(scalars, st.just(UNDEFINED), st.lists(scalars, max_size=3),
+                   st.dictionaries(st.sampled_from(["k", "m"]), scalars, max_size=2),
+                   st.builds(FeelRange, numbers, numbers, st.booleans(), st.booleans()),
+                   st.just(("not", "a", "value")))
+
+OPS = ("+", "-", "*", "/", "**", "<", "<=", ">", ">=", "=", "!=", "and", "or", "%")
+CALLS = ("abs", "floor", "ceiling", "sqrt", "length", "overlaps before", "nope")
+
+
+def _extend(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        st.builds(ast.Neg, children),
+        st.builds(ast.Not, children),
+        st.builds(lambda op, lr: ast.BinOp(op, *lr), st.sampled_from(OPS), pairs),
+        st.builds(ast.Call, st.sampled_from(CALLS), st.lists(children, max_size=2).map(tuple)),
+        st.builds(ast.ListLit, st.lists(children, max_size=3).map(tuple)),
+        st.builds(ast.Index, children, children),
+        st.builds(ast.Filter, children, children),
+        st.builds(ast.ContextLit, st.lists(st.tuples(st.sampled_from(["k", "m"]), children),
+                                           max_size=2).map(tuple)),
+        st.builds(ast.Path, children, st.sampled_from(["k", "m"])),
+        st.builds(ast.RangeLit, children, children, st.booleans(), st.booleans()),
+        st.builds(ast.InTest, children, children),
+        st.builds(ast.InstanceOf, children, st.sampled_from(["number", "string", "boolean"])),
+    )
+
+
+# mostly numbers, so that many trees evaluate to a value
+leaves = st.one_of(st.builds(ast.Lit, st.integers(-2, 3)), st.builds(ast.Lit, numbers),
+                   st.builds(ast.Var, st.sampled_from(["a", "b", "a", "item"])),
+                   st.builds(ast.Lit, scalars), st.builds(ast.Var, st.sampled_from(NAMES)))
+expressions = st.recursive(leaves, _extend, max_leaves=6)
+constant_expressions = st.recursive(st.builds(ast.Lit, scalars), _extend, max_leaves=4)
+
+
+def _unary_tests(children):
+    return st.one_of(st.builds(ast.Negation, children),
+                     st.builds(ast.Disjunction, st.lists(children, min_size=1,
+                                                         max_size=3).map(tuple)))
+
+
+unary_tests = st.recursive(
+    st.one_of(st.builds(ast.Dash), st.builds(ast.EqualsConst, scalars),
+              st.builds(ast.Comparison, st.sampled_from(["<", "<=", ">", ">="]),
+                        constant_expressions),
+              st.builds(ast.RangeTest, st.builds(FeelRange, st.one_of(numbers, st.just("b")),
+                                                 st.one_of(numbers, st.just("y")),
+                                                 st.booleans(), st.booleans()))),
+    _unary_tests, max_leaves=4)
+
+
+def outcome(fn, *args):
+    """What a call gives: its value, or the class and message of its error.
+    Values are compared by type and repr, so 1, 1.0 and True differ and a
+    NaN equals itself."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+    return "value", type(value), _shape(value)
+
+
+def _shape(value):
+    if isinstance(value, float) and math.isnan(value):
+        return "nan"
+    if isinstance(value, list):
+        return [(type(v), _shape(v)) for v in value]
+    if isinstance(value, dict):
+        return [(k, type(v), _shape(v)) for k, v in value.items()]
+    return repr(value)
+
+
+@given(expressions, st.dictionaries(st.sampled_from(["s", "u", "l", "c"]), values))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(ast.BinOp("<=", ast.Lit(math.nan), ast.Lit(1.0)), {})  # compare() orders NaN as equal
+@example(ast.BinOp(">=", ast.Var("a"), ast.Lit(math.nan)), {})
+@example(ast.BinOp("and", ast.Lit(True), ast.Lit(3)), {})  # a non-boolean condition
+@example(ast.BinOp("or", ast.Lit(False), ast.Var("s")), {})
+@example(ast.BinOp("/", ast.Var("a"), ast.Lit(0)), {})
+@example(ast.BinOp("!=", ast.Var("a"), ast.Var("s")), {})  # kinds that never compare
+def test_compiled_expressions_agree_with_the_reference(expr, extra):
+    env = {**ENV, **extra}  # a and b stay numbers
+    compiled = feel.compile_expr(expr)  # compiling never raises
+    assert outcome(compiled, env) == outcome(reference_evaluate, expr, env)
+    assert outcome(feel.evaluate, expr, env) == outcome(reference_evaluate, expr, env)
+
+
+@given(unary_tests, values)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(ast.Negation(ast.Dash()), UNDEFINED)  # a dash alone accepts it
+def test_compiled_cell_tests_agree_with_the_reference(test, value):
+    compiled = feel.compile_unary(test)  # compiling never raises
+    for _ in range(2):  # a folded bound raises again, and equally
+        assert outcome(compiled, value) == outcome(reference_match_unary, test, value)
+
+
+# cells and arguments over a few small integers, so that rules match
+small = st.integers(0, 3)
+cells = st.one_of(st.builds(ast.Dash), st.builds(ast.EqualsConst, small),
+                  st.builds(ast.Comparison, st.sampled_from(["<", "<=", ">", ">="]),
+                            st.builds(ast.Lit, small)),
+                  st.builds(lambda lo, span: ast.RangeTest(FeelRange(lo, lo + span)), small, small),
+                  st.builds(ast.Dash), st.builds(ast.EqualsConst, small), unary_tests)
+output_entries = st.one_of(st.builds(ast.Lit, small), st.builds(ast.Lit, scalars),
+                           constant_expressions,
+                           st.builds(ast.ListLit, st.lists(st.builds(ast.Lit, scalars),
+                                                           max_size=2).map(tuple)),
+                           st.just(ast.BinOp("/", ast.Lit(1), ast.Lit(0))))
+
+
+@st.composite
+def tables(draw):
+    n_inputs = draw(st.integers(1, 3))
+    outputs = tuple(draw(st.lists(st.sampled_from(["o1", "o2", "o3"]), min_size=1,
+                                  max_size=3)))
+    rules = [Rule(tuple(draw(st.lists(cells, min_size=n_inputs, max_size=n_inputs))),
+                  tuple(draw(st.lists(output_entries, min_size=len(outputs),
+                                      max_size=len(outputs)))))
+             for _ in range(draw(st.integers(0, 4)))]
+    if draw(st.booleans()):
+        rules.append(Rule(tuple(ast.Dash() for _ in range(n_inputs)),
+                          tuple(draw(st.lists(output_entries, min_size=len(outputs),
+                                              max_size=len(outputs))))))
+    return DecisionTable(id="T", name="T",
+                         hit_policy=draw(st.sampled_from(["First", "Unique", "Any"])),
+                         inputs=tuple((f"in{j}", ast.Var(f"in{j}")) for j in range(n_inputs)),
+                         outputs=outputs, rules=tuple(rules))
+
+
+@given(tables(), st.lists(st.lists(st.one_of(small, values), min_size=3, max_size=3),
+                         min_size=1, max_size=4),
+       st.sampled_from([False, False, False, True]))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_compiled_tables_agree_with_the_reference(table, arg_rows, drop_one):
+    for row in arg_rows:
+        args = {f"in{j}": value for j, value in enumerate(row[:len(table.inputs)])}
+        if drop_one:
+            args.pop("in0")
+        got = outcome(evaluate_table, table, args)
+        assert got == outcome(reference_evaluate_table, table, args)
+        if got[0] == "value":  # folded lists are not shared between calls
+            first = evaluate_table(table, args)
+            for value in first.values():
+                if isinstance(value, list):
+                    value.append("changed")
+            assert outcome(evaluate_table, table, args) == got
+
+
+def test_list_and_context_outputs_are_fresh_on_every_hit():
+    table = DecisionTable(id="T", name="T", hit_policy="First",
+                          inputs=(("in0", ast.Var("in0")),), outputs=("o1", "o2"),
+                          rules=(Rule((ast.Dash(),), (ast.ListLit((ast.Lit(1),)),
+                                                       ast.ContextLit((("k", ast.Lit(2)),)))),))
+    first = evaluate_table(table, {"in0": 0})
+    first["o1"].append("changed")
+    first["o2"]["k"] = "changed"
+    assert evaluate_table(table, {"in0": 0}) == {"o1": [1], "o2": {"k": 2}}

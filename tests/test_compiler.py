@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import pytest
 
-from bproc import StaticType, compile_model, parse_bpmn, render_source
+from bproc import (RunOptions, StaticType, compile_model, feel, parse_bpmn, render_source,
+                   run_once)
 from bproc.compiler import (Assign, Branch, Continue, ConsumeInput, Fork, InvokeTable,
                             JoinBarrier, Terminate)
-from bproc.errors import UnresolvedTableError
+from bproc.dmn import DecisionTable, Rule
+from bproc.errors import DivisionByZeroError, UnresolvedTableError
 from bproc.feel import ast, parse_expr, render
 
-from conftest import compile_fixture
+from conftest import compile_fixture, load_fixture
 
 
 def test_one_routine_per_node(shipment):
@@ -91,6 +95,52 @@ def test_business_rule_explicit_io_mapping():
     assert invoke.arg_bindings[0][0] == "purchase amount"
     assert render(invoke.arg_bindings[0][1]) == "amount"
     assert invoke.out_bindings == (("rate", "rate"),)
+
+
+def _counting_entry_evaluations(monkeypatch, tables):
+    """Count, per output entry of `tables`, the calls of its compiled form."""
+    entries = {id(entry): entry for table in tables for rule in table.rules
+               for entry in rule.output_entries}
+    calls = {key: 0 for key in entries}
+    compile_expr = feel.compile_expr
+
+    def counting(expr):
+        compiled = compile_expr(expr)
+        if id(expr) not in entries:
+            return compiled
+
+        def counted(env):
+            calls[id(expr)] += 1
+            return compiled(env)
+        return counted
+
+    monkeypatch.setattr(feel, "compile_expr", counting)
+    monkeypatch.setattr(feel.evaluator, "compile_expr", counting)  # inside feel.evaluate
+    return calls
+
+
+def test_table_outputs_are_evaluated_once_per_table(monkeypatch):
+    model, tables = load_fixture("shipment", "shipment")
+    unused = DecisionTable("Unused", "Unused", "First", (("x", ast.Var("x")),), ("o",),
+                           (Rule((ast.Dash(),), (parse_expr("1 / 0"),)),))
+    calls = _counting_entry_evaluations(monkeypatch, tables + [unused])
+    x = compile_model(model, tables + [unused])  # inference runs several rounds
+    assert set(x.tables.values()) == set(tables)
+    for _ in range(20):  # the runs share the values inference folded
+        draws = {spec.name: [spec.sample] for spec in x.input_vars}
+        run_once(x, draws, RunOptions(mode="sequential"))
+    used = {id(e) for t in tables for r in t.rules for e in r.output_entries}
+    assert all(calls[key] == 1 for key in used)
+    assert calls[id(unused.rules[0].output_entries[0])] == 0  # never for an unused table
+
+
+def test_raising_output_entry_of_a_used_table_fails_compilation():
+    model, (length, *others) = load_fixture("shipment", "shipment")
+    first = length.rules[0]
+    broken = replace(length, rules=(replace(first, output_entries=(parse_expr("1 / 0"),)),)
+                     + length.rules[1:])
+    with pytest.raises(DivisionByZeroError, match="division by zero"):
+        compile_model(model, [broken, *others])
 
 
 def test_unresolved_table_reference(shipment_parsed):

@@ -1,9 +1,13 @@
+import dataclasses
+import pickle
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bproc import RunOptions, compile_model, parse_bpmn, run_once
+from bproc.compiler import InvokeTable
 from bproc.errors import ConfigError
 from bproc.runtime import (TableEvaluated, parse_summary_inputs, render_graph_file,
                            render_summary_file, render_trace_file, write_artifacts)
@@ -112,6 +116,37 @@ def test_step_budget_caps_runaway_loops():
     assert "step budget" in summary.message
 
 
+def test_trace_records_cost_little_memory():
+    x = compile_fixture("loop")
+    tracemalloc.start()
+    try:
+        trace, summary = run_once(x, {}, RunOptions(mode="sequential", max_steps=30_000,
+                                                    timeout_s=60))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.message == "step budget of 30000 exceeded"
+    assert len(trace.records) == 70_000
+    # node and edge records are shared by every run; what a run allocates
+    # is the record list and its variable writes
+    assert peak / len(trace.records) < 40
+
+
+def test_non_boolean_gateway_condition_faults():
+    x = compile_inline("""
+      <startEvent id="s"/>
+      <exclusiveGateway id="g" default="f2"/>
+      <endEvent id="e1"/><endEvent id="e2"/>
+      <sequenceFlow id="f0" sourceRef="s" targetRef="g"/>
+      <sequenceFlow id="f1" sourceRef="g" targetRef="e1">
+        <conditionExpression>1 + 1</conditionExpression>
+      </sequenceFlow>
+      <sequenceFlow id="f2" sourceRef="g" targetRef="e2"/>
+    """)
+    _, summary = run_once(x, {}, RunOptions(mode="sequential"))
+    assert (summary.status, summary.message) == ("fault", "g: condition is not boolean")
+
+
 def test_unhandled_gateway_condition_terminates_with_error():
     x = compile_inline("""
       <startEvent id="s"/>
@@ -151,6 +186,22 @@ def test_no_match_decision_faults(shipment):
                           RunOptions(mode="sequential"))
     assert summary.status == "fault"
     assert "GetLengthDT" in summary.message
+
+
+def test_table_call_without_an_argument_faults(shipment):
+    # compile_model binds every input column; a routine edited by hand may not
+    model = pickle.loads(pickle.dumps(shipment))
+    node_id, routine = next((n, r) for n, r in model.routines.items()
+                            if any(isinstance(s, InvokeTable) for s in r.steps))
+    steps = tuple(dataclasses.replace(s, arg_bindings=s.arg_bindings[1:])
+                  if isinstance(s, InvokeTable) else s for s in routine.steps)
+    model.routines[node_id] = dataclasses.replace(routine, steps=steps)
+    step = next(s for s in routine.steps if isinstance(s, InvokeTable))
+    label = step.arg_bindings[0][0]
+    _, summary = run_once(model, {"pType": ["xl"], "pWeight": [9.5]},
+                          RunOptions(mode="sequential"))
+    assert (summary.status, summary.message) == (
+        "fault", f"{node_id}: table {step.table_ref!r} called without arguments {[label]}")
 
 
 # --- fork / join / messages -----------------------------------------------------
@@ -343,6 +394,64 @@ def test_parallel_writes_to_one_variable_are_flagged():
     assert any("shared" in note for note in summary.diagnostics)
 
 
+ORDERED_WRITES = """
+  <startEvent id="s"/>
+  <scriptTask id="w0" resultVariable="v"><script>0</script></scriptTask>
+  <parallelGateway id="split"/>
+  <scriptTask id="a" resultVariable="{a}"><script>1</script></scriptTask>
+  <scriptTask id="b" resultVariable="hit_b"><script>2</script></scriptTask>
+  <parallelGateway id="join"/>
+  <scriptTask id="w3" resultVariable="v"><script>3</script></scriptTask>
+  <endEvent id="e"/>
+  <sequenceFlow id="f1" sourceRef="s" targetRef="w0"/>
+  <sequenceFlow id="f2" sourceRef="w0" targetRef="split"/>
+  <sequenceFlow id="f3" sourceRef="split" targetRef="a"/>
+  <sequenceFlow id="f4" sourceRef="split" targetRef="b"/>
+  <sequenceFlow id="f5" sourceRef="a" targetRef="join"/>
+  <sequenceFlow id="f6" sourceRef="b" targetRef="join"/>
+  <sequenceFlow id="f7" sourceRef="join" targetRef="w3"/>
+  <sequenceFlow id="f8" sourceRef="w3" targetRef="e"/>
+"""
+
+
+SUCCESSIVE_FORKS = """
+  <startEvent id="s"/>
+  <parallelGateway id="split1"/>
+  <scriptTask id="a1" resultVariable="v"><script>1</script></scriptTask>
+  <scriptTask id="b1" resultVariable="hit_b1"><script>1</script></scriptTask>
+  <parallelGateway id="join1"/>
+  <parallelGateway id="split2"/>
+  <scriptTask id="a2" resultVariable="hit_a2"><script>2</script></scriptTask>
+  <scriptTask id="b2" resultVariable="v"><script>3</script></scriptTask>
+  <parallelGateway id="join2"/>
+  <endEvent id="e"/>
+  <sequenceFlow id="f1" sourceRef="s" targetRef="split1"/>
+  <sequenceFlow id="f2" sourceRef="split1" targetRef="a1"/>
+  <sequenceFlow id="f3" sourceRef="split1" targetRef="b1"/>
+  <sequenceFlow id="f4" sourceRef="a1" targetRef="join1"/>
+  <sequenceFlow id="f5" sourceRef="b1" targetRef="join1"/>
+  <sequenceFlow id="f6" sourceRef="join1" targetRef="split2"/>
+  <sequenceFlow id="f7" sourceRef="split2" targetRef="a2"/>
+  <sequenceFlow id="f8" sourceRef="split2" targetRef="b2"/>
+  <sequenceFlow id="f9" sourceRef="a2" targetRef="join2"/>
+  <sequenceFlow id="f10" sourceRef="b2" targetRef="join2"/>
+  <sequenceFlow id="f11" sourceRef="join2" targetRef="e"/>
+"""
+
+
+@pytest.mark.parametrize("body", [ORDERED_WRITES.format(a="hit_a"), ORDERED_WRITES.format(a="v"),
+                                  SUCCESSIVE_FORKS],
+                         ids=["before_fork_and_after_join", "before_fork_and_in_one_branch",
+                              "in_other_branches_of_successive_forks"])
+def test_writes_ordered_by_fork_and_join_edges_are_not_flagged(body):
+    x = compile_inline(body)
+    for seed in range(30):
+        trace, summary = run_once(x, {}, RunOptions(mode="parallel", seed=seed))
+        assert summary.status == "success"
+        assert [value for name, value in trace.writes() if name == "v"][-1] == 3
+        assert summary.diagnostics == [], f"seed {seed}"
+
+
 def test_message_type_mismatch_faults():
     body = TWO_SENDS.replace('receiveTask id="recv1" messageRef="M1"',
                              'receiveTask id="recv1" messageRef="M2"')
@@ -364,6 +473,26 @@ def test_sequential_trace_is_a_graph_path(shipment):
         assert nodes[0] == shipment.entry
         for a, b in zip(nodes, nodes[1:]):
             assert (a, b) in edges
+
+
+@pytest.mark.parametrize("name,dmns,mode", [("shipment", ("shipment",), "sequential"),
+                                            ("discount", ("discount",), "parallel"),
+                                            ("pingpong", (), "parallel")])
+def test_models_pickle_before_and_after_a_run(name, dmns, mode):
+    x = compile_fixture(name, *dmns, sample_seed=42)
+    before = pickle.dumps(x)
+    lists = {spec.name: [spec.sample] for spec in x.input_vars}
+    options = RunOptions(mode=mode, seed=5)
+    trace, summary = run_once(x, lists, options)
+    assert x.program is not None
+    after = pickle.dumps(x)  # the lowered program stays out of the pickled state
+    for data in (before, after):
+        y = pickle.loads(data)
+        assert y.program is None
+        for _ in range(2):
+            again, again_summary = run_once(y, lists, options)
+            assert again.records == trace.records
+            assert _outcome(again_summary) == _outcome(summary)
 
 
 def test_sequential_runs_are_byte_identical(shipment, tmp_path):
