@@ -112,12 +112,6 @@ class ProcessModel:
                 return n
         raise KeyError(node_id)
 
-    def outgoing(self, node_id: str) -> list[SequenceFlow]:
-        return [f for f in self.flows if f.source == node_id]
-
-    def incoming(self, node_id: str) -> list[SequenceFlow]:
-        return [f for f in self.flows if f.target == node_id]
-
     @property
     def start(self) -> Node:
         return next(n for n in self.nodes if n.kind == "start")

@@ -63,8 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--delta", type=float, default=0.01)
     p_test.add_argument("--property", choices=("no-error", "coverage-unreachable"),
                         default="no-error", help="the property checked under --mode smc")
-    p_test.add_argument("--workers", type=int, default=1,
-                        help="parallel campaign runners")
     return parser
 
 
@@ -89,7 +87,12 @@ def _seed_of(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("BPROC_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"$BPROC_SEED must be an integer, got {env!r}") from None
 
 
 def _out_dir(args, model) -> str:
@@ -196,8 +199,7 @@ def _dispatch(args) -> int:
         mode = verifier.Smc(args.epsilon, args.delta, args.property,
                             args.theta_nodes, args.theta_edges, args.combiner)
     cfg = verifier.CampaignConfig(mode=mode, timeout_s=args.timeout_ms / 1000.0,
-                                  seed=seed, sequential=args.sequential,
-                                  parallel_runners=args.workers)
+                                  seed=seed, sequential=args.sequential)
     os.makedirs(out_dir, exist_ok=True)
     _write(os.path.join(out_dir, f"{model.process_id}.graph"),
            runtime.render_graph_file(executable.graph))

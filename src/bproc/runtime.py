@@ -103,12 +103,6 @@ class RunOptions:
     max_steps: int = DEFAULT_MAX_STEPS
 
 
-@dataclass
-class ExecState:
-    bindings: dict
-    cursors: dict
-
-
 # --- lowering: each routine once per model, into closures ---------------------
 
 class _Node:
@@ -224,7 +218,7 @@ def _lower_step(step, node_id: str, model: ExecutableModel):
 
         def consume(engine):
             values = engine.input_lists[var]
-            cursors = engine.state.cursors
+            cursors = engine.cursors
             j = cursors[var]
             cursors[var] = min(j + 1, len(values))
             engine._write(var, values[min(j, len(values) - 1)])
@@ -344,11 +338,8 @@ class _Engine:
         self.model = model
         self.options = options
         self.input_lists = input_lists
-        self.state = ExecState(
-            bindings={name: UNDEFINED for name in model.declared_variables()},
-            cursors={name: 0 for name in input_lists},
-        )
-        self.bindings = self.state.bindings
+        self.bindings = {name: UNDEFINED for name in model.declared_variables()}
+        self.cursors = {name: 0 for name in input_lists}
         self.trace = Trace()
         self._record = self.trace.records.append
         self.diagnostics: list[str] = []
@@ -518,6 +509,8 @@ def run_once(model: ExecutableModel, input_lists: dict[str, list],
     options = options or RunOptions()
     if options.mode not in ("parallel", "sequential"):
         raise ConfigError(f"unknown mode {options.mode!r}")
+    if not options.timeout_s > 0:
+        raise ConfigError("the timeout must be positive")
     missing = [s.name for s in model.input_vars
                if not input_lists.get(s.name)]
     if missing:

@@ -7,8 +7,8 @@ against the process graph, and three stopping rules.
                  a FAIL verdict is always backed by a concrete witness run,
                  so only type-I (wrong PASS) errors are possible
 
-Runs may be dispatched to a bounded thread pool; the coverage accumulator
-is the single synchronization point.
+A campaign runs its runs in index order on one thread. Run k is a function
+of (seed, k), so a verdict is reproducible from the configuration.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import math
 import os
 import random
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from . import inputs as inputs_mod, runtime
@@ -106,7 +105,6 @@ class CampaignConfig:
     timeout_s: float = runtime.DEFAULT_TIMEOUT_S
     seed: int = 0
     sequential: bool = False
-    parallel_runners: int = 1
 
     def __post_init__(self):
         mode = self.mode
@@ -114,14 +112,14 @@ class CampaignConfig:
             raise ConfigError("the run budget n must be at least 1")
         if isinstance(mode, Smc) and not (0 < mode.epsilon < 1 and 0 < mode.delta < 1):
             raise ConfigError("epsilon and delta must lie in (0, 1)")
+        if not self.timeout_s > 0:
+            raise ConfigError("the timeout must be positive")
         if isinstance(mode, (FixedBudget, Smc)):
             if mode.combiner not in COMBINERS:
                 raise ConfigError(f"unknown combiner {mode.combiner!r}")
             for theta in (mode.theta_nodes, mode.theta_edges):
                 if not 0 <= theta <= 100:
                     raise ConfigError("coverage thresholds must lie in [0, 100]")
-        if self.parallel_runners < 1:
-            raise ConfigError("parallel_runners must be at least 1")
 
 
 @dataclass
@@ -184,7 +182,6 @@ def _meaningful_thresholds(mode) -> bool:
 @dataclass
 class _RunResult:
     index: int
-    trace: runtime.Trace
     summary: runtime.RunSummary
 
 
@@ -225,8 +222,8 @@ def run_campaign(model: ExecutableModel, cfg: CampaignConfig,
     durations_ms: list[float] = []
     failing: _RunResult | None = None
     stopped_early = False
-
-    def execute(index: int) -> _RunResult:
+    smc_coverage = isinstance(mode, Smc) and mode.property == "coverage-unreachable"
+    for index in range(budget):
         run_rng = random.Random(cfg.seed * 1_000_003 + index)
         lists = draw_input_lists(model.input_vars, overrides, run_rng)
         # the scheduler seed comes after the inputs from the same stream, so a
@@ -235,48 +232,23 @@ def run_campaign(model: ExecutableModel, cfg: CampaignConfig,
             mode="sequential" if cfg.sequential else "parallel",
             timeout_s=cfg.timeout_s, seed=run_rng.getrandbits(64))
         trace, summary = runtime.run_once(model, lists, options)
-        return _RunResult(index, trace, summary)
-
-    def consume(result: _RunResult) -> bool:
-        """Merge one run; True when the campaign should stop early."""
-        nonlocal report, failing
-        report = accumulate_coverage(report, result.trace, model.graph)
-        durations_ms.append(result.summary.elapsed_s * 1000.0)
+        report = accumulate_coverage(report, trace, model.graph)
+        durations_ms.append(summary.elapsed_s * 1000.0)
         if out_dir is not None:
-            runtime.write_artifacts(result.trace, result.summary, model.graph,
-                                    out_dir, stem=os.path.join("runs", f"run_{result.index}"),
+            runtime.write_artifacts(trace, summary, model.graph, out_dir,
+                                    stem=os.path.join("runs", f"run_{index}"),
                                     include_graph=False)
         if isinstance(mode, FixedBudget):
-            return _meaningful_thresholds(mode) and _thresholds_hold(mode, report)
-        if isinstance(mode, ErrorSeek) or (isinstance(mode, Smc)
-                                           and mode.property == "no-error"):
-            if result.summary.failed and failing is None:
-                failing = result
-                return True
-            return False
-        # smc coverage-unreachable: crossing the thresholds refutes the claim
-        if _thresholds_hold(mode, report) and failing is None:
-            failing = result
-            return True
-        return False
-
-    if cfg.parallel_runners <= 1:
-        for k in range(budget):
-            if consume(execute(k)):
-                stopped_early = report.runs_executed < budget
-                break
-    else:
-        chunk = cfg.parallel_runners
-        with ThreadPoolExecutor(max_workers=chunk) as pool:
-            for base in range(0, budget, chunk):
-                indices = range(base, min(base + chunk, budget))
-                results = list(pool.map(execute, indices))
-                stop = False
-                for result in results:  # merge every finished run before stopping
-                    stop = consume(result) or stop
-                if stop:
-                    stopped_early = report.runs_executed < budget
-                    break
+            stop = _meaningful_thresholds(mode) and _thresholds_hold(mode, report)
+        elif smc_coverage:  # crossing the thresholds refutes the claim
+            stop = _thresholds_hold(mode, report)
+        else:  # error seeking, or smc no-error
+            stop = summary.failed
+        if stop:
+            if not isinstance(mode, FixedBudget):
+                failing = _RunResult(index, summary)
+            stopped_early = index + 1 < budget
+            break
 
     verdict = _decide(mode, report, failing, stopped_early)
     if durations_ms:

@@ -6,6 +6,9 @@ cells hold and no earlier row fully matched, with the all-dash last row as
 the fallback clause. It never calls evaluate_table and matches cells with
 plain comparisons.
 
+`outgoing` and `incoming` are linear scans over a parsed model's flows,
+independent of the adjacency index the front end builds.
+
 `walk_process` interprets a parsed process model and its tables directly,
 never touching the compiled routines, and yields the unique node path and
 write sequence for a concrete input vector.
@@ -140,6 +143,16 @@ def random_table(rng: random.Random, max_inputs: int = 4, max_rules: int = 6,
     return GeneratedTable(table, [domain for _, domain in columns])
 
 
+# --- flow scans ---------------------------------------------------------------
+
+def outgoing(model, node_id: str) -> list:
+    return [f for f in model.flows if f.source == node_id]
+
+
+def incoming(model, node_id: str) -> list:
+    return [f for f in model.flows if f.target == node_id]
+
+
 # --- direct process-model interpreter ----------------------------------------
 
 @dataclass
@@ -168,7 +181,7 @@ def walk_process(model, tables, input_values: dict, max_nodes: int = 10_000) -> 
     while len(nodes) < max_nodes:
         node = model.node(current)
         nodes.append(current)
-        outgoing = model.outgoing(current)
+        flows = outgoing(model, current)
 
         if node.kind in ("start", "user_task", "manual_task"):
             seen = set()
@@ -176,10 +189,10 @@ def walk_process(model, tables, input_values: dict, max_nodes: int = 10_000) -> 
                 if var not in seen:
                     write(var, input_values[var])
                     seen.add(var)
-            current = outgoing[0].target
+            current = flows[0].target
         elif node.kind in ("script_task", "service_task"):
             write(node.target, feel.evaluate(node.expr, env))
-            current = outgoing[0].target
+            current = flows[0].target
         elif node.kind == "business_rule_task":
             table = table_by_ref[node.table_ref]
             bindings = node.input_map or tuple(table.inputs)
@@ -188,23 +201,23 @@ def walk_process(model, tables, input_values: dict, max_nodes: int = 10_000) -> 
             out_map = node.output_map or tuple((o, o) for o in table.outputs)
             for out_name, var in out_map:
                 write(var, result[out_name])
-            current = outgoing[0].target
+            current = flows[0].target
         elif node.kind == "exclusive_gateway":
             taken = None
-            for flow in outgoing:
+            for flow in flows:
                 if flow.is_default or flow.condition is None:
                     continue
                 if feel.evaluate(flow.condition, env):
                     taken = flow.target
                     break
             if taken is None:
-                defaults = [f for f in outgoing if f.is_default]
+                defaults = [f for f in flows if f.is_default]
                 if not defaults:
                     return WalkResult(nodes, writes, ("error", "UNHANDLED_CONDITION"))
                 taken = defaults[0].target
             current = taken
         elif node.kind == "join_gateway":
-            current = outgoing[0].target
+            current = flows[0].target
         elif node.kind == "end_success":
             return WalkResult(nodes, writes, ("success", node.id))
         elif node.kind == "end_error":
@@ -237,7 +250,7 @@ def reference_matching_join(gateway_id: str, model) -> str:
             frontier = nxt
         return dist
 
-    branch_dists = [distances(f.target) for f in model.outgoing(gateway_id)]
+    branch_dists = [distances(f.target) for f in outgoing(model, gateway_id)]
     barriers = [n.id for n in model.nodes
                 if n.kind == "join_gateway" and n.join_kind in ("parallel", "inclusive")]
     common = [b for b in barriers if all(b in d for d in branch_dists)]

@@ -7,6 +7,7 @@ from bproc.bpmn import _fix_multi_output_nodes
 from bproc.errors import RoleConflictError, SchemaError, UnsupportedElementError
 
 from conftest import DTD_BPMN, with_doctype
+from oracles import incoming, outgoing
 
 HEADER = '<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL" ' \
          'xmlns:ext="http://x/ext">'
@@ -126,8 +127,9 @@ def test_multi_output_task_gets_inserted_gateway():
     """))
     gw = model.node("autogw_t")
     assert gw.kind == "exclusive_gateway"
-    assert [f.target for f in model.outgoing("t")] == ["autogw_t"]
-    outs = model.outgoing("autogw_t")
+    assert [f.target for f in outgoing(model, "t")] == ["autogw_t"]
+    assert [f.source for f in incoming(model, "autogw_t")] == ["t"]
+    outs = outgoing(model, "autogw_t")
     assert {f.id for f in outs} == {"f2", "f3"}
     assert next(f for f in outs if f.id == "f3").is_default
     assert next(f for f in outs if f.id == "f2").condition is not None

@@ -136,6 +136,29 @@ def test_usage_errors(tmp_path):
     assert err.strip()  # a diagnostic reaches stderr
 
 
+@pytest.mark.parametrize("argv", [("run", "--timeout-ms", "-1"), ("run", "--timeout-ms", "0"),
+                                  ("test", "-n", "5", "--timeout-ms", "0"),
+                                  ("test", "-n", "5", "--timeout-ms", "-1")])
+def test_non_positive_timeout_is_a_usage_error(tmp_path, argv):
+    code, _, err = run_cli(argv[0], *SHIPMENT, *argv[1:], cwd=tmp_path)
+    assert code == 2
+    assert err.splitlines() == ["bproc: the timeout must be positive"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_env_seed_is_a_usage_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("BPROC_SEED", "abc")
+    code, _, err = run_cli("run", *SHIPMENT, cwd=tmp_path)
+    assert code == 2
+    assert err.splitlines() == ["bproc: $BPROC_SEED must be an integer, got 'abc'"]
+
+
+def test_workers_flag_is_gone(tmp_path):
+    code, _, err = run_cli("test", *SHIPMENT, "-n", "5", "--workers", "2", cwd=tmp_path)
+    assert code == 2
+    assert "--workers" in err
+
+
 def test_smc_mode(tmp_path):
     code, out, _ = run_cli("test", *SHIPMENT, "--mode", "smc", "--epsilon", "0.2",
                            "--delta", "0.2", "--seed", "5", "--sequential",

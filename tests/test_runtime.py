@@ -52,6 +52,14 @@ def test_missing_input_list_is_a_config_error(shipment):
         run_once(shipment, {"pType": ["xl"], "pWeight": []})
 
 
+
+@pytest.mark.parametrize("timeout_s", [0, -0.001, float("nan")])
+def test_non_positive_timeout_is_a_config_error(shipment, timeout_s):
+    with pytest.raises(ConfigError, match="timeout must be positive"):
+        run_once(shipment, {"pType": ["xl"], "pWeight": [1.0]},
+                 RunOptions(mode="sequential", timeout_s=timeout_s))
+
+
 LOOP_TWICE = """
   <dataObject id="d"/>
   <dataObjectReference id="dr" name="v" dataObjectRef="d"/>
@@ -98,7 +106,7 @@ def test_input_cursor_never_exceeds_list_length():
     engine = _Engine(x, {"v": [5]}, RunOptions(mode="sequential"))
     engine.run()
     assert engine._outcome[0] == "success"
-    assert engine.state.cursors["v"] == 1  # consumed twice, list of one
+    assert engine.cursors["v"] == 1  # consumed twice, list of one
 
 
 def test_timeout_on_nonterminating_loop():

@@ -283,15 +283,6 @@ def test_campaign_determinism(shipment, tmp_path):
         (tmp_path / "b" / "runs" / "run_7.trace").read_bytes()
 
 
-def test_parallel_runners_reach_same_coverage(shipment):
-    serial = run_campaign(shipment, CampaignConfig(mode=FixedBudget(n=60), seed=13,
-                                                   sequential=True))
-    pooled = run_campaign(shipment, CampaignConfig(mode=FixedBudget(n=60), seed=13,
-                                                   sequential=True, parallel_runners=4))
-    assert serial.coverage.visited_nodes == pooled.coverage.visited_nodes
-    assert serial.coverage.visited_edges == pooled.coverage.visited_edges
-
-
 def test_verdict_json_fields(diamond, tmp_path):
     cfg = CampaignConfig(mode=FixedBudget(n=10), seed=1, sequential=True)
     run_campaign(diamond, cfg, out_dir=str(tmp_path))
@@ -311,15 +302,15 @@ def test_config_validation():
         CampaignConfig(mode=FixedBudget(theta_nodes=150))
     with pytest.raises(ConfigError):
         CampaignConfig(mode=FixedBudget(combiner="xor"))
-    with pytest.raises(ConfigError):
-        CampaignConfig(parallel_runners=0)
+    for timeout_s in (0, -1.0, float("nan")):
+        with pytest.raises(ConfigError):
+            CampaignConfig(timeout_s=timeout_s)
 
 
 def test_parallel_campaign_runs_follow_from_the_config(tmp_path):
     x = compile_fixture("pingpong")
     configs = {"first": CampaignConfig(mode=FixedBudget(n=30), seed=5),
                "again": CampaignConfig(mode=FixedBudget(n=30), seed=5),
-               "pooled": CampaignConfig(mode=FixedBudget(n=30), seed=5, parallel_runners=3),
                "other_seed": CampaignConfig(mode=FixedBudget(n=30), seed=6)}
     files = {}
     for name, cfg in configs.items():
@@ -328,5 +319,4 @@ def test_parallel_campaign_runs_follow_from_the_config(tmp_path):
         files[name] = {p.name: p.read_bytes() for p in runs.iterdir()}
     assert len(files["first"]) == 60
     assert files["again"] == files["first"]
-    assert files["pooled"] == files["first"]
     assert files["other_seed"] != files["first"]  # the campaign seed picks the schedules
