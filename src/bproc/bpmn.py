@@ -95,6 +95,17 @@ class ProcessGraph:
     def edge_set(self) -> frozenset[tuple[str, str]]:
         return frozenset(self.edges)
 
+    @cached_property
+    def node_lines(self) -> dict[str, str]:
+        """node id -> its `node <id> <label>` line in graph and trace files."""
+        return {node_id: f"node {node_id} {_label_token(label, node_id)}"
+                for node_id, label in self.nodes}
+
+
+def _label_token(label: str, node_id: str) -> str:
+    token = (label or node_id).strip().replace(" ", "_")
+    return token or node_id
+
 
 @dataclass
 class ProcessModel:

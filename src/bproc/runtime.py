@@ -7,9 +7,14 @@ the next node, and the node's activation and edge trace records, built
 once and shared by every run. Expressions inside are compiled closures
 too, and decision tables compile themselves once with their output
 entries folded. So no step is dispatched on its type while a run goes on.
+Lowering also gives every node and every distinct (source, target) pair a
+coverage index.
 
 A run owns a variable store (every declared variable starts undefined),
-per-variable input cursors, FIFO message channels and a trace. One walker
+per-variable input cursors, FIFO message channels and a trace. A campaign
+run (`run_covering`) keeps no trace: it marks the index of each node and
+edge it reaches in the campaign's `CoverageHits`, and builds no write or
+table record, so its memory does not grow with its length. One walker
 serves both modes: each branch of a run is a generator that hands its
 children over at a fork and yields while the channel of its receive is
 empty; in parallel mode it also yields at every node boundary. A
@@ -22,17 +27,23 @@ and a run whose live branches all wait on empty channels ends as a
 deadlock. Both deadlocks are engine faults naming the blocked receive
 node. Parallel mode also notes a variable written by two branches that no
 fork or join edge orders. Trace length is bounded by the step budget and
-the wall-clock timeout rather than any call stack.
+the wall-clock timeout rather than any call stack. The clock is read on
+the first step and then every CLOCK_EVERY steps, so a run that exhausts
+its step budget ends the same way on any machine; only a TIMEOUT depends
+on the machine's speed, and it can come up to CLOCK_EVERY - 1 steps after
+the limit.
 """
 
 from __future__ import annotations
 
 import collections
+import os
 import random
 import time
 from dataclasses import dataclass, field
 
 from . import feel
+from .bpmn import _label_token
 from .compiler import (Assign, Branch, Continue, ConsumeInput, ExecutableModel, Fork,
                        InvokeTable, JoinBarrier, Receive, Send, Terminate)
 from .errors import BprocError, ConfigError, MessageTypeMismatchError, SchemaError
@@ -40,6 +51,7 @@ from .feel.values import UNDEFINED
 
 DEFAULT_TIMEOUT_S = 5.0
 DEFAULT_MAX_STEPS = 1_000_000
+CLOCK_EVERY = 1024  # steps between two reads of the wall clock
 
 
 # --- trace records ----------------------------------------------------------
@@ -112,40 +124,70 @@ class _Node:
     except a receive on an empty channel, which returns (node, channel)
     and does nothing. `terminal` is a function of the engine that returns
     the next node id, None (the branch ended and the outcome is set) or
-    the fork's children, (target, fork edge) pairs; a fork's children meet
-    at `join_id`. A continue has no terminal function: the walker goes on
-    to `next` over `edge` itself, as does an arrival that passes a barrier
-    join. The trace records are built here once and shared by every run:
-    they are frozen and compared by value.
+    the fork's children, (target, (fork edge, its index)) pairs; a fork's
+    children meet at `join_id`. A continue has no terminal function: the
+    walker goes on to `next` over `edge` itself, as does an arrival that
+    passes a barrier join. The trace records are built here once and
+    shared by every run: they are frozen and compared by value. `index`
+    and `edge_index` are the coverage indexes of the node and its edge.
     """
 
-    __slots__ = ("activated", "steps", "terminal", "next", "edge", "join_id")
+    __slots__ = ("activated", "index", "steps", "terminal", "next", "edge", "edge_index",
+                 "join_id")
 
-    def __init__(self, node_id: str):
+    def __init__(self, node_id: str, index: int):
         self.activated = NodeActivated(node_id)
+        self.index = index
         self.steps: tuple = ()
-        self.terminal = self.next = self.edge = self.join_id = None
+        self.terminal = self.next = self.edge = self.edge_index = self.join_id = None
 
 
-def _program(model: ExecutableModel) -> dict[str, _Node]:
-    """The model's routines lowered to closures; built on the first run."""
+class _Program:
+    """A model's routines lowered to closures (`nodes`: node id -> _Node),
+    with the coverage index of every node and every distinct (source,
+    target) pair they can reach: the graph's nodes and pairs first, in
+    document order, then any the routines reach outside the graph."""
+
+    __slots__ = ("nodes", "node_index", "edge_index")
+
+    def __init__(self, model: ExecutableModel):
+        self.node_index: dict[str, int] = {}
+        self.edge_index: dict[tuple[str, str], int] = {}
+        for node_id, _ in model.graph.nodes:
+            self.node_index.setdefault(node_id, len(self.node_index))
+        for pair in model.graph.edges:
+            self.edge_index.setdefault(pair, len(self.edge_index))
+        self.nodes = {node_id: _lower(routine, model, self)
+                      for node_id, routine in model.routines.items()}
+
+    def node(self, node_id: str) -> _Node:
+        return _Node(node_id, self.node_index.setdefault(node_id, len(self.node_index)))
+
+    def edge(self, source: str, target: str) -> tuple[EdgeTraversed, int]:
+        """The edge's shared trace record and its coverage index."""
+        index = self.edge_index.setdefault((source, target), len(self.edge_index))
+        return EdgeTraversed(source, target), index
+
+
+def _program(model: ExecutableModel) -> _Program:
+    """The model's lowered program; built on the first run."""
     program = model.program
     if program is None:
-        program = model.program = {node_id: _lower(routine, model)
-                                   for node_id, routine in model.routines.items()}
+        program = model.program = _Program(model)
     return program
 
 
-def _lower(routine, model: ExecutableModel) -> _Node:
+def _lower(routine, model: ExecutableModel, program: _Program) -> _Node:
     node_id = routine.id
-    node = _Node(node_id)
+    node = program.node(node_id)
     steps = []
     for step in routine.steps:
         if isinstance(step, Continue):
-            node.next, node.edge = step.target, EdgeTraversed(node_id, step.target)
+            node.next = step.target
+            node.edge, node.edge_index = program.edge(node_id, step.target)
             break
         if isinstance(step, (Terminate, Branch, Fork, JoinBarrier)):
-            node.terminal = _lower_terminal(step, node_id, node)
+            node.terminal = _lower_terminal(step, node_id, node, program)
             break
         steps.append(_lower_step(step, node_id, model))
     else:
@@ -160,35 +202,42 @@ def _fault(message: str):
     return fault
 
 
-def _lower_terminal(step, node_id: str, node: _Node):
+def _lower_terminal(step, node_id: str, node: _Node, program: _Program):
     if isinstance(step, Terminate):
         outcome = ("success" if step.status == "success" else "error", step.code, step.message)
         return lambda engine: engine._set_outcome(*outcome)
 
     if isinstance(step, Branch):
-        cases = tuple((feel.compile_expr(condition), target, EdgeTraversed(node_id, target))
+        cases = tuple((feel.compile_expr(condition), target, *program.edge(node_id, target))
                       for condition, target in step.cases)
         default = step.default
-        default_edge = EdgeTraversed(node_id, default) if default is not None else None
+        if default is not None:
+            default = (default, *program.edge(node_id, default))
 
         def branch(engine):
             bindings = engine.bindings
-            for condition, target, edge in cases:
+            for condition, target, edge, index in cases:
                 verdict = condition(bindings)
                 if verdict is True:
-                    engine._record(edge)
-                    return target
+                    break
                 if verdict is not False:
                     raise BprocError("condition is not boolean")
-            if default is not None:
-                engine._record(default_edge)
-                return default
-            engine._set_outcome("error", "UNHANDLED_CONDITION", "unhandled condition")
+            else:
+                if default is None:
+                    engine._set_outcome("error", "UNHANDLED_CONDITION", "unhandled condition")
+                    return None
+                target, edge, index = default
+            hits = engine._edge_hits
+            if hits is None:
+                engine._record(edge)
+            else:
+                hits[index] = 1
+            return target
         return branch
 
     if isinstance(step, Fork):
         node.join_id = step.join_id
-        children = tuple((target, EdgeTraversed(node_id, target)) for target in step.targets)
+        children = tuple((target, program.edge(node_id, target)) for target in step.targets)
         if step.conditions is None:
             return lambda engine: children
         guarded = tuple(zip(map(feel.compile_expr, step.conditions), children))
@@ -208,7 +257,8 @@ def _lower_terminal(step, node_id: str, node: _Node):
         return inclusive_fork
 
     # a join barrier: arrivals from its fork continue past it (see _Engine._walk)
-    node.next, node.edge = step.next, EdgeTraversed(node_id, step.next)
+    node.next = step.next
+    node.edge, node.edge_index = program.edge(node_id, step.next)
     return _fault(f"join {node_id!r} reached outside its fork")
 
 
@@ -245,7 +295,8 @@ def _lower_step(step, node_id: str, model: ExecutableModel):
         def invoke(engine):
             bindings = engine.bindings
             outputs = evaluator([arg(bindings) for arg in args])
-            engine._record(TableEvaluated(table.id, tuple(sorted(outputs.items()))))
+            if engine._keep_values:
+                engine._record(TableEvaluated(table.id, tuple(sorted(outputs.items()))))
             for out_name, var in out_bindings:
                 engine._write(var, outputs[out_name])
         return invoke
@@ -334,19 +385,32 @@ def _concurrent(a: tuple, b: tuple) -> bool:
 
 
 class _Engine:
-    def __init__(self, model: ExecutableModel, input_lists: dict, options: RunOptions):
+    """One run. Without `hits` it keeps a trace: every node and edge
+    record, and with `keep_values` every variable write and table result
+    too. With a CoverageHits it keeps no trace and marks each node and
+    edge the run reaches in the campaign's hit arrays instead."""
+
+    def __init__(self, model: ExecutableModel, input_lists: dict, options: RunOptions,
+                 hits: CoverageHits | None = None, keep_values: bool = True):
         self.model = model
         self.options = options
         self.input_lists = input_lists
         self.bindings = {name: UNDEFINED for name in model.declared_variables()}
         self.cursors = {name: 0 for name in input_lists}
-        self.trace = Trace()
-        self._record = self.trace.records.append
+        if hits is None:
+            self.trace = Trace()
+            self._record = self.trace.records.append
+            self._node_hits = self._edge_hits = None
+        else:
+            self.trace = self._record = None
+            self._node_hits, self._edge_hits = hits.nodes, hits.edges
+        self._keep_values = keep_values and hits is None
         self.diagnostics: list[str] = []
         self._outcome: tuple[str, str, str] | None = None
         self._parallel = options.mode == "parallel"
-        self._program = _program(model)
+        self._program = _program(model).nodes
         self._steps = 0
+        self._max_steps = options.max_steps
         self._last_writer: dict[str, tuple] = {}  # variable -> path of its last writer
         self._branch: _Branch | None = None  # the branch being stepped
         self._ready: list[tuple] = []  # (branch, walker) that can step
@@ -362,19 +426,22 @@ class _Engine:
             self._outcome = (status, code, message)
 
     def _tick(self):
-        if time.monotonic() > self._deadline:
+        steps = self._steps = self._steps + 1
+        # the clock on the first step and then every CLOCK_EVERY steps, so the
+        # step budget, not the machine's speed, ends a run that exhausts it
+        if steps % CLOCK_EVERY == 1 and time.monotonic() > self._deadline:
             self._set_outcome("timeout", "TIMEOUT",
                               f"execution exceeded {self.options.timeout_s:g}s")
             raise _Aborted()
-        self._steps += 1
-        if self._steps > self.options.max_steps:
+        if steps > self._max_steps:
             self._set_outcome("fault", "ENGINE_FAULT",
-                              f"step budget of {self.options.max_steps} exceeded")
+                              f"step budget of {self._max_steps} exceeded")
             raise _Aborted()
 
     def _write(self, name: str, value):
         self.bindings[name] = value
-        self._record(VarWritten(name, value))
+        if self._keep_values:
+            self._record(VarWritten(name, value))
         if self._parallel:
             path = self._branch.path
             last = self._last_writer.get(name)
@@ -387,7 +454,7 @@ class _Engine:
     # --- scheduling ---
 
     def _start(self, path: tuple, target: str, barrier: _Barrier | None,
-               entry: EdgeTraversed | None) -> tuple:
+               entry: tuple | None) -> tuple:
         branch = _Branch(path)
         return branch, self._walk(target, barrier, entry, branch)
 
@@ -439,10 +506,10 @@ class _Engine:
 
     # --- one branch ---
 
-    def _walk(self, current: str, barrier: _Barrier | None, entry: EdgeTraversed | None,
+    def _walk(self, current: str, barrier: _Barrier | None, entry: tuple | None,
               branch: _Branch):
-        """Run one branch from `current`, entered over the fork edge `entry`
-        when it has one.
+        """Run one branch from `current`, entered over the fork edge `entry`,
+        a (record, index) pair, when it has one.
 
         In parallel mode, yields None after every node; in both modes,
         yields the list of (target, barrier, fork edge) children at a fork
@@ -453,31 +520,45 @@ class _Engine:
         """
         program = self._program
         record = self._record
+        node_hits, edge_hits = self._node_hits, self._edge_hits
         tick = self._tick
         parallel = self._parallel
         if entry is not None:
-            record(entry)
+            if edge_hits is None:
+                record(entry[0])
+            else:
+                edge_hits[entry[1]] = 1
         while True:
             node = program[current]
             if barrier is not None and current == barrier.join_id:
                 if not barrier.arrive():
                     return  # another arrival will continue past the join
                 tick()
-                record(node.activated)
-                record(node.edge)
+                if node_hits is None:
+                    record(node.activated)
+                    record(node.edge)
+                else:
+                    node_hits[node.index] = 1
+                    edge_hits[node.edge_index] = 1
                 current, barrier = node.next, barrier.parent
                 branch.path = branch.path[:-1]  # the fork's own branch again
                 if parallel:
                     yield
                 continue
             tick()
-            record(node.activated)
+            if node_hits is None:
+                record(node.activated)
+            else:
+                node_hits[node.index] = 1
             try:
                 for step in node.steps:
                     while (blocked := step(self)) is not None:
                         yield blocked
                 if node.terminal is None:  # a continue
-                    record(node.edge)
+                    if edge_hits is None:
+                        record(node.edge)
+                    else:
+                        edge_hits[node.edge_index] = 1
                     following = node.next
                 else:
                     following = node.terminal(self)
@@ -506,7 +587,51 @@ def run_once(model: ExecutableModel, input_lists: dict[str, list],
     or fault (an evaluation error such as a type mismatch, a division by
     zero, a decision with no matching rule, or a deadlock).
     """
-    options = options or RunOptions()
+    engine, summary = _execute(model, input_lists, options or RunOptions())
+    return engine.trace, summary
+
+
+class CoverageHits:
+    """A campaign's coverage of a model: one byte per node and one per
+    distinct (source, target) pair, set to 1 once a run reaches it, in
+    the manner of AFL's edge bitmap (Zalewski, "AFL technical details").
+    `node_ids` and `edge_pairs` name the indexes; the graph's own nodes
+    and pairs come first, in document order."""
+
+    def __init__(self, model: ExecutableModel):
+        program = _program(model)
+        self._node_index, self._edge_index = program.node_index, program.edge_index
+        self.node_ids = tuple(program.node_index)
+        self.edge_pairs = tuple(program.edge_index)
+        self.nodes = bytearray(len(self.node_ids))
+        self.edges = bytearray(len(self.edge_pairs))
+
+    def fold(self, trace: Trace):
+        """Mark the nodes and edges of a trace that holds only those."""
+        node_index, edge_index = self._node_index, self._edge_index
+        nodes, edges = self.nodes, self.edges
+        for record in trace.records:
+            if record.__class__ is NodeActivated:
+                nodes[node_index[record.node]] = 1
+            else:
+                edges[edge_index[record.source, record.target]] = 1
+
+
+def run_covering(model: ExecutableModel, input_lists: dict[str, list], options: RunOptions,
+                 hits: CoverageHits, keep_trace: bool = False) -> tuple[Trace | None, RunSummary]:
+    """Execute the model once as run_once does, for a campaign: mark the
+    nodes and edges the run reaches in `hits`. No trace is built unless
+    `keep_trace`; then the trace holds the node and edge records only
+    (what a trace file shows) and is returned after it was folded in."""
+    if not keep_trace:
+        return None, _execute(model, input_lists, options, hits)[1]
+    engine, summary = _execute(model, input_lists, options, keep_values=False)
+    hits.fold(engine.trace)
+    return engine.trace, summary
+
+
+def _execute(model: ExecutableModel, input_lists: dict[str, list], options: RunOptions,
+             hits: CoverageHits | None = None, keep_values: bool = True):
     if options.mode not in ("parallel", "sequential"):
         raise ConfigError(f"unknown mode {options.mode!r}")
     if not options.timeout_s > 0:
@@ -516,7 +641,7 @@ def run_once(model: ExecutableModel, input_lists: dict[str, list],
     if missing:
         raise ConfigError(f"no input values supplied for {missing}")
 
-    engine = _Engine(model, input_lists, options)
+    engine = _Engine(model, input_lists, options, hits, keep_values)
     engine.run()
 
     status, code, message = engine._outcome
@@ -524,30 +649,26 @@ def run_once(model: ExecutableModel, input_lists: dict[str, list],
     summary = RunSummary(inputs_used, status, code, message,
                          elapsed_s=time.monotonic() - engine._started,
                          diagnostics=engine.diagnostics)
-    return engine.trace, summary
+    return engine, summary
 
 
 # --- artifact files ----------------------------------------------------------
 
-def _label_token(label: str, node_id: str) -> str:
-    token = (label or node_id).strip().replace(" ", "_")
-    return token or node_id
-
-
 def render_graph_file(graph) -> str:
-    lines = [f"node {node_id} {_label_token(label, node_id)}"
-             for node_id, label in graph.nodes]
+    node_lines = graph.node_lines
+    lines = [node_lines[node_id] for node_id, _ in graph.nodes]
     lines += [f"edge {src} {dst}" for src, dst in graph.edges]
     return "\n".join(lines) + "\n"
 
 
 def render_trace_file(trace: Trace, graph) -> str:
     """Same line syntax as the graph file, in activation order."""
-    labels = dict(graph.nodes)
+    node_lines = graph.node_lines
     lines = []
     for record in trace.records:
         if isinstance(record, NodeActivated):
-            lines.append(f"node {record.node} {_label_token(labels.get(record.node, ''), record.node)}")
+            node_id = record.node
+            lines.append(node_lines.get(node_id) or f"node {node_id} {_label_token('', node_id)}")
         elif isinstance(record, EdgeTraversed):
             lines.append(f"edge {record.source} {record.target}")
     return "\n".join(lines) + ("\n" if lines else "")
@@ -564,10 +685,8 @@ def render_summary_file(summary: RunSummary) -> str:
 
 def write_artifacts(trace: Trace, summary: RunSummary, graph, out_dir,
                     stem: str, include_graph: bool = True) -> dict[str, str]:
-    """Write the graph, trace and summary files under out_dir."""
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
+    """Write the graph, trace and summary files under out_dir, making the
+    directories they need."""
     contents = [(".trace", render_trace_file(trace, graph)),
                 (".out", render_summary_file(summary))]
     if include_graph:
@@ -575,8 +694,12 @@ def write_artifacts(trace: Trace, summary: RunSummary, graph, out_dir,
     paths = {}
     for suffix, content in contents:
         path = os.path.join(out_dir, stem + suffix)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(path, "w", encoding="utf-8")
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            fh = open(path, "w", encoding="utf-8")
+        with fh:
             fh.write(content)
         paths[suffix] = path
     return paths

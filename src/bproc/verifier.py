@@ -8,7 +8,12 @@ against the process graph, and three stopping rules.
                  so only type-I (wrong PASS) errors are possible
 
 A campaign runs its runs in index order on one thread. Run k is a function
-of (seed, k), so a verdict is reproducible from the configuration.
+of (seed, k), so a verdict is reproducible from the configuration. Runs
+build no trace: each marks the nodes and edges it reaches in one
+campaign-wide pair of hit arrays (runtime.CoverageHits), whose counts the
+stopping rules read. Only a campaign that writes run files keeps each
+run's node and edge records, for its trace file, and folds them into the
+same arrays.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import os
 import random
 import statistics
 from dataclasses import dataclass, field, replace
+from itertools import compress
 
 from . import inputs as inputs_mod, runtime
 from .bpmn import ProcessGraph
@@ -60,15 +66,29 @@ def accumulate_coverage(report: CoverageReport, trace: runtime.Trace,
     """
     nodes = set(trace.node_sequence())
     edges = set(trace.edges())
+    _check_known(nodes, edges, graph)
+    return replace(report,
+                   visited_nodes=report.visited_nodes | nodes,
+                   visited_edges=report.visited_edges | edges,
+                   runs_executed=report.runs_executed + 1)
+
+
+def _check_known(nodes, edges, graph: ProcessGraph):
     stray_nodes = nodes - graph.node_ids
     stray_edges = edges - graph.edge_set
     if stray_nodes or stray_edges:
         raise UnknownIdError(f"trace mentions unknown nodes {sorted(stray_nodes)} "
                              f"or edges {sorted(stray_edges)}")
-    return replace(report,
-                   visited_nodes=report.visited_nodes | nodes,
-                   visited_edges=report.visited_edges | edges,
-                   runs_executed=report.runs_executed + 1)
+
+
+def _hits_report(hits: runtime.CoverageHits, graph: ProcessGraph,
+                 runs: int) -> CoverageReport:
+    """The report of a campaign's hit arrays; raises UnknownIdError as
+    accumulate_coverage does."""
+    nodes = frozenset(compress(hits.node_ids, hits.nodes))
+    edges = frozenset(compress(hits.edge_pairs, hits.edges))
+    _check_known(nodes, edges, graph)
+    return CoverageReport(nodes, edges, len(graph.nodes), len(graph.edges), runs)
 
 
 # --- configuration -----------------------------------------------------------
@@ -218,11 +238,16 @@ def run_campaign(model: ExecutableModel, cfg: CampaignConfig,
     else:
         budget = mode.n
 
-    report = empty_report(model.graph)
+    graph = model.graph
+    hits = runtime.CoverageHits(model)
+    report = empty_report(graph)
+    counts = (0, 0)  # nodes and edges hit so far
     durations_ms: list[float] = []
     failing: _RunResult | None = None
     stopped_early = False
     smc_coverage = isinstance(mode, Smc) and mode.property == "coverage-unreachable"
+    if out_dir is not None:
+        os.makedirs(os.path.join(out_dir, "runs"), exist_ok=True)
     for index in range(budget):
         run_rng = random.Random(cfg.seed * 1_000_003 + index)
         lists = draw_input_lists(model.input_vars, overrides, run_rng)
@@ -231,11 +256,15 @@ def run_campaign(model: ExecutableModel, cfg: CampaignConfig,
         options = runtime.RunOptions(
             mode="sequential" if cfg.sequential else "parallel",
             timeout_s=cfg.timeout_s, seed=run_rng.getrandbits(64))
-        trace, summary = runtime.run_once(model, lists, options)
-        report = accumulate_coverage(report, trace, model.graph)
+        trace, summary = runtime.run_covering(model, lists, options, hits,
+                                              keep_trace=out_dir is not None)
+        grown = (hits.nodes.count(1), hits.edges.count(1))
+        if grown != counts:  # also where a node or edge outside the graph shows
+            counts = grown
+            report = _hits_report(hits, graph, index + 1)
         durations_ms.append(summary.elapsed_s * 1000.0)
         if out_dir is not None:
-            runtime.write_artifacts(trace, summary, model.graph, out_dir,
+            runtime.write_artifacts(trace, summary, graph, out_dir,
                                     stem=os.path.join("runs", f"run_{index}"),
                                     include_graph=False)
         if isinstance(mode, FixedBudget):
@@ -250,6 +279,7 @@ def run_campaign(model: ExecutableModel, cfg: CampaignConfig,
             stopped_early = index + 1 < budget
             break
 
+    report = _hits_report(hits, graph, len(durations_ms))
     verdict = _decide(mode, report, failing, stopped_early)
     if durations_ms:
         verdict.mean_run_ms = statistics.fmean(durations_ms)

@@ -17,6 +17,11 @@ write sequence for a concrete input vector.
 inclusive split: a full BFS from every branch, then the common barrier join
 with the least maximum distance, ties broken on id.
 
+`reference_campaign` is the campaign loop that builds every run's full
+trace with `run_once` and merges it with `accumulate_coverage`, with the
+same per-run draws, stopping rules, run files and verdict as
+`run_campaign`.
+
 `reference_evaluate`, `reference_match_unary` and `reference_evaluate_table`
 are the original tree-walking evaluators of expressions, cell tests and
 decision tables, which re-walk the tree (and re-evaluate every output entry
@@ -27,11 +32,13 @@ them value for value and error for error.
 from __future__ import annotations
 
 import math
+import os
 import random
+import statistics
 from dataclasses import dataclass
 from typing import Mapping
 
-from bproc import dmn, feel
+from bproc import dmn, feel, runtime, verifier
 from bproc.errors import (AnyConflictError, DivisionByZeroError, FeelTypeError,
                           IndexOutOfRangeError, NoMatchError, SchemaError,
                           UndefinedValueError, UniquenessViolationError)
@@ -535,3 +542,52 @@ def _bounds(lo, hi, static_type) -> list:
         if v not in out:
             out.append(v)
     return out
+
+
+# --- campaign oracle -----------------------------------------------------------------
+
+def reference_campaign(model, cfg, overrides=None, out_dir=None):
+    """run_campaign as a loop of run_once and accumulate_coverage."""
+    overrides = overrides or {}
+    mode = cfg.mode
+    if isinstance(mode, verifier.Smc):
+        budget = verifier.smc_sample_size(mode.epsilon, mode.delta)
+    else:
+        budget = mode.n
+    report = verifier.empty_report(model.graph)
+    durations_ms = []
+    failing = None
+    stopped_early = False
+    smc_coverage = isinstance(mode, verifier.Smc) and mode.property == "coverage-unreachable"
+    for index in range(budget):
+        run_rng = random.Random(cfg.seed * 1_000_003 + index)
+        lists = verifier.draw_input_lists(model.input_vars, overrides, run_rng)
+        options = runtime.RunOptions(mode="sequential" if cfg.sequential else "parallel",
+                                     timeout_s=cfg.timeout_s, seed=run_rng.getrandbits(64))
+        trace, summary = runtime.run_once(model, lists, options)
+        report = verifier.accumulate_coverage(report, trace, model.graph)
+        durations_ms.append(summary.elapsed_s * 1000.0)
+        if out_dir is not None:
+            runtime.write_artifacts(trace, summary, model.graph, out_dir,
+                                    stem=os.path.join("runs", f"run_{index}"),
+                                    include_graph=False)
+        if isinstance(mode, verifier.FixedBudget):
+            stop = verifier._meaningful_thresholds(mode) and verifier._thresholds_hold(mode, report)
+        elif smc_coverage:
+            stop = verifier._thresholds_hold(mode, report)
+        else:
+            stop = summary.failed
+        if stop:
+            if not isinstance(mode, verifier.FixedBudget):
+                failing = verifier._RunResult(index, summary)
+            stopped_early = index + 1 < budget
+            break
+    verdict = verifier._decide(mode, report, failing, stopped_early)
+    verdict.mean_run_ms = statistics.fmean(durations_ms)
+    verdict.stddev_run_ms = statistics.stdev(durations_ms) if len(durations_ms) > 1 else 0.0
+    if failing is not None and out_dir is not None:
+        verdict.failing_trace = os.path.join("runs", f"run_{failing.index}.trace")
+    if out_dir is not None:
+        with open(os.path.join(out_dir, "verdict.json"), "w", encoding="utf-8") as fh:
+            fh.write(verdict.to_json())
+    return verdict

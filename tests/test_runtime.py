@@ -1,12 +1,15 @@
 import dataclasses
+import itertools
+import math
 import pickle
 import threading
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bproc import RunOptions, compile_model, parse_bpmn, run_once
+from bproc import RunOptions, compile_model, parse_bpmn, run_once, runtime
 from bproc.compiler import InvokeTable
 from bproc.errors import ConfigError
 from bproc.runtime import (TableEvaluated, parse_summary_inputs, render_graph_file,
@@ -122,6 +125,29 @@ def test_step_budget_caps_runaway_loops():
     _, summary = run_once(x, {}, RunOptions(mode="sequential", max_steps=500))
     assert summary.status == "fault"
     assert "step budget" in summary.message
+
+
+def test_the_clock_is_read_every_1024_steps(monkeypatch):
+    x = compile_fixture("loop")
+    reads = []
+    clock = runtime.time.monotonic
+    monkeypatch.setattr(runtime, "time",
+                        types.SimpleNamespace(monotonic=lambda: reads.append(1) or clock()))
+    _, summary = run_once(x, {}, RunOptions(mode="sequential", max_steps=10_000, timeout_s=60))
+    assert summary.message == "step budget of 10000 exceeded"
+    assert len(reads) <= math.ceil(10_000 / 1024) + 2
+
+
+@pytest.mark.parametrize("mode", ("sequential", "parallel"))
+def test_a_clock_past_the_deadline_times_out(monkeypatch, mode):
+    x = compile_fixture("loop")
+    reads = itertools.count()  # the run starts at 0, then every read is an hour later
+    monkeypatch.setattr(runtime, "time",
+                        types.SimpleNamespace(monotonic=lambda: 3600.0 * bool(next(reads))))
+    _, summary = run_once(x, {}, RunOptions(mode=mode, timeout_s=5))
+    assert (summary.status, summary.code, summary.message) == \
+        ("timeout", "TIMEOUT", "execution exceeded 5s")
+    assert summary.elapsed_s == 3600.0
 
 
 def test_trace_records_cost_little_memory():

@@ -1,12 +1,18 @@
+import dataclasses
+import functools
 import json
+import os
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from bproc import (CampaignConfig, ErrorSeek, FixedBudget, RunOptions, Smc,
                    accumulate_coverage, compile_model, parse_bpmn, run_campaign,
-                   run_once, smc_sample_size)
+                   run_once, runtime, smc_sample_size)
+from bproc.bpmn import ProcessGraph
 from bproc.errors import ConfigError, MissingOverrideError, UnknownIdError
 from bproc.runtime import Trace, NodeActivated, EdgeTraversed
 from bproc.verifier import empty_report
@@ -320,3 +326,96 @@ def test_parallel_campaign_runs_follow_from_the_config(tmp_path):
     assert len(files["first"]) == 60
     assert files["again"] == files["first"]
     assert files["other_seed"] != files["first"]  # the campaign seed picks the schedules
+
+
+# --- campaigns mark coverage instead of building traces ---------------------------------
+
+CAMPAIGN_FIXTURES = {"discount": ("discount",), "loop": (), "onboarding": (), "pingpong": (),
+                     "pingpong_sendfirst": (), "quote": (), "shipment": ("shipment",),
+                     "triage": ()}
+CAMPAIGN_RULES = (FixedBudget(n=25, theta_nodes=90, theta_edges=80), ErrorSeek(n=25),
+                  Smc(epsilon=0.15, delta=0.1),
+                  Smc(epsilon=0.15, delta=0.1, property="coverage-unreachable",
+                      theta_nodes=90, theta_edges=80))
+
+
+def _with_step_budget(monkeypatch, max_steps: int):
+    """Campaign runs end after `max_steps` steps (the default is 1 M)."""
+    monkeypatch.setattr(runtime, "RunOptions",
+                        functools.partial(runtime.RunOptions, max_steps=max_steps))
+
+
+def _verdict_outcome(verdict):
+    return verdict.result, verdict.reason, verdict.coverage, verdict.failing_trace
+
+
+def _campaign_files(out_dir):
+    verdict = json.loads((out_dir / "verdict.json").read_text())
+    for volatile in ("mean_run_ms", "stddev_run_ms"):
+        verdict.pop(volatile)
+    return verdict, {p.name: p.read_bytes() for p in (out_dir / "runs").iterdir()}
+
+
+@pytest.mark.parametrize("sequential", (True, False), ids=("sequential", "parallel"))
+@pytest.mark.parametrize("name", sorted(CAMPAIGN_FIXTURES))
+def test_campaign_matches_the_trace_campaign(name, sequential, monkeypatch, tmp_path):
+    _with_step_budget(monkeypatch, 2_000)  # loop's runs never end otherwise
+    x = compile_fixture(name, *CAMPAIGN_FIXTURES[name], sample_seed=42)
+    for i, rule in enumerate(CAMPAIGN_RULES):
+        for seed in (0, 1, 7):
+            cfg = CampaignConfig(mode=rule, seed=seed, sequential=sequential)
+            assert _verdict_outcome(run_campaign(x, cfg)) == \
+                _verdict_outcome(oracles.reference_campaign(x, cfg)), (rule, seed)
+        cfg = CampaignConfig(mode=rule, seed=3, sequential=sequential)
+        got, want = tmp_path / f"{i}_marked", tmp_path / f"{i}_traced"
+        verdict = run_campaign(x, cfg, out_dir=str(got))
+        assert _verdict_outcome(verdict) == \
+            _verdict_outcome(oracles.reference_campaign(x, cfg, out_dir=str(want))), rule
+        files = _campaign_files(got)
+        assert files == _campaign_files(want), rule
+        assert len(files[1]) == 2 * verdict.coverage.runs_executed
+
+
+@pytest.mark.parametrize("keep_files", (False, True), ids=("marked", "with_files"))
+def test_campaign_rejects_ids_the_graph_lacks(diamond, keep_files, tmp_path):
+    graph = diamond.graph
+    without_node = ProcessGraph(tuple(n for n in graph.nodes if n[0] != "l"), graph.edges)
+    without_pair = ProcessGraph(graph.nodes, tuple(e for e in graph.edges if e != ("g", "r")))
+    cfg = CampaignConfig(mode=FixedBudget(n=20), seed=0, sequential=True)
+    for i, (stray_graph, stray) in enumerate(((without_node, r"nodes \['l'\]"),
+                                              (without_pair, r"edges \[\('g', 'r'\)\]"))):
+        x = dataclasses.replace(diamond, graph=stray_graph)
+        with pytest.raises(UnknownIdError, match=stray):
+            run_campaign(x, cfg, out_dir=str(tmp_path / str(i)) if keep_files else None)
+
+
+def test_campaign_runs_build_no_trace(monkeypatch):
+    _with_step_budget(monkeypatch, 50_000)
+    x = compile_fixture("loop")
+    built = []
+    for name in ("Trace", "VarWritten", "TableEvaluated"):
+        monkeypatch.setattr(runtime, name, functools.partial(
+            lambda cls, *args: built.append(cls) or cls(*args), getattr(runtime, name)))
+    cfg = CampaignConfig(mode=FixedBudget(n=1), sequential=True, timeout_s=60)
+    run_campaign(x, cfg)  # lowers the program
+    tracemalloc.start()
+    try:
+        verdict = run_campaign(x, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.coverage.c_n == 100.0 * 5 / 6
+    assert built == []
+    # a trace of the 50,000 steps would hold 116,000 records
+    assert peak < 100_000
+
+
+def test_campaign_makes_the_runs_directory_once(diamond, monkeypatch, tmp_path):
+    made = []
+    makedirs = os.makedirs
+    monkeypatch.setattr(os, "makedirs", lambda *args, **kwargs: made.append(args[0]) or
+                        makedirs(*args, **kwargs))
+    cfg = CampaignConfig(mode=FixedBudget(n=20), seed=0, sequential=True)
+    run_campaign(diamond, cfg, out_dir=str(tmp_path))
+    assert made == [str(tmp_path / "runs")]
+    assert len(os.listdir(tmp_path / "runs")) == 40
