@@ -114,7 +114,6 @@ class ProcessModel:
     nodes: list[Node]
     flows: list[SequenceFlow]
     messages: list[MessageDef]
-    variables: dict[str, VariableRole] = field(default_factory=dict)
     diagnostics: list[str] = field(default_factory=list)
 
     def node(self, node_id: str) -> Node:
@@ -197,7 +196,7 @@ def parse_bpmn(data: bytes | str) -> ProcessModel:
     _mark_defaults_from_attributes(model, builder.defaults)
     _fix_multi_output_nodes(model)
     _validate(model)
-    model.variables = classify_variables(model, ())
+    classify_variables(model, ())  # raises RoleConflictError on a conflicting writer
     return model
 
 

@@ -145,41 +145,6 @@ class Disjunction(UnaryTest):
             raise ValueError("empty disjunction")
 
 
-def walk(expr: FeelExpr):
-    """Yield every node of the tree, preorder."""
-    yield expr
-    if isinstance(expr, (Neg, Not)):
-        yield from walk(expr.operand)
-    elif isinstance(expr, BinOp):
-        yield from walk(expr.left)
-        yield from walk(expr.right)
-    elif isinstance(expr, Call):
-        for a in expr.args:
-            yield from walk(a)
-    elif isinstance(expr, ListLit):
-        for a in expr.items:
-            yield from walk(a)
-    elif isinstance(expr, Index):
-        yield from walk(expr.seq)
-        yield from walk(expr.index)
-    elif isinstance(expr, Filter):
-        yield from walk(expr.seq)
-        yield from walk(expr.predicate)
-    elif isinstance(expr, ContextLit):
-        for _, v in expr.entries:
-            yield from walk(v)
-    elif isinstance(expr, Path):
-        yield from walk(expr.base)
-    elif isinstance(expr, RangeLit):
-        yield from walk(expr.lo)
-        yield from walk(expr.hi)
-    elif isinstance(expr, InTest):
-        yield from walk(expr.item)
-        yield from walk(expr.container)
-    elif isinstance(expr, InstanceOf):
-        yield from walk(expr.operand)
-
-
 def free_variables(expr: FeelExpr) -> set[str]:
     """Names read by the expression; `item` inside a filter is bound, not free."""
     if isinstance(expr, Filter):

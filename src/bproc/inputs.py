@@ -11,6 +11,7 @@ A domain is one of:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -394,8 +395,7 @@ def sample_domain(domain: Domain, static_type: StaticType, rng: random.Random,
     if isinstance(domain, EnumDomain):
         return rng.choice(domain.values)
     if isinstance(domain, RangeDomain):
-        return _sample_interval(domain.lo, domain.hi, domain.lo_incl, domain.hi_incl,
-                                static_type, rng)
+        return _sample_interval(domain, static_type, rng, name)
     if isinstance(domain, BallDomain):
         return _sample_ball(domain, static_type, rng)
     if overrides:
@@ -407,16 +407,24 @@ def _as_double(value):
     return float(value)
 
 
-def _sample_interval(lo, hi, lo_incl, hi_incl, static_type, rng: random.Random):
+def _sample_interval(domain: RangeDomain, static_type, rng: random.Random, name: str):
+    lo, hi, lo_incl, hi_incl = domain.lo, domain.hi, domain.lo_incl, domain.hi_incl
     if static_type is StaticType.INTEGER or (
             static_type is not StaticType.DOUBLE
             and isinstance(lo, int) and isinstance(hi, int)):
-        lo_i = int(lo) if lo_incl else int(lo) + 1
-        hi_i = int(hi) if hi_incl else int(hi) - 1
+        # the bounds rounded inward to the integers the range holds
+        lo_i = math.ceil(lo) if lo_incl else math.floor(lo) + 1
+        hi_i = math.floor(hi) if hi_incl else math.ceil(hi) - 1
         if lo_i > hi_i:
-            raise DomainMismatchError("?", f"empty integer range [{lo_i},{hi_i}]")
+            raise DomainMismatchError(name, f"cannot be drawn: {render_domain(domain)} "
+                                            f"holds no integer")
         return rng.randint(lo_i, hi_i)
     lo_f, hi_f = _as_double(lo), _as_double(hi)
+    # the least and greatest doubles the range holds
+    least = lo_f if lo_incl else math.nextafter(lo_f, math.inf)
+    greatest = hi_f if hi_incl else math.nextafter(hi_f, -math.inf)
+    if least > greatest:
+        raise DomainMismatchError(name, f"cannot be drawn: {render_domain(domain)} is empty")
     while True:  # open ends handled by rejection; hits have measure zero
         draw = rng.uniform(lo_f, hi_f)
         if (draw == lo_f and not lo_incl) or (draw == hi_f and not hi_incl):
@@ -458,6 +466,6 @@ def build_input_specs(roles, types, domains, rng: random.Random,
             pool = overrides.get(name)
             sample = rng.choice(pool) if pool else type_default(static_type)
         else:
-            sample = sample_domain(domain, static_type, rng)
+            sample = sample_domain(domain, static_type, rng, name=name)
         specs.append(InputSpec(name, static_type, domain, sample))
     return specs

@@ -3,22 +3,24 @@
 On its first run, a model's routines are lowered once into a node program
 (Feeley & Lapalme, "Using Closures for Code Generation", 1987): per node,
 its plain steps as closures over the engine, a terminal closure that picks
-the next node, and the node's activation and edge trace records, built
-once and shared by every run. Expressions inside are compiled closures
-too, and decision tables compile themselves once with their output
-entries folded. So no step is dispatched on its type while a run goes on.
-Lowering also gives every node and every distinct (source, target) pair a
-coverage index.
+the edge to take, and its activation record. Every flow a branch can take
+is one `_Edge`: its target, its trace record and the coverage index of its
+(source, target) pair; every node has a coverage index too. Records are
+built once and shared by every run. Expressions inside are compiled
+closures too, and decision tables compile themselves once with their
+output entries folded. So no step is dispatched on its type while a run
+goes on.
 
 A run owns a variable store (every declared variable starts undefined),
 per-variable input cursors, FIFO message channels and a trace. A campaign
 run (`run_covering`) keeps no trace: it marks the index of each node and
 edge it reaches in the campaign's `CoverageHits`, and builds no write or
-table record, so its memory does not grow with its length. One walker
-serves both modes: each branch of a run is a generator that hands its
-children over at a fork and yields while the channel of its receive is
-empty; in parallel mode it also yields at every node boundary. A
-scheduler on a single OS thread decides which branch steps next.
+table record, so its memory does not grow with its length. One walker,
+the only code that records or marks nodes and edges, serves both modes:
+each branch of a run is a generator that hands its children over at a
+fork and yields while the channel of its receive is empty; in parallel
+mode it also yields at every node boundary. A scheduler on a single OS
+thread decides which branch steps next.
 Sequential mode runs the branches one at a time in case order, so a
 receive that waits for a later branch is a deadlock. Parallel mode gives
 each step to a runnable branch drawn with a random generator seeded from
@@ -117,29 +119,40 @@ class RunOptions:
 
 # --- lowering: each routine once per model, into closures ---------------------
 
+class _Edge:
+    """A flow a branch can take: its target node id, its trace record and
+    its coverage index."""
+
+    __slots__ = ("target", "record", "index")
+
+    def __init__(self, target: str, record: EdgeTraversed, index: int):
+        self.target = target
+        self.record = record
+        self.index = index
+
+
 class _Node:
     """A lowered routine.
 
     `steps` are its plain steps, functions of the engine that return None,
     except a receive on an empty channel, which returns (node, channel)
     and does nothing. `terminal` is a function of the engine that returns
-    the next node id, None (the branch ended and the outcome is set) or
-    the fork's children, (target, (fork edge, its index)) pairs; a fork's
-    children meet at `join_id`. A continue has no terminal function: the
-    walker goes on to `next` over `edge` itself, as does an arrival that
-    passes a barrier join. The trace records are built here once and
-    shared by every run: they are frozen and compared by value. `index`
-    and `edge_index` are the coverage indexes of the node and its edge.
+    the `_Edge` taken, None (the branch ended and the outcome is set) or
+    the fork's children, one `_Edge` each; a fork's children meet at
+    `join_id`. A continue has no terminal function: the walker takes
+    `edge`, as does an arrival that passes a barrier join. Lowering builds
+    the edges and the activation record once, shared by every run (records
+    are frozen and compared by value); only the walker records or marks
+    them. `index` is the node's coverage index.
     """
 
-    __slots__ = ("activated", "index", "steps", "terminal", "next", "edge", "edge_index",
-                 "join_id")
+    __slots__ = ("activated", "index", "steps", "terminal", "edge", "join_id")
 
     def __init__(self, node_id: str, index: int):
         self.activated = NodeActivated(node_id)
         self.index = index
         self.steps: tuple = ()
-        self.terminal = self.next = self.edge = self.edge_index = self.join_id = None
+        self.terminal = self.edge = self.join_id = None
 
 
 class _Program:
@@ -163,10 +176,9 @@ class _Program:
     def node(self, node_id: str) -> _Node:
         return _Node(node_id, self.node_index.setdefault(node_id, len(self.node_index)))
 
-    def edge(self, source: str, target: str) -> tuple[EdgeTraversed, int]:
-        """The edge's shared trace record and its coverage index."""
+    def edge(self, source: str, target: str) -> _Edge:
         index = self.edge_index.setdefault((source, target), len(self.edge_index))
-        return EdgeTraversed(source, target), index
+        return _Edge(target, EdgeTraversed(source, target), index)
 
 
 def _program(model: ExecutableModel) -> _Program:
@@ -183,8 +195,7 @@ def _lower(routine, model: ExecutableModel, program: _Program) -> _Node:
     steps = []
     for step in routine.steps:
         if isinstance(step, Continue):
-            node.next = step.target
-            node.edge, node.edge_index = program.edge(node_id, step.target)
+            node.edge = program.edge(node_id, step.target)
             break
         if isinstance(step, (Terminate, Branch, Fork, JoinBarrier)):
             node.terminal = _lower_terminal(step, node_id, node, program)
@@ -208,36 +219,26 @@ def _lower_terminal(step, node_id: str, node: _Node, program: _Program):
         return lambda engine: engine._set_outcome(*outcome)
 
     if isinstance(step, Branch):
-        cases = tuple((feel.compile_expr(condition), target, *program.edge(node_id, target))
+        cases = tuple((feel.compile_expr(condition), program.edge(node_id, target))
                       for condition, target in step.cases)
-        default = step.default
-        if default is not None:
-            default = (default, *program.edge(node_id, default))
+        default = None if step.default is None else program.edge(node_id, step.default)
 
         def branch(engine):
             bindings = engine.bindings
-            for condition, target, edge, index in cases:
+            for condition, edge in cases:
                 verdict = condition(bindings)
                 if verdict is True:
-                    break
+                    return edge
                 if verdict is not False:
                     raise BprocError("condition is not boolean")
-            else:
-                if default is None:
-                    engine._set_outcome("error", "UNHANDLED_CONDITION", "unhandled condition")
-                    return None
-                target, edge, index = default
-            hits = engine._edge_hits
-            if hits is None:
-                engine._record(edge)
-            else:
-                hits[index] = 1
-            return target
+            if default is None:
+                engine._set_outcome("error", "UNHANDLED_CONDITION", "unhandled condition")
+            return default
         return branch
 
     if isinstance(step, Fork):
         node.join_id = step.join_id
-        children = tuple((target, program.edge(node_id, target)) for target in step.targets)
+        children = tuple(program.edge(node_id, target) for target in step.targets)
         if step.conditions is None:
             return lambda engine: children
         guarded = tuple(zip(map(feel.compile_expr, step.conditions), children))
@@ -256,9 +257,8 @@ def _lower_terminal(step, node_id: str, node: _Node, program: _Program):
             return selected
         return inclusive_fork
 
-    # a join barrier: arrivals from its fork continue past it (see _Engine._walk)
-    node.next = step.next
-    node.edge, node.edge_index = program.edge(node_id, step.next)
+    # a join barrier: arrivals from its fork continue past it over `edge` (see _Engine._walk)
+    node.edge = program.edge(node_id, step.next)
     return _fault(f"join {node_id!r} reached outside its fork")
 
 
@@ -294,11 +294,8 @@ def _lower_step(step, node_id: str, model: ExecutableModel):
 
         def invoke(engine):
             bindings = engine.bindings
-            outputs = evaluator([arg(bindings) for arg in args])
-            if engine._keep_values:
-                engine._record(TableEvaluated(table.id, tuple(sorted(outputs.items()))))
-            for out_name, var in out_bindings:
-                engine._write(var, outputs[out_name])
+            engine._write_outputs(table.id, evaluator([arg(bindings) for arg in args]),
+                                  out_bindings)
         return invoke
 
     if isinstance(step, Send):
@@ -438,6 +435,12 @@ class _Engine:
                               f"step budget of {self._max_steps} exceeded")
             raise _Aborted()
 
+    def _write_outputs(self, table_id: str, outputs: dict, out_bindings: tuple):
+        if self._keep_values:
+            self._record(TableEvaluated(table_id, tuple(sorted(outputs.items()))))
+        for out_name, var in out_bindings:
+            self._write(var, outputs[out_name])
+
     def _write(self, name: str, value):
         self.bindings[name] = value
         if self._keep_values:
@@ -480,8 +483,8 @@ class _Engine:
                 if event is _ENDED:
                     continue
                 if type(event) is list:  # a fork: its children, in case order
-                    children = [self._start(branch.path + ((barrier, i),), target, barrier, edge)
-                                for i, (target, barrier, edge) in enumerate(event)]
+                    children = [self._start(branch.path + ((child, i),), edge.target, child, edge)
+                                for i, (edge, child) in enumerate(event)]
                     ready.extend(reversed(children))  # the first case on top
                 else:  # a receive on an empty channel
                     node, channel = event
@@ -506,13 +509,14 @@ class _Engine:
 
     # --- one branch ---
 
-    def _walk(self, current: str, barrier: _Barrier | None, entry: tuple | None,
+    def _walk(self, current: str, barrier: _Barrier | None, entry: _Edge | None,
               branch: _Branch):
-        """Run one branch from `current`, entered over the fork edge `entry`,
-        a (record, index) pair, when it has one.
+        """Run one branch from `current`, entered over the fork edge `entry`
+        when it has one. Records, or marks in the campaign's hit arrays, the
+        fork edge, each activated node and each edge taken, in that order.
 
-        In parallel mode, yields None after every node; in both modes,
-        yields the list of (target, barrier, fork edge) children at a fork
+        In parallel mode, yields None after every node and its edge; in both
+        modes, yields the list of (fork edge, barrier) children at a fork
         (and then ends), and (node, channel) while a receive waits on an
         empty channel. Ends at a join some other branch still has to reach,
         or once the run has an outcome. A sequential branch keeps the only
@@ -525,26 +529,17 @@ class _Engine:
         parallel = self._parallel
         if entry is not None:
             if edge_hits is None:
-                record(entry[0])
+                record(entry.record)
             else:
-                edge_hits[entry[1]] = 1
+                edge_hits[entry.index] = 1
         while True:
             node = program[current]
+            terminal = node.terminal
             if barrier is not None and current == barrier.join_id:
                 if not barrier.arrive():
                     return  # another arrival will continue past the join
-                tick()
-                if node_hits is None:
-                    record(node.activated)
-                    record(node.edge)
-                else:
-                    node_hits[node.index] = 1
-                    edge_hits[node.edge_index] = 1
-                current, barrier = node.next, barrier.parent
+                barrier, terminal = barrier.parent, None  # released: on over the join's edge
                 branch.path = branch.path[:-1]  # the fork's own branch again
-                if parallel:
-                    yield
-                continue
             tick()
             if node_hits is None:
                 record(node.activated)
@@ -554,26 +549,23 @@ class _Engine:
                 for step in node.steps:
                     while (blocked := step(self)) is not None:
                         yield blocked
-                if node.terminal is None:  # a continue
-                    if edge_hits is None:
-                        record(node.edge)
-                    else:
-                        edge_hits[node.edge_index] = 1
-                    following = node.next
-                else:
-                    following = node.terminal(self)
+                taken = node.edge if terminal is None else terminal(self)
             except BprocError as exc:
                 self._set_outcome("fault", "ENGINE_FAULT", f"{current}: {exc}")
                 return
-            if following.__class__ is str:
-                current = following
+            if taken.__class__ is _Edge:
+                if edge_hits is None:
+                    record(taken.record)
+                else:
+                    edge_hits[taken.index] = 1
+                current = taken.target
                 if parallel:
                     yield
-            elif following is None:
+            elif taken is None:
                 return
             else:  # a fork
-                child = _Barrier(node.join_id, len(following), barrier)
-                yield [(target, child, edge) for target, edge in following]
+                child = _Barrier(node.join_id, len(taken), barrier)
+                yield [(edge, child) for edge in taken]
                 return
 
 

@@ -189,6 +189,39 @@ def test_env_var_seed(tmp_path, monkeypatch):
         (tmp_path / "flag" / "shipment.inputs").read_text()
 
 
+EMPTY_RANGE = """<?xml version="1.0"?>
+<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL">
+  <process id="p">
+    <dataObject id="DO_x"/>
+    <dataObjectReference id="DOR_x" name="x" dataObjectRef="DO_x"/>
+    <startEvent id="s">
+      <dataOutputAssociation id="DOA_x"><targetRef>DOR_x</targetRef></dataOutputAssociation>
+    </startEvent>
+    <exclusiveGateway id="g" default="f_other"/>
+    <endEvent id="e_in"/>
+    <endEvent id="e_other"/>
+    <sequenceFlow id="f0" sourceRef="s" targetRef="g"/>
+    <sequenceFlow id="f_in" sourceRef="g" targetRef="e_in">
+      <conditionExpression>x in (5.0..5.0]</conditionExpression>
+    </sequenceFlow>
+    <sequenceFlow id="f_other" sourceRef="g" targetRef="e_other"/>
+  </process>
+</definitions>
+"""
+
+
+def test_translate_of_an_empty_real_range_is_a_model_error(tmp_path):
+    # no double lies in (5.0..5.0], so no sample can be drawn for x; a child
+    # process, so that a sampler that never returns fails the test, not the suite
+    (tmp_path / "empty.bpmn").write_text(EMPTY_RANGE)
+    proc = subprocess.run([sys.executable, "-m", "bproc", "translate", "empty.bpmn"],
+                          cwd=tmp_path, env=child_env(), capture_output=True, text=True,
+                          timeout=10)
+    assert proc.returncode == 3, proc.stderr
+    assert "DomainMismatchError" in proc.stderr
+    assert "'x'" in proc.stderr and "RANGE((5.0,5.0])" in proc.stderr
+
+
 def test_module_entry_point(tmp_path):
     # `python -m bproc` must behave exactly like cli.main with the same argv
     argv = ["run", *SHIPMENT, "--seed", "3", "--sequential"]

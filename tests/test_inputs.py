@@ -150,6 +150,20 @@ def test_unhandled_requires_overrides():
                          overrides=[1.5], name="w") == 1.5
 
 
+# a half-open empty double range such as (5.0..5.0] is checked in a child
+# process (test_cli), where a sampler that never returns cannot hang the suite
+@pytest.mark.parametrize("domain, static_type", [
+    (RangeDomain(6.0, 5.0), StaticType.DOUBLE),
+    (RangeDomain(2, 3, False, False), StaticType.INTEGER),
+    (RangeDomain(2.2, 2.8), StaticType.INTEGER),
+])
+def test_empty_range_is_a_domain_mismatch_naming_the_variable(domain, static_type):
+    with pytest.raises(DomainMismatchError) as exc_info:
+        sample_domain(domain, static_type, random.Random(4), name="amount")
+    assert exc_info.value.name == "amount"
+    assert render_domain(domain) in str(exc_info.value)
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=30, deadline=None)
 def test_every_sample_validates_against_its_domain(seed):
@@ -159,7 +173,13 @@ def test_every_sample_validates_against_its_domain(seed):
         (BallDomain(rng.randint(-20, 20)), StaticType.INTEGER),
         (BallDomain(float(rng.randint(-20, 20))), StaticType.DOUBLE),
         (RangeDomain(0, 10, rng.random() < 0.5, rng.random() < 0.5), StaticType.INTEGER),
+        # fractional bounds, as a hand-edited inputs file can give an Integer
+        (RangeDomain(2.5, 10, rng.random() < 0.5, rng.random() < 0.5), StaticType.INTEGER),
+        (RangeDomain(-10, -2.5, rng.random() < 0.5, rng.random() < 0.5), StaticType.INTEGER),
+        (RangeDomain(-0.5, 0.5, False, False), StaticType.INTEGER),
+        (RangeDomain(2.5, 3.5), StaticType.INTEGER),  # 3 alone
         (RangeDomain(0.0, 10.0, False, False), StaticType.DOUBLE),
+        (RangeDomain(5.0, 5.0), StaticType.DOUBLE),  # a single point, not empty
     ]
     for domain, static_type in domains:
         for _ in range(300):

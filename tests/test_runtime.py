@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import pickle
@@ -699,6 +700,27 @@ def test_parallel_runs_start_no_threads(monkeypatch):
         trace, summary = run_once(x, {}, RunOptions(mode="parallel", seed=seed))
         assert summary.status == "success", f"seed {seed}: {summary.message}"
         assert trace.node_sequence().count("Gateway_Sync") == 1
+
+
+def test_parallel_trace_record_order_is_pinned():
+    # One digest of the trace and summary files of seeds 0-49, in parallel
+    # mode, of every model here whose branches interleave. The expected value
+    # was computed while the lowered branch closures still recorded their own
+    # edges, before the walker became the only code that records. A node's
+    # edge is recorded before its branch yields; recording it after the yield
+    # changes the files of every forking run, and this digest with them.
+    models = [compile_fixture("pingpong"), compile_fixture("pingpong_sendfirst")]
+    models += [compile_inline(body, prelude=MSG_PRELUDE)
+               for body in (TWO_SENDS, LEFTOVER, INCLUSIVE.format(value=50),
+                            ORDERED_WRITES.format(a="v"), SUCCESSIVE_FORKS)]
+    digest = hashlib.sha256()
+    for x in models:
+        for seed in range(50):
+            trace, summary = run_once(x, {}, RunOptions(mode="parallel", seed=seed))
+            digest.update(render_trace_file(trace, x.graph).encode())
+            digest.update(render_summary_file(summary).encode())
+    assert digest.hexdigest() == \
+        "5a67b72bdc96da1699e9e579fb6baf56ae524d47cf4f4d9716a061156f76d418"
 
 
 # --- parallel mode against sequential mode ------------------------------------------
