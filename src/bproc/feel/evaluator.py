@@ -24,14 +24,13 @@ from typing import Callable, Mapping
 from ..errors import (DivisionByZeroError, FeelTypeError, IndexOutOfRangeError,
                       UndefinedValueError)
 from . import ast
-from .values import (SECONDS_PER_DAY, UNDEFINED, FeelRange, Temporal, check_defined,
-                     compare, equals, kind_of)
+from .values import (_NUMBERS, SECONDS_PER_DAY, UNDEFINED, FeelRange, Temporal,
+                     check_defined, compare, equals, kind_of)
 
 Compiled = Callable[[Mapping[str, object]], object]
 
 _ORDER_HOLDS = {"<": lambda c: c < 0, "<=": lambda c: c <= 0,
                 ">": lambda c: c > 0, ">=": lambda c: c >= 0}
-_NUMBERS = frozenset((int, float))  # exact types: a bool is no number here
 _NUMERIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
@@ -358,12 +357,19 @@ def compile_unary(test: ast.UnaryTest) -> Callable[[object], bool]:
     return unknown
 
 
+_SCALARS = frozenset((int, float, str, bool, type(None)))  # exact classes
+
+
 def _scalar(value):
+    if type(value) in _SCALARS:
+        return
     if kind_of(value) in ("list", "context"):
         raise FeelTypeError(f"cell tests apply to scalars, got a {kind_of(value)}")
 
 
 def _defined_scalar(value):
+    if type(value) in _SCALARS:
+        return
     _scalar(value)
     check_defined(value)
 

@@ -75,7 +75,7 @@ def _unescape(raw: str) -> str:
         c = body[i]
         if c == "\\" and i + 1 < len(body):
             nxt = body[i + 1]
-            out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(nxt, nxt))
+            out.append({"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}.get(nxt, nxt))
             i += 2
         else:
             out.append(c)

@@ -4,6 +4,12 @@ Plain Python objects carry most kinds: None (null), bool, int, float
 (integers and decimals stay distinct kinds), str, list, dict (contexts).
 Temporal instants and ranges get small dedicated types, and UNDEFINED is
 the before-first-write state of a process variable.
+
+A value's kind comes from one table keyed by its exact class, so a plain
+string or number costs one lookup; `equals` and `compare` settle two plain
+strings, or two plain numbers, the same way before their general rules.
+Subclasses, temporals, UNDEFINED and foreign objects miss the table and
+take the isinstance cascade, which gives every other result and error.
 """
 
 from __future__ import annotations
@@ -73,7 +79,20 @@ class FeelRange:
         return lo_ok and hi_ok
 
 
+#: Kind of a value by its exact class; a miss falls back to `_kind_by_cascade`.
+_KINDS = {type(None): "null", bool: "boolean", int: "number", float: "number",
+          str: "string", list: "list", dict: "context", FeelRange: "range"}
+_NUMBERS = frozenset((int, float))  # exact classes: a bool is no number here
+
+
 def kind_of(value) -> str:
+    kind = _KINDS.get(type(value))
+    if kind is not None:
+        return kind
+    return _kind_by_cascade(value)
+
+
+def _kind_by_cascade(value) -> str:
     if value is UNDEFINED:
         return "undefined"
     if value is None:
@@ -103,6 +122,9 @@ def check_defined(value):
 
 def compare(a, b) -> int:
     """Three-way ordering; only numbers, strings and same-kind temporals order."""
+    ta, tb = type(a), type(b)
+    if (ta is str and tb is str) or (ta in _NUMBERS and tb in _NUMBERS):
+        return (a > b) - (a < b)
     check_defined(a)
     check_defined(b)
     ka, kb = kind_of(a), kind_of(b)
@@ -117,6 +139,9 @@ def compare(a, b) -> int:
 
 def equals(a, b) -> bool:
     """Structural equality; comparing against null is always defined."""
+    ta, tb = type(a), type(b)
+    if (ta is str and tb is str) or (ta in _NUMBERS and tb in _NUMBERS):
+        return a == b
     check_defined(a)
     check_defined(b)
     ka, kb = kind_of(a), kind_of(b)
@@ -148,7 +173,8 @@ def render_value(value) -> str:
     if kind == "number":
         return repr(value)
     if kind == "string":
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
+        escaped = (value.replace("\\", "\\\\").replace('"', '\\"')
+                   .replace("\n", "\\n").replace("\r", "\\r"))  # written values keep to one line
         return f'"{escaped}"'
     if kind in ("date", "time"):
         return f'{kind}("{value.to_text()}")'

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 
 from . import feel
@@ -23,6 +24,9 @@ from .feel.values import kind_of
 
 BALL_RADIUS_MIN = 1
 BOUNDARY_BIAS = 0.3  # total probability mass spent on the center and both edges
+_MAX_DOUBLE = sys.float_info.max
+_MAX_INTEGER = int(_MAX_DOUBLE)  # draws stay within the finite doubles
+_INFINITIES = (math.inf, -math.inf)
 
 
 @dataclass(frozen=True)
@@ -299,7 +303,7 @@ def _parse_domain(text: str, line_no: int) -> Domain:
                                lo_incl, hi_incl)
         if text.startswith("UNHANDLED(") and text.endswith(")"):
             body = text[10:-1]
-            return UnhandledDomain(tuple(s for s in body.split(";") if s))
+            return UnhandledDomain(tuple(s for s in _split_outside_strings(body, ";") if s))
     except InputsParseError:
         raise
     except Exception as exc:
@@ -317,6 +321,26 @@ def _split_range_body(body: str) -> tuple[str, str]:
         elif c == "," and depth == 0:
             return body[:i], body[i + 1:]
     raise ValueError("range without a comma")
+
+
+def _split_outside_strings(text: str, sep: str) -> list[str]:
+    """`text` cut at each `sep` that is not inside a string literal."""
+    pieces, start, i, quoted = [], 0, 0, False
+    while i < len(text):
+        if quoted:
+            if text[i] == "\\":
+                i += 1  # the escaped character
+            elif text[i] == '"':
+                quoted = False
+        elif text[i] == '"':
+            quoted = True
+        elif text.startswith(sep, i):
+            pieces.append(text[start:i])
+            start = i = i + len(sep)
+            continue
+        i += 1
+    pieces.append(text[start:])
+    return pieces
 
 
 def write_inputs_file(path, specs: list[InputSpec], overrides: dict[str, list] | None = None):
@@ -351,11 +375,11 @@ def parse_inputs_file(path) -> InputsFile:
                     raise InputsParseError(f"bad override values: {exc}", line_no) from exc
                 result.overrides[name.strip()] = list(values)
                 continue
-            parts = line.split(" : ", 2)
-            if len(parts) != 3 or " : " not in parts[2]:
+            parts = _split_outside_strings(line, " : ")
+            if len(parts) < 4:
                 raise InputsParseError(f"expected 'name : type : domain : sample'", line_no)
             name, type_text = parts[0].strip(), parts[1].strip()
-            domain_text, sample_text = parts[2].rsplit(" : ", 1)
+            domain_text, sample_text = " : ".join(parts[2:-1]), parts[-1]
             try:
                 static_type = StaticType(type_text)
             except ValueError as exc:
@@ -390,21 +414,31 @@ def sample_domain(domain: Domain, static_type: StaticType, rng: random.Random,
     Enums are uniform; ranges are uniform over the (type-aware) interval;
     balls around w span [w-R, w+R] with R = max(1, |w|) and a 0.3 bias
     toward w and the two boundary neighbourhoods; unhandled domains draw
-    uniformly from the user-provided override list.
+    uniformly from the user-provided override list. Numeric draws stay
+    within the finite doubles; a range or ball that holds none raises
+    DomainMismatchError.
     """
     if isinstance(domain, EnumDomain):
         return rng.choice(domain.values)
     if isinstance(domain, RangeDomain):
         return _sample_interval(domain, static_type, rng, name)
     if isinstance(domain, BallDomain):
-        return _sample_ball(domain, static_type, rng)
+        return _sample_ball(domain, static_type, rng, name)
     if overrides:
         return rng.choice(overrides)
     raise MissingOverrideError(name)
 
 
 def _as_double(value):
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the doubles
+        return math.inf if value > 0 else -math.inf
+
+
+def _no_finite_double(name: str, domain: Domain) -> DomainMismatchError:
+    return DomainMismatchError(name, f"cannot be drawn: {render_domain(domain)} "
+                                     f"holds no finite double")
 
 
 def _sample_interval(domain: RangeDomain, static_type, rng: random.Random, name: str):
@@ -412,31 +446,48 @@ def _sample_interval(domain: RangeDomain, static_type, rng: random.Random, name:
     if static_type is StaticType.INTEGER or (
             static_type is not StaticType.DOUBLE
             and isinstance(lo, int) and isinstance(hi, int)):
-        # the bounds rounded inward to the integers the range holds
-        lo_i = math.ceil(lo) if lo_incl else math.floor(lo) + 1
-        hi_i = math.floor(hi) if hi_incl else math.ceil(hi) - 1
+        if lo != lo or hi != hi:  # NaN
+            raise _no_finite_double(name, domain)
+        # the bounds rounded inward to the integers the range holds; infinities stay
+        lo_i = lo if lo in _INFINITIES else math.ceil(lo) if lo_incl else math.floor(lo) + 1
+        hi_i = hi if hi in _INFINITIES else math.floor(hi) if hi_incl else math.ceil(hi) - 1
         if lo_i > hi_i:
             raise DomainMismatchError(name, f"cannot be drawn: {render_domain(domain)} "
                                             f"holds no integer")
+        lo_i, hi_i = max(lo_i, -_MAX_INTEGER), min(hi_i, _MAX_INTEGER)
+        if lo_i > hi_i:
+            raise _no_finite_double(name, domain)
         return rng.randint(lo_i, hi_i)
-    lo_f, hi_f = _as_double(lo), _as_double(hi)
+    lo_f, hi_f = _as_double(lo), _as_double(hi)  # an int bound may round outward
     # the least and greatest doubles the range holds
-    least = lo_f if lo_incl else math.nextafter(lo_f, math.inf)
-    greatest = hi_f if hi_incl else math.nextafter(hi_f, -math.inf)
-    if least > greatest:
-        raise DomainMismatchError(name, f"cannot be drawn: {render_domain(domain)} is empty")
-    while True:  # open ends handled by rejection; hits have measure zero
-        draw = rng.uniform(lo_f, hi_f)
-        if (draw == lo_f and not lo_incl) or (draw == hi_f and not hi_incl):
-            continue
-        return draw
+    least = lo_f if lo_f > lo or (lo_f == lo and lo_incl) else math.nextafter(lo_f, math.inf)
+    greatest = (hi_f if hi_f < hi or (hi_f == hi and hi_incl)
+                else math.nextafter(hi_f, -math.inf))
+    if math.isfinite(hi_f - lo_f):
+        if least > greatest:
+            raise DomainMismatchError(name, f"cannot be drawn: {render_domain(domain)} "
+                                            f"is empty")
+        while True:  # open or rounded ends handled by rejection
+            draw = rng.uniform(lo_f, hi_f)
+            if least <= draw <= greatest:
+                return draw
+    # an infinite or overflowing span: drawn over its finite part, in halves
+    least, greatest = max(least, -_MAX_DOUBLE), min(greatest, _MAX_DOUBLE)
+    if not least <= greatest:  # also a NaN bound
+        raise _no_finite_double(name, domain)
+    half = least / 2 + (greatest / 2 - least / 2) * rng.random()
+    return min(max(half * 2, least), greatest)
 
 
-def _sample_ball(domain: BallDomain, static_type, rng: random.Random):
+def _sample_ball(domain: BallDomain, static_type, rng: random.Random, name: str):
     center, radius = domain.center, domain.radius
     lo, hi = center - radius, center + radius
     integer = static_type is StaticType.INTEGER or (
         static_type is not StaticType.DOUBLE and isinstance(center, int))
+    if not -_MAX_DOUBLE <= lo <= hi <= _MAX_DOUBLE:  # beyond the doubles, or NaN
+        if lo != lo or hi != hi:
+            raise _no_finite_double(name, domain)
+        center, lo, hi = (min(max(v, -_MAX_DOUBLE), _MAX_DOUBLE) for v in (center, lo, hi))
     roll = rng.random()
     if roll < BOUNDARY_BIAS / 3:
         return int(center) if integer else float(center)

@@ -26,7 +26,10 @@ same per-run draws, stopping rules, run files and verdict as
 are the original tree-walking evaluators of expressions, cell tests and
 decision tables, which re-walk the tree (and re-evaluate every output entry
 and comparison bound) on every call. The compiled closures must agree with
-them value for value and error for error.
+them value for value and error for error. They judge values with this
+module's own `kind_of`, `check_defined`, `compare`, `equals`, `contains`
+and `reference_scalar`: isinstance cascades with no exact-class shortcut,
+against which `test_value_kernel_matches_the_reference` checks the kernel.
 """
 
 from __future__ import annotations
@@ -43,8 +46,7 @@ from bproc.errors import (AnyConflictError, DivisionByZeroError, FeelTypeError,
                           IndexOutOfRangeError, NoMatchError, SchemaError,
                           UndefinedValueError, UniquenessViolationError)
 from bproc.feel import ast
-from bproc.feel.values import (SECONDS_PER_DAY, FeelRange, Temporal, check_defined, compare,
-                               equals, kind_of)
+from bproc.feel.values import SECONDS_PER_DAY, UNDEFINED, FeelRange, Temporal
 
 NO_MATCH = object()
 
@@ -267,6 +269,90 @@ def reference_matching_join(gateway_id: str, model) -> str:
     return min(common, key=lambda b: (max(d[b] for d in branch_dists), b))
 
 
+# --- reference value kernel -----------------------------------------------------
+# The value kernel of bproc.feel.values as plain isinstance cascades, so that
+# its exact-class lookups are checked against code they do not share.
+
+def kind_of(value) -> str:
+    if value is UNDEFINED:
+        return "undefined"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    if isinstance(value, Temporal):
+        return value.kind
+    if isinstance(value, FeelRange):
+        return "range"
+    if isinstance(value, list):
+        return "list"
+    if isinstance(value, dict):
+        return "context"
+    raise FeelTypeError(f"not a value of the expression language: {value!r}")
+
+
+def check_defined(value):
+    if value is UNDEFINED:
+        raise UndefinedValueError("operation touches an undefined variable")
+    return value
+
+
+def compare(a, b) -> int:
+    check_defined(a)
+    check_defined(b)
+    ka, kb = kind_of(a), kind_of(b)
+    if ka == kb == "number":
+        return (a > b) - (a < b)
+    if ka == kb == "string":
+        return (a > b) - (a < b)
+    if ka == kb and ka in ("date", "time"):
+        return (a.scalar > b.scalar) - (a.scalar < b.scalar)
+    raise FeelTypeError(f"cannot order {ka} against {kb}")
+
+
+def equals(a, b) -> bool:
+    check_defined(a)
+    check_defined(b)
+    ka, kb = kind_of(a), kind_of(b)
+    if ka == "null" or kb == "null":
+        return ka == kb
+    if ka != kb:
+        raise FeelTypeError(f"cannot compare {ka} against {kb} for equality")
+    if ka == "number":
+        return a == b
+    if ka == "list":
+        if len(a) != len(b):
+            return False
+        return all(equals(x, y) for x, y in zip(a, b))
+    if ka == "context":
+        if set(a) != set(b):
+            return False
+        return all(equals(a[k], b[k]) for k in a)
+    return a == b
+
+
+def contains(r: FeelRange, value) -> bool:
+    """FeelRange.contains over the reference `compare`."""
+    lo_ok = compare(value, r.lo) >= (0 if r.lo_incl else 1)
+    hi_ok = compare(value, r.hi) <= (0 if r.hi_incl else -1)
+    return lo_ok and hi_ok
+
+
+def reference_scalar(value):
+    """A cell test's check that its argument is no list or context."""
+    if kind_of(value) in ("list", "context"):
+        raise FeelTypeError(f"cell tests apply to scalars, got a {kind_of(value)}")
+
+
+def reference_defined_scalar(value):
+    reference_scalar(value)
+    check_defined(value)
+
+
 # --- reference evaluators -------------------------------------------------------
 
 _REF_ORDER_OPS = {"<", "<=", ">", ">="}
@@ -443,7 +529,7 @@ def _ref_overlaps_before(a: FeelRange, b: FeelRange) -> bool:
 
 def _ref_membership(item, container) -> bool:
     if isinstance(container, FeelRange):
-        return container.contains(item)
+        return contains(container, item)
     if kind_of(container) == "list":
         return any(equals(item, element) for element in container)
     raise FeelTypeError(f"'in' needs a list or range, got {kind_of(container)}")
@@ -451,8 +537,7 @@ def _ref_membership(item, container) -> bool:
 
 def reference_match_unary(test: ast.UnaryTest, value) -> bool:
     """Does `value` satisfy a decision-table input entry? By walking the test."""
-    if kind_of(value) in ("list", "context"):
-        raise FeelTypeError(f"cell tests apply to scalars, got a {kind_of(value)}")
+    reference_scalar(value)
     if isinstance(test, ast.Dash):
         return True
     check_defined(value)
@@ -463,7 +548,7 @@ def reference_match_unary(test: ast.UnaryTest, value) -> bool:
         c = compare(value, bound)
         return {"<": c < 0, "<=": c <= 0, ">": c > 0, ">=": c >= 0}[test.op]
     if isinstance(test, ast.RangeTest):
-        return test.range.contains(value)
+        return contains(test.range, value)
     if isinstance(test, ast.Negation):
         return not reference_match_unary(test.inner, value)
     if isinstance(test, ast.Disjunction):
@@ -501,7 +586,7 @@ def reference_evaluate_table(table: dmn.DecisionTable, args: dict[str, object]) 
     outcomes = [outputs(candidates[i]) for i in matches]
     first = outcomes[0]
     for other in outcomes[1:]:
-        if set(other) != set(first) or not all(feel.equals(other[k], first[k]) for k in first):
+        if set(other) != set(first) or not all(equals(other[k], first[k]) for k in first):
             raise AnyConflictError(table.id)
     return first
 

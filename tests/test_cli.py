@@ -1,10 +1,12 @@
 import json
+import math
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+from bproc import runtime
 from bproc.cli import main
 
 from conftest import DTD_BPMN, DTD_DMN, FIXTURES, child_env, with_doctype
@@ -220,6 +222,29 @@ def test_translate_of_an_empty_real_range_is_a_model_error(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert "DomainMismatchError" in proc.stderr
     assert "'x'" in proc.stderr and "RANGE((5.0,5.0])" in proc.stderr
+
+
+def test_a_ball_past_the_largest_double_draws_finite_values(tmp_path):
+    # `x > 1e308` gives BALL(1e+308), whose upper end overflows a double
+    (tmp_path / "huge.bpmn").write_text(EMPTY_RANGE.replace("x in (5.0..5.0]", "x > 1e308"))
+    for seed in range(5):
+        code, _, err = run_cli("inputs", "huge.bpmn", "--out", "i", "--seed", str(seed),
+                               cwd=tmp_path)
+        assert code == 0, err
+        line = (tmp_path / "i" / "p.inputs").read_text().strip()
+        assert line.startswith("x : Double : BALL(1e+308) : ")
+        sample = float(line.rsplit(" : ", 1)[1])
+        assert math.isfinite(sample)
+        code, _, err = run_cli("run", "huge.bpmn", "--inputs-file", "i/p.inputs",
+                               "--sequential", cwd=tmp_path)
+        assert code == 0, err
+        assert runtime.parse_summary_inputs(tmp_path / "out" / "p" / "p.out") == {"x": sample}
+    code, _, err = run_cli("test", "huge.bpmn", "-n", "100", "--sequential", "--out", "t",
+                           cwd=tmp_path)
+    assert code == 0, err
+    runs = sorted((tmp_path / "t" / "runs").glob("*.out"))
+    assert len(runs) == 100
+    assert all(math.isfinite(runtime.parse_summary_inputs(run)["x"]) for run in runs)
 
 
 def test_module_entry_point(tmp_path):

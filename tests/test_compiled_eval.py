@@ -8,23 +8,36 @@ closure and the reference must give equal values, or raise the same
 exception type with the same message.
 """
 
+import enum
 import math
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from bproc import feel
 from bproc.dmn import DecisionTable, Rule, evaluate_table
-from bproc.feel import ast
+from bproc.feel import ast, evaluator, values as kernel
 from bproc.feel.values import UNDEFINED, FeelRange, Temporal
 
+import oracles
 from oracles import reference_evaluate, reference_evaluate_table, reference_match_unary
 
 NAMES = ("a", "b", "s", "u", "l", "c", "missing")  # "missing" is never bound
 ENV = {"a": 3, "b": 2.5, "s": "x", "u": UNDEFINED, "l": [1, 2.0, "x"], "c": {"k": 1}}
 
+
+class Text(str):
+    """A string of a subclass: it misses the kernel's exact-class paths."""
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
 numbers = st.one_of(st.integers(-3, 3), st.floats(allow_nan=True, allow_infinity=True),
-                    st.sampled_from([0, 0.0, 10**20, 1e308]))
-scalars = st.one_of(numbers, st.sampled_from(["x", "y", "", True, False, None]),
+                    st.sampled_from([0, 0.0, -0.0, math.nan, 10**20, 1e20, 1e308]))
+scalars = st.one_of(numbers, st.sampled_from(["x", "y", "", True, False, None,
+                                              Text("x"), Level.LOW, Level.HIGH]),
                     st.builds(Temporal, st.sampled_from(["date", "time"]),
                               st.integers(0, 800_000)))
 values = st.one_of(scalars, st.just(UNDEFINED), st.lists(scalars, max_size=3),
@@ -122,6 +135,33 @@ def test_compiled_cell_tests_agree_with_the_reference(test, value):
     compiled = feel.compile_unary(test)  # compiling never raises
     for _ in range(2):  # a folded bound raises again, and equally
         assert outcome(compiled, value) == outcome(reference_match_unary, test, value)
+
+
+KERNEL = (("kind_of", kernel.kind_of, oracles.kind_of),
+          ("_scalar", evaluator._scalar, oracles.reference_scalar),
+          ("_defined_scalar", evaluator._defined_scalar, oracles.reference_defined_scalar))
+PAIRWISE = (("equals", kernel.equals, oracles.equals),
+            ("compare", kernel.compare, oracles.compare))
+
+
+@given(values, values)
+@settings(max_examples=400, deadline=None)
+@example(True, 1)  # a bool is neither a number nor equal to one
+@example(False, 0.0)
+@example(True, True)
+@example(UNDEFINED, "x")
+@example("x", Text("x"))  # a subclass takes the cascade, with the same result
+@example(Level.LOW, 1.0)
+@example(math.nan, math.nan)
+@example(-0.0, 0)
+@example(10**20, 1e20)
+def test_value_kernel_matches_the_reference(a, b):
+    for name, fn, reference in KERNEL:
+        for v in (a, b):
+            assert outcome(fn, v) == outcome(reference, v), (name, v)
+    for name, fn, reference in PAIRWISE:
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert outcome(fn, x, y) == outcome(reference, x, y), (name, x, y)
 
 
 # cells and arguments over a few small integers, so that rules match

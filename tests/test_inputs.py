@@ -1,9 +1,11 @@
+import math
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from bproc import StaticType, parse_expr
+from bproc import StaticType, parse_expr, runtime
 from bproc.errors import DomainMismatchError, InputsParseError, MissingOverrideError
 from bproc.inputs import (BallDomain, EnumDomain, InputSpec, RangeDomain,
                           UnhandledDomain, facts_from_expr, infer_domains,
@@ -184,3 +186,94 @@ def test_every_sample_validates_against_its_domain(seed):
     for domain, static_type in domains:
         for _ in range(300):
             assert domain.contains(sample_domain(domain, static_type, rng))
+
+
+MAX_DOUBLE = sys.float_info.max
+# bounds at the edge of the doubles: beyond it, infinite, or an int past it
+edge = st.one_of(st.floats(min_value=1.6e308), st.floats(max_value=-1.6e308),
+                 st.sampled_from([0, 1.0, -1.0, 10**308, -(10**308), 2 * 10**308,
+                                  -2 * 10**308, 10**400]))
+
+
+def _drawable(domain: RangeDomain, integer: bool) -> bool:
+    """Does the range hold a finite double, or an integer within the doubles?
+    The least such value lies next to an end or to an end of the doubles."""
+    points = []
+    for end in (domain.lo, domain.hi, -MAX_DOUBLE, MAX_DOUBLE):
+        if end != end:  # NaN
+            continue
+        if integer and isinstance(end, int):
+            points += [end - 1, end, end + 1]
+        end = float(max(-MAX_DOUBLE, min(MAX_DOUBLE, end)))
+        points += [p for p in (end, math.nextafter(end, math.inf),
+                               math.nextafter(end, -math.inf)) if math.isfinite(p)]
+    if integer:
+        points = [n for p in points for n in (math.floor(p), math.ceil(p))]
+    return any(domain.contains(p) and -MAX_DOUBLE <= p <= MAX_DOUBLE for p in points)
+
+
+@given(edge, edge, st.booleans(), st.booleans(),
+       st.sampled_from([StaticType.INTEGER, StaticType.DOUBLE, StaticType.UNKNOWN]),
+       st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None)
+@example(1e308, 1e308, True, True, StaticType.DOUBLE, 0)  # BALL(1e+308), as `x > 1e308` gives
+@example(-1.7e308, 1.7e308, True, True, StaticType.DOUBLE, 0)  # a span beyond the doubles
+@example(math.inf, math.inf, True, True, StaticType.INTEGER, 0)  # holds no finite double
+@example(10**308, 10**308, True, True, StaticType.DOUBLE, 0)  # holds no double at all
+@example(0, 1.0, False, False, StaticType.INTEGER, 0)  # holds no integer
+def test_draws_near_the_largest_double_are_finite_and_inside(a, b, lo_incl, hi_incl,
+                                                             static_type, seed):
+    rng = random.Random(seed)
+    lo, hi = sorted((a, b))
+    ball, interval = BallDomain(a), RangeDomain(lo, hi, lo_incl, hi_incl)
+    integer = static_type is StaticType.INTEGER or (
+        static_type is StaticType.UNKNOWN and isinstance(lo, int) and isinstance(hi, int))
+    for domain, drawable in ((ball, isinstance(a, int) or math.isfinite(a)),
+                             (interval, _drawable(interval, integer))):
+        try:
+            draws = [sample_domain(domain, static_type, rng, name="x") for _ in range(40)]
+        except DomainMismatchError as exc:
+            assert exc.name == "x"
+            assert not drawable, domain
+            continue
+        for draw in draws:
+            assert -MAX_DOUBLE <= draw <= MAX_DOUBLE, (domain, draw)  # also not NaN
+            assert domain.contains(draw), (domain, draw)
+
+
+@pytest.mark.parametrize("domain", [BallDomain(math.inf), BallDomain(-math.inf),
+                                    BallDomain(math.nan), RangeDomain(math.inf, math.inf),
+                                    RangeDomain(-math.inf, -math.inf),
+                                    RangeDomain(math.nan, 1.0), RangeDomain(10**400, 10**401)])
+@pytest.mark.parametrize("static_type", [StaticType.INTEGER, StaticType.DOUBLE])
+def test_a_domain_without_a_finite_double_is_a_domain_mismatch(domain, static_type):
+    with pytest.raises(DomainMismatchError, match="holds no finite double") as exc_info:
+        sample_domain(domain, static_type, random.Random(5), name="x")
+    assert exc_info.value.name == "x"
+
+
+# strings with the characters that line-based files treat specially
+awkward = st.text(alphabet=st.sampled_from(list('ab :",)\\\n\r\t(;=#')), max_size=12)
+
+
+@given(st.lists(awkward, min_size=1, max_size=3), awkward, st.lists(awkward, max_size=3))
+@settings(max_examples=200, deadline=None)
+@example(["a : b"], "a : b", [])
+@example(["a\nb"], "a\rb", ["\\n"])
+def test_every_string_round_trips_through_the_line_based_files(tmp_path_factory, enum,
+                                                               sample, override):
+    folder = tmp_path_factory.mktemp("awkward")
+    specs = [InputSpec("v", StaticType.STRING, EnumDomain(tuple(enum + [sample])), sample),
+             InputSpec("w", StaticType.STRING, UnhandledDomain(()), sample)]
+    overrides = {"w": override} if override else {}
+    path = folder / "model.inputs"
+    write_inputs_file(path, specs, overrides)
+    parsed = parse_inputs_file(path)
+    assert parsed.specs == specs
+    assert parsed.overrides == overrides
+
+    summary = runtime.RunSummary(inputs_used={"v": sample, "w": enum[0]}, status="success",
+                                 code="", message="", elapsed_s=0.0)
+    out = folder / "run_0.out"
+    out.write_text(runtime.render_summary_file(summary), encoding="utf-8")
+    assert runtime.parse_summary_inputs(out) == {"v": sample, "w": enum[0]}

@@ -3,6 +3,7 @@ import functools
 import json
 import os
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -14,6 +15,7 @@ from bproc import (CampaignConfig, ErrorSeek, FixedBudget, RunOptions, Smc,
                    run_once, runtime, smc_sample_size)
 from bproc.bpmn import ProcessGraph
 from bproc.errors import ConfigError, MissingOverrideError, UnknownIdError
+from bproc.feel import values
 from bproc.runtime import Trace, NodeActivated, EdgeTraversed
 from bproc.verifier import empty_report
 
@@ -419,3 +421,27 @@ def test_campaign_makes_the_runs_directory_once(diamond, monkeypatch, tmp_path):
     run_campaign(diamond, cfg, out_dir=str(tmp_path))
     assert made == [str(tmp_path / "runs")]
     assert len(os.listdir(tmp_path / "runs")) == 40
+
+
+def test_a_shipment_campaign_rarely_asks_for_a_kind():
+    # its gateways and cells test plain strings and numbers, which the value
+    # kernel settles by exact class; the 200 calls left are `neg` on the
+    # literal in `pLength = -1`, once per run
+    x = compile_fixture("shipment", "shipment")
+    cfg = CampaignConfig(mode=FixedBudget(n=200), seed=0, sequential=True)
+    kind_of = values.kind_of.__code__
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is kind_of:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        verdict = run_campaign(x, cfg)
+    finally:
+        sys.setprofile(previous)
+    assert verdict.coverage.runs_executed == 200
+    assert calls <= 250  # the isinstance cascade alone made 5,160
