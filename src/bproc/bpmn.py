@@ -6,6 +6,12 @@ are all accepted. Parsing also applies the multiple-outgoing-flow fix:
 a task with several outgoing flows gets an inserted exclusive gateway
 (`autogw_<taskId>`) carrying those flows, keeping traces traceable to the
 original diagram.
+
+Parsing builds each node and flow record once: a gateway's record waits
+until every flow is read, when its degree tells a split from a join. The
+flow index (`ProcessModel.adjacency`) and the variable uses that roles are
+classified from (`ProcessModel.variable_uses`) are computed once per model,
+and `compile_model` reuses them.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ _SKIPPED = {"laneSet", "lane", "textAnnotation", "association", "documentation",
             "ioSpecification", "category", "group"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     id: str
     label: str
@@ -60,7 +66,7 @@ class Node:
     join_kind: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SequenceFlow:
     id: str
     source: str
@@ -69,14 +75,14 @@ class SequenceFlow:
     is_default: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VariableRole:
     role: str  # "input" | "process"
     writers: frozenset[str]
     readers: frozenset[str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MessageDef:
     id: str
     name: str
@@ -115,6 +121,18 @@ class ProcessModel:
     flows: list[SequenceFlow]
     messages: list[MessageDef]
     diagnostics: list[str] = field(default_factory=list)
+    # Indexes over the nodes and flows, computed here (parse_bpmn passes the
+    # flow index it built first); the model is not changed after parse_bpmn.
+    # (outgoing, incoming) flows of every node, see `adjacency`:
+    adjacency: tuple[dict[str, list[SequenceFlow]], dict[str, list[SequenceFlow]]] | None = \
+        field(default=None, repr=False, compare=False)
+    # who writes and reads each variable, see `classify_variables`:
+    variable_uses: _VariableUses = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.adjacency is None:
+            self.adjacency = adjacency(self.flows)
+        self.variable_uses = _variable_uses(self)
 
     def node(self, node_id: str) -> Node:
         for n in self.nodes:
@@ -142,8 +160,13 @@ def _local(tag) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _children_named(element, *names):
-    return [c for c in element if _local(c.tag) in names]
+class _LocalNames(dict):
+    """Element tag -> its local name, worked out once per distinct tag of
+    one document."""
+
+    def __missing__(self, tag: str) -> str:
+        local = self[tag] = _local(tag)
+        return local
 
 
 def _strip_expr(text: str) -> str:
@@ -151,14 +174,21 @@ def _strip_expr(text: str) -> str:
     return text[1:].strip() if text.startswith("=") else text
 
 
+_DOCUMENT_TAGS = frozenset({"process", "participant", "message", "error", "dataObjectReference",
+                            "dataObject"})
+
+
 def parse_bpmn(data: bytes | str) -> ProcessModel:
     """Parse one BPMN document (one process) into a preprocessed, validated model."""
     root = safexml.fromstring(data, "BPMN")
+    local = _LocalNames()
 
     processes, messages, errors, data_names = [], [], {}, {}
     has_participant = False
     for el in root.iter():  # one walk over the document collects every kind
-        tag = _local(el.tag)
+        tag = local[el.tag]
+        if tag not in _DOCUMENT_TAGS:
+            continue
         if tag == "process":
             processes.append(el)
         elif tag == "participant":
@@ -181,73 +211,108 @@ def parse_bpmn(data: bytes | str) -> ProcessModel:
 
     message_names = {m.id: m.name for m in messages}
 
-    builder = _Builder(errors, data_names, message_names)
+    builder = _Builder(errors, data_names, message_names, local)
     for element in process:
         builder.add(element)
 
+    flows = builder.finished_flows()
+    index = adjacency(flows)
     model = ProcessModel(
         process_id=process.get("id") or "process",
         name=process.get("name") or process.get("id") or "process",
-        nodes=builder.nodes,
-        flows=builder.flows,
+        nodes=builder.finished_nodes(*index),
+        flows=flows,
         messages=messages,
         diagnostics=builder.diagnostics,
+        adjacency=index,
     )
-    _mark_defaults_from_attributes(model, builder.defaults)
     _fix_multi_output_nodes(model)
     _validate(model)
-    classify_variables(model, ())  # raises RoleConflictError on a conflicting writer
+    _check_roles(model.variable_uses)
     return model
 
 
+_GATEWAY_KINDS = ("exclusive_gateway", "parallel_gateway", "inclusive_gateway")
+
+
 class _Builder:
-    def __init__(self, errors, data_names, message_names):
+    def __init__(self, errors, data_names, message_names, local: _LocalNames):
         self.errors = errors
         self.data_names = data_names
         self.message_names = message_names
-        self.nodes: list[Node] = []
-        self.flows: list[SequenceFlow] = []
+        self.local = local
+        # a gateway stays (id, label, kind) until its flows are all known
+        self.nodes: list[Node | tuple[str, str, str]] = []
+        self.flows: list[tuple[str, str, str, ast.FeelExpr | None]] = []
         self.defaults: dict[str, str] = {}  # node id -> default flow id
         self.diagnostics: list[str] = []
 
     def add(self, el):
-        tag = _local(el.tag)
-        if tag in _SKIPPED:
+        tag = self.local[el.tag]
+        handler = _HANDLERS.get(tag)
+        if handler is not None:
+            handler(self, el)
+        elif tag in _SKIPPED:
             if tag in ("laneSet", "lane", "textAnnotation", "association"):
                 log.warning("skipping %s element (no execution semantics)", tag)
                 self.diagnostics.append(f"skipped {tag}")
-            return
-        if tag in _UNSUPPORTED:
+        elif tag in _UNSUPPORTED:
             raise UnsupportedElementError(f"element kind {tag!r} is not supported")
-        handler = getattr(self, f"_on_{tag}", None)
-        if handler is None:
+        else:
             log.warning("ignoring unknown element %r", tag)
             self.diagnostics.append(f"ignored unknown element {tag}")
-            return
-        handler(el)
+
+    def finished_flows(self) -> list[SequenceFlow]:
+        default_ids = set(self.defaults.values())
+        return [SequenceFlow(flow_id, source, target, condition, flow_id in default_ids)
+                for flow_id, source, target, condition in self.flows]
+
+    def finished_nodes(self, outgoing, incoming) -> list[Node]:
+        """The nodes in document order, each gateway with two or more
+        incoming flows and one outgoing flow made a join."""
+        nodes = []
+        for node in self.nodes:
+            if type(node) is tuple:
+                node_id, label, kind = node
+                if len(incoming[node_id]) >= 2 and len(outgoing[node_id]) == 1:
+                    node = Node(node_id, label, "join_gateway",
+                                join_kind=kind.removesuffix("_gateway"))
+                else:  # a split; _validate rejects any other degree
+                    node = Node(node_id, label, kind)
+            nodes.append(node)
+        return nodes
+
+    def children_named(self, element, name: str) -> list:
+        local = self.local
+        return [c for c in element if local[c.tag] == name]
 
     # --- common pieces ---
 
     def _base(self, el):
         node_id = el.get("id")
         if not node_id:
-            raise SchemaError(f"{_local(el.tag)} without id")
-        if el.get("default"):
-            self.defaults[node_id] = el.get("default")
+            raise SchemaError(f"{self.local[el.tag]} without id")
+        default = el.get("default")
+        if default:
+            self.defaults[node_id] = default
         return node_id, el.get("name") or node_id
 
     def _associations(self, el):
         writes, reads = [], []
-        for assoc in _children_named(el, "dataOutputAssociation"):
-            for ref in _children_named(assoc, "targetRef"):
-                name = self.data_names.get((ref.text or "").strip())
-                if name:
-                    writes.append(name)
-        for assoc in _children_named(el, "dataInputAssociation"):
-            for ref in _children_named(assoc, "sourceRef"):
-                name = self.data_names.get((ref.text or "").strip())
-                if name:
-                    reads.append(name)
+        local = self.local
+        for assoc in el:
+            name = local[assoc.tag]
+            if name == "dataOutputAssociation":
+                ref_name, names = "targetRef", writes
+            elif name == "dataInputAssociation":
+                ref_name, names = "sourceRef", reads
+            else:
+                continue
+            for ref in assoc:
+                if local[ref.tag] == ref_name:
+                    data_name = self.data_names.get((ref.text or "").strip())
+                    if data_name:
+                        names.append(data_name)
         return tuple(writes), tuple(reads)
 
     def _extensions(self, el):
@@ -257,25 +322,27 @@ class _Builder:
         io_outputs: list[tuple[str, str]] = []
         channel = None
         script = None
-        for ext in _children_named(el, "extensionElements"):
+        local = self.local
+        for ext in self.children_named(el, "extensionElements"):
             for item in ext:
-                name = _local(item.tag)
+                name = local[item.tag]
                 if name == "calledDecision":
                     decision = item.get("decisionId") or item.get("decisionRef")
                 elif name == "ioMapping":
                     channel = item.get("channel") or channel
                     for entry in item:
                         pair = (entry.get("source") or "", entry.get("target") or "")
-                        if _local(entry.tag) == "input":
+                        entry_name = local[entry.tag]
+                        if entry_name == "input":
                             io_inputs.append(pair)
-                        elif _local(entry.tag) == "output":
+                        elif entry_name == "output":
                             io_outputs.append(pair)
                 elif name == "script":
                     script = (item.get("expression") or "",
                               item.get("resultVariable") or "")
         return decision, io_inputs, io_outputs, channel, script
 
-    # --- element handlers ---
+    # --- element handlers, one per element local name (see _HANDLERS) ---
 
     def _on_startEvent(self, el):
         node_id, label = self._base(el)
@@ -286,7 +353,7 @@ class _Builder:
 
     def _on_endEvent(self, el):
         node_id, label = self._base(el)
-        error_defs = _children_named(el, "errorEventDefinition")
+        error_defs = self.children_named(el, "errorEventDefinition")
         if error_defs:
             ref = error_defs[0].get("errorRef")
             code, err_name = self.errors.get(ref, (None, None))
@@ -323,7 +390,7 @@ class _Builder:
         writes, reads = self._associations(el)
         _, io_inputs, io_outputs, _, script = self._extensions(el)
         expr_text, target = None, None
-        body = _children_named(el, "script")
+        body = self.children_named(el, "script")
         if body and (body[0].text or "").strip():
             expr_text = body[0].text.strip()
             target = el.get("resultVariable") or next(
@@ -378,16 +445,13 @@ class _Builder:
                                writes=tuple(t for _, t in parts)))
 
     def _on_exclusiveGateway(self, el):
-        node_id, label = self._base(el)
-        self.nodes.append(Node(node_id, label, "exclusive_gateway"))
+        self.nodes.append((*self._base(el), "exclusive_gateway"))
 
     def _on_parallelGateway(self, el):
-        node_id, label = self._base(el)
-        self.nodes.append(Node(node_id, label, "parallel_gateway"))
+        self.nodes.append((*self._base(el), "parallel_gateway"))
 
     def _on_inclusiveGateway(self, el):
-        node_id, label = self._base(el)
-        self.nodes.append(Node(node_id, label, "inclusive_gateway"))
+        self.nodes.append((*self._base(el), "inclusive_gateway"))
 
     def _on_sequenceFlow(self, el):
         flow_id = el.get("id")
@@ -395,11 +459,17 @@ class _Builder:
         if not (flow_id and source and target):
             raise SchemaError("sequence flow needs id, sourceRef and targetRef")
         condition = None
-        for cond in _children_named(el, "conditionExpression"):
-            text = _strip_expr(cond.text or "")
-            if text:
-                condition = feel.parse_expr(text)
-        self.flows.append(SequenceFlow(flow_id, source, target, condition))
+        if len(el):
+            for cond in self.children_named(el, "conditionExpression"):
+                text = _strip_expr(cond.text or "")
+                if text:
+                    condition = feel.parse_expr(text)
+        self.flows.append((flow_id, source, target, condition))
+
+
+#: element local name -> its handler
+_HANDLERS = {name.removeprefix("_on_"): handler for name, handler in vars(_Builder).items()
+             if name.startswith("_on_")}
 
 
 def _fix_multi_output_nodes(model: ProcessModel) -> None:
@@ -407,11 +477,12 @@ def _fix_multi_output_nodes(model: ProcessModel) -> None:
     that has several outgoing flows. The gateway follows the node, and the
     flow `autoflow_<id>` into it precedes the node's first outgoing flow.
     Idempotent: a second application is a no-op."""
-    out, _ = adjacency(model.flows)
+    out, _ = model.adjacency
     split = {node.id for node in model.nodes
-             if node.kind not in ("exclusive_gateway", "parallel_gateway",
-                                  "inclusive_gateway", "join_gateway")
+             if node.kind not in _GATEWAY_KINDS and node.kind != "join_gateway"
              and len(out[node.id]) > 1}
+    if not split:
+        return
     nodes = []
     for node in model.nodes:
         nodes.append(node)
@@ -431,19 +502,15 @@ def _fix_multi_output_nodes(model: ProcessModel) -> None:
         flows.append(flow)
     model.nodes = nodes
     model.flows = flows
-
-
-def _mark_defaults_from_attributes(model: ProcessModel, builder_defaults: dict[str, str]):
-    default_ids = set(builder_defaults.values())
-    model.flows = [replace(flow, is_default=True) if flow.id in default_ids else flow
-                   for flow in model.flows]
+    model.adjacency = adjacency(flows)
+    model.variable_uses = _variable_uses(model)
 
 
 def _validate(model: ProcessModel) -> None:
     ids = [n.id for n in model.nodes]
-    if len(ids) != len(set(ids)):
-        raise SchemaError("duplicate node ids")
     id_set = set(ids)
+    if len(ids) != len(id_set):
+        raise SchemaError("duplicate node ids")
     for flow in model.flows:
         if flow.source not in id_set or flow.target not in id_set:
             raise SchemaError(f"flow {flow.id!r} has a dangling endpoint")
@@ -454,7 +521,7 @@ def _validate(model: ProcessModel) -> None:
         raise SchemaError(f"expected exactly one start event, found {len(starts)}")
     if not ends:
         raise SchemaError("process has no end event")
-    out, inc = adjacency(model.flows)
+    out, inc = model.adjacency
     start = starts[0]
     if inc[start.id] or len(out[start.id]) != 1:
         raise SchemaError("start event must have no incoming and one outgoing flow")
@@ -463,7 +530,14 @@ def _validate(model: ProcessModel) -> None:
             raise SchemaError(f"end event {end.id!r} must have one incoming and no "
                               f"outgoing flow")
 
-    _classify_gateways(model, out, inc)
+    for node in model.nodes:  # the joins are made when the nodes are built
+        if node.kind in _GATEWAY_KINDS:
+            n_in = len(inc[node.id])
+            n_out = len(out[node.id])
+            if n_in != 1 or n_out < 2:
+                raise SchemaError(
+                    f"gateway {node.id!r} has {n_in} incoming and {n_out} outgoing flows; "
+                    f"expected a split (1 in, 2+ out) or a join (2+ in, 1 out)")
 
     for node in model.nodes:
         if node.kind in ("exclusive_gateway", "inclusive_gateway"):
@@ -483,39 +557,92 @@ def _validate(model: ProcessModel) -> None:
     _check_weakly_connected(model)
 
 
-def _classify_gateways(model: ProcessModel, out, inc) -> None:
-    for i, node in enumerate(model.nodes):
-        if node.kind not in ("exclusive_gateway", "parallel_gateway", "inclusive_gateway"):
-            continue
-        n_in = len(inc[node.id])
-        n_out = len(out[node.id])
-        if n_in == 1 and n_out >= 2:
-            continue  # split; keeps its kind
-        if n_in >= 2 and n_out == 1:
-            base = node.kind.removesuffix("_gateway")
-            model.nodes[i] = replace(node, kind="join_gateway", join_kind=base)
-            continue
-        raise SchemaError(f"gateway {node.id!r} has {n_in} incoming and {n_out} outgoing "
-                          f"flows; expected a split (1 in, 2+ out) or a join (2+ in, 1 out)")
-
-
 def _check_weakly_connected(model: ProcessModel) -> None:
     if not model.nodes:
         raise SchemaError("empty process")
-    neighbours: dict[str, set[str]] = {n.id: set() for n in model.nodes}
-    for flow in model.flows:
-        neighbours[flow.source].add(flow.target)
-        neighbours[flow.target].add(flow.source)
-    seen = {model.nodes[0].id}
-    stack = [model.nodes[0].id]
+    out, inc = model.adjacency
+    first = model.nodes[0].id
+    seen = {first}
+    stack = [first]
     while stack:
-        for nxt in neighbours[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
+        node_id = stack.pop()
+        for flow in out.get(node_id, ()):
+            if flow.target not in seen:
+                seen.add(flow.target)
+                stack.append(flow.target)
+        for flow in inc.get(node_id, ()):
+            if flow.source not in seen:
+                seen.add(flow.source)
+                stack.append(flow.source)
     if len(seen) != len(model.nodes):
-        missing = sorted(set(neighbours) - seen)
+        missing = sorted({n.id for n in model.nodes} - seen)
         raise SchemaError(f"process graph is not connected; unreachable: {missing}")
+
+
+@dataclass(frozen=True, slots=True)
+class _VariableUses:
+    """Who writes and reads each variable, from everything but the decision
+    tables: variable -> node ids. `rule_tasks` are the business rule tasks
+    that leave their outputs or their inputs to their table."""
+
+    input_writers: dict[str, set[str]]
+    process_writers: dict[str, set[str]]
+    readers: dict[str, set[str]]
+    rule_tasks: tuple[Node, ...]
+
+
+def _variable_uses(model: ProcessModel) -> _VariableUses:
+    input_writers: dict[str, set[str]] = {}
+    process_writers: dict[str, set[str]] = {}
+    readers: dict[str, set[str]] = {}
+    rule_tasks = []
+
+    def read_expr(expr, node_id):
+        for name in ast.free_variables(expr):
+            readers.setdefault(name, set()).add(node_id)
+
+    for node in model.nodes:
+        kind = node.kind
+        if kind in INPUT_WRITER_KINDS:
+            for name in node.writes:
+                input_writers.setdefault(name, set()).add(node.id)
+        elif kind in ("script_task", "service_task"):
+            process_writers.setdefault(node.target, set()).add(node.id)
+            read_expr(node.expr, node.id)
+        elif kind == "business_rule_task":
+            if node.output_map is not None:
+                for _, var in node.output_map:
+                    process_writers.setdefault(var, set()).add(node.id)
+            if node.input_map is not None:
+                for _, expr in node.input_map:
+                    read_expr(expr, node.id)
+            if node.output_map is None or node.input_map is None:
+                rule_tasks.append(node)
+        elif kind == "send_task":
+            for _, expr in node.send_parts:
+                read_expr(expr, node.id)
+        elif kind == "receive_task":
+            for _, var in node.receive_parts:
+                process_writers.setdefault(var, set()).add(node.id)
+        for name in node.reads:
+            readers.setdefault(name, set()).add(node.id)
+
+    for flow in model.flows:
+        if flow.condition is not None:
+            read_expr(flow.condition, flow.source)
+    return _VariableUses(input_writers, process_writers, readers, tuple(rule_tasks))
+
+
+def _check_roles(uses: _VariableUses) -> None:
+    """Raise RoleConflictError for the first variable, by name, that is
+    written on both the input and the process side."""
+    conflicts = uses.input_writers.keys() & uses.process_writers.keys()
+    if conflicts:
+        name = min(conflicts)
+        raise RoleConflictError(name, uses.input_writers[name], uses.process_writers[name])
+
+
+_NONE: frozenset[str] = frozenset()
 
 
 def classify_variables(model: ProcessModel, tables) -> dict[str, VariableRole]:
@@ -526,66 +653,38 @@ def classify_variables(model: ProcessModel, tables) -> dict[str, VariableRole]:
     receive nodes. A variable written on both sides is a role conflict and
     is reported with the writer node ids so it can be renamed.
     """
+    uses = model.variable_uses
     table_by_ref = {}
     for table in tables:
         table_by_ref[table.id] = table
         table_by_ref.setdefault(table.name, table)
 
-    input_writers: dict[str, set[str]] = {}
-    process_writers: dict[str, set[str]] = {}
-    readers: dict[str, set[str]] = {}
-
-    def wrote(group, name, node_id):
-        group.setdefault(name, set()).add(node_id)
-
-    def read_expr(expr, node_id):
-        for name in ast.free_variables(expr):
-            readers.setdefault(name, set()).add(node_id)
-
-    for node in model.nodes:
-        if node.kind in INPUT_WRITER_KINDS:
-            for name in node.writes:
-                wrote(input_writers, name, node.id)
-        elif node.kind in ("script_task", "service_task"):
-            wrote(process_writers, node.target, node.id)
-            read_expr(node.expr, node.id)
-        elif node.kind == "business_rule_task":
-            table = table_by_ref.get(node.table_ref)
-            if node.output_map is not None:
-                for _, var in node.output_map:
-                    wrote(process_writers, var, node.id)
-            elif table is not None:
-                for out in table.outputs:
-                    wrote(process_writers, out, node.id)
-            if node.input_map is not None:
-                for _, expr in node.input_map:
-                    read_expr(expr, node.id)
-            elif table is not None:
-                for _, expr in table.inputs:
-                    read_expr(expr, node.id)
-        elif node.kind == "send_task":
-            for _, expr in node.send_parts:
-                read_expr(expr, node.id)
-        elif node.kind == "receive_task":
-            for _, var in node.receive_parts:
-                wrote(process_writers, var, node.id)
-        for name in node.reads:
-            readers.setdefault(name, set()).add(node.id)
-
-    for flow in model.flows:
-        if flow.condition is not None:
-            read_expr(flow.condition, flow.source)
+    # what the business rule tasks leave to their tables
+    table_writers: dict[str, set[str]] = {}
+    table_readers: dict[str, set[str]] = {}
+    for node in uses.rule_tasks:
+        table = table_by_ref.get(node.table_ref)
+        if table is None:
+            continue
+        if node.output_map is None:
+            for out in table.outputs:
+                table_writers.setdefault(out, set()).add(node.id)
+        if node.input_map is None:
+            for _, expr in table.inputs:
+                for name in ast.free_variables(expr):
+                    table_readers.setdefault(name, set()).add(node.id)
 
     roles: dict[str, VariableRole] = {}
-    every_name = set(input_writers) | set(process_writers) | set(readers)
+    every_name = (uses.input_writers.keys() | uses.process_writers.keys()
+                  | uses.readers.keys() | table_writers.keys() | table_readers.keys())
     for name in sorted(every_name):
-        inn = input_writers.get(name, set())
-        proc = process_writers.get(name, set())
+        inn = uses.input_writers.get(name, _NONE)
+        proc = uses.process_writers.get(name, _NONE) | table_writers.get(name, _NONE)
         if inn and proc:
             raise RoleConflictError(name, inn, proc)
-        role = "process" if proc else "input"
-        roles[name] = VariableRole(role, frozenset(inn | proc),
-                                   frozenset(readers.get(name, set())))
+        readers = uses.readers.get(name, _NONE) | table_readers.get(name, _NONE)
+        roles[name] = VariableRole("process" if proc else "input", frozenset(inn | proc),
+                                   frozenset(readers))
     return roles
 
 

@@ -9,14 +9,13 @@ table compiles itself once into a closure with its output entries folded
 
 from __future__ import annotations
 
+import heapq
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import dmn, feel, inputs as inputs_mod
-from .bpmn import (ProcessGraph, ProcessModel, SequenceFlow, adjacency, classify_variables,
-                   extract_graph)
+from .bpmn import ProcessGraph, ProcessModel, SequenceFlow, classify_variables, extract_graph
 from .errors import SchemaError, UnresolvedTableError
 from .feel import ast
 from .feel.types import StaticType
@@ -24,39 +23,39 @@ from .feel.types import StaticType
 # --- steps -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConsumeInput:
     var: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assign:
     var: str
     expr: ast.FeelExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvokeTable:
     table_ref: str
     arg_bindings: tuple[tuple[str, ast.FeelExpr], ...]  # table input label <- expr
     out_bindings: tuple[tuple[str, str], ...]  # table output -> variable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Send:
     channel: str
     msg_type: str
     parts: tuple[tuple[str, ast.FeelExpr], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Receive:
     channel: str
     msg_type: str
     targets: tuple[tuple[str, str], ...]  # part -> variable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Branch:
     """First case whose condition holds wins; otherwise the default target;
     with no default the run ends with an unhandled-condition failure."""
@@ -65,24 +64,24 @@ class Branch:
     default: str | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fork:
     targets: tuple[str, ...]
     join_id: str
     conditions: tuple[ast.FeelExpr, ...] | None = None  # None: start every branch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JoinBarrier:
     next: str  # expected arrivals are fixed per fork at run time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Continue:
     target: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Terminate:
     status: str  # "success" | "error"
     code: str
@@ -93,7 +92,7 @@ Step = (ConsumeInput | Assign | InvokeTable | Send | Receive | Branch | Fork
         | JoinBarrier | Continue | Terminate)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Routine:
     id: str
     display_name: str
@@ -135,12 +134,13 @@ class ExecutableModel:
         return tuple(names)
 
 
+_DISPLAY_PREFIX = {"start": "EVENT", "end_success": "EVENT", "end_error": "EVENT",
+                   "exclusive_gateway": "GATEWAY", "parallel_gateway": "GATEWAY",
+                   "inclusive_gateway": "GATEWAY", "join_gateway": "GATEWAY"}
+
+
 def _display_name(node) -> str:
-    prefix = {"start": "EVENT", "end_success": "EVENT", "end_error": "EVENT",
-              "exclusive_gateway": "GATEWAY", "parallel_gateway": "GATEWAY",
-              "inclusive_gateway": "GATEWAY", "join_gateway": "GATEWAY"}.get(node.kind,
-                                                                             "TASK")
-    name = f"{prefix}_{node.id}"
+    name = f"{_DISPLAY_PREFIX.get(node.kind, 'TASK')}_{node.id}"
     if node.label and node.label != node.id:
         safe = "".join(c if c.isalnum() else "_" for c in node.label)
         name += f"_{safe}"
@@ -162,7 +162,7 @@ def compile_model(model: ProcessModel, tables, *, sample_seed: int = 0,
     roles = classify_variables(model, tables)
     diagnostics = list(model.diagnostics)
 
-    out, _ = adjacency(model.flows)
+    out, _ = model.adjacency
     barriers = {n.id for n in model.nodes
                 if n.kind == "join_gateway" and n.join_kind in ("parallel", "inclusive")}
     used_tables: dict[str, dmn.DecisionTable] = {}
@@ -196,10 +196,6 @@ def compile_model(model: ProcessModel, tables, *, sample_seed: int = 0,
 def _lower(node, out: dict[str, list[SequenceFlow]], barriers: set[str], table_by_ref,
            used_tables) -> tuple[Step, ...]:
     outgoing = out[node.id]
-
-    def continuation() -> Step:
-        return Continue(outgoing[0].target)
-
     if node.kind == "start" or node.kind in ("user_task", "manual_task"):
         steps: list[Step] = []
         seen = set()
@@ -207,7 +203,7 @@ def _lower(node, out: dict[str, list[SequenceFlow]], barriers: set[str], table_b
             if var not in seen:
                 steps.append(ConsumeInput(var))
                 seen.add(var)
-        steps.append(continuation())
+        steps.append(Continue(outgoing[0].target))
         return tuple(steps)
 
     if node.kind == "end_success":
@@ -217,7 +213,7 @@ def _lower(node, out: dict[str, list[SequenceFlow]], barriers: set[str], table_b
                           node.error_description or node.label),)
 
     if node.kind in ("script_task", "service_task"):
-        return (Assign(node.target, node.expr), continuation())
+        return (Assign(node.target, node.expr), Continue(outgoing[0].target))
 
     if node.kind == "business_rule_task":
         table = table_by_ref.get(node.table_ref)
@@ -243,12 +239,15 @@ def _lower(node, out: dict[str, list[SequenceFlow]], barriers: set[str], table_b
             out_bindings = tuple(node.output_map)
         else:
             out_bindings = tuple((out, out) for out in table.outputs)
-        return (InvokeTable(node.table_ref, arg_bindings, out_bindings), continuation())
+        return (InvokeTable(node.table_ref, arg_bindings, out_bindings),
+                Continue(outgoing[0].target))
 
     if node.kind == "send_task":
-        return (Send(node.channel, node.msg_type, node.send_parts), continuation())
+        return (Send(node.channel, node.msg_type, node.send_parts),
+                Continue(outgoing[0].target))
     if node.kind == "receive_task":
-        return (Receive(node.channel, node.msg_type, node.receive_parts), continuation())
+        return (Receive(node.channel, node.msg_type, node.receive_parts),
+                Continue(outgoing[0].target))
 
     if node.kind == "exclusive_gateway":
         cases = []
@@ -279,7 +278,7 @@ def _lower(node, out: dict[str, list[SequenceFlow]], barriers: set[str], table_b
     if node.kind == "join_gateway":
         if node.join_kind in ("parallel", "inclusive"):
             return (JoinBarrier(outgoing[0].target),)
-        return (continuation(),)
+        return (Continue(outgoing[0].target),)
 
     raise SchemaError(f"cannot lower node kind {node.kind!r}")
 
@@ -296,27 +295,29 @@ def _matching_join(gateway_id: str, out: dict[str, list[SequenceFlow]],
     """
     frontiers = [[f.target] for f in out[gateway_id]]
     seen = [set(frontier) for frontier in frontiers]
-    reached: Counter[str] = Counter()
+    branches = len(frontiers)
+    reached: dict[str, int] = {}  # barrier -> how many branches have reached it
     complete = []
-
-    def arrive(node_id: str) -> None:
-        if node_id in barriers:
-            reached[node_id] += 1
-            if reached[node_id] == len(frontiers):
-                complete.append(node_id)
-
-    for (target,) in frontiers:
-        arrive(target)
-    while not complete and any(frontiers):
+    arrivals = [target for (target,) in frontiers]
+    while True:
+        for node_id in arrivals:
+            if node_id in barriers:
+                count = reached[node_id] = reached.get(node_id, 0) + 1
+                if count == branches:
+                    complete.append(node_id)
+        if complete or not any(frontiers):
+            break
+        arrivals = []
         for i, frontier in enumerate(frontiers):
             nxt = []
+            seen_i = seen[i]
             for node_id in frontier:
                 for flow in out[node_id]:
-                    if flow.target not in seen[i]:
-                        seen[i].add(flow.target)
+                    if flow.target not in seen_i:
+                        seen_i.add(flow.target)
                         nxt.append(flow.target)
-                        arrive(flow.target)
             frontiers[i] = nxt
+            arrivals.extend(nxt)
     if not complete:
         raise SchemaError(f"parallel/inclusive split {gateway_id!r} has no join gateway "
                           f"reachable from every branch")
@@ -401,44 +402,7 @@ def _infer_variable_types(model, table_by_ref, roles, diagnostics) -> dict[str, 
     for name in roles:
         types.setdefault(name, StaticType.UNKNOWN)
 
-    # propagate assignment types to a fixpoint (the lattice is tiny)
-    for _ in range(10):
-        changed = False
-
-        def note(name, t):
-            nonlocal changed
-            joined = feel.types.join(types.get(name, StaticType.UNKNOWN), t, name)
-            if joined is not types.get(name):
-                types[name] = joined
-                changed = True
-
-        send_part_types: dict[tuple[str, str, str], StaticType] = {}
-        for node in model.nodes:
-            if node.kind == "send_task":
-                for part, expr in node.send_parts:
-                    send_part_types[(node.channel, node.msg_type, part)] = \
-                        feel.synthesize(expr, types)
-        for node in model.nodes:
-            if node.kind in ("script_task", "service_task"):
-                note(node.target, feel.synthesize(node.expr, types))
-            elif node.kind == "business_rule_task":
-                table = table_by_ref.get(node.table_ref)
-                if table is None:
-                    continue
-                out_map = node.output_map or tuple((o, o) for o in table.outputs)
-                for out_name, var in out_map:
-                    col = table.outputs.index(out_name)
-                    for i in range(len(table.rules)):
-                        value = table.output_value(i, col)  # folded once per table
-                        if value is not None:
-                            note(var, feel.type_of_constant(value))
-            elif node.kind == "receive_task":
-                for part, var in node.receive_parts:
-                    t = send_part_types.get((node.channel, node.msg_type, part))
-                    if t is not None:
-                        note(var, t)
-        if not changed:
-            break
+    _propagate_assigned_types(model, table_by_ref, roles, types)
 
     annotated = set()
     for node in model.nodes:
@@ -453,6 +417,91 @@ def _infer_variable_types(model, table_by_ref, roles, diagnostics) -> dict[str, 
                                    f"annotation; compiled as String")
             types[name] = StaticType.STRING
     return types
+
+
+def _propagate_assigned_types(model, table_by_ref, roles, types) -> None:
+    """Join into `types` the type of every value a task assigns, to a fixpoint.
+
+    The result and any TypeConflictError are those of rounds that each visit
+    every writer in document order, until a round changes nothing, with a
+    receive taking its message parts' types as of the round's start. A
+    round here visits only the writers whose operands changed since their
+    last visit (every writer in the first), so a chain of assignments
+    settles in any order; each variable's type changes at most twice, which
+    keeps the work linear in the model.
+    """
+    writers = [node for node in model.nodes if node.kind in
+               ("script_task", "service_task", "business_rule_task", "receive_task")]
+    position = {node.id: i for i, node in enumerate(writers)}
+    part_exprs = {}  # (channel, message type, part) -> its expression in the last send
+    for node in model.nodes:
+        if node.kind == "send_task":
+            for part, expr in node.send_parts:
+                part_exprs[(node.channel, node.msg_type, part)] = (node.id, expr)
+    parts_sent_by: dict[str, list] = {}
+    for key, (node_id, _) in part_exprs.items():
+        parts_sent_by.setdefault(node_id, []).append(key)
+    receivers: dict[tuple, list[int]] = {}
+    for i, node in enumerate(writers):
+        if node.kind == "receive_task":
+            for part, _ in node.receive_parts:
+                receivers.setdefault((node.channel, node.msg_type, part), []).append(i)
+
+    part_types: dict[tuple, StaticType] = {}
+    changed: list[str] = []
+
+    def note(name, t):
+        joined = feel.types.join(types.get(name, StaticType.UNKNOWN), t, name)
+        if joined is not types.get(name):
+            types[name] = joined
+            changed.append(name)
+
+    round_ = list(range(len(writers)))
+    stale_parts = set(part_exprs)
+    while round_ or stale_parts:
+        queued = set(round_)
+        for key in stale_parts:
+            t = feel.synthesize(part_exprs[key][1], types)
+            if t is not part_types.get(key):
+                part_types[key] = t
+                queued.update(receivers.get(key, ()))
+        round_ = sorted(queued)
+        next_round: set[int] = set()
+        stale_parts = set()
+        while round_:
+            i = heapq.heappop(round_)
+            node = writers[i]
+            if node.kind in ("script_task", "service_task"):
+                note(node.target, feel.synthesize(node.expr, types))
+            elif node.kind == "business_rule_task":
+                table = table_by_ref.get(node.table_ref)
+                if table is None:
+                    continue
+                out_map = node.output_map or tuple((o, o) for o in table.outputs)
+                for out_name, var in out_map:
+                    col = table.outputs.index(out_name)
+                    for rule in range(len(table.rules)):
+                        value = table.output_value(rule, col)  # folded once per table
+                        if value is not None:
+                            note(var, feel.type_of_constant(value))
+            else:
+                for part, var in node.receive_parts:
+                    t = part_types.get((node.channel, node.msg_type, part))
+                    if t is not None:
+                        note(var, t)
+            for name in changed:
+                role = roles.get(name)
+                for reader in role.readers if role is not None else ():
+                    j = position.get(reader)
+                    if j is None:
+                        stale_parts.update(parts_sent_by.get(reader, ()))
+                    elif j <= i:
+                        next_round.add(j)
+                    elif j not in queued:
+                        queued.add(j)
+                        heapq.heappush(round_, j)
+            changed.clear()
+        round_ = list(next_round)
 
 
 def _infer_input_domains(model, table_by_ref, roles):

@@ -1,7 +1,8 @@
 """Abstract syntax of the expression subset and of decision-table cell tests.
 
-All nodes are frozen dataclasses; trees are finite, acyclic and shareable
-across threads.
+All nodes are frozen, slotted dataclasses; trees are finite, acyclic and
+shareable across threads. The walks below dispatch on a node's exact class,
+one dictionary lookup per node.
 """
 
 from __future__ import annotations
@@ -15,47 +16,47 @@ class FeelExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lit(FeelExpr):
     """Numeric, string, boolean, null or temporal constant."""
 
     value: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(FeelExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg(FeelExpr):
     operand: FeelExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(FeelExpr):
     operand: FeelExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinOp(FeelExpr):
     op: str  # + - * / ** < <= > >= = != and or
     left: FeelExpr
     right: FeelExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call(FeelExpr):
     name: str  # includes the two-word builtin "overlaps before"
     args: tuple[FeelExpr, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ListLit(FeelExpr):
     items: tuple[FeelExpr, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Index(FeelExpr):
     """1-based element selection."""
 
@@ -63,7 +64,7 @@ class Index(FeelExpr):
     index: FeelExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Filter(FeelExpr):
     """Sublist selection; the predicate sees each element as `item`."""
 
@@ -71,18 +72,18 @@ class Filter(FeelExpr):
     predicate: FeelExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContextLit(FeelExpr):
     entries: tuple[tuple[str, FeelExpr], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path(FeelExpr):
     base: FeelExpr
     key: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RangeLit(FeelExpr):
     lo: FeelExpr
     hi: FeelExpr
@@ -90,7 +91,7 @@ class RangeLit(FeelExpr):
     hi_incl: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InTest(FeelExpr):
     """Membership of a value in a list or range."""
 
@@ -98,7 +99,7 @@ class InTest(FeelExpr):
     container: FeelExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceOf(FeelExpr):
     operand: FeelExpr
     type_name: str  # string | number | boolean
@@ -110,33 +111,33 @@ class UnaryTest:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dash(UnaryTest):
     """Don't-care cell; matches every value."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EqualsConst(UnaryTest):
     value: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Comparison(UnaryTest):
     op: str  # < <= > >=
     operand: FeelExpr  # variable-free
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RangeTest(UnaryTest):
     range: object  # FeelRange
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Negation(UnaryTest):
     inner: UnaryTest
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Disjunction(UnaryTest):
     alternatives: tuple[UnaryTest, ...]
 
@@ -147,38 +148,41 @@ class Disjunction(UnaryTest):
 
 def free_variables(expr: FeelExpr) -> set[str]:
     """Names read by the expression; `item` inside a filter is bound, not free."""
-    if isinstance(expr, Filter):
-        inner = free_variables(expr.predicate) - {"item"}
-        return free_variables(expr.seq) | inner
     names: set[str] = set()
-    if isinstance(expr, Var):
-        names.add(expr.name)
-    for child in _children(expr):
-        names |= free_variables(child)
+    _collect_free(expr, names)
     return names
 
 
-def _children(expr: FeelExpr):
-    if isinstance(expr, (Neg, Not)):
-        return (expr.operand,)
-    if isinstance(expr, BinOp):
-        return (expr.left, expr.right)
-    if isinstance(expr, Call):
-        return expr.args
-    if isinstance(expr, ListLit):
-        return expr.items
-    if isinstance(expr, Index):
-        return (expr.seq, expr.index)
-    if isinstance(expr, Filter):
-        return (expr.seq, expr.predicate)
-    if isinstance(expr, ContextLit):
-        return tuple(v for _, v in expr.entries)
-    if isinstance(expr, Path):
-        return (expr.base,)
-    if isinstance(expr, RangeLit):
-        return (expr.lo, expr.hi)
-    if isinstance(expr, InTest):
-        return (expr.item, expr.container)
-    if isinstance(expr, InstanceOf):
-        return (expr.operand,)
-    return ()
+def _collect_free(expr: FeelExpr, names: set[str]) -> None:
+    cls = type(expr)
+    if cls is Var:
+        names.add(expr.name)
+    elif cls is Filter:
+        _collect_free(expr.seq, names)
+        inner: set[str] = set()
+        _collect_free(expr.predicate, inner)
+        inner.discard("item")
+        names |= inner
+    else:
+        children = CHILDREN.get(cls)
+        if children is not None:
+            for child in children(expr):
+                _collect_free(child, names)
+
+
+#: exact node class -> the function giving its sub-expressions in source order;
+#: literals and names have none
+CHILDREN = {
+    Neg: lambda e: (e.operand,),
+    Not: lambda e: (e.operand,),
+    BinOp: lambda e: (e.left, e.right),
+    Call: lambda e: e.args,
+    ListLit: lambda e: e.items,
+    Index: lambda e: (e.seq, e.index),
+    Filter: lambda e: (e.seq, e.predicate),
+    ContextLit: lambda e: tuple(v for _, v in e.entries),
+    Path: lambda e: (e.base,),
+    RangeLit: lambda e: (e.lo, e.hi),
+    InTest: lambda e: (e.item, e.container),
+    InstanceOf: lambda e: (e.operand,),
+}

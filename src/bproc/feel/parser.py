@@ -1,16 +1,19 @@
-# Recursive-descent parser for the expression subset.
-# Precedence (loosest to tightest):
-#   or
-#   and
-#   not
-#   comparison:  < <= > >= = !=   |  `in`  |  `instance of`
-#   additive:    + -
-#   multiplicative: * /
-#   power:       ** (right associative)
-#   unary minus
-#   postfix:     [index]  [filter]  .path
+# Parser for the expression subset: precedence climbing over one operator
+# table (Pratt, "Top Down Operator Precedence", POPL 1973).
+# Binding levels, loosest to tightest:
+#   1 or          2 and          3 not (prefix)
+#   4 comparison: < <= > >= = != | `in` | `instance of` (they do not chain)
+#   5 + -         6 * /          7 ** (right associative)
+#   8 unary minus (prefix)       then an operand and its selectors [index] [filter] .path
 # Range literals accept mixed brackets on either end: [a..b], (a..b], [a..b), (a..b).
 # A bracket selector that mentions `item` is a filter, otherwise an index.
+#
+# An expression nests at most MAX_DEPTH levels: a literal or a name is one
+# level, and each operator, selector, call, list, range, context and pair of
+# parentheses adds one over its deepest operand. The parser tracks the
+# depth of each subtree as it builds it (and the nesting still open on the
+# way down), so every walk over a parsed tree stays within a fixed
+# recursion depth.
 
 from __future__ import annotations
 
@@ -20,6 +23,8 @@ from ..errors import FeelSyntaxError
 from . import ast
 from .values import FeelRange, Temporal
 
+MAX_DEPTH = 100
+
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
@@ -27,48 +32,52 @@ _TOKEN_RE = re.compile(
   | (?P<string>"(?:[^"\\]|\\.)*")
   | (?P<op>\*\*|<=|>=|!=|\.\.|[-+*/<>=(),\[\]{}:.])
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 _KEYWORDS = {"and", "or", "not", "in", "true", "false", "null", "instance", "of"}
-_COMPARE_OPS = {"<", "<=", ">", ">=", "=", "!="}
 _TYPE_NAMES = {"string", "number", "boolean"}
 
+_NOT, _COMPARE, _POWER, _NEG = 3, 4, 7, 8
+#: infix token -> (its binding level, the level its right operand is parsed at;
+#: `instance` takes `of` and a type name instead). A token's text alone tells
+#: its kind here: keywords are never names, and string and number tokens keep
+#: their quotes and digits.
+_INFIX = {
+    "or": (1, 2), "and": (2, _NOT),
+    "<": (_COMPARE, 5), "<=": (_COMPARE, 5), ">": (_COMPARE, 5), ">=": (_COMPARE, 5),
+    "=": (_COMPARE, 5), "!=": (_COMPARE, 5), "in": (_COMPARE, 5), "instance": (_COMPARE, None),
+    "+": (5, 6), "-": (5, 6), "*": (6, _POWER), "/": (6, _POWER),
+    "**": (_POWER, _POWER),
+}
+_EXPRESSION_START = frozenset({"number", "string", "name", "(", "[", "{", "true", "false",
+                               "null"})
 
-class _Token:
-    __slots__ = ("kind", "text", "column")
 
-    def __init__(self, kind, text, column):
-        self.kind = kind
-        self.text = text
-        self.column = column
-
-    def __repr__(self):
-        return f"{self.kind}:{self.text!r}@{self.column}"
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, 1-based column) per token, then an end-of-input token."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise FeelSyntaxError(f"unexpected character {text[pos]!r}", pos + 1)
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "ws":
             continue
         value = m.group()
-        if kind == "ident" and value in _KEYWORDS:
-            kind = "kw"
-        tokens.append(_Token(kind, value, m.start() + 1))
-    tokens.append(_Token("eof", "", len(text) + 1))
+        if kind == "ident":
+            if value in _KEYWORDS:
+                kind = "kw"
+        elif kind == "bad":
+            raise FeelSyntaxError(f"unexpected character {value!r}", m.start() + 1)
+        tokens.append((kind, value, m.start() + 1))
+    tokens.append(("eof", "", len(text) + 1))
     return tokens
 
 
 def _unescape(raw: str) -> str:
     body = raw[1:-1]
+    if "\\" not in body:
+        return body
     out = []
     i = 0
     while i < len(body):
@@ -83,239 +92,240 @@ def _unescape(raw: str) -> str:
     return "".join(out)
 
 
+def _too_deep(column: int):
+    return FeelSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", column)
+
+
 class _Parser:
+    """Each parse method takes `depth`, the number of levels already open
+    around the text it parses, and returns (tree, the tree's own depth)."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
-
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.text != text:
-            raise FeelSyntaxError(f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                                  tok.column, {text})
-        return self.advance()
-
-    # --- precedence ladder ---
+    def expect(self, text: str) -> None:
+        _, found, column = self.tokens[self.i]
+        if found != text:
+            raise FeelSyntaxError(f"expected {text!r}, found {found or 'end of input'!r}",
+                                  column, {text})
+        self.i += 1
 
     def parse(self) -> ast.FeelExpr:
-        expr = self.or_expr()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise FeelSyntaxError(f"unexpected trailing input {tok.text!r}", tok.column,
+        expr, _ = self.expression(1, 0)
+        kind, text, column = self.tokens[self.i]
+        if kind != "eof":
+            raise FeelSyntaxError(f"unexpected trailing input {text!r}", column,
                                   {"end of input"})
         return expr
 
-    def or_expr(self):
-        left = self.and_expr()
-        while self.peek().text == "or" and self.peek().kind == "kw":
-            self.advance()
-            left = ast.BinOp("or", left, self.and_expr())
-        return left
-
-    def and_expr(self):
-        left = self.not_expr()
-        while self.peek().text == "and" and self.peek().kind == "kw":
-            self.advance()
-            left = ast.BinOp("and", left, self.not_expr())
-        return left
-
-    def not_expr(self):
-        if self.peek().kind == "kw" and self.peek().text == "not":
-            self.advance()
-            return ast.Not(self.not_expr())
-        return self.comparison()
-
-    def comparison(self):
-        left = self.additive()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in _COMPARE_OPS:
-            self.advance()
-            return ast.BinOp(tok.text, left, self.additive())
-        if tok.kind == "kw" and tok.text == "in":
-            self.advance()
-            return ast.InTest(left, self.additive())
-        if tok.kind == "kw" and tok.text == "instance":
-            self.advance()
-            nxt = self.peek()
-            if not (nxt.kind == "kw" and nxt.text == "of"):
-                raise FeelSyntaxError("expected 'of' after 'instance'", nxt.column, {"of"})
-            self.advance()
-            name_tok = self.advance()
-            if name_tok.text not in _TYPE_NAMES:
-                raise FeelSyntaxError(
-                    f"unknown type name {name_tok.text!r}", name_tok.column, _TYPE_NAMES)
-            return ast.InstanceOf(left, name_tok.text)
-        return left
-
-    def additive(self):
-        left = self.multiplicative()
-        while self.peek().kind == "op" and self.peek().text in ("+", "-"):
-            op = self.advance().text
-            left = ast.BinOp(op, left, self.multiplicative())
-        return left
-
-    def multiplicative(self):
-        left = self.power()
-        while self.peek().kind == "op" and self.peek().text in ("*", "/"):
-            op = self.advance().text
-            left = ast.BinOp(op, left, self.power())
-        return left
-
-    def power(self):
-        left = self.unary()
-        if self.peek().text == "**":
-            self.advance()
-            return ast.BinOp("**", left, self.power())
-        return left
-
-    def unary(self):
-        if self.peek().text == "-" and self.peek().kind == "op":
-            self.advance()
-            return ast.Neg(self.unary())
-        return self.postfix()
-
-    def postfix(self):
-        expr = self.primary()
+    def expression(self, level: int, depth: int):
+        """The longest expression at `level` or tighter from here: a prefix
+        operator or an operand, then every infix operator that binds at
+        `level` or tighter."""
+        kind, text, column = self.tokens[self.i]
+        if depth >= MAX_DEPTH:
+            raise _too_deep(column)
+        if text == "not" and kind == "kw" and level <= _NOT:
+            self.i += 1
+            operand, height = self.expression(_NOT, depth + 1)
+            left, height, cap = ast.Not(operand), height + 1, _NOT - 1
+        elif text == "-" and kind == "op":
+            self.i += 1
+            operand, height = self.expression(_NEG, depth + 1)
+            left, height, cap = ast.Neg(operand), height + 1, _NEG - 1
+        else:
+            left, height = self.operand(depth)
+            cap = _POWER
+        # `cap` is the tightest operator that may follow: one the operand just
+        # parsed could not take in was refused, and comparisons do not chain
         while True:
-            tok = self.peek()
-            if tok.text == "[":
-                self.advance()
-                selector = self.or_expr()
+            if depth + height > MAX_DEPTH:
+                raise _too_deep(column)
+            _, text, column = self.tokens[self.i]
+            binding = _INFIX.get(text)
+            if binding is None or not level <= binding[0] <= cap:
+                return left, height
+            self.i += 1
+            if text == "instance":
+                left = ast.InstanceOf(left, self.type_name())
+                height += 1
+            else:
+                right, right_height = self.expression(binding[1], depth + 1)
+                left = ast.InTest(left, right) if text == "in" else ast.BinOp(text, left, right)
+                height = max(height, right_height) + 1
+            cap = _COMPARE - 1 if binding[0] == _COMPARE else binding[0]
+
+    def type_name(self) -> str:
+        kind, text, column = self.tokens[self.i]
+        if not (kind == "kw" and text == "of"):
+            raise FeelSyntaxError("expected 'of' after 'instance'", column, {"of"})
+        self.i += 1
+        _, name, column = self.advance()
+        if name not in _TYPE_NAMES:
+            raise FeelSyntaxError(f"unknown type name {name!r}", column, _TYPE_NAMES)
+        return name
+
+    def operand(self, depth: int):
+        """A primary expression and the selectors that follow it."""
+        kind, text, column = self.tokens[self.i]
+        if kind == "number":
+            self.i += 1
+            is_decimal = "." in text or "e" in text or "E" in text
+            expr, height = ast.Lit(float(text) if is_decimal else int(text)), 1
+        elif kind == "string":
+            self.i += 1
+            expr, height = ast.Lit(_unescape(text)), 1
+        elif kind == "ident":
+            expr, height = self.name_or_call(depth)
+        elif kind == "kw" and text in ("true", "false", "null"):
+            self.i += 1
+            expr, height = ast.Lit(None if text == "null" else text == "true"), 1
+        elif text == "(":
+            expr, height = self.paren_or_range(depth)
+        elif text == "[":
+            expr, height = self.list_or_range(depth)
+        elif text == "{":
+            expr, height = self.context(depth)
+        else:
+            raise FeelSyntaxError(
+                f"expected an expression, found {text or 'end of input'!r}", column,
+                _EXPRESSION_START)
+        while True:
+            kind, text, column = self.tokens[self.i]
+            if text == "[":
+                self.i += 1
+                selector, selector_height = self.expression(1, depth + 1)
                 self.expect("]")
                 if "item" in ast.free_variables(selector):
                     expr = ast.Filter(expr, selector)
                 else:
                     expr = ast.Index(expr, selector)
-            elif tok.text == "." and tok.kind == "op":
-                self.advance()
-                key = self.advance()
-                if key.kind != "ident":
-                    raise FeelSyntaxError("expected a name after '.'", key.column, {"name"})
-                expr = ast.Path(expr, key.text)
+                height = max(height, selector_height) + 1
+            elif text == "." and kind == "op":
+                self.i += 1
+                key_kind, key, key_column = self.advance()
+                if key_kind != "ident":
+                    raise FeelSyntaxError("expected a name after '.'", key_column, {"name"})
+                expr = ast.Path(expr, key)
+                height += 1
             else:
-                return expr
+                return expr, height
+            if depth + height > MAX_DEPTH:
+                raise _too_deep(column)
 
-    def primary(self):
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            is_decimal = "." in tok.text or "e" in tok.text or "E" in tok.text
-            return ast.Lit(float(tok.text) if is_decimal else int(tok.text))
-        if tok.kind == "string":
-            self.advance()
-            return ast.Lit(_unescape(tok.text))
-        if tok.kind == "kw" and tok.text in ("true", "false"):
-            self.advance()
-            return ast.Lit(tok.text == "true")
-        if tok.kind == "kw" and tok.text == "null":
-            self.advance()
-            return ast.Lit(None)
-        if tok.kind == "ident":
-            return self.name_or_call()
-        if tok.text == "(":
-            return self.paren_or_range()
-        if tok.text == "[":
-            return self.list_or_range()
-        if tok.text == "{":
-            return self.context()
-        raise FeelSyntaxError(
-            f"expected an expression, found {tok.text or 'end of input'!r}", tok.column,
-            {"number", "string", "name", "(", "[", "{", "true", "false", "null"})
+    def more_items(self, items: list, height: int, closer: str, depth: int):
+        """The `, expression` items after `items`, then `closer`; returns
+        (every item, the greatest item depth)."""
+        while self.tokens[self.i][1] == ",":
+            self.i += 1
+            item, item_height = self.expression(1, depth + 1)
+            items.append(item)
+            height = max(height, item_height)
+        self.expect(closer)
+        return tuple(items), height
 
-    def name_or_call(self):
-        tok = self.advance()
-        name = tok.text
+    def checked(self, expr, height: int, depth: int, column: int):
+        if depth + height > MAX_DEPTH:
+            raise _too_deep(column)
+        return expr, height
+
+    def name_or_call(self, depth: int):
+        _, name, column = self.advance()
         # two-word builtin
-        if name == "overlaps" and self.peek().kind == "ident" and self.peek().text == "before":
-            self.advance()
+        kind, text, _ = self.tokens[self.i]
+        if name == "overlaps" and kind == "ident" and text == "before":
+            self.i += 1
             name = "overlaps before"
-        if self.peek().text == "(":
-            self.advance()
-            if name in ("date", "time"):
-                arg = self.advance()
-                if arg.kind != "string":
-                    raise FeelSyntaxError(f"{name}(...) takes a quoted literal", arg.column,
-                                          {"string"})
-                self.expect(")")
-                try:
-                    return ast.Lit(Temporal.from_text(name, _unescape(arg.text)))
-                except ValueError as exc:
-                    raise FeelSyntaxError(f"bad {name} literal: {exc}", arg.column) from exc
-            args = []
-            if self.peek().text != ")":
-                args.append(self.or_expr())
-                while self.peek().text == ",":
-                    self.advance()
-                    args.append(self.or_expr())
+        if self.tokens[self.i][1] != "(":
+            return ast.Var(name), 1
+        self.i += 1
+        if name in ("date", "time"):
+            arg_kind, arg, arg_column = self.advance()
+            if arg_kind != "string":
+                raise FeelSyntaxError(f"{name}(...) takes a quoted literal", arg_column,
+                                      {"string"})
             self.expect(")")
-            return ast.Call(name, tuple(args))
-        return ast.Var(name)
+            try:
+                return ast.Lit(Temporal.from_text(name, _unescape(arg))), 1
+            except ValueError as exc:
+                raise FeelSyntaxError(f"bad {name} literal: {exc}", arg_column) from exc
+        if self.tokens[self.i][1] == ")":
+            self.i += 1
+            return ast.Call(name, ()), 1
+        first, height = self.expression(1, depth + 1)
+        args, height = self.more_items([first], height, ")", depth)
+        return self.checked(ast.Call(name, args), height + 1, depth, column)
 
-    def paren_or_range(self):
+    def paren_or_range(self, depth: int):
+        column = self.tokens[self.i][2]
         self.expect("(")
-        first = self.or_expr()
-        if self.peek().text == "..":
-            return self.finish_range(first, lo_incl=False)
+        first, height = self.expression(1, depth + 1)
+        if self.tokens[self.i][1] == "..":
+            return self.finish_range(first, height, False, depth, column)
         self.expect(")")
-        return first
+        return self.checked(first, height + 1, depth, column)
 
-    def list_or_range(self):
+    def list_or_range(self, depth: int):
+        column = self.tokens[self.i][2]
         self.expect("[")
-        if self.peek().text == "]":
-            self.advance()
-            return ast.ListLit(())
-        first = self.or_expr()
-        if self.peek().text == "..":
-            return self.finish_range(first, lo_incl=True)
-        items = [first]
-        while self.peek().text == ",":
-            self.advance()
-            items.append(self.or_expr())
-        self.expect("]")
-        return ast.ListLit(tuple(items))
+        if self.tokens[self.i][1] == "]":
+            self.i += 1
+            return ast.ListLit(()), 1
+        first, height = self.expression(1, depth + 1)
+        if self.tokens[self.i][1] == "..":
+            return self.finish_range(first, height, True, depth, column)
+        items, height = self.more_items([first], height, "]", depth)
+        return self.checked(ast.ListLit(items), height + 1, depth, column)
 
-    def finish_range(self, lo, lo_incl: bool):
+    def finish_range(self, lo, lo_height: int, lo_incl: bool, depth: int, column: int):
         self.expect("..")
-        hi = self.or_expr()
-        closer = self.advance()
-        if closer.text == "]":
-            return ast.RangeLit(lo, hi, lo_incl, True)
-        if closer.text == ")":
-            return ast.RangeLit(lo, hi, lo_incl, False)
-        raise FeelSyntaxError(f"expected ']' or ')' to close a range, found {closer.text!r}",
-                              closer.column, {"]", ")"})
+        hi, hi_height = self.expression(1, depth + 1)
+        _, closer, closer_column = self.advance()
+        if closer == "]":
+            hi_incl = True
+        elif closer == ")":
+            hi_incl = False
+        else:
+            raise FeelSyntaxError(f"expected ']' or ')' to close a range, found {closer!r}",
+                                  closer_column, {"]", ")"})
+        return self.checked(ast.RangeLit(lo, hi, lo_incl, hi_incl),
+                            max(lo_height, hi_height) + 1, depth, column)
 
-    def context(self):
+    def context(self, depth: int):
+        column = self.tokens[self.i][2]
         self.expect("{")
         entries = []
-        if self.peek().text != "}":
+        height = 0
+        if self.tokens[self.i][1] != "}":
             while True:
-                key = self.advance()
-                if key.kind not in ("ident", "string", "kw"):
-                    raise FeelSyntaxError("expected a context key", key.column, {"name"})
-                key_text = _unescape(key.text) if key.kind == "string" else key.text
+                key_kind, key, key_column = self.advance()
+                if key_kind not in ("ident", "string", "kw"):
+                    raise FeelSyntaxError("expected a context key", key_column, {"name"})
+                key_text = _unescape(key) if key_kind == "string" else key
                 self.expect(":")
-                entries.append((key_text, self.or_expr()))
-                if self.peek().text != ",":
+                value, value_height = self.expression(1, depth + 1)
+                entries.append((key_text, value))
+                if value_height > height:
+                    height = value_height
+                if self.tokens[self.i][1] != ",":
                     break
-                self.advance()
+                self.i += 1
         self.expect("}")
-        return ast.ContextLit(tuple(entries))
+        return self.checked(ast.ContextLit(tuple(entries)), height + 1, depth, column)
 
 
 def parse_expr(text: str) -> ast.FeelExpr:
     """Parse source text into its unique AST.
 
     Raises FeelSyntaxError, with a 1-based column and the expected-token set,
-    for any text outside the subset (including empty input).
+    for any text outside the subset (including empty input) and for an
+    expression nested deeper than MAX_DEPTH levels.
     """
     if not text or not text.strip():
         raise FeelSyntaxError("empty expression", 1, {"expression"})

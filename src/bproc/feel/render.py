@@ -3,12 +3,14 @@
 render() emits text that parse_expr() maps back to a structurally equal
 tree; nested operators are parenthesized except for a few unambiguous
 atoms (literals, names, negated number literals, calls, postfix chains).
+Each pair of parentheses is a level of the parser's depth limit, so the
+text of a tree near that limit can nest past it.
 """
 
 from __future__ import annotations
 
 from . import ast
-from .values import render_value
+from .values import render_key, render_value
 
 
 def render(expr: ast.FeelExpr) -> str:
@@ -31,7 +33,7 @@ def render(expr: ast.FeelExpr) -> str:
     if isinstance(expr, ast.Filter):
         return f"{_postfix_base(expr.seq)}[{render(expr.predicate)}]"
     if isinstance(expr, ast.ContextLit):
-        return "{" + ", ".join(f"{k}: {render(v)}" for k, v in expr.entries) + "}"
+        return "{" + ", ".join(f"{render_key(k)}: {render(v)}" for k, v in expr.entries) + "}"
     if isinstance(expr, ast.Path):
         return f"{_postfix_base(expr.base)}.{expr.key}"
     if isinstance(expr, ast.RangeLit):

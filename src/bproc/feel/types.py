@@ -69,14 +69,18 @@ def infer_types(exprs: Iterable[ast.FeelExpr]) -> dict[str, StaticType]:
         types[name] = join(current, t, name)
 
     def visit(expr: ast.FeelExpr):
-        if isinstance(expr, ast.Var):
+        cls = type(expr)
+        if cls is ast.Var:
             types.setdefault(expr.name, StaticType.UNKNOWN)
-        if isinstance(expr, ast.BinOp):
+            return
+        if cls is ast.BinOp:
             _note_comparison(expr, note)
-        if isinstance(expr, ast.InTest):
+        elif cls is ast.InTest:
             _note_membership(expr, note)
-        for child in ast._children(expr):
-            visit(child)
+        children = ast.CHILDREN.get(cls)
+        if children is not None:
+            for child in children(expr):
+                visit(child)
 
     for expr in exprs:
         visit(expr)
@@ -121,15 +125,12 @@ def _note_membership(expr: ast.InTest, note):
 
 def synthesize(expr: ast.FeelExpr, env: Mapping[str, StaticType]) -> StaticType:
     """Best-effort static type of an expression under known variable types."""
-    if isinstance(expr, ast.Lit):
-        return type_of_constant(expr.value)
-    if isinstance(expr, ast.Var):
+    cls = type(expr)
+    if cls is ast.Var:
         return env.get(expr.name, StaticType.UNKNOWN)
-    if isinstance(expr, ast.Neg):
-        return synthesize(expr.operand, env)
-    if isinstance(expr, (ast.Not, ast.InTest, ast.InstanceOf)):
-        return StaticType.BOOLEAN
-    if isinstance(expr, ast.BinOp):
+    if cls is ast.Lit:
+        return type_of_constant(expr.value)
+    if cls is ast.BinOp:
         if expr.op in ("and", "or", "<", "<=", ">", ">=", "=", "!="):
             return StaticType.BOOLEAN
         left = synthesize(expr.left, env)
@@ -145,7 +146,11 @@ def synthesize(expr: ast.FeelExpr, env: Mapping[str, StaticType]) -> StaticType:
         if left is StaticType.INTEGER and right is StaticType.INTEGER:
             return StaticType.INTEGER
         return StaticType.UNKNOWN
-    if isinstance(expr, ast.Call):
+    if cls is ast.Neg:
+        return synthesize(expr.operand, env)
+    if cls in (ast.Not, ast.InTest, ast.InstanceOf):
+        return StaticType.BOOLEAN
+    if cls is ast.Call:
         if expr.name in ("floor", "ceiling", "length"):
             return StaticType.INTEGER
         if expr.name == "sqrt":

@@ -15,6 +15,7 @@ take the isinstance cascade, which gives every other result and error.
 from __future__ import annotations
 
 import datetime
+import re
 from dataclasses import dataclass
 
 from ..errors import FeelTypeError, UndefinedValueError
@@ -173,16 +174,30 @@ def render_value(value) -> str:
     if kind == "number":
         return repr(value)
     if kind == "string":
-        escaped = (value.replace("\\", "\\\\").replace('"', '\\"')
-                   .replace("\n", "\\n").replace("\r", "\\r"))  # written values keep to one line
-        return f'"{escaped}"'
+        return _string_literal(value)
     if kind in ("date", "time"):
         return f'{kind}("{value.to_text()}")'
     if kind == "list":
         return "[" + ", ".join(render_value(v) for v in value) + "]"
     if kind == "context":
-        return "{" + ", ".join(f"{k}: {render_value(v)}" for k, v in value.items()) + "}"
+        return "{" + ", ".join(f"{render_key(k)}: {render_value(v)}"
+                               for k, v in value.items()) + "}"
     # range
     lo_b = "[" if value.lo_incl else "("
     hi_b = "]" if value.hi_incl else ")"
     return f"{lo_b}{render_value(value.lo)}..{render_value(value.hi)}{hi_b}"
+
+
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def render_key(key: str) -> str:
+    """A context key as the parser reads it back: a plain name (keywords
+    included) as it is, any other key as a string literal."""
+    return key if _NAME.fullmatch(key) else _string_literal(key)
+
+
+def _string_literal(value: str) -> str:
+    escaped = (value.replace("\\", "\\\\").replace('"', '\\"')
+               .replace("\n", "\\n").replace("\r", "\\r"))  # written values keep to one line
+    return f'"{escaped}"'

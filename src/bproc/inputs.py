@@ -142,14 +142,17 @@ def facts_from_expr(expr: ast.FeelExpr, input_vars: set[str]) -> list[tuple[str,
         return False
 
     def visit(node):
-        if isinstance(node, ast.BinOp) and node.op in ("=", "!=", "<", "<=", ">", ">="):
+        cls = type(node)
+        if cls is ast.Var or cls is ast.Lit:
+            return
+        if cls is ast.BinOp and node.op in ("=", "!=", "<", "<=", ">", ">="):
             handled = subject_and_bound(node.left, node.right, node.op)
             if not handled and isinstance(node.right, ast.Var) \
                     and node.right.name in input_vars:
                 flipped = _FLIP.get(node.op, node.op)
                 subject_and_bound(node.right, node.left, flipped)
             return
-        if isinstance(node, ast.InTest) and isinstance(node.item, ast.Var) \
+        if cls is ast.InTest and type(node.item) is ast.Var \
                 and node.item.name in input_vars:
             container, ok = _constant_value(node.container)
             if ok and isinstance(container, feel.FeelRange):
@@ -160,8 +163,10 @@ def facts_from_expr(expr: ast.FeelExpr, input_vars: set[str]) -> list[tuple[str,
             else:
                 facts.append((node.item.name, _Fact("other", source=feel.render(expr))))
             return
-        for child in ast._children(node):
-            visit(child)
+        children = ast.CHILDREN.get(cls)
+        if children is not None:
+            for child in children(node):
+                visit(child)
 
     visit(expr)
     return facts

@@ -162,6 +162,28 @@ def test_condition_on_parallel_gateway_edge_rejected():
         """))
 
 
+
+@pytest.mark.parametrize("body, degree", [
+    ("""<startEvent id="s"/><exclusiveGateway id="split"/><manualTask id="a"/>
+        <manualTask id="b"/><parallelGateway id="g"/><endEvent id="e1"/><endEvent id="e2"/>
+        <sequenceFlow id="f0" sourceRef="s" targetRef="split"/>
+        <sequenceFlow id="f1" sourceRef="split" targetRef="a"/>
+        <sequenceFlow id="f2" sourceRef="split" targetRef="b"/>
+        <sequenceFlow id="f3" sourceRef="a" targetRef="g"/>
+        <sequenceFlow id="f4" sourceRef="b" targetRef="g"/>
+        <sequenceFlow id="f5" sourceRef="g" targetRef="e1"/>
+        <sequenceFlow id="f6" sourceRef="g" targetRef="e2"/>""", (2, 2)),
+    ("""<startEvent id="s"/><inclusiveGateway id="g"/><endEvent id="e"/>
+        <sequenceFlow id="f0" sourceRef="s" targetRef="g"/>
+        <sequenceFlow id="f1" sourceRef="g" targetRef="e"/>""", (1, 1)),
+], ids=["two_in_two_out", "one_in_one_out"])
+def test_gateway_neither_split_nor_join_rejected(body, degree):
+    with pytest.raises(SchemaError) as exc_info:
+        parse_bpmn(doc(body))
+    assert str(exc_info.value) == (
+        f"gateway 'g' has {degree[0]} incoming and {degree[1]} outgoing flows; "
+        f"expected a split (1 in, 2+ out) or a join (2+ in, 1 out)")
+
 # --- variable classification ---------------------------------------------------
 
 def test_shipment_variable_roles(shipment_parsed):

@@ -8,6 +8,7 @@ import pytest
 
 from bproc import runtime
 from bproc.cli import main
+from bproc.feel.parser import MAX_DEPTH
 
 from conftest import DTD_BPMN, DTD_DMN, FIXTURES, child_env, with_doctype
 
@@ -261,3 +262,43 @@ def test_module_entry_point(tmp_path):
     assert proc.stderr == ""
     out_file = pathlib.Path("out", "shipment", "shipment.out")
     assert (child_dir / out_file).read_text() == (inproc_dir / out_file).read_text()
+
+
+def deep_model(script_depth: int, condition_depth: int) -> str:
+    """A script `y := x + 1 + ... + 1` and a gateway condition `((x > 0))`
+    nested `script_depth` and `condition_depth` levels deep."""
+    script = " + ".join(["x"] + ["1"] * (script_depth - 1))
+    condition = "(" * (condition_depth - 2) + "x &gt; 0" + ")" * (condition_depth - 2)
+    return f"""<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL"
+      xmlns:ext="http://x/ext"><process id="deep">
+      <startEvent id="s"><extensionElements><ext:ioMapping>
+        <ext:output source="x" target="x"/></ext:ioMapping></extensionElements></startEvent>
+      <scriptTask id="t" resultVariable="y"><script>{script}</script></scriptTask>
+      <exclusiveGateway id="g" default="f_low"/>
+      <endEvent id="high"/><endEvent id="low"/>
+      <sequenceFlow id="f0" sourceRef="s" targetRef="t"/>
+      <sequenceFlow id="f1" sourceRef="t" targetRef="g"/>
+      <sequenceFlow id="f_high" sourceRef="g" targetRef="high">
+        <conditionExpression>{condition}</conditionExpression></sequenceFlow>
+      <sequenceFlow id="f_low" sourceRef="g" targetRef="low"/>
+    </process></definitions>"""
+
+
+DEEP_COMMANDS = [("translate",), ("test", "-n", "20"), ("run", "--sequential"), ("run",)]
+
+
+@pytest.mark.parametrize("command", DEEP_COMMANDS, ids=" ".join)
+def test_expressions_at_the_depth_limit_run_through_every_command(command, tmp_path):
+    (tmp_path / "deep.bpmn").write_text(deep_model(MAX_DEPTH, MAX_DEPTH))
+    code, _, err = run_cli(*command, "deep.bpmn", cwd=tmp_path)
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("command", DEEP_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("depths", [(MAX_DEPTH + 1, MAX_DEPTH), (MAX_DEPTH, MAX_DEPTH + 1)],
+                         ids=["script", "condition"])
+def test_an_expression_past_the_depth_limit_is_a_model_error(depths, command, tmp_path):
+    (tmp_path / "deep.bpmn").write_text(deep_model(*depths))
+    code, _, err = run_cli(*command, "deep.bpmn", cwd=tmp_path)
+    assert code == 3
+    assert f"FeelSyntaxError: expression nests deeper than {MAX_DEPTH} levels (column" in err

@@ -222,6 +222,44 @@ def test_assignment_types_propagate():
     assert dict(x.process_vars)["done"] is StaticType.BOOLEAN
 
 
+def reversed_chain(length: int, messages: bool) -> str:
+    """start -> tasks v1 := 5, v2 := v1, ... -> end, the tasks listed last to
+    first. With `messages`, each value after the first reaches its task
+    through a send and a receive: w<i> is received from channel c<i>."""
+    tasks, order = [], []
+    for i in range(1, length + 1):
+        source = "5" if i == 1 else (f"w{i - 1}" if messages else f"v{i - 1}")
+        if messages and i > 1:
+            tasks.append(f'<sendTask id="S{i}"><extensionElements><ext:ioMapping '
+                         f'channel="c{i}"><ext:input source="=v{i - 1}" target="p"/>'
+                         f'</ext:ioMapping></extensionElements></sendTask>'
+                         f'<receiveTask id="R{i}"><extensionElements><ext:ioMapping '
+                         f'channel="c{i}"><ext:output source="p" target="w{i - 1}"/>'
+                         f'</ext:ioMapping></extensionElements></receiveTask>')
+            order += [f"S{i}", f"R{i}"]
+        tasks.append(f'<scriptTask id="T{i}" resultVariable="v{i}">'
+                     f'<script>{source}</script></scriptTask>')
+        order.append(f"T{i}")
+    chain = ["s", *order, "e"]
+    flows = [f'<sequenceFlow id="f{k}" sourceRef="{a}" targetRef="{b}"/>'
+             for k, (a, b) in enumerate(zip(chain, chain[1:]))]
+    return ('<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL" '
+            'xmlns:ext="http://x/ext"><process id="p"><startEvent id="s"/><endEvent id="e"/>'
+            + "".join(reversed(tasks)) + "".join(flows) + "</process></definitions>")
+
+
+@pytest.mark.parametrize("messages", [False, True], ids=["scripts", "messages"])
+@pytest.mark.parametrize("length", [15, 60])
+def test_assignment_types_reach_their_fixpoint(length, messages):
+    x = compile_model(parse_bpmn(reversed_chain(length, messages)), ())
+    names = [f"v{i}" for i in range(1, length + 1)]
+    if messages:
+        names += [f"w{i}" for i in range(1, length)]
+    assert dict(x.process_vars) == {name: StaticType.INTEGER for name in names}
+    assert not any("no type evidence" in note for note in x.diagnostics)
+    assert f"  v{length} : Integer" in render_source(x).splitlines()
+
+
 def test_compilation_is_deterministic(shipment_parsed):
     model, tables = shipment_parsed
     a = render_source(compile_model(model, tables, sample_seed=42))

@@ -1,11 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from bproc import parse_expr, parse_unary_test, render
+from bproc import evaluate, parse_expr, parse_unary_test, render
 from bproc.errors import FeelSyntaxError, SchemaError
-from bproc.feel import ast
+from bproc.feel import ast, compile_expr, infer_types, render_value, synthesize
+from bproc.feel.ast import free_variables
+from bproc.feel.parser import MAX_DEPTH
 from bproc.feel.render import render_unary_test
 from bproc.feel.values import FeelRange, Temporal
+from bproc.inputs import facts_from_expr
+
+from reference_parser import reference_parse_expr
 
 
 def test_list_filter_shape():
@@ -176,3 +183,132 @@ def _exprs(depth: int):
 @given(_exprs(3))
 def test_render_parse_round_trip(expr):
     assert parse_expr(render(expr)) == expr
+
+
+@pytest.mark.parametrize("key", ["plain", "_x1", "and", "true", "a b", "", "1st", 'q"t',
+                                 "back\\slash", "new\nline", "carriage\rreturn", "tab\tkey",
+                                 "é", "x.y"])
+def test_context_keys_round_trip(key):
+    value = {key: 1, "k": [{key: "v"}]}
+    assert evaluate(parse_expr(render_value(value)), {}) == value
+    expr = ast.ContextLit(((key, ast.Lit(1)), ("k", ast.ContextLit(((key, ast.Var("x")),)))))
+    assert parse_expr(render(expr)) == expr
+
+
+# --- agreement with the reference parser ---------------------------------------
+
+_VOCABULARY = (
+    "x", "y", "item", "k", "overlaps", "before", "date", "time", "abs", "of", "instance",
+    "string", "number", "boolean", "and", "or", "not", "in", "true", "false", "null",
+    "0", "1", "42", "3.5", "1e3", "2E-2", '"a"', '""', '"a b"', '"q\\"t"', '"\\n"',
+    '"2020-01-31"', '"12:30:00"', '"25:61"', '"x"', "+", "-", "*", "/", "**", "<", "<=",
+    ">", ">=", "=", "!=", "..", ".", ",", ":", "(", ")", "[", "]", "{", "}", "@", "é",
+    '"open', "\\",
+)
+
+
+def _random_expression(rng, budget: int) -> list[str]:
+    """Tokens of a (mostly) well-formed expression of at most `budget` levels."""
+    if budget <= 1 or rng.random() < 0.25:
+        return [rng.choice(("x", "y", "item", "1", "2.5", '"s"', "true", "null",
+                            'date("2020-01-02")'))]
+    sub = lambda: _random_expression(rng, budget - 1)  # noqa: E731
+    shape = rng.randrange(9)
+    if shape == 0:
+        return [*sub(), rng.choice(("+", "-", "*", "/", "**", "<", "=", "!=", "and", "or",
+                                    "in")), *sub()]
+    if shape == 1:
+        return [rng.choice(("-", "not")), *sub()]
+    if shape == 2:
+        return ["(", *sub(), ")"]
+    if shape == 3:
+        return ["[", *sub(), ",", *sub(), "]"]
+    if shape == 4:
+        return [rng.choice("[("), *sub(), "..", *sub(), rng.choice("])")]
+    if shape == 5:
+        return [*sub(), "[", *sub(), "]"]
+    if shape == 6:
+        return [*sub(), ".", "k"]
+    if shape == 7:
+        return ["{", "k", ":", *sub(), ",", '"a b"', ":", *sub(), "}"]
+    return [*sub(), "instance", "of", rng.choice(("string", "number", "boolean"))]
+
+
+def _random_token_string(rng) -> str:
+    if rng.random() < 0.5:
+        tokens = [rng.choice(_VOCABULARY) for _ in range(rng.randint(1, 12))]
+    else:  # a well-formed expression, then up to two tokens dropped, added or swapped
+        tokens = _random_expression(rng, 6)
+        for _ in range(rng.randrange(3)):
+            at = rng.randrange(len(tokens) + 1)
+            edit = rng.randrange(3)
+            if edit == 0 and at < len(tokens):
+                del tokens[at]
+            elif edit == 1:
+                tokens.insert(at, rng.choice(_VOCABULARY))
+            elif at < len(tokens):
+                tokens[at] = rng.choice(_VOCABULARY)
+    return "".join(token + rng.choice(("", " ", " ", "\t")) for token in tokens)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except FeelSyntaxError as exc:
+        return ("FeelSyntaxError", str(exc), exc.column, exc.expected)
+    except ValueError as exc:  # an integer literal with too many digits
+        return (type(exc).__name__, str(exc))
+
+
+def test_parser_agrees_with_the_reference_on_random_token_strings():
+    rng = random.Random(20_000)
+    texts = [_random_token_string(rng) for _ in range(20_000)]
+    parsed = sum(not isinstance(_outcome(parse_expr, t), tuple) for t in texts)
+    assert parsed > 2_000  # the sample holds valid expressions, not only errors
+    for text in texts:
+        assert _outcome(parse_expr, text) == _outcome(reference_parse_expr, text), text
+
+
+# --- the depth limit ------------------------------------------------------------
+
+def _nested(depth: int) -> dict[str, str]:
+    """Expressions exactly `depth` levels deep, one per way of nesting."""
+    return {
+        "sum": " + ".join(["x"] * depth),
+        "parentheses": "(" * (depth - 1) + "x" + ")" * (depth - 1),
+        "not": "not " * (depth - 1) + "x",
+        "minus": "-" * (depth - 1) + "x",
+        "power": " ** ".join(["x"] * depth),
+        "lists": "[" * (depth - 1) + "x" + "]" * (depth - 1),
+        "paths": "x" + ".k" * (depth - 1),
+        "calls": "abs(" * (depth - 1) + "x" + ")" * (depth - 1),
+        "mixed": "(" * (depth - 3) + "x < 1" + ")" * (depth - 3) + " or y",
+    }
+
+
+@pytest.mark.parametrize("shape", sorted(_nested(MAX_DEPTH)))
+def test_expressions_up_to_the_depth_limit_parse_and_walk(shape):
+    text = _nested(MAX_DEPTH)[shape]
+    expr = parse_expr(text)
+    render(expr)  # its parentheses can take the text past the limit
+    free_variables(expr)
+    synthesize(expr, {})
+    infer_types([expr])
+    facts_from_expr(expr, {"x", "y"})
+    compile_expr(expr)
+    with pytest.raises(FeelSyntaxError) as too_deep:
+        parse_expr(_nested(MAX_DEPTH + 1)[shape])
+    assert str(too_deep.value).startswith(f"expression nests deeper than {MAX_DEPTH} levels")
+
+
+def test_a_sum_past_the_depth_limit_names_the_operator_that_crosses_it():
+    text = " + ".join(["x"] * (MAX_DEPTH + 5))
+    with pytest.raises(FeelSyntaxError) as too_deep:
+        parse_expr(text)
+    assert too_deep.value.column == 1 + 4 * MAX_DEPTH - 2  # the MAX_DEPTH-th '+'
+
+
+def test_deep_parentheses_stop_at_the_limit_not_at_the_recursion_limit():
+    with pytest.raises(FeelSyntaxError) as too_deep:
+        parse_expr("(" * 10_000 + "x" + ")" * 10_000)
+    assert too_deep.value.column == MAX_DEPTH + 1

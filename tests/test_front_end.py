@@ -1,16 +1,18 @@
 """Join matching against the reference search, and linear front-end cost."""
 
 import statistics
+import sys
 import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bproc import compile_model, parse_bpmn
-from bproc.bpmn import Node, ProcessModel, SequenceFlow, adjacency
+from bproc import bpmn, compile_model, parse_bpmn
+from bproc.bpmn import Node, ProcessModel, SequenceFlow, VariableRole, adjacency
 from bproc.compiler import Fork, _matching_join
 from bproc.errors import SchemaError
 
+import test_pins as pins
 from conftest import load_fixture
 from oracles import reference_matching_join
 
@@ -197,3 +199,31 @@ def test_parse_and_compile_scale_linearly():
 
     small, large = setup_seconds(diamonds_xml(250)), setup_seconds(diamonds_xml(1000))
     assert large / small < 10, f"250 diamonds: {small:.3f}s, 1000 diamonds: {large:.3f}s"
+
+
+def test_set_up_builds_each_record_and_index_once():
+    # parse_bpmn + compile_model walk the model once: one flow index, one
+    # pass over variable uses, one role per variable, one record per node
+    # and per flow (joins are decided before their record is built)
+    xml = pins.diamonds(50, seed=3)
+    counted = {bpmn.adjacency.__code__: "adjacency", bpmn._variable_uses.__code__: "uses",
+               bpmn.classify_variables.__code__: "roles", Node.__init__.__code__: "Node",
+               SequenceFlow.__init__.__code__: "SequenceFlow",
+               VariableRole.__init__.__code__: "VariableRole"}
+    calls = dict.fromkeys(counted.values(), 0)
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in counted:
+            calls[counted[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        model = parse_bpmn(xml)
+        x = compile_model(model, ())
+    finally:
+        sys.setprofile(previous)
+    assert len(model.nodes) == 204 and len(x.routines) == 204
+    assert calls == {"adjacency": 1, "uses": 1, "roles": 1, "Node": len(model.nodes),
+                     "SequenceFlow": len(model.flows),
+                     "VariableRole": len(x.input_vars) + len(x.process_vars)}
