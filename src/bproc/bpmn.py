@@ -550,6 +550,9 @@ def _validate(model: ProcessModel) -> None:
                     raise SchemaError(
                         f"flow {flow.id!r} carries a condition but leaves {node.kind} "
                         f"{node.id!r}; conditions belong on exclusive/inclusive gateways")
+        if node.kind in TASK_KINDS and not out[node.id]:
+            raise SchemaError(f"task {node.id!r} has no outgoing flow; "
+                              f"only an end event ends a path")
         if node.kind in TASK_KINDS and len(out[node.id]) > 1:
             raise SchemaError(f"node {node.id!r} still has several outgoing flows "
                               f"after preprocessing")

@@ -336,14 +336,33 @@ def parse_expr(text: str) -> ast.FeelExpr:
 
 def parse_unary_test(text: str) -> ast.UnaryTest:
     """Parse an input-entry cell: dash, constant, comparison, range, not(...),
-    or a comma-separated disjunction of those."""
+    or a comma-separated disjunction of those.
+
+    Raises FeelSyntaxError, with the 1-based column of the cell, where
+    `not(...)` wrappers nest more than MAX_DEPTH deep.
+    """
+    return _unary_test(text, 1, 0)
+
+
+def _unary_test(text: str, column: int, nots: int) -> ast.UnaryTest:
+    """The tests of `text`, which starts at `column` of its cell inside
+    `nots` not(...) wrappers."""
     stripped = text.strip()
     if stripped in ("", "-"):
         return ast.Dash()
+    column += len(text) - len(text.lstrip())  # where `stripped` starts
     parts = _split_top_level_commas(stripped)
     if len(parts) > 1:
-        return ast.Disjunction(tuple(parse_unary_test(p) for p in parts))
-    return _single_test(parts[0].strip())
+        tests = []
+        for part in parts:
+            tests.append(_unary_test(part, column, nots))
+            column += len(part) + 1
+        return ast.Disjunction(tuple(tests))
+    if stripped.startswith("not(") and stripped.endswith(")"):
+        if nots == MAX_DEPTH:
+            raise _too_deep(column)
+        return ast.Negation(_unary_test(stripped[4:-1], column + 4, nots + 1))
+    return _single_test(stripped)
 
 
 def _single_test(text: str) -> ast.UnaryTest:
@@ -356,8 +375,6 @@ def _single_test(text: str) -> ast.UnaryTest:
         except UndefinedValueError as exc:
             raise SchemaError(f"cell {text!r} is not a constant: {exc}") from exc
 
-    if text.startswith("not(") and text.endswith(")"):
-        return ast.Negation(parse_unary_test(text[4:-1]))
     for op in ("<=", ">=", "<", ">"):
         if text.startswith(op):
             operand = parse_expr(text[len(op):])

@@ -12,19 +12,21 @@ output entries folded. So no step is dispatched on its type while a run
 goes on.
 
 A run owns a variable store (every declared variable starts undefined),
-per-variable input cursors, FIFO message channels and a trace. A campaign
-run (`run_covering`) keeps no trace: it marks the index of each node and
-edge it reaches in the campaign's `CoverageHits`, and builds no write or
-table record, so its memory does not grow with its length. One walker,
+per-variable input cursors, FIFO message channels (each made on its first
+use) and a trace. A campaign run (`run_covering`) keeps no trace: it
+marks the index of each node and edge it reaches in the campaign's
+`CoverageHits`, and builds no write or table record, so its memory does
+not grow with its length. One walker,
 the only code that records or marks nodes and edges, serves both modes:
 each branch of a run is a generator that hands its children over at a
 fork and yields while the channel of its receive is empty; in parallel
-mode it also yields at every node boundary. A scheduler on a single OS
-thread decides which branch steps next.
+mode it also yields at a node boundary when another branch is ready. A
+scheduler on a single OS thread decides which branch steps next.
 Sequential mode runs the branches one at a time in case order, so a
 receive that waits for a later branch is a deadlock. Parallel mode gives
 each step to a runnable branch drawn with a random generator seeded from
-`RunOptions.seed`, so every interleaving is reproducible from the seed,
+`RunOptions.seed` (a lone runnable branch needs no draw and keeps the
+step), so every interleaving is reproducible from the seed,
 and a run whose live branches all wait on empty channels ends as a
 deadlock. Both deadlocks are engine faults naming the blocked receive
 node. Parallel mode also notes a variable written by two branches that no
@@ -159,11 +161,14 @@ class _Program:
     """A model's routines lowered to closures (`nodes`: node id -> _Node),
     with the coverage index of every node and every distinct (source,
     target) pair they can reach: the graph's nodes and pairs first, in
-    document order, then any the routines reach outside the graph."""
+    document order, then any the routines reach outside the graph.
+    Every run starts from a copy of `bindings`, which holds every declared
+    variable undefined."""
 
-    __slots__ = ("nodes", "node_index", "edge_index")
+    __slots__ = ("nodes", "node_index", "edge_index", "bindings")
 
     def __init__(self, model: ExecutableModel):
+        self.bindings = dict.fromkeys(model.declared_variables(), UNDEFINED)
         self.node_index: dict[str, int] = {}
         self.edge_index: dict[tuple[str, str], int] = {}
         for node_id, _ in model.graph.nodes:
@@ -304,10 +309,13 @@ def _lower_step(step, node_id: str, model: ExecutableModel):
 
         def send(engine):
             bindings = engine.bindings
-            payload = {part: evaluate(bindings) for part, evaluate in parts}
+            payload = {}
+            for part, evaluate in parts:
+                payload[part] = evaluate(bindings)
             engine._channels[channel].append((msg_type, payload))
-            waiters = engine._waiting.pop(channel, None)
-            if waiters:  # they compete for the message again
+            waiting = engine._waiting
+            if channel in waiting:  # the waiters compete for the message again
+                waiters = waiting.pop(channel)
                 engine._ready.extend((branch, walker) for branch, walker, _ in waiters)
         return send
 
@@ -346,18 +354,17 @@ _ENDED = object()  # what `next` returns for a branch that has finished
 
 
 class _Barrier:
-    __slots__ = ("join_id", "expected", "parent", "_arrived")
+    """Where the children of one fork meet: `edges` are the fork edges
+    they start over, in case order; `pending` counts the children that
+    have yet to arrive at the join."""
 
-    def __init__(self, join_id: str, expected: int, parent: "_Barrier | None"):
+    __slots__ = ("join_id", "edges", "pending", "parent")
+
+    def __init__(self, join_id: str, edges, parent: "_Barrier | None"):
         self.join_id = join_id
-        self.expected = expected
+        self.edges = edges
+        self.pending = len(edges)
         self.parent = parent
-        self._arrived = 0
-
-    def arrive(self) -> bool:
-        """True exactly once, for the arrival that releases the continuation."""
-        self._arrived += 1
-        return self._arrived == self.expected
 
 
 class _Branch:
@@ -392,8 +399,9 @@ class _Engine:
         self.model = model
         self.options = options
         self.input_lists = input_lists
-        self.bindings = {name: UNDEFINED for name in model.declared_variables()}
-        self.cursors = {name: 0 for name in input_lists}
+        program = _program(model)
+        self.bindings = program.bindings.copy()
+        self.cursors = dict.fromkeys(input_lists, 0)
         if hits is None:
             self.trace = Trace()
             self._record = self.trace.records.append
@@ -405,14 +413,14 @@ class _Engine:
         self.diagnostics: list[str] = []
         self._outcome: tuple[str, str, str] | None = None
         self._parallel = options.mode == "parallel"
-        self._program = _program(model).nodes
+        self._program = program.nodes
         self._steps = 0
         self._max_steps = options.max_steps
         self._last_writer: dict[str, tuple] = {}  # variable -> path of its last writer
         self._branch: _Branch | None = None  # the branch being stepped
         self._ready: list[tuple] = []  # (branch, walker) that can step
         self._waiting: dict[str, list] = {}  # channel -> (branch, walker, receive node)
-        self._channels = {name: collections.deque() for name in model.channel_names}
+        self._channels = collections.defaultdict(collections.deque)  # channel -> messages
         self._started = time.monotonic()
         self._deadline = self._started + options.timeout_s
 
@@ -422,10 +430,10 @@ class _Engine:
         if self._outcome is None:
             self._outcome = (status, code, message)
 
-    def _tick(self):
-        steps = self._steps = self._steps + 1
-        # the clock on the first step and then every CLOCK_EVERY steps, so the
-        # step budget, not the machine's speed, ends a run that exhausts it
+    def _check_limits(self, steps: int):
+        """Called by the walker on the step that reads the clock (the first,
+        then every CLOCK_EVERY, so the step budget, not the machine's speed,
+        ends a run that exhausts it) and on every step past the budget."""
         if steps % CLOCK_EVERY == 1 and time.monotonic() > self._deadline:
             self._set_outcome("timeout", "TIMEOUT",
                               f"execution exceeded {self.options.timeout_s:g}s")
@@ -456,24 +464,26 @@ class _Engine:
 
     # --- scheduling ---
 
-    def _start(self, path: tuple, target: str, barrier: _Barrier | None,
-               entry: tuple | None) -> tuple:
-        branch = _Branch(path)
-        return branch, self._walk(target, barrier, entry, branch)
-
     def run(self):
         """Step the branches, from the entry node, until the run has an outcome."""
         parallel = self._parallel
         ready = self._ready
-        ready.append(self._start((), self.model.entry, None, None))
-        rng = None  # built when two branches first compete for a step
+        walk = self._walk
+        root = _Branch(())
+        ready.append((root, walk(self.model.entry, None, None, root)))
+        getrandbits = None  # bound when two branches first compete for a step
         try:
             while ready and self._outcome is None:
                 index = -1  # sequential: the top of the stack
-                if parallel and len(ready) > 1:
-                    if rng is None:
-                        rng = random.Random(self.options.seed)
-                    index = rng.randrange(len(ready))
+                n = len(ready)
+                if parallel and n > 1:
+                    if getrandbits is None:
+                        getrandbits = random.Random(self.options.seed).getrandbits
+                    # Random.randrange(n), inlined: the same draws, one for one
+                    k = n.bit_length()
+                    index = getrandbits(k)
+                    while index >= n:
+                        index = getrandbits(k)
                 branch, walker = ready[index]
                 self._branch = branch
                 event = next(walker, _ENDED)
@@ -482,10 +492,12 @@ class _Engine:
                 del ready[index]
                 if event is _ENDED:
                     continue
-                if type(event) is list:  # a fork: its children, in case order
-                    children = [self._start(branch.path + ((child, i),), edge.target, child, edge)
-                                for i, (edge, child) in enumerate(event)]
-                    ready.extend(reversed(children))  # the first case on top
+                if event.__class__ is _Barrier:  # a fork: its children, the first case on top
+                    path, edges = branch.path, event.edges
+                    for i in range(len(edges) - 1, -1, -1):
+                        edge = edges[i]
+                        child = _Branch(path + ((event, i),))
+                        ready.append((child, walk(edge.target, event, edge, child)))
                 else:  # a receive on an empty channel
                     node, channel = event
                     if parallel:
@@ -515,18 +527,22 @@ class _Engine:
         when it has one. Records, or marks in the campaign's hit arrays, the
         fork edge, each activated node and each edge taken, in that order.
 
-        In parallel mode, yields None after every node and its edge; in both
-        modes, yields the list of (fork edge, barrier) children at a fork
-        (and then ends), and (node, channel) while a receive waits on an
-        empty channel. Ends at a join some other branch still has to reach,
-        or once the run has an outcome. A sequential branch keeps the only
-        step until it yields, so it needs no node boundaries.
+        In parallel mode, yields None after a node and its edge when another
+        branch is ready (a send can make waiters ready in the middle of a
+        node); a lone branch keeps the step, as the scheduler would give it
+        back without a draw. In both modes, yields the barrier of the
+        children at a fork (and then ends), and (node, channel) while a
+        receive waits on an empty channel. Ends at a join some other branch
+        still has to reach, or once the run has an outcome. A sequential
+        branch keeps the only step until it yields, so it needs no node
+        boundaries.
         """
         program = self._program
         record = self._record
         node_hits, edge_hits = self._node_hits, self._edge_hits
-        tick = self._tick
+        max_steps = self._max_steps
         parallel = self._parallel
+        ready = self._ready
         if entry is not None:
             if edge_hits is None:
                 record(entry.record)
@@ -536,11 +552,14 @@ class _Engine:
             node = program[current]
             terminal = node.terminal
             if barrier is not None and current == barrier.join_id:
-                if not barrier.arrive():
-                    return  # another arrival will continue past the join
+                barrier.pending -= 1
+                if barrier.pending:
+                    return  # the last arrival will continue past the join
                 barrier, terminal = barrier.parent, None  # released: on over the join's edge
                 branch.path = branch.path[:-1]  # the fork's own branch again
-            tick()
+            steps = self._steps = self._steps + 1
+            if steps % CLOCK_EVERY == 1 or steps > max_steps:
+                self._check_limits(steps)
             if node_hits is None:
                 record(node.activated)
             else:
@@ -559,13 +578,12 @@ class _Engine:
                 else:
                     edge_hits[taken.index] = 1
                 current = taken.target
-                if parallel:
+                if parallel and len(ready) > 1:
                     yield
             elif taken is None:
                 return
             else:  # a fork
-                child = _Barrier(node.join_id, len(taken), barrier)
-                yield [(edge, child) for edge in taken]
+                yield _Barrier(node.join_id, taken, barrier)
                 return
 
 

@@ -2,25 +2,48 @@
 
 Neither BPMN nor DMN needs a DTD. Refusing any `<!DOCTYPE …>` before its
 body is read closes internal-entity expansion ("billion laughs") and
-external-DTD inputs without a third-party parser.
+external-DTD inputs without a third-party parser. A declaration can only
+come before the root element, so a first expat pass reads the prolog and
+stops at the root's start tag; the document itself is then parsed by
+ElementTree's plain C tree builder, which calls no Python per element.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from xml.parsers import expat
 
 from .errors import SchemaError
 
 
-class _NoDoctype(ET.TreeBuilder):
-    def doctype(self, name, pubid, system):
-        raise SchemaError(f"document type declarations are not accepted "
-                          f"(<!DOCTYPE {name}>)")
+class _RootReached(Exception):
+    """Internal: the prolog pass reached the root element."""
+
+
+def _doctype(name, sysid, pubid, has_internal_subset):
+    raise SchemaError(f"document type declarations are not accepted (<!DOCTYPE {name}>)")
+
+
+def _root(name, attributes):
+    raise _RootReached()
+
+
+def _refuse_doctype(data: bytes | str) -> None:
+    """Read the prolog of a document, configured as ElementTree's parser
+    is, and raise SchemaError at a document type declaration."""
+    parser = expat.ParserCreate(None, "}")
+    parser.StartDoctypeDeclHandler = _doctype
+    parser.StartElementHandler = _root
+    try:
+        parser.Parse(data, True)
+    except _RootReached:
+        pass
 
 
 def fromstring(data: bytes | str, what: str) -> ET.Element:
     """Parse one document; `what` ("BPMN", "DMN") names it in errors."""
     try:
-        return ET.fromstring(data, parser=ET.XMLParser(target=_NoDoctype()))
-    except ET.ParseError as exc:
+        _refuse_doctype(data)
+        return ET.fromstring(data)
+    except (ET.ParseError, expat.ExpatError) as exc:
         raise SchemaError(f"malformed {what} XML: {exc}") from exc

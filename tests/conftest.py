@@ -54,6 +54,16 @@ DTD_DMN = ('<definitions xmlns="https://www.omg.org/spec/DMN/20191111/MODEL/">'
            '</decisionTable></decision></definitions>')
 
 
+PROLOG_ITEMS = ["<!-- a comment -->", "<?bproc note?>", "\n<!-- c --><?pi x?>\n"]
+
+
+def after_declaration(prolog: str, document: str) -> str:
+    """`document`, which starts with an XML declaration, with `prolog` right
+    behind that declaration."""
+    head, tail = document.split("?>", 1)
+    return head + "?>" + prolog + tail
+
+
 def with_doctype(attack: str, document: str) -> str:
     """`document` (no XML declaration, a `{ref}` placeholder inside) behind a
     document type declaration: "laughs" nests ten entities ten deep, 10**9

@@ -6,7 +6,7 @@ from bproc import classify_variables, extract_graph, parse_bpmn
 from bproc.bpmn import _fix_multi_output_nodes
 from bproc.errors import RoleConflictError, SchemaError, UnsupportedElementError
 
-from conftest import DTD_BPMN, with_doctype
+from conftest import DTD_BPMN, PROLOG_ITEMS, after_declaration, with_doctype
 from oracles import incoming, outgoing
 
 HEADER = '<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL" ' \
@@ -327,6 +327,28 @@ def test_document_type_declaration_rejected(attack):
     assert parse_bpmn(DTD_BPMN.format(ref="")).name == "P"
     with pytest.raises(SchemaError, match="document type declarations are not accepted"):
         parse_bpmn(with_doctype(attack, DTD_BPMN))
+
+
+@pytest.mark.parametrize("prolog", PROLOG_ITEMS)
+def test_document_type_declaration_after_a_comment_or_instruction_rejected(prolog):
+    plain = '<?xml version="1.0"?>' + DTD_BPMN.format(ref="")
+    assert parse_bpmn(after_declaration(prolog, plain)).name == "P"
+    for attack in ("laughs", "system"):
+        with pytest.raises(SchemaError, match="document type declarations are not accepted"):
+            parse_bpmn(after_declaration(prolog, with_doctype(attack, DTD_BPMN)))
+
+
+def test_a_task_with_no_outgoing_flow_rejected():
+    xml = doc("""
+      <startEvent id="s"/><exclusiveGateway id="g" default="f_e"/><task id="t"/>
+      <endEvent id="e"/>
+      <sequenceFlow id="f1" sourceRef="s" targetRef="g"/>
+      <sequenceFlow id="f_t" sourceRef="g" targetRef="t">
+        <conditionExpression>true</conditionExpression></sequenceFlow>
+      <sequenceFlow id="f_e" sourceRef="g" targetRef="e"/>
+    """)
+    with pytest.raises(SchemaError, match="task 't' has no outgoing flow"):
+        parse_bpmn(xml)
 
 
 def test_document_level_definitions_anywhere_in_the_document(caplog):

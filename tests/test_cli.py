@@ -302,3 +302,52 @@ def test_an_expression_past_the_depth_limit_is_a_model_error(depths, command, tm
     code, _, err = run_cli(*command, "deep.bpmn", cwd=tmp_path)
     assert code == 3
     assert f"FeelSyntaxError: expression nests deeper than {MAX_DEPTH} levels (column" in err
+
+
+DEAD_END_TASK = """<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL"
+  xmlns:ext="http://x/ext"><process id="dead">
+  <startEvent id="s"><extensionElements><ext:ioMapping>
+    <ext:output source="x" target="x"/></ext:ioMapping></extensionElements></startEvent>
+  <exclusiveGateway id="g" default="f_end"/>
+  <task id="t"/>
+  <endEvent id="e"/>
+  <sequenceFlow id="f0" sourceRef="s" targetRef="g"/>
+  <sequenceFlow id="f_t" sourceRef="g" targetRef="t">
+    <conditionExpression>x &gt; 0</conditionExpression></sequenceFlow>
+  <sequenceFlow id="f_end" sourceRef="g" targetRef="e"/>
+</process></definitions>"""
+
+MODEL_COMMANDS = [("translate",), ("test", "-n", "5"), ("run",)]
+
+
+@pytest.mark.parametrize("command", MODEL_COMMANDS, ids=" ".join)
+def test_a_task_with_no_outgoing_flow_is_a_model_error(command, tmp_path):
+    (tmp_path / "dead.bpmn").write_text(DEAD_END_TASK)
+    code, _, err = run_cli(*command, "dead.bpmn", cwd=tmp_path)
+    assert (code, err.splitlines()) == \
+        (3, ["bproc: SchemaError: task 't' has no outgoing flow; "
+             "only an end event ends a path"])
+    assert not (tmp_path / "out").exists()
+
+
+def shipment_dmn_with_nots(count: int) -> str:
+    """shipment.dmn with the cell `"s"` of GetLength inside `count` not(...)."""
+    text = (FIXTURES / "shipment.dmn").read_text()
+    cell = '<dmn:text>"s"</dmn:text>'
+    assert text.count(cell) == 1
+    return text.replace(cell, f'<dmn:text>{"not(" * count}"s"{")" * count}</dmn:text>')
+
+
+@pytest.mark.parametrize("command", MODEL_COMMANDS, ids=" ".join)
+def test_a_cell_past_the_not_depth_limit_is_a_model_error(command, tmp_path):
+    (tmp_path / "at.dmn").write_text(shipment_dmn_with_nots(MAX_DEPTH))
+    (tmp_path / "past.dmn").write_text(shipment_dmn_with_nots(MAX_DEPTH + 1))
+    argv = (*command, "--seed", "3", SHIPMENT[0])
+    expected = run_cli(*argv, SHIPMENT[1], "--out", "plain", cwd=tmp_path)
+    # an even number of wrappers leaves the cell's meaning as it was
+    assert run_cli(*argv, "at.dmn", "--out", "plain", cwd=tmp_path) == expected
+    code, _, err = run_cli(*argv, "past.dmn", "--out", "past", cwd=tmp_path)
+    assert (code, err.splitlines()) == \
+        (3, [f"bproc: FeelSyntaxError: expression nests deeper than {MAX_DEPTH} levels "
+             f"(column {4 * MAX_DEPTH + 1})"])
+    assert not (tmp_path / "past").exists()

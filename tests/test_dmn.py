@@ -10,7 +10,7 @@ from bproc.errors import (AnyConflictError, NoMatchError, SchemaError,
                           UniquenessViolationError, UnsupportedHitPolicyError)
 from bproc.feel import ast
 
-from conftest import DTD_DMN, with_doctype
+from conftest import DTD_DMN, PROLOG_ITEMS, after_declaration, with_doctype
 from oracles import NO_MATCH, formula_table_outputs, random_table
 
 MINIMAL_DMN = """<?xml version="1.0"?>
@@ -236,3 +236,12 @@ def test_document_type_declaration_rejected(attack):
     assert [t.name for t in parse_dmn(DTD_DMN.format(ref=""))] == ["d"]
     with pytest.raises(SchemaError, match="document type declarations are not accepted"):
         parse_dmn(with_doctype(attack, DTD_DMN))
+
+
+@pytest.mark.parametrize("prolog", PROLOG_ITEMS)
+def test_document_type_declaration_after_a_comment_or_instruction_rejected(prolog):
+    plain = '<?xml version="1.0"?>' + DTD_DMN.format(ref="")
+    assert [t.name for t in parse_dmn(after_declaration(prolog, plain))] == ["d"]
+    for attack in ("laughs", "system"):
+        with pytest.raises(SchemaError, match="document type declarations are not accepted"):
+            parse_dmn(after_declaration(prolog, with_doctype(attack, DTD_DMN)))

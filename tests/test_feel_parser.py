@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from bproc import evaluate, parse_expr, parse_unary_test, render
 from bproc.errors import FeelSyntaxError, SchemaError
-from bproc.feel import ast, compile_expr, infer_types, render_value, synthesize
+from bproc.feel import ast, compile_expr, compile_unary, infer_types, render_value, synthesize
 from bproc.feel.ast import free_variables
 from bproc.feel.parser import MAX_DEPTH
 from bproc.feel.render import render_unary_test
@@ -312,3 +312,31 @@ def test_deep_parentheses_stop_at_the_limit_not_at_the_recursion_limit():
     with pytest.raises(FeelSyntaxError) as too_deep:
         parse_expr("(" * 10_000 + "x" + ")" * 10_000)
     assert too_deep.value.column == MAX_DEPTH + 1
+
+
+def test_not_wrappers_up_to_the_depth_limit_parse_and_walk():
+    cell = "not(" * MAX_DEPTH + "[1..5]" + ")" * MAX_DEPTH
+    test = parse_unary_test(cell)
+    assert render_unary_test(test) == cell
+    match = compile_unary(test)
+    flipped = MAX_DEPTH % 2 == 1  # an odd number of wrappers negates the range
+    assert (match(0), match(3)) == (flipped, not flipped)
+    past = "not(" * (MAX_DEPTH + 1) + "1" + ")" * (MAX_DEPTH + 1)
+    with pytest.raises(FeelSyntaxError) as too_deep:
+        parse_unary_test(past)
+    assert str(too_deep.value) == \
+        f"expression nests deeper than {MAX_DEPTH} levels (column {4 * MAX_DEPTH + 1})"
+
+
+def test_deep_not_wrappers_stop_at_the_limit_not_at_the_recursion_limit():
+    with pytest.raises(FeelSyntaxError) as too_deep:
+        parse_unary_test("not(" * 1000 + "1" + ")" * 1000)
+    assert too_deep.value.column == 4 * MAX_DEPTH + 1
+
+
+def test_a_too_deep_cell_test_is_named_by_its_column_in_the_cell():
+    # one wrapper around a disjunction, MAX_DEPTH more inside its second test
+    head = '  "a", not( 2, '
+    with pytest.raises(FeelSyntaxError) as too_deep:
+        parse_unary_test(head + "not(" * MAX_DEPTH + "1" + ")" * (MAX_DEPTH + 1))
+    assert too_deep.value.column == len(head) + 4 * (MAX_DEPTH - 1) + 1  # the last not(

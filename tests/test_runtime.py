@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import pickle
+import random
 import threading
 import tracemalloc
 import types
@@ -18,6 +19,7 @@ from bproc.runtime import (TableEvaluated, parse_summary_inputs, render_graph_fi
 from bproc.verifier import draw_input_lists
 
 from conftest import compile_fixture
+from test_pins import SEED, diamonds
 
 
 def compile_inline(body: str, prelude: str = ""):
@@ -721,6 +723,134 @@ def test_parallel_trace_record_order_is_pinned():
             digest.update(render_summary_file(summary).encode())
     assert digest.hexdigest() == \
         "5a67b72bdc96da1699e9e579fb6baf56ae524d47cf4f4d9716a061156f76d418"
+
+
+def test_parallel_diamonds_schedule_is_pinned():
+    # One digest of the trace files, summary files and variable writes of
+    # seeds 0-49, in parallel mode, on the benchmark's diamonds shape with 20
+    # diamonds: every fork races a send against a receive on its own channel,
+    # so receives wait and sends wake them. The expected value was computed
+    # while a lone branch still yielded at every node boundary and the
+    # scheduler drew with `random.Random.randrange`.
+    x = compile_model(parse_bpmn(diamonds(20, SEED)), ())
+    digest = hashlib.sha256()
+    for seed in range(50):
+        trace, summary = run_once(x, {"x": [10 + seed]}, RunOptions(mode="parallel", seed=seed))
+        assert summary.status == "success", f"seed {seed}: {summary.message}"
+        digest.update(render_trace_file(trace, x.graph).encode())
+        digest.update(render_summary_file(summary).encode())
+        digest.update(repr(trace.writes()).encode())
+    assert digest.hexdigest() == \
+        "f635364e81008f6c81e0d861a18961e2fd404d2ebe0604c29affa63311818090"
+
+
+WIDE_FORK = 64
+
+
+def _wide_fork() -> str:
+    """A fork of WIDE_FORK script tasks that meet at one join."""
+    body = ['<startEvent id="s"/><parallelGateway id="split"/><parallelGateway id="join"/>',
+            '<endEvent id="e"/><sequenceFlow id="f_s" sourceRef="s" targetRef="split"/>',
+            '<sequenceFlow id="f_e" sourceRef="join" targetRef="e"/>']
+    for i in range(WIDE_FORK):
+        body.append(f'<scriptTask id="t{i}" resultVariable="v{i}"><script>{i}</script>'
+                    f'</scriptTask><sequenceFlow id="a{i}" sourceRef="split" targetRef="t{i}"/>'
+                    f'<sequenceFlow id="b{i}" sourceRef="t{i}" targetRef="join"/>')
+    return "".join(body)
+
+
+class _Resumes:
+    """Stands in for `_Engine._walk`: counts each resume of a walker and
+    notes, when several branches are ready, how many there are and which
+    one the scheduler picked."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        self.picks = []  # (ready branches, index of the one resumed)
+        walk = runtime._Engine._walk
+        resumes = self
+
+        class Counted:
+            def __init__(self, engine, walker):
+                self.engine, self.walker = engine, walker
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                resumes.count += 1
+                ready = self.engine._ready
+                if len(ready) > 1:
+                    walkers = [walker for _, walker in ready]
+                    resumes.picks.append((len(ready), walkers.index(self)))
+                return next(self.walker)
+
+        monkeypatch.setattr(runtime._Engine, "_walk",
+                            lambda engine, *args: Counted(engine, walk(engine, *args)))
+
+
+def test_scheduler_draws_as_randrange(monkeypatch):
+    # every pick among n ready branches, n from WIDE_FORK down to 2, is the
+    # next `random.Random(seed).randrange(n)`
+    x = compile_inline(_wide_fork())
+    resumes = _Resumes(monkeypatch)
+    sizes = set()
+    for seed in range(200):
+        resumes.picks.clear()
+        _, summary = run_once(x, {}, RunOptions(mode="parallel", seed=seed))
+        assert summary.status == "success"
+        rng = random.Random(seed)
+        assert resumes.picks == [(n, rng.randrange(n)) for n, _ in resumes.picks]
+        sizes.update(n for n, _ in resumes.picks)
+    assert sizes == set(range(2, WIDE_FORK + 1))
+
+
+@pytest.mark.parametrize("name,dmns", [("shipment", ("shipment",)), ("triage", ()),
+                                       ("loop", ())])
+def test_a_lone_branch_is_resumed_once_per_run(monkeypatch, name, dmns):
+    x = compile_fixture(name, *dmns, sample_seed=42)
+    lists = {spec.name: [spec.sample] for spec in x.input_vars}
+    resumes = _Resumes(monkeypatch)
+    for seed in range(5):
+        before = resumes.count
+        _, summary = run_once(x, lists, RunOptions(mode="parallel", seed=seed, max_steps=300))
+        assert resumes.count - before == 1, summary
+
+
+READ_IF_SET = """
+  <dataObject id="d"/>
+  <dataObjectReference id="dr" name="g" dataObjectRef="d"/>
+  <startEvent id="s"/>
+  <userTask id="ask" name="ask g">
+    <dataOutputAssociation id="a1"><targetRef>dr</targetRef></dataOutputAssociation>
+  </userTask>
+  <exclusiveGateway id="gate" default="f_skip"/>
+  <scriptTask id="set" resultVariable="v"><script>1</script></scriptTask>
+  <exclusiveGateway id="merge"/>
+  <scriptTask id="read" resultVariable="w"><script>v + 1</script></scriptTask>
+  <endEvent id="e"/>
+  <sequenceFlow id="f1" sourceRef="s" targetRef="ask"/>
+  <sequenceFlow id="f2" sourceRef="ask" targetRef="gate"/>
+  <sequenceFlow id="f_set" sourceRef="gate" targetRef="set">
+    <conditionExpression>g &gt; 0</conditionExpression>
+  </sequenceFlow>
+  <sequenceFlow id="f_skip" sourceRef="gate" targetRef="merge"/>
+  <sequenceFlow id="f3" sourceRef="set" targetRef="merge"/>
+  <sequenceFlow id="f4" sourceRef="merge" targetRef="read"/>
+  <sequenceFlow id="f5" sourceRef="read" targetRef="e"/>
+"""
+
+
+@pytest.mark.parametrize("mode", ["sequential", "parallel"])
+def test_every_run_starts_with_every_variable_undefined(mode):
+    x = compile_inline(READ_IF_SET)
+    for g in (1, 0, 1, 0):  # a value written by one run never reaches the next
+        trace, summary = run_once(x, {"g": [g]}, RunOptions(mode=mode, seed=g))
+        if g:
+            assert summary.status == "success" and ("w", 2) in trace.writes()
+        else:
+            assert (summary.status, summary.message) == \
+                ("fault", "read: operation touches an undefined variable")
 
 
 # --- parallel mode against sequential mode ------------------------------------------
