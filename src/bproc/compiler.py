@@ -12,10 +12,10 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from . import dmn, feel, inputs as inputs_mod
-from .bpmn import ProcessGraph, ProcessModel, SequenceFlow, classify_variables, extract_graph
+from .bpmn import (ProcessGraph, ProcessModel, SequenceFlow, classify_variables,
+                   collector_paused, extract_graph)
 from .errors import SchemaError, UnresolvedTableError
 from .feel import ast
 from .feel.types import StaticType
@@ -123,16 +123,6 @@ class ExecutableModel:
     def input_spec(self, name: str) -> inputs_mod.InputSpec:
         return next(s for s in self.input_vars if s.name == name)
 
-    @cached_property
-    def channel_names(self) -> tuple[str, ...]:
-        """Every channel a send or receive step names, in first-seen order."""
-        names: dict[str, None] = {}
-        for routine in self.routines.values():
-            for step in routine.steps:
-                if isinstance(step, (Send, Receive)):
-                    names.setdefault(step.channel)
-        return tuple(names)
-
 
 _DISPLAY_PREFIX = {"start": "EVENT", "end_success": "EVENT", "end_error": "EVENT",
                    "exclusive_gateway": "GATEWAY", "parallel_gateway": "GATEWAY",
@@ -147,12 +137,14 @@ def _display_name(node) -> str:
     return name
 
 
+@collector_paused
 def compile_model(model: ProcessModel, tables, *, sample_seed: int = 0,
                   overrides: dict[str, list] | None = None) -> ExecutableModel:
     """Translate a validated model and its tables into the executable form.
 
     Deterministic: identical inputs (including sample_seed) give identical
-    results and byte-identical rendered source.
+    results and byte-identical rendered source. Runs with the cyclic
+    collector paused, as `parse_bpmn` does.
     """
     table_by_ref: dict[str, dmn.DecisionTable] = {}
     for table in tables:

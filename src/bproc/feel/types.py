@@ -68,23 +68,27 @@ def infer_types(exprs: Iterable[ast.FeelExpr]) -> dict[str, StaticType]:
         current = types.get(name, StaticType.UNKNOWN)
         types[name] = join(current, t, name)
 
-    def visit(expr: ast.FeelExpr):
-        cls = type(expr)
-        if cls is ast.Var:
-            types.setdefault(expr.name, StaticType.UNKNOWN)
-            return
-        if cls is ast.BinOp:
-            _note_comparison(expr, note)
-        elif cls is ast.InTest:
-            _note_membership(expr, note)
-        children = ast.CHILDREN.get(cls)
-        if children is not None:
-            for child in children(expr):
-                visit(child)
-
     for expr in exprs:
-        visit(expr)
+        _collect_types(expr, types, note)
     return types
+
+
+def _collect_types(expr: ast.FeelExpr, types: dict, note) -> None:
+    """Note the evidence of `expr` and of its parts, in source order.
+    Recursion at module level, so that a call leaves no reference cycle
+    behind."""
+    cls = type(expr)
+    if cls is ast.Var:
+        types.setdefault(expr.name, StaticType.UNKNOWN)
+        return
+    if cls is ast.BinOp:
+        _note_comparison(expr, note)
+    elif cls is ast.InTest:
+        _note_membership(expr, note)
+    children = ast.CHILDREN.get(cls)
+    if children is not None:
+        for child in children(expr):
+            _collect_types(child, types, note)
 
 
 def _constant_of(expr: ast.FeelExpr):

@@ -130,46 +130,52 @@ def facts_from_expr(expr: ast.FeelExpr, input_vars: set[str]) -> list[tuple[str,
     the far side of somebody else's comparison are not affected.
     """
     facts: list[tuple[str, _Fact]] = []
-
-    def subject_and_bound(left, right, op):
-        if isinstance(left, ast.Var) and left.name in input_vars:
-            const, ok = _constant_value(right)
-            if ok:
-                facts.append((left.name, _classify(op, const)))
-            else:
-                facts.append((left.name, _Fact("other", source=feel.render(expr))))
-            return True
-        return False
-
-    def visit(node):
-        cls = type(node)
-        if cls is ast.Var or cls is ast.Lit:
-            return
-        if cls is ast.BinOp and node.op in ("=", "!=", "<", "<=", ">", ">="):
-            handled = subject_and_bound(node.left, node.right, node.op)
-            if not handled and isinstance(node.right, ast.Var) \
-                    and node.right.name in input_vars:
-                flipped = _FLIP.get(node.op, node.op)
-                subject_and_bound(node.right, node.left, flipped)
-            return
-        if cls is ast.InTest and type(node.item) is ast.Var \
-                and node.item.name in input_vars:
-            container, ok = _constant_value(node.container)
-            if ok and isinstance(container, feel.FeelRange):
-                facts.append((node.item.name, _Fact("range", value=container)))
-            elif ok and kind_of(container) == "list":
-                for element in container:
-                    facts.append((node.item.name, _Fact("eq", value=element)))
-            else:
-                facts.append((node.item.name, _Fact("other", source=feel.render(expr))))
-            return
-        children = ast.CHILDREN.get(cls)
-        if children is not None:
-            for child in children(node):
-                visit(child)
-
-    visit(expr)
+    _collect_facts(expr, expr, input_vars, facts)
     return facts
+
+
+def _collect_facts(node, expr: ast.FeelExpr, input_vars: set[str], facts: list) -> None:
+    """Append the facts of `node`, a part of `expr`, and of its parts in
+    source order. Recursion at module level, as in `ast._collect_free`,
+    so that a call leaves no reference cycle behind."""
+    cls = type(node)
+    if cls is ast.Var or cls is ast.Lit:
+        return
+    if cls is ast.BinOp and node.op in ("=", "!=", "<", "<=", ">", ">="):
+        handled = _bound_fact(node.left, node.right, node.op, expr, input_vars, facts)
+        if not handled and isinstance(node.right, ast.Var) \
+                and node.right.name in input_vars:
+            flipped = _FLIP.get(node.op, node.op)
+            _bound_fact(node.right, node.left, flipped, expr, input_vars, facts)
+        return
+    if cls is ast.InTest and type(node.item) is ast.Var \
+            and node.item.name in input_vars:
+        container, ok = _constant_value(node.container)
+        if ok and isinstance(container, feel.FeelRange):
+            facts.append((node.item.name, _Fact("range", value=container)))
+        elif ok and kind_of(container) == "list":
+            for element in container:
+                facts.append((node.item.name, _Fact("eq", value=element)))
+        else:
+            facts.append((node.item.name, _Fact("other", source=feel.render(expr))))
+        return
+    children = ast.CHILDREN.get(cls)
+    if children is not None:
+        for child in children(node):
+            _collect_facts(child, expr, input_vars, facts)
+
+
+def _bound_fact(left, right, op: str, expr: ast.FeelExpr, input_vars: set[str],
+                facts: list) -> bool:
+    """Append the fact of `left op right` when `left` is an input variable."""
+    if isinstance(left, ast.Var) and left.name in input_vars:
+        const, ok = _constant_value(right)
+        if ok:
+            facts.append((left.name, _classify(op, const)))
+        else:
+            facts.append((left.name, _Fact("other", source=feel.render(expr))))
+        return True
+    return False
 
 
 def _classify(op: str, const) -> _Fact:

@@ -2,14 +2,16 @@
 
 On its first run, a model's routines are lowered once into a node program
 (Feeley & Lapalme, "Using Closures for Code Generation", 1987): per node,
-its plain steps as closures over the engine, a terminal closure that picks
-the edge to take, and its activation record. Every flow a branch can take
-is one `_Edge`: its target, its trace record and the coverage index of its
-(source, target) pair; every node has a coverage index too. Records are
-built once and shared by every run. Expressions inside are compiled
-closures too, and decision tables compile themselves once with their
-output entries folded. So no step is dispatched on its type while a run
-goes on.
+its plain steps as closures over the engine and a terminal closure that
+picks the edge to take. Every (source, target) pair a branch can take is
+one `_Edge`: its target and its coverage index; every node has a coverage
+index too. Lowering runs with the cyclic collector paused, as set-up does
+(`bpmn.collector_paused`). The trace records of the nodes and edges are
+built on the first run that keeps a trace, and every later run shares
+them; a model that only ever runs in campaigns without run files never
+builds them. Expressions inside are compiled closures too, and decision
+tables compile themselves once with their output entries folded. So no
+step is dispatched on its type while a run goes on.
 
 A run owns a variable store (every declared variable starts undefined),
 per-variable input cursors, FIFO message channels (each made on its first
@@ -47,7 +49,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import feel
-from .bpmn import _label_token
+from .bpmn import _label_token, collector_paused
 from .compiler import (Assign, Branch, Continue, ConsumeInput, ExecutableModel, Fork,
                        InvokeTable, JoinBarrier, Receive, Send, Terminate)
 from .errors import BprocError, ConfigError, MessageTypeMismatchError, SchemaError
@@ -122,15 +124,16 @@ class RunOptions:
 # --- lowering: each routine once per model, into closures ---------------------
 
 class _Edge:
-    """A flow a branch can take: its target node id, its trace record and
-    its coverage index."""
+    """A (source, target) pair a branch can take: the target node id, the
+    pair's coverage index and, from the first run that keeps a trace on,
+    its trace record."""
 
-    __slots__ = ("target", "record", "index")
+    __slots__ = ("target", "index", "record")
 
-    def __init__(self, target: str, record: EdgeTraversed, index: int):
+    def __init__(self, target: str, index: int):
         self.target = target
-        self.record = record
         self.index = index
+        self.record: EdgeTraversed | None = None
 
 
 class _Node:
@@ -143,15 +146,16 @@ class _Node:
     the fork's children, one `_Edge` each; a fork's children meet at
     `join_id`. A continue has no terminal function: the walker takes
     `edge`, as does an arrival that passes a barrier join. Lowering builds
-    the edges and the activation record once, shared by every run (records
-    are frozen and compared by value); only the walker records or marks
+    the edges once, shared by every run; the activation record is built on
+    the first run that keeps a trace and shared by every later one (records
+    are frozen and compared by value). Only the walker records or marks
     them. `index` is the node's coverage index.
     """
 
     __slots__ = ("activated", "index", "steps", "terminal", "edge", "join_id")
 
-    def __init__(self, node_id: str, index: int):
-        self.activated = NodeActivated(node_id)
+    def __init__(self, index: int):
+        self.activated: NodeActivated | None = None
         self.index = index
         self.steps: tuple = ()
         self.terminal = self.edge = self.join_id = None
@@ -159,53 +163,76 @@ class _Node:
 
 class _Program:
     """A model's routines lowered to closures (`nodes`: node id -> _Node),
-    with the coverage index of every node and every distinct (source,
-    target) pair they can reach: the graph's nodes and pairs first, in
-    document order, then any the routines reach outside the graph.
+    with the coverage index of every node (`node_index`) and the one
+    `_Edge` of every distinct (source, target) pair they can reach
+    (`edges`, in coverage index order): the graph's nodes and pairs first,
+    in document order, then any the routines reach outside the graph.
     Every run starts from a copy of `bindings`, which holds every declared
-    variable undefined."""
+    variable undefined. `traced` tells whether the trace records are
+    built."""
 
-    __slots__ = ("nodes", "node_index", "edge_index", "bindings")
+    __slots__ = ("nodes", "node_index", "edges", "bindings", "traced")
 
     def __init__(self, model: ExecutableModel):
         self.bindings = dict.fromkeys(model.declared_variables(), UNDEFINED)
         self.node_index: dict[str, int] = {}
-        self.edge_index: dict[tuple[str, str], int] = {}
+        self.edges: dict[tuple[str, str], _Edge] = {}
+        self.traced = False
         for node_id, _ in model.graph.nodes:
             self.node_index.setdefault(node_id, len(self.node_index))
+        edges = self.edges
         for pair in model.graph.edges:
-            self.edge_index.setdefault(pair, len(self.edge_index))
+            if pair not in edges:
+                edges[pair] = _Edge(pair[1], len(edges))
         self.nodes = {node_id: _lower(routine, model, self)
                       for node_id, routine in model.routines.items()}
 
-    def node(self, node_id: str) -> _Node:
-        return _Node(node_id, self.node_index.setdefault(node_id, len(self.node_index)))
-
     def edge(self, source: str, target: str) -> _Edge:
-        index = self.edge_index.setdefault((source, target), len(self.edge_index))
-        return _Edge(target, EdgeTraversed(source, target), index)
+        edge = self.edges.get((source, target))
+        if edge is None:
+            edge = self.edges[source, target] = _Edge(target, len(self.edges))
+        return edge
+
+    def build_records(self):
+        """Give every node its activation record and every edge its
+        traversal record: on the first run that keeps a trace, for it and
+        every later run to share."""
+        for node_id, node in self.nodes.items():
+            node.activated = NodeActivated(node_id)
+        for (source, target), edge in self.edges.items():
+            edge.record = EdgeTraversed(source, target)
+        self.traced = True
 
 
 def _program(model: ExecutableModel) -> _Program:
-    """The model's lowered program; built on the first run."""
+    """The model's lowered program; built on the first run, with the
+    cyclic collector paused."""
     program = model.program
     if program is None:
-        program = model.program = _Program(model)
+        program = model.program = _lowered(model)
     return program
+
+
+@collector_paused
+def _lowered(model: ExecutableModel) -> _Program:
+    return _Program(model)
 
 
 def _lower(routine, model: ExecutableModel, program: _Program) -> _Node:
     node_id = routine.id
-    node = program.node(node_id)
+    node_index = program.node_index
+    node = _Node(node_index.setdefault(node_id, len(node_index)))
     steps = []
     for step in routine.steps:
-        if isinstance(step, Continue):
+        cls = step.__class__
+        if cls is Continue:
             node.edge = program.edge(node_id, step.target)
             break
-        if isinstance(step, (Terminate, Branch, Fork, JoinBarrier)):
-            node.terminal = _lower_terminal(step, node_id, node, program)
+        lower_terminal = _LOWER_TERMINAL.get(cls)
+        if lower_terminal is not None:
+            node.terminal = lower_terminal(step, node_id, node, program)
             break
-        steps.append(_lower_step(step, node_id, model))
+        steps.append(_LOWER_STEP.get(cls, _lower_unexpected)(step, node_id, model))
     else:
         node.terminal = _fault(f"routine {node_id!r} fell through without a terminal step")
     node.steps = tuple(steps)
@@ -218,130 +245,150 @@ def _fault(message: str):
     return fault
 
 
-def _lower_terminal(step, node_id: str, node: _Node, program: _Program):
-    if isinstance(step, Terminate):
-        outcome = ("success" if step.status == "success" else "error", step.code, step.message)
-        return lambda engine: engine._set_outcome(*outcome)
+# --- terminal steps: each returns the node's terminal function ---
 
-    if isinstance(step, Branch):
-        cases = tuple((feel.compile_expr(condition), program.edge(node_id, target))
-                      for condition, target in step.cases)
-        default = None if step.default is None else program.edge(node_id, step.default)
+def _lower_terminate(step: Terminate, node_id: str, node: _Node, program: _Program):
+    outcome = ("success" if step.status == "success" else "error", step.code, step.message)
+    return lambda engine: engine._set_outcome(*outcome)
 
-        def branch(engine):
-            bindings = engine.bindings
-            for condition, edge in cases:
-                verdict = condition(bindings)
-                if verdict is True:
-                    return edge
-                if verdict is not False:
-                    raise BprocError("condition is not boolean")
-            if default is None:
-                engine._set_outcome("error", "UNHANDLED_CONDITION", "unhandled condition")
-            return default
-        return branch
 
-    if isinstance(step, Fork):
-        node.join_id = step.join_id
-        children = tuple(program.edge(node_id, target) for target in step.targets)
-        if step.conditions is None:
-            return lambda engine: children
-        guarded = tuple(zip(map(feel.compile_expr, step.conditions), children))
+def _lower_branch(step: Branch, node_id: str, node: _Node, program: _Program):
+    cases = tuple((feel.compile_expr(condition), program.edge(node_id, target))
+                  for condition, target in step.cases)
+    default = None if step.default is None else program.edge(node_id, step.default)
 
-        def inclusive_fork(engine):
-            bindings = engine.bindings
-            selected = []
-            for condition, child in guarded:
-                verdict = condition(bindings)
-                if not isinstance(verdict, bool):
-                    raise BprocError(f"inclusive condition is not boolean: {verdict!r}")
-                if verdict:
-                    selected.append(child)
-            if not selected:
-                raise BprocError("no inclusive gateway condition holds (unhandled condition)")
-            return selected
-        return inclusive_fork
+    def branch(engine):
+        bindings = engine.bindings
+        for condition, edge in cases:
+            verdict = condition(bindings)
+            if verdict is True:
+                return edge
+            if verdict is not False:
+                raise BprocError("condition is not boolean")
+        if default is None:
+            engine._set_outcome("error", "UNHANDLED_CONDITION", "unhandled condition")
+        return default
+    return branch
 
-    # a join barrier: arrivals from its fork continue past it over `edge` (see _Engine._walk)
+
+def _lower_fork(step: Fork, node_id: str, node: _Node, program: _Program):
+    node.join_id = step.join_id
+    children = tuple(program.edge(node_id, target) for target in step.targets)
+    if step.conditions is None:
+        return lambda engine: children
+    guarded = tuple(zip(map(feel.compile_expr, step.conditions), children))
+
+    def inclusive_fork(engine):
+        bindings = engine.bindings
+        selected = []
+        for condition, child in guarded:
+            verdict = condition(bindings)
+            if not isinstance(verdict, bool):
+                raise BprocError(f"inclusive condition is not boolean: {verdict!r}")
+            if verdict:
+                selected.append(child)
+        if not selected:
+            raise BprocError("no inclusive gateway condition holds (unhandled condition)")
+        return selected
+    return inclusive_fork
+
+
+def _lower_join(step: JoinBarrier, node_id: str, node: _Node, program: _Program):
+    # arrivals from its fork continue past it over `edge` (see _Engine._walk)
     node.edge = program.edge(node_id, step.next)
     return _fault(f"join {node_id!r} reached outside its fork")
 
 
-def _lower_step(step, node_id: str, model: ExecutableModel):
-    if isinstance(step, ConsumeInput):
-        var = step.var
+_LOWER_TERMINAL = {Terminate: _lower_terminate, Branch: _lower_branch, Fork: _lower_fork,
+                   JoinBarrier: _lower_join}
 
-        def consume(engine):
-            values = engine.input_lists[var]
-            cursors = engine.cursors
-            j = cursors[var]
-            cursors[var] = min(j + 1, len(values))
-            engine._write(var, values[min(j, len(values) - 1)])
-        return consume
 
-    if isinstance(step, Assign):
-        var, evaluate = step.var, feel.compile_expr(step.expr)
-        return lambda engine: engine._write(var, evaluate(engine.bindings))
+# --- plain steps: each returns a function of the engine ---
 
-    if isinstance(step, InvokeTable):
-        table = model.tables[step.table_ref]
-        by_label = dict(step.arg_bindings)
-        missing = [label for label, _ in table.inputs if label not in by_label]
-        if missing:
-            message = f"table {table.id!r} called without arguments {missing}"
+def _lower_consume(step: ConsumeInput, node_id: str, model: ExecutableModel):
+    var = step.var
 
-            def unbound(engine):
-                raise SchemaError(message)
-            return unbound
-        # the arguments in input-column order, as the compiled table takes them
-        args = tuple(feel.compile_expr(by_label[label]) for label, _ in table.inputs)
-        evaluator, out_bindings = table.evaluator, step.out_bindings
+    def consume(engine):
+        values = engine.input_lists[var]
+        cursors = engine.cursors
+        j = cursors[var]
+        cursors[var] = min(j + 1, len(values))
+        engine._write(var, values[min(j, len(values) - 1)])
+    return consume
 
-        def invoke(engine):
-            bindings = engine.bindings
-            engine._write_outputs(table.id, evaluator([arg(bindings) for arg in args]),
-                                  out_bindings)
-        return invoke
 
-    if isinstance(step, Send):
-        channel, msg_type = step.channel, step.msg_type
-        parts = tuple((part, feel.compile_expr(expr)) for part, expr in step.parts)
+def _lower_assign(step: Assign, node_id: str, model: ExecutableModel):
+    var, evaluate = step.var, feel.compile_expr(step.expr)
+    return lambda engine: engine._write(var, evaluate(engine.bindings))
 
-        def send(engine):
-            bindings = engine.bindings
-            payload = {}
-            for part, evaluate in parts:
-                payload[part] = evaluate(bindings)
-            engine._channels[channel].append((msg_type, payload))
-            waiting = engine._waiting
-            if channel in waiting:  # the waiters compete for the message again
-                waiters = waiting.pop(channel)
-                engine._ready.extend((branch, walker) for branch, walker, _ in waiters)
-        return send
 
-    if isinstance(step, Receive):
-        channel, expected, targets = step.channel, step.msg_type, step.targets
-        blocked = (node_id, channel)
+def _lower_invoke(step: InvokeTable, node_id: str, model: ExecutableModel):
+    table = model.tables[step.table_ref]
+    by_label = dict(step.arg_bindings)
+    missing = [label for label, _ in table.inputs if label not in by_label]
+    if missing:
+        message = f"table {table.id!r} called without arguments {missing}"
 
-        def receive(engine):
-            queue = engine._channels[channel]
-            if not queue:
-                return blocked
-            msg_type, payload = queue.popleft()
-            if msg_type != expected:
+        def unbound(engine):
+            raise SchemaError(message)
+        return unbound
+    # the arguments in input-column order, as the compiled table takes them
+    args = tuple(feel.compile_expr(by_label[label]) for label, _ in table.inputs)
+    evaluator, out_bindings = table.evaluator, step.out_bindings
+
+    def invoke(engine):
+        bindings = engine.bindings
+        engine._write_outputs(table.id, evaluator([arg(bindings) for arg in args]),
+                              out_bindings)
+    return invoke
+
+
+def _lower_send(step: Send, node_id: str, model: ExecutableModel):
+    channel, msg_type = step.channel, step.msg_type
+    parts = tuple((part, feel.compile_expr(expr)) for part, expr in step.parts)
+
+    def send(engine):
+        bindings = engine.bindings
+        payload = {}
+        for part, evaluate in parts:
+            payload[part] = evaluate(bindings)
+        engine._channels[channel].append((msg_type, payload))
+        waiting = engine._waiting
+        if channel in waiting:  # the waiters compete for the message again
+            waiters = waiting.pop(channel)
+            engine._ready.extend((branch, walker) for branch, walker, _ in waiters)
+    return send
+
+
+def _lower_receive(step: Receive, node_id: str, model: ExecutableModel):
+    channel, expected, targets = step.channel, step.msg_type, step.targets
+    blocked = (node_id, channel)
+
+    def receive(engine):
+        queue = engine._channels[channel]
+        if not queue:
+            return blocked
+        msg_type, payload = queue.popleft()
+        if msg_type != expected:
+            raise MessageTypeMismatchError(
+                f"receive {node_id!r} expected message type {expected!r}, "
+                f"got {msg_type!r}")
+        for part, var in targets:
+            if part not in payload:
                 raise MessageTypeMismatchError(
-                    f"receive {node_id!r} expected message type {expected!r}, "
-                    f"got {msg_type!r}")
-            for part, var in targets:
-                if part not in payload:
-                    raise MessageTypeMismatchError(
-                        f"message on channel {channel!r} has no part {part!r}")
-                engine._write(var, payload[part])
-        return receive
+                    f"message on channel {channel!r} has no part {part!r}")
+            engine._write(var, payload[part])
+    return receive
 
+
+def _lower_unexpected(step, node_id: str, model: ExecutableModel):
     def unexpected(engine):
         raise ConfigError(f"unexpected step {step!r}")
     return unexpected
+
+
+_LOWER_STEP = {ConsumeInput: _lower_consume, Assign: _lower_assign,
+               InvokeTable: _lower_invoke, Send: _lower_send, Receive: _lower_receive}
 
 
 # --- execution ------------------------------------------------------------------
@@ -403,6 +450,8 @@ class _Engine:
         self.bindings = program.bindings.copy()
         self.cursors = dict.fromkeys(input_lists, 0)
         if hits is None:
+            if not program.traced:
+                program.build_records()
             self.trace = Trace()
             self._record = self.trace.records.append
             self._node_hits = self._edge_hits = None
@@ -610,21 +659,21 @@ class CoverageHits:
 
     def __init__(self, model: ExecutableModel):
         program = _program(model)
-        self._node_index, self._edge_index = program.node_index, program.edge_index
+        self._node_index, self._edges = program.node_index, program.edges
         self.node_ids = tuple(program.node_index)
-        self.edge_pairs = tuple(program.edge_index)
+        self.edge_pairs = tuple(program.edges)
         self.nodes = bytearray(len(self.node_ids))
         self.edges = bytearray(len(self.edge_pairs))
 
     def fold(self, trace: Trace):
         """Mark the nodes and edges of a trace that holds only those."""
-        node_index, edge_index = self._node_index, self._edge_index
+        node_index, edge_of = self._node_index, self._edges
         nodes, edges = self.nodes, self.edges
         for record in trace.records:
             if record.__class__ is NodeActivated:
                 nodes[node_index[record.node]] = 1
             else:
-                edges[edge_index[record.source, record.target]] = 1
+                edges[edge_of[record.source, record.target].index] = 1
 
 
 def run_covering(model: ExecutableModel, input_lists: dict[str, list], options: RunOptions,

@@ -1,0 +1,152 @@
+"""Setting a model up: the cyclic collector is paused while a model is
+parsed, compiled and lowered, and restored afterwards; setting up leaves
+no cyclic garbage behind; and the trace records are built on the first
+run that keeps a trace, never by a campaign without run files."""
+
+from __future__ import annotations
+
+import functools
+import gc
+
+import pytest
+
+import oracles
+from bproc import (CampaignConfig, FixedBudget, RunOptions, compile_model, parse_bpmn,
+                   parse_dmn, run_campaign, run_once, runtime)
+from bproc.errors import SchemaError
+from bproc.runtime import EdgeTraversed, NodeActivated
+
+from conftest import FIXTURES
+from test_pins import diamonds
+
+NO_JOIN = ('<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL">'
+           '<process id="p"><startEvent id="s"/><parallelGateway id="g"/>'
+           '<endEvent id="e1"/><endEvent id="e2"/>'
+           '<sequenceFlow id="f0" sourceRef="s" targetRef="g"/>'
+           '<sequenceFlow id="f1" sourceRef="g" targetRef="e1"/>'
+           '<sequenceFlow id="f2" sourceRef="g" targetRef="e2"/></process></definitions>')
+
+
+@pytest.fixture
+def collector():
+    """Enable the collector for the test; restore its state and thresholds after it."""
+    enabled, thresholds = gc.isenabled(), gc.get_threshold()
+    gc.enable()
+    yield
+    gc.set_threshold(*thresholds)
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_no_collection_starts_while_a_model_is_set_up(collector):
+    xml = diamonds(50, 1)
+    stage, started = [None], []
+
+    def on_collect(phase, info):
+        if phase == "start" and stage[0] is not None:
+            started.append((stage[0], info["generation"]))
+
+    def during(name, call):
+        gc.collect()  # so the call's own few allocations cannot reach the threshold
+        stage[0] = name
+        try:
+            return call()
+        finally:
+            stage[0] = None
+
+    gc.set_threshold(100, 10, 10)  # without the pause, set-up collects many times
+    gc.callbacks.append(on_collect)
+    try:
+        model = during("parse", lambda: parse_bpmn(xml))
+        x = during("compile", lambda: compile_model(model, ()))
+        during("lowering", lambda: runtime._program(x))
+    finally:
+        gc.callbacks.remove(on_collect)
+    assert started == []
+
+
+def _stages():
+    """Each set-up stage on a valid model, and each raising SchemaError."""
+    model = parse_bpmn(diamonds(5, 1))
+    return {
+        "parse": lambda: parse_bpmn(diamonds(5, 1)),
+        "compile": lambda: compile_model(model, ()),
+        "lowering": lambda: runtime._program(compile_model(model, ())),
+        "parse_error": lambda: parse_bpmn("<definitions/>"),
+        "compile_error": lambda: compile_model(parse_bpmn(NO_JOIN), ()),
+    }
+
+
+@pytest.mark.parametrize("enabled", (True, False), ids=("enabled", "disabled"))
+@pytest.mark.parametrize("stage", ("parse", "compile", "lowering", "parse_error",
+                                   "compile_error"))
+def test_set_up_restores_the_collector_state(stage, enabled, collector):
+    call = _stages()[stage]
+    (gc.enable if enabled else gc.disable)()
+    if stage.endswith("_error"):
+        with pytest.raises(SchemaError):
+            call()
+    else:
+        call()
+    assert gc.isenabled() is enabled
+
+
+def test_set_up_leaves_no_cyclic_garbage(collector):
+    gc.collect()
+    gc.disable()
+    model = parse_bpmn((FIXTURES / "shipment.bpmn").read_bytes())
+    shipment = compile_model(model, parse_dmn((FIXTURES / "shipment.dmn").read_bytes()))
+    generated = compile_model(parse_bpmn(diamonds(50, 1)), ())
+    for x in (shipment, generated):
+        runtime._program(x)
+    assert gc.collect() == 0
+
+
+def _count_records(monkeypatch) -> list:
+    """Log the class of every NodeActivated and EdgeTraversed built from now on."""
+    built = []
+    for name in ("NodeActivated", "EdgeTraversed"):
+        monkeypatch.setattr(runtime, name, functools.partial(
+            lambda cls, *args: built.append(cls) or cls(*args), getattr(runtime, name)))
+    return built
+
+
+def test_campaign_without_run_files_builds_no_trace_records(monkeypatch):
+    built = _count_records(monkeypatch)
+    x = compile_model(parse_bpmn(diamonds(50, 1)), ())
+    verdict = run_campaign(x, CampaignConfig(mode=FixedBudget(n=12), seed=4))
+    assert verdict.coverage.runs_executed == 12
+    assert built == []
+
+
+def test_first_traced_run_builds_each_record_once(monkeypatch):
+    built = _count_records(monkeypatch)
+    x = compile_model(parse_bpmn(diamonds(50, 1)), ())
+    run_campaign(x, CampaignConfig(mode=FixedBudget(n=3), seed=4))
+    program = runtime._program(x)
+    options = RunOptions(mode="sequential")
+    first, _ = run_once(x, {"x": [50]}, options)
+    assert len(built) == len(program.nodes) + len(program.edges)
+    assert set(built) == {NodeActivated, EdgeTraversed}
+    second, _ = run_once(x, {"x": [50]}, RunOptions(seed=9))
+    again, _ = run_once(x, {"x": [50]}, options)
+    assert len(built) == len(program.nodes) + len(program.edges)  # none built again
+    first, again, second = (_flow_records(trace) for trace in (first, again, second))
+    assert len(first) == (4 + 5) * 50 + 5  # 4 nodes and 5 edges a diamond
+    assert all(a is b for a, b in zip(first, again, strict=True))
+    assert {id(record) for record in second} == {id(record) for record in first}
+
+
+def _flow_records(trace) -> list:
+    return [r for r in trace.records if r.__class__ in (NodeActivated, EdgeTraversed)]
+
+
+@pytest.mark.parametrize("sequential", (True, False), ids=("sequential", "parallel"))
+def test_first_campaign_with_run_files_writes_run_once_traces(sequential, tmp_path):
+    cfg = CampaignConfig(mode=FixedBudget(n=12), seed=4, sequential=sequential)
+    got, want = tmp_path / "campaign", tmp_path / "run_once"
+    run_campaign(compile_model(parse_bpmn(diamonds(50, 1)), ()), cfg, out_dir=str(got))
+    oracles.reference_campaign(compile_model(parse_bpmn(diamonds(50, 1)), ()), cfg,
+                               out_dir=str(want))
+    files = {p.name: p.read_bytes() for p in (got / "runs").iterdir()}
+    assert len(files) == 24
+    assert files == {p.name: p.read_bytes() for p in (want / "runs").iterdir()}
