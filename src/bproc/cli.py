@@ -173,7 +173,7 @@ def _dispatch(args) -> int:
         lists = {spec.name: [spec.sample] for spec in executable.input_vars}
         options = runtime.RunOptions(
             mode="sequential" if args.sequential else "parallel",
-            timeout_s=args.timeout_ms / 1000.0,
+            timeout_s=_timeout_s(args.timeout_ms),
             seed=seed)
         trace, summary = runtime.run_once(executable, lists, options)
         paths = runtime.write_artifacts(trace, summary, executable.graph, out_dir,
@@ -198,7 +198,7 @@ def _dispatch(args) -> int:
     else:
         mode = verifier.Smc(args.epsilon, args.delta, args.property,
                             args.theta_nodes, args.theta_edges, args.combiner)
-    cfg = verifier.CampaignConfig(mode=mode, timeout_s=args.timeout_ms / 1000.0,
+    cfg = verifier.CampaignConfig(mode=mode, timeout_s=_timeout_s(args.timeout_ms),
                                   seed=seed, sequential=args.sequential)
     os.makedirs(out_dir, exist_ok=True)
     _write(os.path.join(out_dir, f"{model.process_id}.graph"),
@@ -207,6 +207,14 @@ def _dispatch(args) -> int:
     print(f"{verdict.result}: {verdict.reason}")
     print(os.path.join(out_dir, "verdict.json"))
     return EXIT_OK if verdict.result == "PASS" else EXIT_FAIL
+
+
+def _timeout_s(timeout_ms: int) -> float:
+    try:
+        return timeout_ms / 1000.0
+    except OverflowError:  # more digits than a float holds
+        raise ConfigError("the timeout must be positive" if timeout_ms < 0
+                          else "the timeout is too large") from None
 
 
 def _write(path: str, content: str) -> None:

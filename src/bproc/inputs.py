@@ -11,6 +11,7 @@ A domain is one of:
 
 from __future__ import annotations
 
+import io
 import math
 import random
 import sys
@@ -366,11 +367,24 @@ def write_inputs_file(path, specs: list[InputSpec], overrides: dict[str, list] |
         fh.write("\n".join(lines) + "\n")
 
 
+def _utf8_lines(path) -> io.StringIO:
+    """The file's text, split into lines as a text file is; bytes that are
+    not UTF-8 are an InputsParseError at their line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputsParseError(f"the file is not UTF-8: {exc.reason} at byte {exc.start}",
+                               data.count(b"\n", 0, exc.start) + 1) from None
+    return io.StringIO(text, newline=None)
+
+
 def parse_inputs_file(path) -> InputsFile:
     """Exact inverse of write_inputs_file; hand-edited samples are validated
     against their domain."""
     result = InputsFile()
-    with open(path, encoding="utf-8") as fh:
+    with _utf8_lines(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

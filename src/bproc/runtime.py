@@ -15,11 +15,13 @@ step is dispatched on its type while a run goes on.
 
 A run owns a variable store (every declared variable starts undefined),
 per-variable input cursors, FIFO message channels (each made on its first
-use) and a trace. A campaign run (`run_covering`) keeps no trace: it
-marks the index of each node and edge it reaches in the campaign's
-`CoverageHits`, and builds no write or table record, so its memory does
-not grow with its length. One walker,
-the only code that records or marks nodes and edges, serves both modes:
+use) and a trace. A campaign run without run files (`run_covering`)
+builds no trace and no record: it marks each node and edge it reaches in
+the campaign's `CoverageHits`, so its memory does not grow with its
+length. A campaign with run files runs each run as `run_once` does, folds
+that trace into its hits and writes the trace file TRACE_CHUNK_LINES lines
+at a time. One walker, the only code that records or marks nodes and
+edges, serves both modes:
 each branch of a run is a generator that hands its children over at a
 fork and yields while the channel of its receive is empty; in parallel
 mode it also yields at a node boundary when another branch is ready. A
@@ -47,6 +49,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import feel
 from .bpmn import _label_token, collector_paused
@@ -58,6 +61,7 @@ from .feel.values import UNDEFINED
 DEFAULT_TIMEOUT_S = 5.0
 DEFAULT_MAX_STEPS = 1_000_000
 CLOCK_EVERY = 1024  # steps between two reads of the wall clock
+TRACE_CHUNK_LINES = 8192  # trace file lines rendered and written at a time
 
 
 # --- trace records ----------------------------------------------------------
@@ -437,12 +441,12 @@ def _concurrent(a: tuple, b: tuple) -> bool:
 
 class _Engine:
     """One run. Without `hits` it keeps a trace: every node and edge
-    record, and with `keep_values` every variable write and table result
-    too. With a CoverageHits it keeps no trace and marks each node and
-    edge the run reaches in the campaign's hit arrays instead."""
+    record, variable write and table result. With a CoverageHits it keeps
+    no trace and marks each node and edge the run reaches in the
+    campaign's hit arrays instead."""
 
     def __init__(self, model: ExecutableModel, input_lists: dict, options: RunOptions,
-                 hits: CoverageHits | None = None, keep_values: bool = True):
+                 hits: CoverageHits | None = None):
         self.model = model
         self.options = options
         self.input_lists = input_lists
@@ -458,7 +462,6 @@ class _Engine:
         else:
             self.trace = self._record = None
             self._node_hits, self._edge_hits = hits.nodes, hits.edges
-        self._keep_values = keep_values and hits is None
         self.diagnostics: list[str] = []
         self._outcome: tuple[str, str, str] | None = None
         self._parallel = options.mode == "parallel"
@@ -493,14 +496,14 @@ class _Engine:
             raise _Aborted()
 
     def _write_outputs(self, table_id: str, outputs: dict, out_bindings: tuple):
-        if self._keep_values:
+        if self._record is not None:
             self._record(TableEvaluated(table_id, tuple(sorted(outputs.items()))))
         for out_name, var in out_bindings:
             self._write(var, outputs[out_name])
 
     def _write(self, name: str, value):
         self.bindings[name] = value
-        if self._keep_values:
+        if self._record is not None:
             self._record(VarWritten(name, value))
         if self._parallel:
             path = self._branch.path
@@ -666,31 +669,26 @@ class CoverageHits:
         self.edges = bytearray(len(self.edge_pairs))
 
     def fold(self, trace: Trace):
-        """Mark the nodes and edges of a trace that holds only those."""
+        """Mark the nodes and edges of a `run_once` trace; skip its writes."""
         node_index, edge_of = self._node_index, self._edges
         nodes, edges = self.nodes, self.edges
         for record in trace.records:
             if record.__class__ is NodeActivated:
                 nodes[node_index[record.node]] = 1
-            else:
+            elif record.__class__ is EdgeTraversed:
                 edges[edge_of[record.source, record.target].index] = 1
 
 
 def run_covering(model: ExecutableModel, input_lists: dict[str, list], options: RunOptions,
-                 hits: CoverageHits, keep_trace: bool = False) -> tuple[Trace | None, RunSummary]:
-    """Execute the model once as run_once does, for a campaign: mark the
-    nodes and edges the run reaches in `hits`. No trace is built unless
-    `keep_trace`; then the trace holds the node and edge records only
-    (what a trace file shows) and is returned after it was folded in."""
-    if not keep_trace:
-        return None, _execute(model, input_lists, options, hits)[1]
-    engine, summary = _execute(model, input_lists, options, keep_values=False)
-    hits.fold(engine.trace)
-    return engine.trace, summary
+                 hits: CoverageHits) -> RunSummary:
+    """Execute the model once as run_once does, for a campaign without run
+    files: mark the nodes and edges the run reaches in `hits` and build no
+    trace."""
+    return _execute(model, input_lists, options, hits)[1]
 
 
 def _execute(model: ExecutableModel, input_lists: dict[str, list], options: RunOptions,
-             hits: CoverageHits | None = None, keep_values: bool = True):
+             hits: CoverageHits | None = None):
     if options.mode not in ("parallel", "sequential"):
         raise ConfigError(f"unknown mode {options.mode!r}")
     if not options.timeout_s > 0:
@@ -700,7 +698,7 @@ def _execute(model: ExecutableModel, input_lists: dict[str, list], options: RunO
     if missing:
         raise ConfigError(f"no input values supplied for {missing}")
 
-    engine = _Engine(model, input_lists, options, hits, keep_values)
+    engine = _Engine(model, input_lists, options, hits)
     engine.run()
 
     status, code, message = engine._outcome
@@ -722,15 +720,24 @@ def render_graph_file(graph) -> str:
 
 def render_trace_file(trace: Trace, graph) -> str:
     """Same line syntax as the graph file, in activation order."""
+    return "".join(_trace_chunks(trace, graph))
+
+
+def _trace_chunks(trace: Trace, graph):
+    """The trace file's text, TRACE_CHUNK_LINES lines at a time."""
+    lines = _trace_lines(trace, graph)
+    while chunk := list(islice(lines, TRACE_CHUNK_LINES)):
+        yield "\n".join(chunk) + "\n"
+
+
+def _trace_lines(trace: Trace, graph):
     node_lines = graph.node_lines
-    lines = []
     for record in trace.records:
         if isinstance(record, NodeActivated):
             node_id = record.node
-            lines.append(node_lines.get(node_id) or f"node {node_id} {_label_token('', node_id)}")
+            yield node_lines.get(node_id) or f"node {node_id} {_label_token('', node_id)}"
         elif isinstance(record, EdgeTraversed):
-            lines.append(f"edge {record.source} {record.target}")
-    return "\n".join(lines) + ("\n" if lines else "")
+            yield f"edge {record.source} {record.target}"
 
 
 def render_summary_file(summary: RunSummary) -> str:
@@ -745,13 +752,14 @@ def render_summary_file(summary: RunSummary) -> str:
 def write_artifacts(trace: Trace, summary: RunSummary, graph, out_dir,
                     stem: str, include_graph: bool = True) -> dict[str, str]:
     """Write the graph, trace and summary files under out_dir, making the
-    directories they need."""
-    contents = [(".trace", render_trace_file(trace, graph)),
-                (".out", render_summary_file(summary))]
+    directories they need. The trace is written a chunk at a time, so its
+    whole text is never held at once."""
+    files = [(".trace", _trace_chunks(trace, graph)),
+             (".out", (render_summary_file(summary),))]
     if include_graph:
-        contents.insert(0, (".graph", render_graph_file(graph)))
+        files.insert(0, (".graph", (render_graph_file(graph),)))
     paths = {}
-    for suffix, content in contents:
+    for suffix, chunks in files:
         path = os.path.join(out_dir, stem + suffix)
         try:
             fh = open(path, "w", encoding="utf-8")
@@ -759,7 +767,7 @@ def write_artifacts(trace: Trace, summary: RunSummary, graph, out_dir,
             os.makedirs(os.path.dirname(path), exist_ok=True)
             fh = open(path, "w", encoding="utf-8")
         with fh:
-            fh.write(content)
+            fh.writelines(chunks)
         paths[suffix] = path
     return paths
 

@@ -11,9 +11,9 @@ A campaign runs its runs in index order on one thread. Run k is a function
 of (seed, k), so a verdict is reproducible from the configuration. Runs
 build no trace: each marks the nodes and edges it reaches in one
 campaign-wide pair of hit arrays (runtime.CoverageHits), whose counts the
-stopping rules read. Only a campaign that writes run files keeps each
-run's node and edge records, for its trace file, and folds them into the
-same arrays.
+stopping rules read. A campaign that writes run files runs each run as
+runtime.run_once does instead, writes its trace in chunks, in the formats
+of `bproc run`, and folds it into the same arrays.
 """
 
 from __future__ import annotations
@@ -130,8 +130,8 @@ class CampaignConfig:
         mode = self.mode
         if isinstance(mode, (FixedBudget, ErrorSeek)) and mode.n < 1:
             raise ConfigError("the run budget n must be at least 1")
-        if isinstance(mode, Smc) and not (0 < mode.epsilon < 1 and 0 < mode.delta < 1):
-            raise ConfigError("epsilon and delta must lie in (0, 1)")
+        if isinstance(mode, Smc):
+            _check_smc_parameters(mode.epsilon, mode.delta)
         if not self.timeout_s > 0:
             raise ConfigError("the timeout must be positive")
         if isinstance(mode, (FixedBudget, Smc)):
@@ -164,12 +164,18 @@ class Verdict:
         }, indent=2) + "\n"
 
 
+def _check_smc_parameters(epsilon: float, delta: float):
+    if not (0 < epsilon < 1 and 0 < delta < 1):
+        raise ConfigError("epsilon and delta must lie in (0, 1)")
+    if 1.0 - epsilon == 1.0:  # no number of runs would ever be enough
+        raise ConfigError(f"epsilon {epsilon!r} is too small: 1 - epsilon rounds to 1")
+
+
 def smc_sample_size(epsilon: float, delta: float) -> int:
     """Smallest N with (1 - epsilon)^N <= delta: if a violating run has
     probability at least epsilon, N clean runs occur with probability at
     most delta."""
-    if not (0 < epsilon < 1 and 0 < delta < 1):
-        raise ConfigError("epsilon and delta must lie in (0, 1)")
+    _check_smc_parameters(epsilon, delta)
     n = max(1, math.ceil(math.log(delta) / math.log(1.0 - epsilon)))
     while (1.0 - epsilon) ** n > delta:  # guard against float rounding at the edge
         n += 1
@@ -256,17 +262,19 @@ def run_campaign(model: ExecutableModel, cfg: CampaignConfig,
         options = runtime.RunOptions(
             mode="sequential" if cfg.sequential else "parallel",
             timeout_s=cfg.timeout_s, seed=run_rng.getrandbits(64))
-        trace, summary = runtime.run_covering(model, lists, options, hits,
-                                              keep_trace=out_dir is not None)
+        if out_dir is None:
+            summary = runtime.run_covering(model, lists, options, hits)
+        else:
+            trace, summary = runtime.run_once(model, lists, options)
+            hits.fold(trace)
+            runtime.write_artifacts(trace, summary, graph, out_dir,
+                                    stem=os.path.join("runs", f"run_{index}"),
+                                    include_graph=False)
         grown = (hits.nodes.count(1), hits.edges.count(1))
         if grown != counts:  # also where a node or edge outside the graph shows
             counts = grown
             report = _hits_report(hits, graph, index + 1)
         durations_ms.append(summary.elapsed_s * 1000.0)
-        if out_dir is not None:
-            runtime.write_artifacts(trace, summary, graph, out_dir,
-                                    stem=os.path.join("runs", f"run_{index}"),
-                                    include_graph=False)
         if isinstance(mode, FixedBudget):
             stop = _meaningful_thresholds(mode) and _thresholds_hold(mode, report)
         elif smc_coverage:  # crossing the thresholds refutes the claim

@@ -114,6 +114,19 @@ def test_inputs_file_must_cover_every_input(tmp_path):
     assert "pWeight" in err
 
 
+def test_inputs_file_that_is_not_utf8_is_a_model_error(tmp_path):
+    inputs = tmp_path / "latin1.inputs"
+    inputs.write_bytes('pType : String : ENUM("s") : "s"\n'
+                       '# Gewicht in kg, gemessen am Band \xfc\n'.encode("latin-1"))
+    for argv in (("run",), ("test", "-n", "5")):
+        code, _, err = run_cli(argv[0], *SHIPMENT, *argv[1:], "--inputs-file", str(inputs),
+                               cwd=tmp_path)
+        assert code == 3
+        assert err.splitlines() == ["bproc: InputsParseError: the file is not UTF-8: "
+                                    "invalid start byte at byte 67 (line 2)"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_dmn_is_a_model_error(tmp_path):
     code, _, err = run_cli("test", str(FIXTURES / "shipment.bpmn"), cwd=tmp_path)
     assert code == 3
@@ -149,6 +162,18 @@ def test_non_positive_timeout_is_a_usage_error(tmp_path, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [("run", "--timeout-ms", "9" * 400),
+                                  ("test", "-n", "5", "--timeout-ms", "9" * 400)])
+def test_timeout_past_the_largest_double_is_a_usage_error(tmp_path, argv):
+    code, _, err = run_cli(argv[0], *SHIPMENT, *argv[1:], cwd=tmp_path)
+    assert code == 2
+    assert err.splitlines() == ["bproc: the timeout is too large"]
+    code, _, err = run_cli(argv[0], *SHIPMENT, *argv[1:-1], "-" + argv[-1], cwd=tmp_path)
+    assert code == 2
+    assert err.splitlines() == ["bproc: the timeout must be positive"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_env_seed_is_a_usage_error(tmp_path, monkeypatch):
     monkeypatch.setenv("BPROC_SEED", "abc")
     code, _, err = run_cli("run", *SHIPMENT, cwd=tmp_path)
@@ -169,6 +194,14 @@ def test_smc_mode(tmp_path):
     assert code in (0, 1)
     payload = json.loads((tmp_path / "out" / "shipment" / "verdict.json").read_text())
     assert payload["runs"] >= 1
+
+
+def test_smc_epsilon_lost_against_one_is_a_usage_error(tmp_path):
+    code, _, err = run_cli("test", *SHIPMENT, "--mode", "smc", "--epsilon", "1e-17",
+                           cwd=tmp_path)
+    assert code == 2
+    assert err.splitlines() == ["bproc: epsilon 1e-17 is too small: 1 - epsilon rounds to 1"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_verdicts_reproducible_modulo_timing(tmp_path):

@@ -567,6 +567,51 @@ def test_artifact_formats(shipment, tmp_path):
     assert summary_text.startswith('input pType = "s"\ninput pWeight = 2.0\n')
 
 
+def _trace_text(trace, graph) -> str:
+    """A trace file as docs/file-formats.md gives it: a line per node and
+    edge record, in record order."""
+    lines = [graph.node_lines[record.node] if isinstance(record, runtime.NodeActivated)
+             else f"edge {record.source} {record.target}"
+             for record in trace.records
+             if isinstance(record, (runtime.NodeActivated, runtime.EdgeTraversed))]
+    return "".join(line + "\n" for line in lines)
+
+
+def _trace_cases(shipment):
+    loop = compile_fixture("loop")
+    chunk = runtime.TRACE_CHUNK_LINES
+    # the loop's runs take a node and an edge line per step
+    for max_steps in (2 * chunk, 2 * chunk + 1_000):
+        trace, summary = run_once(loop, {}, RunOptions(mode="sequential", max_steps=max_steps,
+                                                       timeout_s=60))
+        yield loop.graph, trace, summary
+    trace, summary = run_once(shipment, {"pType": ["l"], "pWeight": [3.25]},
+                              RunOptions(mode="sequential"))
+    yield shipment.graph, trace, summary  # table and write records between the lines
+    yield shipment.graph, runtime.Trace(), summary
+
+
+def test_trace_files_are_written_in_chunks(shipment, monkeypatch, tmp_path):
+    chunk = runtime.TRACE_CHUNK_LINES
+    for i, (graph, trace, summary) in enumerate(_trace_cases(shipment)):
+        text = _trace_text(trace, graph)
+        lines = text.count("\n")
+        if i == 0:
+            assert lines == 4 * chunk  # an exact multiple of the chunk size
+        for chunk_lines in (chunk, 1, 3, lines - 1, lines, lines + 1):
+            if chunk_lines < 1:
+                continue
+            monkeypatch.setattr(runtime, "TRACE_CHUNK_LINES", chunk_lines)
+            sizes = [c.count("\n") for c in runtime._trace_chunks(trace, graph)]
+            full, rest = divmod(lines, chunk_lines)
+            assert sizes == [chunk_lines] * full + ([rest] if rest else [])
+            paths = write_artifacts(trace, summary, graph, tmp_path / f"{i}_{chunk_lines}",
+                                    stem="t", include_graph=False)
+            with open(paths[".trace"], "rb") as fh:
+                written = fh.read()
+            assert written == render_trace_file(trace, graph).encode() == text.encode()
+
+
 def test_summary_inputs_parse_back(shipment, tmp_path):
     trace, summary = run_once(shipment, {"pType": ["xl"], "pWeight": [4.5]},
                               RunOptions(mode="sequential"))

@@ -1,10 +1,12 @@
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import random
 import sys
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +62,17 @@ def test_smc_sample_size_rejects_bad_parameters():
     for eps, delta in ((0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (-1, 0.5)):
         with pytest.raises(ConfigError):
             smc_sample_size(eps, delta)
+
+
+def test_smc_epsilon_lost_against_one_is_a_config_error():
+    # 1 - 2**-54 rounds to 1: no number of runs would bound the error
+    for epsilon in (1e-17, 2.0 ** -54):
+        with pytest.raises(ConfigError, match="too small"):
+            smc_sample_size(epsilon, 0.5)
+        with pytest.raises(ConfigError, match="too small"):
+            CampaignConfig(mode=Smc(epsilon=epsilon))
+    n = smc_sample_size(2.0 ** -53, 0.5)  # the smallest epsilon that still counts
+    assert (1 - 2.0 ** -53) ** n <= 0.5 < (1 - 2.0 ** -53) ** (n - 1)
 
 
 @given(st.floats(1e-6, 1 - 1e-6), st.floats(1e-6, 1 - 1e-6))
@@ -347,6 +360,13 @@ def _with_step_budget(monkeypatch, max_steps: int):
                         functools.partial(runtime.RunOptions, max_steps=max_steps))
 
 
+def _with_ticking_clock(monkeypatch, tick_s: float):
+    """Each read of the runtime's clock comes `tick_s` after the one before."""
+    reads = itertools.count(1)
+    monkeypatch.setattr(runtime, "time",
+                        types.SimpleNamespace(monotonic=lambda: tick_s * next(reads)))
+
+
 def _verdict_outcome(verdict):
     return verdict.result, verdict.reason, verdict.coverage, verdict.failing_trace
 
@@ -359,9 +379,16 @@ def _campaign_files(out_dir):
 
 
 @pytest.mark.parametrize("sequential", (True, False), ids=("sequential", "parallel"))
-@pytest.mark.parametrize("name", sorted(CAMPAIGN_FIXTURES))
-def test_campaign_matches_the_trace_campaign(name, sequential, monkeypatch, tmp_path):
+@pytest.mark.parametrize("name, ticking_clock",
+                         [pytest.param(name, False, id=name) for name in sorted(CAMPAIGN_FIXTURES)]
+                         + [pytest.param("loop", True, id="loop-ticking_clock")])
+def test_campaign_matches_the_trace_campaign(name, ticking_clock, sequential, monkeypatch,
+                                             tmp_path):
     _with_step_budget(monkeypatch, 2_000)  # loop's runs never end otherwise
+    if ticking_clock:
+        # the clock read at step 1,025 is past the 5 s timeout, so every run
+        # ends in TIMEOUT before its step budget
+        _with_ticking_clock(monkeypatch, 3.0)
     x = compile_fixture(name, *CAMPAIGN_FIXTURES[name], sample_seed=42)
     for i, rule in enumerate(CAMPAIGN_RULES):
         for seed in (0, 1, 7):
@@ -376,6 +403,9 @@ def test_campaign_matches_the_trace_campaign(name, sequential, monkeypatch, tmp_
         files = _campaign_files(got)
         assert files == _campaign_files(want), rule
         assert len(files[1]) == 2 * verdict.coverage.runs_executed
+        if ticking_clock:
+            assert files[1]["run_0.out"].endswith(
+                b"status: timeout\ncode: TIMEOUT\nmessage: execution exceeded 5s\n")
 
 
 @pytest.mark.parametrize("keep_files", (False, True), ids=("marked", "with_files"))
@@ -410,6 +440,26 @@ def test_campaign_runs_build_no_trace(monkeypatch):
     assert built == []
     # a trace of the 50,000 steps would hold 116,000 records
     assert peak < 100_000
+
+
+def test_campaign_run_files_keep_memory_bounded(monkeypatch, tmp_path):
+    _with_step_budget(monkeypatch, 50_000)
+    x = compile_fixture("loop")
+    cfg = CampaignConfig(mode=FixedBudget(n=1), sequential=True, timeout_s=60)
+    run_campaign(x, cfg, out_dir=str(tmp_path / "first"))  # lowers the program
+    tracemalloc.start()
+    try:
+        verdict = run_campaign(x, cfg, out_dir=str(tmp_path / "second"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.coverage.c_n == 100.0 * 5 / 6
+    trace_file = tmp_path / "second" / "runs" / "run_0.trace"
+    assert trace_file.read_bytes() == (tmp_path / "first" / "runs" / "run_0.trace").read_bytes()
+    assert trace_file.stat().st_size > 2_800_000
+    # the run's 116,000 records and one chunk of text take about 3.2 MB;
+    # rendering the whole text at once took 11.4 MB
+    assert peak < 6_000_000
 
 
 def test_campaign_makes_the_runs_directory_once(diamond, monkeypatch, tmp_path):
