@@ -9,10 +9,15 @@ operands in the same left-to-right order. Environments map variable names
 to values (UNDEFINED is a legal binding, but any operation reading it
 raises). `evaluate` and `match_unary` compile and call in one go.
 
-An ordering or a `+`, `-` or `*` whose operands are both plain numbers
-skips the kind checks: loop counters and their conditions are such
-operations, and the checks take about a quarter of the time a counting
-loop spends per step.
+An ordering or a `+`, `-` or `*` with a variable on the left and a
+literal on the right (`n > 0`, `n + 1`: loop counters and their
+conditions) compiles to one closure that reads the variable itself and
+holds the literal's value, a superoperator (Proebsting, "Optimizing an
+ANSI C interpreter with superoperators", 1995): two calls fewer per
+evaluation, with the same values and errors. When both operands are plain
+numbers it skips the kind checks, which take about a quarter of the time
+a counting loop spends per step. Every other shape goes through
+`compare` and `_arithmetic`.
 """
 
 from __future__ import annotations
@@ -108,6 +113,11 @@ def _not(expr: ast.Not) -> Compiled:
 
 def _binop(expr: ast.BinOp) -> Compiled:
     op = expr.op
+    if type(expr.left) is ast.Var and type(expr.right) is ast.Lit:
+        if op in _ORDER_HOLDS:
+            return _var_order_lit(_ORDER_HOLDS[op], expr.left.name, expr.right.value)
+        if op in _NUMERIC:
+            return _var_arith_lit(op, expr.left.name, expr.right.value)
     left = compile_expr(expr.left)
     right = compile_expr(expr.right)
     if op in ("and", "or"):
@@ -141,25 +151,46 @@ def _equality(negated: bool, left: Compiled, right: Compiled) -> Compiled:
 
 
 def _order(holds, left: Compiled, right: Compiled) -> Compiled:
-    def order(env):
-        a = left(env)
-        b = right(env)
-        if type(a) in _NUMBERS and type(b) in _NUMBERS:  # compare()'s number rule
-            return holds((a > b) - (a < b))
-        return holds(compare(a, b))
-    return order
+    return lambda env: holds(compare(left(env), right(env)))
 
 
 def _arith(op: str, left: Compiled, right: Compiled) -> Compiled:
-    numeric = _NUMERIC.get(op)
+    return lambda env: _arithmetic(op, left(env), right(env))
 
-    def arith(env):
-        a = left(env)
-        b = right(env)
-        if numeric is not None and type(a) in _NUMBERS and type(b) in _NUMBERS:
+
+def _var_order_lit(holds, name: str, b) -> Compiled:
+    """`_order` of `_var(name)` and `_lit(b)`, in one closure."""
+    b_number = type(b) in _NUMBERS
+
+    def var_order_lit(env):
+        try:
+            a = env[name]
+        except KeyError:
+            raise UndefinedValueError(f"variable {name!r} is not bound") from None
+        if a is UNDEFINED:
+            raise UndefinedValueError("operation touches an undefined variable")
+        if b_number and type(a) in _NUMBERS:  # compare()'s number rule
+            return holds((a > b) - (a < b))
+        return holds(compare(a, b))
+    return var_order_lit
+
+
+def _var_arith_lit(op: str, name: str, b) -> Compiled:
+    """`_arith` of `_var(name)` and `_lit(b)`, in one closure."""
+    numeric = _NUMERIC[op]
+    b_number = type(b) in _NUMBERS
+
+    def var_arith_lit(env):
+        try:
+            a = env[name]
+        except KeyError:
+            raise UndefinedValueError(f"variable {name!r} is not bound") from None
+        if a is UNDEFINED:
+            raise UndefinedValueError("operation touches an undefined variable")
+        if b_number and type(a) in _NUMBERS:
             return numeric(a, b)
         return _arithmetic(op, a, b)
-    return arith
+    return var_arith_lit
 
 
 def _arithmetic(op: str, left, right):

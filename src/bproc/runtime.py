@@ -77,13 +77,19 @@ class EdgeTraversed:
     target: str
 
 
-@dataclass(frozen=True, slots=True)
+# A run builds one of these per table result or variable write and never
+# shares it, so they are not frozen: a frozen `__init__` sets every field
+# through `object.__setattr__`. They still compare and hash by value, so,
+# like every trace record, they must not be modified once built: a record
+# assigned to would no longer be what the run did, and would change its
+# hash in any set or dict that holds it.
+@dataclass(slots=True, unsafe_hash=True)
 class TableEvaluated:
     table: str
     outputs: tuple
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VarWritten:
     name: str
     value: object
@@ -91,6 +97,10 @@ class VarWritten:
 
 @dataclass
 class Trace:
+    """A run's records in order. Node and edge records are shared by every
+    run of a model; no record may be modified (write and table records are
+    not frozen only so that building them is cheap)."""
+
     records: list = field(default_factory=list)
 
     def node_sequence(self) -> list[str]:
@@ -151,9 +161,9 @@ class _Node:
     `join_id`. A continue has no terminal function: the walker takes
     `edge`, as does an arrival that passes a barrier join. Lowering builds
     the edges once, shared by every run; the activation record is built on
-    the first run that keeps a trace and shared by every later one (records
-    are frozen and compared by value). Only the walker records or marks
-    them. `index` is the node's coverage index.
+    the first run that keeps a trace and shared by every later one, which
+    is why node and edge records are frozen (and compared by value). Only
+    the walker records or marks them. `index` is the node's coverage index.
     """
 
     __slots__ = ("activated", "index", "steps", "terminal", "edge", "join_id")
@@ -441,7 +451,8 @@ def _concurrent(a: tuple, b: tuple) -> bool:
 
 class _Engine:
     """One run. Without `hits` it keeps a trace: every node and edge
-    record, variable write and table result. With a CoverageHits it keeps
+    record (shared, frozen) and a record of each variable write and table
+    result (its own, not frozen). With a CoverageHits it keeps
     no trace and marks each node and edge the run reaches in the
     campaign's hit arrays instead."""
 

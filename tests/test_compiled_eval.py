@@ -137,6 +137,42 @@ def test_compiled_cell_tests_agree_with_the_reference(test, value):
         assert outcome(compiled, value) == outcome(reference_match_unary, test, value)
 
 
+FUSED_OPS = ("<", "<=", ">", ">=", "+", "-", "*")
+FUSED_LITERALS = (0, -0.0, 1.5, 10**20, math.nan, math.inf, -math.inf, True, "x", None,
+                  Temporal("date", 19_000))
+
+
+def test_variable_op_literal_agrees_with_the_reference():
+    # `Var op Lit` with an ordering, `+`, `-` or `*` compiles to one fused
+    # closure; every name in NAMES (the unbound and the undefined one
+    # included) against literals of every kind
+    for op in FUSED_OPS:
+        for name in NAMES:
+            for literal in FUSED_LITERALS:
+                expr = ast.BinOp(op, ast.Var(name), ast.Lit(literal))
+                assert outcome(feel.compile_expr(expr), ENV) == \
+                    outcome(reference_evaluate, expr, ENV), expr
+
+
+def test_variable_op_literal_calls_no_leaf_closure(monkeypatch):
+    leaf_calls = []
+    for node in (ast.Var, ast.Lit):
+        def counting(expr, compile_leaf=evaluator._COMPILERS[node]):
+            leaf = compile_leaf(expr)
+
+            def counted(env):
+                leaf_calls.append(expr)
+                return leaf(env)
+            return counted
+        monkeypatch.setitem(evaluator._COMPILERS, node, counting)
+    env = {"n": 5}
+    assert feel.compile_expr(feel.parse_expr("n > 0"))(env) is True
+    assert feel.compile_expr(feel.parse_expr("n + 1"))(env) == 6
+    assert leaf_calls == []
+    assert feel.compile_expr(feel.parse_expr("0 < n"))(env) is True  # not fused
+    assert leaf_calls == [ast.Lit(0), ast.Var("n")]
+
+
 KERNEL = (("kind_of", kernel.kind_of, oracles.kind_of),
           ("_scalar", evaluator._scalar, oracles.reference_scalar),
           ("_defined_scalar", evaluator._defined_scalar, oracles.reference_defined_scalar))

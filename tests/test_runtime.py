@@ -14,11 +14,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from bproc import RunOptions, compile_model, parse_bpmn, run_once, runtime
 from bproc.compiler import InvokeTable
 from bproc.errors import ConfigError
-from bproc.runtime import (TableEvaluated, parse_summary_inputs, render_graph_file,
-                           render_summary_file, render_trace_file, write_artifacts)
+from bproc.runtime import (TableEvaluated, VarWritten, parse_summary_inputs,
+                           render_graph_file, render_summary_file, render_trace_file,
+                           write_artifacts)
 from bproc.verifier import draw_input_lists
 
 from conftest import compile_fixture
+from golden_support import FIXTURE_PLAN, compiled
 from test_pins import SEED, diamonds
 
 
@@ -167,6 +169,20 @@ def test_trace_records_cost_little_memory():
     # node and edge records are shared by every run; what a run allocates
     # is the record list and its variable writes
     assert peak / len(trace.records) < 40
+
+
+@pytest.mark.parametrize("record,same,twin,text", [
+    (VarWritten("n", 5), VarWritten("n", 5), TableEvaluated("n", 5),
+     "VarWritten(name='n', value=5)"),
+    (TableEvaluated("T", (("o", 1),)), TableEvaluated("T", (("o", 1),)),
+     VarWritten("T", (("o", 1),)), "TableEvaluated(table='T', outputs=(('o', 1),))"),
+])
+def test_write_and_table_records_compare_by_value(record, same, twin, text):
+    # `twin` is a record of the other class with the same field values
+    assert record == same and hash(record) == hash(same)
+    assert record != twin
+    assert repr(record) == text
+    assert not hasattr(record, "__dict__")  # slotted
 
 
 def test_non_boolean_gateway_condition_faults():
@@ -786,6 +802,26 @@ def test_parallel_diamonds_schedule_is_pinned():
         digest.update(repr(trace.writes()).encode())
     assert digest.hexdigest() == \
         "f635364e81008f6c81e0d861a18961e2fd404d2ebe0604c29affa63311818090"
+
+
+def test_record_streams_are_pinned():
+    # One digest of every record, the status, code, message and diagnostics
+    # of 50 seeded input draws of each fixture in both modes. Trace files
+    # leave out variable writes and table results; this digest keeps them.
+    # The expected value was computed while the variable-write and table
+    # records were frozen and `n > 0` and `n + 1` compiled to three closures.
+    digest = hashlib.sha256()
+    for name in FIXTURE_PLAN:
+        x = compiled(name)
+        for mode in ("sequential", "parallel"):
+            for seed in range(50):
+                lists = draw_input_lists(x.input_vars, {}, random.Random(seed))
+                trace, summary = run_once(x, lists, RunOptions(
+                    mode=mode, seed=seed, max_steps=5000, timeout_s=60))
+                digest.update(repr((trace.records, summary.status, summary.code,
+                                    summary.message, summary.diagnostics)).encode())
+    assert digest.hexdigest() == \
+        "1832db45a53be97331ef814d47c075d2a156f9304d83cbbf967a900571ebf0e3"
 
 
 WIDE_FORK = 64
