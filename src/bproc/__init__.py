@@ -4,6 +4,17 @@ DMN decision tables.
 Pipeline: parse_bpmn / parse_dmn -> compile_model -> run_once or
 run_campaign; infer_domains and the inputs file sit in between to describe
 the input variables the environment must supply.
+
+Records built in bulk, at set-up or per run (model nodes, flows and
+variable roles, FEEL syntax trees, compiler steps and routines, and a
+run's variable-write and table-result records), are slotted dataclasses
+compared and hashed by value, but not frozen: a frozen `__init__` sets
+every field through `object.__setattr__`, which costs several times a
+plain one. Nothing assigns to them after construction, and
+`tests/test_construction.py` checks that parsing, compiling, rendering
+and running leave a model's records as they were built. The node and edge
+trace records, built once per program and shared by every run, stay
+frozen.
 """
 
 from .bpmn import (ProcessGraph, ProcessModel, classify_variables, extract_graph,

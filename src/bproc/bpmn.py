@@ -45,7 +45,7 @@ _SKIPPED = {"laneSet", "lane", "textAnnotation", "association", "documentation",
             "ioSpecification", "category", "group"}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Node:
     id: str
     label: str
@@ -72,7 +72,7 @@ class Node:
     join_kind: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SequenceFlow:
     id: str
     source: str
@@ -81,14 +81,14 @@ class SequenceFlow:
     is_default: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VariableRole:
     role: str  # "input" | "process"
     writers: frozenset[str]
     readers: frozenset[str]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MessageDef:
     id: str
     name: str

@@ -23,39 +23,39 @@ from .feel.types import StaticType
 # --- steps -----------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ConsumeInput:
     var: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Assign:
     var: str
     expr: ast.FeelExpr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class InvokeTable:
     table_ref: str
     arg_bindings: tuple[tuple[str, ast.FeelExpr], ...]  # table input label <- expr
     out_bindings: tuple[tuple[str, str], ...]  # table output -> variable
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Send:
     channel: str
     msg_type: str
     parts: tuple[tuple[str, ast.FeelExpr], ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Receive:
     channel: str
     msg_type: str
     targets: tuple[tuple[str, str], ...]  # part -> variable
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Branch:
     """First case whose condition holds wins; otherwise the default target;
     with no default the run ends with an unhandled-condition failure."""
@@ -64,24 +64,24 @@ class Branch:
     default: str | None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Fork:
     targets: tuple[str, ...]
     join_id: str
     conditions: tuple[ast.FeelExpr, ...] | None = None  # None: start every branch
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class JoinBarrier:
     next: str  # expected arrivals are fixed per fork at run time
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Continue:
     target: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Terminate:
     status: str  # "success" | "error"
     code: str
@@ -92,7 +92,7 @@ Step = (ConsumeInput | Assign | InvokeTable | Send | Receive | Branch | Fork
         | JoinBarrier | Continue | Terminate)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Routine:
     id: str
     display_name: str

@@ -1,8 +1,10 @@
 """Abstract syntax of the expression subset and of decision-table cell tests.
 
-All nodes are frozen, slotted dataclasses; trees are finite, acyclic and
-shareable across threads. The walks below dispatch on a node's exact class,
-one dictionary lookup per node.
+All nodes are slotted dataclasses compared and hashed by value, not frozen
+(the rule for records built in bulk is in the `bproc` package docstring).
+Trees are finite and acyclic, and, since no code assigns to a node once it
+is built, shareable. The walks below dispatch on a node's exact class, one
+dictionary lookup per node.
 """
 
 from __future__ import annotations
@@ -16,47 +18,47 @@ class FeelExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Lit(FeelExpr):
     """Numeric, string, boolean, null or temporal constant."""
 
     value: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var(FeelExpr):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Neg(FeelExpr):
     operand: FeelExpr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Not(FeelExpr):
     operand: FeelExpr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BinOp(FeelExpr):
     op: str  # + - * / ** < <= > >= = != and or
     left: FeelExpr
     right: FeelExpr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Call(FeelExpr):
     name: str  # includes the two-word builtin "overlaps before"
     args: tuple[FeelExpr, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ListLit(FeelExpr):
     items: tuple[FeelExpr, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Index(FeelExpr):
     """1-based element selection."""
 
@@ -64,7 +66,7 @@ class Index(FeelExpr):
     index: FeelExpr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Filter(FeelExpr):
     """Sublist selection; the predicate sees each element as `item`."""
 
@@ -72,18 +74,18 @@ class Filter(FeelExpr):
     predicate: FeelExpr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ContextLit(FeelExpr):
     entries: tuple[tuple[str, FeelExpr], ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Path(FeelExpr):
     base: FeelExpr
     key: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RangeLit(FeelExpr):
     lo: FeelExpr
     hi: FeelExpr
@@ -91,7 +93,7 @@ class RangeLit(FeelExpr):
     hi_incl: bool = True
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class InTest(FeelExpr):
     """Membership of a value in a list or range."""
 
@@ -99,7 +101,7 @@ class InTest(FeelExpr):
     container: FeelExpr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class InstanceOf(FeelExpr):
     operand: FeelExpr
     type_name: str  # string | number | boolean
@@ -111,33 +113,33 @@ class UnaryTest:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Dash(UnaryTest):
     """Don't-care cell; matches every value."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EqualsConst(UnaryTest):
     value: object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Comparison(UnaryTest):
     op: str  # < <= > >=
     operand: FeelExpr  # variable-free
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RangeTest(UnaryTest):
     range: object  # FeelRange
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Negation(UnaryTest):
     inner: UnaryTest
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Disjunction(UnaryTest):
     alternatives: tuple[UnaryTest, ...]
 

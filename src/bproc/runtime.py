@@ -78,11 +78,11 @@ class EdgeTraversed:
 
 
 # A run builds one of these per table result or variable write and never
-# shares it, so they are not frozen: a frozen `__init__` sets every field
-# through `object.__setattr__`. They still compare and hash by value, so,
-# like every trace record, they must not be modified once built: a record
-# assigned to would no longer be what the run did, and would change its
-# hash in any set or dict that holds it.
+# shares it, so, like the other records built in bulk (see the `bproc`
+# package docstring), they are not frozen. They still compare and hash by
+# value, so they must not be modified once built: a record assigned to
+# would no longer be what the run did, and would change its hash in any
+# set or dict that holds it.
 @dataclass(slots=True, unsafe_hash=True)
 class TableEvaluated:
     table: str
@@ -97,9 +97,10 @@ class VarWritten:
 
 @dataclass
 class Trace:
-    """A run's records in order. Node and edge records are shared by every
-    run of a model; no record may be modified (write and table records are
-    not frozen only so that building them is cheap)."""
+    """A run's records in order. Node and edge records are frozen and shared
+    by every run of a model; write and table records are the run's own,
+    built in bulk and not frozen (see the `bproc` package docstring). No
+    record may be modified."""
 
     records: list = field(default_factory=list)
 
@@ -162,7 +163,7 @@ class _Node:
     `edge`, as does an arrival that passes a barrier join. Lowering builds
     the edges once, shared by every run; the activation record is built on
     the first run that keeps a trace and shared by every later one, which
-    is why node and edge records are frozen (and compared by value). Only
+    is why node and edge records stay frozen (and compare by value). Only
     the walker records or marks them. `index` is the node's coverage index.
     """
 
@@ -452,7 +453,7 @@ def _concurrent(a: tuple, b: tuple) -> bool:
 class _Engine:
     """One run. Without `hits` it keeps a trace: every node and edge
     record (shared, frozen) and a record of each variable write and table
-    result (its own, not frozen). With a CoverageHits it keeps
+    result (its own, built in bulk, not frozen). With a CoverageHits it keeps
     no trace and marks each node and edge the run reaches in the
     campaign's hit arrays instead."""
 

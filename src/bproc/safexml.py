@@ -41,9 +41,15 @@ def _refuse_doctype(data: bytes | str) -> None:
 
 
 def fromstring(data: bytes | str, what: str) -> ET.Element:
-    """Parse one document; `what` ("BPMN", "DMN") names it in errors."""
+    """Parse one document; `what` ("BPMN", "DMN") names it in errors.
+
+    An XML declaration naming an encoding expat cannot use (unknown, not a
+    text encoding, or multi-byte, such as UTF-32 or Shift-JIS) makes the
+    parser raise LookupError or ValueError; such a document is malformed
+    too.
+    """
     try:
         _refuse_doctype(data)
         return ET.fromstring(data)
-    except (ET.ParseError, expat.ExpatError) as exc:
+    except (ET.ParseError, expat.ExpatError, LookupError, ValueError) as exc:
         raise SchemaError(f"malformed {what} XML: {exc}") from exc

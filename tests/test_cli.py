@@ -145,6 +145,43 @@ def test_document_type_declaration_is_a_model_error(tmp_path, attack):
     assert not (tmp_path / "out").exists()
 
 
+def with_encoding(path: pathlib.Path, encoding: str) -> bytes:
+    """A fixture whose XML declaration names `encoding` instead of UTF-8."""
+    text = path.read_text(encoding="ascii")
+    declared = text.replace('encoding="UTF-8"', f'encoding="{encoding}"', 1)
+    assert declared != text
+    return declared.encode("ascii")
+
+
+# unknown, not a text encoding, multi-byte, and failing to decode: expat cannot use any
+@pytest.mark.parametrize("encoding", ["bogus", "rot13", "UTF-32", "shift_jis", "idna"])
+def test_unusable_declared_encoding_is_a_model_error(tmp_path, encoding):
+    for index, what in enumerate(("BPMN", "DMN")):
+        paths = list(SHIPMENT)
+        paths[index] = str(tmp_path / f"declared.{what.lower()}")
+        pathlib.Path(paths[index]).write_bytes(with_encoding(pathlib.Path(SHIPMENT[index]),
+                                                             encoding))
+        code, _, err = run_cli("translate", *paths, cwd=tmp_path)
+        assert code == 3
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"bproc: SchemaError: malformed {what} XML: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_latin_1_declared_encoding_parses(tmp_path):
+    paths = []
+    for name in SHIPMENT:
+        path = tmp_path / pathlib.Path(name).name
+        path.write_bytes(with_encoding(pathlib.Path(name), "latin-1"))
+        paths.append(str(path))
+    assert run_cli("translate", *paths, "--seed", "42", cwd=tmp_path)[0] == 0
+    assert run_cli("translate", *SHIPMENT, "--seed", "42", "--out", "utf8",
+                   cwd=tmp_path)[0] == 0
+    for suffix in ("src.txt", "graph", "inputs"):
+        assert ((tmp_path / "out" / "shipment" / f"shipment.{suffix}").read_bytes()
+                == (tmp_path / "utf8" / f"shipment.{suffix}").read_bytes())
+
+
 def test_usage_errors(tmp_path):
     assert run_cli("frobnicate", *SHIPMENT, cwd=tmp_path)[0] == 2
     code, _, err = run_cli("test", "nothing.txt", cwd=tmp_path)

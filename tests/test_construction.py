@@ -1,22 +1,32 @@
 """Setting a model up: the cyclic collector is paused while a model is
 parsed, compiled and lowered, and restored afterwards; setting up leaves
 no cyclic garbage behind; and the trace records are built on the first
-run that keeps a trace, never by a campaign without run files."""
+run that keeps a trace, never by a campaign without run files.
+
+The records built in bulk at set-up (nodes, flows, FEEL trees, steps,
+routines) are slotted and compared and hashed by value but not frozen
+(see the `bproc` package docstring). So two tests stand in for the frozen
+guard: compiling, rendering and running a model leave its records as
+they were built, and every such class keeps value semantics."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import gc
+import pickle
 
 import pytest
 
 import oracles
-from bproc import (CampaignConfig, FixedBudget, RunOptions, compile_model, parse_bpmn,
-                   parse_dmn, run_campaign, run_once, runtime)
+from bproc import (CampaignConfig, FixedBudget, RunOptions, bpmn, compile_model, compiler,
+                   parse_bpmn, parse_dmn, render_source, run_campaign, run_once, runtime)
 from bproc.errors import SchemaError
+from bproc.feel import ast
 from bproc.runtime import EdgeTraversed, NodeActivated
 
 from conftest import FIXTURES
+from golden_support import FIXTURE_PLAN
 from test_pins import diamonds
 
 NO_JOIN = ('<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL">'
@@ -150,3 +160,77 @@ def test_first_campaign_with_run_files_writes_run_once_traces(sequential, tmp_pa
     files = {p.name: p.read_bytes() for p in (got / "runs").iterdir()}
     assert len(files) == 24
     assert files == {p.name: p.read_bytes() for p in (want / "runs").iterdir()}
+
+
+def _model_records(model, tables) -> str:
+    return repr((model.nodes, model.flows, model.messages,
+                 [(t.inputs, t.rules) for t in tables]))
+
+
+def _program_records(x) -> str:
+    return repr((x.routines, x.graph, x.input_vars, x.process_vars))
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_PLAN, "diamonds"])
+def test_set_up_and_runs_leave_the_records_as_built(name, tmp_path):
+    if name == "diamonds":
+        model, tables = parse_bpmn(diamonds(50, 1)), []
+    else:
+        model = parse_bpmn((FIXTURES / f"{name}.bpmn").read_bytes())
+        tables = [table for dmn_name in FIXTURE_PLAN[name][0]
+                  for table in parse_dmn((FIXTURES / f"{dmn_name}.dmn").read_bytes())]
+    parsed = _model_records(model, tables)
+    x = compile_model(model, tables, sample_seed=42)
+    compiled = _program_records(x)
+
+    again = compile_model(model, tables, sample_seed=42)
+    render_source(x)
+    render_source(again)
+    for sequential in (True, False):
+        # the loop fixture never ends: a short timeout keeps its runs small
+        cfg = CampaignConfig(mode=FixedBudget(n=3), seed=4, sequential=sequential,
+                             timeout_s=0.01)
+        run_campaign(x, cfg)
+        run_campaign(x, cfg, out_dir=str(tmp_path / f"campaign_{sequential}"))
+    run_once(x, {spec.name: [spec.sample] for spec in x.input_vars},
+             RunOptions(mode="sequential", max_steps=500))
+
+    assert _model_records(model, tables) == parsed
+    assert _program_records(x) == compiled
+    assert _program_records(again) == compiled
+
+
+# Dataclasses of these modules that hold a whole model and are filled in
+# after construction; every other one is a record with value semantics.
+_CONTAINERS = {bpmn.ProcessModel, compiler.ExecutableModel}
+
+
+def _unfrozen_records() -> list[type]:
+    return [cls for module in (bpmn, compiler, ast) for cls in vars(module).values()
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+            and cls.__module__ == module.__name__
+            and not cls.__dataclass_params__.frozen and cls not in _CONTAINERS]
+
+
+def _build(cls, changed: str | None = None):
+    """An instance whose every field is a fresh tuple naming the field;
+    the field `changed` gets a different value."""
+    return cls(**{f.name: ("other" if f.name == changed else "value", f.name)
+                  for f in dataclasses.fields(cls)})
+
+
+def test_unfrozen_records_are_found():
+    found = set(_unfrozen_records())
+    assert {bpmn.Node, bpmn.SequenceFlow, bpmn.VariableRole, bpmn.MessageDef,
+            compiler.Send, compiler.Routine, ast.BinOp, ast.Dash} <= found
+
+
+@pytest.mark.parametrize("cls", _unfrozen_records(), ids=lambda cls: cls.__qualname__)
+def test_unfrozen_records_have_value_semantics(cls):
+    assert "__slots__" in cls.__dict__
+    a, b = _build(cls), _build(cls)
+    assert not hasattr(a, "__dict__")
+    assert a is not b and a == b and hash(a) == hash(b)
+    for f in dataclasses.fields(cls):
+        assert _build(cls, changed=f.name) != a
+    assert pickle.loads(pickle.dumps(a)) == a
