@@ -32,6 +32,11 @@ class DivisionByZeroError(BprocError):
     pass
 
 
+class ValueTooLargeError(BprocError):
+    """An operation would build an integer or string past the size limit
+    (`feel.values.MAX_INT_BITS`, `MAX_STRING_LENGTH`)."""
+
+
 class IndexOutOfRangeError(BprocError):
     pass
 

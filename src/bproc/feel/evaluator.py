@@ -16,8 +16,15 @@ holds the literal's value, a superoperator (Proebsting, "Optimizing an
 ANSI C interpreter with superoperators", 1995): two calls fewer per
 evaluation, with the same values and errors. When both operands are plain
 numbers it skips the kind checks, which take about a quarter of the time
-a counting loop spends per step. Every other shape goes through
-`compare` and `_arithmetic`.
+a counting loop spends per step, and an ordering is one comparison. Every
+other shape goes through `compare` and `_arithmetic`.
+
+Orderings read `compare`'s -1, 0 or 1 from a tuple (`_ORDER_HOLDS`), so
+they call no function for it. Three operations can make a value grow
+without bound: `**` and `*` on two integers and `+` on two strings. Each
+checks the size of its result before computing it and raises
+ValueTooLargeError past MAX_INT_BITS bits or MAX_STRING_LENGTH characters,
+so no single evaluation can run on unbounded.
 """
 
 from __future__ import annotations
@@ -27,16 +34,16 @@ import operator
 from typing import Callable, Mapping
 
 from ..errors import (DivisionByZeroError, FeelTypeError, IndexOutOfRangeError,
-                      UndefinedValueError)
+                      UndefinedValueError, ValueTooLargeError)
 from . import ast
-from .values import (_NUMBERS, SECONDS_PER_DAY, UNDEFINED, FeelRange, Temporal,
-                     check_defined, compare, equals, kind_of)
+from .values import (_NUMBERS, MAX_INT_BITS, MAX_STRING_LENGTH, SECONDS_PER_DAY, UNDEFINED,
+                     FeelRange, Temporal, check_defined, compare, equals, kind_of)
 
 Compiled = Callable[[Mapping[str, object]], object]
 
-_ORDER_HOLDS = {"<": lambda c: c < 0, "<=": lambda c: c <= 0,
-                ">": lambda c: c > 0, ">=": lambda c: c >= 0}
-_NUMERIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+# does the ordering hold, indexed by compare()'s 0, 1 or -1
+_ORDER_HOLDS = {"<": (False, False, True), "<=": (True, False, True),
+                ">": (False, True, False), ">=": (True, True, False)}
 
 
 def evaluate(expr: ast.FeelExpr, env: Mapping[str, object]):
@@ -115,7 +122,7 @@ def _binop(expr: ast.BinOp) -> Compiled:
     op = expr.op
     if type(expr.left) is ast.Var and type(expr.right) is ast.Lit:
         if op in _ORDER_HOLDS:
-            return _var_order_lit(_ORDER_HOLDS[op], expr.left.name, expr.right.value)
+            return _var_order_lit(op, expr.left.name, expr.right.value)
         if op in _NUMERIC:
             return _var_arith_lit(op, expr.left.name, expr.right.value)
     left = compile_expr(expr.left)
@@ -150,16 +157,22 @@ def _equality(negated: bool, left: Compiled, right: Compiled) -> Compiled:
     return lambda env: equals(left(env), right(env)) is not negated
 
 
-def _order(holds, left: Compiled, right: Compiled) -> Compiled:
-    return lambda env: holds(compare(left(env), right(env)))
+def _order(holds: tuple, left: Compiled, right: Compiled) -> Compiled:
+    return lambda env: holds[compare(left(env), right(env))]
 
 
 def _arith(op: str, left: Compiled, right: Compiled) -> Compiled:
     return lambda env: _arithmetic(op, left(env), right(env))
 
 
-def _var_order_lit(holds, name: str, b) -> Compiled:
-    """`_order` of `_var(name)` and `_lit(b)`, in one closure."""
+def _var_order_lit(op: str, name: str, b) -> Compiled:
+    """`_order` of `_var(name)` and `_lit(b)`, in one closure. Two exact
+    numbers take one comparison: `a < b`, `a > b`, `not (a > b)` for `<=`
+    and `not (a < b)` for `>=`, which agree with `compare` for NaN too (it
+    orders NaN as equal to everything)."""
+    holds = _ORDER_HOLDS[op]
+    below = op in ("<", ">=")  # `a < b` decides it, else `a > b`
+    negated = op in ("<=", ">=")
     b_number = type(b) in _NUMBERS
 
     def var_order_lit(env):
@@ -170,13 +183,14 @@ def _var_order_lit(holds, name: str, b) -> Compiled:
         if a is UNDEFINED:
             raise UndefinedValueError("operation touches an undefined variable")
         if b_number and type(a) in _NUMBERS:  # compare()'s number rule
-            return holds((a > b) - (a < b))
-        return holds(compare(a, b))
+            return (a < b if below else a > b) is not negated
+        return holds[compare(a, b)]
     return var_order_lit
 
 
 def _var_arith_lit(op: str, name: str, b) -> Compiled:
-    """`_arith` of `_var(name)` and `_lit(b)`, in one closure."""
+    """`_arith` of `_var(name)` and `_lit(b)`, in one closure. Of the three
+    operators only `*` can grow a number without bound, so only it checks."""
     numeric = _NUMERIC[op]
     b_number = type(b) in _NUMBERS
 
@@ -193,9 +207,23 @@ def _var_arith_lit(op: str, name: str, b) -> Compiled:
     return var_arith_lit
 
 
+def _product(left, right):
+    """`left * right` for two numbers, checked first if both are integers."""
+    if isinstance(left, int) and isinstance(right, int) \
+            and left.bit_length() + right.bit_length() > MAX_INT_BITS:
+        raise ValueTooLargeError(f"integer product would exceed {MAX_INT_BITS} bits")
+    return left * right
+
+
+_NUMERIC = {"+": operator.add, "-": operator.sub, "*": _product}
+
+
 def _arithmetic(op: str, left, right):
     lk, rk = kind_of(left), kind_of(right)
     if op == "+" and lk == rk == "string":
+        if len(left) + len(right) > MAX_STRING_LENGTH:
+            raise ValueTooLargeError(
+                f"string concatenation would exceed {MAX_STRING_LENGTH} characters")
         return left + right
     if op == "+" and lk == rk == "time":
         return Temporal("time", (left.scalar + right.scalar) % SECONDS_PER_DAY)
@@ -206,12 +234,17 @@ def _arithmetic(op: str, left, right):
     if op == "-":
         return left - right
     if op == "*":
-        return left * right
+        return _product(left, right)
     if op == "/":
         if right == 0:
             raise DivisionByZeroError("division by zero")
         return left / right
     if op == "**":
+        # |left| ** right needs about right * log2|left| bits (a negative
+        # exponent gives a float); with |left| >= 2 that is at least right
+        if isinstance(left, int) and isinstance(right, int) and right > 0 and abs(left) > 1 \
+                and (right > MAX_INT_BITS or right * math.log2(abs(left)) > MAX_INT_BITS):
+            raise ValueTooLargeError(f"integer power would exceed {MAX_INT_BITS} bits")
         try:
             result = left ** right
         except ZeroDivisionError as exc:
@@ -432,7 +465,7 @@ def _comparison(test: ast.Comparison):
 
     def comparison(value):
         _defined_scalar(value)
-        return holds(compare(value, bound if folded else operand({})))
+        return holds[compare(value, bound if folded else operand({}))]
     return comparison
 
 

@@ -21,6 +21,12 @@ from dataclasses import dataclass
 from ..errors import FeelTypeError, UndefinedValueError
 
 SECONDS_PER_DAY = 86_400
+#: The largest integer (in bits) and string (in characters) an operation may
+#: build; `**` and `*` on two integers and `+` on two strings check first.
+#: 2**13 bits is at most 2,467 decimal digits, under the 4,300 that Python
+#: converts to text by default, so every integer built can be rendered.
+MAX_INT_BITS = 1 << 13
+MAX_STRING_LENGTH = 1 << 20
 
 
 class _Undefined:

@@ -2,16 +2,18 @@
 
 On its first run, a model's routines are lowered once into a node program
 (Feeley & Lapalme, "Using Closures for Code Generation", 1987): per node,
-its plain steps as closures over the engine and a terminal closure that
-picks the edge to take. Every (source, target) pair a branch can take is
-one `_Edge`: its target and its coverage index; every node has a coverage
-index too. Lowering runs with the cyclic collector paused, as set-up does
+one closure over the engine that runs its plain steps and returns the
+edge to take (a receive, which can wait, stays a step of its own). Every
+(source, target) pair a branch can take is one `_Edge`: its target node
+and its coverage index; every node has a coverage index too. So the
+walker makes one call per node and follows edges with no lookup (Ertl &
+Gregg, "The Structure and Performance of Efficient Interpreters", 2003).
+Lowering runs with the cyclic collector paused, as set-up does
 (`bpmn.collector_paused`). The trace records of the nodes and edges are
 built on the first run that keeps a trace, and every later run shares
 them; a model that only ever runs in campaigns without run files never
 builds them. Expressions inside are compiled closures too, and decision
-tables compile themselves once with their output entries folded. So no
-step is dispatched on its type while a run goes on.
+tables compile themselves once with their output entries folded.
 
 A run owns a variable store (every declared variable starts undefined),
 per-variable input cursors, FIFO message channels (each made on its first
@@ -21,10 +23,10 @@ the campaign's `CoverageHits`, so its memory does not grow with its
 length. A campaign with run files runs each run as `run_once` does, folds
 that trace into its hits and writes the trace file TRACE_CHUNK_LINES lines
 at a time. One walker, the only code that records or marks nodes and
-edges, serves both modes:
-each branch of a run is a generator that hands its children over at a
-fork and yields while the channel of its receive is empty; in parallel
-mode it also yields at a node boundary when another branch is ready. A
+edges, serves both modes: each branch of a run is a generator that hands
+its later children over at a fork, going on as the first itself, and
+yields while the channel of its receive is empty; in parallel mode it
+also yields at a node boundary when another branch is ready. A
 scheduler on a single OS thread decides which branch steps next.
 Sequential mode runs the branches one at a time in case order, so a
 receive that waits for a later branch is a deadlock. Parallel mode gives
@@ -139,14 +141,14 @@ class RunOptions:
 # --- lowering: each routine once per model, into closures ---------------------
 
 class _Edge:
-    """A (source, target) pair a branch can take: the target node id, the
-    pair's coverage index and, from the first run that keeps a trace on,
-    its trace record."""
+    """A (source, target) pair a branch can take: the target's `_Node` (set
+    once every routine is lowered), the pair's coverage index and, from the
+    first run that keeps a trace on, its trace record."""
 
-    __slots__ = ("target", "index", "record")
+    __slots__ = ("node", "index", "record")
 
-    def __init__(self, target: str, index: int):
-        self.target = target
+    def __init__(self, index: int):
+        self.node: _Node | None = None
         self.index = index
         self.record: EdgeTraversed | None = None
 
@@ -160,20 +162,23 @@ class _Node:
     the `_Edge` taken, None (the branch ended and the outcome is set) or
     the fork's children, one `_Edge` each; a fork's children meet at
     `join_id`. A continue has no terminal function: the walker takes
-    `edge`, as does an arrival that passes a barrier join. Lowering builds
-    the edges once, shared by every run; the activation record is built on
-    the first run that keeps a trace and shared by every later one, which
-    is why node and edge records stay frozen (and compare by value). Only
-    the walker records or marks them. `index` is the node's coverage index.
+    `edge`, as does an arrival that passes a barrier join. `run` does it
+    all in one call, except in a node with a receive (which can make the
+    walker yield), which has no `run`. Lowering builds the edges once,
+    shared by every run; the activation record is built on the first run
+    that keeps a trace and shared by every later one, which is why node
+    and edge records stay frozen (and compare by value). Only the walker
+    records or marks them. `index` is the node's coverage index.
     """
 
-    __slots__ = ("activated", "index", "steps", "terminal", "edge", "join_id")
+    __slots__ = ("id", "activated", "index", "steps", "terminal", "edge", "join_id", "run")
 
-    def __init__(self, index: int):
+    def __init__(self, node_id: str, index: int):
+        self.id = node_id
         self.activated: NodeActivated | None = None
         self.index = index
         self.steps: tuple = ()
-        self.terminal = self.edge = self.join_id = None
+        self.terminal = self.edge = self.join_id = self.run = None
 
 
 class _Program:
@@ -198,14 +203,16 @@ class _Program:
         edges = self.edges
         for pair in model.graph.edges:
             if pair not in edges:
-                edges[pair] = _Edge(pair[1], len(edges))
-        self.nodes = {node_id: _lower(routine, model, self)
-                      for node_id, routine in model.routines.items()}
+                edges[pair] = _Edge(len(edges))
+        nodes = self.nodes = {node_id: _lower(routine, model, self)
+                              for node_id, routine in model.routines.items()}
+        for (_, target), edge in edges.items():
+            edge.node = nodes.get(target)
 
     def edge(self, source: str, target: str) -> _Edge:
         edge = self.edges.get((source, target))
         if edge is None:
-            edge = self.edges[source, target] = _Edge(target, len(self.edges))
+            edge = self.edges[source, target] = _Edge(len(self.edges))
         return edge
 
     def build_records(self):
@@ -236,7 +243,7 @@ def _lowered(model: ExecutableModel) -> _Program:
 def _lower(routine, model: ExecutableModel, program: _Program) -> _Node:
     node_id = routine.id
     node_index = program.node_index
-    node = _Node(node_index.setdefault(node_id, len(node_index)))
+    node = _Node(node_id, node_index.setdefault(node_id, len(node_index)))
     steps = []
     for step in routine.steps:
         cls = step.__class__
@@ -251,7 +258,28 @@ def _lower(routine, model: ExecutableModel, program: _Program) -> _Node:
     else:
         node.terminal = _fault(f"routine {node_id!r} fell through without a terminal step")
     node.steps = tuple(steps)
+    if all(step.__class__ is not Receive for step in routine.steps):  # it cannot wait
+        node.run = _run_node(node.steps, node.terminal, node.edge)
     return node
+
+
+def _run_node(steps: tuple, terminal, edge: _Edge | None):
+    """A node's `run`: its plain steps, then its terminal's result or `edge`."""
+    if not steps:
+        return terminal or (lambda engine: edge)
+    if len(steps) == 1 and terminal is None:
+        step = steps[0]
+
+        def run_one(engine):
+            step(engine)
+            return edge
+        return run_one
+
+    def run(engine):
+        for step in steps:
+            step(engine)
+        return edge if terminal is None else terminal(engine)
+    return run
 
 
 def _fault(message: str):
@@ -416,14 +444,14 @@ _ENDED = object()  # what `next` returns for a branch that has finished
 
 
 class _Barrier:
-    """Where the children of one fork meet: `edges` are the fork edges
-    they start over, in case order; `pending` counts the children that
-    have yet to arrive at the join."""
+    """Where the children of one fork meet, at the `join` node: `edges` are
+    the fork edges they start over, in case order; `pending` counts the
+    children that have yet to arrive at the join."""
 
-    __slots__ = ("join_id", "edges", "pending", "parent")
+    __slots__ = ("join", "edges", "pending", "parent")
 
-    def __init__(self, join_id: str, edges, parent: "_Barrier | None"):
-        self.join_id = join_id
+    def __init__(self, join: _Node, edges, parent: "_Barrier | None"):
+        self.join = join
         self.edges = edges
         self.pending = len(edges)
         self.parent = parent
@@ -478,7 +506,8 @@ class _Engine:
         self._outcome: tuple[str, str, str] | None = None
         self._parallel = options.mode == "parallel"
         self._program = program.nodes
-        self._steps = 0
+        self._steps = 0  # steps taken; a walker keeps its own count until it yields
+        self._next_check = 1  # the next step that calls _check_limits
         self._max_steps = options.max_steps
         self._last_writer: dict[str, tuple] = {}  # variable -> path of its last writer
         self._branch: _Branch | None = None  # the branch being stepped
@@ -494,10 +523,11 @@ class _Engine:
         if self._outcome is None:
             self._outcome = (status, code, message)
 
-    def _check_limits(self, steps: int):
+    def _check_limits(self, steps: int) -> int:
         """Called by the walker on the step that reads the clock (the first,
         then every CLOCK_EVERY, so the step budget, not the machine's speed,
-        ends a run that exhausts it) and on every step past the budget."""
+        ends a run that exhausts it) and on the first step past the budget.
+        Returns the next such step, which it also keeps in `_next_check`."""
         if steps % CLOCK_EVERY == 1 and time.monotonic() > self._deadline:
             self._set_outcome("timeout", "TIMEOUT",
                               f"execution exceeded {self.options.timeout_s:g}s")
@@ -506,6 +536,8 @@ class _Engine:
             self._set_outcome("fault", "ENGINE_FAULT",
                               f"step budget of {self._max_steps} exceeded")
             raise _Aborted()
+        self._next_check = min(steps + CLOCK_EVERY, self._max_steps + 1)
+        return self._next_check
 
     def _write_outputs(self, table_id: str, outputs: dict, out_bindings: tuple):
         if self._record is not None:
@@ -534,7 +566,7 @@ class _Engine:
         ready = self._ready
         walk = self._walk
         root = _Branch(())
-        ready.append((root, walk(self.model.entry, None, None, root)))
+        ready.append((root, walk(self._program[self.model.entry], None, None, root)))
         getrandbits = None  # bound when two branches first compete for a step
         try:
             while ready and self._outcome is None:
@@ -556,12 +588,14 @@ class _Engine:
                 del ready[index]
                 if event is _ENDED:
                     continue
-                if event.__class__ is _Barrier:  # a fork: its children, the first case on top
+                if event.__class__ is _Barrier:  # a fork: its walker goes on as the first case
                     path, edges = branch.path, event.edges
-                    for i in range(len(edges) - 1, -1, -1):
+                    for i in range(len(edges) - 1, 0, -1):
                         edge = edges[i]
                         child = _Branch(path + ((event, i),))
-                        ready.append((child, walk(edge.target, event, edge, child)))
+                        ready.append((child, walk(edge.node, event, edge, child)))
+                    branch.path = path + ((event, 0),)
+                    ready.append((branch, walker))
                 else:  # a receive on an empty channel
                     node, channel = event
                     if parallel:
@@ -585,70 +619,95 @@ class _Engine:
 
     # --- one branch ---
 
-    def _walk(self, current: str, barrier: _Barrier | None, entry: _Edge | None,
+    def _walk(self, node: _Node, barrier: _Barrier | None, entry: _Edge | None,
               branch: _Branch):
-        """Run one branch from `current`, entered over the fork edge `entry`
+        """Run one branch from `node`, entered over the fork edge `entry`
         when it has one. Records, or marks in the campaign's hit arrays, the
         fork edge, each activated node and each edge taken, in that order.
 
         In parallel mode, yields None after a node and its edge when another
         branch is ready (a send can make waiters ready in the middle of a
         node); a lone branch keeps the step, as the scheduler would give it
-        back without a draw. In both modes, yields the barrier of the
-        children at a fork (and then ends), and (node, channel) while a
-        receive waits on an empty channel. Ends at a join some other branch
-        still has to reach, or once the run has an outcome. A sequential
-        branch keeps the only step until it yields, so it needs no node
-        boundaries.
+        back without a draw. In both modes, yields (node, channel) while a
+        receive waits on an empty channel, and the barrier of the children
+        at a fork: the scheduler starts a walker for every case but the
+        first, and this one goes on as the first once resumed. Ends at a
+        join some other branch still has to reach, or once the run has an
+        outcome. A sequential branch keeps the only step until it yields,
+        so it needs no node boundaries. The step count is a local, read
+        from the engine on every resume and written back where the walker
+        yields or waits at a join (once the run has an outcome, it is not
+        read again), and compared with one step: the next to check limits.
         """
-        program = self._program
         record = self._record
         node_hits, edge_hits = self._node_hits, self._edge_hits
-        max_steps = self._max_steps
         parallel = self._parallel
         ready = self._ready
+        join = None if barrier is None else barrier.join
+        released = False  # passing the join as the last of its fork's branches
         if entry is not None:
             if edge_hits is None:
                 record(entry.record)
             else:
                 edge_hits[entry.index] = 1
+        steps, next_check = self._steps, self._next_check
         while True:
-            node = program[current]
-            terminal = node.terminal
-            if barrier is not None and current == barrier.join_id:
+            run = node.run
+            if node is join:
                 barrier.pending -= 1
                 if barrier.pending:
+                    self._steps = steps
                     return  # the last arrival will continue past the join
-                barrier, terminal = barrier.parent, None  # released: on over the join's edge
+                barrier = barrier.parent  # released: on over the join's edge
+                join = None if barrier is None else barrier.join
                 branch.path = branch.path[:-1]  # the fork's own branch again
-            steps = self._steps = self._steps + 1
-            if steps % CLOCK_EVERY == 1 or steps > max_steps:
-                self._check_limits(steps)
+                run, released = None, True
+            steps += 1
+            if steps >= next_check:
+                self._steps = steps
+                next_check = self._check_limits(steps)
             if node_hits is None:
                 record(node.activated)
             else:
                 node_hits[node.index] = 1
             try:
-                for step in node.steps:
-                    while (blocked := step(self)) is not None:
-                        yield blocked
-                taken = node.edge if terminal is None else terminal(self)
+                if run is not None:
+                    taken = run(self)
+                else:  # a receive, which can yield, or a join being passed
+                    self._steps = steps
+                    for step in node.steps:
+                        while (blocked := step(self)) is not None:
+                            yield blocked
+                    steps, next_check = self._steps, self._next_check
+                    terminal = None if released else node.terminal
+                    taken = node.edge if terminal is None else terminal(self)
+                    released = False
             except BprocError as exc:
-                self._set_outcome("fault", "ENGINE_FAULT", f"{current}: {exc}")
+                self._set_outcome("fault", "ENGINE_FAULT", f"{node.id}: {exc}")
                 return
             if taken.__class__ is _Edge:
                 if edge_hits is None:
                     record(taken.record)
                 else:
                     edge_hits[taken.index] = 1
-                current = taken.target
+                node = taken.node
                 if parallel and len(ready) > 1:
+                    self._steps = steps
                     yield
-            elif taken is None:
+                    steps, next_check = self._steps, self._next_check
+            elif taken is None:  # the outcome is set
                 return
-            else:  # a fork
-                yield _Barrier(node.join_id, taken, barrier)
-                return
+            else:  # a fork: on as its first case, entered over its fork edge
+                self._steps = steps
+                barrier = _Barrier(self._program[node.join_id], taken, barrier)
+                yield barrier
+                steps, next_check = self._steps, self._next_check
+                join, entry = barrier.join, taken[0]
+                if edge_hits is None:
+                    record(entry.record)
+                else:
+                    edge_hits[entry.index] = 1
+                node = entry.node
 
 
 def run_once(model: ExecutableModel, input_lists: dict[str, list],

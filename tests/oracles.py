@@ -44,9 +44,10 @@ from typing import Mapping
 from bproc import dmn, feel, runtime, verifier
 from bproc.errors import (AnyConflictError, DivisionByZeroError, FeelTypeError,
                           IndexOutOfRangeError, NoMatchError, SchemaError,
-                          UndefinedValueError, UniquenessViolationError)
+                          UndefinedValueError, UniquenessViolationError, ValueTooLargeError)
 from bproc.feel import ast
-from bproc.feel.values import SECONDS_PER_DAY, UNDEFINED, FeelRange, Temporal
+from bproc.feel.values import (MAX_INT_BITS, MAX_STRING_LENGTH, SECONDS_PER_DAY, UNDEFINED,
+                               FeelRange, Temporal)
 
 NO_MATCH = object()
 
@@ -458,22 +459,33 @@ def _ref_binop(expr: ast.BinOp, env):
     # arithmetic
     lk, rk = kind_of(left), kind_of(right)
     if op == "+" and lk == rk == "string":
+        if len(left + right) > MAX_STRING_LENGTH:  # built, then measured: test-sized operands
+            raise ValueTooLargeError(
+                f"string concatenation would exceed {MAX_STRING_LENGTH} characters")
         return left + right
     if op == "+" and lk == rk == "time":
         return Temporal("time", (left.scalar + right.scalar) % SECONDS_PER_DAY)
     if lk != "number" or rk != "number":
         raise FeelTypeError(f"cannot apply {op!r} to {lk} and {rk}")
+    both_ints = isinstance(left, int) and isinstance(right, int)
     if op == "+":
         return left + right
     if op == "-":
         return left - right
     if op == "*":
+        if both_ints and abs(left).bit_length() + abs(right).bit_length() > MAX_INT_BITS:
+            raise ValueTooLargeError(f"integer product would exceed {MAX_INT_BITS} bits")
         return left * right
     if op == "/":
         if right == 0:
             raise DivisionByZeroError("division by zero")
         return left / right
     if op == "**":
+        # |left| ** right needs about right * log2|left| bits; with |left| >= 2
+        # that is at least `right`, so a large exponent fails without the log
+        if both_ints and right > 0 and abs(left) >= 2 and (
+                right > MAX_INT_BITS or right * math.log2(abs(left)) > MAX_INT_BITS):
+            raise ValueTooLargeError(f"integer power would exceed {MAX_INT_BITS} bits")
         try:
             result = left ** right
         except ZeroDivisionError as exc:

@@ -10,11 +10,14 @@ exception type with the same message.
 
 import enum
 import math
+import time
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from bproc import feel
 from bproc.dmn import DecisionTable, Rule, evaluate_table
+from bproc.errors import ValueTooLargeError
 from bproc.feel import ast, evaluator, values as kernel
 from bproc.feel.values import UNDEFINED, FeelRange, Temporal
 
@@ -171,6 +174,65 @@ def test_variable_op_literal_calls_no_leaf_closure(monkeypatch):
     assert leaf_calls == []
     assert feel.compile_expr(feel.parse_expr("0 < n"))(env) is True  # not fused
     assert leaf_calls == [ast.Lit(0), ast.Var("n")]
+
+
+ORDER_OPERANDS = (0, 1, -1, 0.0, -0.0, 0.5, -2.5, 10**20, 1e20, math.nan, math.inf, -math.inf)
+
+
+def test_orderings_agree_with_compare():
+    # an ordering of two exact numbers is one comparison, fused or not; it
+    # must agree with compare(), which orders NaN as equal to everything
+    holds = {"<": lambda c: c < 0, "<=": lambda c: c <= 0,
+             ">": lambda c: c > 0, ">=": lambda c: c >= 0}
+    for op, expected in holds.items():
+        for a in ORDER_OPERANDS:
+            for b in ORDER_OPERANDS:
+                want = expected(kernel.compare(a, b))
+                for expr in (ast.BinOp(op, ast.Var("a"), ast.Lit(b)),  # fused
+                             ast.BinOp(op, ast.Lit(a), ast.Lit(b)),
+                             ast.BinOp(op, ast.Lit(a), ast.Var("b"))):
+                    assert feel.compile_expr(expr)({"a": a, "b": b}) is want, (expr, a, b)
+                test = ast.Comparison(op, ast.Lit(b))  # a cell test: `value op b`
+                assert feel.compile_unary(test)(a) is want, (op, a, b)
+
+
+BITS, CHARS = kernel.MAX_INT_BITS, kernel.MAX_STRING_LENGTH
+SIZE_CASES = (  # (left, op, right, past the limit?)
+    (2, "**", BITS, False), (2, "**", BITS + 1, True), (-2, "**", BITS, False),
+    (3, "**", 5168, False), (3, "**", 5169, True),  # 5168 * log2(3) is just under BITS
+    (3, "**", 100_000_000_000, True), (10**20, "**", 10**20, True), (10**20, "**", 10**400, True),
+    (1, "**", 10**20, False), (-1, "**", 10**20 + 1, False), (0, "**", 10**20, False),
+    (2, "**", -10**20, False), (2, "**", 1.5, False), (2.0, "**", 10**6, False),
+    (2**(BITS // 2 - 1), "*", 2**(BITS // 2 - 1), False),
+    (2**(BITS // 2), "*", 2**(BITS // 2 - 1), True), (-(2**BITS), "*", -1, True),
+    (2**1000, "*", 1.5, False), (2**BITS, "+", 2**BITS, False),
+    ("x" * (CHARS // 2), "+", "y" * (CHARS // 2), False),
+    ("x" * (CHARS // 2), "+", "y" * (CHARS // 2 + 1), True), ("", "+", "x" * CHARS, False),
+)
+
+
+def test_values_grow_only_to_the_size_limit():
+    # `**` and `*` on two integers and `+` on two strings raise past the
+    # limit, before computing anything; fused (`a op literal`) or not, and
+    # as the reference does
+    for left, op, right, too_large in SIZE_CASES:
+        exprs = (ast.BinOp(op, ast.Lit(left), ast.Lit(right)),
+                 ast.BinOp(op, ast.Var("a"), ast.Lit(right)))
+        for expr in exprs:
+            got = outcome(feel.compile_expr(expr), {"a": left})
+            assert got == outcome(reference_evaluate, expr, {"a": left})
+            assert (got[:2] == ("raised", ValueTooLargeError)) is too_large, (left, op, right)
+            if too_large:
+                limit = f"{BITS} bits" if isinstance(left, int) else f"{CHARS} characters"
+                assert got[2].endswith(f"would exceed {limit}")
+
+
+def test_an_oversized_power_fails_at_once():
+    for text in ("3 ** 100000000000", "10**20 ** 10**20"):
+        started = time.perf_counter()
+        with pytest.raises(ValueTooLargeError):
+            feel.evaluate(feel.parse_expr(text), {})
+        assert time.perf_counter() - started < 1.0  # it took hours before the limit
 
 
 KERNEL = (("kind_of", kernel.kind_of, oracles.kind_of),

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bproc import RunOptions, compile_model, parse_bpmn, run_once, runtime
-from bproc.compiler import InvokeTable
+from bproc.compiler import Fork, InvokeTable
 from bproc.errors import ConfigError
+from bproc.feel.values import MAX_STRING_LENGTH
 from bproc.runtime import (TableEvaluated, VarWritten, parse_summary_inputs,
                            render_graph_file, render_summary_file, render_trace_file,
                            write_artifacts)
@@ -140,7 +141,8 @@ def test_the_clock_is_read_every_1024_steps(monkeypatch):
                         types.SimpleNamespace(monotonic=lambda: reads.append(1) or clock()))
     _, summary = run_once(x, {}, RunOptions(mode="sequential", max_steps=10_000, timeout_s=60))
     assert summary.message == "step budget of 10000 exceeded"
-    assert len(reads) <= math.ceil(10_000 / 1024) + 2
+    # the start, steps 1, 1025, ..., 9217 (10 reads) and the elapsed time
+    assert len(reads) == 12
 
 
 @pytest.mark.parametrize("mode", ("sequential", "parallel"))
@@ -153,6 +155,76 @@ def test_a_clock_past_the_deadline_times_out(monkeypatch, mode):
     assert (summary.status, summary.code, summary.message) == \
         ("timeout", "TIMEOUT", "execution exceeded 5s")
     assert summary.elapsed_s == 3600.0
+
+
+@pytest.mark.parametrize("mode", ("sequential", "parallel"))
+def test_a_clock_that_expires_at_its_second_read_in_the_run(monkeypatch, mode):
+    x = compile_fixture("loop")
+    reads = itertools.count()  # the start and step 1 read 0, later reads an hour on
+    monkeypatch.setattr(runtime, "time",
+                        types.SimpleNamespace(monotonic=lambda: 3600.0 * (next(reads) >= 2)))
+    trace, summary = run_once(x, {}, RunOptions(mode=mode, timeout_s=5))
+    assert (summary.status, summary.message) == ("timeout", "execution exceeded 5s")
+    # step 1,025 reads the clock and times out before its node is activated
+    assert len(trace.node_sequence()) == runtime.CLOCK_EVERY == 1024
+
+
+@pytest.mark.parametrize("name", ("loop", "pingpong"))
+@pytest.mark.parametrize("mode", ("sequential", "parallel"))
+def test_a_step_budget_cuts_the_natural_run_short(name, mode):
+    # a budget of k steps ends the run on step k + 1, after k activations,
+    # exactly when the natural run is longer; the trace so far is the same
+    x = compile_fixture(name)
+
+    def run(max_steps):
+        return run_once(x, {}, RunOptions(mode=mode, seed=7, max_steps=max_steps, timeout_s=60))
+
+    longer, natural = run(1_000)
+    natural_steps = len(longer.node_sequence())
+    if natural.message == "step budget of 1000 exceeded":
+        natural_steps = math.inf  # `loop` never ends
+    assert (name == "loop") is (natural_steps == math.inf)
+    for max_steps in range(1, 61):
+        trace, summary = run(max_steps)
+        assert trace.records == longer.records[:len(trace.records)]
+        if natural_steps > max_steps:
+            assert (summary.status, summary.code, summary.message) == \
+                ("fault", "ENGINE_FAULT", f"step budget of {max_steps} exceeded")
+            assert len(trace.node_sequence()) == max_steps
+        else:
+            assert trace.records == longer.records
+            assert (summary.status, summary.code, summary.message) == \
+                (natural.status, natural.code, natural.message)
+
+
+STRING_DOUBLING = """
+  <startEvent id="s"/>
+  <scriptTask id="init" resultVariable="t"><script>"x"</script></scriptTask>
+  <exclusiveGateway id="cycle"/>
+  <scriptTask id="double" resultVariable="t"><script>t + t</script></scriptTask>
+  <exclusiveGateway id="again" default="f_exit"/>
+  <endEvent id="e"/>
+  <sequenceFlow id="f1" sourceRef="s" targetRef="init"/>
+  <sequenceFlow id="f2" sourceRef="init" targetRef="cycle"/>
+  <sequenceFlow id="f3" sourceRef="cycle" targetRef="double"/>
+  <sequenceFlow id="f4" sourceRef="double" targetRef="again"/>
+  <sequenceFlow id="f_back" sourceRef="again" targetRef="cycle">
+    <conditionExpression>length(t) &gt; 0</conditionExpression>
+  </sequenceFlow>
+  <sequenceFlow id="f_exit" sourceRef="again" targetRef="e"/>
+"""
+
+
+@pytest.mark.parametrize("mode", ("sequential", "parallel"))
+def test_a_value_past_the_size_limit_is_an_engine_fault(mode):
+    # the string doubles until the next doubling would pass the limit
+    x = compile_inline(STRING_DOUBLING)
+    trace, summary = run_once(x, {}, RunOptions(mode=mode, timeout_s=60))
+    assert (summary.status, summary.code, summary.message) == \
+        ("fault", "ENGINE_FAULT", "double: string concatenation would exceed "
+                                  f"{MAX_STRING_LENGTH} characters")
+    lengths = [len(value) for name, value in trace.writes()]
+    assert lengths[-1] == MAX_STRING_LENGTH == 2 ** (len(lengths) - 1)
 
 
 def test_trace_records_cost_little_memory():
@@ -840,12 +912,12 @@ def _wide_fork() -> str:
 
 
 class _Resumes:
-    """Stands in for `_Engine._walk`: counts each resume of a walker and
-    notes, when several branches are ready, how many there are and which
-    one the scheduler picked."""
+    """Stands in for `_Engine._walk`: counts each walker started and each
+    resume of a walker, and notes, when several branches are ready, how
+    many there are and which one the scheduler picked."""
 
     def __init__(self, monkeypatch):
-        self.count = 0
+        self.started = self.count = 0
         self.picks = []  # (ready branches, index of the one resumed)
         walk = runtime._Engine._walk
         resumes = self
@@ -865,8 +937,10 @@ class _Resumes:
                     resumes.picks.append((len(ready), walkers.index(self)))
                 return next(self.walker)
 
-        monkeypatch.setattr(runtime._Engine, "_walk",
-                            lambda engine, *args: Counted(engine, walk(engine, *args)))
+        def start(engine, *args):
+            resumes.started += 1
+            return Counted(engine, walk(engine, *args))
+        monkeypatch.setattr(runtime._Engine, "_walk", start)
 
 
 def test_scheduler_draws_as_randrange(monkeypatch):
@@ -895,6 +969,46 @@ def test_a_lone_branch_is_resumed_once_per_run(monkeypatch, name, dmns):
         before = resumes.count
         _, summary = run_once(x, lists, RunOptions(mode="parallel", seed=seed, max_steps=300))
         assert resumes.count - before == 1, summary
+
+
+NESTED_FORKS = """
+  <startEvent id="s"/><parallelGateway id="outer"/><parallelGateway id="inner"/>
+  <scriptTask id="a" resultVariable="va"><script>1</script></scriptTask>
+  <scriptTask id="b0" resultVariable="v0"><script>0</script></scriptTask>
+  <scriptTask id="b1" resultVariable="v1"><script>1</script></scriptTask>
+  <scriptTask id="b2" resultVariable="v2"><script>2</script></scriptTask>
+  <parallelGateway id="inner_join"/><parallelGateway id="outer_join"/><endEvent id="e"/>
+  <sequenceFlow id="f0" sourceRef="s" targetRef="outer"/>
+  <sequenceFlow id="f1" sourceRef="outer" targetRef="a"/>
+  <sequenceFlow id="f2" sourceRef="outer" targetRef="inner"/>
+  <sequenceFlow id="f3" sourceRef="inner" targetRef="b0"/>
+  <sequenceFlow id="f4" sourceRef="inner" targetRef="b1"/>
+  <sequenceFlow id="f5" sourceRef="inner" targetRef="b2"/>
+  <sequenceFlow id="f6" sourceRef="b0" targetRef="inner_join"/>
+  <sequenceFlow id="f7" sourceRef="b1" targetRef="inner_join"/>
+  <sequenceFlow id="f8" sourceRef="b2" targetRef="inner_join"/>
+  <sequenceFlow id="f9" sourceRef="inner_join" targetRef="outer_join"/>
+  <sequenceFlow id="f10" sourceRef="a" targetRef="outer_join"/>
+  <sequenceFlow id="f11" sourceRef="outer_join" targetRef="e"/>
+"""
+
+
+@pytest.mark.parametrize("body", (_wide_fork(), NESTED_FORKS), ids=("wide", "nested"))
+@pytest.mark.parametrize("mode", ("sequential", "parallel"))
+def test_a_fork_keeps_its_walker(monkeypatch, body, mode):
+    # the walker that reaches a fork goes on as its first case, so a run
+    # starts one walker for the entry and one per case after the first
+    x = compile_inline(body)
+    cases = [len(step.targets) for routine in x.routines.values()
+             for step in routine.steps if isinstance(step, Fork)]
+    assert cases in ([WIDE_FORK], [2, 3])
+    resumes = _Resumes(monkeypatch)
+    for seed in range(3):
+        resumes.started = 0
+        trace, summary = run_once(x, {}, RunOptions(mode=mode, seed=seed))
+        assert summary.status == "success"
+        assert resumes.started == 1 + sum(n - 1 for n in cases)
+        assert len(trace.node_sequence()) == len(x.routines)  # each node once
 
 
 READ_IF_SET = """
