@@ -7,11 +7,21 @@ a task with several outgoing flows gets an inserted exclusive gateway
 (`autogw_<taskId>`) carrying those flows, keeping traces traceable to the
 original diagram.
 
-Parsing builds each node and flow record once: a gateway's record waits
-until every flow is read, when its degree tells a split from a join. The
-flow index (`ProcessModel.adjacency`) and the variable uses that roles are
-classified from (`ProcessModel.variable_uses`) are computed once per model,
-and `compile_model` reuses them.
+Parsing walks the document once for its process, messages, errors and
+data objects (elements of other kinds are passed over in C), then reads
+each element of the process in one pass over its children and builds its
+node or flow record once: a gateway's record waits until every flow is
+read, when its degree tells a split from a join, and a flow read before
+the element that names it its default is built again with the mark
+(`_Builder.finished_flows`). The flow index
+(`ProcessModel.adjacency`) and the variable uses that roles are classified
+from (`ProcessModel.variable_uses`) are computed once per model, and
+`compile_model` reuses them. Computing the variable uses walks each
+expression once (`feel.types.scan`), for its free variables and its type
+evidence together; the walk's result is kept there, so type and domain
+inference in `compile_model` walk no expression of the model again.
+Validation checks whole lists with comprehensions, and walks the nodes
+in order only to report the first fault of a kind it found.
 
 Set-up runs with the cyclic garbage collector paused (`collector_paused`):
 nearly every object a model's construction allocates survives it, so a
@@ -26,10 +36,14 @@ import logging
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import compress
+from operator import attrgetter
 
 from . import feel, safexml
+from .safexml import LocalNames
 from .errors import RoleConflictError, SchemaError, UnsupportedElementError
 from .feel import ast
+from .feel.types import scan
 
 log = logging.getLogger("bproc")
 
@@ -166,15 +180,6 @@ def _local(tag) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-class _LocalNames(dict):
-    """Element tag -> its local name, worked out once per distinct tag of
-    one document."""
-
-    def __missing__(self, tag: str) -> str:
-        local = self[tag] = _local(tag)
-        return local
-
-
 def _strip_expr(text: str) -> str:
     text = (text or "").strip()
     return text[1:].strip() if text.startswith("=") else text
@@ -201,20 +206,36 @@ def collector_paused(fn):
 
 _DOCUMENT_TAGS = frozenset({"process", "participant", "message", "error", "dataObjectReference",
                             "dataObject"})
+_TAG = attrgetter("tag")
+
+
+class _DocumentKinds(dict):
+    """Element tag -> its local name if that is one of `_DOCUMENT_TAGS`,
+    else the empty string; worked out once per distinct tag."""
+
+    def __init__(self, local: LocalNames):
+        super().__init__()
+        self.local = local
+
+    def __missing__(self, tag: str) -> str:
+        name = self.local[tag]
+        kind = self[tag] = name if name in _DOCUMENT_TAGS else ""
+        return kind
 
 
 @collector_paused
 def parse_bpmn(data: bytes | str) -> ProcessModel:
     """Parse one BPMN document (one process) into a preprocessed, validated model."""
     root = safexml.fromstring(data, "BPMN")
-    local = _LocalNames()
+    local = LocalNames()
 
     processes, messages, errors, data_names = [], [], {}, {}
     has_participant = False
-    for el in root.iter():  # one walk over the document collects every kind
-        tag = local[el.tag]
-        if tag not in _DOCUMENT_TAGS:
-            continue
+    # one walk over the document collects every kind; the elements of the
+    # other kinds are passed over in C, one local-name lookup per element
+    kinds = _DocumentKinds(local)
+    for el in compress(root.iter(), map(kinds.__getitem__, map(_TAG, root.iter()))):
+        tag = kinds[el.tag]
         if tag == "process":
             processes.append(el)
         elif tag == "participant":
@@ -238,8 +259,7 @@ def parse_bpmn(data: bytes | str) -> ProcessModel:
     message_names = {m.id: m.name for m in messages}
 
     builder = _Builder(errors, data_names, message_names, local)
-    for element in process:
-        builder.add(element)
+    builder.add_all(process)
 
     flows = builder.finished_flows()
     index = adjacency(flows)
@@ -259,131 +279,142 @@ def parse_bpmn(data: bytes | str) -> ProcessModel:
 
 
 _GATEWAY_KINDS = ("exclusive_gateway", "parallel_gateway", "inclusive_gateway")
+#: gateway kind -> the join kind of such a gateway when it joins
+_JOIN_KINDS = {kind: kind.removesuffix("_gateway") for kind in _GATEWAY_KINDS}
 
 
 class _Builder:
-    def __init__(self, errors, data_names, message_names, local: _LocalNames):
+    """Builds the records of one process's elements, read in document order.
+
+    Each element is read in one pass over its children (`_children`), and
+    its record is built once. The code for the commonest elements (flows,
+    gateways, tasks) loops where a comprehension or generator expression
+    would be a function call of its own."""
+
+    def __init__(self, errors, data_names, message_names, local: LocalNames):
         self.errors = errors
         self.data_names = data_names
         self.message_names = message_names
         self.local = local
-        # a gateway stays (id, label, kind) until its flows are all known
+        # a gateway stays (id, label, kind) until its flows are all known;
+        # `gateways` holds the positions of those tuples in `nodes`
         self.nodes: list[Node | tuple[str, str, str]] = []
-        self.flows: list[tuple[str, str, str, ast.FeelExpr | None]] = []
-        self.defaults: dict[str, str] = {}  # node id -> default flow id
+        self.gateways: list[int] = []
+        self.flows: list[SequenceFlow] = []
+        self.default_ids: set[str] = set()  # the flows elements read so far name as default
         self.diagnostics: list[str] = []
 
-    def add(self, el):
-        tag = self.local[el.tag]
-        handler = _HANDLERS.get(tag)
-        if handler is not None:
-            handler(self, el)
-        elif tag in _SKIPPED:
-            if tag in ("laneSet", "lane", "textAnnotation", "association"):
-                log.warning("skipping %s element (no execution semantics)", tag)
-                self.diagnostics.append(f"skipped {tag}")
-        elif tag in _UNSUPPORTED:
-            raise UnsupportedElementError(f"element kind {tag!r} is not supported")
-        else:
-            log.warning("ignoring unknown element %r", tag)
-            self.diagnostics.append(f"ignored unknown element {tag}")
+    def add_all(self, process) -> None:
+        """Read every child element of `process`, in document order."""
+        local, handlers = self.local, _HANDLERS
+        for el in process:
+            tag = local[el.tag]
+            handler = handlers.get(tag)
+            if handler is not None:
+                handler(self, el)
+            elif tag in _SKIPPED:
+                if tag in ("laneSet", "lane", "textAnnotation", "association"):
+                    log.warning("skipping %s element (no execution semantics)", tag)
+                    self.diagnostics.append(f"skipped {tag}")
+            elif tag in _UNSUPPORTED:
+                raise UnsupportedElementError(f"element kind {tag!r} is not supported")
+            else:
+                log.warning("ignoring unknown element %r", tag)
+                self.diagnostics.append(f"ignored unknown element {tag}")
 
     def finished_flows(self) -> list[SequenceFlow]:
-        default_ids = set(self.defaults.values())
-        return [SequenceFlow(flow_id, source, target, condition, flow_id in default_ids)
-                for flow_id, source, target, condition in self.flows]
+        """The flows in document order. A flow is marked default when it is
+        read; one read before the element that names it gets a second
+        record here, the only record built twice."""
+        flows, default_ids = self.flows, self.default_ids
+        if default_ids:
+            for i, flow in enumerate(flows):
+                if not flow.is_default and flow.id in default_ids:
+                    flows[i] = replace(flow, is_default=True)
+        return flows
 
     def finished_nodes(self, outgoing, incoming) -> list[Node]:
         """The nodes in document order, each gateway with two or more
         incoming flows and one outgoing flow made a join."""
-        nodes = []
-        for node in self.nodes:
-            if type(node) is tuple:
-                node_id, label, kind = node
-                if len(incoming[node_id]) >= 2 and len(outgoing[node_id]) == 1:
-                    node = Node(node_id, label, "join_gateway",
-                                join_kind=kind.removesuffix("_gateway"))
-                else:  # a split; _validate rejects any other degree
-                    node = Node(node_id, label, kind)
-            nodes.append(node)
+        nodes = self.nodes
+        for i in self.gateways:
+            node_id, label, kind = nodes[i]
+            if len(incoming[node_id]) >= 2 and len(outgoing[node_id]) == 1:
+                nodes[i] = Node(node_id, label, "join_gateway", join_kind=_JOIN_KINDS[kind])
+            else:  # a split; _validate rejects any other degree
+                nodes[i] = Node(node_id, label, kind)
         return nodes
-
-    def children_named(self, element, name: str) -> list:
-        local = self.local
-        return [c for c in element if local[c.tag] == name]
 
     # --- common pieces ---
 
     def _base(self, el):
-        node_id = el.get("id")
+        attrib = el.attrib
+        node_id = attrib.get("id")
         if not node_id:
             raise SchemaError(f"{self.local[el.tag]} without id")
-        default = el.get("default")
+        default = attrib.get("default")
         if default:
-            self.defaults[node_id] = default
-        return node_id, el.get("name") or node_id
+            self.default_ids.add(default)
+        return node_id, attrib.get("name") or node_id
 
-    def _associations(self, el):
-        writes, reads = [], []
+    def _children(self, el) -> _Children:
+        """What the children of a task or event declare, in one pass."""
+        found = _Children()
         local = self.local
-        for assoc in el:
-            name = local[assoc.tag]
-            if name == "dataOutputAssociation":
-                ref_name, names = "targetRef", writes
+        for child in el:
+            name = local[child.tag]
+            if name == "extensionElements":
+                self._extensions(child, found)
+            elif name == "dataOutputAssociation":
+                self._association(child, "targetRef", found.writes)
             elif name == "dataInputAssociation":
-                ref_name, names = "sourceRef", reads
-            else:
-                continue
-            for ref in assoc:
-                if local[ref.tag] == ref_name:
-                    data_name = self.data_names.get((ref.text or "").strip())
-                    if data_name:
-                        names.append(data_name)
-        return tuple(writes), tuple(reads)
+                self._association(child, "sourceRef", found.reads)
+            elif name == "script":
+                if found.body is None:
+                    found.body = child
+            elif name == "errorEventDefinition":
+                if found.error is None:
+                    found.error = child
+        return found
 
-    def _extensions(self, el):
-        """(calledDecision id, io inputs, io outputs, channel, script expr/result)."""
-        decision = None
-        io_inputs: list[tuple[str, str]] = []  # (source text, target)
-        io_outputs: list[tuple[str, str]] = []
-        channel = None
-        script = None
+    def _association(self, assoc, ref_name: str, names: list[str]) -> None:
+        local, data_names = self.local, self.data_names
+        for ref in assoc:
+            if local[ref.tag] == ref_name:
+                data_name = data_names.get((ref.text or "").strip())
+                if data_name:
+                    names.append(data_name)
+
+    def _extensions(self, ext, found: _Children) -> None:
         local = self.local
-        for ext in self.children_named(el, "extensionElements"):
-            for item in ext:
-                name = local[item.tag]
-                if name == "calledDecision":
-                    decision = item.get("decisionId") or item.get("decisionRef")
-                elif name == "ioMapping":
-                    channel = item.get("channel") or channel
-                    for entry in item:
-                        pair = (entry.get("source") or "", entry.get("target") or "")
-                        entry_name = local[entry.tag]
-                        if entry_name == "input":
-                            io_inputs.append(pair)
-                        elif entry_name == "output":
-                            io_outputs.append(pair)
-                elif name == "script":
-                    script = (item.get("expression") or "",
-                              item.get("resultVariable") or "")
-        return decision, io_inputs, io_outputs, channel, script
+        for item in ext:
+            name = local[item.tag]
+            if name == "calledDecision":
+                found.decision = item.get("decisionId") or item.get("decisionRef")
+            elif name == "ioMapping":
+                found.channel = item.get("channel") or found.channel
+                for entry in item:
+                    pair = (entry.get("source") or "", entry.get("target") or "")
+                    entry_name = local[entry.tag]
+                    if entry_name == "input":
+                        found.io_inputs.append(pair)
+                    elif entry_name == "output":
+                        found.io_outputs.append(pair)
+            elif name == "script":
+                found.script = (item.get("expression") or "", item.get("resultVariable") or "")
 
     # --- element handlers, one per element local name (see _HANDLERS) ---
 
     def _on_startEvent(self, el):
-        node_id, label = self._base(el)
-        writes, reads = self._associations(el)
-        _, _, io_outputs, _, _ = self._extensions(el)
-        writes += tuple(t for _, t in io_outputs if t)
-        self.nodes.append(Node(node_id, label, "start", writes=writes, reads=reads))
+        self._plain_task(el, "start")
 
     def _on_endEvent(self, el):
         node_id, label = self._base(el)
-        error_defs = self.children_named(el, "errorEventDefinition")
-        if error_defs:
-            ref = error_defs[0].get("errorRef")
+        error_def = self._children(el).error
+        if error_def is not None:
+            ref = error_def.get("errorRef")
             code, err_name = self.errors.get(ref, (None, None))
-            code = error_defs[0].get("errorCode") or code
+            code = error_def.get("errorCode") or code
             self.nodes.append(Node(node_id, label, "end_error", error_code=code,
                                    error_description=err_name or label))
         else:
@@ -400,10 +431,13 @@ class _Builder:
 
     def _plain_task(self, el, kind):
         node_id, label = self._base(el)
-        writes, reads = self._associations(el)
-        _, _, io_outputs, _, _ = self._extensions(el)
-        writes += tuple(t for _, t in io_outputs if t)
-        self.nodes.append(Node(node_id, label, kind, writes=writes, reads=reads))
+        found = self._children(el)
+        writes = found.writes
+        for _, target in found.io_outputs:
+            if target:
+                writes.append(target)
+        self.nodes.append(Node(node_id, label, kind, writes=tuple(writes),
+                               reads=tuple(found.reads)))
 
     def _on_scriptTask(self, el):
         self._expr_task(el, "script_task")
@@ -413,84 +447,117 @@ class _Builder:
 
     def _expr_task(self, el, kind):
         node_id, label = self._base(el)
-        writes, reads = self._associations(el)
-        _, io_inputs, io_outputs, _, script = self._extensions(el)
+        found = self._children(el)
         expr_text, target = None, None
-        body = self.children_named(el, "script")
-        if body and (body[0].text or "").strip():
-            expr_text = body[0].text.strip()
+        body = found.body
+        if body is not None and (body.text or "").strip():
+            expr_text = body.text.strip()
             target = el.get("resultVariable") or next(
                 (el.get(k) for k in el.keys() if _local(k) == "resultVariable"), None)
-        elif script:
-            expr_text, target = script
-        elif io_outputs:
-            expr_text, target = io_outputs[0]
+        elif found.script:
+            expr_text, target = found.script
+        elif found.io_outputs:
+            expr_text, target = found.io_outputs[0]
         if not expr_text or not target:
             raise SchemaError(f"{kind} {node_id!r} needs an expression and a result variable")
-        self.nodes.append(Node(node_id, label, kind, writes=writes, reads=reads,
+        self.nodes.append(Node(node_id, label, kind, writes=tuple(found.writes),
+                               reads=tuple(found.reads),
                                expr=feel.parse_expr(_strip_expr(expr_text)), target=target))
 
     def _on_businessRuleTask(self, el):
         node_id, label = self._base(el)
-        writes, reads = self._associations(el)
-        decision, io_inputs, io_outputs, _, _ = self._extensions(el)
-        if not decision:
+        found = self._children(el)
+        if not found.decision:
             raise SchemaError(f"business rule task {node_id!r} has no calledDecision")
         input_map = tuple((target, feel.parse_expr(_strip_expr(source)))
-                          for source, target in io_inputs) or None
+                          for source, target in found.io_inputs) or None
         output_map = tuple((_strip_expr(source), target)
-                           for source, target in io_outputs) or None
-        self.nodes.append(Node(node_id, label, "business_rule_task", writes=writes,
-                               reads=reads, table_ref=decision, input_map=input_map,
+                           for source, target in found.io_outputs) or None
+        self.nodes.append(Node(node_id, label, "business_rule_task",
+                               writes=tuple(found.writes), reads=tuple(found.reads),
+                               table_ref=found.decision, input_map=input_map,
                                output_map=output_map))
 
     def _on_sendTask(self, el):
         node_id, label = self._base(el)
-        _, io_inputs, _, channel, _ = self._extensions(el)
+        found = self._children(el)
+        channel = found.channel
         if not channel:
             raise SchemaError(f"send task {node_id!r} has no channel")
         msg_type = self.message_names.get(el.get("messageRef"), f"M_{channel}")
-        parts = tuple((target, feel.parse_expr(_strip_expr(source)))
-                      for source, target in io_inputs)
+        parts = []
+        for source, target in found.io_inputs:
+            parts.append((target, feel.parse_expr(_strip_expr(source))))
         if not parts:
             raise SchemaError(f"send task {node_id!r} declares no message parts")
         self.nodes.append(Node(node_id, label, "send_task", channel=channel,
-                               msg_type=msg_type, send_parts=parts))
+                               msg_type=msg_type, send_parts=tuple(parts)))
 
     def _on_receiveTask(self, el):
         node_id, label = self._base(el)
-        _, _, io_outputs, channel, _ = self._extensions(el)
+        found = self._children(el)
+        channel = found.channel
         if not channel:
             raise SchemaError(f"receive task {node_id!r} has no channel")
         msg_type = self.message_names.get(el.get("messageRef"), f"M_{channel}")
-        parts = tuple((source, target) for source, target in io_outputs)
+        parts = found.io_outputs
         if not parts:
             raise SchemaError(f"receive task {node_id!r} declares no message parts")
+        writes = []
+        for _, target in parts:
+            writes.append(target)
         self.nodes.append(Node(node_id, label, "receive_task", channel=channel,
-                               msg_type=msg_type, receive_parts=parts,
-                               writes=tuple(t for _, t in parts)))
+                               msg_type=msg_type, receive_parts=tuple(parts),
+                               writes=tuple(writes)))
+
+    def _gateway(self, el, kind):
+        node_id, label = self._base(el)
+        self.gateways.append(len(self.nodes))
+        self.nodes.append((node_id, label, kind))
 
     def _on_exclusiveGateway(self, el):
-        self.nodes.append((*self._base(el), "exclusive_gateway"))
+        self._gateway(el, "exclusive_gateway")
 
     def _on_parallelGateway(self, el):
-        self.nodes.append((*self._base(el), "parallel_gateway"))
+        self._gateway(el, "parallel_gateway")
 
     def _on_inclusiveGateway(self, el):
-        self.nodes.append((*self._base(el), "inclusive_gateway"))
+        self._gateway(el, "inclusive_gateway")
 
     def _on_sequenceFlow(self, el):
-        flow_id = el.get("id")
-        source, target = el.get("sourceRef"), el.get("targetRef")
+        attrib = el.attrib  # a dict: its `get` is cheaper than the element's
+        flow_id = attrib.get("id")
+        source, target = attrib.get("sourceRef"), attrib.get("targetRef")
         if not (flow_id and source and target):
             raise SchemaError("sequence flow needs id, sourceRef and targetRef")
         condition = None
         if len(el):
-            for cond in self.children_named(el, "conditionExpression"):
-                text = _strip_expr(cond.text or "")
-                if text:
-                    condition = feel.parse_expr(text)
-        self.flows.append((flow_id, source, target, condition))
+            local = self.local
+            for cond in el:
+                if local[cond.tag] == "conditionExpression":
+                    text = _strip_expr(cond.text or "")
+                    if text:
+                        condition = feel.parse_expr(text)
+        self.flows.append(SequenceFlow(flow_id, source, target, condition,
+                                       flow_id in self.default_ids))
+
+
+class _Children:
+    """What one element's children declare (see `_Builder._children`)."""
+
+    __slots__ = ("writes", "reads", "decision", "io_inputs", "io_outputs", "channel",
+                 "script", "body", "error")
+
+    def __init__(self):
+        self.writes: list[str] = []  # through data output associations
+        self.reads: list[str] = []  # through data input associations
+        self.decision: str | None = None  # calledDecision id
+        self.io_inputs: list[tuple[str, str]] = []  # (source text, target)
+        self.io_outputs: list[tuple[str, str]] = []
+        self.channel: str | None = None
+        self.script: tuple[str, str] | None = None  # (expression, result variable)
+        self.body = None  # the first <script> child
+        self.error = None  # the first <errorEventDefinition> child
 
 
 #: element local name -> its handler
@@ -532,23 +599,33 @@ def _fix_multi_output_nodes(model: ProcessModel) -> None:
     model.variable_uses = _variable_uses(model)
 
 
+_END_KINDS = frozenset(("end_success", "end_error"))
+_CONDITIONAL_KINDS = frozenset(("exclusive_gateway", "inclusive_gateway"))
+_TASK_KINDS = frozenset(TASK_KINDS)
+
+
 def _validate(model: ProcessModel) -> None:
-    ids = [n.id for n in model.nodes]
-    id_set = set(ids)
-    if len(ids) != len(id_set):
+    """Raise SchemaError for the first fault, taking the checks in this
+    order: duplicate node ids, dangling flows, the start and end events,
+    gateway degrees (in node order), the outgoing flows of each node (in
+    node order), connectedness."""
+    nodes, flows = model.nodes, model.flows
+    out, inc = model.adjacency
+    ids = {node.id for node in nodes}
+    if len(ids) != len(nodes):
         raise SchemaError("duplicate node ids")
-    for flow in model.flows:
-        if flow.source not in id_set or flow.target not in id_set:
+    for flow in flows:
+        if flow.source not in ids or flow.target not in ids:
             raise SchemaError(f"flow {flow.id!r} has a dangling endpoint")
 
-    starts = [n for n in model.nodes if n.kind == "start"]
-    ends = [n for n in model.nodes if n.kind.startswith("end_")]
-    if len(starts) != 1:
-        raise SchemaError(f"expected exactly one start event, found {len(starts)}")
+    kinds = [node.kind for node in nodes]
+    starts = kinds.count("start")
+    if starts != 1:
+        raise SchemaError(f"expected exactly one start event, found {starts}")
+    ends = [node for node in nodes if node.kind in _END_KINDS]
     if not ends:
         raise SchemaError("process has no end event")
-    out, inc = model.adjacency
-    start = starts[0]
+    start = nodes[kinds.index("start")]
     if inc[start.id] or len(out[start.id]) != 1:
         raise SchemaError("start event must have no incoming and one outgoing flow")
     for end in ends:
@@ -556,21 +633,47 @@ def _validate(model: ProcessModel) -> None:
             raise SchemaError(f"end event {end.id!r} must have one incoming and no "
                               f"outgoing flow")
 
-    for node in model.nodes:  # the joins are made when the nodes are built
-        if node.kind in _GATEWAY_KINDS:
-            n_in = len(inc[node.id])
-            n_out = len(out[node.id])
-            if n_in != 1 or n_out < 2:
-                raise SchemaError(
-                    f"gateway {node.id!r} has {n_in} incoming and {n_out} outgoing flows; "
-                    f"expected a split (1 in, 2+ out) or a join (2+ in, 1 out)")
+    # the joins are made when the nodes are built, so every gateway left is a split
+    gateways = [node for node in nodes if node.kind in _GATEWAY_KINDS]
+    for gateway in gateways:
+        n_in, n_out = len(inc[gateway.id]), len(out[gateway.id])
+        if n_in != 1 or n_out < 2:
+            raise SchemaError(
+                f"gateway {gateway.id!r} has {n_in} incoming and {n_out} outgoing flows; "
+                f"expected a split (1 in, 2+ out) or a join (2+ in, 1 out)")
 
+    if _has_flow_fault(model, gateways):
+        _raise_first_flow_fault(model)
+    _check_weakly_connected(model, start)
+
+
+def _has_flow_fault(model: ProcessModel, gateways: list[Node]) -> bool:
+    """Does some node have a fault `_raise_first_flow_fault` reports? Most
+    models have none, and the lists looked at here are short for them."""
+    out, _ = model.adjacency
+    if [node for node in model.nodes if node.kind in _TASK_KINDS and len(out[node.id]) != 1]:
+        return True
+    conditioned = [flow.source for flow in model.flows if flow.condition is not None]
+    defaults = [flow.source for flow in model.flows if flow.is_default]
+    if not conditioned and len(defaults) < 2:
+        return False
+    conditional = {node.id for node in gateways if node.kind in _CONDITIONAL_KINDS}
+    if not conditional.issuperset(conditioned):
+        return True  # a condition on a flow that leaves no exclusive/inclusive gateway
+    for source in set(defaults):
+        if defaults.count(source) > 1 and source in conditional:
+            return True  # a gateway with several default flows
+    return False
+
+
+def _raise_first_flow_fault(model: ProcessModel) -> None:
+    out, _ = model.adjacency
     for node in model.nodes:
-        if node.kind in ("exclusive_gateway", "inclusive_gateway"):
+        if node.kind in _CONDITIONAL_KINDS:
             defaults = [f for f in out[node.id] if f.is_default]
             if len(defaults) > 1:
                 raise SchemaError(f"gateway {node.id!r} has several default flows")
-        if node.kind not in ("exclusive_gateway", "inclusive_gateway"):
+        else:
             for flow in out[node.id]:
                 if flow.condition is not None:
                     raise SchemaError(
@@ -583,13 +686,20 @@ def _validate(model: ProcessModel) -> None:
             raise SchemaError(f"node {node.id!r} still has several outgoing flows "
                               f"after preprocessing")
 
-    _check_weakly_connected(model)
 
-
-def _check_weakly_connected(model: ProcessModel) -> None:
-    if not model.nodes:
-        raise SchemaError("empty process")
+def _check_weakly_connected(model: ProcessModel, start: Node) -> None:
     out, inc = model.adjacency
+    # most processes reach every node from the start event along their flows
+    seen = {start.id}
+    stack = [start.id]
+    while stack:
+        for flow in out.get(stack.pop(), ()):
+            target = flow.target
+            if target not in seen:
+                seen.add(target)
+                stack.append(target)
+    if len(seen) == len(model.nodes):
+        return
     first = model.nodes[0].id
     seen = {first}
     stack = [first]
@@ -608,16 +718,30 @@ def _check_weakly_connected(model: ProcessModel) -> None:
         raise SchemaError(f"process graph is not connected; unreachable: {missing}")
 
 
+#: (expression, its free variables, its type evidence), see `feel.types.scan`
+Scanned = tuple[ast.FeelExpr, set[str], list]
+
+
 @dataclass(frozen=True, slots=True)
 class _VariableUses:
     """Who writes and reads each variable, from everything but the decision
     tables: variable -> node ids. `rule_tasks` are the business rule tasks
-    that leave their outputs or their inputs to their table."""
+    that leave their outputs or their inputs to their table.
+
+    Each expression of the model is walked once, here (`feel.types.scan`),
+    and what the walk finds is kept for type and domain inference:
+    `conditions` for the flow conditions, in flow order, and `writers`
+    for the tasks that write a variable or a message part (script,
+    service, business rule, send and receive tasks), in document order,
+    each with its expressions in step order (None for a business rule task
+    whose table gives its inputs)."""
 
     input_writers: dict[str, set[str]]
     process_writers: dict[str, set[str]]
     readers: dict[str, set[str]]
     rule_tasks: tuple[Node, ...]
+    conditions: list[Scanned]
+    writers: list[tuple[Node, list[Scanned] | None]]
 
 
 def _variable_uses(model: ProcessModel) -> _VariableUses:
@@ -625,41 +749,52 @@ def _variable_uses(model: ProcessModel) -> _VariableUses:
     process_writers: dict[str, set[str]] = {}
     readers: dict[str, set[str]] = {}
     rule_tasks = []
+    writers = []
 
-    def read_expr(expr, node_id):
-        for name in ast.free_variables(expr):
+    def read_expr(expr, node_id) -> Scanned:
+        free, evidence = scan(expr)
+        for name in free:
             readers.setdefault(name, set()).add(node_id)
+        return expr, free, evidence
 
     for node in model.nodes:
         kind = node.kind
         if kind in INPUT_WRITER_KINDS:
             for name in node.writes:
                 input_writers.setdefault(name, set()).add(node.id)
-        elif kind in ("script_task", "service_task"):
+        elif kind == "script_task" or kind == "service_task":
             process_writers.setdefault(node.target, set()).add(node.id)
-            read_expr(node.expr, node.id)
+            writers.append((node, [read_expr(node.expr, node.id)]))
+        elif kind == "send_task":
+            scanned = []
+            for _, expr in node.send_parts:
+                scanned.append(read_expr(expr, node.id))
+            writers.append((node, scanned))
+        elif kind == "receive_task":
+            for _, var in node.receive_parts:
+                process_writers.setdefault(var, set()).add(node.id)
+            writers.append((node, []))
         elif kind == "business_rule_task":
             if node.output_map is not None:
                 for _, var in node.output_map:
                     process_writers.setdefault(var, set()).add(node.id)
+            scanned = None
             if node.input_map is not None:
+                scanned = []
                 for _, expr in node.input_map:
-                    read_expr(expr, node.id)
+                    scanned.append(read_expr(expr, node.id))
             if node.output_map is None or node.input_map is None:
                 rule_tasks.append(node)
-        elif kind == "send_task":
-            for _, expr in node.send_parts:
-                read_expr(expr, node.id)
-        elif kind == "receive_task":
-            for _, var in node.receive_parts:
-                process_writers.setdefault(var, set()).add(node.id)
+            writers.append((node, scanned))
         for name in node.reads:
             readers.setdefault(name, set()).add(node.id)
 
+    conditions = []
     for flow in model.flows:
         if flow.condition is not None:
-            read_expr(flow.condition, flow.source)
-    return _VariableUses(input_writers, process_writers, readers, tuple(rule_tasks))
+            conditions.append(read_expr(flow.condition, flow.source))
+    return _VariableUses(input_writers, process_writers, readers, tuple(rule_tasks),
+                         conditions, writers)
 
 
 def _check_roles(uses: _VariableUses) -> None:
@@ -706,20 +841,24 @@ def classify_variables(model: ProcessModel, tables) -> dict[str, VariableRole]:
     roles: dict[str, VariableRole] = {}
     every_name = (uses.input_writers.keys() | uses.process_writers.keys()
                   | uses.readers.keys() | table_writers.keys() | table_readers.keys())
+    input_writers, process_writers, readers = uses.input_writers, uses.process_writers, uses.readers
     for name in sorted(every_name):
-        inn = uses.input_writers.get(name, _NONE)
-        proc = uses.process_writers.get(name, _NONE) | table_writers.get(name, _NONE)
+        inn = input_writers.get(name, _NONE)
+        proc = process_writers.get(name, _NONE)
+        if table_writers:
+            proc = proc | table_writers.get(name, _NONE)
         if inn and proc:
             raise RoleConflictError(name, inn, proc)
-        readers = uses.readers.get(name, _NONE) | table_readers.get(name, _NONE)
-        roles[name] = VariableRole("process" if proc else "input", frozenset(inn | proc),
-                                   frozenset(readers))
+        read_by = readers.get(name, _NONE)
+        if table_readers:
+            read_by = read_by | table_readers.get(name, _NONE)
+        roles[name] = VariableRole("process" if proc else "input",
+                                   frozenset(inn | proc if inn else proc), frozenset(read_by))
     return roles
 
 
 def extract_graph(model: ProcessModel) -> ProcessGraph:
     """Plain directed graph over the preprocessed model: the denominators for
     node and edge coverage."""
-    nodes = tuple((n.id, n.label) for n in model.nodes)
-    edges = tuple((f.source, f.target) for f in model.flows)
-    return ProcessGraph(nodes, edges)
+    return ProcessGraph(tuple([(n.id, n.label) for n in model.nodes]),
+                        tuple([(f.source, f.target) for f in model.flows]))

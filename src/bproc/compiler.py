@@ -5,6 +5,13 @@ inspection. The routines are plain data; the runtime lowers them once per
 model, on its first run, into closures (`runtime` module), and each used
 table compiles itself once into a closure with its output entries folded
 (`dmn` module), which type inference reads too.
+
+Compiling is one pass over the nodes, each lowered by the `_Lowering`
+method of its kind, then type and domain inference. Both read what
+parsing found when it walked each expression (`ProcessModel.variable_uses`:
+free variables and type evidence), so only the input expressions of a
+table, which parsing did not see, are walked here; domain inference skips
+an expression that reads no input variable.
 """
 
 from __future__ import annotations
@@ -14,11 +21,11 @@ import random
 from dataclasses import dataclass, field
 
 from . import dmn, feel, inputs as inputs_mod
-from .bpmn import (ProcessGraph, ProcessModel, SequenceFlow, classify_variables,
+from .bpmn import (ProcessGraph, ProcessModel, Scanned, SequenceFlow, classify_variables,
                    collector_paused, extract_graph)
 from .errors import SchemaError, UnresolvedTableError
 from .feel import ast
-from .feel.types import StaticType
+from .feel.types import StaticType, apply_evidence, join, scan, synthesize
 
 # --- steps -----------------------------------------------------------------
 
@@ -155,21 +162,24 @@ def compile_model(model: ProcessModel, tables, *, sample_seed: int = 0,
     diagnostics = list(model.diagnostics)
 
     out, _ = model.adjacency
-    barriers = {n.id for n in model.nodes
-                if n.kind == "join_gateway" and n.join_kind in ("parallel", "inclusive")}
-    used_tables: dict[str, dmn.DecisionTable] = {}
+    lowering = _Lowering(model, table_by_ref)
     routines: dict[str, Routine] = {}
     for node in model.nodes:
+        lower = _LOWERERS.get(node.kind)
+        if lower is None:
+            raise SchemaError(f"cannot lower node kind {node.kind!r}")
         routines[node.id] = Routine(node.id, _display_name(node),
-                                    _lower(node, out, barriers, table_by_ref, used_tables))
+                                    lower(lowering, node, out[node.id]))
 
-    types = _infer_variable_types(model, table_by_ref, roles, diagnostics)
-    domains, domain_diags = _infer_input_domains(model, table_by_ref, roles)
+    expressions = _expressions(model, table_by_ref)
+    types = _infer_variable_types(model, table_by_ref, roles, diagnostics, expressions)
+    domains, domain_diags = _infer_input_domains(model, table_by_ref, roles, expressions)
     diagnostics.extend(domain_diags)
 
     rng = random.Random(sample_seed)
     input_specs = inputs_mod.build_input_specs(roles, types, domains, rng, overrides)
-    process_vars = [(name, types.get(name, StaticType.STRING))
+    string = StaticType.STRING
+    process_vars = [(name, types.get(name, string))
                     for name in sorted(roles) if roles[name].role == "process"]
 
     return ExecutableModel(
@@ -177,7 +187,7 @@ def compile_model(model: ProcessModel, tables, *, sample_seed: int = 0,
         name=model.name,
         entry=model.start.id,
         routines=routines,
-        tables=used_tables,
+        tables=lowering.used_tables,
         graph=extract_graph(model),
         input_vars=input_specs,
         process_vars=process_vars,
@@ -185,10 +195,18 @@ def compile_model(model: ProcessModel, tables, *, sample_seed: int = 0,
     )
 
 
-def _lower(node, out: dict[str, list[SequenceFlow]], barriers: set[str], table_by_ref,
-           used_tables) -> tuple[Step, ...]:
-    outgoing = out[node.id]
-    if node.kind == "start" or node.kind in ("user_task", "manual_task"):
+class _Lowering:
+    """Lowers each node to its steps: one method per node kind (see
+    `_LOWERERS`), given the node and its outgoing flows."""
+
+    def __init__(self, model: ProcessModel, table_by_ref):
+        self.out, _ = model.adjacency
+        self.barriers = {n.id for n in model.nodes
+                         if n.kind == "join_gateway" and n.join_kind in ("parallel", "inclusive")}
+        self.table_by_ref = table_by_ref
+        self.used_tables: dict[str, dmn.DecisionTable] = {}
+
+    def inputs(self, node, outgoing) -> tuple[Step, ...]:
         steps: list[Step] = []
         seen = set()
         for var in node.writes:
@@ -198,20 +216,21 @@ def _lower(node, out: dict[str, list[SequenceFlow]], barriers: set[str], table_b
         steps.append(Continue(outgoing[0].target))
         return tuple(steps)
 
-    if node.kind == "end_success":
+    def end_success(self, node, outgoing) -> tuple[Step, ...]:
         return (Terminate("success", node.id, node.label),)
-    if node.kind == "end_error":
+
+    def end_error(self, node, outgoing) -> tuple[Step, ...]:
         return (Terminate("error", node.error_code or f"ERR_{node.id}",
                           node.error_description or node.label),)
 
-    if node.kind in ("script_task", "service_task"):
+    def assign(self, node, outgoing) -> tuple[Step, ...]:
         return (Assign(node.target, node.expr), Continue(outgoing[0].target))
 
-    if node.kind == "business_rule_task":
-        table = table_by_ref.get(node.table_ref)
+    def invoke_table(self, node, outgoing) -> tuple[Step, ...]:
+        table = self.table_by_ref.get(node.table_ref)
         if table is None:
             raise UnresolvedTableError(node.table_ref)
-        used_tables[node.table_ref] = table
+        self.used_tables[node.table_ref] = table
         labels = [label for label, _ in table.inputs]
         if node.input_map is not None:
             bound = dict(node.input_map)
@@ -234,14 +253,15 @@ def _lower(node, out: dict[str, list[SequenceFlow]], barriers: set[str], table_b
         return (InvokeTable(node.table_ref, arg_bindings, out_bindings),
                 Continue(outgoing[0].target))
 
-    if node.kind == "send_task":
+    def send(self, node, outgoing) -> tuple[Step, ...]:
         return (Send(node.channel, node.msg_type, node.send_parts),
                 Continue(outgoing[0].target))
-    if node.kind == "receive_task":
+
+    def receive(self, node, outgoing) -> tuple[Step, ...]:
         return (Receive(node.channel, node.msg_type, node.receive_parts),
                 Continue(outgoing[0].target))
 
-    if node.kind == "exclusive_gateway":
+    def branch(self, node, outgoing) -> tuple[Step, ...]:
         cases = []
         default = None
         for flow in outgoing:
@@ -254,9 +274,9 @@ def _lower(node, out: dict[str, list[SequenceFlow]], barriers: set[str], table_b
                 cases.append((flow.condition, flow.target))
         return (Branch(tuple(cases), default),)
 
-    if node.kind in ("parallel_gateway", "inclusive_gateway"):
-        join_id = _matching_join(node.id, out, barriers)
-        targets = tuple(f.target for f in outgoing)
+    def fork(self, node, outgoing) -> tuple[Step, ...]:
+        join_id = _matching_join(node.id, self.out, self.barriers)
+        targets = tuple([flow.target for flow in outgoing])
         if node.kind == "parallel_gateway":
             return (Fork(targets, join_id),)
         conditions = []
@@ -267,12 +287,22 @@ def _lower(node, out: dict[str, list[SequenceFlow]], barriers: set[str], table_b
             conditions.append(flow.condition or ast.Lit(True))
         return (Fork(targets, join_id, tuple(conditions)),)
 
-    if node.kind == "join_gateway":
+    def join(self, node, outgoing) -> tuple[Step, ...]:
         if node.join_kind in ("parallel", "inclusive"):
             return (JoinBarrier(outgoing[0].target),)
         return (Continue(outgoing[0].target),)
 
-    raise SchemaError(f"cannot lower node kind {node.kind!r}")
+
+#: node kind -> the `_Lowering` method that lowers it
+_LOWERERS = {
+    "start": _Lowering.inputs, "user_task": _Lowering.inputs, "manual_task": _Lowering.inputs,
+    "end_success": _Lowering.end_success, "end_error": _Lowering.end_error,
+    "script_task": _Lowering.assign, "service_task": _Lowering.assign,
+    "business_rule_task": _Lowering.invoke_table,
+    "send_task": _Lowering.send, "receive_task": _Lowering.receive,
+    "exclusive_gateway": _Lowering.branch, "parallel_gateway": _Lowering.fork,
+    "inclusive_gateway": _Lowering.fork, "join_gateway": _Lowering.join,
+}
 
 
 def _matching_join(gateway_id: str, out: dict[str, list[SequenceFlow]],
@@ -280,57 +310,61 @@ def _matching_join(gateway_id: str, out: dict[str, list[SequenceFlow]],
     """The parallel/inclusive join every branch of the split reaches: the one
     with the least maximum BFS distance over the branches, ties broken on id.
 
-    The branches' searches advance one level at a time, together, counting
-    per barrier how many branches have reached it, and stop at the first
-    level where some barrier has been reached by all of them. So the search
-    covers the split's region, not the whole model.
+    The branches' searches advance one level at a time, together, as one
+    search whose frontier maps each node to the bits of the branches that
+    reach it first at this level; `reached` holds the bits of every branch
+    that has reached a node. The search stops at the first level where a
+    barrier is reached by all branches, so it covers the split's region,
+    not the whole model.
     """
-    frontiers = [[f.target] for f in out[gateway_id]]
-    seen = [set(frontier) for frontier in frontiers]
-    branches = len(frontiers)
-    reached: dict[str, int] = {}  # barrier -> how many branches have reached it
-    complete = []
-    arrivals = [target for (target,) in frontiers]
-    while True:
-        for node_id in arrivals:
-            if node_id in barriers:
-                count = reached[node_id] = reached.get(node_id, 0) + 1
-                if count == branches:
-                    complete.append(node_id)
-        if complete or not any(frontiers):
-            break
-        arrivals = []
-        for i, frontier in enumerate(frontiers):
-            nxt = []
-            seen_i = seen[i]
-            for node_id in frontier:
-                for flow in out[node_id]:
-                    if flow.target not in seen_i:
-                        seen_i.add(flow.target)
-                        nxt.append(flow.target)
-            frontiers[i] = nxt
-            arrivals.extend(nxt)
-    if not complete:
-        raise SchemaError(f"parallel/inclusive split {gateway_id!r} has no join gateway "
-                          f"reachable from every branch")
-    return min(complete)
+    frontier: dict[str, int] = {}
+    bit = 1
+    for flow in out[gateway_id]:
+        target = flow.target
+        frontier[target] = frontier.get(target, 0) | bit
+        bit <<= 1
+    every = bit - 1
+    reached = dict(frontier)
+    while frontier:
+        complete = None
+        for node_id in frontier:
+            if node_id in barriers and reached[node_id] == every \
+                    and (complete is None or node_id < complete):
+                complete = node_id
+        if complete is not None:
+            return complete
+        level: dict[str, int] = {}
+        for node_id, bits in frontier.items():
+            for flow in out[node_id]:
+                target = flow.target
+                seen = reached.get(target, 0)
+                new = bits & ~seen
+                if new:
+                    reached[target] = seen | new
+                    level[target] = level.get(target, 0) | new
+        frontier = level
+    raise SchemaError(f"parallel/inclusive split {gateway_id!r} has no join gateway "
+                      f"reachable from every branch")
 
 
 # --- variable typing and input domains --------------------------------------
 
-def _iter_expressions(model: ProcessModel, table_by_ref):
-    for flow in model.flows:
-        if flow.condition is not None:
-            yield flow.condition
-    for node in model.nodes:
-        if node.kind in ("script_task", "service_task"):
-            yield node.expr
-        elif node.kind == "send_task":
-            for _, expr in node.send_parts:
-                yield expr
-        elif node.kind == "business_rule_task":
-            for _, expr in _bindings_of(node, table_by_ref):
-                yield expr
+def _expressions(model: ProcessModel, table_by_ref) -> list[Scanned]:
+    """Every expression the inference reads, with its free variables and
+    type evidence: the flow conditions, then each node's in step order. The
+    model's own expressions were walked when it was parsed
+    (`ProcessModel.variable_uses`); only the input expressions of a table
+    that a business rule task leaves its inputs to are walked here."""
+    uses = model.variable_uses
+    expressions = list(uses.conditions)
+    for node, scanned in uses.writers:
+        if scanned is None:
+            table = table_by_ref.get(node.table_ref)
+            if table is None:
+                continue
+            scanned = [(expr, *scan(expr)) for _, expr in table.inputs]
+        expressions.extend(scanned)
+    return expressions
 
 
 def _bindings_of(node, table_by_ref) -> list[tuple[str, ast.FeelExpr]]:
@@ -383,32 +417,44 @@ def _test_as_exprs(var: str, test: ast.UnaryTest) -> list[ast.FeelExpr]:
     return []
 
 
-def _infer_variable_types(model, table_by_ref, roles, diagnostics) -> dict[str, StaticType]:
-    evidence = list(_iter_expressions(model, table_by_ref))
-    for node in model.nodes:
+def _infer_variable_types(model, table_by_ref, roles, diagnostics,
+                          expressions: list[Scanned]) -> dict[str, StaticType]:
+    types: dict[str, StaticType] = {}
+    for _, _, evidence in expressions:
+        apply_evidence(types, evidence)
+    for node, _ in model.variable_uses.writers:
         if node.kind == "business_rule_task":
             plain, _ = _cell_facts(node, table_by_ref)
             for var, test in plain:
-                evidence.extend(_test_as_exprs(var, test))
-    types = feel.infer_types(evidence)
+                for expr in _test_as_exprs(var, test):
+                    apply_evidence(types, scan(expr)[1])
+    unknown = StaticType.UNKNOWN
     for name in roles:
-        types.setdefault(name, StaticType.UNKNOWN)
+        types.setdefault(name, unknown)
 
     _propagate_assigned_types(model, table_by_ref, roles, types)
 
+    annotated = None
+    for name, t in list(types.items()):
+        if t is unknown:
+            if annotated is None:
+                annotated = _annotated(model)
+            if name not in annotated:
+                diagnostics.append(f"variable {name!r} has no type evidence and no "
+                                   f"annotation; compiled as String")
+            types[name] = StaticType.STRING
+    return types
+
+
+def _annotated(model) -> set[str]:
+    """The variables some node names as written, read or assigned."""
     annotated = set()
     for node in model.nodes:
         annotated.update(node.writes)
         annotated.update(node.reads)
         if node.target:
             annotated.add(node.target)
-    for name, t in list(types.items()):
-        if t is StaticType.UNKNOWN:
-            if name not in annotated:
-                diagnostics.append(f"variable {name!r} has no type evidence and no "
-                                   f"annotation; compiled as String")
-            types[name] = StaticType.STRING
-    return types
+    return annotated
 
 
 def _propagate_assigned_types(model, table_by_ref, roles, types) -> None:
@@ -422,14 +468,15 @@ def _propagate_assigned_types(model, table_by_ref, roles, types) -> None:
     settles in any order; each variable's type changes at most twice, which
     keeps the work linear in the model.
     """
-    writers = [node for node in model.nodes if node.kind in
-               ("script_task", "service_task", "business_rule_task", "receive_task")]
-    position = {node.id: i for i, node in enumerate(writers)}
+    writers = []
     part_exprs = {}  # (channel, message type, part) -> its expression in the last send
-    for node in model.nodes:
+    for node, _ in model.variable_uses.writers:
         if node.kind == "send_task":
             for part, expr in node.send_parts:
                 part_exprs[(node.channel, node.msg_type, part)] = (node.id, expr)
+        else:
+            writers.append(node)
+    position = {node.id: i for i, node in enumerate(writers)}
     parts_sent_by: dict[str, list] = {}
     for key, (node_id, _) in part_exprs.items():
         parts_sent_by.setdefault(node_id, []).append(key)
@@ -441,10 +488,12 @@ def _propagate_assigned_types(model, table_by_ref, roles, types) -> None:
 
     part_types: dict[tuple, StaticType] = {}
     changed: list[str] = []
+    unknown = StaticType.UNKNOWN
 
     def note(name, t):
-        joined = feel.types.join(types.get(name, StaticType.UNKNOWN), t, name)
-        if joined is not types.get(name):
+        current = types.get(name)
+        joined = join(unknown if current is None else current, t, name)
+        if joined is not current:
             types[name] = joined
             changed.append(name)
 
@@ -453,7 +502,7 @@ def _propagate_assigned_types(model, table_by_ref, roles, types) -> None:
     while round_ or stale_parts:
         queued = set(round_)
         for key in stale_parts:
-            t = feel.synthesize(part_exprs[key][1], types)
+            t = synthesize(part_exprs[key][1], types)
             if t is not part_types.get(key):
                 part_types[key] = t
                 queued.update(receivers.get(key, ()))
@@ -464,7 +513,7 @@ def _propagate_assigned_types(model, table_by_ref, roles, types) -> None:
             i = heapq.heappop(round_)
             node = writers[i]
             if node.kind in ("script_task", "service_task"):
-                note(node.target, feel.synthesize(node.expr, types))
+                note(node.target, synthesize(node.expr, types))
             elif node.kind == "business_rule_task":
                 table = table_by_ref.get(node.table_ref)
                 if table is None:
@@ -496,12 +545,16 @@ def _propagate_assigned_types(model, table_by_ref, roles, types) -> None:
         round_ = list(next_round)
 
 
-def _infer_input_domains(model, table_by_ref, roles):
+def _infer_input_domains(model, table_by_ref, roles, expressions: list[Scanned]):
     input_vars = {n for n, role in roles.items() if role.role == "input"}
+    # only a name that is read gives a fact, and every name read is free
+    # but `item` in a filter
+    every = "item" in input_vars
     facts = []
-    for expr in _iter_expressions(model, table_by_ref):
-        facts.extend(inputs_mod.facts_from_expr(expr, input_vars))
-    for node in model.nodes:
+    for expr, free, _ in expressions:
+        if every or not free.isdisjoint(input_vars):
+            facts.extend(inputs_mod.facts_from_expr(expr, input_vars))
+    for node, _ in model.variable_uses.writers:
         if node.kind != "business_rule_task":
             continue
         plain, opaque = _cell_facts(node, table_by_ref)

@@ -12,6 +12,7 @@ from functools import cached_property
 from typing import Callable
 
 from . import feel, safexml
+from .safexml import LocalNames
 from .errors import (AnyConflictError, NoMatchError, SchemaError,
                      UniquenessViolationError, UnsupportedHitPolicyError)
 from .feel import ast
@@ -87,16 +88,15 @@ class DecisionTable:
                 if key not in ("folded_outputs", "evaluator")}
 
 
-def _local(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
+def _children_named(element, name: str, local: LocalNames) -> list:
+    return [child for child in element if local[child.tag] == name]
 
 
-def _find_all(element, name):
-    return [child for child in element.iter() if _local(child.tag) == name]
-
-
-def _children_named(element, name):
-    return [child for child in element if _local(child.tag) == name]
+def _first_child_named(element, name: str, local: LocalNames):
+    for child in element:
+        if local[child.tag] == name:
+            return child
+    return None
 
 
 def parse_dmn(data: bytes | str) -> list[DecisionTable]:
@@ -106,19 +106,26 @@ def parse_dmn(data: bytes | str) -> list[DecisionTable]:
     UNIQUE/ANY/FIRST (and their U/A/F abbreviations) are rejected.
     """
     root = safexml.fromstring(data, "DMN")
+    local = LocalNames()
 
     tables = []
-    for decision in _find_all(root, "decision"):
+    for decision in [el for el in root.iter() if local[el.tag] == "decision"]:
         decision_id = decision.get("id") or decision.get("name")
         if not decision_id:
             raise SchemaError("decision element without id")
         name = decision.get("name") or decision_id
-        for dt in _children_named(decision, "decisionTable"):
-            tables.append(_parse_table(dt, decision_id, name))
+        for dt in _children_named(decision, "decisionTable", local):
+            tables.append(_parse_table(dt, decision_id, name, local))
     return tables
 
 
-def _parse_table(dt, decision_id: str, name: str) -> DecisionTable:
+def _text_of(element, local: LocalNames) -> str | None:
+    """The text of the element's first <text> child; None without one."""
+    text_el = None if element is None else _first_child_named(element, "text", local)
+    return None if text_el is None else text_el.text or ""
+
+
+def _parse_table(dt, decision_id: str, name: str, local: LocalNames) -> DecisionTable:
     policy_attr = (dt.get("hitPolicy") or "FIRST").upper()
     long_form = {"U": "UNIQUE", "A": "ANY", "F": "FIRST"}.get(policy_attr, policy_attr)
     if long_form not in _HIT_POLICIES:
@@ -128,33 +135,29 @@ def _parse_table(dt, decision_id: str, name: str) -> DecisionTable:
     hit_policy = _HIT_POLICIES[long_form]
 
     inputs = []
-    for column in _children_named(dt, "input"):
+    for column in _children_named(dt, "input", local):
         label = column.get("label")
-        expr_el = next(iter(_children_named(column, "inputExpression")), None)
-        text_el = None if expr_el is None else next(iter(_children_named(expr_el, "text")), None)
-        expr_text = (text_el.text or "").strip() if text_el is not None else ""
+        expr_el = _first_child_named(column, "inputExpression", local)
+        expr_text = (_text_of(expr_el, local) or "").strip()
         if not expr_text:
             raise SchemaError(f"table {decision_id!r}: input column without expression")
         inputs.append((label or expr_text, feel.parse_expr(expr_text)))
 
     outputs = []
-    for column in _children_named(dt, "output"):
+    for column in _children_named(dt, "output", local):
         out_name = column.get("name") or column.get("label")
         if not out_name:
             raise SchemaError(f"table {decision_id!r}: output column without name")
         outputs.append(out_name)
 
     rules = []
-    for rule_el in _children_named(dt, "rule"):
+    for rule_el in _children_named(dt, "rule", local):
         entries = []
-        for cell in _children_named(rule_el, "inputEntry"):
-            text_el = next(iter(_children_named(cell, "text")), None)
-            entries.append(feel.parse_unary_test(
-                (text_el.text or "") if text_el is not None else ""))
+        for cell in _children_named(rule_el, "inputEntry", local):
+            entries.append(feel.parse_unary_test(_text_of(cell, local) or ""))
         out_entries = []
-        for cell in _children_named(rule_el, "outputEntry"):
-            text_el = next(iter(_children_named(cell, "text")), None)
-            cell_text = ((text_el.text or "") if text_el is not None else "").strip()
+        for cell in _children_named(rule_el, "outputEntry", local):
+            cell_text = (_text_of(cell, local) or "").strip()
             if not cell_text:
                 raise SchemaError(f"table {decision_id!r}: empty output entry")
             expr = feel.parse_expr(cell_text)
@@ -162,7 +165,7 @@ def _parse_table(dt, decision_id: str, name: str) -> DecisionTable:
                 raise SchemaError(f"table {decision_id!r}: output entry {cell_text!r} "
                                   f"must be variable-free")
             out_entries.append(expr)
-        ann_el = next(iter(_children_named(rule_el, "description")), None)
+        ann_el = _first_child_named(rule_el, "description", local)
         annotation = ann_el.text.strip() if ann_el is not None and ann_el.text else None
         rules.append(Rule(tuple(entries), tuple(out_entries), annotation))
 

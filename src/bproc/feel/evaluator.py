@@ -24,7 +24,10 @@ they call no function for it. Three operations can make a value grow
 without bound: `**` and `*` on two integers and `+` on two strings. Each
 checks the size of its result before computing it and raises
 ValueTooLargeError past MAX_INT_BITS bits or MAX_STRING_LENGTH characters,
-so no single evaluation can run on unbounded.
+so no single evaluation can run on unbounded. An integer within that
+limit can still be too large for a double (past about 2**1024): `+`, `-`,
+`*` and `/` with a double, `/` of two such integers and `sqrt` raise
+ValueTooLargeError for it, with the message TOO_LARGE_FOR_DOUBLE.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ from .values import (_NUMBERS, MAX_INT_BITS, MAX_STRING_LENGTH, SECONDS_PER_DAY,
                      FeelRange, Temporal, check_defined, compare, equals, kind_of)
 
 Compiled = Callable[[Mapping[str, object]], object]
+
+TOO_LARGE_FOR_DOUBLE = "number too large for a double"
 
 # does the ordering hold, indexed by compare()'s 0, 1 or -1
 _ORDER_HOLDS = {"<": (False, False, True), "<=": (True, False, True),
@@ -202,7 +207,10 @@ def _var_arith_lit(op: str, name: str, b) -> Compiled:
         if a is UNDEFINED:
             raise UndefinedValueError("operation touches an undefined variable")
         if b_number and type(a) in _NUMBERS:
-            return numeric(a, b)
+            try:
+                return numeric(a, b)
+            except OverflowError:  # an integer past the doubles met a double
+                raise ValueTooLargeError(TOO_LARGE_FOR_DOUBLE) from None
         return _arithmetic(op, a, b)
     return var_arith_lit
 
@@ -229,16 +237,19 @@ def _arithmetic(op: str, left, right):
         return Temporal("time", (left.scalar + right.scalar) % SECONDS_PER_DAY)
     if lk != "number" or rk != "number":
         raise FeelTypeError(f"cannot apply {op!r} to {lk} and {rk}")
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return _product(left, right)
-    if op == "/":
-        if right == 0:
-            raise DivisionByZeroError("division by zero")
-        return left / right
+    try:  # an integer past the doubles cannot meet a double, nor give one by `/`
+        if op == "+":
+            return left + right
+        if op == "-":
+            return left - right
+        if op == "*":
+            return _product(left, right)
+        if op == "/":
+            if right == 0:
+                raise DivisionByZeroError("division by zero")
+            return left / right
+    except OverflowError:
+        raise ValueTooLargeError(TOO_LARGE_FOR_DOUBLE) from None
     if op == "**":
         # |left| ** right needs about right * log2|left| bits (a negative
         # exponent gives a float); with |left| >= 2 that is at least right
@@ -279,7 +290,10 @@ def _apply(name: str, args: list):
         v = one_number()
         if v < 0:
             raise FeelTypeError("sqrt of a negative number")
-        return math.sqrt(v)
+        try:
+            return math.sqrt(v)
+        except OverflowError:  # an integer past the doubles
+            raise ValueTooLargeError(TOO_LARGE_FOR_DOUBLE) from None
     if name == "length":
         if len(args) != 1 or kind_of(args[0]) not in ("string", "list"):
             raise FeelTypeError("length(...) takes one string or list")

@@ -25,20 +25,25 @@ from .values import FeelRange, Temporal
 
 MAX_DEPTH = 100
 
+# One match per token: the leading whitespace, then exactly one of the token
+# groups. Keywords are whole words, so `andx` stays a name.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<number>(?:\d+\.\d+|\d+)(?:[eE][-+]?\d+)?)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<op>\*\*|<=|>=|!=|\.\.|[-+*/<>=(),\[\]{}:.])
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<bad>.)
+    (\s*)(?:
+      ((?:\d+\.\d+|\d+)(?:[eE][-+]?\d+)?)
+    | ("(?:[^"\\]|\\.)*")
+    | (\*\*|<=|>=|!=|\.\.|[-+*/<>=(),\[\]{}:.])
+    | ((?:and|or|not|in|true|false|null|instance|of)(?![A-Za-z0-9_]))
+    | ([A-Za-z_][A-Za-z0-9_]*)
+    | (.)
+    )
     """,
     re.VERBOSE,
 )
 
-_KEYWORDS = {"and", "or", "not", "in", "true", "false", "null", "instance", "of"}
 _TYPE_NAMES = {"string", "number", "boolean"}
+#: decimal digits past which Python refuses to convert a string to an int
+MAX_INT_DIGITS = 4300
 
 _NOT, _COMPARE, _POWER, _NEG = 3, 4, 7, 8
 #: infix token -> (its binding level, the level its right operand is parsed at;
@@ -52,25 +57,41 @@ _INFIX = {
     "+": (5, 6), "-": (5, 6), "*": (6, _POWER), "/": (6, _POWER),
     "**": (_POWER, _POWER),
 }
+#: tokens after a name or a number that make it more than a plain operand: a
+#: call (after a name) or a selector
+_AFTER_NAME = frozenset(("(", "[", "."))
 _EXPRESSION_START = frozenset({"number", "string", "name", "(", "[", "{", "true", "false",
                                "null"})
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, 1-based column) per token, then an end-of-input token."""
+    """(kind, text, 1-based column) per token, then an end-of-input token.
+    The regular expression splits the whole text in one call; columns are
+    counted from the lengths of the pieces. Trailing whitespace is cut
+    first, so no match is tried on it."""
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        value = m.group()
-        if kind == "ident":
-            if value in _KEYWORDS:
-                kind = "kw"
-        elif kind == "bad":
-            raise FeelSyntaxError(f"unexpected character {value!r}", m.start() + 1)
-        tokens.append((kind, value, m.start() + 1))
-    tokens.append(("eof", "", len(text) + 1))
+    append = tokens.append
+    column = 1
+    for space, number, string, op, keyword, name, bad in _TOKEN_RE.findall(text.rstrip()):
+        column += len(space)
+        if op:
+            append(("op", op, column))
+            column += len(op)
+        elif name:
+            append(("ident", name, column))
+            column += len(name)
+        elif number:
+            append(("number", number, column))
+            column += len(number)
+        elif keyword:
+            append(("kw", keyword, column))
+            column += len(keyword)
+        elif string:
+            append(("string", string, column))
+            column += len(string)
+        else:
+            raise FeelSyntaxError(f"unexpected character {bad!r}", column)
+    append(("eof", "", len(text) + 1))
     return tokens
 
 
@@ -92,6 +113,15 @@ def _unescape(raw: str) -> str:
     return "".join(out)
 
 
+def _number(text: str, column: int):
+    """The value of a number token."""
+    if "." in text or "e" in text or "E" in text:
+        return float(text)
+    if len(text) > MAX_INT_DIGITS:
+        raise FeelSyntaxError(f"integer literal longer than {MAX_INT_DIGITS} digits", column)
+    return int(text)
+
+
 def _too_deep(column: int):
     return FeelSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", column)
 
@@ -100,8 +130,8 @@ class _Parser:
     """Each parse method takes `depth`, the number of levels already open
     around the text it parses, and returns (tree, the tree's own depth)."""
 
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+    def __init__(self, tokens: list[tuple[str, str, int]]):
+        self.tokens = tokens
         self.i = 0
 
     def advance(self) -> tuple[str, str, int]:
@@ -116,22 +146,21 @@ class _Parser:
                                   column, {text})
         self.i += 1
 
-    def parse(self) -> ast.FeelExpr:
-        expr, _ = self.expression(1, 0)
-        kind, text, column = self.tokens[self.i]
-        if kind != "eof":
-            raise FeelSyntaxError(f"unexpected trailing input {text!r}", column,
-                                  {"end of input"})
-        return expr
-
     def expression(self, level: int, depth: int):
         """The longest expression at `level` or tighter from here: a prefix
         operator or an operand, then every infix operator that binds at
         `level` or tighter."""
-        kind, text, column = self.tokens[self.i]
+        tokens = self.tokens
+        kind, text, column = tokens[self.i]
         if depth >= MAX_DEPTH:
             raise _too_deep(column)
-        if text == "not" and kind == "kw" and level <= _NOT:
+        if kind == "ident" and tokens[self.i + 1][1] not in _AFTER_NAME and text != "overlaps":
+            self.i += 1  # a plain name, the commonest operand
+            left, height, cap = ast.Var(text), 1, _POWER
+        elif kind == "number" and tokens[self.i + 1][1] not in _AFTER_NAME:
+            self.i += 1  # a plain number, the next commonest
+            left, height, cap = ast.Lit(_number(text, column)), 1, _POWER
+        elif text == "not" and kind == "kw" and level <= _NOT:
             self.i += 1
             operand, height = self.expression(_NOT, depth + 1)
             left, height, cap = ast.Not(operand), height + 1, _NOT - 1
@@ -147,7 +176,7 @@ class _Parser:
         while True:
             if depth + height > MAX_DEPTH:
                 raise _too_deep(column)
-            _, text, column = self.tokens[self.i]
+            _, text, column = tokens[self.i]
             binding = _INFIX.get(text)
             if binding is None or not level <= binding[0] <= cap:
                 return left, height
@@ -173,11 +202,11 @@ class _Parser:
 
     def operand(self, depth: int):
         """A primary expression and the selectors that follow it."""
-        kind, text, column = self.tokens[self.i]
+        tokens = self.tokens
+        kind, text, column = tokens[self.i]
         if kind == "number":
             self.i += 1
-            is_decimal = "." in text or "e" in text or "E" in text
-            expr, height = ast.Lit(float(text) if is_decimal else int(text)), 1
+            expr, height = ast.Lit(_number(text, column)), 1
         elif kind == "string":
             self.i += 1
             expr, height = ast.Lit(_unescape(text)), 1
@@ -197,7 +226,7 @@ class _Parser:
                 f"expected an expression, found {text or 'end of input'!r}", column,
                 _EXPRESSION_START)
         while True:
-            kind, text, column = self.tokens[self.i]
+            kind, text, column = tokens[self.i]
             if text == "[":
                 self.i += 1
                 selector, selector_height = self.expression(1, depth + 1)
@@ -327,9 +356,14 @@ def parse_expr(text: str) -> ast.FeelExpr:
     for any text outside the subset (including empty input) and for an
     expression nested deeper than MAX_DEPTH levels.
     """
-    if not text or not text.strip():
+    if not text or text.isspace():
         raise FeelSyntaxError("empty expression", 1, {"expression"})
-    return _Parser(text).parse()
+    parser = _Parser(_tokenize(text))
+    expr, _ = parser.expression(1, 0)
+    kind, rest, column = parser.tokens[parser.i]
+    if kind != "eof":
+        raise FeelSyntaxError(f"unexpected trailing input {rest!r}", column, {"end of input"})
+    return expr
 
 
 # --- decision-table cell tests -------------------------------------------

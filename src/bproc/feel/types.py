@@ -28,19 +28,32 @@ class StaticType(enum.Enum):
         return self.value
 
 
+# the members as module globals: looking a member up on the class takes
+# several times as long, in the loops below
+_INTEGER, _DOUBLE, _STRING, _UNKNOWN = (StaticType.INTEGER, StaticType.DOUBLE,
+                                        StaticType.STRING, StaticType.UNKNOWN)
+
+
 def join(a: StaticType, b: StaticType, name: str = "?") -> StaticType:
     if a is b:
         return a
-    if a is StaticType.UNKNOWN:
+    if a is _UNKNOWN:
         return b
-    if b is StaticType.UNKNOWN:
+    if b is _UNKNOWN:
         return a
-    if {a, b} == {StaticType.INTEGER, StaticType.DOUBLE}:
-        return StaticType.DOUBLE
+    if (a is _INTEGER and b is _DOUBLE) or (a is _DOUBLE and b is _INTEGER):
+        return _DOUBLE
     raise TypeConflictError(name, (a, b))
+
+#: exact class of a constant -> its type, for the common classes
+_CONSTANT_TYPES = {int: StaticType.INTEGER, float: StaticType.DOUBLE, str: StaticType.STRING,
+                   bool: StaticType.BOOLEAN}
 
 
 def type_of_constant(value) -> StaticType:
+    t = _CONSTANT_TYPES.get(type(value))
+    if t is not None:
+        return t
     kind = kind_of(value)
     if kind == "boolean":
         return StaticType.BOOLEAN
@@ -63,32 +76,72 @@ def infer_types(exprs: Iterable[ast.FeelExpr]) -> dict[str, StaticType]:
     instance a string and a numeric constant on the same variable).
     """
     types: dict[str, StaticType] = {}
-
-    def note(name: str, t: StaticType):
-        current = types.get(name, StaticType.UNKNOWN)
-        types[name] = join(current, t, name)
-
     for expr in exprs:
-        _collect_types(expr, types, note)
+        apply_evidence(types, scan(expr)[1])
     return types
 
 
-def _collect_types(expr: ast.FeelExpr, types: dict, note) -> None:
-    """Note the evidence of `expr` and of its parts, in source order.
+Evidence = list[tuple[str, "StaticType | None"]]
+
+
+def scan(expr: ast.FeelExpr) -> tuple[set[str], Evidence]:
+    """The free variables of `expr` (as `ast.free_variables` gives them) and
+    its type evidence, from one walk. The evidence lists, in source order,
+    (name, None) for every name read, `item` in a filter included, and
+    (name, type) for every constant a name is compared with or combined
+    with; `apply_evidence` folds it into a type map."""
+    free: set[str] = set()
+    evidence: Evidence = []
+    _scan(expr, False, free, evidence)
+    return free, evidence
+
+
+def apply_evidence(types: dict[str, StaticType], evidence: Evidence) -> None:
+    """Fold the evidence of one expression into `types`, in order; raises
+    TypeConflictError at the first contradiction."""
+    for name, t in evidence:
+        if t is None:
+            types.setdefault(name, _UNKNOWN)
+        else:
+            types[name] = join(types.get(name, _UNKNOWN), t, name)
+
+
+def _scan(expr: ast.FeelExpr, item_bound: bool, free: set[str], evidence: Evidence) -> None:
+    """Add the free variables and the evidence of `expr` and of its parts,
+    in source order; `item_bound` inside a filter's predicate. Names and
+    literals among a node's operands are handled in place, not by a call.
     Recursion at module level, so that a call leaves no reference cycle
     behind."""
     cls = type(expr)
     if cls is ast.Var:
-        types.setdefault(expr.name, StaticType.UNKNOWN)
+        name = expr.name
+        evidence.append((name, None))
+        if not item_bound or name != "item":
+            free.add(name)
         return
     if cls is ast.BinOp:
-        _note_comparison(expr, note)
-    elif cls is ast.InTest:
-        _note_membership(expr, note)
-    children = ast.CHILDREN.get(cls)
-    if children is not None:
-        for child in children(expr):
-            _collect_types(child, types, note)
+        _note_comparison(expr, evidence)
+        operands = (expr.left, expr.right)
+    elif cls is ast.Filter:
+        _scan(expr.seq, item_bound, free, evidence)
+        _scan(expr.predicate, True, free, evidence)
+        return
+    else:
+        if cls is ast.InTest:
+            _note_membership(expr, evidence)
+        children = ast.CHILDREN.get(cls)
+        if children is None:
+            return
+        operands = children(expr)
+    for operand in operands:
+        operand_cls = type(operand)
+        if operand_cls is ast.Var:
+            name = operand.name
+            evidence.append((name, None))
+            if not item_bound or name != "item":
+                free.add(name)
+        elif operand_cls is not ast.Lit:
+            _scan(operand, item_bound, free, evidence)
 
 
 def _constant_of(expr: ast.FeelExpr):
@@ -101,17 +154,24 @@ def _constant_of(expr: ast.FeelExpr):
     return None
 
 
-def _note_comparison(expr: ast.BinOp, note):
-    if expr.op not in ("<", "<=", ">", ">=", "=", "!=", "+", "-", "*", "/", "**"):
+_TYPED_OPS = frozenset(("<", "<=", ">", ">=", "=", "!=", "+", "-", "*", "/", "**"))
+
+
+def _note_comparison(expr: ast.BinOp, evidence: Evidence):
+    if expr.op not in _TYPED_OPS:
         return
-    for var_side, const_side in ((expr.left, expr.right), (expr.right, expr.left)):
-        if isinstance(var_side, ast.Var):
-            const = _constant_of(const_side)
-            if const is not None:
-                note(var_side.name, type_of_constant(const))
+    left, right = expr.left, expr.right
+    if type(left) is ast.Var:
+        const = right.value if type(right) is ast.Lit else _constant_of(right)
+        if const is not None:
+            evidence.append((left.name, type_of_constant(const)))
+    if type(right) is ast.Var:
+        const = left.value if type(left) is ast.Lit else _constant_of(left)
+        if const is not None:
+            evidence.append((right.name, type_of_constant(const)))
 
 
-def _note_membership(expr: ast.InTest, note):
+def _note_membership(expr: ast.InTest, evidence: Evidence):
     if not isinstance(expr.item, ast.Var):
         return
     name = expr.item.name
@@ -119,37 +179,44 @@ def _note_membership(expr: ast.InTest, note):
         for element in expr.container.items:
             const = _constant_of(element)
             if const is not None:
-                note(name, type_of_constant(const))
+                evidence.append((name, type_of_constant(const)))
     if isinstance(expr.container, ast.RangeLit):
         for end in (expr.container.lo, expr.container.hi):
             const = _constant_of(end)
             if const is not None:
-                note(name, type_of_constant(const))
+                evidence.append((name, type_of_constant(const)))
+
+
+_BOOLEAN_OPS = frozenset(("and", "or", "<", "<=", ">", ">=", "=", "!="))
 
 
 def synthesize(expr: ast.FeelExpr, env: Mapping[str, StaticType]) -> StaticType:
     """Best-effort static type of an expression under known variable types."""
     cls = type(expr)
     if cls is ast.Var:
-        return env.get(expr.name, StaticType.UNKNOWN)
+        return env.get(expr.name, _UNKNOWN)
     if cls is ast.Lit:
         return type_of_constant(expr.value)
     if cls is ast.BinOp:
-        if expr.op in ("and", "or", "<", "<=", ">", ">=", "=", "!="):
+        op = expr.op
+        if op in _BOOLEAN_OPS:
             return StaticType.BOOLEAN
-        left = synthesize(expr.left, env)
-        right = synthesize(expr.right, env)
-        if expr.op == "+" and StaticType.STRING in (left, right):
-            return StaticType.STRING
-        if expr.op == "+" and left is StaticType.TIME:
+        left, right = expr.left, expr.right  # a name or a literal typed in place
+        left = (env.get(left.name, _UNKNOWN) if type(left) is ast.Var
+                else type_of_constant(left.value) if type(left) is ast.Lit
+                else synthesize(left, env))
+        right = (env.get(right.name, _UNKNOWN) if type(right) is ast.Var
+                 else type_of_constant(right.value) if type(right) is ast.Lit
+                 else synthesize(right, env))
+        if op == "+" and (left is _STRING or right is _STRING):
+            return _STRING
+        if op == "+" and left is StaticType.TIME:
             return StaticType.TIME
-        if expr.op == "/":
-            return StaticType.DOUBLE
-        if StaticType.DOUBLE in (left, right):
-            return StaticType.DOUBLE
-        if left is StaticType.INTEGER and right is StaticType.INTEGER:
-            return StaticType.INTEGER
-        return StaticType.UNKNOWN
+        if op == "/" or left is _DOUBLE or right is _DOUBLE:
+            return _DOUBLE
+        if left is _INTEGER and right is _INTEGER:
+            return _INTEGER
+        return _UNKNOWN
     if cls is ast.Neg:
         return synthesize(expr.operand, env)
     if cls in (ast.Not, ast.InTest, ast.InstanceOf):

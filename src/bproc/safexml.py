@@ -53,3 +53,12 @@ def fromstring(data: bytes | str, what: str) -> ET.Element:
         return ET.fromstring(data)
     except (ET.ParseError, expat.ExpatError, LookupError, ValueError) as exc:
         raise SchemaError(f"malformed {what} XML: {exc}") from exc
+
+
+class LocalNames(dict):
+    """Element tag -> its local name (the tag without its `{namespace}`),
+    worked out once per distinct tag of one document."""
+
+    def __missing__(self, tag: str) -> str:
+        local = self[tag] = tag.rsplit("}", 1)[-1]
+        return local

@@ -17,6 +17,12 @@ write sequence for a concrete input vector.
 inclusive split: a full BFS from every branch, then the common barrier join
 with the least maximum distance, ties broken on id.
 
+`reference_infer_types` is the original type inference: one walk per
+expression, noting each name's constant evidence into the type map as it
+goes. `feel.infer_types` (and compile_model's inference, which replays the
+evidence `feel.types.scan` records at parse time) must agree with it type
+for type, in the same key order, and error for error.
+
 `reference_campaign` is the campaign loop that builds every run's full
 trace with `run_once` and merges it with `accumulate_coverage`, with the
 same per-run draws, stopping rules, run files and verdict as
@@ -35,6 +41,7 @@ against which `test_value_kernel_matches_the_reference` checks the kernel.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import random
 import statistics
@@ -239,6 +246,52 @@ def walk_process(model, tables, input_values: dict, max_nodes: int = 10_000) -> 
 
 
 # --- reference join matching --------------------------------------------------
+
+def reference_infer_types(exprs) -> dict:
+    """Per variable, the join of the types of the constants it meets."""
+    from bproc.feel.types import StaticType, join, type_of_constant
+
+    types: dict = {}
+
+    def note(name, t):
+        types[name] = join(types.get(name, StaticType.UNKNOWN), t, name)
+
+    def constant_of(expr):
+        if isinstance(expr, ast.Lit) and expr.value is not None:
+            return expr.value
+        if isinstance(expr, ast.Neg) and isinstance(expr.operand, ast.Lit) \
+                and kind_of(expr.operand.value) == "number":
+            return -expr.operand.value
+        return None
+
+    def walk(expr):
+        if isinstance(expr, ast.Var):
+            types.setdefault(expr.name, StaticType.UNKNOWN)
+            return
+        if isinstance(expr, ast.BinOp) and expr.op in ("<", "<=", ">", ">=", "=", "!=", "+",
+                                                       "-", "*", "/", "**"):
+            for var_side, const_side in ((expr.left, expr.right), (expr.right, expr.left)):
+                if isinstance(var_side, ast.Var):
+                    const = constant_of(const_side)
+                    if const is not None:
+                        note(var_side.name, type_of_constant(const))
+        elif isinstance(expr, ast.InTest) and isinstance(expr.item, ast.Var):
+            container = expr.container
+            ends = (container.items if isinstance(container, ast.ListLit)
+                    else (container.lo, container.hi) if isinstance(container, ast.RangeLit)
+                    else ())
+            for end in ends:
+                const = constant_of(end)
+                if const is not None:
+                    note(expr.item.name, type_of_constant(const))
+        children = ast.CHILDREN.get(type(expr))
+        for child in children(expr) if children is not None else ():
+            walk(child)
+
+    for expr in exprs:
+        walk(expr)
+    return types
+
 
 def reference_matching_join(gateway_id: str, model) -> str:
     """The join gateway every branch of the split reaches; structured
@@ -468,18 +521,17 @@ def _ref_binop(expr: ast.BinOp, env):
     if lk != "number" or rk != "number":
         raise FeelTypeError(f"cannot apply {op!r} to {lk} and {rk}")
     both_ints = isinstance(left, int) and isinstance(right, int)
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        if both_ints and abs(left).bit_length() + abs(right).bit_length() > MAX_INT_BITS:
+    if op in ("+", "-", "*", "/"):
+        if op == "*" and both_ints \
+                and abs(left).bit_length() + abs(right).bit_length() > MAX_INT_BITS:
             raise ValueTooLargeError(f"integer product would exceed {MAX_INT_BITS} bits")
-        return left * right
-    if op == "/":
-        if right == 0:
+        if op == "/" and right == 0:
             raise DivisionByZeroError("division by zero")
-        return left / right
+        try:
+            return {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                    "/": operator.truediv}[op](left, right)
+        except OverflowError:  # an integer past the doubles met a double
+            raise ValueTooLargeError("number too large for a double") from None
     if op == "**":
         # |left| ** right needs about right * log2|left| bits; with |left| >= 2
         # that is at least `right`, so a large exponent fails without the log
@@ -516,7 +568,10 @@ def _ref_call(expr: ast.Call, env):
         v = one_number()
         if v < 0:
             raise FeelTypeError("sqrt of a negative number")
-        return math.sqrt(v)
+        try:
+            return math.sqrt(v)
+        except OverflowError:
+            raise ValueTooLargeError("number too large for a double") from None
     if expr.name == "length":
         if len(args) != 1 or kind_of(args[0]) not in ("string", "list"):
             raise FeelTypeError("length(...) takes one string or list")

@@ -8,7 +8,7 @@ import pytest
 
 from bproc import runtime
 from bproc.cli import main
-from bproc.feel.parser import MAX_DEPTH
+from bproc.feel.parser import MAX_DEPTH, MAX_INT_DIGITS
 
 from conftest import DTD_BPMN, DTD_DMN, FIXTURES, child_env, with_doctype
 
@@ -420,4 +420,30 @@ def test_a_cell_past_the_not_depth_limit_is_a_model_error(command, tmp_path):
     assert (code, err.splitlines()) == \
         (3, [f"bproc: FeelSyntaxError: expression nests deeper than {MAX_DEPTH} levels "
              f"(column {4 * MAX_DEPTH + 1})"])
+    assert not (tmp_path / "past").exists()
+
+
+def loop_with_init(script: str) -> str:
+    """loop.bpmn with the script of its first task replaced by `script`."""
+    text = (FIXTURES / "loop.bpmn").read_text()
+    assert text.count("<bpmn:script>0</bpmn:script>") == 1
+    return text.replace("<bpmn:script>0</bpmn:script>", f"<bpmn:script>{script}</bpmn:script>")
+
+
+def test_a_number_past_the_doubles_is_an_engine_fault(tmp_path):
+    (tmp_path / "big.bpmn").write_text(loop_with_init("2 ** 1100 * 1.5"))
+    code, out, err = run_cli("run", "big.bpmn", "--sequential", cwd=tmp_path)
+    assert (code, err.splitlines()) == \
+        (4, ["bproc: engine fault: Activity_Init: number too large for a double"])
+    assert out.startswith("fault: ENGINE_FAULT (Activity_Init: number too large for a double)")
+
+
+def test_an_over_long_integer_literal_is_a_model_error(tmp_path):
+    (tmp_path / "at.bpmn").write_text(loop_with_init("n + " + "1" * MAX_INT_DIGITS))
+    assert run_cli("translate", "at.bpmn", cwd=tmp_path)[0] == 0
+    (tmp_path / "past.bpmn").write_text(loop_with_init("n + " + "1" * (MAX_INT_DIGITS + 1)))
+    code, _, err = run_cli("translate", "past.bpmn", "--out", "past", cwd=tmp_path)
+    assert (code, err.splitlines()) == \
+        (3, [f"bproc: FeelSyntaxError: integer literal longer than {MAX_INT_DIGITS} digits "
+             f"(column 5)"])
     assert not (tmp_path / "past").exists()

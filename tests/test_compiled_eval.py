@@ -227,6 +227,43 @@ def test_values_grow_only_to_the_size_limit():
                 assert got[2].endswith(f"would exceed {limit}")
 
 
+def test_an_integer_past_the_doubles_cannot_meet_a_double():
+    # `+`, `-`, `*` and `/` with a double, fused (`a op literal`) or not,
+    # raise ValueTooLargeError, not Python's OverflowError, as the
+    # reference does; so does `/` whose quotient is past the doubles
+    big = 2 ** 1100
+    cases = [(big, op, 1.5) for op in ("+", "-", "*", "/")]
+    cases += [(-big, op, 0.5) for op in ("+", "-", "*", "/")] + [(big, "/", 3)]
+    for left, op, right in cases:
+        for expr, env in ((ast.BinOp(op, ast.Lit(left), ast.Lit(right)), {}),
+                          (ast.BinOp(op, ast.Var("a"), ast.Lit(right)), {"a": left}),
+                          (ast.BinOp(op, ast.Lit(right), ast.Var("a")), {"a": left})):
+            if right == 3 and type(expr.right) is ast.Var:
+                continue  # 3 / big is a small quotient
+            got = outcome(feel.compile_expr(expr), env)
+            assert got == ("raised", ValueTooLargeError, "number too large for a double"), \
+                (left, op, right)
+            assert got == outcome(reference_evaluate, expr, env)
+    sqrt = ast.Call("sqrt", (ast.Var("a"),))
+    assert outcome(feel.compile_expr(sqrt), {"a": big}) == \
+        ("raised", ValueTooLargeError, "number too large for a double") == \
+        outcome(reference_evaluate, sqrt, {"a": big})
+    # within the doubles nothing changes
+    assert feel.evaluate(feel.parse_expr("2 ** 1000 * 1.5"), {}) == 2.0 ** 1000 * 1.5
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(expressions, min_size=1, max_size=3))
+def test_one_walk_gives_free_variables_and_type_evidence(exprs):
+    # `scan` walks once for what `free_variables` and the original type
+    # inference each walked for: the same names, and the same types in the
+    # same key order, or the same conflict
+    for expr in exprs:
+        assert feel.types.scan(expr)[0] == ast.free_variables(expr)
+    got = outcome(lambda: list(feel.infer_types(exprs).items()))
+    assert got == outcome(lambda: list(oracles.reference_infer_types(exprs).items()))
+
+
 def test_an_oversized_power_fails_at_once():
     for text in ("3 ** 100000000000", "10**20 ** 10**20"):
         started = time.perf_counter()

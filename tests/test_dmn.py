@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from bproc import evaluate_table, parse_dmn
 from bproc.dmn import DecisionTable, Rule
-from bproc.errors import (AnyConflictError, NoMatchError, SchemaError,
+from bproc.errors import (AnyConflictError, FeelSyntaxError, NoMatchError, SchemaError,
                           UniquenessViolationError, UnsupportedHitPolicyError)
 from bproc.feel import ast
+from bproc.feel.parser import MAX_INT_DIGITS
 
 from conftest import DTD_DMN, PROLOG_ITEMS, after_declaration, with_doctype
 from oracles import NO_MATCH, formula_table_outputs, random_table
@@ -89,6 +90,16 @@ def test_output_entries_must_be_constant():
     doc = MINIMAL_DMN.format(policy="").replace('>"one"<', ">someVar + 1<")
     with pytest.raises(SchemaError):
         parse_dmn(doc)
+
+
+def test_an_over_long_integer_cell_is_a_syntax_error():
+    at_limit = MINIMAL_DMN.format(policy="").replace("<text>1</text>",
+                                                   f"<text>{'1' * MAX_INT_DIGITS}</text>")
+    assert parse_dmn(at_limit)[0].rules[0].input_entries[0].value == int("1" * MAX_INT_DIGITS)
+    past = MINIMAL_DMN.format(policy="").replace("<text>1</text>",
+                                                f"<text>{'1' * (MAX_INT_DIGITS + 1)}</text>")
+    with pytest.raises(FeelSyntaxError, match=f"longer than {MAX_INT_DIGITS} digits"):
+        parse_dmn(past)
 
 
 def test_input_cells_must_be_constant():

@@ -7,7 +7,7 @@ from bproc import evaluate, parse_expr, parse_unary_test, render
 from bproc.errors import FeelSyntaxError, SchemaError
 from bproc.feel import ast, compile_expr, compile_unary, infer_types, render_value, synthesize
 from bproc.feel.ast import free_variables
-from bproc.feel.parser import MAX_DEPTH
+from bproc.feel.parser import MAX_DEPTH, MAX_INT_DIGITS
 from bproc.feel.render import render_unary_test
 from bproc.feel.values import FeelRange, Temporal
 from bproc.inputs import facts_from_expr
@@ -340,3 +340,28 @@ def test_a_too_deep_cell_test_is_named_by_its_column_in_the_cell():
     with pytest.raises(FeelSyntaxError) as too_deep:
         parse_unary_test(head + "not(" * MAX_DEPTH + "1" + ")" * (MAX_DEPTH + 1))
     assert too_deep.value.column == len(head) + 4 * (MAX_DEPTH - 1) + 1  # the last not(
+
+
+def test_integer_literals_longer_than_the_digit_limit_are_syntax_errors():
+    # Python converts at most 4,300 digits of text to an integer
+    assert MAX_INT_DIGITS == 4300
+    assert parse_expr("9" * MAX_INT_DIGITS) == ast.Lit(int("9" * MAX_INT_DIGITS))
+    assert parse_expr("x + " + "1" * MAX_INT_DIGITS).right == ast.Lit(int("1" * MAX_INT_DIGITS))
+    for text, column in (("1" * (MAX_INT_DIGITS + 1), 1), ("x + " + "7" * 5000, 5),
+                         ("[1, " + "0" * 4301 + "]", 5)):
+        with pytest.raises(FeelSyntaxError) as exc_info:
+            parse_expr(text)
+        assert exc_info.value.column == column
+        assert str(exc_info.value) == \
+            f"integer literal longer than {MAX_INT_DIGITS} digits (column {column})"
+    # decimals have no such limit
+    assert parse_expr("1" * 5000 + ".5") == ast.Lit(float("1" * 5000 + ".5"))
+
+
+def test_a_cell_with_an_over_long_integer_is_a_syntax_error():
+    assert parse_unary_test("< " + "3" * MAX_INT_DIGITS) == \
+        ast.Comparison("<", ast.Lit(int("3" * MAX_INT_DIGITS)))
+    for cell in ("3" * (MAX_INT_DIGITS + 1), "< " + "3" * (MAX_INT_DIGITS + 1),
+                 "1, " + "3" * (MAX_INT_DIGITS + 1)):
+        with pytest.raises(FeelSyntaxError, match=f"longer than {MAX_INT_DIGITS} digits"):
+            parse_unary_test(cell)

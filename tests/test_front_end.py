@@ -201,6 +201,34 @@ def test_parse_and_compile_scale_linearly():
     assert large / small < 10, f"250 diamonds: {small:.3f}s, 1000 diamonds: {large:.3f}s"
 
 
+def setup_calls(xml) -> int:
+    """The Python calls parse_bpmn + compile_model make for `xml`."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        compile_model(parse_bpmn(xml), ())
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+@pytest.mark.parametrize("small, large", [(diamonds_xml(250), diamonds_xml(1000)),
+                                          (pins.diamonds(75, 7), pins.diamonds(300, 7))],
+                         ids=["script diamonds", "send/receive diamonds"])
+def test_parse_and_compile_call_counts_scale_linearly(small, large):
+    # the deterministic companion of the timing test above: 4x the model
+    # makes about 4x the calls (a quadratic front end makes 16x)
+    ratio = setup_calls(large) / setup_calls(small)
+    assert ratio <= 4.2, ratio
+
+
 def test_set_up_builds_each_record_and_index_once():
     # parse_bpmn + compile_model walk the model once: one flow index, one
     # pass over variable uses, one role per variable, one record per node
