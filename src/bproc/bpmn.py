@@ -642,49 +642,40 @@ def _validate(model: ProcessModel) -> None:
                 f"gateway {gateway.id!r} has {n_in} incoming and {n_out} outgoing flows; "
                 f"expected a split (1 in, 2+ out) or a join (2+ in, 1 out)")
 
-    if _has_flow_fault(model, gateways):
-        _raise_first_flow_fault(model)
+    _check_flows(model, gateways)
     _check_weakly_connected(model, start)
 
 
-def _has_flow_fault(model: ProcessModel, gateways: list[Node]) -> bool:
-    """Does some node have a fault `_raise_first_flow_fault` reports? Most
-    models have none, and the lists looked at here are short for them."""
+def _check_flows(model: ProcessModel, gateways: list[Node]) -> None:
+    """Raise SchemaError for the first node, in node order, whose outgoing
+    flows break a rule: several default flows out of an exclusive or
+    inclusive gateway, a condition on a flow out of any other node, or a
+    task with no outgoing flow. One pass per rule finds the nodes that
+    break one (a node can break only one, and most models break none)."""
     out, _ = model.adjacency
-    if [node for node in model.nodes if node.kind in _TASK_KINDS and len(out[node.id]) != 1]:
-        return True
-    conditioned = [flow.source for flow in model.flows if flow.condition is not None]
-    defaults = [flow.source for flow in model.flows if flow.is_default]
-    if not conditioned and len(defaults) < 2:
-        return False
     conditional = {node.id for node in gateways if node.kind in _CONDITIONAL_KINDS}
-    if not conditional.issuperset(conditioned):
-        return True  # a condition on a flow that leaves no exclusive/inclusive gateway
-    for source in set(defaults):
-        if defaults.count(source) > 1 and source in conditional:
-            return True  # a gateway with several default flows
-    return False
-
-
-def _raise_first_flow_fault(model: ProcessModel) -> None:
-    out, _ = model.adjacency
-    for node in model.nodes:
-        if node.kind in _CONDITIONAL_KINDS:
-            defaults = [f for f in out[node.id] if f.is_default]
-            if len(defaults) > 1:
-                raise SchemaError(f"gateway {node.id!r} has several default flows")
-        else:
-            for flow in out[node.id]:
-                if flow.condition is not None:
-                    raise SchemaError(
-                        f"flow {flow.id!r} carries a condition but leaves {node.kind} "
-                        f"{node.id!r}; conditions belong on exclusive/inclusive gateways")
-        if node.kind in TASK_KINDS and not out[node.id]:
-            raise SchemaError(f"task {node.id!r} has no outgoing flow; "
-                              f"only an end event ends a path")
-        if node.kind in TASK_KINDS and len(out[node.id]) > 1:
-            raise SchemaError(f"node {node.id!r} still has several outgoing flows "
-                              f"after preprocessing")
+    faulty = set()
+    defaults = set()
+    for flow in model.flows:
+        if flow.is_default:
+            if flow.source in defaults and flow.source in conditional:
+                faulty.add(flow.source)
+            defaults.add(flow.source)
+    faulty.update(flow.source for flow in model.flows
+                  if flow.condition is not None and flow.source not in conditional)
+    faulty.update(node.id for node in model.nodes
+                  if node.kind in _TASK_KINDS and not out[node.id])
+    if not faulty:
+        return
+    node = next(node for node in model.nodes if node.id in faulty)
+    if node.id in conditional:
+        raise SchemaError(f"gateway {node.id!r} has several default flows")
+    if not out[node.id]:
+        raise SchemaError(f"task {node.id!r} has no outgoing flow; "
+                          f"only an end event ends a path")
+    flow = next(flow for flow in out[node.id] if flow.condition is not None)
+    raise SchemaError(f"flow {flow.id!r} carries a condition but leaves {node.kind} "
+                      f"{node.id!r}; conditions belong on exclusive/inclusive gateways")
 
 
 def _check_weakly_connected(model: ProcessModel, start: Node) -> None:

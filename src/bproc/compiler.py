@@ -57,6 +57,9 @@ class Send:
 
 @dataclass(slots=True, unsafe_hash=True)
 class Receive:
+    """A receive task lowers to this and a Continue, and nothing else: a
+    routine that receives anywhere else ends its run in an engine fault."""
+
     channel: str
     msg_type: str
     targets: tuple[tuple[str, str], ...]  # part -> variable

@@ -282,10 +282,12 @@ def _apply(name: str, args: list):
 
     if name == "abs":
         return abs(one_number())
-    if name == "floor":
-        return math.floor(one_number())
-    if name == "ceiling":
-        return math.ceil(one_number())
+    if name == "floor" or name == "ceiling":
+        v = one_number()
+        try:
+            return math.floor(v) if name == "floor" else math.ceil(v)
+        except (OverflowError, ValueError):  # an infinite or NaN double
+            raise FeelTypeError(f"{name}(...) takes a finite number") from None
     if name == "sqrt":
         v = one_number()
         if v < 0:

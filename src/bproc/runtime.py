@@ -2,12 +2,14 @@
 
 On its first run, a model's routines are lowered once into a node program
 (Feeley & Lapalme, "Using Closures for Code Generation", 1987): per node,
-one closure over the engine that runs its plain steps and returns the
-edge to take (a receive, which can wait, stays a step of its own). Every
-(source, target) pair a branch can take is one `_Edge`: its target node
-and its coverage index; every node has a coverage index too. So the
-walker makes one call per node and follows edges with no lookup (Ertl &
-Gregg, "The Structure and Performance of Efficient Interpreters", 2003).
+one closure over the engine that runs its steps and returns the edge to
+take. A receive on an empty channel returns a `_Wait` instead, and the
+walker calls the same closure again once resumed, so a receive node holds
+nothing but its receive and its continue. Every (source, target) pair a
+branch can take is one `_Edge`: its target node and its coverage index;
+every node has a coverage index too. So the walker makes one call per
+node and follows edges with no lookup (Ertl & Gregg, "The Structure and
+Performance of Efficient Interpreters", 2003).
 Lowering runs with the cyclic collector paused, as set-up does
 (`bpmn.collector_paused`). The trace records of the nodes and edges are
 built on the first run that keeps a trace, and every later run shares
@@ -156,29 +158,26 @@ class _Edge:
 class _Node:
     """A lowered routine.
 
-    `steps` are its plain steps, functions of the engine that return None,
-    except a receive on an empty channel, which returns (node, channel)
-    and does nothing. `terminal` is a function of the engine that returns
-    the `_Edge` taken, None (the branch ended and the outcome is set) or
-    the fork's children, one `_Edge` each; a fork's children meet at
-    `join_id`. A continue has no terminal function: the walker takes
-    `edge`, as does an arrival that passes a barrier join. `run` does it
-    all in one call, except in a node with a receive (which can make the
-    walker yield), which has no `run`. Lowering builds the edges once,
-    shared by every run; the activation record is built on the first run
-    that keeps a trace and shared by every later one, which is why node
-    and edge records stay frozen (and compare by value). Only the walker
-    records or marks them. `index` is the node's coverage index.
+    `run` is a function of the engine that runs the routine and returns
+    the `_Edge` taken, None (the branch ended and the outcome is set), the
+    children of a fork, one `_Edge` each, or a `_Wait` (a receive on an
+    empty channel, which did nothing). A fork's children meet at its
+    `join` node; the last of them to arrive there calls the join's
+    `passed`, which returns the join's edge, instead of its `run`, which
+    faults. Lowering builds the edges once, shared by every run; the
+    activation record is built on the first run that keeps a trace and
+    shared by every later one, which is why node and edge records stay
+    frozen (and compare by value). Only the walker records or marks them.
+    `index` is the node's coverage index.
     """
 
-    __slots__ = ("id", "activated", "index", "steps", "terminal", "edge", "join_id", "run")
+    __slots__ = ("id", "activated", "index", "run", "join", "passed")
 
     def __init__(self, node_id: str, index: int):
         self.id = node_id
         self.activated: NodeActivated | None = None
         self.index = index
-        self.steps: tuple = ()
-        self.terminal = self.edge = self.join_id = self.run = None
+        self.run = self.join = self.passed = None
 
 
 class _Program:
@@ -208,6 +207,9 @@ class _Program:
                               for node_id, routine in model.routines.items()}
         for (_, target), edge in edges.items():
             edge.node = nodes.get(target)
+        for node in nodes.values():
+            if node.join is not None:  # a fork's join id until now
+                node.join = nodes.get(node.join)
 
     def edge(self, source: str, target: str) -> _Edge:
         edge = self.edges.get((source, target))
@@ -244,22 +246,29 @@ def _lower(routine, model: ExecutableModel, program: _Program) -> _Node:
     node_id = routine.id
     node_index = program.node_index
     node = _Node(node_id, node_index.setdefault(node_id, len(node_index)))
+    kinds = [step.__class__ for step in routine.steps]
+    if Receive in kinds:  # a waiting receive runs its node again, so it runs nothing else
+        if kinds == [Receive, Continue]:
+            receive, cont = routine.steps
+            node.run = _lower_receive(receive, node_id, program.edge(node_id, cont.target))
+        else:
+            node.run = _fault(f"routine {node_id!r} receives but is not (Receive, Continue)")
+        return node
     steps = []
+    terminal = edge = None
     for step in routine.steps:
         cls = step.__class__
         if cls is Continue:
-            node.edge = program.edge(node_id, step.target)
+            edge = program.edge(node_id, step.target)
             break
         lower_terminal = _LOWER_TERMINAL.get(cls)
         if lower_terminal is not None:
-            node.terminal = lower_terminal(step, node_id, node, program)
+            terminal = lower_terminal(step, node_id, node, program)
             break
         steps.append(_LOWER_STEP.get(cls, _lower_unexpected)(step, node_id, model))
     else:
-        node.terminal = _fault(f"routine {node_id!r} fell through without a terminal step")
-    node.steps = tuple(steps)
-    if all(step.__class__ is not Receive for step in routine.steps):  # it cannot wait
-        node.run = _run_node(node.steps, node.terminal, node.edge)
+        terminal = _fault(f"routine {node_id!r} fell through without a terminal step")
+    node.run = _run_node(tuple(steps), terminal, edge)
     return node
 
 
@@ -315,7 +324,7 @@ def _lower_branch(step: Branch, node_id: str, node: _Node, program: _Program):
 
 
 def _lower_fork(step: Fork, node_id: str, node: _Node, program: _Program):
-    node.join_id = step.join_id
+    node.join = step.join_id  # its _Node once every routine is lowered
     children = tuple(program.edge(node_id, target) for target in step.targets)
     if step.conditions is None:
         return lambda engine: children
@@ -337,8 +346,8 @@ def _lower_fork(step: Fork, node_id: str, node: _Node, program: _Program):
 
 
 def _lower_join(step: JoinBarrier, node_id: str, node: _Node, program: _Program):
-    # arrivals from its fork continue past it over `edge` (see _Engine._walk)
-    node.edge = program.edge(node_id, step.next)
+    edge = program.edge(node_id, step.next)
+    node.passed = lambda engine: edge  # the last arrival from its fork (see _Engine._walk)
     return _fault(f"join {node_id!r} reached outside its fork")
 
 
@@ -403,14 +412,22 @@ def _lower_send(step: Send, node_id: str, model: ExecutableModel):
     return send
 
 
-def _lower_receive(step: Receive, node_id: str, model: ExecutableModel):
+class _Wait(tuple):
+    """What a receive on an empty channel returns: (node id, channel)."""
+
+    __slots__ = ()
+
+
+def _lower_receive(step: Receive, node_id: str, edge: _Edge):
+    """A receive node's `run`: takes the message and returns `edge`, or
+    returns a `_Wait` while the channel is empty."""
     channel, expected, targets = step.channel, step.msg_type, step.targets
-    blocked = (node_id, channel)
+    wait = _Wait((node_id, channel))
 
     def receive(engine):
         queue = engine._channels[channel]
         if not queue:
-            return blocked
+            return wait
         msg_type, payload = queue.popleft()
         if msg_type != expected:
             raise MessageTypeMismatchError(
@@ -421,6 +438,7 @@ def _lower_receive(step: Receive, node_id: str, model: ExecutableModel):
                 raise MessageTypeMismatchError(
                     f"message on channel {channel!r} has no part {part!r}")
             engine._write(var, payload[part])
+        return edge
     return receive
 
 
@@ -431,7 +449,7 @@ def _lower_unexpected(step, node_id: str, model: ExecutableModel):
 
 
 _LOWER_STEP = {ConsumeInput: _lower_consume, Assign: _lower_assign,
-               InvokeTable: _lower_invoke, Send: _lower_send, Receive: _lower_receive}
+               InvokeTable: _lower_invoke, Send: _lower_send}
 
 
 # --- execution ------------------------------------------------------------------
@@ -505,7 +523,6 @@ class _Engine:
         self.diagnostics: list[str] = []
         self._outcome: tuple[str, str, str] | None = None
         self._parallel = options.mode == "parallel"
-        self._program = program.nodes
         self._steps = 0  # steps taken; a walker keeps its own count until it yields
         self._next_check = 1  # the next step that calls _check_limits
         self._max_steps = options.max_steps
@@ -566,7 +583,8 @@ class _Engine:
         ready = self._ready
         walk = self._walk
         root = _Branch(())
-        ready.append((root, walk(self._program[self.model.entry], None, None, root)))
+        ready.append((root, walk(_program(self.model).nodes[self.model.entry], None, None,
+                                 root)))
         getrandbits = None  # bound when two branches first compete for a step
         try:
             while ready and self._outcome is None:
@@ -596,7 +614,7 @@ class _Engine:
                         ready.append((child, walk(edge.node, event, edge, child)))
                     branch.path = path + ((event, 0),)
                     ready.append((branch, walker))
-                else:  # a receive on an empty channel
+                else:  # the _Wait of a receive on an empty channel
                     node, channel = event
                     if parallel:
                         self._waiting.setdefault(channel, []).append((branch, walker, node))
@@ -628,8 +646,9 @@ class _Engine:
         In parallel mode, yields None after a node and its edge when another
         branch is ready (a send can make waiters ready in the middle of a
         node); a lone branch keeps the step, as the scheduler would give it
-        back without a draw. In both modes, yields (node, channel) while a
-        receive waits on an empty channel, and the barrier of the children
+        back without a draw. In both modes, yields the `_Wait` of a receive
+        on an empty channel, and calls the receive node's `run` again once
+        resumed, in the same step; and yields the barrier of the children
         at a fork: the scheduler starts a walker for every case but the
         first, and this one goes on as the first once resumed. Ends at a
         join some other branch still has to reach, or once the run has an
@@ -644,7 +663,6 @@ class _Engine:
         parallel = self._parallel
         ready = self._ready
         join = None if barrier is None else barrier.join
-        released = False  # passing the join as the last of its fork's branches
         if entry is not None:
             if edge_hits is None:
                 record(entry.record)
@@ -658,10 +676,10 @@ class _Engine:
                 if barrier.pending:
                     self._steps = steps
                     return  # the last arrival will continue past the join
-                barrier = barrier.parent  # released: on over the join's edge
+                barrier = barrier.parent  # the last arrival: on over the join's edge
                 join = None if barrier is None else barrier.join
                 branch.path = branch.path[:-1]  # the fork's own branch again
-                run, released = None, True
+                run = node.passed
             steps += 1
             if steps >= next_check:
                 self._steps = steps
@@ -671,17 +689,12 @@ class _Engine:
             else:
                 node_hits[node.index] = 1
             try:
-                if run is not None:
-                    taken = run(self)
-                else:  # a receive, which can yield, or a join being passed
+                taken = run(self)
+                while taken.__class__ is _Wait:  # a receive on an empty channel
                     self._steps = steps
-                    for step in node.steps:
-                        while (blocked := step(self)) is not None:
-                            yield blocked
+                    yield taken
                     steps, next_check = self._steps, self._next_check
-                    terminal = None if released else node.terminal
-                    taken = node.edge if terminal is None else terminal(self)
-                    released = False
+                    taken = run(self)
             except BprocError as exc:
                 self._set_outcome("fault", "ENGINE_FAULT", f"{node.id}: {exc}")
                 return
@@ -699,7 +712,7 @@ class _Engine:
                 return
             else:  # a fork: on as its first case, entered over its fork edge
                 self._steps = steps
-                barrier = _Barrier(self._program[node.join_id], taken, barrier)
+                barrier = _Barrier(node.join, taken, barrier)
                 yield barrier
                 steps, next_check = self._steps, self._next_check
                 join, entry = barrier.join, taken[0]

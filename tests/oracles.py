@@ -560,10 +560,11 @@ def _ref_call(expr: ast.Call, env):
 
     if expr.name == "abs":
         return abs(one_number())
-    if expr.name == "floor":
-        return math.floor(one_number())
-    if expr.name == "ceiling":
-        return math.ceil(one_number())
+    if expr.name in ("floor", "ceiling"):
+        v = one_number()
+        if not math.isfinite(v):
+            raise FeelTypeError(f"{expr.name}(...) takes a finite number")
+        return math.floor(v) if expr.name == "floor" else math.ceil(v)
     if expr.name == "sqrt":
         v = one_number()
         if v < 0:

@@ -351,6 +351,34 @@ def test_a_task_with_no_outgoing_flow_rejected():
         parse_bpmn(xml)
 
 
+FLOW_FAULTS = {
+    # task `a` names a second default flow out of `g`, and has no outgoing flow itself
+    "g": ('<exclusiveGateway id="g" default="f_b"/>',
+          "gateway 'g' has several default flows"),
+    "a": ('<task id="a" default="f_c"/>',
+          "task 'a' has no outgoing flow; only an end event ends a path"),
+    "b": ('<task id="b"/>',
+          "flow 'f_b2' carries a condition but leaves manual_task 'b'; conditions belong on "
+          "exclusive/inclusive gateways"),
+}
+
+
+@pytest.mark.parametrize("order", ["gab", "bga", "abg"])
+def test_the_first_flow_fault_in_node_order_is_raised(order):
+    xml = doc("".join(FLOW_FAULTS[node_id][0] for node_id in order) + """
+      <startEvent id="s"/><task id="c"/><endEvent id="e1"/><endEvent id="e2"/>
+      <sequenceFlow id="f1" sourceRef="s" targetRef="g"/>
+      <sequenceFlow id="f_b" sourceRef="g" targetRef="b"/>
+      <sequenceFlow id="f_c" sourceRef="g" targetRef="c"/>
+      <sequenceFlow id="f_b2" sourceRef="b" targetRef="e1">
+        <conditionExpression>true</conditionExpression></sequenceFlow>
+      <sequenceFlow id="f_c2" sourceRef="c" targetRef="e2"/>
+    """)
+    with pytest.raises(SchemaError) as info:
+        parse_bpmn(xml)
+    assert str(info.value) == FLOW_FAULTS[order[0]][1]
+
+
 def test_document_level_definitions_anywhere_in_the_document(caplog):
     # messages, errors and data objects before, inside and after the process
     text = (f'<?xml version="1.0"?>{HEADER}'

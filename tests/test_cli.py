@@ -447,3 +447,12 @@ def test_an_over_long_integer_literal_is_a_model_error(tmp_path):
         (3, [f"bproc: FeelSyntaxError: integer literal longer than {MAX_INT_DIGITS} digits "
              f"(column 5)"])
     assert not (tmp_path / "past").exists()
+
+
+@pytest.mark.parametrize("name", ["floor", "ceiling"])
+def test_floor_of_an_infinite_double_is_an_engine_fault(name, tmp_path):
+    (tmp_path / "inf.bpmn").write_text(loop_with_init(f"{name}(1e308 * 10)"))
+    code, out, err = run_cli("run", "inf.bpmn", "--sequential", cwd=tmp_path)
+    message = f"Activity_Init: {name}(...) takes a finite number"
+    assert (code, err.splitlines()) == (4, [f"bproc: engine fault: {message}"])
+    assert out.startswith(f"fault: ENGINE_FAULT ({message})")

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from bproc import feel
 from bproc.dmn import DecisionTable, Rule, evaluate_table
-from bproc.errors import ValueTooLargeError
+from bproc.errors import FeelTypeError, ValueTooLargeError
 from bproc.feel import ast, evaluator, values as kernel
 from bproc.feel.values import UNDEFINED, FeelRange, Temporal
 
@@ -250,6 +250,20 @@ def test_an_integer_past_the_doubles_cannot_meet_a_double():
         outcome(reference_evaluate, sqrt, {"a": big})
     # within the doubles nothing changes
     assert feel.evaluate(feel.parse_expr("2 ** 1000 * 1.5"), {}) == 2.0 ** 1000 * 1.5
+
+
+def test_floor_and_ceiling_of_a_non_finite_double_are_type_errors():
+    # Python's math.floor and math.ceil raise OverflowError or ValueError
+    # here; FEEL raises its own type error, as the reference does
+    for name in ("floor", "ceiling"):
+        for value in (math.inf, -math.inf, math.nan):
+            expr = ast.Call(name, (ast.Var("a"),))
+            got = outcome(feel.compile_expr(expr), {"a": value})
+            assert got == ("raised", FeelTypeError, f"{name}(...) takes a finite number")
+            assert got == outcome(reference_evaluate, expr, {"a": value})
+        assert outcome(feel.evaluate, feel.parse_expr(f"{name}(1e308 * 10)"), {}) == got
+        assert feel.evaluate(feel.parse_expr(f"{name}(-2.5)"), {}) == (-3 if name == "floor"
+                                                                       else -2)
 
 
 @settings(max_examples=300, deadline=None)

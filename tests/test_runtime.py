@@ -7,13 +7,15 @@ import random
 import threading
 import tracemalloc
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bproc import RunOptions, compile_model, parse_bpmn, run_once, runtime
-from bproc.compiler import Fork, InvokeTable
+from bproc.compiler import Assign, Fork, InvokeTable
 from bproc.errors import ConfigError
+from bproc.feel import ast
 from bproc.feel.values import MAX_STRING_LENGTH
 from bproc.runtime import (TableEvaluated, VarWritten, parse_summary_inputs,
                            render_graph_file, render_summary_file, render_trace_file,
@@ -169,21 +171,35 @@ def test_a_clock_that_expires_at_its_second_read_in_the_run(monkeypatch, mode):
     assert len(trace.node_sequence()) == runtime.CLOCK_EVERY == 1024
 
 
-@pytest.mark.parametrize("name", ("loop", "pingpong"))
+@pytest.mark.parametrize("name", ("loop", "pingpong", "diamonds"))
 @pytest.mark.parametrize("mode", ("sequential", "parallel"))
 def test_a_step_budget_cuts_the_natural_run_short(name, mode):
     # a budget of k steps ends the run on step k + 1, after k activations,
-    # exactly when the natural run is longer; the trace so far is the same
-    x = compile_fixture(name)
+    # exactly when the natural run is longer; the trace so far is the same.
+    # In parallel mode, seed 7 activates the receives of the second and
+    # third of three diamonds before their sends: a receive waits within
+    # its one step and one activation, and its join is passed once
+    if name == "diamonds":
+        x, inputs = compile_model(parse_bpmn(diamonds(3, SEED)), ()), {"x": [50]}
+    else:
+        x, inputs = compile_fixture(name), {}
 
     def run(max_steps):
-        return run_once(x, {}, RunOptions(mode=mode, seed=7, max_steps=max_steps, timeout_s=60))
+        return run_once(x, inputs, RunOptions(mode=mode, seed=7, max_steps=max_steps,
+                                              timeout_s=60))
 
     longer, natural = run(1_000)
-    natural_steps = len(longer.node_sequence())
+    nodes = longer.node_sequence()
+    natural_steps = len(nodes)
     if natural.message == "step budget of 1000 exceeded":
         natural_steps = math.inf  # `loop` never ends
     assert (name == "loop") is (natural_steps == math.inf)
+    if name == "diamonds":
+        assert natural.status == "success"
+        for i in (1, 2, 3):
+            assert (nodes.count(f"Recv{i}"), nodes.count(f"Join{i}")) == (1, 1)
+        early = [i for i in (1, 2, 3) if nodes.index(f"Recv{i}") < nodes.index(f"Send{i}")]
+        assert early == ([2, 3] if mode == "parallel" else [])
     for max_steps in range(1, 61):
         trace, summary = run(max_steps)
         assert trace.records == longer.records[:len(trace.records)]
@@ -330,6 +346,24 @@ def test_table_call_without_an_argument_faults(shipment):
 
 
 # --- fork / join / messages -----------------------------------------------------
+
+@pytest.mark.parametrize("mode", ("sequential", "parallel"))
+@pytest.mark.parametrize("where", ("before", "after"))
+def test_a_receive_routine_with_another_step_faults(where, mode):
+    # compile_model lowers a receive task to a receive and a continue; a
+    # routine edited by hand to run more around its receive is not run
+    model = compile_fixture("pingpong")
+    receive, cont = model.routines["Activity_Await"].steps
+    assign = Assign("out", ast.Lit(1))
+    steps = (assign, receive, cont) if where == "before" else (receive, assign, cont)
+    model.routines["Activity_Await"] = dataclasses.replace(
+        model.routines["Activity_Await"], steps=steps)
+    trace, summary = run_once(model, {}, RunOptions(mode=mode, seed=7))
+    assert (summary.status, summary.code, summary.message) == (
+        "fault", "ENGINE_FAULT", "routine 'Activity_Await' receives but is not "
+                                 "(Receive, Continue)")
+    assert trace.writes() == []
+
 
 def test_parallel_fork_joins_exactly_once():
     x = compile_fixture("pingpong")
@@ -626,7 +660,7 @@ def test_sequential_runs_are_byte_identical(shipment, tmp_path):
                                   RunOptions(mode="sequential", seed=7))
         paths = write_artifacts(trace, summary, shipment.graph, tmp_path / str(i),
                                 stem="shipment")
-        files.append({k: open(p, "rb").read() for k, p in paths.items()})
+        files.append({k: Path(p).read_bytes() for k, p in paths.items()})
     assert files[0] == files[1]
 
 
