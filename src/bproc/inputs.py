@@ -434,23 +434,37 @@ def type_default(static_type: StaticType):
 
 def sample_domain(domain: Domain, static_type: StaticType, rng: random.Random,
                   overrides: list | None = None, name: str = "?"):
-    """Draw one value compatible with the domain.
+    """Draw one value compatible with the domain: one draw of
+    `sampler(domain, static_type, overrides, name)`, the one sampling
+    implementation, whose docstring states the draws."""
+    return sampler(domain, static_type, overrides, name)(rng)
+
+
+def sampler(domain: Domain, static_type: StaticType, overrides: list | None = None,
+            name: str = "?"):
+    """The function `draw(rng)` that draws one value compatible with the
+    domain; the domain's kind, the integer-or-double choice, the bounds and
+    the bias thresholds are worked out here, once per sampler.
 
     Enums are uniform; ranges are uniform over the (type-aware) interval;
     balls around w span [w-R, w+R] with R = max(1, |w|) and a 0.3 bias
     toward w and the two boundary neighbourhoods; unhandled domains draw
     uniformly from the user-provided override list. Numeric draws stay
-    within the finite doubles; a range or ball that holds none raises
-    DomainMismatchError.
+    within the finite doubles. A domain no draw can serve raises here: a
+    range or ball that holds none raises DomainMismatchError, an unhandled
+    domain without overrides MissingOverrideError. The calls a draw makes
+    on `rng`, and their order, fix a campaign's inputs for its seed, so
+    they must not change.
     """
     if isinstance(domain, EnumDomain):
-        return rng.choice(domain.values)
+        values = domain.values
+        return lambda rng: rng.choice(values)
     if isinstance(domain, RangeDomain):
-        return _sample_interval(domain, static_type, rng, name)
+        return _interval_sampler(domain, static_type, name)
     if isinstance(domain, BallDomain):
-        return _sample_ball(domain, static_type, rng, name)
+        return _ball_sampler(domain, static_type, name)
     if overrides:
-        return rng.choice(overrides)
+        return lambda rng: rng.choice(overrides)
     raise MissingOverrideError(name)
 
 
@@ -466,7 +480,7 @@ def _no_finite_double(name: str, domain: Domain) -> DomainMismatchError:
                                      f"holds no finite double")
 
 
-def _sample_interval(domain: RangeDomain, static_type, rng: random.Random, name: str):
+def _interval_sampler(domain: RangeDomain, static_type, name: str):
     lo, hi, lo_incl, hi_incl = domain.lo, domain.hi, domain.lo_incl, domain.hi_incl
     if static_type is StaticType.INTEGER or (
             static_type is not StaticType.DOUBLE
@@ -482,29 +496,36 @@ def _sample_interval(domain: RangeDomain, static_type, rng: random.Random, name:
         lo_i, hi_i = max(lo_i, -_MAX_INTEGER), min(hi_i, _MAX_INTEGER)
         if lo_i > hi_i:
             raise _no_finite_double(name, domain)
-        return rng.randint(lo_i, hi_i)
+        return lambda rng: rng.randint(lo_i, hi_i)
     lo_f, hi_f = _as_double(lo), _as_double(hi)  # an int bound may round outward
     # the least and greatest doubles the range holds
     least = lo_f if lo_f > lo or (lo_f == lo and lo_incl) else math.nextafter(lo_f, math.inf)
     greatest = (hi_f if hi_f < hi or (hi_f == hi and hi_incl)
                 else math.nextafter(hi_f, -math.inf))
-    if math.isfinite(hi_f - lo_f):
+    span = hi_f - lo_f
+    if math.isfinite(span):
         if least > greatest:
             raise DomainMismatchError(name, f"cannot be drawn: {render_domain(domain)} "
                                             f"is empty")
-        while True:  # open or rounded ends handled by rejection
-            draw = rng.uniform(lo_f, hi_f)
-            if least <= draw <= greatest:
-                return draw
+
+        def draw(rng):
+            while True:  # open or rounded ends handled by rejection
+                value = lo_f + span * rng.random()  # rng.uniform(lo_f, hi_f)
+                if least <= value <= greatest:
+                    return value
+        return draw
     # an infinite or overflowing span: drawn over its finite part, in halves
     least, greatest = max(least, -_MAX_DOUBLE), min(greatest, _MAX_DOUBLE)
     if not least <= greatest:  # also a NaN bound
         raise _no_finite_double(name, domain)
-    half = least / 2 + (greatest / 2 - least / 2) * rng.random()
-    return min(max(half * 2, least), greatest)
+    half_least, half_span = least / 2, greatest / 2 - least / 2
+    return lambda rng: min(max((half_least + half_span * rng.random()) * 2, least), greatest)
 
 
-def _sample_ball(domain: BallDomain, static_type, rng: random.Random, name: str):
+_CENTER_BIAS, _LOW_BIAS = BOUNDARY_BIAS / 3, 2 * BOUNDARY_BIAS / 3
+
+
+def _ball_sampler(domain: BallDomain, static_type, name: str):
     center, radius = domain.center, domain.radius
     lo, hi = center - radius, center + radius
     integer = static_type is StaticType.INTEGER or (
@@ -513,20 +534,34 @@ def _sample_ball(domain: BallDomain, static_type, rng: random.Random, name: str)
         if lo != lo or hi != hi:
             raise _no_finite_double(name, domain)
         center, lo, hi = (min(max(v, -_MAX_DOUBLE), _MAX_DOUBLE) for v in (center, lo, hi))
-    roll = rng.random()
-    if roll < BOUNDARY_BIAS / 3:
-        return int(center) if integer else float(center)
-    if roll < 2 * BOUNDARY_BIAS / 3:
-        if integer:
-            return rng.choice((int(lo), min(int(lo) + 1, int(hi))))
-        return lo + (hi - lo) * 0.01 * rng.random()
-    if roll < BOUNDARY_BIAS:
-        if integer:
-            return rng.choice((max(int(hi) - 1, int(lo)), int(hi)))
-        return hi - (hi - lo) * 0.01 * rng.random()
     if integer:
-        return rng.randint(int(lo), int(hi))
-    return rng.uniform(float(lo), float(hi))
+        center, lo, hi = int(center), int(lo), int(hi)
+        low_edge, high_edge = (lo, min(lo + 1, hi)), (max(hi - 1, lo), hi)
+
+        def draw_integer(rng):
+            roll = rng.random()
+            if roll < _CENTER_BIAS:
+                return center
+            if roll < _LOW_BIAS:
+                return rng.choice(low_edge)
+            if roll < BOUNDARY_BIAS:
+                return rng.choice(high_edge)
+            return rng.randint(lo, hi)
+        return draw_integer
+    center = float(center)
+    edge = (hi - lo) * 0.01  # the width of each boundary neighbourhood
+    lo_f, span = float(lo), float(hi) - float(lo)
+
+    def draw_double(rng):
+        roll = rng.random()
+        if roll < _CENTER_BIAS:
+            return center
+        if roll < _LOW_BIAS:
+            return lo + edge * rng.random()
+        if roll < BOUNDARY_BIAS:
+            return hi - edge * rng.random()
+        return lo_f + span * rng.random()  # rng.uniform(float(lo), float(hi))
+    return draw_double
 
 
 def build_input_specs(roles, types, domains, rng: random.Random,

@@ -19,24 +19,25 @@ tables compile themselves once with their output entries folded.
 
 A run owns a variable store (every declared variable starts undefined),
 per-variable input cursors, FIFO message channels (each made on its first
-use) and a trace. A campaign run without run files (`run_covering`)
-builds no trace and no record: it marks each node and edge it reaches in
-the campaign's `CoverageHits`, so its memory does not grow with its
-length. A campaign with run files runs each run as `run_once` does, folds
-that trace into its hits and writes the trace file TRACE_CHUNK_LINES lines
-at a time. One walker, the only code that records or marks nodes and
-edges, serves both modes: each branch of a run is a generator that hands
-its later children over at a fork, going on as the first itself, and
-yields while the channel of its receive is empty; in parallel mode it
-also yields at a node boundary when another branch is ready. A
-scheduler on a single OS thread decides which branch steps next.
+use) and a trace. A campaign runs each run through `run_covering`, with
+the campaign's options and the run's scheduler seed. Without run files a
+run builds no trace and no record: it marks each node and edge it reaches
+in the campaign's `CoverageHits`, so its memory does not grow with its
+length. With run files a run keeps its trace as `run_once` does; the
+campaign folds that trace into its hits and writes the trace file
+TRACE_CHUNK_LINES lines at a time. One walker, the only code that records
+or marks nodes and edges, serves both modes: each branch of a run is a
+generator that hands its later children over at a fork, going on as the
+first itself, and yields while the channel of its receive is empty; in
+parallel mode it also yields at a node boundary when another branch is
+ready. A scheduler on a single OS thread decides which branch steps next.
 Sequential mode runs the branches one at a time in case order, so a
 receive that waits for a later branch is a deadlock. Parallel mode gives
 each step to a runnable branch drawn with a random generator seeded from
-`RunOptions.seed` (a lone runnable branch needs no draw and keeps the
-step), so every interleaving is reproducible from the seed,
-and a run whose live branches all wait on empty channels ends as a
-deadlock. Both deadlocks are engine faults naming the blocked receive
+`RunOptions.seed`, or from the seed a campaign passes `run_covering` for
+the run (a lone runnable branch needs no draw and keeps the step), so
+every interleaving is reproducible from the seed, and a run whose live
+branches all wait on empty channels ends as a deadlock. Both deadlocks are engine faults naming the blocked receive
 node. Parallel mode also notes a variable written by two branches that no
 fork or join edge orders. Trace length is bounded by the step budget and
 the wall-clock timeout rather than any call stack. The clock is read on
@@ -504,9 +505,10 @@ class _Engine:
     campaign's hit arrays instead."""
 
     def __init__(self, model: ExecutableModel, input_lists: dict, options: RunOptions,
-                 hits: CoverageHits | None = None):
+                 hits: CoverageHits | None = None, seed: int | None = None):
         self.model = model
         self.options = options
+        self._seed = options.seed if seed is None else seed  # of the scheduler
         self.input_lists = input_lists
         program = _program(model)
         self.bindings = program.bindings.copy()
@@ -592,7 +594,7 @@ class _Engine:
                 n = len(ready)
                 if parallel and n > 1:
                     if getrandbits is None:
-                        getrandbits = random.Random(self.options.seed).getrandbits
+                        getrandbits = random.Random(self._seed).getrandbits
                     # Random.randrange(n), inlined: the same draws, one for one
                     k = n.bit_length()
                     index = getrandbits(k)
@@ -733,7 +735,16 @@ def run_once(model: ExecutableModel, input_lists: dict[str, list],
     or fault (an evaluation error such as a type mismatch, a division by
     zero, a decision with no matching rule, or a deadlock).
     """
-    engine, summary = _execute(model, input_lists, options or RunOptions())
+    options = options or RunOptions()
+    if options.mode not in ("parallel", "sequential"):
+        raise ConfigError(f"unknown mode {options.mode!r}")
+    if not options.timeout_s > 0:
+        raise ConfigError("the timeout must be positive")
+    missing = [s.name for s in model.input_vars
+               if not input_lists.get(s.name)]
+    if missing:
+        raise ConfigError(f"no input values supplied for {missing}")
+    engine, summary = _execute(model, input_lists, options)
     return engine.trace, summary
 
 
@@ -764,25 +775,21 @@ class CoverageHits:
 
 
 def run_covering(model: ExecutableModel, input_lists: dict[str, list], options: RunOptions,
-                 hits: CoverageHits) -> RunSummary:
-    """Execute the model once as run_once does, for a campaign without run
-    files: mark the nodes and edges the run reaches in `hits` and build no
-    trace."""
-    return _execute(model, input_lists, options, hits)[1]
+                 seed: int, hits: CoverageHits | None = None) -> tuple[Trace | None, RunSummary]:
+    """Execute the model once as run_once does, for one run of a campaign:
+    `options` is the campaign's, shared by all its runs, and `seed` seeds
+    this run's scheduler in place of `options.seed`. The campaign has
+    already checked what run_once checks (the mode, the timeout, a value
+    for every input), so this does not check again. With `hits`, the run
+    marks the nodes and edges it reaches in them and builds no trace (the
+    trace returned is None); without, it keeps its trace as run_once does."""
+    engine, summary = _execute(model, input_lists, options, hits, seed)
+    return engine.trace, summary
 
 
 def _execute(model: ExecutableModel, input_lists: dict[str, list], options: RunOptions,
-             hits: CoverageHits | None = None):
-    if options.mode not in ("parallel", "sequential"):
-        raise ConfigError(f"unknown mode {options.mode!r}")
-    if not options.timeout_s > 0:
-        raise ConfigError("the timeout must be positive")
-    missing = [s.name for s in model.input_vars
-               if not input_lists.get(s.name)]
-    if missing:
-        raise ConfigError(f"no input values supplied for {missing}")
-
-    engine = _Engine(model, input_lists, options, hits)
+             hits: CoverageHits | None = None, seed: int | None = None):
+    engine = _Engine(model, input_lists, options, hits, seed)
     engine.run()
 
     status, code, message = engine._outcome

@@ -8,12 +8,20 @@ against the process graph, and three stopping rules.
                  so only type-I (wrong PASS) errors are possible
 
 A campaign runs its runs in index order on one thread. Run k is a function
-of (seed, k), so a verdict is reproducible from the configuration. Runs
-build no trace: each marks the nodes and edges it reaches in one
-campaign-wide pair of hit arrays (runtime.CoverageHits), whose counts the
-stopping rules read. A campaign that writes run files runs each run as
-runtime.run_once does instead, writes its trace in chunks, in the formats
-of `bproc run`, and folds it into the same arrays.
+of (seed, k), so a verdict is reproducible from the configuration.
+
+Once per campaign, before its first run, it works out what no run changes:
+one sampler per input variable (inputs.sampler), one runtime.RunOptions,
+the stopping rule's constants, and which hit indexes name a node or edge
+the graph lacks. Each run then only seeds the random generator with
+seed * 1_000_003 + k, draws its inputs, takes its scheduler seed from the
+same stream and runs (runtime.run_covering). Runs build no trace: each
+marks the nodes and edges it reaches in one campaign-wide pair of hit
+arrays (runtime.CoverageHits), whose counts the stopping rules read; the
+coverage report is built once, after the last run. A campaign that writes
+run files keeps each run's trace instead, writes it in chunks, in the
+formats of `bproc run`, and folds it into the same arrays. Run times are
+kept as a running mean and variance, in constant memory.
 """
 
 from __future__ import annotations
@@ -22,7 +30,6 @@ import json
 import math
 import os
 import random
-import statistics
 from dataclasses import dataclass, field, replace
 from itertools import compress
 
@@ -89,6 +96,15 @@ def _hits_report(hits: runtime.CoverageHits, graph: ProcessGraph,
     edges = frozenset(compress(hits.edge_pairs, hits.edges))
     _check_known(nodes, edges, graph)
     return CoverageReport(nodes, edges, len(graph.nodes), len(graph.edges), runs)
+
+
+def _unknown_indexes(ids: tuple, known: frozenset) -> list[int]:
+    """The indexes of the hit ids that `known` lacks: a program lowered
+    against another graph, or a compiler/runtime mismatch. There are almost
+    never any, so a set test in C comes first."""
+    if known.issuperset(ids):
+        return []
+    return [i for i, id_ in enumerate(ids) if id_ not in known]
 
 
 # --- configuration -----------------------------------------------------------
@@ -184,9 +200,9 @@ def smc_sample_size(epsilon: float, delta: float) -> int:
     return n
 
 
-def _thresholds_hold(mode, report: CoverageReport) -> bool:
-    nodes_ok = report.c_n >= mode.theta_nodes
-    edges_ok = report.c_e >= mode.theta_edges
+def _thresholds_hold(mode, c_n: float, c_e: float) -> bool:
+    nodes_ok = c_n >= mode.theta_nodes
+    edges_ok = c_e >= mode.theta_edges
     return {"and": nodes_ok and edges_ok,
             "or": nodes_ok or edges_ok,
             "nodes": nodes_ok,
@@ -215,12 +231,31 @@ def draw_input_lists(specs: list[inputs_mod.InputSpec],
                      overrides: dict[str, list],
                      rng: random.Random) -> dict[str, list]:
     """One fresh random value per input variable (loops reuse that value)."""
-    lists = {}
-    for spec in specs:
-        value = inputs_mod.sample_domain(spec.domain, spec.static_type, rng,
-                                         overrides.get(spec.name), spec.name)
-        lists[spec.name] = [value]
-    return lists
+    return {spec.name: [inputs_mod.sampler(spec.domain, spec.static_type,
+                                           overrides.get(spec.name), spec.name)(rng)]
+            for spec in specs}
+
+
+class _RunningStats:
+    """Count, mean and sum of squared deviations of a stream of numbers,
+    in constant memory (Welford, "Note on a Method for Calculating
+    Corrected Sums of Squares and Products", 1962)."""
+
+    __slots__ = ("n", "mean", "m2")
+
+    def __init__(self):
+        self.n, self.mean, self.m2 = 0, 0.0, 0.0
+
+    def add(self, x: float):
+        self.n += 1
+        delta = x - self.mean
+        self.mean += delta / self.n
+        self.m2 += delta * (x - self.mean)
+
+    @property
+    def stdev(self) -> float:
+        """The sample standard deviation; 0 for fewer than two numbers."""
+        return math.sqrt(self.m2 / (self.n - 1)) if self.n > 1 else 0.0
 
 
 def run_campaign(model: ExecutableModel, cfg: CampaignConfig,
@@ -246,52 +281,64 @@ def run_campaign(model: ExecutableModel, cfg: CampaignConfig,
 
     graph = model.graph
     hits = runtime.CoverageHits(model)
-    report = empty_report(graph)
+    node_hits, edge_hits = hits.nodes, hits.edges
+    stray_nodes = _unknown_indexes(hits.node_ids, graph.node_ids)
+    stray_edges = _unknown_indexes(hits.edge_pairs, graph.edge_set)
+    total_nodes, total_edges = len(graph.nodes), len(graph.edges)
     counts = (0, 0)  # nodes and edges hit so far
-    durations_ms: list[float] = []
+    smc_coverage = isinstance(mode, Smc) and mode.property == "coverage-unreachable"
+    # the stopping rule: on coverage, which changes only when it grows (in smc,
+    # crossing the thresholds refutes the claim), or on a failed run (error
+    # seeking, or smc no-error)
+    stop_on_coverage = smc_coverage or (isinstance(mode, FixedBudget)
+                                        and _meaningful_thresholds(mode))
+    stop_on_failure = not smc_coverage and not isinstance(mode, FixedBudget)
+    covered = stop_on_coverage and _thresholds_hold(mode, 0.0, 0.0)
+    durations = _RunningStats()
     failing: _RunResult | None = None
     stopped_early = False
-    smc_coverage = isinstance(mode, Smc) and mode.property == "coverage-unreachable"
     if out_dir is not None:
         os.makedirs(os.path.join(out_dir, "runs"), exist_ok=True)
+    samplers = [(spec.name, inputs_mod.sampler(spec.domain, spec.static_type,
+                                               overrides.get(spec.name), spec.name))
+                for spec in model.input_vars]
+    options = runtime.RunOptions(mode="sequential" if cfg.sequential else "parallel",
+                                 timeout_s=cfg.timeout_s)
+    seed_base = cfg.seed * 1_000_003
+    run_rng = random.Random()  # reseeded per run: as good as a fresh Random(seed)
     for index in range(budget):
-        run_rng = random.Random(cfg.seed * 1_000_003 + index)
-        lists = draw_input_lists(model.input_vars, overrides, run_rng)
+        run_rng.seed(seed_base + index)
+        lists = {name: [draw(run_rng)] for name, draw in samplers}
         # the scheduler seed comes after the inputs from the same stream, so a
         # run is a function of (cfg.seed, index) and the inputs stay as drawn
-        options = runtime.RunOptions(
-            mode="sequential" if cfg.sequential else "parallel",
-            timeout_s=cfg.timeout_s, seed=run_rng.getrandbits(64))
+        seed = run_rng.getrandbits(64)
         if out_dir is None:
-            summary = runtime.run_covering(model, lists, options, hits)
+            summary = runtime.run_covering(model, lists, options, seed, hits)[1]
         else:
-            trace, summary = runtime.run_once(model, lists, options)
+            trace, summary = runtime.run_covering(model, lists, options, seed)
             hits.fold(trace)
             runtime.write_artifacts(trace, summary, graph, out_dir,
                                     stem=os.path.join("runs", f"run_{index}"),
                                     include_graph=False)
-        grown = (hits.nodes.count(1), hits.edges.count(1))
-        if grown != counts:  # also where a node or edge outside the graph shows
+        grown = (node_hits.count(1), edge_hits.count(1))
+        if grown != counts:
             counts = grown
-            report = _hits_report(hits, graph, index + 1)
-        durations_ms.append(summary.elapsed_s * 1000.0)
-        if isinstance(mode, FixedBudget):
-            stop = _meaningful_thresholds(mode) and _thresholds_hold(mode, report)
-        elif smc_coverage:  # crossing the thresholds refutes the claim
-            stop = _thresholds_hold(mode, report)
-        else:  # error seeking, or smc no-error
-            stop = summary.failed
-        if stop:
+            if any(node_hits[i] for i in stray_nodes) or any(edge_hits[i] for i in stray_edges):
+                _hits_report(hits, graph, index + 1)  # raises UnknownIdError
+            if stop_on_coverage:
+                covered = _thresholds_hold(
+                    mode, 100.0 * counts[0] / total_nodes if total_nodes else 0.0,
+                    100.0 * counts[1] / total_edges if total_edges else 0.0)
+        durations.add(summary.elapsed_s * 1000.0)
+        if covered or stop_on_failure and summary.failed:
             if not isinstance(mode, FixedBudget):
                 failing = _RunResult(index, summary)
             stopped_early = index + 1 < budget
             break
 
-    report = _hits_report(hits, graph, len(durations_ms))
+    report = _hits_report(hits, graph, durations.n)
     verdict = _decide(mode, report, failing, stopped_early)
-    if durations_ms:
-        verdict.mean_run_ms = statistics.fmean(durations_ms)
-        verdict.stddev_run_ms = statistics.stdev(durations_ms) if len(durations_ms) > 1 else 0.0
+    verdict.mean_run_ms, verdict.stddev_run_ms = durations.mean, durations.stdev
     if failing is not None and out_dir is not None:
         verdict.failing_trace = os.path.join("runs", f"run_{failing.index}.trace")
     if out_dir is not None:
@@ -304,7 +351,7 @@ def _decide(mode, report: CoverageReport, failing: _RunResult | None,
             stopped_early: bool) -> Verdict:
     c = f"C_n={report.c_n:.1f}%, C_e={report.c_e:.1f}% after {report.runs_executed} runs"
     if isinstance(mode, FixedBudget):
-        if _thresholds_hold(mode, report):
+        if _thresholds_hold(mode, report.c_n, report.c_e):
             how = "early" if stopped_early else "at budget"
             return Verdict("PASS", f"coverage thresholds reached {how}: {c}", report)
         return Verdict("FAIL", f"coverage thresholds not reached: {c}", report)

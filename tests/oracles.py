@@ -23,10 +23,16 @@ goes. `feel.infer_types` (and compile_model's inference, which replays the
 evidence `feel.types.scan` records at parse time) must agree with it type
 for type, in the same key order, and error for error.
 
+`reference_sample_domain` is the original input sampler, which works out
+a domain's kind, bounds and bias thresholds again on every draw.
+`inputs.sample_domain` and every sampler `inputs.sampler` builds must draw
+the same values with the same calls on the random generator, and raise the
+same errors.
+
 `reference_campaign` is the campaign loop that builds every run's full
 trace with `run_once` and merges it with `accumulate_coverage`, with the
-same per-run draws, stopping rules, run files and verdict as
-`run_campaign`.
+same per-run draws (through `reference_sample_domain`), stopping rules,
+run files and verdict as `run_campaign`.
 
 `reference_evaluate`, `reference_match_unary` and `reference_evaluate_table`
 are the original tree-walking evaluators of expressions, cell tests and
@@ -45,14 +51,18 @@ import operator
 import os
 import random
 import statistics
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
 from bproc import dmn, feel, runtime, verifier
-from bproc.errors import (AnyConflictError, DivisionByZeroError, FeelTypeError,
-                          IndexOutOfRangeError, NoMatchError, SchemaError,
-                          UndefinedValueError, UniquenessViolationError, ValueTooLargeError)
+from bproc.errors import (AnyConflictError, DivisionByZeroError, DomainMismatchError,
+                          FeelTypeError, IndexOutOfRangeError, MissingOverrideError,
+                          NoMatchError, SchemaError, UndefinedValueError,
+                          UniquenessViolationError, ValueTooLargeError)
 from bproc.feel import ast
+from bproc.feel.types import StaticType
+from bproc.inputs import (BallDomain, Domain, EnumDomain, RangeDomain, render_domain)
 from bproc.feel.values import (MAX_INT_BITS, MAX_STRING_LENGTH, SECONDS_PER_DAY, UNDEFINED,
                                FeelRange, Temporal)
 
@@ -697,6 +707,112 @@ def _bounds(lo, hi, static_type) -> list:
     return out
 
 
+# --- reference input sampler ------------------------------------------------------
+
+# the sampler's constants, as bproc.inputs defines them
+BOUNDARY_BIAS = 0.3  # total probability mass spent on the center and both edges
+_MAX_DOUBLE = sys.float_info.max
+_MAX_INTEGER = int(_MAX_DOUBLE)  # draws stay within the finite doubles
+_INFINITIES = (math.inf, -math.inf)
+
+
+def reference_sample_domain(domain: Domain, static_type: StaticType, rng: random.Random,
+                            overrides: list | None = None, name: str = "?"):
+    """Draw one value compatible with the domain.
+
+    Enums are uniform; ranges are uniform over the (type-aware) interval;
+    balls around w span [w-R, w+R] with R = max(1, |w|) and a 0.3 bias
+    toward w and the two boundary neighbourhoods; unhandled domains draw
+    uniformly from the user-provided override list. Numeric draws stay
+    within the finite doubles; a range or ball that holds none raises
+    DomainMismatchError.
+    """
+    if isinstance(domain, EnumDomain):
+        return rng.choice(domain.values)
+    if isinstance(domain, RangeDomain):
+        return _sample_interval(domain, static_type, rng, name)
+    if isinstance(domain, BallDomain):
+        return _sample_ball(domain, static_type, rng, name)
+    if overrides:
+        return rng.choice(overrides)
+    raise MissingOverrideError(name)
+
+
+def _as_double(value):
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the doubles
+        return math.inf if value > 0 else -math.inf
+
+
+def _no_finite_double(name: str, domain: Domain) -> DomainMismatchError:
+    return DomainMismatchError(name, f"cannot be drawn: {render_domain(domain)} "
+                                     f"holds no finite double")
+
+
+def _sample_interval(domain: RangeDomain, static_type, rng: random.Random, name: str):
+    lo, hi, lo_incl, hi_incl = domain.lo, domain.hi, domain.lo_incl, domain.hi_incl
+    if static_type is StaticType.INTEGER or (
+            static_type is not StaticType.DOUBLE
+            and isinstance(lo, int) and isinstance(hi, int)):
+        if lo != lo or hi != hi:  # NaN
+            raise _no_finite_double(name, domain)
+        # the bounds rounded inward to the integers the range holds; infinities stay
+        lo_i = lo if lo in _INFINITIES else math.ceil(lo) if lo_incl else math.floor(lo) + 1
+        hi_i = hi if hi in _INFINITIES else math.floor(hi) if hi_incl else math.ceil(hi) - 1
+        if lo_i > hi_i:
+            raise DomainMismatchError(name, f"cannot be drawn: {render_domain(domain)} "
+                                            f"holds no integer")
+        lo_i, hi_i = max(lo_i, -_MAX_INTEGER), min(hi_i, _MAX_INTEGER)
+        if lo_i > hi_i:
+            raise _no_finite_double(name, domain)
+        return rng.randint(lo_i, hi_i)
+    lo_f, hi_f = _as_double(lo), _as_double(hi)  # an int bound may round outward
+    # the least and greatest doubles the range holds
+    least = lo_f if lo_f > lo or (lo_f == lo and lo_incl) else math.nextafter(lo_f, math.inf)
+    greatest = (hi_f if hi_f < hi or (hi_f == hi and hi_incl)
+                else math.nextafter(hi_f, -math.inf))
+    if math.isfinite(hi_f - lo_f):
+        if least > greatest:
+            raise DomainMismatchError(name, f"cannot be drawn: {render_domain(domain)} "
+                                            f"is empty")
+        while True:  # open or rounded ends handled by rejection
+            draw = rng.uniform(lo_f, hi_f)
+            if least <= draw <= greatest:
+                return draw
+    # an infinite or overflowing span: drawn over its finite part, in halves
+    least, greatest = max(least, -_MAX_DOUBLE), min(greatest, _MAX_DOUBLE)
+    if not least <= greatest:  # also a NaN bound
+        raise _no_finite_double(name, domain)
+    half = least / 2 + (greatest / 2 - least / 2) * rng.random()
+    return min(max(half * 2, least), greatest)
+
+
+def _sample_ball(domain: BallDomain, static_type, rng: random.Random, name: str):
+    center, radius = domain.center, domain.radius
+    lo, hi = center - radius, center + radius
+    integer = static_type is StaticType.INTEGER or (
+        static_type is not StaticType.DOUBLE and isinstance(center, int))
+    if not -_MAX_DOUBLE <= lo <= hi <= _MAX_DOUBLE:  # beyond the doubles, or NaN
+        if lo != lo or hi != hi:
+            raise _no_finite_double(name, domain)
+        center, lo, hi = (min(max(v, -_MAX_DOUBLE), _MAX_DOUBLE) for v in (center, lo, hi))
+    roll = rng.random()
+    if roll < BOUNDARY_BIAS / 3:
+        return int(center) if integer else float(center)
+    if roll < 2 * BOUNDARY_BIAS / 3:
+        if integer:
+            return rng.choice((int(lo), min(int(lo) + 1, int(hi))))
+        return lo + (hi - lo) * 0.01 * rng.random()
+    if roll < BOUNDARY_BIAS:
+        if integer:
+            return rng.choice((max(int(hi) - 1, int(lo)), int(hi)))
+        return hi - (hi - lo) * 0.01 * rng.random()
+    if integer:
+        return rng.randint(int(lo), int(hi))
+    return rng.uniform(float(lo), float(hi))
+
+
 # --- campaign oracle -----------------------------------------------------------------
 
 def reference_campaign(model, cfg, overrides=None, out_dir=None):
@@ -714,7 +830,9 @@ def reference_campaign(model, cfg, overrides=None, out_dir=None):
     smc_coverage = isinstance(mode, verifier.Smc) and mode.property == "coverage-unreachable"
     for index in range(budget):
         run_rng = random.Random(cfg.seed * 1_000_003 + index)
-        lists = verifier.draw_input_lists(model.input_vars, overrides, run_rng)
+        lists = {spec.name: [reference_sample_domain(spec.domain, spec.static_type, run_rng,
+                                                     overrides.get(spec.name), spec.name)]
+                 for spec in model.input_vars}
         options = runtime.RunOptions(mode="sequential" if cfg.sequential else "parallel",
                                      timeout_s=cfg.timeout_s, seed=run_rng.getrandbits(64))
         trace, summary = runtime.run_once(model, lists, options)
@@ -725,9 +843,10 @@ def reference_campaign(model, cfg, overrides=None, out_dir=None):
                                     stem=os.path.join("runs", f"run_{index}"),
                                     include_graph=False)
         if isinstance(mode, verifier.FixedBudget):
-            stop = verifier._meaningful_thresholds(mode) and verifier._thresholds_hold(mode, report)
+            stop = verifier._meaningful_thresholds(mode) and verifier._thresholds_hold(
+                mode, report.c_n, report.c_e)
         elif smc_coverage:
-            stop = verifier._thresholds_hold(mode, report)
+            stop = verifier._thresholds_hold(mode, report.c_n, report.c_e)
         else:
             stop = summary.failed
         if stop:

@@ -5,11 +5,12 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from bproc import StaticType, parse_expr, runtime
 from bproc.errors import DomainMismatchError, InputsParseError, MissingOverrideError
 from bproc.inputs import (BallDomain, EnumDomain, InputSpec, RangeDomain,
                           UnhandledDomain, facts_from_expr, infer_domains,
-                          parse_inputs_file, render_domain, sample_domain,
+                          parse_inputs_file, render_domain, sample_domain, sampler,
                           write_inputs_file)
 
 
@@ -250,6 +251,72 @@ def test_a_domain_without_a_finite_double_is_a_domain_mismatch(domain, static_ty
     with pytest.raises(DomainMismatchError, match="holds no finite double") as exc_info:
         sample_domain(domain, static_type, random.Random(5), name="x")
     assert exc_info.value.name == "x"
+
+
+# bounds: small, fractional, signed zeros, infinite, NaN, at and past the edge of
+# the doubles, and any double at all
+any_bound = st.one_of(st.integers(-40, 40), st.floats(-40, 40), st.floats(),
+                      st.sampled_from([0.0, -0.0, 2.5, -2.5, math.inf, -math.inf, math.nan,
+                                       MAX_DOUBLE, -MAX_DOUBLE, 10**308, -(10**308),
+                                       10**400, -(10**400), 5e-324]))
+any_value = st.one_of(st.integers(-5, 5), st.floats(), st.text(max_size=2), st.booleans())
+any_domain = st.one_of(
+    st.builds(EnumDomain, st.lists(any_value, max_size=4).map(tuple)),
+    st.builds(RangeDomain, any_bound, any_bound, st.booleans(), st.booleans()),
+    st.builds(BallDomain, any_bound),
+    st.just(UnhandledDomain(())))
+DRAWS = 60  # enough that every branch of a ball draw is taken
+
+
+def _draws_or_error(draw_all):
+    """Each drawn value as (type, repr), which tells 1 from 1.0 and -0.0
+    from 0.0, or the class and message of the error raised instead."""
+    try:
+        return [(type(value), repr(value)) for value in draw_all()]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(any_domain, st.sampled_from([StaticType.INTEGER, StaticType.DOUBLE, StaticType.UNKNOWN]),
+       st.one_of(st.none(), st.lists(any_value, max_size=3)), st.integers(0, 2**32))
+@settings(max_examples=500, deadline=None)
+@example(RangeDomain(5.0, 5.0, False, True), StaticType.DOUBLE, None, 0)  # empty
+@example(RangeDomain(2, 3, False, False), StaticType.INTEGER, None, 0)  # holds no integer
+@example(RangeDomain(math.nan, 1.0), StaticType.UNKNOWN, None, 0)
+@example(RangeDomain(-math.inf, math.inf), StaticType.DOUBLE, None, 0)
+@example(RangeDomain(-0.0, 0.0), StaticType.DOUBLE, None, 0)
+@example(RangeDomain(0, 10, False, True), StaticType.UNKNOWN, None, 0)
+@example(BallDomain(-0.0), StaticType.DOUBLE, None, 0)
+@example(BallDomain(-8.7), StaticType.INTEGER, None, 0)
+# a width whose hundredth, (hi - lo) * 0.01, is not (hi - lo) / 100
+@example(BallDomain(-37.73220187823949), StaticType.DOUBLE, None, 0)
+@example(BallDomain(10**400), StaticType.INTEGER, None, 0)
+@example(BallDomain(math.nan), StaticType.DOUBLE, None, 0)
+@example(EnumDomain(()), StaticType.UNKNOWN, None, 0)
+@example(UnhandledDomain(()), StaticType.DOUBLE, None, 0)
+@example(UnhandledDomain(()), StaticType.DOUBLE, [], 0)
+@example(UnhandledDomain(()), StaticType.INTEGER, [1, 2.0, -0.0], 0)
+def test_samplers_draw_as_the_reference(domain, static_type, overrides, seed):
+    # the same values, from the same calls on the generator, or the same error
+    rngs = [random.Random(seed) for _ in range(3)]
+
+    def reference():
+        return [oracles.reference_sample_domain(domain, static_type, rngs[0], overrides, "x")
+                for _ in range(DRAWS)]
+
+    def one_at_a_time():
+        return [sample_domain(domain, static_type, rngs[1], overrides, "x")
+                for _ in range(DRAWS)]
+
+    def campaign():
+        draw = sampler(domain, static_type, overrides, "x")
+        return [draw(rngs[2]) for _ in range(DRAWS)]
+
+    want = _draws_or_error(reference)
+    assert _draws_or_error(one_at_a_time) == want
+    assert _draws_or_error(campaign) == want
+    assert rngs[1].getstate() == rngs[0].getstate()
+    assert rngs[2].getstate() == rngs[0].getstate()
 
 
 # strings with the characters that line-based files treat specially

@@ -2,8 +2,10 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import os
 import random
+import statistics
 import sys
 import tracemalloc
 import types
@@ -13,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from bproc import (CampaignConfig, ErrorSeek, FixedBudget, RunOptions, Smc,
-                   accumulate_coverage, compile_model, parse_bpmn, run_campaign,
-                   run_once, runtime, smc_sample_size)
+                   accumulate_coverage, compile_model, inputs, parse_bpmn, run_campaign,
+                   run_once, runtime, smc_sample_size, verifier)
 from bproc.bpmn import ProcessGraph
 from bproc.errors import ConfigError, MissingOverrideError, UnknownIdError
 from bproc.feel import values
@@ -421,6 +423,19 @@ def test_campaign_rejects_ids_the_graph_lacks(diamond, keep_files, tmp_path):
             run_campaign(x, cfg, out_dir=str(tmp_path / str(i)) if keep_files else None)
 
 
+def test_campaign_stops_at_the_run_that_reaches_a_stray_id(diamond, tmp_path):
+    # the graph lacks the left end: the first run that goes left is the last
+    x = dataclasses.replace(diamond, graph=ProcessGraph(
+        tuple(n for n in diamond.graph.nodes if n[0] != "l"), diamond.graph.edges))
+    first_left = next(k for k in range(20) if verifier.draw_input_lists(
+        x.input_vars, {}, random.Random(k)) == {"coin": ["heads"]})
+    with pytest.raises(UnknownIdError, match=r"nodes \['l'\]"):
+        run_campaign(x, CampaignConfig(mode=FixedBudget(n=20), seed=0, sequential=True),
+                     out_dir=str(tmp_path))
+    assert 0 < first_left < 19
+    assert len(os.listdir(tmp_path / "runs")) == 2 * (first_left + 1)
+
+
 def test_campaign_runs_build_no_trace(monkeypatch):
     _with_step_budget(monkeypatch, 50_000)
     x = compile_fixture("loop")
@@ -495,3 +510,60 @@ def test_a_shipment_campaign_rarely_asks_for_a_kind():
         sys.setprofile(previous)
     assert verdict.coverage.runs_executed == 200
     assert calls <= 250  # the isinstance cascade alone made 5,160
+
+
+# --- a campaign does its fixed work once --------------------------------------------------
+
+@pytest.mark.parametrize("sequential", (True, False), ids=("sequential", "parallel"))
+@pytest.mark.parametrize("keep_files", (False, True), ids=("marked", "with_files"))
+def test_a_campaign_builds_its_samplers_options_and_stop_rule_once(shipment, sequential,
+                                                                   keep_files, tmp_path):
+    counted = {inputs.sampler.__code__: "sampler", runtime.RunOptions.__init__.__code__: "options",
+               verifier._meaningful_thresholds.__code__: "meaningful",
+               verifier._hits_report.__code__: "report"}
+    calls = dict.fromkeys(counted.values(), 0)
+    sampled = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in counted:
+            calls[counted[frame.f_code]] += 1
+            if frame.f_code is inputs.sampler.__code__:
+                sampled.append(frame.f_locals["name"])
+
+    # thresholds out of shipment's reach: all 200 runs, the stop rule read after each
+    cfg = CampaignConfig(mode=FixedBudget(n=200, theta_nodes=100, theta_edges=100), seed=3,
+                         sequential=sequential)
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        verdict = run_campaign(shipment, cfg, out_dir=str(tmp_path) if keep_files else None)
+    finally:
+        sys.setprofile(previous)
+    assert verdict.coverage.runs_executed == 200
+    assert sorted(sampled) == sorted(spec.name for spec in shipment.input_vars)
+    assert calls["options"] <= 1
+    assert calls["meaningful"] <= 1
+    assert calls["report"] == 1  # the verdict's, after the last run
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_run_time_statistics_match_the_statistics_module(seed):
+    rng = random.Random(seed)
+    spreads = (lambda: rng.uniform(0.001, 50.0), lambda: rng.lognormvariate(-3.0, 2.0),
+               lambda: 0.02 + rng.random() * 1e-4)  # a spread far below the mean
+    for size in (2, 3, 10, 1000):
+        for draw in spreads:
+            numbers = [draw() for _ in range(size)]
+            stats = verifier._RunningStats()
+            for number in numbers:
+                stats.add(number)
+            assert stats.n == size
+            assert math.isclose(stats.mean, statistics.fmean(numbers), rel_tol=1e-9)
+            assert math.isclose(stats.stdev, statistics.stdev(numbers), rel_tol=1e-9)
+
+
+def test_one_run_has_no_spread(diamond):
+    verdict = run_campaign(diamond, CampaignConfig(mode=FixedBudget(n=1), sequential=True))
+    assert verdict.coverage.runs_executed == 1
+    assert verdict.mean_run_ms > 0.0
+    assert verdict.stddev_run_ms == 0.0
