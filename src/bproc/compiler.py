@@ -104,6 +104,13 @@ Step = (ConsumeInput | Assign | InvokeTable | Send | Receive | Branch | Fork
 
 @dataclass(slots=True, unsafe_hash=True)
 class Routine:
+    """One node's steps, in one of the shapes `_Lowering` emits: a terminal
+    step alone (`Branch`, `Fork`, `JoinBarrier`, `Terminate`), a `Continue`
+    alone, `ConsumeInput` steps then a `Continue`, or one `Assign`,
+    `InvokeTable`, `Send` or `Receive` then a `Continue`. The runtime
+    lowers each shape to one closure; a routine of any other shape faults
+    when run."""
+
     id: str
     display_name: str
     steps: tuple[Step, ...]

@@ -2,14 +2,18 @@
 
 On its first run, a model's routines are lowered once into a node program
 (Feeley & Lapalme, "Using Closures for Code Generation", 1987): per node,
-one closure over the engine that runs its steps and returns the edge to
-take. A receive on an empty channel returns a `_Wait` instead, and the
-walker calls the same closure again once resumed, so a receive node holds
-nothing but its receive and its continue. Every (source, target) pair a
-branch can take is one `_Edge`: its target node and its coverage index;
-every node has a coverage index too. So the walker makes one call per
-node and follows edges with no lookup (Ertl & Gregg, "The Structure and
-Performance of Efficient Interpreters", 2003).
+one closure over the engine that returns the edge to take. Every node shape
+the compiler emits is one closure, with no wrapper: a plain step (inputs,
+assign, table, send) fused with the edge that follows it, and a gateway
+with one condition and a default tested without a loop (superoperators:
+Proebsting, POPL 1995); a routine of any other shape faults. A receive on
+an empty channel returns a `_Wait` instead, and the walker calls the same
+closure again once resumed, so a receive node holds nothing but its receive
+and its continue. Every (source, target) pair a branch can take is one
+`_Edge`: its target node and its coverage index; every node has a coverage
+index too. So the walker makes one call per node and follows edges with no
+lookup (Ertl & Gregg, "The Structure and Performance of Efficient
+Interpreters", 2003).
 Lowering runs with the cyclic collector paused, as set-up does
 (`bpmn.collector_paused`). The trace records of the nodes and edges are
 built on the first run that keeps a trace, and every later run shares
@@ -162,7 +166,8 @@ class _Node:
     `run` is a function of the engine that runs the routine and returns
     the `_Edge` taken, None (the branch ended and the outcome is set), the
     children of a fork, one `_Edge` each, or a `_Wait` (a receive on an
-    empty channel, which did nothing). A fork's children meet at its
+    empty channel, which did nothing); it is the node's one closure, with
+    no wrapper around it (see `_lower`). A fork's children meet at its
     `join` node; the last of them to arrive there calls the join's
     `passed`, which returns the join's edge, instead of its `run`, which
     faults. Lowering builds the edges once, shared by every run; the
@@ -244,52 +249,32 @@ def _lowered(model: ExecutableModel) -> _Program:
 
 
 def _lower(routine, model: ExecutableModel, program: _Program) -> _Node:
+    """One closure for the routine, in one of the shapes the compiler emits
+    (see `compiler.Routine`): a terminal alone, a continue alone, input
+    steps then a continue, or one other plain step then a continue. A
+    routine of any other shape, built or edited by hand, faults when run."""
     node_id = routine.id
     node_index = program.node_index
     node = _Node(node_id, node_index.setdefault(node_id, len(node_index)))
-    kinds = [step.__class__ for step in routine.steps]
-    if Receive in kinds:  # a waiting receive runs its node again, so it runs nothing else
-        if kinds == [Receive, Continue]:
-            receive, cont = routine.steps
-            node.run = _lower_receive(receive, node_id, program.edge(node_id, cont.target))
+    steps = routine.steps
+    kinds = [step.__class__ for step in steps]
+    body = kinds[:-1]
+    if len(kinds) == 1 and kinds[0] in _LOWER_TERMINAL:
+        node.run = _LOWER_TERMINAL[kinds[0]](steps[0], node_id, node, program)
+    elif kinds[-1:] != [Continue] or not (set(body) <= {ConsumeInput}
+                                          or len(body) == 1 and body[0] in _LOWER_STEP):
+        node.run = _fault(f"routine {node_id!r} receives but is not (Receive, Continue)"
+                          if Receive in kinds else
+                          f"routine {node_id!r} is not a shape the compiler emits")
+    else:  # the steps, then the edge that follows them: one closure
+        edge = program.edge(node_id, steps[-1].target)
+        if not body:
+            node.run = lambda engine: edge
+        elif body[0] is ConsumeInput:  # an input node, whatever its variables
+            node.run = _lower_consume(tuple(step.var for step in steps[:-1]), edge)
         else:
-            node.run = _fault(f"routine {node_id!r} receives but is not (Receive, Continue)")
-        return node
-    steps = []
-    terminal = edge = None
-    for step in routine.steps:
-        cls = step.__class__
-        if cls is Continue:
-            edge = program.edge(node_id, step.target)
-            break
-        lower_terminal = _LOWER_TERMINAL.get(cls)
-        if lower_terminal is not None:
-            terminal = lower_terminal(step, node_id, node, program)
-            break
-        steps.append(_LOWER_STEP.get(cls, _lower_unexpected)(step, node_id, model))
-    else:
-        terminal = _fault(f"routine {node_id!r} fell through without a terminal step")
-    node.run = _run_node(tuple(steps), terminal, edge)
+            node.run = _LOWER_STEP[body[0]](steps[0], node_id, model, edge)
     return node
-
-
-def _run_node(steps: tuple, terminal, edge: _Edge | None):
-    """A node's `run`: its plain steps, then its terminal's result or `edge`."""
-    if not steps:
-        return terminal or (lambda engine: edge)
-    if len(steps) == 1 and terminal is None:
-        step = steps[0]
-
-        def run_one(engine):
-            step(engine)
-            return edge
-        return run_one
-
-    def run(engine):
-        for step in steps:
-            step(engine)
-        return edge if terminal is None else terminal(engine)
-    return run
 
 
 def _fault(message: str):
@@ -309,6 +294,17 @@ def _lower_branch(step: Branch, node_id: str, node: _Node, program: _Program):
     cases = tuple((feel.compile_expr(condition), program.edge(node_id, target))
                   for condition, target in step.cases)
     default = None if step.default is None else program.edge(node_id, step.default)
+    if len(cases) == 1 and default is not None:  # one condition and the default
+        ((condition, edge),) = cases
+
+        def branch_one(engine):
+            verdict = condition(engine.bindings)
+            if verdict is True:
+                return edge
+            if verdict is False:
+                return default
+            raise BprocError("condition is not boolean")
+        return branch_one
 
     def branch(engine):
         bindings = engine.bindings
@@ -356,26 +352,36 @@ _LOWER_TERMINAL = {Terminate: _lower_terminate, Branch: _lower_branch, Fork: _lo
                    JoinBarrier: _lower_join}
 
 
-# --- plain steps: each returns a function of the engine ---
+# --- plain steps: each returns a function of the engine that runs the step
+# and returns `edge`, the edge that follows it ---
 
-def _lower_consume(step: ConsumeInput, node_id: str, model: ExecutableModel):
-    var = step.var
-
+def _lower_consume(variables: tuple, edge: _Edge):
     def consume(engine):
-        values = engine.input_lists[var]
-        cursors = engine.cursors
-        j = cursors[var]
-        cursors[var] = min(j + 1, len(values))
-        engine._write(var, values[min(j, len(values) - 1)])
+        input_lists, cursors = engine.input_lists, engine.cursors
+        for var in variables:
+            values = input_lists[var]
+            j = cursors[var]
+            cursors[var] = min(j + 1, len(values))
+            engine._write(var, values[min(j, len(values) - 1)])
+        return edge
     return consume
 
 
-def _lower_assign(step: Assign, node_id: str, model: ExecutableModel):
+def _lower_assign(step: Assign, node_id: str, model: ExecutableModel, edge: _Edge):
+    """Writes as `_Engine._write` does, without calling it."""
     var, evaluate = step.var, feel.compile_expr(step.expr)
-    return lambda engine: engine._write(var, evaluate(engine.bindings))
+
+    def assign(engine):
+        value = engine.bindings[var] = evaluate(engine.bindings)
+        if engine._record is not None:
+            engine._record(VarWritten(var, value))
+        if engine._parallel:
+            engine._note_writer(var)
+        return edge
+    return assign
 
 
-def _lower_invoke(step: InvokeTable, node_id: str, model: ExecutableModel):
+def _lower_invoke(step: InvokeTable, node_id: str, model: ExecutableModel, edge: _Edge):
     table = model.tables[step.table_ref]
     by_label = dict(step.arg_bindings)
     missing = [label for label, _ in table.inputs if label not in by_label]
@@ -393,10 +399,11 @@ def _lower_invoke(step: InvokeTable, node_id: str, model: ExecutableModel):
         bindings = engine.bindings
         engine._write_outputs(table.id, evaluator([arg(bindings) for arg in args]),
                               out_bindings)
+        return edge
     return invoke
 
 
-def _lower_send(step: Send, node_id: str, model: ExecutableModel):
+def _lower_send(step: Send, node_id: str, model: ExecutableModel, edge: _Edge):
     channel, msg_type = step.channel, step.msg_type
     parts = tuple((part, feel.compile_expr(expr)) for part, expr in step.parts)
 
@@ -410,6 +417,7 @@ def _lower_send(step: Send, node_id: str, model: ExecutableModel):
         if channel in waiting:  # the waiters compete for the message again
             waiters = waiting.pop(channel)
             engine._ready.extend((branch, walker) for branch, walker, _ in waiters)
+        return edge
     return send
 
 
@@ -419,7 +427,7 @@ class _Wait(tuple):
     __slots__ = ()
 
 
-def _lower_receive(step: Receive, node_id: str, edge: _Edge):
+def _lower_receive(step: Receive, node_id: str, model: ExecutableModel, edge: _Edge):
     """A receive node's `run`: takes the message and returns `edge`, or
     returns a `_Wait` while the channel is empty."""
     channel, expected, targets = step.channel, step.msg_type, step.targets
@@ -443,14 +451,8 @@ def _lower_receive(step: Receive, node_id: str, edge: _Edge):
     return receive
 
 
-def _lower_unexpected(step, node_id: str, model: ExecutableModel):
-    def unexpected(engine):
-        raise ConfigError(f"unexpected step {step!r}")
-    return unexpected
-
-
-_LOWER_STEP = {ConsumeInput: _lower_consume, Assign: _lower_assign,
-               InvokeTable: _lower_invoke, Send: _lower_send}
+_LOWER_STEP = {Assign: _lower_assign, InvokeTable: _lower_invoke, Send: _lower_send,
+               Receive: _lower_receive}
 
 
 # --- execution ------------------------------------------------------------------
@@ -569,13 +571,17 @@ class _Engine:
         if self._record is not None:
             self._record(VarWritten(name, value))
         if self._parallel:
-            path = self._branch.path
-            last = self._last_writer.get(name)
-            self._last_writer[name] = path
-            if last is not None and _concurrent(last, path):
-                note = f"variable {name!r} written by several parallel branches"
-                if note not in self.diagnostics:
-                    self.diagnostics.append(note)
+            self._note_writer(name)
+
+    def _note_writer(self, name: str):
+        """Parallel mode: note `name` if no fork or join orders its writes."""
+        path = self._branch.path
+        last = self._last_writer.get(name)
+        self._last_writer[name] = path
+        if last is not None and _concurrent(last, path):
+            note = f"variable {name!r} written by several parallel branches"
+            if note not in self.diagnostics:
+                self.diagnostics.append(note)
 
     # --- scheduling ---
 
@@ -692,37 +698,37 @@ class _Engine:
                 node_hits[node.index] = 1
             try:
                 taken = run(self)
-                while taken.__class__ is _Wait:  # a receive on an empty channel
+                if taken.__class__ is not _Edge:
+                    if taken is None:  # the outcome is set
+                        return
                     self._steps = steps
-                    yield taken
+                    if taken.__class__ is not _Wait:  # a fork: on as its first case
+                        barrier = _Barrier(node.join, taken, barrier)
+                        yield barrier
+                        steps, next_check = self._steps, self._next_check
+                        join, entry = barrier.join, taken[0]
+                        if edge_hits is None:
+                            record(entry.record)
+                        else:
+                            edge_hits[entry.index] = 1
+                        node = entry.node
+                        continue
+                    while taken.__class__ is _Wait:  # an empty channel: run again once resumed
+                        yield taken
+                        taken = run(self)
                     steps, next_check = self._steps, self._next_check
-                    taken = run(self)
             except BprocError as exc:
                 self._set_outcome("fault", "ENGINE_FAULT", f"{node.id}: {exc}")
                 return
-            if taken.__class__ is _Edge:
-                if edge_hits is None:
-                    record(taken.record)
-                else:
-                    edge_hits[taken.index] = 1
-                node = taken.node
-                if parallel and len(ready) > 1:
-                    self._steps = steps
-                    yield
-                    steps, next_check = self._steps, self._next_check
-            elif taken is None:  # the outcome is set
-                return
-            else:  # a fork: on as its first case, entered over its fork edge
+            if edge_hits is None:
+                record(taken.record)
+            else:
+                edge_hits[taken.index] = 1
+            node = taken.node
+            if parallel and len(ready) > 1:
                 self._steps = steps
-                barrier = _Barrier(node.join, taken, barrier)
-                yield barrier
+                yield
                 steps, next_check = self._steps, self._next_check
-                join, entry = barrier.join, taken[0]
-                if edge_hits is None:
-                    record(entry.record)
-                else:
-                    edge_hits[entry.index] = 1
-                node = entry.node
 
 
 def run_once(model: ExecutableModel, input_lists: dict[str, list],
