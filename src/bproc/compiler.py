@@ -159,6 +159,11 @@ def compile_model(model: ProcessModel, tables, *, sample_seed: int = 0,
                   overrides: dict[str, list] | None = None) -> ExecutableModel:
     """Translate a validated model and its tables into the executable form.
 
+    `overrides` (variable -> values) serve UNHANDLED input domains only: the
+    sample of such a variable is drawn from its list. An inferred ENUM, BALL
+    or RANGE domain ignores them, so one that holds no value still raises
+    DomainMismatchError.
+
     Deterministic: identical inputs (including sample_seed) give identical
     results and byte-identical rendered source. Runs with the cyclic
     collector paused, as `parse_bpmn` does.

@@ -567,7 +567,9 @@ def _ball_sampler(domain: BallDomain, static_type, name: str):
 def build_input_specs(roles, types, domains, rng: random.Random,
                       overrides: dict[str, list] | None = None) -> list[InputSpec]:
     """Assemble the (name, type, domain, sample) triplets for every
-    input-role variable, in name order."""
+    input-role variable, in name order. `overrides` serve UNHANDLED
+    domains only, whose sample they give; any other domain is sampled
+    from itself, and raises DomainMismatchError when it holds no value."""
     specs = []
     overrides = overrides or {}
     for name in sorted(n for n, role in roles.items() if role.role == "input"):

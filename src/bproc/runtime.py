@@ -375,7 +375,7 @@ def _lower_assign(step: Assign, node_id: str, model: ExecutableModel, edge: _Edg
         value = engine.bindings[var] = evaluate(engine.bindings)
         if engine._record is not None:
             engine._record(VarWritten(var, value))
-        if engine._parallel:
+        if engine._forked:
             engine._note_writer(var)
         return edge
     return assign
@@ -527,6 +527,8 @@ class _Engine:
         self.diagnostics: list[str] = []
         self._outcome: tuple[str, str, str] | None = None
         self._parallel = options.mode == "parallel"
+        # parallel mode, from the first fork on: only then can two writes race
+        self._forked = False
         self._steps = 0  # steps taken; a walker keeps its own count until it yields
         self._next_check = 1  # the next step that calls _check_limits
         self._max_steps = options.max_steps
@@ -570,11 +572,13 @@ class _Engine:
         self.bindings[name] = value
         if self._record is not None:
             self._record(VarWritten(name, value))
-        if self._parallel:
+        if self._forked:
             self._note_writer(name)
 
     def _note_writer(self, name: str):
-        """Parallel mode: note `name` if no fork or join orders its writes."""
+        """Parallel mode, once forked: note `name` if no fork or join orders
+        its writes. A write before the first fork has the empty path, which
+        is concurrent with none, so it need not be noted."""
         path = self._branch.path
         last = self._last_writer.get(name)
         self._last_writer[name] = path
@@ -615,6 +619,7 @@ class _Engine:
                 if event is _ENDED:
                     continue
                 if event.__class__ is _Barrier:  # a fork: its walker goes on as the first case
+                    self._forked = parallel
                     path, edges = branch.path, event.edges
                     for i in range(len(edges) - 1, 0, -1):
                         edge = edges[i]

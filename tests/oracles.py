@@ -1,4 +1,6 @@
-"""Independent oracles used by the test suite.
+"""Independent oracles used by the test suite. The benchmark imports this
+module in its measured process, so it stays lean and draws nothing: every
+generator is in `generators.py`.
 
 `formula_table_outputs` evaluates a decision table as the literal Boolean
 formula over rows: an AND of implications where row i fires iff all its
@@ -9,9 +11,15 @@ plain comparisons.
 `outgoing` and `incoming` are linear scans over a parsed model's flows,
 independent of the adjacency index the front end builds.
 
-`walk_process` interprets a parsed process model and its tables directly,
-never touching the compiled routines, and yields the unique node path and
-write sequence for a concrete input vector.
+`walk_process` interprets a parsed process model and its tables directly
+and yields the unique node path, write sequence and outcome for a concrete
+input vector. It shares no evaluator with bproc: scripts, conditions and
+table arguments go through `reference_evaluate`, tables through
+`reference_evaluate_table`, never through the compiled routines, the
+compiled FEEL closures or the compiled tables. It keeps the runtime's
+fault contract: a BprocError from a script, condition or table, and a
+condition that is not a boolean, end the walk at that node in
+("fault", "ENGINE_FAULT").
 
 `reference_matching_join` is the original join search for a parallel or
 inclusive split: a full BFS from every branch, then the common barrier join
@@ -55,13 +63,13 @@ import sys
 from dataclasses import dataclass
 from typing import Mapping
 
-from bproc import dmn, feel, runtime, verifier
-from bproc.errors import (AnyConflictError, DivisionByZeroError, DomainMismatchError,
+from bproc import dmn, runtime, verifier
+from bproc.errors import (AnyConflictError, BprocError, DivisionByZeroError, DomainMismatchError,
                           FeelTypeError, IndexOutOfRangeError, MissingOverrideError,
                           NoMatchError, SchemaError, UndefinedValueError,
                           UniquenessViolationError, ValueTooLargeError)
 from bproc.feel import ast
-from bproc.feel.types import StaticType
+from bproc.feel.types import StaticType, join, type_of_constant
 from bproc.inputs import (BallDomain, Domain, EnumDomain, RangeDomain, render_domain)
 from bproc.feel.values import (MAX_INT_BITS, MAX_STRING_LENGTH, SECONDS_PER_DAY, UNDEFINED,
                                FeelRange, Temporal)
@@ -113,61 +121,8 @@ def formula_table_outputs(table: dmn.DecisionTable, args_in_order):
         implied.append(default_row)
     assert len(implied) == 1, "the implication chain must select exactly one row"
     row = implied[0]
-    return {name: feel.evaluate(entry, {})
+    return {name: reference_evaluate(entry, {})
             for name, entry in zip(table.outputs, row.output_entries)}
-
-
-# --- random table generation --------------------------------------------------
-
-_STRING_POOL = ["a", "b", "c", "d", "e", "f"]
-
-
-@dataclass
-class GeneratedTable:
-    table: dmn.DecisionTable
-    domains: list[list]  # exhaustive argument domain per input column
-
-
-def random_table(rng: random.Random, max_inputs: int = 4, max_rules: int = 6,
-                 max_domain: int = 6) -> GeneratedTable:
-    k = rng.randint(1, max_inputs)
-    columns = []
-    for j in range(k):
-        size = rng.randint(2, max_domain)
-        if rng.random() < 0.5:
-            columns.append(("enum", _STRING_POOL[:size]))
-        else:
-            columns.append(("int", list(range(size))))
-
-    def random_cell(kind, domain):
-        roll = rng.random()
-        if roll < 0.25:
-            return ast.Dash()
-        if kind == "enum" or roll < 0.6:
-            return ast.EqualsConst(rng.choice(domain))
-        lo = rng.choice(domain)
-        hi = rng.choice([v for v in domain if v >= lo])
-        return ast.RangeTest(FeelRange(lo, hi, rng.random() < 0.8, rng.random() < 0.8))
-
-    n_outputs = rng.randint(1, 2)
-    outputs = tuple(f"out{j + 1}" for j in range(n_outputs))
-
-    def random_row():
-        cells = tuple(random_cell(kind, domain) for kind, domain in columns)
-        values = tuple(ast.Lit(rng.choice((rng.randint(0, 9), rng.choice(_STRING_POOL))))
-                       for _ in outputs)
-        return dmn.Rule(cells, values)
-
-    rules = [random_row() for _ in range(rng.randint(1, max_rules))]
-    if rng.random() < 0.5:
-        rules.append(dmn.Rule(tuple(ast.Dash() for _ in columns),
-                              tuple(ast.Lit(0) for _ in outputs)))
-
-    table = dmn.DecisionTable(
-        id=f"T{rng.randrange(10**6)}", name="generated", hit_policy="First",
-        inputs=tuple((f"in{j + 1}", ast.Var(f"in{j + 1}")) for j in range(k)),
-        outputs=outputs, rules=tuple(rules))
-    return GeneratedTable(table, [domain for _, domain in columns])
 
 
 # --- flow scans ---------------------------------------------------------------
@@ -191,10 +146,8 @@ class WalkResult:
 
 def walk_process(model, tables, input_values: dict, max_nodes: int = 10_000) -> WalkResult:
     """Follow the one path a deterministic, parallel-free process takes."""
-    table_by_ref = {}
-    for table in tables:
-        table_by_ref[table.id] = table
-        table_by_ref.setdefault(table.name, table)
+    table_by_ref = {t.name: t for t in reversed(tables)}  # by id, else by the name
+    table_by_ref.update((t.id, t) for t in tables)  # of the first table with it
 
     env: dict[str, object] = {}
     nodes: list[str] = []
@@ -204,63 +157,53 @@ def walk_process(model, tables, input_values: dict, max_nodes: int = 10_000) -> 
         env[name] = value
         writes.append((name, value))
 
+    def holds(condition) -> bool:
+        verdict = reference_evaluate(condition, env)
+        if not isinstance(verdict, bool):
+            raise FeelTypeError("condition is not boolean")
+        return verdict
+
     current = model.start.id
     while len(nodes) < max_nodes:
         node = model.node(current)
         nodes.append(current)
         flows = outgoing(model, current)
-
-        if node.kind in ("start", "user_task", "manual_task"):
-            seen = set()
-            for var in node.writes:
-                if var not in seen:
+        try:
+            if node.kind in ("start", "user_task", "manual_task"):
+                for var in dict.fromkeys(node.writes):
                     write(var, input_values[var])
-                    seen.add(var)
-            current = flows[0].target
-        elif node.kind in ("script_task", "service_task"):
-            write(node.target, feel.evaluate(node.expr, env))
-            current = flows[0].target
-        elif node.kind == "business_rule_task":
-            table = table_by_ref[node.table_ref]
-            bindings = node.input_map or tuple(table.inputs)
-            args = {label: feel.evaluate(expr, env) for label, expr in bindings}
-            result = dmn.evaluate_table(table, args)
-            out_map = node.output_map or tuple((o, o) for o in table.outputs)
-            for out_name, var in out_map:
-                write(var, result[out_name])
-            current = flows[0].target
-        elif node.kind == "exclusive_gateway":
-            taken = None
-            for flow in flows:
-                if flow.is_default or flow.condition is None:
-                    continue
-                if feel.evaluate(flow.condition, env):
-                    taken = flow.target
-                    break
-            if taken is None:
-                defaults = [f for f in flows if f.is_default]
-                if not defaults:
+            elif node.kind in ("script_task", "service_task"):
+                write(node.target, reference_evaluate(node.expr, env))
+            elif node.kind == "business_rule_task":
+                table = table_by_ref[node.table_ref]
+                bindings = node.input_map or tuple(table.inputs)
+                result = reference_evaluate_table(
+                    table, {label: reference_evaluate(expr, env) for label, expr in bindings})
+                for out_name, var in node.output_map or tuple((o, o) for o in table.outputs):
+                    write(var, result[out_name])
+            elif node.kind == "exclusive_gateway":
+                taken = next((f for f in flows if not f.is_default and f.condition is not None
+                              and holds(f.condition)), None) \
+                    or next((f for f in flows if f.is_default), None)
+                if taken is None:
                     return WalkResult(nodes, writes, ("error", "UNHANDLED_CONDITION"))
-                taken = defaults[0].target
-            current = taken
-        elif node.kind == "join_gateway":
-            current = flows[0].target
-        elif node.kind == "end_success":
-            return WalkResult(nodes, writes, ("success", node.id))
-        elif node.kind == "end_error":
-            return WalkResult(nodes, writes,
-                              ("error", node.error_code or f"ERR_{node.id}"))
-        else:
-            raise AssertionError(f"oracle cannot walk node kind {node.kind!r}")
-    raise AssertionError("walk exceeded the node budget; is the model acyclic?")
+                flows = [taken]
+            elif node.kind == "end_success":
+                return WalkResult(nodes, writes, ("success", node.id))
+            elif node.kind == "end_error":
+                return WalkResult(nodes, writes, ("error", node.error_code or f"ERR_{node.id}"))
+            elif node.kind != "join_gateway":
+                raise AssertionError(f"oracle cannot walk node kind {node.kind!r}")
+        except BprocError:
+            return WalkResult(nodes, writes, ("fault", "ENGINE_FAULT"))
+        current = flows[0].target
+    raise AssertionError("walk exceeded the node budget; does the model loop forever?")
 
 
 # --- reference join matching --------------------------------------------------
 
 def reference_infer_types(exprs) -> dict:
     """Per variable, the join of the types of the constants it meets."""
-    from bproc.feel.types import StaticType, join, type_of_constant
-
     types: dict = {}
 
     def note(name, t):
@@ -672,16 +615,14 @@ def reference_evaluate_table(table: dmn.DecisionTable, args: dict[str, object]) 
 def boundary_vectors(specs, overrides=None) -> list[dict]:
     """Cartesian product of exhaustive enum values and range/ball boundary
     values {lo, lo+1, hi-1, hi} per input variable."""
-    from bproc import inputs as inputs_mod
-
     axes: list[tuple[str, list]] = []
     for spec in specs:
         d = spec.domain
-        if isinstance(d, inputs_mod.EnumDomain):
+        if isinstance(d, EnumDomain):
             values = list(d.values)
-        elif isinstance(d, inputs_mod.RangeDomain):
+        elif isinstance(d, RangeDomain):
             values = _bounds(d.lo, d.hi, spec.static_type)
-        elif isinstance(d, inputs_mod.BallDomain):
+        elif isinstance(d, BallDomain):
             values = _bounds(d.center - d.radius, d.center + d.radius, spec.static_type)
         else:
             values = list((overrides or {}).get(spec.name, []))
@@ -695,8 +636,6 @@ def boundary_vectors(specs, overrides=None) -> list[dict]:
 
 
 def _bounds(lo, hi, static_type) -> list:
-    from bproc import StaticType
-
     if static_type is StaticType.DOUBLE:
         lo, hi = float(lo), float(hi)
     raw = [lo, lo + 1, hi - 1, hi]

@@ -19,7 +19,6 @@ Tolerances are fixed here, not calibrated elsewhere:
      regenerations
 """
 
-import itertools
 import json
 import random
 import time
@@ -27,15 +26,14 @@ import time
 import pytest
 
 from bproc import (CampaignConfig, ErrorSeek, FixedBudget, RunOptions, compile_model,
-                   evaluate_table, parse_bpmn, parse_dmn, run_campaign, run_once,
-                   smc_sample_size)
-from bproc.errors import NoMatchError
+                   parse_bpmn, parse_dmn, run_campaign, run_once, smc_sample_size)
 from bproc.runtime import render_summary_file, parse_summary_inputs
 
 import golden_support
 from conftest import compile_fixture
-from oracles import (NO_MATCH, boundary_vectors, formula_table_outputs, random_table,
-                     walk_process)
+from generators import random_table
+from oracles import boundary_vectors, walk_process
+from test_dmn import assert_table_matches_formula
 
 
 def report(criterion: int, text: str):
@@ -45,21 +43,7 @@ def report(criterion: int, text: str):
 def test_criterion_1_dmn_formula_equivalence():
     rng = random.Random(20240601)
     started = time.monotonic()
-    checked_args = 0
-    for _ in range(500):
-        generated = random_table(rng)
-        table = generated.table
-        labels = [label for label, _ in table.inputs]
-        for combo in itertools.product(*generated.domains):
-            expected = formula_table_outputs(table, list(combo))
-            args = dict(zip(labels, combo))
-            if expected is NO_MATCH:
-                with pytest.raises(NoMatchError):
-                    evaluate_table(table, args)
-            else:
-                assert evaluate_table(table, args) == expected, \
-                    f"table {table.id} disagrees on {args}"
-            checked_args += 1
+    checked_args = sum(assert_table_matches_formula(random_table(rng)) for _ in range(500))
     elapsed = time.monotonic() - started
     assert elapsed < 30.0
     report(1, f"500 tables, {checked_args} argument vectors, {elapsed:.1f}s")

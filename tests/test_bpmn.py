@@ -18,15 +18,6 @@ def doc(process_body: str, prelude: str = "") -> str:
             f'<process id="p" name="P">{process_body}</process></definitions>')
 
 
-LINEAR = doc("""
-  <startEvent id="s" name="begin"/>
-  <scriptTask id="t" name="compute" resultVariable="x"><script>1 + 1</script></scriptTask>
-  <endEvent id="e" name="finish"/>
-  <sequenceFlow id="f1" sourceRef="s" targetRef="t"/>
-  <sequenceFlow id="f2" sourceRef="t" targetRef="e"/>
-""")
-
-
 def test_shipment_node_inventory(shipment_parsed):
     model, _ = shipment_parsed
     kinds = {}

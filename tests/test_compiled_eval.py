@@ -8,7 +8,6 @@ closure and the reference must give equal values, or raise the same
 exception type with the same message.
 """
 
-import enum
 import math
 import time
 
@@ -19,80 +18,14 @@ from bproc import feel
 from bproc.dmn import DecisionTable, Rule, evaluate_table
 from bproc.errors import FeelTypeError, ValueTooLargeError
 from bproc.feel import ast, evaluator, values as kernel
-from bproc.feel.values import UNDEFINED, FeelRange, Temporal
+from bproc.feel.values import UNDEFINED, Temporal
 
 import oracles
+from generators import (NAMES, Level, Text, expressions, small, tables, unary_tests,
+                        values)
 from oracles import reference_evaluate, reference_evaluate_table, reference_match_unary
 
-NAMES = ("a", "b", "s", "u", "l", "c", "missing")  # "missing" is never bound
 ENV = {"a": 3, "b": 2.5, "s": "x", "u": UNDEFINED, "l": [1, 2.0, "x"], "c": {"k": 1}}
-
-
-class Text(str):
-    """A string of a subclass: it misses the kernel's exact-class paths."""
-
-
-class Level(enum.IntEnum):
-    LOW = 1
-    HIGH = 2
-
-
-numbers = st.one_of(st.integers(-3, 3), st.floats(allow_nan=True, allow_infinity=True),
-                    st.sampled_from([0, 0.0, -0.0, math.nan, 10**20, 1e20, 1e308]))
-scalars = st.one_of(numbers, st.sampled_from(["x", "y", "", True, False, None,
-                                              Text("x"), Level.LOW, Level.HIGH]),
-                    st.builds(Temporal, st.sampled_from(["date", "time"]),
-                              st.integers(0, 800_000)))
-values = st.one_of(scalars, st.just(UNDEFINED), st.lists(scalars, max_size=3),
-                   st.dictionaries(st.sampled_from(["k", "m"]), scalars, max_size=2),
-                   st.builds(FeelRange, numbers, numbers, st.booleans(), st.booleans()),
-                   st.just(("not", "a", "value")))
-
-OPS = ("+", "-", "*", "/", "**", "<", "<=", ">", ">=", "=", "!=", "and", "or", "%")
-CALLS = ("abs", "floor", "ceiling", "sqrt", "length", "overlaps before", "nope")
-
-
-def _extend(children):
-    pairs = st.tuples(children, children)
-    return st.one_of(
-        st.builds(ast.Neg, children),
-        st.builds(ast.Not, children),
-        st.builds(lambda op, lr: ast.BinOp(op, *lr), st.sampled_from(OPS), pairs),
-        st.builds(ast.Call, st.sampled_from(CALLS), st.lists(children, max_size=2).map(tuple)),
-        st.builds(ast.ListLit, st.lists(children, max_size=3).map(tuple)),
-        st.builds(ast.Index, children, children),
-        st.builds(ast.Filter, children, children),
-        st.builds(ast.ContextLit, st.lists(st.tuples(st.sampled_from(["k", "m"]), children),
-                                           max_size=2).map(tuple)),
-        st.builds(ast.Path, children, st.sampled_from(["k", "m"])),
-        st.builds(ast.RangeLit, children, children, st.booleans(), st.booleans()),
-        st.builds(ast.InTest, children, children),
-        st.builds(ast.InstanceOf, children, st.sampled_from(["number", "string", "boolean"])),
-    )
-
-
-# mostly numbers, so that many trees evaluate to a value
-leaves = st.one_of(st.builds(ast.Lit, st.integers(-2, 3)), st.builds(ast.Lit, numbers),
-                   st.builds(ast.Var, st.sampled_from(["a", "b", "a", "item"])),
-                   st.builds(ast.Lit, scalars), st.builds(ast.Var, st.sampled_from(NAMES)))
-expressions = st.recursive(leaves, _extend, max_leaves=6)
-constant_expressions = st.recursive(st.builds(ast.Lit, scalars), _extend, max_leaves=4)
-
-
-def _unary_tests(children):
-    return st.one_of(st.builds(ast.Negation, children),
-                     st.builds(ast.Disjunction, st.lists(children, min_size=1,
-                                                         max_size=3).map(tuple)))
-
-
-unary_tests = st.recursive(
-    st.one_of(st.builds(ast.Dash), st.builds(ast.EqualsConst, scalars),
-              st.builds(ast.Comparison, st.sampled_from(["<", "<=", ">", ">="]),
-                        constant_expressions),
-              st.builds(ast.RangeTest, st.builds(FeelRange, st.one_of(numbers, st.just("b")),
-                                                 st.one_of(numbers, st.just("y")),
-                                                 st.booleans(), st.booleans()))),
-    _unary_tests, max_leaves=4)
 
 
 def outcome(fn, *args):
@@ -311,39 +244,6 @@ def test_value_kernel_matches_the_reference(a, b):
     for name, fn, reference in PAIRWISE:
         for x, y in ((a, b), (b, a), (a, a)):
             assert outcome(fn, x, y) == outcome(reference, x, y), (name, x, y)
-
-
-# cells and arguments over a few small integers, so that rules match
-small = st.integers(0, 3)
-cells = st.one_of(st.builds(ast.Dash), st.builds(ast.EqualsConst, small),
-                  st.builds(ast.Comparison, st.sampled_from(["<", "<=", ">", ">="]),
-                            st.builds(ast.Lit, small)),
-                  st.builds(lambda lo, span: ast.RangeTest(FeelRange(lo, lo + span)), small, small),
-                  st.builds(ast.Dash), st.builds(ast.EqualsConst, small), unary_tests)
-output_entries = st.one_of(st.builds(ast.Lit, small), st.builds(ast.Lit, scalars),
-                           constant_expressions,
-                           st.builds(ast.ListLit, st.lists(st.builds(ast.Lit, scalars),
-                                                           max_size=2).map(tuple)),
-                           st.just(ast.BinOp("/", ast.Lit(1), ast.Lit(0))))
-
-
-@st.composite
-def tables(draw):
-    n_inputs = draw(st.integers(1, 3))
-    outputs = tuple(draw(st.lists(st.sampled_from(["o1", "o2", "o3"]), min_size=1,
-                                  max_size=3)))
-    rules = [Rule(tuple(draw(st.lists(cells, min_size=n_inputs, max_size=n_inputs))),
-                  tuple(draw(st.lists(output_entries, min_size=len(outputs),
-                                      max_size=len(outputs)))))
-             for _ in range(draw(st.integers(0, 4)))]
-    if draw(st.booleans()):
-        rules.append(Rule(tuple(ast.Dash() for _ in range(n_inputs)),
-                          tuple(draw(st.lists(output_entries, min_size=len(outputs),
-                                              max_size=len(outputs))))))
-    return DecisionTable(id="T", name="T",
-                         hit_policy=draw(st.sampled_from(["First", "Unique", "Any"])),
-                         inputs=tuple((f"in{j}", ast.Var(f"in{j}")) for j in range(n_inputs)),
-                         outputs=outputs, rules=tuple(rules))
 
 
 @given(tables(), st.lists(st.lists(st.one_of(small, values), min_size=3, max_size=3),

@@ -11,6 +11,7 @@ from bproc.errors import DivisionByZeroError, UnresolvedTableError
 from bproc.feel import ast, parse_expr, render
 
 from conftest import compile_fixture, load_fixture
+from test_runtime import INCLUSIVE, compile_inline
 
 
 def test_one_routine_per_node(shipment):
@@ -177,29 +178,7 @@ def test_fork_and_barrier_lowering():
 
 
 def test_inclusive_gateway_gets_conditions():
-    model = parse_bpmn("""<?xml version="1.0"?>
-    <definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL">
-      <process id="p">
-        <startEvent id="s"/>
-        <scriptTask id="t" resultVariable="x"><script>4</script></scriptTask>
-        <inclusiveGateway id="g"/>
-        <manualTask id="a"/><manualTask id="b"/>
-        <inclusiveGateway id="j"/>
-        <endEvent id="e"/>
-        <sequenceFlow id="f0" sourceRef="s" targetRef="t"/>
-        <sequenceFlow id="f1" sourceRef="t" targetRef="g"/>
-        <sequenceFlow id="f2" sourceRef="g" targetRef="a">
-          <conditionExpression>x &gt; 1</conditionExpression>
-        </sequenceFlow>
-        <sequenceFlow id="f3" sourceRef="g" targetRef="b">
-          <conditionExpression>x &gt; 10</conditionExpression>
-        </sequenceFlow>
-        <sequenceFlow id="f4" sourceRef="a" targetRef="j"/>
-        <sequenceFlow id="f5" sourceRef="b" targetRef="j"/>
-        <sequenceFlow id="f6" sourceRef="j" targetRef="e"/>
-      </process>
-    </definitions>""")
-    x = compile_model(model, ())
+    x = compile_inline(INCLUSIVE.format(value=4))
     (fork,) = x.routines["g"].steps
     assert fork.conditions is not None
     assert [render(c) for c in fork.conditions] == ["x > 1", "x > 10"]

@@ -12,7 +12,8 @@ from bproc.feel import ast
 from bproc.feel.parser import MAX_INT_DIGITS
 
 from conftest import DTD_DMN, PROLOG_ITEMS, after_declaration, with_doctype
-from oracles import NO_MATCH, formula_table_outputs, random_table
+from generators import random_table
+from oracles import NO_MATCH, formula_table_outputs
 
 MINIMAL_DMN = """<?xml version="1.0"?>
 <definitions xmlns="https://www.omg.org/spec/DMN/20191111/MODEL/">
@@ -175,16 +176,20 @@ def test_missing_argument_rejected():
 
 # --- oracle equivalence (small version; the acceptance suite scales this up) --
 
-def assert_table_matches_formula(generated):
+def assert_table_matches_formula(generated) -> int:
+    """Checks the table on its exhaustive domain; returns the vectors checked."""
     table = generated.table
     labels = [label for label, _ in table.inputs]
-    for combo in itertools.product(*generated.domains):
+    combos = list(itertools.product(*generated.domains))
+    for combo in combos:
         expected = formula_table_outputs(table, list(combo))
+        args = dict(zip(labels, combo))
         if expected is NO_MATCH:
             with pytest.raises(NoMatchError):
-                evaluate_table(table, dict(zip(labels, combo)))
+                evaluate_table(table, args)
         else:
-            assert evaluate_table(table, dict(zip(labels, combo))) == expected
+            assert evaluate_table(table, args) == expected, f"table {table.id} on {args}"
+    return len(combos)
 
 
 def test_first_policy_matches_formula_oracle():

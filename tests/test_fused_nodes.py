@@ -5,9 +5,12 @@ closure that does the node's work and returns its edge.
   layer around a node's closure cannot come back unnoticed;
 - the fault path of each fused shape keeps its status, code, message and
   records (taken before the shapes were fused);
-- generated fork-free models (chains of script tasks, exclusive gateways
-  with one condition and a default, counter-bounded loops) run as
-  `tests/oracles.py::walk_process` walks them, in both modes.
+- fork-free models drawn from the block grammar of `tests/generators.py`
+  (script tasks, exclusive gateways with one condition and a default,
+  counter-bounded loops) run as `tests/oracles.py::walk_process` walks them,
+  in both modes. The walk evaluates with the reference evaluators, so a
+  defect in a compiled closure shows as a difference, and ends a faulting
+  run as the runtime does (checked on the fault cases above).
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from bproc import RunOptions, compile_model, parse_bpmn, run_once, runtime
 from bproc.compiler import Assign, ConsumeInput, Continue, Terminate
 from bproc.feel import ast
+from bproc.inputs import UnhandledDomain
 
 from conftest import compile_fixture
+from generators import DEFINITIONS, FOOTER, models
 from oracles import walk_process
 from test_runtime import compile_inline
 
@@ -87,17 +92,14 @@ LOOP_NODE_CALLS = {
     "Activity_Spin": [(1, "assign"), (2, "var_arith_lit"), (2, "VarWritten.__init__")],
     "Gateway_Again": [(1, "branch_one"), (2, "var_order_lit")],
 }
-# parallel mode: after each write, the write-race bookkeeping, which compares
-# branch paths from the second write of a variable on
-RACE_CHECK = {"Activity_Init": [(2, "_note_writer")],
-              "Activity_Spin": [(2, "_note_writer"), (3, "_concurrent")]}
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("traced", (True, False))
 def test_each_loop_node_is_one_closure_call(mode, traced):
     # Activity_Spin is its node closure, the fused `n + 1` closure and the
-    # write record, and nothing else; a campaign run builds no record
+    # write record, and nothing else; a campaign run builds no record, and a
+    # parallel run that never forks keeps no write-race bookkeeping
     loop = compile_fixture("loop")
     hits = None if traced else runtime.CoverageHits(loop)
     calls, trace, summary = node_calls(loop, {}, RunOptions(mode=mode, max_steps=30), hits)
@@ -106,8 +108,7 @@ def test_each_loop_node_is_one_closure_call(mode, traced):
     if traced:
         assert [node for node, _ in calls] == trace.node_sequence()
     for node, made in calls:
-        expected = LOOP_NODE_CALLS[node] + (RACE_CHECK.get(node, []) if mode == "parallel"
-                                            else [])
+        expected = LOOP_NODE_CALLS[node]
         if not traced:
             expected = [call for call in expected if call[1] != "VarWritten.__init__"]
         assert made == expected, node
@@ -242,6 +243,16 @@ def test_a_table_without_a_matching_rule_faults_in_its_node(shipment, mode):
         "NodeActivated(node='Activity_GetLength')"]
 
 
+@pytest.mark.parametrize("name", [name for name, (body, _, steps, *_) in FAULTS.items()
+                                  if steps is None and "sendTask" not in body])
+def test_walk_process_ends_as_the_runtime_does(name):
+    # the walk has no step budget and no channels; a fault ends it as a run
+    body, lists, _, outcome, _ = FAULTS[name]
+    walked = walk_process(parse_bpmn(DEFINITIONS + body + FOOTER), [],
+                          {var: values[0] for var, values in lists.items()})
+    assert walked.outcome == outcome[:2]
+
+
 # routines of shapes the compiler does not emit (see compiler.Routine)
 HAND_BUILT = {
     "two assigns": (Assign("w", ast.Lit(1)), Assign("w", ast.Lit(2)), Continue("e")),
@@ -264,142 +275,15 @@ def test_a_routine_of_another_shape_faults(shape, mode):
 
 # --- generated fork-free models against walk_process -----------------------------
 
-HEADER = ('<?xml version="1.0"?><definitions '
-          'xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL" '
-          'xmlns:ext="http://x/ext"><process id="p" name="P">'
-          '<startEvent id="start"><extensionElements><ext:ioMapping>'
-          '<ext:output source="x" target="x"/></ext:ioMapping></extensionElements>'
-          '</startEvent>')
-FOOTER = '</process></definitions>'
-
-
-class ForkFree:
-    """A fork-free model drawn with hypothesis: after `a` := a literal and
-    `b` := x, a sequence of blocks, each a script task, an exclusive
-    gateway with one condition and a default (each arm a sequence, or an
-    end event), or a loop bounded by its own counter. Scripts write `a`,
-    `b` and the counters and read `x`, `a` and `b`, all integers defined
-    before, so every condition is boolean and no run faults."""
-
-    def __init__(self, draw):
-        self.draw = draw
-        self.elements: list[str] = []
-        self.ids = 0
-        self.default_flow: dict[str, str] = {}  # gateway -> id of its default flow
-
-    def new_id(self, prefix: str) -> str:
-        self.ids += 1
-        return f"{prefix}{self.ids}"
-
-    def flow(self, source: str, target: str, condition: str | None = None) -> str:
-        default = self.default_flow.pop(source, None) if condition is None else None
-        flow_id = default or self.new_id("f")
-        guard = "" if condition is None else \
-            f"<conditionExpression>{condition}</conditionExpression>"
-        self.elements.append(f'<sequenceFlow id="{flow_id}" sourceRef="{source}" '
-                             f'targetRef="{target}">{guard}</sequenceFlow>')
-        return flow_id
-
-    def gateway(self, gate: str | None = None) -> str:
-        """An exclusive gateway; given `gate`, one whose next unconditioned
-        flow out of it is its default."""
-        if gate is None:
-            gate = self.new_id("m")
-            self.elements.append(f'<exclusiveGateway id="{gate}"/>')
-            return gate
-        self.default_flow[gate] = default = self.new_id("f")
-        self.elements.append(f'<exclusiveGateway id="{gate}" default="{default}"/>')
-        return gate
-
-    def script(self, var: str, expr: str) -> str:
-        task = self.new_id("t")
-        self.elements.append(f'<scriptTask id="{task}" resultVariable="{var}">'
-                             f'<script>{expr}</script></scriptTask>')
-        return task
-
-    def operand(self) -> str:
-        return self.draw(st.sampled_from(["x", "a", "b"]) | st.integers(-3, 9).map(str))
-
-    def condition(self) -> str:
-        op = self.draw(st.sampled_from(["&lt;", "&lt;=", "&gt;", "&gt;=", "=", "!="]))
-        return f"{self.draw(st.sampled_from(['x', 'a', 'b']))} {op} {self.operand()}"
-
-    def sequence(self, depth: int) -> tuple[str, str | None]:
-        """(entry, exit) of one to three blocks; the exit is None when the
-        sequence ends the run, and has no flow out yet otherwise."""
-        entry, exit_ = self.block(depth)
-        for _ in range(self.draw(st.integers(0, 2))):
-            if exit_ is None:
-                break
-            first, last = self.block(depth)
-            self.flow(exit_, first)
-            exit_ = last
-        return entry, exit_
-
-    def block(self, depth: int) -> tuple[str, str | None]:
-        shape = self.draw(st.sampled_from(["script"] + (["gateway", "loop"] if depth < 2
-                                                         else [])))
-        if shape == "script":
-            op = self.draw(st.sampled_from(["+", "-", "*"]))
-            task = self.script(self.draw(st.sampled_from(["a", "b"])),
-                               f"{self.operand()} {op} {self.operand()}")
-            return task, task
-        if shape == "gateway":
-            gate = self.gateway(self.new_id("g"))
-            default, taken = self.arm(depth), self.arm(depth)
-            self.flow(gate, default[0])  # the default, drawn first
-            self.flow(gate, taken[0], self.condition())
-            exits = [e for _, e in (taken, default) if e is not None]
-            if len(exits) < 2:
-                return gate, exits[0] if exits else None
-            merge = self.gateway()
-            for e in exits:
-                self.flow(e, merge)
-            return gate, merge
-        counter = self.new_id("i")
-        init = self.script(counter, "0")
-        body, body_exit = self.sequence(depth + 1)
-        if body_exit is None:  # the body always ends the run: no loop
-            self.flow(init, body)
-            return init, None
-        merge, again = self.gateway(), self.gateway(self.new_id("g"))
-        self.flow(init, merge)
-        self.flow(merge, body)
-        step = self.script(counter, f"{counter} + 1")
-        self.flow(body_exit, step)
-        self.flow(step, again)
-        self.flow(again, merge, f"{counter} &lt; {self.draw(st.integers(1, 4))}")
-        return init, again  # its next flow is the loop's default exit
-
-    def arm(self, depth: int) -> tuple[str, str | None]:
-        ending = self.draw(st.sampled_from([None, "success", "error"]))
-        if ending is None:
-            return self.sequence(depth + 1)
-        end = self.new_id("e")
-        error = f'<errorEventDefinition errorCode="E_{end}"/>' if ending == "error" else ""
-        self.elements.append(f'<endEvent id="{end}">{error}</endEvent>')
-        return end, None
-
-    def xml(self) -> str:
-        a = self.script("a", str(self.draw(st.integers(-5, 5))))
-        b = self.script("b", "x")
-        self.flow("start", a)
-        self.flow(a, b)
-        entry, exit_ = self.sequence(0)
-        self.flow(b, entry)
-        if exit_ is not None:
-            self.elements.append('<endEvent id="end"/>')
-            self.flow(exit_, "end")
-        order = self.draw(st.permutations(range(len(self.elements))))
-        return HEADER + "".join(self.elements[i] for i in order) + FOOTER
-
-
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data(), x=st.integers(-10, 10))
-def test_fork_free_runs_match_walk_process(data, x):
-    xml = ForkFree(data.draw).xml()
-    model = compile_model(parse_bpmn(xml), ())
-    walked = walk_process(parse_bpmn(xml), [], {"x": x})
+@given(drawn=models(), x=st.integers(-10, 10))
+def test_fork_free_runs_match_walk_process(drawn, x):
+    model = compile_model(parse_bpmn(drawn.xml), ())
+    (spec,) = model.input_vars  # x, whose inferred domain is never empty
+    assert (spec.name,) == drawn.inputs and drawn.fork_free
+    assert isinstance(spec.domain, UnhandledDomain) or all(map(spec.domain.contains,
+                                                               drawn.x_holds))
+    walked = walk_process(parse_bpmn(drawn.xml), [], {"x": x})
     for mode in MODES:
         trace, summary = run_once(model, {"x": [x]}, RunOptions(mode=mode, seed=x))
         assert trace.node_sequence() == walked.nodes

@@ -288,26 +288,6 @@ def test_non_boolean_gateway_condition_faults():
     assert (summary.status, summary.message) == ("fault", "g: condition is not boolean")
 
 
-def test_unhandled_gateway_condition_terminates_with_error():
-    x = compile_inline("""
-      <startEvent id="s"/>
-      <scriptTask id="t" resultVariable="x"><script>5</script></scriptTask>
-      <exclusiveGateway id="g"/>
-      <endEvent id="e1"/><endEvent id="e2"/>
-      <sequenceFlow id="f0" sourceRef="s" targetRef="t"/>
-      <sequenceFlow id="f1" sourceRef="t" targetRef="g"/>
-      <sequenceFlow id="f2" sourceRef="g" targetRef="e1">
-        <conditionExpression>x = 1</conditionExpression>
-      </sequenceFlow>
-      <sequenceFlow id="f3" sourceRef="g" targetRef="e2">
-        <conditionExpression>x = 2</conditionExpression>
-      </sequenceFlow>
-    """)
-    _, summary = run_once(x, {}, RunOptions(mode="sequential"))
-    assert summary.status == "error"
-    assert summary.message == "unhandled condition"
-
-
 def test_evaluation_errors_become_engine_faults():
     x = compile_inline("""
       <startEvent id="s"/>
