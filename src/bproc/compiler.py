@@ -31,21 +31,24 @@ from .feel.types import StaticType, apply_evidence, join, scan, synthesize
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class ConsumeInput:
-    var: str
+class ConsumeInputs:
+    vars: tuple[str, ...]  # each takes the next value of its input list, in order
+    next: str
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Assign:
     var: str
     expr: ast.FeelExpr
+    next: str
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class InvokeTable:
     table_ref: str
-    arg_bindings: tuple[tuple[str, ast.FeelExpr], ...]  # table input label <- expr
+    arg_bindings: tuple[tuple[str, ast.FeelExpr], ...]  # every table input, in column order
     out_bindings: tuple[tuple[str, str], ...]  # table output -> variable
+    next: str
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -53,16 +56,17 @@ class Send:
     channel: str
     msg_type: str
     parts: tuple[tuple[str, ast.FeelExpr], ...]
+    next: str
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Receive:
-    """A receive task lowers to this and a Continue, and nothing else: a
-    routine that receives anywhere else ends its run in an engine fault."""
+    """Waits while the channel is empty, then takes its first message."""
 
     channel: str
     msg_type: str
     targets: tuple[tuple[str, str], ...]  # part -> variable
+    next: str
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -88,6 +92,9 @@ class JoinBarrier:
 
 @dataclass(slots=True, unsafe_hash=True)
 class Continue:
+    """A pass-through node: an exclusive join, or an input node without
+    variables."""
+
     target: str
 
 
@@ -98,22 +105,25 @@ class Terminate:
     message: str
 
 
-Step = (ConsumeInput | Assign | InvokeTable | Send | Receive | Branch | Fork
+Step = (ConsumeInputs | Assign | InvokeTable | Send | Receive | Branch | Fork
         | JoinBarrier | Continue | Terminate)
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Routine:
-    """One node's steps, in one of the shapes `_Lowering` emits: a terminal
-    step alone (`Branch`, `Fork`, `JoinBarrier`, `Terminate`), a `Continue`
-    alone, `ConsumeInput` steps then a `Continue`, or one `Assign`,
-    `InvokeTable`, `Send` or `Receive` then a `Continue`. The runtime
-    lowers each shape to one closure; a routine of any other shape faults
-    when run."""
+    """One node's procedure: a single step. A step that neither ends nor
+    splits the branch names the routine that follows it (`next`, or a
+    `Continue`'s `target`); the runtime lowers each step to one closure."""
 
     id: str
     display_name: str
-    steps: tuple[Step, ...]
+    step: Step
+
+    @property
+    def steps(self) -> tuple[Step]:
+        """`(step,)`, as the benchmark's layer trace (`perfbench/tracing.py`)
+        counts them."""
+        return (self.step,)
 
 
 @dataclass
@@ -211,7 +221,7 @@ def compile_model(model: ProcessModel, tables, *, sample_seed: int = 0,
 
 
 class _Lowering:
-    """Lowers each node to its steps: one method per node kind (see
+    """Lowers each node to its one step: one method per node kind (see
     `_LOWERERS`), given the node and its outgoing flows."""
 
     def __init__(self, model: ProcessModel, table_by_ref):
@@ -221,27 +231,23 @@ class _Lowering:
         self.table_by_ref = table_by_ref
         self.used_tables: dict[str, dmn.DecisionTable] = {}
 
-    def inputs(self, node, outgoing) -> tuple[Step, ...]:
-        steps: list[Step] = []
-        seen = set()
-        for var in node.writes:
-            if var not in seen:
-                steps.append(ConsumeInput(var))
-                seen.add(var)
-        steps.append(Continue(outgoing[0].target))
-        return tuple(steps)
+    def inputs(self, node, outgoing) -> Step:
+        variables = tuple(dict.fromkeys(node.writes))
+        if not variables:
+            return Continue(outgoing[0].target)
+        return ConsumeInputs(variables, outgoing[0].target)
 
-    def end_success(self, node, outgoing) -> tuple[Step, ...]:
-        return (Terminate("success", node.id, node.label),)
+    def end_success(self, node, outgoing) -> Step:
+        return Terminate("success", node.id, node.label)
 
-    def end_error(self, node, outgoing) -> tuple[Step, ...]:
-        return (Terminate("error", node.error_code or f"ERR_{node.id}",
-                          node.error_description or node.label),)
+    def end_error(self, node, outgoing) -> Step:
+        return Terminate("error", node.error_code or f"ERR_{node.id}",
+                         node.error_description or node.label)
 
-    def assign(self, node, outgoing) -> tuple[Step, ...]:
-        return (Assign(node.target, node.expr), Continue(outgoing[0].target))
+    def assign(self, node, outgoing) -> Step:
+        return Assign(node.target, node.expr, outgoing[0].target)
 
-    def invoke_table(self, node, outgoing) -> tuple[Step, ...]:
+    def invoke_table(self, node, outgoing) -> Step:
         table = self.table_by_ref.get(node.table_ref)
         if table is None:
             raise UnresolvedTableError(node.table_ref)
@@ -265,18 +271,15 @@ class _Lowering:
             out_bindings = tuple(node.output_map)
         else:
             out_bindings = tuple((out, out) for out in table.outputs)
-        return (InvokeTable(node.table_ref, arg_bindings, out_bindings),
-                Continue(outgoing[0].target))
+        return InvokeTable(node.table_ref, arg_bindings, out_bindings, outgoing[0].target)
 
-    def send(self, node, outgoing) -> tuple[Step, ...]:
-        return (Send(node.channel, node.msg_type, node.send_parts),
-                Continue(outgoing[0].target))
+    def send(self, node, outgoing) -> Step:
+        return Send(node.channel, node.msg_type, node.send_parts, outgoing[0].target)
 
-    def receive(self, node, outgoing) -> tuple[Step, ...]:
-        return (Receive(node.channel, node.msg_type, node.receive_parts),
-                Continue(outgoing[0].target))
+    def receive(self, node, outgoing) -> Step:
+        return Receive(node.channel, node.msg_type, node.receive_parts, outgoing[0].target)
 
-    def branch(self, node, outgoing) -> tuple[Step, ...]:
+    def branch(self, node, outgoing) -> Step:
         cases = []
         default = None
         for flow in outgoing:
@@ -287,25 +290,25 @@ class _Lowering:
                                   f"condition nor the default mark")
             else:
                 cases.append((flow.condition, flow.target))
-        return (Branch(tuple(cases), default),)
+        return Branch(tuple(cases), default)
 
-    def fork(self, node, outgoing) -> tuple[Step, ...]:
+    def fork(self, node, outgoing) -> Step:
         join_id = _matching_join(node.id, self.out, self.barriers)
         targets = tuple([flow.target for flow in outgoing])
         if node.kind == "parallel_gateway":
-            return (Fork(targets, join_id),)
+            return Fork(targets, join_id)
         conditions = []
         for flow in outgoing:
             if flow.condition is None and not flow.is_default:
                 raise SchemaError(f"inclusive gateway {node.id!r}: flow {flow.id!r} "
                                   f"needs a condition")
             conditions.append(flow.condition or ast.Lit(True))
-        return (Fork(targets, join_id, tuple(conditions)),)
+        return Fork(targets, join_id, tuple(conditions))
 
-    def join(self, node, outgoing) -> tuple[Step, ...]:
+    def join(self, node, outgoing) -> Step:
         if node.join_kind in ("parallel", "inclusive"):
-            return (JoinBarrier(outgoing[0].target),)
-        return (Continue(outgoing[0].target),)
+            return JoinBarrier(outgoing[0].target)
+        return Continue(outgoing[0].target)
 
 
 #: node kind -> the `_Lowering` method that lowers it
@@ -614,8 +617,7 @@ def render_source(x: ExecutableModel) -> str:
     for node_id, _ in x.graph.nodes:  # document order
         routine = x.routines[node_id]
         out.append(f"proc {routine.display_name}:")
-        for step in routine.steps:
-            out.extend("  " + line for line in _render_step(step, x))
+        out.extend("  " + line for line in _render_step(routine.step, x))
         out.append("")
 
     out.append("init: every variable := undefined")
@@ -627,25 +629,26 @@ def render_source(x: ExecutableModel) -> str:
 
 def _render_step(step: Step, x: ExecutableModel) -> list[str]:
     name = lambda node_id: x.routines[node_id].display_name
-    if isinstance(step, ConsumeInput):
-        return [f"{step.var} := next input value for {step.var}"]
+    call = lambda node_id: f"call {name(node_id)}"
+    if isinstance(step, ConsumeInputs):
+        return [f"{var} := next input value for {var}" for var in step.vars] + [call(step.next)]
     if isinstance(step, Assign):
-        return [f"{step.var} := {feel.render(step.expr)}"]
+        return [f"{step.var} := {feel.render(step.expr)}", call(step.next)]
     if isinstance(step, InvokeTable):
         args = ", ".join(f"{label} := {feel.render(e)}" for label, e in step.arg_bindings)
         outs = ", ".join(f"{var} := {out}" for out, var in step.out_bindings)
-        return [f"result := {step.table_ref}({args})", f"unpack {outs}"]
+        return [f"result := {step.table_ref}({args})", f"unpack {outs}", call(step.next)]
     if isinstance(step, Send):
         parts = ", ".join(f"{p} := {feel.render(e)}" for p, e in step.parts)
-        return [f"send {step.msg_type}({parts}) on channel {step.channel}"]
+        return [f"send {step.msg_type}({parts}) on channel {step.channel}", call(step.next)]
     if isinstance(step, Receive):
         parts = ", ".join(f"{var} := {p}" for p, var in step.targets)
-        return [f"receive {step.msg_type} from channel {step.channel}; {parts}"]
+        return [f"receive {step.msg_type} from channel {step.channel}; {parts}",
+                call(step.next)]
     if isinstance(step, Branch):
-        lines = [f"if {feel.render(cond)}: call {name(target)}"
-                 for cond, target in step.cases]
+        lines = [f"if {feel.render(cond)}: {call(target)}" for cond, target in step.cases]
         if step.default is not None:
-            lines.append(f"else: call {name(step.default)}  (default)")
+            lines.append(f"else: {call(step.default)}  (default)")
         else:
             lines.append("else: fail \"unhandled condition\"")
         return lines
@@ -657,9 +660,9 @@ def _render_step(step: Step, x: ExecutableModel) -> list[str]:
                              for t, c in zip(step.targets, step.conditions))
         return [f"fork {branches}; join at {name(step.join_id)}"]
     if isinstance(step, JoinBarrier):
-        return [f"await all branches; call {name(step.next)}"]
+        return [f"await all branches; {call(step.next)}"]
     if isinstance(step, Continue):
-        return [f"call {name(step.target)}"]
+        return [call(step.target)]
     if isinstance(step, Terminate):
         return [f"end {step.status} code={step.code} message=\"{step.message}\""]
     raise TypeError(step)

@@ -1,19 +1,18 @@
 """Execution engine: runs a compiled model once.
 
 On its first run, a model's routines are lowered once into a node program
-(Feeley & Lapalme, "Using Closures for Code Generation", 1987): per node,
-one closure over the engine that returns the edge to take. Every node shape
-the compiler emits is one closure, with no wrapper: a plain step (inputs,
-assign, table, send) fused with the edge that follows it, and a gateway
-with one condition and a default tested without a loop (superoperators:
-Proebsting, POPL 1995); a routine of any other shape faults. A receive on
-an empty channel returns a `_Wait` instead, and the walker calls the same
-closure again once resumed, so a receive node holds nothing but its receive
-and its continue. Every (source, target) pair a branch can take is one
-`_Edge`: its target node and its coverage index; every node has a coverage
-index too. So the walker makes one call per node and follows edges with no
-lookup (Ertl & Gregg, "The Structure and Performance of Efficient
-Interpreters", 2003).
+(Feeley & Lapalme, "Using Closures for Code Generation", 1987): each
+routine is one step, and the lowerer of its class (`_LOWER`) makes it one
+closure over the engine that returns the edge to take, with no wrapper. A
+step that names its successor (inputs, assign, table, send, receive, or a
+pass-through continue) is fused with the edge to it, and a gateway with one
+condition and a default is tested without a loop (superoperators:
+Proebsting, POPL 1995). A receive on an empty channel returns a `_Wait`
+instead, and the walker calls the same closure again once resumed. Every
+(source, target) pair a branch can take is one `_Edge`: its target node
+and its coverage index; every node has a coverage index too. So the walker
+makes one call per node and follows edges with no lookup (Ertl & Gregg,
+"The Structure and Performance of Efficient Interpreters", 2003).
 Lowering runs with the cyclic collector paused, as set-up does
 (`bpmn.collector_paused`). The trace records of the nodes and edges are
 built on the first run that keeps a trace, and every later run shares
@@ -23,8 +22,9 @@ tables compile themselves once with their output entries folded.
 
 A run owns a variable store (every declared variable starts undefined),
 per-variable input cursors, FIFO message channels (each made on its first
-use) and a trace. A campaign runs each run through `run_covering`, with
-the campaign's options and the run's scheduler seed. Without run files a
+use) and a trace. Every run enters through `run_covering`: `run_once`'s
+with `RunOptions.seed`, a campaign's with the run's own scheduler seed and
+the campaign's options, shared by all its runs. Without run files a
 run builds no trace and no record: it marks each node and edge it reaches
 in the campaign's `CoverageHits`, so its memory does not grow with its
 length. With run files a run keeps its trace as `run_once` does; the
@@ -41,14 +41,14 @@ each step to a runnable branch drawn with a random generator seeded from
 `RunOptions.seed`, or from the seed a campaign passes `run_covering` for
 the run (a lone runnable branch needs no draw and keeps the step), so
 every interleaving is reproducible from the seed, and a run whose live
-branches all wait on empty channels ends as a deadlock. Both deadlocks are engine faults naming the blocked receive
-node. Parallel mode also notes a variable written by two branches that no
-fork or join edge orders. Trace length is bounded by the step budget and
-the wall-clock timeout rather than any call stack. The clock is read on
-the first step and then every CLOCK_EVERY steps, so a run that exhausts
-its step budget ends the same way on any machine; only a TIMEOUT depends
-on the machine's speed, and it can come up to CLOCK_EVERY - 1 steps after
-the limit.
+branches all wait on empty channels ends as a deadlock. Both deadlocks
+are engine faults naming the blocked receive node. Parallel mode also
+notes a variable written by two branches that no fork or join edge
+orders. Trace length is bounded by the step budget and the wall-clock
+timeout rather than any call stack. The clock is read on the first step
+and then every CLOCK_EVERY steps, so a run that exhausts its step budget
+ends the same way on any machine; only a TIMEOUT depends on the machine's
+speed, and it can come up to CLOCK_EVERY - 1 steps after the limit.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ from itertools import islice
 
 from . import feel
 from .bpmn import _label_token, collector_paused
-from .compiler import (Assign, Branch, Continue, ConsumeInput, ExecutableModel, Fork,
+from .compiler import (Assign, Branch, Continue, ConsumeInputs, ExecutableModel, Fork,
                        InvokeTable, JoinBarrier, Receive, Send, Terminate)
-from .errors import BprocError, ConfigError, MessageTypeMismatchError, SchemaError
+from .errors import BprocError, ConfigError, MessageTypeMismatchError
 from .feel.values import UNDEFINED
 
 DEFAULT_TIMEOUT_S = 5.0
@@ -249,51 +249,32 @@ def _lowered(model: ExecutableModel) -> _Program:
 
 
 def _lower(routine, model: ExecutableModel, program: _Program) -> _Node:
-    """One closure for the routine, in one of the shapes the compiler emits
-    (see `compiler.Routine`): a terminal alone, a continue alone, input
-    steps then a continue, or one other plain step then a continue. A
-    routine of any other shape, built or edited by hand, faults when run."""
+    """The routine's one step as one closure, by the lowerer of its class."""
     node_id = routine.id
     node_index = program.node_index
     node = _Node(node_id, node_index.setdefault(node_id, len(node_index)))
-    steps = routine.steps
-    kinds = [step.__class__ for step in steps]
-    body = kinds[:-1]
-    if len(kinds) == 1 and kinds[0] in _LOWER_TERMINAL:
-        node.run = _LOWER_TERMINAL[kinds[0]](steps[0], node_id, node, program)
-    elif kinds[-1:] != [Continue] or not (set(body) <= {ConsumeInput}
-                                          or len(body) == 1 and body[0] in _LOWER_STEP):
-        node.run = _fault(f"routine {node_id!r} receives but is not (Receive, Continue)"
-                          if Receive in kinds else
-                          f"routine {node_id!r} is not a shape the compiler emits")
-    else:  # the steps, then the edge that follows them: one closure
-        edge = program.edge(node_id, steps[-1].target)
-        if not body:
-            node.run = lambda engine: edge
-        elif body[0] is ConsumeInput:  # an input node, whatever its variables
-            node.run = _lower_consume(tuple(step.var for step in steps[:-1]), edge)
-        else:
-            node.run = _LOWER_STEP[body[0]](steps[0], node_id, model, edge)
+    step = routine.step
+    node.run = _LOWER[step.__class__](step, node, model, program)
     return node
 
 
-def _fault(message: str):
-    def fault(engine):
-        engine._set_outcome("fault", "ENGINE_FAULT", message)
-    return fault
+# --- lowerers: each returns the node's `run` (see `_Node`); a step that names
+# its successor returns a closure that does the step and returns that edge ---
 
-
-# --- terminal steps: each returns the node's terminal function ---
-
-def _lower_terminate(step: Terminate, node_id: str, node: _Node, program: _Program):
+def _lower_terminate(step: Terminate, node: _Node, model: ExecutableModel, program: _Program):
     outcome = ("success" if step.status == "success" else "error", step.code, step.message)
     return lambda engine: engine._set_outcome(*outcome)
 
 
-def _lower_branch(step: Branch, node_id: str, node: _Node, program: _Program):
-    cases = tuple((feel.compile_expr(condition), program.edge(node_id, target))
+def _lower_continue(step: Continue, node: _Node, model: ExecutableModel, program: _Program):
+    edge = program.edge(node.id, step.target)
+    return lambda engine: edge
+
+
+def _lower_branch(step: Branch, node: _Node, model: ExecutableModel, program: _Program):
+    cases = tuple((feel.compile_expr(condition), program.edge(node.id, target))
                   for condition, target in step.cases)
-    default = None if step.default is None else program.edge(node_id, step.default)
+    default = None if step.default is None else program.edge(node.id, step.default)
     if len(cases) == 1 and default is not None:  # one condition and the default
         ((condition, edge),) = cases
 
@@ -320,9 +301,9 @@ def _lower_branch(step: Branch, node_id: str, node: _Node, program: _Program):
     return branch
 
 
-def _lower_fork(step: Fork, node_id: str, node: _Node, program: _Program):
+def _lower_fork(step: Fork, node: _Node, model: ExecutableModel, program: _Program):
     node.join = step.join_id  # its _Node once every routine is lowered
-    children = tuple(program.edge(node_id, target) for target in step.targets)
+    children = tuple(program.edge(node.id, target) for target in step.targets)
     if step.conditions is None:
         return lambda engine: children
     guarded = tuple(zip(map(feel.compile_expr, step.conditions), children))
@@ -342,20 +323,20 @@ def _lower_fork(step: Fork, node_id: str, node: _Node, program: _Program):
     return inclusive_fork
 
 
-def _lower_join(step: JoinBarrier, node_id: str, node: _Node, program: _Program):
-    edge = program.edge(node_id, step.next)
+def _lower_join(step: JoinBarrier, node: _Node, model: ExecutableModel, program: _Program):
+    edge = program.edge(node.id, step.next)
     node.passed = lambda engine: edge  # the last arrival from its fork (see _Engine._walk)
-    return _fault(f"join {node_id!r} reached outside its fork")
+    message = f"join {node.id!r} reached outside its fork"
+
+    def fault(engine):
+        engine._set_outcome("fault", "ENGINE_FAULT", message)
+    return fault
 
 
-_LOWER_TERMINAL = {Terminate: _lower_terminate, Branch: _lower_branch, Fork: _lower_fork,
-                   JoinBarrier: _lower_join}
+def _lower_consume(step: ConsumeInputs, node: _Node, model: ExecutableModel,
+                   program: _Program):
+    variables, edge = step.vars, program.edge(node.id, step.next)
 
-
-# --- plain steps: each returns a function of the engine that runs the step
-# and returns `edge`, the edge that follows it ---
-
-def _lower_consume(variables: tuple, edge: _Edge):
     def consume(engine):
         input_lists, cursors = engine.input_lists, engine.cursors
         for var in variables:
@@ -367,9 +348,10 @@ def _lower_consume(variables: tuple, edge: _Edge):
     return consume
 
 
-def _lower_assign(step: Assign, node_id: str, model: ExecutableModel, edge: _Edge):
+def _lower_assign(step: Assign, node: _Node, model: ExecutableModel, program: _Program):
     """Writes as `_Engine._write` does, without calling it."""
     var, evaluate = step.var, feel.compile_expr(step.expr)
+    edge = program.edge(node.id, step.next)
 
     def assign(engine):
         value = engine.bindings[var] = evaluate(engine.bindings)
@@ -381,18 +363,10 @@ def _lower_assign(step: Assign, node_id: str, model: ExecutableModel, edge: _Edg
     return assign
 
 
-def _lower_invoke(step: InvokeTable, node_id: str, model: ExecutableModel, edge: _Edge):
-    table = model.tables[step.table_ref]
-    by_label = dict(step.arg_bindings)
-    missing = [label for label, _ in table.inputs if label not in by_label]
-    if missing:
-        message = f"table {table.id!r} called without arguments {missing}"
-
-        def unbound(engine):
-            raise SchemaError(message)
-        return unbound
-    # the arguments in input-column order, as the compiled table takes them
-    args = tuple(feel.compile_expr(by_label[label]) for label, _ in table.inputs)
+def _lower_invoke(step: InvokeTable, node: _Node, model: ExecutableModel, program: _Program):
+    table, edge = model.tables[step.table_ref], program.edge(node.id, step.next)
+    # every input column bound, in column order, as the compiled table takes them
+    args = tuple(feel.compile_expr(expr) for _, expr in step.arg_bindings)
     evaluator, out_bindings = table.evaluator, step.out_bindings
 
     def invoke(engine):
@@ -403,9 +377,10 @@ def _lower_invoke(step: InvokeTable, node_id: str, model: ExecutableModel, edge:
     return invoke
 
 
-def _lower_send(step: Send, node_id: str, model: ExecutableModel, edge: _Edge):
+def _lower_send(step: Send, node: _Node, model: ExecutableModel, program: _Program):
     channel, msg_type = step.channel, step.msg_type
     parts = tuple((part, feel.compile_expr(expr)) for part, expr in step.parts)
+    edge = program.edge(node.id, step.next)
 
     def send(engine):
         bindings = engine.bindings
@@ -427,11 +402,11 @@ class _Wait(tuple):
     __slots__ = ()
 
 
-def _lower_receive(step: Receive, node_id: str, model: ExecutableModel, edge: _Edge):
-    """A receive node's `run`: takes the message and returns `edge`, or
-    returns a `_Wait` while the channel is empty."""
-    channel, expected, targets = step.channel, step.msg_type, step.targets
-    wait = _Wait((node_id, channel))
+def _lower_receive(step: Receive, node: _Node, model: ExecutableModel, program: _Program):
+    """Takes the message and returns the edge that follows, or returns a
+    `_Wait` while the channel is empty."""
+    node_id, channel, expected, targets = node.id, step.channel, step.msg_type, step.targets
+    wait, edge = _Wait((node_id, channel)), program.edge(node_id, step.next)
 
     def receive(engine):
         queue = engine._channels[channel]
@@ -451,8 +426,10 @@ def _lower_receive(step: Receive, node_id: str, model: ExecutableModel, edge: _E
     return receive
 
 
-_LOWER_STEP = {Assign: _lower_assign, InvokeTable: _lower_invoke, Send: _lower_send,
-               Receive: _lower_receive}
+#: step class -> its lowerer
+_LOWER = {ConsumeInputs: _lower_consume, Assign: _lower_assign, InvokeTable: _lower_invoke,
+          Send: _lower_send, Receive: _lower_receive, Branch: _lower_branch, Fork: _lower_fork,
+          JoinBarrier: _lower_join, Continue: _lower_continue, Terminate: _lower_terminate}
 
 
 # --- execution ------------------------------------------------------------------
@@ -507,10 +484,10 @@ class _Engine:
     campaign's hit arrays instead."""
 
     def __init__(self, model: ExecutableModel, input_lists: dict, options: RunOptions,
-                 hits: CoverageHits | None = None, seed: int | None = None):
+                 hits: CoverageHits | None, seed: int | None):
         self.model = model
         self.options = options
-        self._seed = options.seed if seed is None else seed  # of the scheduler
+        self._seed = seed  # of the scheduler
         self.input_lists = input_lists
         program = _program(model)
         self.bindings = program.bindings.copy()
@@ -755,8 +732,7 @@ def run_once(model: ExecutableModel, input_lists: dict[str, list],
                if not input_lists.get(s.name)]
     if missing:
         raise ConfigError(f"no input values supplied for {missing}")
-    engine, summary = _execute(model, input_lists, options)
-    return engine.trace, summary
+    return run_covering(model, input_lists, options, options.seed)
 
 
 class CoverageHits:
@@ -786,29 +762,23 @@ class CoverageHits:
 
 
 def run_covering(model: ExecutableModel, input_lists: dict[str, list], options: RunOptions,
-                 seed: int, hits: CoverageHits | None = None) -> tuple[Trace | None, RunSummary]:
-    """Execute the model once as run_once does, for one run of a campaign:
-    `options` is the campaign's, shared by all its runs, and `seed` seeds
-    this run's scheduler in place of `options.seed`. The campaign has
-    already checked what run_once checks (the mode, the timeout, a value
-    for every input), so this does not check again. With `hits`, the run
-    marks the nodes and edges it reaches in them and builds no trace (the
-    trace returned is None); without, it keeps its trace as run_once does."""
-    engine, summary = _execute(model, input_lists, options, hits, seed)
-    return engine.trace, summary
-
-
-def _execute(model: ExecutableModel, input_lists: dict[str, list], options: RunOptions,
-             hits: CoverageHits | None = None, seed: int | None = None):
+                 seed: int | None,
+                 hits: CoverageHits | None = None) -> tuple[Trace | None, RunSummary]:
+    """Execute the model once as run_once does, with `seed` seeding the
+    scheduler: run_once's one engine entry, after its checks, with
+    `options.seed`, and a campaign's for each of its runs, with the
+    campaign's options and the run's seed (the campaign has already made
+    run_once's checks). With `hits`, the run marks the nodes and edges it
+    reaches in them and builds no trace (the trace returned is None);
+    without, it keeps its trace."""
     engine = _Engine(model, input_lists, options, hits, seed)
     engine.run()
-
     status, code, message = engine._outcome
     inputs_used = {s.name: input_lists[s.name][0] for s in model.input_vars}
     summary = RunSummary(inputs_used, status, code, message,
                          elapsed_s=time.monotonic() - engine._started,
                          diagnostics=engine.diagnostics)
-    return engine, summary
+    return engine.trace, summary
 
 
 # --- artifact files ----------------------------------------------------------

@@ -231,9 +231,16 @@ def draw_input_lists(specs: list[inputs_mod.InputSpec],
                      overrides: dict[str, list],
                      rng: random.Random) -> dict[str, list]:
     """One fresh random value per input variable (loops reuse that value)."""
-    return {spec.name: [inputs_mod.sampler(spec.domain, spec.static_type,
-                                           overrides.get(spec.name), spec.name)(rng)]
-            for spec in specs}
+    return _input_draw(specs, overrides)(rng)
+
+
+def _input_draw(specs: list[inputs_mod.InputSpec], overrides: dict[str, list]):
+    """The function `draw(rng)` behind `draw_input_lists`, with one sampler
+    per input built once: a campaign draws every run's inputs through it."""
+    samplers = [(spec.name, inputs_mod.sampler(spec.domain, spec.static_type,
+                                               overrides.get(spec.name), spec.name))
+                for spec in specs]
+    return lambda rng: {name: [draw(rng)] for name, draw in samplers}
 
 
 class _RunningStats:
@@ -299,16 +306,14 @@ def run_campaign(model: ExecutableModel, cfg: CampaignConfig,
     stopped_early = False
     if out_dir is not None:
         os.makedirs(os.path.join(out_dir, "runs"), exist_ok=True)
-    samplers = [(spec.name, inputs_mod.sampler(spec.domain, spec.static_type,
-                                               overrides.get(spec.name), spec.name))
-                for spec in model.input_vars]
+    draw_lists = _input_draw(model.input_vars, overrides)
     options = runtime.RunOptions(mode="sequential" if cfg.sequential else "parallel",
                                  timeout_s=cfg.timeout_s)
     seed_base = cfg.seed * 1_000_003
     run_rng = random.Random()  # reseeded per run: as good as a fresh Random(seed)
     for index in range(budget):
         run_rng.seed(seed_base + index)
-        lists = {name: [draw(run_rng)] for name, draw in samplers}
+        lists = draw_lists(run_rng)
         # the scheduler seed comes after the inputs from the same stream, so a
         # run is a function of (cfg.seed, index) and the inputs stay as drawn
         seed = run_rng.getrandbits(64)

@@ -1,16 +1,17 @@
+import re
 from dataclasses import replace
 
 import pytest
 
 from bproc import (RunOptions, StaticType, compile_model, feel, parse_bpmn, render_source,
                    run_once)
-from bproc.compiler import (Assign, Branch, Continue, ConsumeInput, Fork, InvokeTable,
-                            JoinBarrier, Terminate)
+from bproc.compiler import (Assign, Branch, Continue, ConsumeInputs, Fork, InvokeTable,
+                            JoinBarrier, Step, Terminate)
 from bproc.dmn import DecisionTable, Rule
-from bproc.errors import DivisionByZeroError, UnresolvedTableError
+from bproc.errors import DivisionByZeroError, SchemaError, UnresolvedTableError
 from bproc.feel import ast, parse_expr, render
 
-from conftest import compile_fixture, load_fixture
+from conftest import FIXTURES, compile_fixture, load_fixture
 from test_runtime import INCLUSIVE, compile_inline
 
 
@@ -29,12 +30,12 @@ def test_display_names_follow_the_scheme(shipment):
 
 
 def test_start_event_consumes_then_continues(shipment):
-    steps = shipment.routines["StartEvent_Package"].steps
-    assert steps == (ConsumeInput("pType"), Continue("Activity_GetLength"))
+    step = shipment.routines["StartEvent_Package"].step
+    assert step == ConsumeInputs(("pType",), "Activity_GetLength")
 
 
 def test_branch_case_order_and_default_last(shipment):
-    (branch,) = shipment.routines["Gateway_ModeCheck"].steps
+    branch = shipment.routines["Gateway_ModeCheck"].step
     assert isinstance(branch, Branch)
     assert [t for _, t in branch.cases] == ["Activity_ChooseConsent", "Gateway_Join",
                                             "Gateway_Join"]
@@ -44,7 +45,7 @@ def test_branch_case_order_and_default_last(shipment):
 
 
 def test_gateway_after_choose_consent_has_two_cases_plus_join(shipment):
-    (branch,) = shipment.routines["Gateway_ConsentCheck"].steps
+    branch = shipment.routines["Gateway_ConsentCheck"].step
     assert len(branch.cases) == 2
     assert [t for _, t in branch.cases] == ["EndEvent_NoShipment", "Gateway_Join"]
     assert branch.default == "Gateway_Join"
@@ -52,10 +53,10 @@ def test_gateway_after_choose_consent_has_two_cases_plus_join(shipment):
 
 def test_receive_task_lowers_to_part_assignments():
     x = compile_fixture("pingpong")
-    receive, _ = x.routines["Activity_Await"].steps
+    receive = x.routines["Activity_Await"].step
     assert receive.channel == "c" and receive.msg_type == "M"
-    assert receive.targets == (("v1", "m1"),)
-    send, _ = x.routines["Activity_Send"].steps
+    assert receive.targets == (("v1", "m1"),) and receive.next == "Gateway_Sync"
+    send = x.routines["Activity_Send"].step
     assert send.channel == "c" and send.msg_type == "M"
     assert [(part, render(e)) for part, e in send.parts] == [("v1", "3")]
 
@@ -77,13 +78,13 @@ def test_gateway_without_default_fails_unhandled():
       </process>
     </definitions>""")
     x = compile_model(model, ())
-    (branch,) = x.routines["g"].steps
+    branch = x.routines["g"].step
     assert branch.default is None
     assert len(branch.cases) == 2
 
 
 def test_business_rule_default_bindings(shipment):
-    invoke = shipment.routines["Activity_ChooseConsent"].steps[0]
+    invoke = shipment.routines["Activity_ChooseConsent"].step
     assert isinstance(invoke, InvokeTable)
     assert [label for label, _ in invoke.arg_bindings] == ["shipping mode", "weight"]
     assert [render(e) for _, e in invoke.arg_bindings] == ["sMode", "pWeight"]
@@ -92,7 +93,7 @@ def test_business_rule_default_bindings(shipment):
 
 def test_business_rule_explicit_io_mapping():
     x = compile_fixture("discount", "discount")
-    invoke = x.routines["Activity_Discount"].steps[0]
+    invoke = x.routines["Activity_Discount"].step
     assert invoke.arg_bindings[0][0] == "purchase amount"
     assert render(invoke.arg_bindings[0][1]) == "amount"
     assert invoke.out_bindings == (("rate", "rate"),)
@@ -151,7 +152,7 @@ def test_unresolved_table_reference(shipment_parsed):
 
 
 def test_error_end_gets_code_and_description(shipment):
-    (terminate,) = shipment.routines["EndEvent_NoShipment"].steps
+    terminate = shipment.routines["EndEvent_NoShipment"].step
     assert terminate == Terminate("error", "NO_SHIPMENT", "no shipment")
 
 
@@ -165,21 +166,21 @@ def test_error_end_without_code_gets_synthetic_one():
       </process>
     </definitions>""")
     x = compile_model(model, ())
-    (terminate,) = x.routines["e"].steps
+    terminate = x.routines["e"].step
     assert terminate.code == "ERR_e"
 
 
 def test_fork_and_barrier_lowering():
     x = compile_fixture("pingpong")
-    (fork,) = x.routines["Gateway_Split"].steps
+    fork = x.routines["Gateway_Split"].step
     assert fork == Fork(("Activity_Await", "Activity_Send"), "Gateway_Sync")
-    (barrier,) = x.routines["Gateway_Sync"].steps
+    barrier = x.routines["Gateway_Sync"].step
     assert barrier == JoinBarrier("Activity_Combine")
 
 
 def test_inclusive_gateway_gets_conditions():
     x = compile_inline(INCLUSIVE.format(value=4))
-    (fork,) = x.routines["g"].steps
+    fork = x.routines["g"].step
     assert fork.conditions is not None
     assert [render(c) for c in fork.conditions] == ["x > 1", "x > 10"]
     assert fork.join_id == "j"
@@ -263,73 +264,72 @@ def test_pass_through_join_renders_as_a_single_call(shipment):
 
 def test_embedded_expressions_parse_back(shipment):
     for routine in shipment.routines.values():
-        for step in routine.steps:
-            exprs = []
-            if isinstance(step, Assign):
-                exprs.append(step.expr)
-            elif isinstance(step, Branch):
-                exprs.extend(c for c, _ in step.cases)
-            elif isinstance(step, InvokeTable):
-                exprs.extend(e for _, e in step.arg_bindings)
-            for expr in exprs:
-                assert parse_expr(render(expr)) == expr
+        step = routine.step
+        exprs = []
+        if isinstance(step, Assign):
+            exprs.append(step.expr)
+        elif isinstance(step, Branch):
+            exprs.extend(c for c, _ in step.cases)
+        elif isinstance(step, InvokeTable):
+            exprs.extend(e for _, e in step.arg_bindings)
+        for expr in exprs:
+            assert parse_expr(render(expr)) == expr
+
+
+def successors(step: Step) -> list[str]:
+    """The routines a step names: those it can call next, and a fork's join."""
+    if isinstance(step, Branch):
+        return [t for _, t in step.cases] + ([step.default] if step.default else [])
+    if isinstance(step, Fork):
+        return [*step.targets, step.join_id]
+    if isinstance(step, Continue):
+        return [step.target]
+    return [] if isinstance(step, Terminate) else [step.next]
 
 
 def test_every_continuation_target_exists(shipment):
     pingpong = compile_fixture("pingpong")
     for x in (shipment, pingpong):
         for routine in x.routines.values():
-            targets = []
-            terminals = 0
-            for step in routine.steps:
-                if isinstance(step, Continue):
-                    targets.append(step.target)
-                    terminals += 1
-                elif isinstance(step, Branch):
-                    targets.extend(t for _, t in step.cases)
-                    if step.default:
-                        targets.append(step.default)
-                    terminals += 1
-                elif isinstance(step, Fork):
-                    targets.extend(step.targets)
-                    targets.append(step.join_id)
-                    terminals += 1
-                elif isinstance(step, JoinBarrier):
-                    targets.append(step.next)
-                    terminals += 1
-                elif isinstance(step, Terminate):
-                    terminals += 1
-            assert terminals == 1, f"{routine.id} has {terminals} terminal steps"
-            assert all(t in x.routines for t in targets), routine.id
+            assert isinstance(routine.step, Step.__args__), routine.id
+            assert all(t in x.routines for t in successors(routine.step)), routine.id
+
+
+def reachable(entry: str, succ) -> set[str]:
+    seen, frontier = {entry}, [entry]
+    while frontier:
+        for nxt in succ(frontier.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
 
 
 def test_reachable_routines_equal_graph_reachability(shipment):
-    # parallel-free model: the compiler introduces no dead code
-    succ = {}
-    for src, dst in shipment.graph.edges:
-        succ.setdefault(src, set()).add(dst)
-    frontier = [shipment.entry]
-    graph_reach = {shipment.entry}
-    while frontier:
-        for nxt in succ.get(frontier.pop(), ()):
-            if nxt not in graph_reach:
-                graph_reach.add(nxt)
-                frontier.append(nxt)
+    # the compiler introduces no dead code
+    for x in (shipment, compile_fixture("pingpong"), compile_fixture("loop")):
+        graph = reachable(x.entry, lambda n: [dst for src, dst in x.graph.edges if src == n])
+        assert reachable(x.entry, lambda n: successors(x.routines[n].step)) == graph, x.name
 
-    ir_reach = {shipment.entry}
-    frontier = [shipment.entry]
-    while frontier:
-        routine = shipment.routines[frontier.pop()]
-        targets = []
-        for step in routine.steps:
-            if isinstance(step, Continue):
-                targets.append(step.target)
-            elif isinstance(step, Branch):
-                targets.extend(t for _, t in step.cases)
-                if step.default:
-                    targets.append(step.default)
-        for t in targets:
-            if t not in ir_reach:
-                ir_reach.add(t)
-                frontier.append(t)
-    assert ir_reach == graph_reach
+
+CHOOSE_CONSENT = '<ext:calledDecision decisionId="ChooseConsentDT"/>'
+
+
+@pytest.mark.parametrize("mapping, message", [
+    ('<ext:input source="=sMode" target="shipping mode"/>',
+     "leaves table inputs ['weight'] unbound"),
+    ('<ext:input source="=sMode" target="shipping mode"/>'
+     '<ext:input source="=pWeight" target="weight"/><ext:input source="=1" target="size"/>',
+     "binds unknown table inputs ['size']"),
+    ('<ext:output source="verdict" target="consent"/>',
+     "maps unknown table outputs ['verdict']"),
+], ids=["unbound input", "unknown input", "unknown output"])
+def test_an_io_mapping_that_misses_the_table_fails_compilation(mapping, message):
+    # every table input is bound at compile time, so a run never meets an unbound one
+    _, tables = load_fixture("shipment", "shipment")
+    text = (FIXTURES / "shipment.bpmn").read_text()
+    assert text.count(CHOOSE_CONSENT) == 1
+    text = text.replace(CHOOSE_CONSENT,
+                        f"{CHOOSE_CONSENT}<ext:ioMapping>{mapping}</ext:ioMapping>")
+    with pytest.raises(SchemaError, match=re.escape(f"task 'Activity_ChooseConsent' {message}")):
+        compile_model(parse_bpmn(text.encode()), tables)

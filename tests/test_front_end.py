@@ -21,8 +21,7 @@ from oracles import reference_matching_join
 
 
 def forks(x) -> dict[str, str]:
-    return {rid: r.steps[0].join_id for rid, r in x.routines.items()
-            if isinstance(r.steps[0], Fork)}
+    return {rid: r.step.join_id for rid, r in x.routines.items() if isinstance(r.step, Fork)}
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

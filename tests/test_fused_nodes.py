@@ -1,10 +1,11 @@
-"""The node program's fused shapes: each node the compiler emits is one
-closure that does the node's work and returns its edge.
+"""The node program: each routine the compiler emits is one step, which
+the runtime lowers, through one table, to one closure that does the node's
+work and returns its edge.
 
 - `sys.setprofile` pins the Python calls each node makes, so that a wrapper
   layer around a node's closure cannot come back unnoticed;
-- the fault path of each fused shape keeps its status, code, message and
-  records (taken before the shapes were fused);
+- the fault path of each node kind keeps its status, code, message and
+  records (taken before tasks and their edges were fused);
 - fork-free models drawn from the block grammar of `tests/generators.py`
   (script tasks, exclusive gateways with one condition and a default,
   counter-bounded loops) run as `tests/oracles.py::walk_process` walks them,
@@ -15,15 +16,13 @@ closure that does the node's work and returns its edge.
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bproc import RunOptions, compile_model, parse_bpmn, run_once, runtime
-from bproc.compiler import Assign, ConsumeInput, Continue, Terminate
-from bproc.feel import ast
+from bproc.compiler import Step
 from bproc.inputs import UnhandledDomain
 
 from conftest import compile_fixture
@@ -150,7 +149,7 @@ def test_a_send_node_is_one_closure_call():
                          for made in sends)
 
 
-# --- fault paths of the fused shapes -------------------------------------------
+# --- fault paths of the fused nodes -------------------------------------------
 
 START_X = ('<startEvent id="s"><extensionElements><ext:ioMapping>'
            '<ext:output source="x" target="x"/></ext:ioMapping></extensionElements></startEvent>')
@@ -253,24 +252,9 @@ def test_walk_process_ends_as_the_runtime_does(name):
     assert walked.outcome == outcome[:2]
 
 
-# routines of shapes the compiler does not emit (see compiler.Routine)
-HAND_BUILT = {
-    "two assigns": (Assign("w", ast.Lit(1)), Assign("w", ast.Lit(2)), Continue("e")),
-    "an input and an assign": (ConsumeInput("y"), Assign("w", ast.Lit(1)), Continue("e")),
-    "a terminal, then a continue": (Terminate("success", "e", ""), Continue("e")),
-    "no step": (),
-}
-
-
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("shape", HAND_BUILT)
-def test_a_routine_of_another_shape_faults(shape, mode):
-    x = compile_inline(START_X + TWO_INPUTS)
-    x.routines["t"] = dataclasses.replace(x.routines["t"], steps=HAND_BUILT[shape])
-    trace, summary = run_once(x, INPUTS_XYZ, RunOptions(mode=mode, seed=3))
-    assert (summary.status, summary.code, summary.message) == (
-        "fault", "ENGINE_FAULT", "routine 't' is not a shape the compiler emits")
-    assert [repr(r) for r in trace.records] == _s_to("u") + U_RUN + ["NodeActivated(node='t')"]
+def test_every_step_class_has_its_lowerer():
+    # one table lowers every step the compiler emits, each to one closure
+    assert set(runtime._LOWER) == set(Step.__args__)
 
 
 # --- generated fork-free models against walk_process -----------------------------

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -13,9 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bproc import RunOptions, compile_model, parse_bpmn, run_once, runtime
-from bproc.compiler import Assign, Fork, InvokeTable
+from bproc.compiler import Fork
 from bproc.errors import ConfigError
-from bproc.feel import ast
 from bproc.feel.values import MAX_STRING_LENGTH
 from bproc.runtime import (TableEvaluated, VarWritten, parse_summary_inputs,
                            render_graph_file, render_summary_file, render_trace_file,
@@ -114,7 +112,7 @@ def test_input_cursor_never_exceeds_list_length():
     from bproc.runtime import _Engine
 
     x = compile_inline(LOOP_TWICE)
-    engine = _Engine(x, {"v": [5]}, RunOptions(mode="sequential"))
+    engine = _Engine(x, {"v": [5]}, RunOptions(mode="sequential"), None, None)
     engine.run()
     assert engine._outcome[0] == "success"
     assert engine.cursors["v"] == 1  # consumed twice, list of one
@@ -309,41 +307,7 @@ def test_no_match_decision_faults(shipment):
     assert "GetLengthDT" in summary.message
 
 
-def test_table_call_without_an_argument_faults(shipment):
-    # compile_model binds every input column; a routine edited by hand may not
-    model = pickle.loads(pickle.dumps(shipment))
-    node_id, routine = next((n, r) for n, r in model.routines.items()
-                            if any(isinstance(s, InvokeTable) for s in r.steps))
-    steps = tuple(dataclasses.replace(s, arg_bindings=s.arg_bindings[1:])
-                  if isinstance(s, InvokeTable) else s for s in routine.steps)
-    model.routines[node_id] = dataclasses.replace(routine, steps=steps)
-    step = next(s for s in routine.steps if isinstance(s, InvokeTable))
-    label = step.arg_bindings[0][0]
-    _, summary = run_once(model, {"pType": ["xl"], "pWeight": [9.5]},
-                          RunOptions(mode="sequential"))
-    assert (summary.status, summary.message) == (
-        "fault", f"{node_id}: table {step.table_ref!r} called without arguments {[label]}")
-
-
 # --- fork / join / messages -----------------------------------------------------
-
-@pytest.mark.parametrize("mode", ("sequential", "parallel"))
-@pytest.mark.parametrize("where", ("before", "after"))
-def test_a_receive_routine_with_another_step_faults(where, mode):
-    # compile_model lowers a receive task to a receive and a continue; a
-    # routine edited by hand to run more around its receive is not run
-    model = compile_fixture("pingpong")
-    receive, cont = model.routines["Activity_Await"].steps
-    assign = Assign("out", ast.Lit(1))
-    steps = (assign, receive, cont) if where == "before" else (receive, assign, cont)
-    model.routines["Activity_Await"] = dataclasses.replace(
-        model.routines["Activity_Await"], steps=steps)
-    trace, summary = run_once(model, {}, RunOptions(mode=mode, seed=7))
-    assert (summary.status, summary.code, summary.message) == (
-        "fault", "ENGINE_FAULT", "routine 'Activity_Await' receives but is not "
-                                 "(Receive, Continue)")
-    assert trace.writes() == []
-
 
 def test_parallel_fork_joins_exactly_once():
     x = compile_fixture("pingpong")
@@ -1013,8 +977,8 @@ def test_a_fork_keeps_its_walker(monkeypatch, body, mode):
     # the walker that reaches a fork goes on as its first case, so a run
     # starts one walker for the entry and one per case after the first
     x = compile_inline(body)
-    cases = [len(step.targets) for routine in x.routines.values()
-             for step in routine.steps if isinstance(step, Fork)]
+    cases = [len(routine.step.targets) for routine in x.routines.values()
+             if isinstance(routine.step, Fork)]
     assert cases in ([WIDE_FORK], [2, 3])
     resumes = _Resumes(monkeypatch)
     for seed in range(3):

@@ -8,7 +8,8 @@ module of the `bproc` package, next to the working tree's `bproc.runtime`,
 and binds a second copy of the working tree's `verifier` to it; every other
 module is shared. It measures only changes confined to `runtime.py`: a
 change anywhere else is on both sides, and REV's `runtime.py` must offer
-what the working tree's other modules call.
+what the working tree's other modules call and lower the routines the
+working tree's compiler emits.
 
 1. Checks that both sides give the same trace records, run summaries and
    campaign verdicts (timing fields aside) on the bundled fixtures, in both
