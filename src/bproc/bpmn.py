@@ -12,14 +12,16 @@ data objects (elements of other kinds are passed over in C), then reads
 each element of the process in one pass over its children and builds its
 node or flow record once: a gateway's record waits until every flow is
 read, when its degree tells a split from a join, and a flow read before
-the element that names it its default is built again with the mark
-(`_Builder.finished_flows`). The flow index
-(`ProcessModel.adjacency`) and the variable uses that roles are classified
-from (`ProcessModel.variable_uses`) are computed once per model, and
-`compile_model` reuses them. Computing the variable uses walks each
-expression once (`feel.types.scan`), for its free variables and its type
-evidence together; the walk's result is kept there, so type and domain
-inference in `compile_model` walk no expression of the model again.
+the element that names it its default, or moved to an inserted gateway,
+is built again (`_Builder.finished_flows`). The gateways are inserted
+while the records are finished, before anything indexes them, so the
+flow index (`ProcessModel.adjacency`) and the variable uses that roles
+are classified from (`ProcessModel.variable_uses`) are computed once for
+every model, and `compile_model` reuses them. Computing the variable
+uses walks each expression once (`feel.types.scan`), for its free
+variables and its type evidence together; the walk's result is kept
+there, so type and domain inference in `compile_model` walk no
+expression of the model again.
 Validation checks whole lists with comprehensions, and walks the nodes
 in order only to report the first fault of a kind it found.
 
@@ -39,7 +41,7 @@ from functools import cached_property
 from itertools import compress
 from operator import attrgetter
 
-from . import feel, safexml
+from . import dmn, feel, safexml
 from .safexml import LocalNames
 from .errors import RoleConflictError, SchemaError, UnsupportedElementError
 from .feel import ast
@@ -272,7 +274,6 @@ def parse_bpmn(data: bytes | str) -> ProcessModel:
         diagnostics=builder.diagnostics,
         adjacency=index,
     )
-    _fix_multi_output_nodes(model)
     _validate(model)
     _check_roles(model.variable_uses)
     return model
@@ -305,6 +306,7 @@ class _Builder:
         self.gateways: list[int] = []
         self.flows: list[SequenceFlow] = []
         self.default_ids: set[str] = set()  # the flows elements read so far name as default
+        self.split: set[str] = set()  # the tasks and events with several outgoing flows
         self.diagnostics: list[str] = []
 
     def add_all(self, process) -> None:
@@ -326,19 +328,42 @@ class _Builder:
                 self.diagnostics.append(f"ignored unknown element {tag}")
 
     def finished_flows(self) -> list[SequenceFlow]:
-        """The flows in document order. A flow is marked default when it is
-        read; one read before the element that names it gets a second
-        record here, the only record built twice."""
+        """The flows in document order, with the multiple-outgoing-flow fix:
+        the flows out of a task or event with several of them (`split`)
+        leave the exclusive gateway `autogw_<id>` instead, and the flow
+        `autoflow_<id>` into that gateway comes right before the first of
+        them. A flow is marked default when it is read; one read before the
+        element that names it, or moved to an inserted gateway, gets a
+        second record here, the only records built twice."""
         flows, default_ids = self.flows, self.default_ids
+        degree: dict[str, int] = defaultdict(int)  # node id -> its outgoing flows
+        for flow in flows:
+            degree[flow.source] += 1
+        self.split = split = {node.id for node in self.nodes
+                              if type(node) is Node and degree[node.id] > 1}
         if default_ids:
             for i, flow in enumerate(flows):
                 if not flow.is_default and flow.id in default_ids:
                     flows[i] = replace(flow, is_default=True)
-        return flows
+        if not split:
+            return flows
+        finished = []
+        rerouted = set()
+        for flow in flows:
+            source = flow.source
+            if source in split:
+                gw_id = f"autogw_{source}"
+                if source not in rerouted:
+                    rerouted.add(source)
+                    finished.append(SequenceFlow(f"autoflow_{source}", source, gw_id))
+                flow = replace(flow, source=gw_id)  # conditions and default flags move along
+            finished.append(flow)
+        return finished
 
     def finished_nodes(self, outgoing, incoming) -> list[Node]:
         """The nodes in document order, each gateway with two or more
-        incoming flows and one outgoing flow made a join."""
+        incoming flows and one outgoing flow made a join, and each node in
+        `split` followed by its inserted gateway (see `finished_flows`)."""
         nodes = self.nodes
         for i in self.gateways:
             node_id, label, kind = nodes[i]
@@ -346,7 +371,17 @@ class _Builder:
                 nodes[i] = Node(node_id, label, "join_gateway", join_kind=_JOIN_KINDS[kind])
             else:  # a split; _validate rejects any other degree
                 nodes[i] = Node(node_id, label, kind)
-        return nodes
+        split = self.split
+        if not split:
+            return nodes
+        finished = []
+        for node in nodes:
+            finished.append(node)
+            if node.id in split:
+                gw_id = f"autogw_{node.id}"
+                finished.append(Node(gw_id, node.label, "exclusive_gateway"))
+                self.diagnostics.append(f"inserted {gw_id} for multi-output node {node.id}")
+        return finished
 
     # --- common pieces ---
 
@@ -568,40 +603,6 @@ _HANDLERS = {name.removeprefix("_on_"): handler for name, handler in vars(_Build
              if name.startswith("_on_")}
 
 
-def _fix_multi_output_nodes(model: ProcessModel) -> None:
-    """Insert an exclusive gateway `autogw_<id>` behind every non-gateway node
-    that has several outgoing flows. The gateway follows the node, and the
-    flow `autoflow_<id>` into it precedes the node's first outgoing flow.
-    Idempotent: a second application is a no-op."""
-    out, _ = model.adjacency
-    split = {node.id for node in model.nodes
-             if node.kind not in _GATEWAY_KINDS and node.kind != "join_gateway"
-             and len(out[node.id]) > 1}
-    if not split:
-        return
-    nodes = []
-    for node in model.nodes:
-        nodes.append(node)
-        if node.id in split:
-            gw_id = f"autogw_{node.id}"
-            nodes.append(Node(gw_id, node.label, "exclusive_gateway"))
-            model.diagnostics.append(f"inserted {gw_id} for multi-output node {node.id}")
-    flows = []
-    rerouted = set()
-    for flow in model.flows:
-        if flow.source in split:
-            gw_id = f"autogw_{flow.source}"
-            if flow.source not in rerouted:
-                rerouted.add(flow.source)
-                flows.append(SequenceFlow(f"autoflow_{flow.source}", flow.source, gw_id))
-            flow = replace(flow, source=gw_id)  # conditions and default flags move along
-        flows.append(flow)
-    model.nodes = nodes
-    model.flows = flows
-    model.adjacency = adjacency(flows)
-    model.variable_uses = _variable_uses(model)
-
-
 _END_KINDS = frozenset(("end_success", "end_error"))
 _CONDITIONAL_KINDS = frozenset(("exclusive_gateway", "inclusive_gateway"))
 _TASK_KINDS = frozenset(TASK_KINDS)
@@ -812,16 +813,13 @@ def classify_variables(model: ProcessModel, tables) -> dict[str, VariableRole]:
     is reported with the writer node ids so it can be renamed.
     """
     uses = model.variable_uses
-    table_by_ref = {}
-    for table in tables:
-        table_by_ref[table.id] = table
-        table_by_ref.setdefault(table.name, table)
+    by_ref = dmn.by_reference(tables)
 
     # what the business rule tasks leave to their tables
     table_writers: dict[str, set[str]] = {}
     table_readers: dict[str, set[str]] = {}
     for node in uses.rule_tasks:
-        table = table_by_ref.get(node.table_ref)
+        table = by_ref.get(node.table_ref)
         if table is None:
             continue
         if node.output_map is None:

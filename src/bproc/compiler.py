@@ -11,7 +11,10 @@ method of its kind, then type and domain inference. Both read what
 parsing found when it walked each expression (`ProcessModel.variable_uses`:
 free variables and type evidence), so only the input expressions of a
 table, which parsing did not see, are walked here; domain inference skips
-an expression that reads no input variable.
+an expression that reads no input variable. Each business rule task is
+resolved once, when it is lowered, into its `InvokeTable` step (every
+binding, an ioMapping side it leaves out defaulted to the table's
+columns); inference reads the task from that step and its table.
 """
 
 from __future__ import annotations
@@ -178,16 +181,11 @@ def compile_model(model: ProcessModel, tables, *, sample_seed: int = 0,
     results and byte-identical rendered source. Runs with the cyclic
     collector paused, as `parse_bpmn` does.
     """
-    table_by_ref: dict[str, dmn.DecisionTable] = {}
-    for table in tables:
-        table_by_ref[table.id] = table
-        table_by_ref.setdefault(table.name, table)
-
     roles = classify_variables(model, tables)
     diagnostics = list(model.diagnostics)
 
     out, _ = model.adjacency
-    lowering = _Lowering(model, table_by_ref)
+    lowering = _Lowering(model, dmn.by_reference(tables))
     routines: dict[str, Routine] = {}
     for node in model.nodes:
         lower = _LOWERERS.get(node.kind)
@@ -196,9 +194,11 @@ def compile_model(model: ProcessModel, tables, *, sample_seed: int = 0,
         routines[node.id] = Routine(node.id, _display_name(node),
                                     lower(lowering, node, out[node.id]))
 
-    expressions = _expressions(model, table_by_ref)
-    types = _infer_variable_types(model, table_by_ref, roles, diagnostics, expressions)
-    domains, domain_diags = _infer_input_domains(model, table_by_ref, roles, expressions)
+    calls = lowering.table_calls
+    cells = [_cell_facts(step, table) for step, table in calls.values()]
+    expressions = _expressions(model, calls)
+    types = _infer_variable_types(model, calls, cells, roles, diagnostics, expressions)
+    domains, domain_diags = _infer_input_domains(roles, cells, expressions)
     diagnostics.extend(domain_diags)
 
     rng = random.Random(sample_seed)
@@ -212,7 +212,7 @@ def compile_model(model: ProcessModel, tables, *, sample_seed: int = 0,
         name=model.name,
         entry=model.start.id,
         routines=routines,
-        tables=lowering.used_tables,
+        tables={step.table_ref: table for step, table in calls.values()},
         graph=extract_graph(model),
         input_vars=input_specs,
         process_vars=process_vars,
@@ -220,16 +220,20 @@ def compile_model(model: ProcessModel, tables, *, sample_seed: int = 0,
     )
 
 
+#: business rule task id -> (the table call it lowered to, the table called)
+TableCalls = dict[str, tuple[InvokeTable, dmn.DecisionTable]]
+
+
 class _Lowering:
     """Lowers each node to its one step: one method per node kind (see
     `_LOWERERS`), given the node and its outgoing flows."""
 
-    def __init__(self, model: ProcessModel, table_by_ref):
+    def __init__(self, model: ProcessModel, by_ref: dict[str, dmn.DecisionTable]):
         self.out, _ = model.adjacency
         self.barriers = {n.id for n in model.nodes
                          if n.kind == "join_gateway" and n.join_kind in ("parallel", "inclusive")}
-        self.table_by_ref = table_by_ref
-        self.used_tables: dict[str, dmn.DecisionTable] = {}
+        self.by_ref = by_ref
+        self.table_calls: TableCalls = {}  # each business rule task, in node order
 
     def inputs(self, node, outgoing) -> Step:
         variables = tuple(dict.fromkeys(node.writes))
@@ -248,10 +252,9 @@ class _Lowering:
         return Assign(node.target, node.expr, outgoing[0].target)
 
     def invoke_table(self, node, outgoing) -> Step:
-        table = self.table_by_ref.get(node.table_ref)
+        table = self.by_ref.get(node.table_ref)
         if table is None:
             raise UnresolvedTableError(node.table_ref)
-        self.used_tables[node.table_ref] = table
         labels = [label for label, _ in table.inputs]
         if node.input_map is not None:
             bound = dict(node.input_map)
@@ -263,7 +266,7 @@ class _Lowering:
                 raise SchemaError(f"task {node.id!r} leaves table inputs {missing} unbound")
             arg_bindings = tuple((label, bound[label]) for label in labels)
         else:
-            arg_bindings = tuple((label, expr) for label, expr in table.inputs)
+            arg_bindings = table.inputs
         if node.output_map is not None:
             unknown = sorted(set(o for o, _ in node.output_map) - set(table.outputs))
             if unknown:
@@ -271,7 +274,9 @@ class _Lowering:
             out_bindings = tuple(node.output_map)
         else:
             out_bindings = tuple((out, out) for out in table.outputs)
-        return InvokeTable(node.table_ref, arg_bindings, out_bindings, outgoing[0].target)
+        step = InvokeTable(node.table_ref, arg_bindings, out_bindings, outgoing[0].target)
+        self.table_calls[node.id] = step, table
+        return step
 
     def send(self, node, outgoing) -> Step:
         return Send(node.channel, node.msg_type, node.send_parts, outgoing[0].target)
@@ -367,46 +372,28 @@ def _matching_join(gateway_id: str, out: dict[str, list[SequenceFlow]],
 
 # --- variable typing and input domains --------------------------------------
 
-def _expressions(model: ProcessModel, table_by_ref) -> list[Scanned]:
+def _expressions(model: ProcessModel, calls: TableCalls) -> list[Scanned]:
     """Every expression the inference reads, with its free variables and
     type evidence: the flow conditions, then each node's in step order. The
     model's own expressions were walked when it was parsed
-    (`ProcessModel.variable_uses`); only the input expressions of a table
-    that a business rule task leaves its inputs to are walked here."""
+    (`ProcessModel.variable_uses`); only the arguments of a table call
+    that a business rule task leaves to its table are walked here."""
     uses = model.variable_uses
     expressions = list(uses.conditions)
     for node, scanned in uses.writers:
         if scanned is None:
-            table = table_by_ref.get(node.table_ref)
-            if table is None:
-                continue
-            scanned = [(expr, *scan(expr)) for _, expr in table.inputs]
+            step, _ = calls[node.id]
+            scanned = [(expr, *scan(expr)) for _, expr in step.arg_bindings]
         expressions.extend(scanned)
     return expressions
 
 
-def _bindings_of(node, table_by_ref) -> list[tuple[str, ast.FeelExpr]]:
-    table = table_by_ref.get(node.table_ref)
-    if node.input_map is not None:
-        return list(node.input_map)
-    if table is not None:
-        return [(label, expr) for label, expr in table.inputs]
-    return []
-
-
-def _cell_facts(node, table_by_ref):
+def _cell_facts(step: InvokeTable, table: dmn.DecisionTable):
     """(variable, unary test) pairs for columns bound to a plain variable,
     plus unhandled markers for columns bound to anything richer."""
-    table = table_by_ref.get(node.table_ref)
-    if table is None:
-        return [], []
-    bindings = dict(_bindings_of(node, table_by_ref))
     plain: list[tuple[str, ast.UnaryTest]] = []
     opaque: list[tuple[str, str]] = []  # (variable, source text)
-    for j, (label, _) in enumerate(table.inputs):
-        expr = bindings.get(label)
-        if expr is None:
-            continue
+    for j, (_, expr) in enumerate(step.arg_bindings):  # in column order
         if isinstance(expr, ast.Var):
             for rule in table.rules:
                 plain.append((expr.name, rule.input_entries[j]))
@@ -435,22 +422,20 @@ def _test_as_exprs(var: str, test: ast.UnaryTest) -> list[ast.FeelExpr]:
     return []
 
 
-def _infer_variable_types(model, table_by_ref, roles, diagnostics,
+def _infer_variable_types(model, calls: TableCalls, cells, roles, diagnostics,
                           expressions: list[Scanned]) -> dict[str, StaticType]:
     types: dict[str, StaticType] = {}
     for _, _, evidence in expressions:
         apply_evidence(types, evidence)
-    for node, _ in model.variable_uses.writers:
-        if node.kind == "business_rule_task":
-            plain, _ = _cell_facts(node, table_by_ref)
-            for var, test in plain:
-                for expr in _test_as_exprs(var, test):
-                    apply_evidence(types, scan(expr)[1])
+    for plain, _ in cells:
+        for var, test in plain:
+            for expr in _test_as_exprs(var, test):
+                apply_evidence(types, scan(expr)[1])
     unknown = StaticType.UNKNOWN
     for name in roles:
         types.setdefault(name, unknown)
 
-    _propagate_assigned_types(model, table_by_ref, roles, types)
+    _propagate_assigned_types(model, calls, roles, types)
 
     annotated = None
     for name, t in list(types.items()):
@@ -475,7 +460,7 @@ def _annotated(model) -> set[str]:
     return annotated
 
 
-def _propagate_assigned_types(model, table_by_ref, roles, types) -> None:
+def _propagate_assigned_types(model, calls: TableCalls, roles, types) -> None:
     """Join into `types` the type of every value a task assigns, to a fixpoint.
 
     The result and any TypeConflictError are those of rounds that each visit
@@ -533,11 +518,8 @@ def _propagate_assigned_types(model, table_by_ref, roles, types) -> None:
             if node.kind in ("script_task", "service_task"):
                 note(node.target, synthesize(node.expr, types))
             elif node.kind == "business_rule_task":
-                table = table_by_ref.get(node.table_ref)
-                if table is None:
-                    continue
-                out_map = node.output_map or tuple((o, o) for o in table.outputs)
-                for out_name, var in out_map:
+                step, table = calls[node.id]
+                for out_name, var in step.out_bindings:
                     col = table.outputs.index(out_name)
                     for rule in range(len(table.rules)):
                         value = table.output_value(rule, col)  # folded once per table
@@ -563,7 +545,7 @@ def _propagate_assigned_types(model, table_by_ref, roles, types) -> None:
         round_ = list(next_round)
 
 
-def _infer_input_domains(model, table_by_ref, roles, expressions: list[Scanned]):
+def _infer_input_domains(roles, cells, expressions: list[Scanned]):
     input_vars = {n for n, role in roles.items() if role.role == "input"}
     # only a name that is read gives a fact, and every name read is free
     # but `item` in a filter
@@ -572,10 +554,7 @@ def _infer_input_domains(model, table_by_ref, roles, expressions: list[Scanned])
     for expr, free, _ in expressions:
         if every or not free.isdisjoint(input_vars):
             facts.extend(inputs_mod.facts_from_expr(expr, input_vars))
-    for node, _ in model.variable_uses.writers:
-        if node.kind != "business_rule_task":
-            continue
-        plain, opaque = _cell_facts(node, table_by_ref)
+    for plain, opaque in cells:
         for var, test in plain:
             if var in input_vars:
                 facts.extend(inputs_mod.facts_from_unary_test(var, test))

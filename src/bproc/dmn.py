@@ -119,6 +119,16 @@ def parse_dmn(data: bytes | str) -> list[DecisionTable]:
     return tables
 
 
+def by_reference(tables) -> dict[str, DecisionTable]:
+    """Every reference a business rule task may call a table by -> that
+    table: a table's id, else the name of the first table with that name."""
+    by_ref: dict[str, DecisionTable] = {}
+    for table in tables:
+        by_ref[table.id] = table
+        by_ref.setdefault(table.name, table)
+    return by_ref
+
+
 def _text_of(element, local: LocalNames) -> str | None:
     """The text of the element's first <text> child; None without one."""
     text_el = None if element is None else _first_child_named(element, "text", local)

@@ -305,14 +305,18 @@ def _parse_domain(text: str, line_no: int) -> Domain:
             values = feel.evaluate(feel.parse_expr("[" + text[5:-1] + "]"), {})
             return EnumDomain(tuple(values))
         if text.startswith("BALL(") and text.endswith(")"):
-            return BallDomain(feel.evaluate(feel.parse_expr(text[5:-1]), {}))
+            center = feel.evaluate(feel.parse_expr(text[5:-1]), {})
+            return BallDomain(_number(center, "a BALL centre"))
         if text.startswith("RANGE(") and text.endswith(")"):
             body = text[6:-1].strip()
+            if body[:1] not in ("[", "(") or body[-1:] not in ("]", ")"):
+                raise ValueError("a RANGE opens with [ or ( and closes with ] or )")
             lo_incl, hi_incl = body[0] == "[", body[-1] == "]"
-            lo_text, hi_text = _split_range_body(body[1:-1])
-            return RangeDomain(feel.evaluate(feel.parse_expr(lo_text), {}),
-                               feel.evaluate(feel.parse_expr(hi_text), {}),
-                               lo_incl, hi_incl)
+            bounds = feel.evaluate(feel.parse_expr("[" + body[1:-1] + "]"), {})
+            if len(bounds) != 2:
+                raise ValueError(f"a RANGE has two bounds, not {len(bounds)}")
+            return RangeDomain(_number(bounds[0], "a RANGE bound"),
+                               _number(bounds[1], "a RANGE bound"), lo_incl, hi_incl)
         if text.startswith("UNHANDLED(") and text.endswith(")"):
             body = text[10:-1]
             return UnhandledDomain(tuple(s for s in _split_outside_strings(body, ";") if s))
@@ -323,16 +327,10 @@ def _parse_domain(text: str, line_no: int) -> Domain:
     raise InputsParseError(f"unknown domain {text!r}", line_no)
 
 
-def _split_range_body(body: str) -> tuple[str, str]:
-    depth = 0
-    for i, c in enumerate(body):
-        if c in "([{":
-            depth += 1
-        elif c in ")]}":
-            depth -= 1
-        elif c == "," and depth == 0:
-            return body[:i], body[i + 1:]
-    raise ValueError("range without a comma")
+def _number(value, what: str):
+    if kind_of(value) != "number":
+        raise ValueError(f"{what} must be a number, not {kind_of(value)}")
+    return value
 
 
 def _split_outside_strings(text: str, sep: str) -> list[str]:

@@ -1,9 +1,6 @@
-import copy
-
 import pytest
 
 from bproc import classify_variables, extract_graph, parse_bpmn
-from bproc.bpmn import _fix_multi_output_nodes
 from bproc.errors import RoleConflictError, SchemaError, UnsupportedElementError
 
 from conftest import DTD_BPMN, PROLOG_ITEMS, after_declaration, with_doctype
@@ -124,14 +121,6 @@ def test_multi_output_task_gets_inserted_gateway():
     assert {f.id for f in outs} == {"f2", "f3"}
     assert next(f for f in outs if f.id == "f3").is_default
     assert next(f for f in outs if f.id == "f2").condition is not None
-
-
-def test_preprocessing_is_idempotent(shipment_parsed):
-    model, _ = shipment_parsed
-    twice = copy.deepcopy(model)
-    _fix_multi_output_nodes(twice)
-    assert [n.id for n in twice.nodes] == [n.id for n in model.nodes]
-    assert [f.id for f in twice.flows] == [f.id for f in model.flows]
 
 
 def test_flow_ids_unique(shipment_parsed):

@@ -114,6 +114,18 @@ def test_inputs_file_must_cover_every_input(tmp_path):
     assert "pWeight" in err
 
 
+def test_inputs_file_with_a_non_number_ball_centre_is_a_model_error(tmp_path):
+    inputs = tmp_path / "quote.inputs"
+    inputs.write_text('base : Integer : BALL("a") : 7\n')
+    for argv in (("run",), ("test", "-n", "5")):
+        code, _, err = run_cli(argv[0], str(FIXTURES / "quote.bpmn"), *argv[1:],
+                               "--inputs-file", str(inputs), cwd=tmp_path)
+        assert code == 3
+        assert err.splitlines() == ["bproc: InputsParseError: bad domain 'BALL(\"a\")': "
+                                    "a BALL centre must be a number, not string (line 1)"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_inputs_file_that_is_not_utf8_is_a_model_error(tmp_path):
     inputs = tmp_path / "latin1.inputs"
     inputs.write_bytes('pType : String : ENUM("s") : "s"\n'

@@ -9,13 +9,13 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from bproc import bpmn, compile_model, parse_bpmn
+from bproc import bpmn, compiler, compile_model, parse_bpmn, parse_dmn
 from bproc.bpmn import Node, SequenceFlow, VariableRole, adjacency
 from bproc.compiler import Fork, _matching_join
 from bproc.errors import SchemaError
 
 import test_pins as pins
-from conftest import load_fixture
+from conftest import FIXTURES, load_fixture
 from generators import DEFINITIONS, FOOTER, diamonds_xml, graphs, models
 from oracles import reference_matching_join
 
@@ -121,15 +121,27 @@ def test_parse_and_compile_call_counts_scale_linearly(small, large):
     assert ratio <= 4.2, ratio
 
 
-def test_set_up_builds_each_record_and_index_once():
-    # parse_bpmn + compile_model walk the model once: one flow index, one
-    # pass over variable uses, one role per variable, one record per node
-    # and per flow (joins are decided before their record is built)
-    xml = pins.diamonds(50, seed=3)
+SET_UPS = {
+    "diamonds": lambda: (pins.diamonds(50, seed=3), ()),
+    "quote": lambda: ((FIXTURES / "quote.bpmn").read_bytes(), ()),
+    "shipment": lambda: ((FIXTURES / "shipment.bpmn").read_bytes(),
+                         parse_dmn((FIXTURES / "shipment.dmn").read_bytes())),
+}
+
+
+@pytest.mark.parametrize("name", SET_UPS)
+def test_set_up_builds_each_record_and_index_once(name):
+    # parse_bpmn + compile_model walk the model once: one flow index (an
+    # inserted gateway included), one pass over variable uses, one role per
+    # variable, and one reading of each business rule task's table call;
+    # diamonds also build one record per node and per flow (joins are
+    # decided before their record is built)
+    xml, tables = SET_UPS[name]()
     counted = {bpmn.adjacency.__code__: "adjacency", bpmn._variable_uses.__code__: "uses",
                bpmn.classify_variables.__code__: "roles", Node.__init__.__code__: "Node",
                SequenceFlow.__init__.__code__: "SequenceFlow",
-               VariableRole.__init__.__code__: "VariableRole"}
+               VariableRole.__init__.__code__: "VariableRole",
+               compiler._cell_facts.__code__: "cells"}
     calls = dict.fromkeys(counted.values(), 0)
 
     def count(frame, event, arg):
@@ -140,10 +152,13 @@ def test_set_up_builds_each_record_and_index_once():
     sys.setprofile(count)
     try:
         model = parse_bpmn(xml)
-        x = compile_model(model, ())
+        x = compile_model(model, tables)
     finally:
         sys.setprofile(previous)
-    assert len(model.nodes) == 204 and len(x.routines) == 204
-    assert calls == {"adjacency": 1, "uses": 1, "roles": 1, "Node": len(model.nodes),
-                     "SequenceFlow": len(model.flows),
-                     "VariableRole": len(x.input_vars) + len(x.process_vars)}
+    rule_tasks = sum(node.kind == "business_rule_task" for node in model.nodes)
+    assert (calls["adjacency"], calls["uses"], calls["roles"], calls["cells"]) == \
+        (1, 1, 1, rule_tasks)
+    if name == "diamonds":
+        assert len(model.nodes) == 204 and len(x.routines) == 204
+        assert (calls["Node"], calls["SequenceFlow"], calls["VariableRole"]) == \
+            (len(model.nodes), len(model.flows), len(x.input_vars) + len(x.process_vars))

@@ -119,6 +119,28 @@ def test_parse_error_carries_line_number(tmp_path):
     assert exc_info.value.line_no == 2
 
 
+@pytest.mark.parametrize("domain, message", [
+    ('BALL("a")', "a BALL centre must be a number, not string"),
+    ("BALL(null)", "a BALL centre must be a number, not null"),
+    ("BALL([1])", "a BALL centre must be a number, not list"),
+    ("BALL({a:1})", "a BALL centre must be a number, not context"),
+    ('RANGE(["a",10])', "a RANGE bound must be a number, not string"),
+    ("RANGE([1,null))", "a RANGE bound must be a number, not null"),
+    ("RANGE([1])", "a RANGE has two bounds, not 1"),
+    ("RANGE([1,2,3])", "a RANGE has two bounds, not 3"),
+    ('RANGE(["a,b"])', "a RANGE has two bounds, not 1"),
+    ("RANGE({1,10})", "a RANGE opens with [ or ( and closes with ] or )"),
+    ("RANGE()", "a RANGE opens with [ or ( and closes with ] or )"),
+])
+def test_a_malformed_ball_or_range_is_a_parse_error_at_its_line(tmp_path, domain, message):
+    path = tmp_path / "model.inputs"
+    path.write_text(f"# fine\nx : Integer : {domain} : 5\n")
+    with pytest.raises(InputsParseError) as exc_info:
+        parse_inputs_file(path)
+    assert exc_info.value.line_no == 2
+    assert str(exc_info.value) == f"bad domain {domain!r}: {message} (line 2)"
+
+
 # --- sampling --------------------------------------------------------------------
 
 def test_enum_sampling_covers_support():

@@ -9,7 +9,8 @@ and binds a second copy of the working tree's `verifier` to it; every other
 module is shared. It measures only changes confined to `runtime.py`: a
 change anywhere else is on both sides, and REV's `runtime.py` must offer
 what the working tree's other modules call and lower the routines the
-working tree's compiler emits.
+working tree's compiler emits. A REV whose runtime does not is reported
+in one line, with exit status 2.
 
 1. Checks that both sides give the same trace records, run summaries and
    campaign verdicts (timing fields aside) on the bundled fixtures, in both
@@ -190,12 +191,18 @@ def main(argv=None) -> int:
                            cwd=ROOT, capture_output=True, text=True)
     if shown.returncode:
         parser.error(f"no src/bproc/runtime.py at {args.base}: {shown.stderr.strip()}")
-    base_source = shown.stdout
+    try:
+        base = Side("base", args.base, load("_ab_runtime_base", shown.stdout))
+        base_seen = observations(base)
+    except Exception as exc:
+        print(f"{args.base} cannot be compared in process: its runtime.py does not load or "
+              f"run next to the working tree's modules ({type(exc).__name__}: {exc})",
+              file=sys.stderr)
+        return 2
     head_source = Path(runtime.__file__).read_text()
     head = Side("head", "working tree", runtime)
-    base = Side("base", args.base, load("_ab_runtime_base", base_source))
     copy = Side("copy", "working tree (copy)", load("_ab_runtime_copy", head_source))
-    if observations(base) != observations(head):
+    if base_seen != observations(head):
         print("the two runtimes give different records or verdicts; no timing", file=sys.stderr)
         return 1
     print("records and verdicts: identical")
