@@ -178,6 +178,8 @@ def render_value(value) -> str:
     if kind == "boolean":
         return "true" if value else "false"
     if kind == "number":
+        if value in _INFINITIES:  # an overflowing literal reads back as the infinity
+            return "1e999" if value > 0 else "-1e999"
         return repr(value)
     if kind == "string":
         return _string_literal(value)
@@ -194,6 +196,7 @@ def render_value(value) -> str:
     return f"{lo_b}{render_value(value.lo)}..{render_value(value.hi)}{hi_b}"
 
 
+_INFINITIES = (float("inf"), float("-inf"))
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 

@@ -313,6 +313,8 @@ def _parse_domain(text: str, line_no: int) -> Domain:
                 raise ValueError("a RANGE opens with [ or ( and closes with ] or )")
             lo_incl, hi_incl = body[0] == "[", body[-1] == "]"
             bounds = feel.evaluate(feel.parse_expr("[" + body[1:-1] + "]"), {})
+            if kind_of(bounds) != "list":  # such as RANGE([1..2]), a range literal
+                raise ValueError("a RANGE has two bounds")
             if len(bounds) != 2:
                 raise ValueError(f"a RANGE has two bounds, not {len(bounds)}")
             return RangeDomain(_number(bounds[0], "a RANGE bound"),

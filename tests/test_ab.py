@@ -1,0 +1,98 @@
+"""`tools/ab.py`'s decision rule and exits, with git and the benchmark runs faked."""
+
+import importlib.util
+import io
+import json
+import subprocess
+import tarfile
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+loader = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+ab = importlib.util.module_from_spec(loader)
+loader.loader.exec_module(ab)
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+HIGHER = {"name": "runs_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
+LOWER = dict(HIGHER, name="wall_s", better="lower")
+BASE = [100, 101, 102, 103, 104] * 2  # median 102, inter-quartile range 2.5
+WIDE = [60, 140] * 5  # inter-quartile range 80, past the bound of 25
+
+
+@pytest.mark.parametrize("metric, base, work, won, call, bound", [
+    (HIGHER, BASE, [b + 5 for b in BASE], "10–0", "gain", "ok"),
+    (HIGHER, BASE, [b - 5 for b in BASE], "0–10", "loss", "ok"),
+    (HIGHER, BASE, [b + 1 for b in BASE], "10–0", "none", "ok"),  # a gap inside the spread
+    (HIGHER, BASE, [b + 5 for b in BASE[:8]] + BASE[8:], "8–0", "none", "ok"),
+    (HIGHER, BASE, BASE, "0–0", "none", "ok"),
+    (LOWER, BASE, [b * 1.3 for b in BASE], "0–10", "loss", "past bound"),
+    (HIGHER, WIDE, [b + 1 for b in WIDE], "10–0", "none", "unresolved"),
+])
+def test_the_decision_rule(metric, base, work, won, call, bound):
+    cells = [c.strip() for c in ab.row("w", metric, base, work).split("|")[1:-1]]
+    assert cells[5:] == [won, call, bound]
+
+
+def last_line(side, seed, correct=True):
+    value = {"value": 100 + seed + 50 * (side == "work")}
+    metrics = {f"{w['name']}/{m['name']}": value
+               for w in SPEC["workloads"] for m in SPEC["end_to_end"]}
+    return json.dumps({"correct": correct, "attempted": 10, "failed": 0, "metrics": metrics})
+
+
+@pytest.fixture
+def fake(monkeypatch, tmp_path):
+    """What the fake benchmark runs print (by side and seed) and the runs made."""
+    state = {"outcomes": {}, "runs": []}
+    monkeypatch.setattr(ab.tempfile, "tempdir", str(tmp_path))
+    archive = io.BytesIO()
+    with tarfile.open(fileobj=archive, mode="w") as tar:
+        tar.addfile(tarfile.TarInfo("perfbench/stale.py"))  # the base's own benchmark
+
+    def run(args, cwd, **kwargs):
+        if args[0] == "git":  # an archive, or the working tree's files; no revision "nope"
+            listed = b"BENCHMARK.json\0perfbench/run.py"
+            out = archive.getvalue() if args[1] == "archive" else listed
+            return subprocess.CompletedProcess(args, 128 * (args[-1] == "nope"), out,
+                                               b"fatal: bad\nmore\n")
+        tree, seed = Path(cwd), int(args[args.index("--seed") + 1])
+        assert (tree / "perfbench/run.py").is_file() and not (tree / "perfbench/stale.py").exists()
+        state["runs"].append((tree.name, seed))
+        code, out = state["outcomes"].get((tree.name, seed), (0, last_line(tree.name, seed)))
+        return subprocess.CompletedProcess(args, code, "== progress\n" + out, "")
+
+    monkeypatch.setattr(ab.subprocess, "run", run)
+    yield state
+    assert list(tmp_path.iterdir()) == []  # gone on every path
+
+
+def test_pairs_alternate_and_every_metric_gets_a_row(fake, capsys):
+    assert ab.main(["--base", "OLD", "--pairs", "2"]) == 0
+    assert fake["runs"] == [("base", 1), ("work", 1), ("work", 2), ("base", 2)]
+    out = capsys.readouterr().out
+    rows = [line for line in out.splitlines() if line.startswith("| ") and "---" not in line]
+    assert len(rows) == 1 + len(SPEC["workloads"]) * len(SPEC["end_to_end"])
+    assert "| loop_budget | steps_per_s (1/s) | 101.5 [100.8, 102.2] | 151.5 [150.8, 152.2] " \
+           "| +49.3% | 2–0 | none | ok |" in rows  # no call from two pairs
+    assert out.endswith("\nbase: 0 of 20 operations failed (0)\n"
+                        "work: 0 of 20 operations failed (0)\n")
+
+
+@pytest.mark.parametrize("side, seed, code, out", [
+    ("work", 2, 3, last_line("work", 2)),
+    ("base", 1, 0, "Traceback (most recent call last):"),
+    ("work", 1, 0, last_line("work", 1, correct=False)),
+])
+def test_a_failed_run_is_named_by_side_and_seed(fake, capsys, side, seed, code, out):
+    fake["outcomes"][side, seed] = (code, out)
+    assert ab.main(["--base", "OLD", "--pairs", "3"]) == 1
+    printed, err = capsys.readouterr()
+    assert err.splitlines()[-1].startswith(f"ab.py: {side} run at seed {seed} failed (exit ")
+    assert printed == "" and fake["runs"][-1] == (side, seed)
+
+
+def test_an_unknown_revision_is_one_line_and_exit_2(fake, capsys):
+    assert ab.main(["--base", "nope"]) == 2
+    assert capsys.readouterr() == ("", "ab.py: git archive --format=tar nope: fatal: bad\n")

@@ -9,6 +9,7 @@ import pytest
 from bproc import runtime
 from bproc.cli import main
 from bproc.feel.parser import MAX_DEPTH, MAX_INT_DIGITS
+from bproc.inputs import parse_inputs_file
 
 from conftest import DTD_BPMN, DTD_DMN, FIXTURES, child_env, with_doctype
 
@@ -328,6 +329,22 @@ def test_a_ball_past_the_largest_double_draws_finite_values(tmp_path):
     runs = sorted((tmp_path / "t" / "runs").glob("*.out"))
     assert len(runs) == 100
     assert all(math.isfinite(runtime.parse_summary_inputs(run)["x"]) for run in runs)
+
+
+@pytest.mark.parametrize("condition, domain", [("x in [1..1e400]", "RANGE([1,1e999])"),
+                                               ("x = 1e400", "ENUM(1e999)")])
+def test_an_infinite_bound_or_value_round_trips_through_inputs_and_summary(
+        tmp_path, condition, domain):
+    (tmp_path / "inf.bpmn").write_text(EMPTY_RANGE.replace("x in (5.0..5.0]", condition))
+    code, _, err = run_cli("inputs", "inf.bpmn", "--out", "i", cwd=tmp_path)
+    assert code == 0, err
+    line = (tmp_path / "i" / "p.inputs").read_text().strip()
+    assert line.startswith(f"x : Double : {domain} : ")
+    sample = parse_inputs_file(tmp_path / "i" / "p.inputs").specs[0].sample
+    code, _, err = run_cli("run", "inf.bpmn", "--inputs-file", "i/p.inputs", "--sequential",
+                           cwd=tmp_path)
+    assert code == 0, err
+    assert runtime.parse_summary_inputs(tmp_path / "out" / "p" / "p.out") == {"x": sample}
 
 
 def test_module_entry_point(tmp_path):

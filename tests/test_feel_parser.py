@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -193,6 +194,14 @@ def test_context_keys_round_trip(key):
     assert evaluate(parse_expr(render_value(value)), {}) == value
     expr = ast.ContextLit(((key, ast.Lit(1)), ("k", ast.ContextLit(((key, ast.Var("x")),)))))
     assert parse_expr(render(expr)) == expr
+
+
+@pytest.mark.parametrize("value, text", [
+    (math.inf, "1e999"), (-math.inf, "-1e999"), ([1, math.inf], "[1, 1e999]"),
+    (FeelRange(-math.inf, 2.5, True, False), "[-1e999..2.5)"), (1e308, "1e+308")])
+def test_infinite_doubles_render_as_overflowing_literals_that_read_back(value, text):
+    assert render_value(value) == text
+    assert evaluate(parse_expr(text), {}) == value
 
 
 # --- agreement with the reference parser ---------------------------------------

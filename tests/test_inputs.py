@@ -129,6 +129,7 @@ def test_parse_error_carries_line_number(tmp_path):
     ("RANGE([1])", "a RANGE has two bounds, not 1"),
     ("RANGE([1,2,3])", "a RANGE has two bounds, not 3"),
     ('RANGE(["a,b"])', "a RANGE has two bounds, not 1"),
+    ("RANGE([1..2])", "a RANGE has two bounds"),
     ("RANGE({1,10})", "a RANGE opens with [ or ( and closes with ] or )"),
     ("RANGE()", "a RANGE opens with [ or ( and closes with ] or )"),
 ])

@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of a git revision against the working tree.
+
+    python tools/ab.py --base REV [--pairs N]
+
+Builds `base/` (`git archive REV`) and `work/` (the working tree's tracked
+and untracked, non-ignored files) in one temporary directory, both with the
+working tree's BENCHMARK.json and the paths it lists. For k = 1..N it runs
+the benchmark command with `--workload all --seed k --seconds 3` in both,
+the side that goes first alternating: about 35 s a pair on 2 CPUs.
+
+Prints a Markdown row per end-to-end metric and workload (both medians with
+their quartiles, the gap, the pairs each side won, the call, the bound),
+then each side's failed-operation share. The call is "gain" or "loss" only
+when one side wins nine tenths of the pairs, and at least nine, and the gap
+is wider than the base's inter-quartile range (Kalibera & Jones, ISMM 2013).
+The bound is "unresolved" when that range is wider than the metric's bound,
+"past bound" when the work side is worse by more than it, else "ok". Exits
+2 when REV cannot be exported, or 1, naming side and seed, when a run exits
+non-zero, prints no JSON last line or reports `correct: false`. Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("base", "work")
+
+
+class Stop(Exception):
+    """A one-line reason to stop, with the exit status."""
+
+
+def git(*args: str) -> bytes:
+    done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True)
+    if done.returncode:
+        reason = (done.stderr.decode(errors="replace").strip().splitlines() or ["failed"])[0]
+        raise Stop(f"git {' '.join(args)}: {reason}", 2)
+    return done.stdout
+
+
+def build(rev: str, tmp: Path, spec: dict) -> None:
+    """`tmp/base` from REV and `tmp/work` from the working tree, both with
+    the working tree's benchmark."""
+    ours = ["BENCHMARK.json", *spec["paths"]]
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
+        theirs = [m for m in tar if not any(f"{m.name}/".startswith(f"{p}/") for p in ours)]
+        tar.extractall(tmp / "base", theirs, filter="data")
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, listed.decode().split("\0")):
+        if (ROOT / name).is_file():  # not a tracked file deleted from the working tree
+            (tmp / "work" / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, tmp / "work" / name)
+    for name in ours:
+        source, target = tmp / "work" / name, tmp / "base" / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        (shutil.copytree if source.is_dir() else shutil.copy2)(source, target)
+
+
+def bench(tree: Path, seed: int, spec: dict) -> dict:
+    """The last line of one benchmark run, checked."""
+    done = subprocess.run([*spec["command"], "--workload", "all", "--seed", str(seed),
+                           "--seconds", "3"], cwd=tree, capture_output=True, text=True)
+    last = (done.stdout.strip().splitlines() or [""])[-1]
+    try:
+        result = json.loads(last)
+        ok = done.returncode == 0 and result["correct"] is True
+    except (ValueError, TypeError, KeyError):
+        ok = False
+    if not ok:
+        raise Stop(f"{tree.name} run at seed {seed} failed (exit {done.returncode}): "
+                   f"{last[:300] or done.stderr.strip()[-300:]}", 1)
+    return result
+
+
+def quartiles(values: list[float]) -> list[float]:
+    """First quartile, median, third quartile."""
+    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+
+
+def row(workload: str, metric: dict, base: list[float], work: list[float]) -> str:
+    sign = 1 if metric["better"] == "higher" else -1
+    (b1, bm, b3), (w1, wm, w3) = quartiles(base), quartiles(work)
+    won = [sum(sign * (w - b) > 0 for b, w in zip(base, work)),
+           sum(sign * (w - b) < 0 for b, w in zip(base, work))]
+    enough = max(9, 0.9 * len(base))  # nine tenths, and no call from fewer than nine pairs
+    call = ("gain" if won[0] >= enough and sign * (wm - bm) > b3 - b1 else
+            "loss" if won[1] >= enough and sign * (bm - wm) > b3 - b1 else "none")
+    bound = ("unresolved" if b3 - b1 > metric["bound"] * abs(bm) else
+             "past bound" if sign * (bm - wm) > metric["bound"] * abs(bm) else "ok")
+    return (f"| {workload} | {metric['name']} ({metric['unit']}) | {bm:.4g} [{b1:.4g}, {b3:.4g}]"
+            f" | {wm:.4g} [{w1:.4g}, {w3:.4g}] | {(wm - bm) / abs(bm):+.1%} | {won[0]}–{won[1]}"
+            f" | {call} | {bound} |")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--pairs", type=int, default=10, help="pairs of runs (default 10)")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    results = {side: [] for side in SIDES}
+    try:
+        with tempfile.TemporaryDirectory(prefix="ab_") as tmp:
+            build(args.base, Path(tmp), spec)
+            for k in range(1, args.pairs + 1):
+                for side in SIDES[::1 if k % 2 else -1]:
+                    results[side].append(bench(Path(tmp) / side, k, spec))
+                print(f"pair {k} of {args.pairs} done", file=sys.stderr, flush=True)
+    except Stop as stop:
+        print(f"ab.py: {stop.args[0]}", file=sys.stderr)
+        return stop.args[1]
+    print(f"base = {args.base}, work = working tree, {args.pairs} pairs\n\n| workload | metric"
+          " | base median [q1, q3] | work median [q1, q3] | gap | won work–base | call |"
+          " bound |\n| --- | --- | --- | --- | --- | --- | --- | --- |")
+    for workload in (w["name"] for w in spec["workloads"]):
+        for metric in spec["end_to_end"]:
+            key = f"{workload}/{metric['name']}"
+            print(row(workload, metric, *([r["metrics"][key]["value"] for r in results[side]]
+                                          for side in SIDES)))
+    print()
+    for side in SIDES:
+        failed, attempted = (sum(r[k] for r in results[side]) for k in ("failed", "attempted"))
+        print(f"{side}: {failed} of {attempted} operations failed "
+              f"({failed / max(attempted, 1):.3g})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
