@@ -20,8 +20,9 @@ are classified from (`ProcessModel.variable_uses`) are computed once for
 every model, and `compile_model` reuses them. Computing the variable
 uses walks each expression once (`feel.types.scan`), for its free
 variables and its type evidence together; the walk's result is kept
-there, so type and domain inference in `compile_model` walk no
-expression of the model again.
+there, so type inference in `compile_model` walks no expression of the
+model again. Domain inference walks again each expression that reads an
+input variable (`inputs.facts_from_expr`).
 Validation checks whole lists with comprehensions, and walks the nodes
 in order only to report the first fault of a kind it found.
 

@@ -7,11 +7,14 @@ table compiles itself once into a closure with its output entries folded
 (`dmn` module), which type inference reads too.
 
 Compiling is one pass over the nodes, each lowered by the `_Lowering`
-method of its kind, then type and domain inference. Both read what
-parsing found when it walked each expression (`ProcessModel.variable_uses`:
-free variables and type evidence), so only the input expressions of a
-table, which parsing did not see, are walked here; domain inference skips
-an expression that reads no input variable. Each business rule task is
+method of its kind, then type and domain inference over one list of
+expressions. Type inference reads what parsing found when it walked each
+expression (`ProcessModel.variable_uses`: free variables and type
+evidence), so only the input expressions of a table and the expressions
+its cells test (`x <= 9` for the cell `<= 9` of a column bound to `x`),
+which parsing did not see, are scanned here. Domain inference walks again
+each expression that reads an input variable (`inputs.facts_from_expr`)
+and skips the rest. Each business rule task is
 resolved once, when it is lowered, into its `InvokeTable` step (every
 binding, an ioMapping side it leaves out defaulted to the table's
 columns); inference reads the task from that step and its table.
@@ -195,10 +198,9 @@ def compile_model(model: ProcessModel, tables, *, sample_seed: int = 0,
                                     lower(lowering, node, out[node.id]))
 
     calls = lowering.table_calls
-    cells = [_cell_facts(step, table) for step, table in calls.values()]
-    expressions = _expressions(model, calls)
-    types = _infer_variable_types(model, calls, cells, roles, diagnostics, expressions)
-    domains, domain_diags = _infer_input_domains(roles, cells, expressions)
+    expressions, opaque = _expressions(model, calls)
+    types = _infer_variable_types(model, calls, roles, diagnostics, expressions)
+    domains, domain_diags = _infer_input_domains(roles, expressions, opaque)
     diagnostics.extend(domain_diags)
 
     rng = random.Random(sample_seed)
@@ -372,12 +374,14 @@ def _matching_join(gateway_id: str, out: dict[str, list[SequenceFlow]],
 
 # --- variable typing and input domains --------------------------------------
 
-def _expressions(model: ProcessModel, calls: TableCalls) -> list[Scanned]:
+def _expressions(model: ProcessModel, calls: TableCalls):
     """Every expression the inference reads, with its free variables and
-    type evidence: the flow conditions, then each node's in step order. The
-    model's own expressions were walked when it was parsed
-    (`ProcessModel.variable_uses`); only the arguments of a table call
-    that a business rule task leaves to its table are walked here."""
+    type evidence: the flow conditions, each node's in step order, then the
+    expressions the table cells test (`_cell_facts`); and the domain facts
+    of table columns bound to more than a plain variable. The model's own
+    expressions were walked when it was parsed (`ProcessModel.variable_uses`);
+    only the arguments of a table call that a business rule task leaves to
+    its table, and the cells, are walked here."""
     uses = model.variable_uses
     expressions = list(uses.conditions)
     for node, scanned in uses.writers:
@@ -385,52 +389,55 @@ def _expressions(model: ProcessModel, calls: TableCalls) -> list[Scanned]:
             step, _ = calls[node.id]
             scanned = [(expr, *scan(expr)) for _, expr in step.arg_bindings]
         expressions.extend(scanned)
-    return expressions
+    opaque = []
+    for step, table in calls.values():
+        tested, richer = _cell_facts(step, table)
+        expressions.extend(tested)
+        opaque.extend(richer)
+    return expressions, opaque
 
 
 def _cell_facts(step: InvokeTable, table: dmn.DecisionTable):
-    """(variable, unary test) pairs for columns bound to a plain variable,
-    plus unhandled markers for columns bound to anything richer."""
-    plain: list[tuple[str, ast.UnaryTest]] = []
-    opaque: list[tuple[str, str]] = []  # (variable, source text)
+    """The expressions that the cells of each column bound to a plain
+    variable test (`_test_as_exprs`), scanned, in column then rule order;
+    and an unhandled-domain fact for each variable of a column bound to
+    anything richer."""
+    tested: list[Scanned] = []
+    opaque = []
     for j, (_, expr) in enumerate(step.arg_bindings):  # in column order
         if isinstance(expr, ast.Var):
             for rule in table.rules:
-                plain.append((expr.name, rule.input_entries[j]))
+                for test_expr in _test_as_exprs(expr.name, rule.input_entries[j]):
+                    tested.append((test_expr, *scan(test_expr)))
         else:
-            for var in sorted(ast.free_variables(expr)):
-                opaque.append((var, feel.render(expr)))
-    return plain, opaque
+            fact = inputs_mod._Fact("other", source=feel.render(expr))
+            opaque.extend((var, fact) for var in sorted(ast.free_variables(expr)))
+    return tested, opaque
 
 
-def _test_as_exprs(var: str, test: ast.UnaryTest) -> list[ast.FeelExpr]:
+def _test_as_exprs(var: str, test: ast.UnaryTest):
+    """The expressions a cell bound to `var` tests, such as `var <= 9` for
+    `<= 9`; a dash and an equality with null test none."""
     if isinstance(test, ast.EqualsConst) and test.value is not None:
-        return [ast.BinOp("=", ast.Var(var), ast.Lit(test.value))]
-    if isinstance(test, ast.Comparison):
-        return [ast.BinOp(test.op, ast.Var(var), test.operand)]
-    if isinstance(test, ast.RangeTest):
+        yield ast.BinOp("=", ast.Var(var), ast.Lit(test.value))
+    elif isinstance(test, ast.Comparison):
+        yield ast.BinOp(test.op, ast.Var(var), test.operand)
+    elif isinstance(test, ast.RangeTest):
         r = test.range
-        return [ast.InTest(ast.Var(var),
-                           ast.RangeLit(ast.Lit(r.lo), ast.Lit(r.hi), r.lo_incl, r.hi_incl))]
-    if isinstance(test, ast.Negation):
-        return _test_as_exprs(var, test.inner)
-    if isinstance(test, ast.Disjunction):
-        out = []
+        yield ast.InTest(ast.Var(var),
+                         ast.RangeLit(ast.Lit(r.lo), ast.Lit(r.hi), r.lo_incl, r.hi_incl))
+    elif isinstance(test, ast.Negation):
+        yield from _test_as_exprs(var, test.inner)
+    elif isinstance(test, ast.Disjunction):
         for alt in test.alternatives:
-            out.extend(_test_as_exprs(var, alt))
-        return out
-    return []
+            yield from _test_as_exprs(var, alt)
 
 
-def _infer_variable_types(model, calls: TableCalls, cells, roles, diagnostics,
+def _infer_variable_types(model, calls: TableCalls, roles, diagnostics,
                           expressions: list[Scanned]) -> dict[str, StaticType]:
     types: dict[str, StaticType] = {}
     for _, _, evidence in expressions:
         apply_evidence(types, evidence)
-    for plain, _ in cells:
-        for var, test in plain:
-            for expr in _test_as_exprs(var, test):
-                apply_evidence(types, scan(expr)[1])
     unknown = StaticType.UNKNOWN
     for name in roles:
         types.setdefault(name, unknown)
@@ -545,7 +552,7 @@ def _propagate_assigned_types(model, calls: TableCalls, roles, types) -> None:
         round_ = list(next_round)
 
 
-def _infer_input_domains(roles, cells, expressions: list[Scanned]):
+def _infer_input_domains(roles, expressions: list[Scanned], opaque: list):
     input_vars = {n for n, role in roles.items() if role.role == "input"}
     # only a name that is read gives a fact, and every name read is free
     # but `item` in a filter
@@ -554,14 +561,7 @@ def _infer_input_domains(roles, cells, expressions: list[Scanned]):
     for expr, free, _ in expressions:
         if every or not free.isdisjoint(input_vars):
             facts.extend(inputs_mod.facts_from_expr(expr, input_vars))
-    for plain, opaque in cells:
-        for var, test in plain:
-            if var in input_vars:
-                facts.extend(inputs_mod.facts_from_unary_test(var, test))
-        for var, source in opaque:
-            if var in input_vars:
-                facts.append((var, inputs_mod._Fact("other", source=source)))
-    return inputs_mod.infer_domains(input_vars, facts)
+    return inputs_mod.infer_domains(input_vars, facts + opaque)
 
 
 # --- readable source ---------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Callable
 
 from . import feel, safexml
 from .safexml import LocalNames
-from .errors import (AnyConflictError, NoMatchError, SchemaError,
+from .errors import (AnyConflictError, BprocError, NoMatchError, SchemaError,
                      UniquenessViolationError, UnsupportedHitPolicyError)
 from .feel import ast
 
@@ -24,7 +24,6 @@ _HIT_POLICIES = {"FIRST": "First", "UNIQUE": "Unique", "ANY": "Any"}
 class Rule:
     input_entries: tuple[ast.UnaryTest, ...]
     output_entries: tuple[ast.FeelExpr, ...]  # variable-free
-    annotation: str | None = None
 
     def is_all_dash(self) -> bool:
         return all(isinstance(t, ast.Dash) for t in self.input_entries)
@@ -145,13 +144,14 @@ def _parse_table(dt, decision_id: str, name: str, local: LocalNames) -> Decision
     hit_policy = _HIT_POLICIES[long_form]
 
     inputs = []
-    for column in _children_named(dt, "input", local):
+    for j, column in enumerate(_children_named(dt, "input", local), start=1):
         label = column.get("label")
         expr_el = _first_child_named(column, "inputExpression", local)
         expr_text = (_text_of(expr_el, local) or "").strip()
         if not expr_text:
             raise SchemaError(f"table {decision_id!r}: input column without expression")
-        inputs.append((label or expr_text, feel.parse_expr(expr_text)))
+        expr = _located(feel.parse_expr, expr_text, f"table {decision_id!r} input {j}")
+        inputs.append((label or expr_text, expr))
 
     outputs = []
     for column in _children_named(dt, "output", local):
@@ -161,26 +161,39 @@ def _parse_table(dt, decision_id: str, name: str, local: LocalNames) -> Decision
         outputs.append(out_name)
 
     rules = []
-    for rule_el in _children_named(dt, "rule", local):
-        entries = []
-        for cell in _children_named(rule_el, "inputEntry", local):
-            entries.append(feel.parse_unary_test(_text_of(cell, local) or ""))
-        out_entries = []
-        for cell in _children_named(rule_el, "outputEntry", local):
-            cell_text = (_text_of(cell, local) or "").strip()
-            if not cell_text:
-                raise SchemaError(f"table {decision_id!r}: empty output entry")
-            expr = feel.parse_expr(cell_text)
-            if ast.free_variables(expr):
-                raise SchemaError(f"table {decision_id!r}: output entry {cell_text!r} "
-                                  f"must be variable-free")
-            out_entries.append(expr)
-        ann_el = _first_child_named(rule_el, "description", local)
-        annotation = ann_el.text.strip() if ann_el is not None and ann_el.text else None
-        rules.append(Rule(tuple(entries), tuple(out_entries), annotation))
+    for i, rule_el in enumerate(_children_named(dt, "rule", local), start=1):
+        where = f"table {decision_id!r} rule {i}"
+        rules.append(Rule(_entries(rule_el, "input", feel.parse_unary_test, where, local),
+                          _entries(rule_el, "output", _output_entry, where, local)))
 
     return DecisionTable(decision_id, name, hit_policy, tuple(inputs), tuple(outputs),
                          tuple(rules))
+
+
+def _entries(rule_el, kind: str, parse: Callable, where: str, local: LocalNames) -> tuple:
+    """The rule's input or output entries (`kind`), each read by `parse`."""
+    return tuple(_located(parse, _text_of(cell, local) or "", f"{where} {kind} {j}")
+                 for j, cell in enumerate(_children_named(rule_el, kind + "Entry", local),
+                                          start=1))
+
+
+def _located(parse: Callable, text: str, where: str):
+    """`parse(text)`; a BprocError it raises keeps its class, and its
+    message starts with `where`, the place of the text in its table."""
+    try:
+        return parse(text)
+    except BprocError as exc:
+        exc.args = (f"{where}: {exc.args[0]}", *exc.args[1:])
+        raise
+
+
+def _output_entry(text: str) -> ast.FeelExpr:
+    if not text.strip():
+        raise SchemaError("empty output entry")
+    expr = feel.parse_expr(text)
+    if ast.free_variables(expr):
+        raise SchemaError(f"output entry {text.strip()!r} must be variable-free")
+    return expr
 
 
 def evaluate_table(table: DecisionTable, args: dict[str, object]) -> dict[str, object]:

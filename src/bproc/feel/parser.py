@@ -14,13 +14,16 @@
 # depth of each subtree as it builds it (and the nesting still open on the
 # way down), so every walk over a parsed tree stays within a fixed
 # recursion depth.
+# A decision-table cell is read from the same tokens (`unary_tests`), so its
+# error columns count from the cell's first character.
 
 from __future__ import annotations
 
 import re
 
-from ..errors import FeelSyntaxError
+from ..errors import FeelSyntaxError, SchemaError, UndefinedValueError
 from . import ast
+from .evaluator import evaluate
 from .values import FeelRange, Temporal
 
 MAX_DEPTH = 100
@@ -62,6 +65,8 @@ _INFIX = {
 _AFTER_NAME = frozenset(("(", "[", "."))
 _EXPRESSION_START = frozenset({"number", "string", "name", "(", "[", "{", "true", "false",
                                "null"})
+#: the token texts that end a cell test: `,`, the `)` of a not(...) group, end of input
+_TEST_END = frozenset((",", ")", ""))
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -130,8 +135,9 @@ class _Parser:
     """Each parse method takes `depth`, the number of levels already open
     around the text it parses, and returns (tree, the tree's own depth)."""
 
-    def __init__(self, tokens: list[tuple[str, str, int]]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.i = 0
 
     def advance(self) -> tuple[str, str, int]:
@@ -348,6 +354,68 @@ class _Parser:
         self.expect("}")
         return self.checked(ast.ContextLit(tuple(entries)), height + 1, depth, column)
 
+    # --- decision-table cells: each expression starts at depth 0, and
+    # `nots` counts the not(...) groups open around a test
+
+    def unary_tests(self, nots: int) -> ast.UnaryTest:
+        """One test, or a disjunction of the tests joined by `,`."""
+        tests = [self.unary_test(nots)]
+        while self.tokens[self.i][1] == ",":
+            self.i += 1
+            tests.append(self.unary_test(nots))
+        return tests[0] if len(tests) == 1 else ast.Disjunction(tuple(tests))
+
+    def unary_test(self, nots: int) -> ast.UnaryTest:
+        tokens, start = self.tokens, self.i
+        _, text, column = tokens[start]
+        if text in _TEST_END or text == "-" and tokens[start + 1][1] in _TEST_END:
+            self.i += text == "-"
+            self.end_of_test(nots)
+            return ast.Dash()
+        if text == "not" and tokens[start + 1][1:] == ("(", column + 3):
+            # a group, unless the test reads as one expression that does
+            # not end with `)`
+            try:
+                self.expression(1, 0)
+            except FeelSyntaxError:
+                group = True
+            else:
+                self.end_of_test(nots)
+                group = tokens[self.i - 1][1] == ")"
+            self.i = start
+            if group:
+                if nots == MAX_DEPTH:
+                    raise _too_deep(column)
+                self.i += 2
+                inner = self.unary_tests(nots + 1)
+                self.expect(")")
+                self.end_of_test(nots)
+                return ast.Negation(inner)
+        op = text if text in ("<", "<=", ">", ">=") else None
+        self.i += op is not None
+        expr, _ = self.expression(1, 0)
+        source = self.text[column - 1:self.end_of_test(nots) - 1].rstrip()
+        try:
+            value = evaluate(expr, {})
+        except UndefinedValueError as exc:
+            raise SchemaError(f"cell {source!r} is not a constant: {exc}") from exc
+        if op is not None:
+            return ast.Comparison(op, expr)
+        if isinstance(value, FeelRange):
+            return ast.RangeTest(value)
+        if isinstance(value, (list, dict)):
+            raise SchemaError(f"cell {source!r} must be a scalar constant or a range")
+        return ast.EqualsConst(value)
+
+    def end_of_test(self, nots: int) -> int:
+        """The column of the token after a test, which must end it (checked
+        before an operand of the test is evaluated)."""
+        _, follows, column = self.tokens[self.i]
+        if follows not in (",", ")" if nots else ""):
+            raise FeelSyntaxError(f"unexpected trailing input {follows!r}", column,
+                                  {",", ")" if nots else "end of input"})
+        return column
+
 
 def parse_expr(text: str) -> ast.FeelExpr:
     """Parse source text into its unique AST.
@@ -358,7 +426,7 @@ def parse_expr(text: str) -> ast.FeelExpr:
     """
     if not text or text.isspace():
         raise FeelSyntaxError("empty expression", 1, {"expression"})
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     expr, _ = parser.expression(1, 0)
     kind, rest, column = parser.tokens[parser.i]
     if kind != "eof":
@@ -366,84 +434,14 @@ def parse_expr(text: str) -> ast.FeelExpr:
     return expr
 
 
-# --- decision-table cell tests -------------------------------------------
-
 def parse_unary_test(text: str) -> ast.UnaryTest:
-    """Parse an input-entry cell: dash, constant, comparison, range, not(...),
-    or a comma-separated disjunction of those.
+    """Parse an input-entry cell: one test, or several joined by `,`. A test
+    is empty or `-` (a dash), a `not(...)` group of tests, `<`, `<=`, `>` or
+    `>=` and an expression, or a constant expression; every operand is
+    evaluated once, so it must be variable-free.
 
-    Raises FeelSyntaxError, with the 1-based column of the cell, where
-    `not(...)` wrappers nest more than MAX_DEPTH deep.
+    Raises FeelSyntaxError, with a 1-based column counted from the cell's
+    first character, for text outside the grammar and where `not(...)`
+    groups nest more than MAX_DEPTH deep.
     """
-    return _unary_test(text, 1, 0)
-
-
-def _unary_test(text: str, column: int, nots: int) -> ast.UnaryTest:
-    """The tests of `text`, which starts at `column` of its cell inside
-    `nots` not(...) wrappers."""
-    stripped = text.strip()
-    if stripped in ("", "-"):
-        return ast.Dash()
-    column += len(text) - len(text.lstrip())  # where `stripped` starts
-    parts = _split_top_level_commas(stripped)
-    if len(parts) > 1:
-        tests = []
-        for part in parts:
-            tests.append(_unary_test(part, column, nots))
-            column += len(part) + 1
-        return ast.Disjunction(tuple(tests))
-    if stripped.startswith("not(") and stripped.endswith(")"):
-        if nots == MAX_DEPTH:
-            raise _too_deep(column)
-        return ast.Negation(_unary_test(stripped[4:-1], column + 4, nots + 1))
-    return _single_test(stripped)
-
-
-def _single_test(text: str) -> ast.UnaryTest:
-    from ..errors import SchemaError, UndefinedValueError
-    from .evaluator import evaluate  # deferred; evaluator imports this module's ast only
-
-    def constant(expr):
-        try:
-            return evaluate(expr, {})
-        except UndefinedValueError as exc:
-            raise SchemaError(f"cell {text!r} is not a constant: {exc}") from exc
-
-    for op in ("<=", ">=", "<", ">"):
-        if text.startswith(op):
-            operand = parse_expr(text[len(op):])
-            constant(operand)  # cells must be variable-free
-            return ast.Comparison(op, operand)
-    value = constant(parse_expr(text))
-    if isinstance(value, FeelRange):
-        return ast.RangeTest(value)
-    if isinstance(value, (list, dict)):
-        raise SchemaError(f"cell {text!r} must be a scalar constant or a range")
-    return ast.EqualsConst(value)
-
-
-def _split_top_level_commas(text: str) -> list[str]:
-    parts = []
-    depth = 0
-    in_string = False
-    start = 0
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if in_string:
-            if c == "\\":
-                i += 1
-            elif c == '"':
-                in_string = False
-        elif c == '"':
-            in_string = True
-        elif c in "([{":
-            depth += 1
-        elif c in ")]}":
-            depth -= 1
-        elif c == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-        i += 1
-    parts.append(text[start:])
-    return parts
+    return _Parser(text).unary_tests(0)

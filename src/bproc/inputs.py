@@ -187,29 +187,6 @@ def _classify(op: str, const) -> _Fact:
     return _Fact("cmp", op=op, value=const)
 
 
-def facts_from_unary_test(var: str, test: ast.UnaryTest) -> list[tuple[str, _Fact]]:
-    """Evidence a decision-table cell contributes to its bound variable."""
-    if isinstance(test, ast.Dash):
-        return []
-    if isinstance(test, ast.EqualsConst):
-        return [(var, _Fact("eq", value=test.value))]
-    if isinstance(test, ast.Comparison):
-        value, ok = _constant_value(test.operand)
-        if ok:
-            return [(var, _Fact("cmp", op=test.op, value=value))]
-        return [(var, _Fact("other", source=feel.render_unary_test(test)))]
-    if isinstance(test, ast.RangeTest):
-        return [(var, _Fact("range", value=test.range))]
-    if isinstance(test, ast.Negation):
-        return facts_from_unary_test(var, test.inner)
-    if isinstance(test, ast.Disjunction):
-        out = []
-        for alt in test.alternatives:
-            out.extend(facts_from_unary_test(var, alt))
-        return out
-    return []
-
-
 # --- fact combination -----------------------------------------------------
 
 def infer_domains(input_vars, facts) -> tuple[dict[str, Domain], list[str]]:
@@ -451,13 +428,17 @@ def sampler(domain: Domain, static_type: StaticType, overrides: list | None = No
     toward w and the two boundary neighbourhoods; unhandled domains draw
     uniformly from the user-provided override list. Numeric draws stay
     within the finite doubles. A domain no draw can serve raises here: a
-    range or ball that holds none raises DomainMismatchError, an unhandled
-    domain without overrides MissingOverrideError. The calls a draw makes
+    range or ball that holds none, or an enum that holds NaN, raises
+    DomainMismatchError, an unhandled domain without overrides
+    MissingOverrideError. The calls a draw makes
     on `rng`, and their order, fix a campaign's inputs for its seed, so
     they must not change.
     """
     if isinstance(domain, EnumDomain):
         values = domain.values
+        if any(value != value for value in values):  # NaN, which an inputs file cannot hold
+            raise DomainMismatchError(name, f"cannot be drawn: {render_domain(domain)} "
+                                            f"holds NaN")
         return lambda rng: rng.choice(values)
     if isinstance(domain, RangeDomain):
         return _interval_sampler(domain, static_type, name)

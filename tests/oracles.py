@@ -663,10 +663,13 @@ def reference_sample_domain(domain: Domain, static_type: StaticType, rng: random
     balls around w span [w-R, w+R] with R = max(1, |w|) and a 0.3 bias
     toward w and the two boundary neighbourhoods; unhandled domains draw
     uniformly from the user-provided override list. Numeric draws stay
-    within the finite doubles; a range or ball that holds none raises
-    DomainMismatchError.
+    within the finite doubles; a range or ball that holds none, or an enum
+    that holds NaN, raises DomainMismatchError.
     """
     if isinstance(domain, EnumDomain):
+        if any(value != value for value in domain.values):
+            raise DomainMismatchError(name, f"cannot be drawn: {render_domain(domain)} "
+                                            f"holds NaN")
         return rng.choice(domain.values)
     if isinstance(domain, RangeDomain):
         return _sample_interval(domain, static_type, rng, name)

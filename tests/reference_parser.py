@@ -1,9 +1,15 @@
-"""Reference expression parser for the test suite.
+"""Reference expression and cell parsers for the test suite.
 
 `reference_parse_expr` is the recursive-descent parser with one method per
 precedence level that `bproc.feel.parser` had before its operator-table
 parser. The current parser must give the same tree for every text, or the
 same error message, column and expected set.
+
+`reference_parse_unary_test` is the cell parser `bproc.feel.parser` had
+before it read cells with its expression tokenizer: it cuts the cell's
+text at top-level commas and at `not(` ... `)` by characters, and parses
+each fragment as an expression. The current parser must give the same
+tree for every cell this one accepts, and reject every cell it rejects.
 
 It lives apart from `oracles.py` because the benchmark imports that module
 in every run.
@@ -13,9 +19,10 @@ from __future__ import annotations
 
 import re
 
-from bproc.errors import FeelSyntaxError
-from bproc.feel import ast
-from bproc.feel.values import Temporal
+from bproc.errors import FeelSyntaxError, SchemaError, UndefinedValueError
+from bproc.feel import ast, evaluate, parse_expr
+from bproc.feel.parser import MAX_DEPTH
+from bproc.feel.values import FeelRange, Temporal
 
 _TOKEN_RE = re.compile(
     r"""
@@ -317,3 +324,81 @@ def reference_parse_expr(text: str) -> ast.FeelExpr:
     if not text or not text.strip():
         raise FeelSyntaxError("empty expression", 1, {"expression"})
     return _Parser(text).parse()
+
+
+def reference_parse_unary_test(text: str) -> ast.UnaryTest:
+    """Parse an input-entry cell: dash, constant, comparison, range, not(...),
+    or a comma-separated disjunction of those.
+
+    Raises FeelSyntaxError, with the 1-based column of the cell, where
+    `not(...)` wrappers nest more than MAX_DEPTH deep.
+    """
+    return _unary_test(text, 1, 0)
+
+
+def _unary_test(text: str, column: int, nots: int) -> ast.UnaryTest:
+    """The tests of `text`, which starts at `column` of its cell inside
+    `nots` not(...) wrappers."""
+    stripped = text.strip()
+    if stripped in ("", "-"):
+        return ast.Dash()
+    column += len(text) - len(text.lstrip())  # where `stripped` starts
+    parts = _split_top_level_commas(stripped)
+    if len(parts) > 1:
+        tests = []
+        for part in parts:
+            tests.append(_unary_test(part, column, nots))
+            column += len(part) + 1
+        return ast.Disjunction(tuple(tests))
+    if stripped.startswith("not(") and stripped.endswith(")"):
+        if nots == MAX_DEPTH:
+            raise FeelSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", column)
+        return ast.Negation(_unary_test(stripped[4:-1], column + 4, nots + 1))
+    return _single_test(stripped)
+
+
+def _single_test(text: str) -> ast.UnaryTest:
+    def constant(expr):
+        try:
+            return evaluate(expr, {})
+        except UndefinedValueError as exc:
+            raise SchemaError(f"cell {text!r} is not a constant: {exc}") from exc
+
+    for op in ("<=", ">=", "<", ">"):
+        if text.startswith(op):
+            operand = parse_expr(text[len(op):])
+            constant(operand)  # cells must be variable-free
+            return ast.Comparison(op, operand)
+    value = constant(parse_expr(text))
+    if isinstance(value, FeelRange):
+        return ast.RangeTest(value)
+    if isinstance(value, (list, dict)):
+        raise SchemaError(f"cell {text!r} must be a scalar constant or a range")
+    return ast.EqualsConst(value)
+
+
+def _split_top_level_commas(text: str) -> list[str]:
+    parts = []
+    depth = 0
+    in_string = False
+    start = 0
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if in_string:
+            if c == "\\":
+                i += 1
+            elif c == '"':
+                in_string = False
+        elif c == '"':
+            in_string = True
+        elif c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+        elif c == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+        i += 1
+    parts.append(text[start:])
+    return parts

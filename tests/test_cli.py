@@ -447,8 +447,8 @@ def test_a_cell_past_the_not_depth_limit_is_a_model_error(command, tmp_path):
     assert run_cli(*argv, "at.dmn", "--out", "plain", cwd=tmp_path) == expected
     code, _, err = run_cli(*argv, "past.dmn", "--out", "past", cwd=tmp_path)
     assert (code, err.splitlines()) == \
-        (3, [f"bproc: FeelSyntaxError: expression nests deeper than {MAX_DEPTH} levels "
-             f"(column {4 * MAX_DEPTH + 1})"])
+        (3, [f"bproc: FeelSyntaxError: table 'GetLengthDT' rule 1 input 1: expression "
+             f"nests deeper than {MAX_DEPTH} levels (column {4 * MAX_DEPTH + 1})"])
     assert not (tmp_path / "past").exists()
 
 
@@ -485,3 +485,29 @@ def test_floor_of_an_infinite_double_is_an_engine_fault(name, tmp_path):
     message = f"Activity_Init: {name}(...) takes a finite number"
     assert (code, err.splitlines()) == (4, [f"bproc: engine fault: {message}"])
     assert out.startswith(f"fault: ENGINE_FAULT ({message})")
+
+
+def test_a_malformed_cell_is_named_by_its_table_rule_and_column(tmp_path):
+    dmn_file = tmp_path / "shipment.dmn"
+    text = pathlib.Path(SHIPMENT[1]).read_text(encoding="utf-8")
+    malformed = text.replace("<dmn:text>&lt;= 9.0</dmn:text>", "<dmn:text>&lt;= 9.0 +</dmn:text>")
+    assert malformed.count("9.0 +") == 1
+    dmn_file.write_text(malformed, encoding="utf-8")
+    code, _, err = run_cli("test", SHIPMENT[0], str(dmn_file), "-n", "5", cwd=tmp_path)
+    assert code == 3
+    assert err.splitlines() == ["bproc: FeelSyntaxError: table 'DetermineModeDT' rule 2 "
+                                "input 2: expected an expression, found 'end of input' "
+                                "(column 9)"]
+
+
+def test_a_condition_that_holds_only_for_nan_is_a_model_error(tmp_path):
+    bpmn_file = tmp_path / "quote.bpmn"
+    text = (FIXTURES / "quote.bpmn").read_text(encoding="utf-8")
+    bpmn_file.write_text(text.replace("base in [1..10]", "base = 1e999 - 1e999"),
+                         encoding="utf-8")
+    for command in ("inputs", "run"):
+        code, _, err = run_cli(command, str(bpmn_file), cwd=tmp_path)
+        assert code == 3
+        assert err.splitlines() == ["bproc: DomainMismatchError: sample for 'base' cannot "
+                                    "be drawn: ENUM(nan) holds NaN"]
+    assert not (tmp_path / "out").exists()

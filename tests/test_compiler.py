@@ -10,6 +10,7 @@ from bproc.compiler import (Assign, Branch, Continue, ConsumeInputs, Fork, Invok
 from bproc.dmn import DecisionTable, Rule
 from bproc.errors import DivisionByZeroError, SchemaError, UnresolvedTableError
 from bproc.feel import ast, parse_expr, render
+from bproc.inputs import render_domain
 
 from conftest import FIXTURES, compile_fixture, load_fixture
 from test_runtime import INCLUSIVE, compile_inline
@@ -333,3 +334,32 @@ def test_an_io_mapping_that_misses_the_table_fails_compilation(mapping, message)
                         f"{CHOOSE_CONSENT}<ext:ioMapping>{mapping}</ext:ioMapping>")
     with pytest.raises(SchemaError, match=re.escape(f"task 'Activity_ChooseConsent' {message}")):
         compile_model(parse_bpmn(text.encode()), tables)
+
+
+ONE_TABLE = ('<?xml version="1.0"?><definitions '
+             'xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL" xmlns:ext="http://x/ext">'
+             '<process id="p" name="P"><startEvent id="s"/><businessRuleTask id="b">'
+             '<extensionElements><ext:calledDecision decisionId="T"/></extensionElements>'
+             '</businessRuleTask><endEvent id="e"/>'
+             '<sequenceFlow id="f0" sourceRef="s" targetRef="b"/>'
+             '<sequenceFlow id="f1" sourceRef="b" targetRef="e"/></process></definitions>')
+
+
+@pytest.mark.parametrize("cell, static_type, domain", [
+    ("-", StaticType.STRING, "UNHANDLED()"),
+    ('"a"', StaticType.STRING, 'ENUM("a")'),
+    ("<= 9", StaticType.INTEGER, "BALL(9)"),
+    ("[1..5]", StaticType.INTEGER, "RANGE([1,5])"),
+    ('not("a")', StaticType.STRING, 'ENUM("a")'),
+    ("1, 2", StaticType.INTEGER, "ENUM(1,2)"),
+    # ordering against null holds for no value, so it is no evidence, as
+    # `x < null` in a condition is none
+    ("< null", StaticType.STRING, "UNHANDLED()"),
+])
+def test_a_cell_kind_infers_the_type_and_domain_of_its_column(cell, static_type, domain):
+    table = DecisionTable("T", "T", "First", (("x", ast.Var("x")),), ("o",),
+                          (Rule((feel.parse_unary_test(cell),), (ast.Lit(1),)),))
+    x = compile_model(parse_bpmn(ONE_TABLE), [table])
+    spec = x.input_spec("x")
+    assert (spec.static_type, render_domain(spec.domain)) == (static_type, domain)
+    assert not any("mixed numeric" in note for note in x.diagnostics)

@@ -103,6 +103,22 @@ def test_an_over_long_integer_cell_is_a_syntax_error():
         parse_dmn(past)
 
 
+@pytest.mark.parametrize("text, malformed, error, message", [
+    ("<text>x</text>", "<text>x +</text>", FeelSyntaxError,
+     "table 'D1' input 1: expected an expression, found 'end of input' (column 4)"),
+    ("<text>-</text>", "<text>1, x</text>", SchemaError,
+     "table 'D1' rule 2 input 1: cell 'x' is not a constant: variable 'x' is not bound"),
+    ('<text>"other"</text>', "<text> y </text>", SchemaError,
+     "table 'D1' rule 2 output 1: output entry 'y' must be variable-free"),
+])
+def test_an_error_in_a_table_names_where_it_is(text, malformed, error, message):
+    doc = MINIMAL_DMN.format(policy="")
+    assert doc.count(text) == 1
+    with pytest.raises(error) as exc_info:
+        parse_dmn(doc.replace(text, malformed))
+    assert str(exc_info.value) == message
+
+
 def test_input_cells_must_be_constant():
     doc = MINIMAL_DMN.format(policy="").replace("<text>1</text>",
                                                 "<text>someVar + 1</text>")

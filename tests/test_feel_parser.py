@@ -2,10 +2,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import generators
 from bproc import evaluate, parse_expr, parse_unary_test, render
-from bproc.errors import FeelSyntaxError, SchemaError
+from bproc.errors import BprocError, FeelSyntaxError, SchemaError
 from bproc.feel import ast, compile_expr, compile_unary, infer_types, render_value, synthesize
 from bproc.feel.ast import free_variables
 from bproc.feel.parser import MAX_DEPTH, MAX_INT_DIGITS
@@ -13,7 +14,7 @@ from bproc.feel.render import render_unary_test
 from bproc.feel.values import FeelRange, Temporal
 from bproc.inputs import facts_from_expr
 
-from reference_parser import reference_parse_expr
+from reference_parser import reference_parse_expr, reference_parse_unary_test
 
 
 def test_list_filter_shape():
@@ -134,6 +135,64 @@ def test_unary_test_render_round_trip():
     for text in ["-", '"xl"', "<= 9", "[3..10)", 'not(<= 2)', '1, 2, [4..6]']:
         test = parse_unary_test(text)
         assert parse_unary_test(render_unary_test(test)) == test
+
+
+@pytest.mark.parametrize("cell, column", [
+    ("< 1 +", 6), ("1, 2 +", 7), ("not(1 +)", 8), ("  1 +", 6)])
+def test_a_cell_syntax_error_column_counts_from_the_cell(cell, column):
+    with pytest.raises(FeelSyntaxError) as exc_info:
+        parse_unary_test(cell)
+    assert exc_info.value.column == column
+
+
+def test_not_reads_as_a_group_only_when_the_group_is_the_whole_test():
+    assert parse_unary_test("not (true)") == ast.EqualsConst(False)  # `not` applied to true
+    assert parse_unary_test("not(true) = false") == ast.EqualsConst(True)
+    assert parse_unary_test("not(1, <2), -") == ast.Disjunction(
+        (ast.Negation(ast.Disjunction((ast.EqualsConst(1),
+                                       ast.Comparison("<", ast.Lit(2))))), ast.Dash()))
+    with pytest.raises(FeelSyntaxError):
+        parse_unary_test("not(true) or not(false)")
+
+
+_CELL_VOCABULARY = (
+    "not(", "not", "(", ")", "[", "]", "..", ",", "-", "<", "<=", ">", ">=", "=", "!=",
+    "+", "*", "and", "or", "in", "0", "1", "2.5", "1e999", '"a"', '"a,b"', '"x)"',
+    '"not("', '"\\""', "true", "false", "null", "x", "{k: 1}", "[1, 2]", "abs(",
+    'date("2020-01-02")', "@",
+)
+_token_cells = st.lists(st.sampled_from([token + space for token in _CELL_VOCABULARY
+                                         for space in ("", " ")]), max_size=8).map("".join)
+
+
+def _rendered(test) -> str | None:
+    """The cell text of a generated test; None for a date out of range, which
+    the generators draw for the evaluator's sake."""
+    try:
+        return render_unary_test(test)
+    except ValueError:
+        return None
+
+
+_rendered_cells = st.one_of(generators.unary_tests, generators.cells).map(_rendered).filter(
+    lambda cell: cell is not None)
+
+
+def _tree(parse, cell):
+    """The cell's tree, written out so that NaN equals NaN."""
+    return repr(parse(cell))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.one_of(_token_cells, _rendered_cells))
+def test_cells_parse_as_the_character_level_reference_parses_them(cell):
+    try:
+        expected = _tree(reference_parse_unary_test, cell)
+    except BprocError:
+        with pytest.raises(BprocError):
+            parse_unary_test(cell)
+    else:
+        assert _tree(parse_unary_test, cell) == expected
 
 
 # --- render round trip --------------------------------------------------------

@@ -316,6 +316,7 @@ def _draws_or_error(draw_all):
 @example(BallDomain(10**400), StaticType.INTEGER, None, 0)
 @example(BallDomain(math.nan), StaticType.DOUBLE, None, 0)
 @example(EnumDomain(()), StaticType.UNKNOWN, None, 0)
+@example(EnumDomain((1, math.nan)), StaticType.DOUBLE, None, 0)  # FEEL has no NaN literal
 @example(UnhandledDomain(()), StaticType.DOUBLE, None, 0)
 @example(UnhandledDomain(()), StaticType.DOUBLE, [], 0)
 @example(UnhandledDomain(()), StaticType.INTEGER, [1, 2.0, -0.0], 0)
