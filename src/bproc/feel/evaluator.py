@@ -128,6 +128,8 @@ def _binop(expr: ast.BinOp) -> Compiled:
     if type(expr.left) is ast.Var and type(expr.right) is ast.Lit:
         if op in _ORDER_HOLDS:
             return _var_order_lit(op, expr.left.name, expr.right.value)
+        if op in ("=", "!="):
+            return _var_equals_lit(op == "!=", expr.left.name, expr.right.value)
         if op in _NUMERIC:
             return _var_arith_lit(op, expr.left.name, expr.right.value)
     left = compile_expr(expr.left)
@@ -191,6 +193,34 @@ def _var_order_lit(op: str, name: str, b) -> Compiled:
             return (a < b if below else a > b) is not negated
         return holds[compare(a, b)]
     return var_order_lit
+
+
+def _inline_classes(b) -> frozenset:
+    """The exact classes of the values that `equals` and `compare` settle
+    against `b` by Python's own `==` and ordering: str against a str, the
+    numbers against a number, none against anything else."""
+    if type(b) is str:
+        return _STRINGS
+    return _NUMBERS if type(b) in _NUMBERS else _NONE
+
+
+_STRINGS, _NONE = frozenset((str,)), frozenset()
+
+
+def _var_equals_lit(negated: bool, name: str, b) -> Compiled:
+    """`_equality` of `_var(name)` and `_lit(b)`, in one closure: `a == b`
+    inline for the classes `_inline_classes(b)` names, else `equals`."""
+    inline = _inline_classes(b)
+
+    def var_equals_lit(env):
+        try:
+            a = env[name]
+        except KeyError:
+            raise UndefinedValueError(f"variable {name!r} is not bound") from None
+        if a is UNDEFINED:
+            raise UndefinedValueError("operation touches an undefined variable")
+        return (a == b if type(a) in inline else equals(a, b)) is not negated
+    return var_equals_lit
 
 
 def _var_arith_lit(op: str, name: str, b) -> Compiled:
@@ -470,14 +500,20 @@ def _equals_const(test: ast.EqualsConst):
     return equals_const
 
 
-def _comparison(test: ast.Comparison):
-    op = test.op
+def _bound(test: ast.Comparison) -> tuple[Compiled, object, bool]:
+    """The compiled operand of a variable-free ordering, its value and
+    whether it has one: an operand that raises is evaluated again, and
+    raises again, on every call."""
     operand = compile_expr(test.operand)
     try:
-        bound, folded = operand({}), True  # variable-free: evaluated once
-    except Exception:  # raised again, after the value checks, on every call
-        bound, folded = None, False
-    holds = _ORDER_HOLDS[op]
+        return operand, operand({}), True
+    except Exception:
+        return operand, None, False
+
+
+def _comparison(test: ast.Comparison):
+    operand, bound, folded = _bound(test)
+    holds = _ORDER_HOLDS[test.op]
 
     def comparison(value):
         _defined_scalar(value)
@@ -516,3 +552,34 @@ _TEST_COMPILERS = {
     ast.Dash: _dash, ast.EqualsConst: _equals_const, ast.Comparison: _comparison,
     ast.RangeTest: _range_test, ast.Negation: _negation, ast.Disjunction: _disjunction,
 }
+
+
+def compile_scalar_unary(test: ast.UnaryTest) -> Callable[[object], bool] | None:
+    """`compile_unary(test)` for a value whose exact class is in _SCALARS,
+    which passes every value check: None for a dash, which holds for every
+    such value. An equality, and an ordering against a folded bound, call
+    no check and compare inline where `equals` and `compare` would
+    (`_inline_classes`); every other test is `compile_unary`'s closure."""
+    cls = type(test)
+    if cls is ast.Dash:
+        return None
+    if cls is ast.EqualsConst:
+        const = test.value
+        inline = _inline_classes(const)
+
+        def scalar_equals(value):
+            return value == const if type(value) in inline else equals(value, const)
+        return scalar_equals
+    if cls is ast.Comparison:
+        _, bound, folded = _bound(test)
+        if folded:
+            op = test.op
+            holds, inline = _ORDER_HOLDS[op], _inline_classes(bound)
+            below, negated = op in ("<", ">="), op in ("<=", ">=")  # as in _var_order_lit
+
+            def scalar_order(value):
+                if type(value) in inline:
+                    return (value < bound if below else value > bound) is not negated
+                return holds[compare(value, bound)]
+            return scalar_order
+    return compile_unary(test)

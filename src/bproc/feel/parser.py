@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 
-from ..errors import FeelSyntaxError, SchemaError, UndefinedValueError
+from ..errors import FeelSyntaxError, SchemaError
 from . import ast
 from .evaluator import evaluate
 from .values import FeelRange, Temporal
@@ -395,10 +395,11 @@ class _Parser:
         self.i += op is not None
         expr, _ = self.expression(1, 0)
         source = self.text[column - 1:self.end_of_test(nots) - 1].rstrip()
-        try:
-            value = evaluate(expr, {})
-        except UndefinedValueError as exc:
-            raise SchemaError(f"cell {source!r} is not a constant: {exc}") from exc
+        names = ast.free_variables(expr)
+        if names:  # even one never read, as `y` in `false and y`
+            raise SchemaError(f"cell {source!r} is not a constant: "
+                              f"variable {min(names)!r} is not bound")
+        value = evaluate(expr, {})
         if op is not None:
             return ast.Comparison(op, expr)
         if isinstance(value, FeelRange):

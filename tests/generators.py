@@ -17,8 +17,12 @@
 - `random_table(rng)` draws a First-policy table and each column's
   exhaustive domain from a seeded `random.Random`; seeded corpora depend on
   its exact calls on `rng`. `tables()` builds one from the AST constructors,
-  whose cells and output entries (`unary_tests`, `expressions`, `values`)
-  reach kind errors, undefined values and every hit policy.
+  whose cells and output entries (`cells`, `expressions`, `values`) reach
+  kind errors, undefined values and every hit policy.
+- `unary_tests` and `cells` draw one seed per cell and build the cell from
+  it (`random_unary_test`, `random_cell`): a cell drawn node by node took
+  hypothesis about forty draws, which made drawing it cost several times
+  what parsing or evaluating it does.
 """
 
 from __future__ import annotations
@@ -311,10 +315,11 @@ class Level(enum.IntEnum):
     HIGH = 2
 
 
+_EDGE_NUMBERS = (0, 0.0, -0.0, math.nan, 10**20, 1e20, 1e308)
+_OTHER_SCALARS = ("x", "y", "", True, False, None, Text("x"), Level.LOW, Level.HIGH)
 numbers = st.one_of(st.integers(-3, 3), st.floats(allow_nan=True, allow_infinity=True),
-                    st.sampled_from([0, 0.0, -0.0, math.nan, 10**20, 1e20, 1e308]))
-scalars = st.one_of(numbers, st.sampled_from(["x", "y", "", True, False, None,
-                                              Text("x"), Level.LOW, Level.HIGH]),
+                    st.sampled_from(_EDGE_NUMBERS))
+scalars = st.one_of(numbers, st.sampled_from(_OTHER_SCALARS),
                     st.builds(Temporal, st.sampled_from(["date", "time"]),
                               st.integers(0, 800_000)))
 values = st.one_of(scalars, st.just(UNDEFINED), st.lists(scalars, max_size=3),
@@ -353,28 +358,76 @@ expressions = st.recursive(leaves, _extend, max_leaves=6)
 constant_expressions = st.recursive(st.builds(ast.Lit, scalars), _extend, max_leaves=4)
 
 
-def _unary_tests(children):
-    return st.one_of(st.builds(ast.Negation, children),
-                     st.builds(ast.Disjunction, st.lists(children, min_size=1,
-                                                         max_size=3).map(tuple)))
+# the leaves of the seeded cells below: the edge values of `numbers` and
+# `scalars`, and temporals, one of them a date out of range
+CELL_NUMBERS = (-3, -1, 1, 2, 3, 0.5, -2.5, math.inf, -math.inf, 5e-324) + _EDGE_NUMBERS
+CELL_SCALARS = CELL_NUMBERS + _OTHER_SCALARS + (
+    Temporal("date", 1), Temporal("date", 738_000), Temporal("date", 0), Temporal("time", 0),
+    Temporal("time", 86_399))
 
 
-unary_tests = st.recursive(
-    st.one_of(st.builds(ast.Dash), st.builds(ast.EqualsConst, scalars),
-              st.builds(ast.Comparison, st.sampled_from(["<", "<=", ">", ">="]),
-                        constant_expressions),
-              st.builds(ast.RangeTest, st.builds(FeelRange, st.one_of(numbers, st.just("b")),
-                                                 st.one_of(numbers, st.just("y")),
-                                                 st.booleans(), st.booleans()))),
-    _unary_tests, max_leaves=4)
+def random_constant(rng: random.Random, leaves: int) -> ast.FeelExpr:
+    """A variable-free expression of at most `leaves` literals, over the
+    node kinds of `expressions`."""
+    if leaves <= 1 or rng.random() < 0.4:
+        return ast.Lit(rng.choice(CELL_SCALARS))
+    a, b = random_constant(rng, leaves // 2), random_constant(rng, leaves - leaves // 2)
+    return rng.choice((
+        lambda: ast.Neg(a), lambda: ast.Not(a), lambda: ast.BinOp(rng.choice(OPS), a, b),
+        lambda: ast.Call(rng.choice(CALLS), (a, b)[:rng.randint(0, 2)]),
+        lambda: ast.ListLit((a, b)[:rng.randint(0, 2)]), lambda: ast.Index(a, b),
+        lambda: ast.Filter(a, b), lambda: ast.ContextLit((("k", a),)), lambda: ast.Path(a, "k"),
+        lambda: ast.RangeLit(a, b, rng.random() < 0.5, rng.random() < 0.5),
+        lambda: ast.InTest(a, b), lambda: ast.InstanceOf(a, rng.choice(("number", "string"))),
+    ))()
 
-# cells and arguments over a few small integers, so that rules match
-small = st.integers(0, 3)
-cells = st.one_of(st.builds(ast.Dash), st.builds(ast.EqualsConst, small),
-                  st.builds(ast.Comparison, st.sampled_from(["<", "<=", ">", ">="]),
-                            st.builds(ast.Lit, small)),
-                  st.builds(lambda lo, span: ast.RangeTest(FeelRange(lo, lo + span)), small, small),
-                  st.builds(ast.Dash), st.builds(ast.EqualsConst, small), unary_tests)
+
+def random_unary_test(rng: random.Random, leaves: int = 4) -> ast.UnaryTest:
+    """A cell test of every kind, over CELL_SCALARS and constant operands
+    that may raise; `leaves` bounds its size, and at 1 it is no negation or
+    disjunction."""
+    kind = rng.randrange(6 if leaves > 1 else 4)
+    if kind == 0:
+        return ast.Dash()
+    if kind == 1:
+        return ast.EqualsConst(rng.choice(CELL_SCALARS))
+    if kind == 2:
+        return ast.Comparison(rng.choice(("<", "<=", ">", ">=")),
+                              random_constant(rng, rng.randint(1, 4)))
+    if kind == 3:
+        return ast.RangeTest(FeelRange(rng.choice(CELL_NUMBERS + ("b",)),
+                                       rng.choice(CELL_NUMBERS + ("y",)),
+                                       rng.random() < 0.5, rng.random() < 0.5))
+    if kind == 4:
+        return ast.Negation(random_unary_test(rng, leaves - 1))
+    return ast.Disjunction(tuple(random_unary_test(rng, leaves // 2)
+                                 for _ in range(rng.randint(1, 3))))
+
+
+def random_cell(rng: random.Random) -> ast.UnaryTest:
+    """Mostly a dash or a test over the integers of `small`, so that rules
+    match; else `random_unary_test`."""
+    kind, n = rng.randrange(7), rng.randint(0, 3)
+    if kind < 2:
+        return ast.Dash()
+    if kind < 4:
+        return ast.EqualsConst(n)
+    if kind == 4:
+        return ast.Comparison(rng.choice(("<", "<=", ">", ">=")), ast.Lit(n))
+    if kind == 5:
+        return ast.RangeTest(FeelRange(n, n + rng.randint(0, 3)))
+    return random_unary_test(rng)
+
+
+def _seeded(build):
+    """A strategy of `build(rng)` for one drawn seed: one draw per value."""
+    return st.integers(0, 2**32 - 1).map(lambda seed: build(random.Random(seed)))
+
+
+unary_tests = _seeded(random_unary_test)
+
+cells = _seeded(random_cell)
+small = st.integers(0, 3)  # arguments over the integers of `random_cell`
 output_entries = st.one_of(st.builds(ast.Lit, small), st.builds(ast.Lit, scalars),
                            constant_expressions,
                            st.builds(ast.ListLit, st.lists(st.builds(ast.Lit, scalars),

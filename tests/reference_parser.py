@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 
-from bproc.errors import FeelSyntaxError, SchemaError, UndefinedValueError
+from bproc.errors import FeelSyntaxError, SchemaError
 from bproc.feel import ast, evaluate, parse_expr
 from bproc.feel.parser import MAX_DEPTH
 from bproc.feel.values import FeelRange, Temporal
@@ -359,10 +359,11 @@ def _unary_test(text: str, column: int, nots: int) -> ast.UnaryTest:
 
 def _single_test(text: str) -> ast.UnaryTest:
     def constant(expr):
-        try:
-            return evaluate(expr, {})
-        except UndefinedValueError as exc:
-            raise SchemaError(f"cell {text!r} is not a constant: {exc}") from exc
+        names = ast.free_variables(expr)  # read or not: `false and y` reads no `y`
+        if names:
+            raise SchemaError(f"cell {text!r} is not a constant: "
+                              f"variable {min(names)!r} is not bound")
+        return evaluate(expr, {})
 
     for op in ("<=", ">=", "<", ">"):
         if text.startswith(op):

@@ -8,6 +8,7 @@ closure and the reference must give equal values, or raise the same
 exception type with the same message.
 """
 
+import dataclasses
 import math
 import time
 
@@ -263,6 +264,40 @@ def test_compiled_tables_agree_with_the_reference(table, arg_rows, drop_one):
                 if isinstance(value, list):
                     value.append("changed")
             assert outcome(evaluate_table, table, args) == got
+
+
+# exact scalars, which take a table's scalar cells, in the pairs of kinds
+# that must not compare inline (True against 1, "air" against 5.0), and null,
+# NaN, -0.0 and 10**20 against 1e20; then one value per kind that takes its
+# checked cells
+SCALAR_ARGS = (True, False, 1, 0, 1.0, 5.0, "air", "x", None, math.nan, -0.0, 10**20, 1e20)
+CHECKED_ARGS = (UNDEFINED, Text("x"), Level.LOW, [1], Temporal("date", 738_000))
+
+
+@given(tables(), st.lists(st.tuples(st.lists(st.sampled_from(SCALAR_ARGS) | small,
+                                             min_size=3, max_size=3),
+                                    st.none() | st.tuples(st.integers(0, 2),
+                                                          st.sampled_from(CHECKED_ARGS))),
+                          min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(DecisionTable(id="T", name="T", hit_policy="First",
+                       inputs=(("in0", ast.Var("in0")), ("in1", ast.Var("in1"))),
+                       outputs=("o1",), rules=(Rule((ast.EqualsConst(0), ast.Dash()),
+                                                    (ast.Lit(1),)),)),
+         [([True, 0, 0], None), (["air", 0, 0], None), ([0, 0, 0], (1, [1]))])
+def test_scalar_and_checked_cells_agree_with_the_reference(table, rows):
+    # a call on exact scalars skips the dashes and the value checks, any
+    # other call checks every cell; under every hit policy both give what
+    # the reference gives, value or error
+    for policy in ("First", "Unique", "Any"):
+        table = dataclasses.replace(table, hit_policy=policy)
+        for row, checked in rows:
+            if checked is not None:
+                column, value = checked
+                row = row[:column] + [value] + row[column + 1:]
+            args = {f"in{j}": value for j, value in enumerate(row[:len(table.inputs)])}
+            assert outcome(evaluate_table, table, args) == \
+                outcome(reference_evaluate_table, table, args), (policy, args)
 
 
 def test_list_and_context_outputs_are_fresh_on_every_hit():

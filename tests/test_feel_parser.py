@@ -155,6 +155,17 @@ def test_not_reads_as_a_group_only_when_the_group_is_the_whole_test():
         parse_unary_test("not(true) or not(false)")
 
 
+@pytest.mark.parametrize("cell", ["< false and y", "false and y"])
+def test_a_cell_that_names_a_variable_is_refused_even_if_it_never_reads_it(cell):
+    # the operand would evaluate (`and` stops at false), but `y` would
+    # become an input of the table's task with no type evidence
+    for parse in (parse_unary_test, reference_parse_unary_test):
+        with pytest.raises(SchemaError) as exc_info:
+            parse(cell)
+        assert str(exc_info.value) == f"cell {cell!r} is not a constant: " \
+                                      "variable 'y' is not bound"
+
+
 _CELL_VOCABULARY = (
     "not(", "not", "(", ")", "[", "]", "..", ",", "-", "<", "<=", ">", ">=", "=", "!=",
     "+", "*", "and", "or", "in", "0", "1", "2.5", "1e999", '"a"', '"a,b"', '"x)"',

@@ -21,12 +21,13 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bproc import RunOptions, compile_model, parse_bpmn, run_once, runtime
+from bproc import RunOptions, compile_model, parse_bpmn, parse_expr, run_once, runtime
 from bproc.compiler import Step
+from bproc.feel import ast, compile_expr
 from bproc.inputs import UnhandledDomain
 
-from conftest import compile_fixture
-from generators import DEFINITIONS, FOOTER, models
+from conftest import compile_fixture, load_fixture
+from generators import DEFINITIONS, FOOTER, Text, models
 from oracles import walk_process
 from test_runtime import compile_inline
 
@@ -116,7 +117,8 @@ def test_each_loop_node_is_one_closure_call(mode, traced):
 def test_each_shipment_node_is_one_closure_call(shipment):
     # the closure of every node and the calls it makes itself (a table call:
     # its arguments, the evaluation, the writes); a table's own evaluation
-    # (depth 3 on) is the decision table's business
+    # (depth 3 on) is the decision table's business. `pLength = -1` reads a
+    # negation, so only `var = literal` conditions are one fused closure
     calls, trace, summary = node_calls(shipment, {"pType": ["l"], "pWeight": [9.0]},
                                        RunOptions(mode="sequential"))
     assert summary.code == "NO_SHIPMENT"
@@ -131,13 +133,51 @@ def test_each_shipment_node_is_one_closure_call(shipment):
         ("Activity_MeasureWeight", consume),
         ("Gateway_WeightCheck", [(1, "branch_one"), (2, "var_order_lit")]),
         ("Activity_DetermineMode", invoke_two),
-        ("Gateway_ModeCheck", [(1, "branch"), (2, "<lambda>")]),
+        ("Gateway_ModeCheck", [(1, "branch"), (2, "var_equals_lit")]),
         ("Activity_ChooseConsent", invoke_two),
-        ("Gateway_ConsentCheck", [(1, "branch"), (2, "<lambda>")]),
+        ("Gateway_ConsentCheck", [(1, "branch"), (2, "var_equals_lit")]),
         ("EndEvent_NoShipment", [(1, "<lambda>"), (2, "_set_outcome")]),
     ]
     assert [(node, [c for c in made if c[0] <= 2]) for node, made in calls] == expected
     assert [node for node, _ in calls] == trace.node_sequence()
+
+
+def python_calls(fn, *args) -> list[str]:
+    """The Python functions a call runs, itself first; C functions and the
+    frame of a comprehension are not counted (see `node_calls`)."""
+    names: list[str] = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name not in COMPREHENSIONS:
+            names.append(_name(frame))
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+def test_a_plain_table_call_and_a_literal_equality_check_no_value():
+    # a GetLengthDT call on a plain string: the table's closure, one call
+    # per cell of its five one-cell rules (Unique matches every rule), and
+    # the outputs of the rule that matched; no value check and no dash
+    _, tables = load_fixture("shipment", "shipment")
+    (table,) = [t for t in tables if t.id == "GetLengthDT"]
+    calls = python_calls(table.evaluator, ["m"])
+    assert not {"_defined_scalar", "_scalar", "dash"} & set(calls)
+    cells = sum(not isinstance(test, ast.Dash) for rule in table.rules
+                for test in rule.input_entries)
+    assert calls[0] == "evaluate" and len(calls) <= 1 + cells + 1
+    # a checked argument (here a str subclass) still takes the checked cells
+    assert "_defined_scalar" in python_calls(table.evaluator, [Text("m")])
+    # a variable compared equal to a literal is one closure, which calls
+    # `equals` only for a pair that Python's `==` does not settle alike
+    condition = compile_expr(parse_expr('sMode = "air"'))
+    for mode in ("air", "car"):
+        assert python_calls(condition, {"sMode": mode}) == ["var_equals_lit"]
+    assert python_calls(condition, {"sMode": None})[:2] == ["var_equals_lit", "equals"]
 
 
 def test_a_send_node_is_one_closure_call():
