@@ -2,8 +2,7 @@
 
 Tables are immutable after parse; evaluate_table is pure and thread-safe.
 A table compiles itself on first use: each cell test becomes a closure,
-in a checked and a scalar form, and each variable-free output entry is
-evaluated once.
+and each variable-free output entry is evaluated once.
 """
 
 from __future__ import annotations
@@ -206,8 +205,7 @@ def evaluate_table(table: DecisionTable, args: dict[str, object]) -> dict[str, o
     the default when nothing else matches; with no default, NoMatchError is
     raised and the caller must end the decision with a failure. Every rule
     is matched, so a cell that cannot judge its argument raises under every
-    policy. Arguments that are all plain scalars skip the dash cells and
-    the value checks, with the same result or error (`_compile_table`).
+    policy.
     """
     missing = [label for label, _ in table.inputs if label not in args]
     if missing:
@@ -237,20 +235,15 @@ def _outputs_builder(names: tuple[str, ...], folded) -> Callable[[], dict[str, o
 
 
 def _compile_table(table: DecisionTable) -> Callable[[list], dict[str, object]]:
-    """`evaluate_table` on arguments in input-column order. Each rule is a
-    tuple of (column, cell) pairs in two forms, and a call picks one by the
-    exact classes of its arguments, checked once: when every one is in
-    `_SCALARS`, the scalar form, which has no dash (it holds for any such
-    value) and whose cells check nothing (`compile_scalar_unary`); else the
-    checked form, every cell `compile_unary`'s. Both match the same rules,
-    and raise the same error in the same cell."""
+    """`evaluate_table` on arguments in column order. A rule is its (column,
+    cell) pairs: without dashes and value checks when every argument's exact
+    class is in _SCALARS, else checked; both give the same value or error."""
     default = table.default_rule()
     candidates = table.rules[:-1] if default is not None else table.rules
     checked = tuple(tuple(enumerate(map(feel.compile_unary, rule.input_entries)))
                     for rule in candidates)
-    scalar = tuple(tuple((j, cell) for j, cell in
-                         enumerate(map(compile_scalar_unary, rule.input_entries))
-                         if cell is not None)
+    scalar = tuple(tuple((j, cell) for j, cell in enumerate(map(compile_scalar_unary,
+                                                                rule.input_entries)) if cell)
                    for rule in candidates)
     outputs = tuple(_outputs_builder(table.outputs, folded) for folded in table.folded_outputs)
     default_outputs = outputs[-1] if default is not None else None

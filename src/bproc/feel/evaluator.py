@@ -196,20 +196,16 @@ def _var_order_lit(op: str, name: str, b) -> Compiled:
 
 
 def _inline_classes(b) -> frozenset:
-    """The exact classes of the values that `equals` and `compare` settle
-    against `b` by Python's own `==` and ordering: str against a str, the
-    numbers against a number, none against anything else."""
-    if type(b) is str:
-        return _STRINGS
-    return _NUMBERS if type(b) in _NUMBERS else _NONE
+    """The exact classes of the values that `equals` settles against `b`
+    by Python's `==`: str for a str, the numbers for a number, else none."""
+    return _STRINGS if type(b) is str else _NUMBERS if type(b) in _NUMBERS else frozenset()
 
 
-_STRINGS, _NONE = frozenset((str,)), frozenset()
+_STRINGS = frozenset((str,))
 
 
 def _var_equals_lit(negated: bool, name: str, b) -> Compiled:
-    """`_equality` of `_var(name)` and `_lit(b)`, in one closure: `a == b`
-    inline for the classes `_inline_classes(b)` names, else `equals`."""
+    """`_equality` of `_var(name)` and `_lit(b)` in one closure (see `_inline_classes`)."""
     inline = _inline_classes(b)
 
     def var_equals_lit(env):
@@ -500,20 +496,14 @@ def _equals_const(test: ast.EqualsConst):
     return equals_const
 
 
-def _bound(test: ast.Comparison) -> tuple[Compiled, object, bool]:
-    """The compiled operand of a variable-free ordering, its value and
-    whether it has one: an operand that raises is evaluated again, and
-    raises again, on every call."""
+def _comparison(test: ast.Comparison):
+    op = test.op
     operand = compile_expr(test.operand)
     try:
-        return operand, operand({}), True
-    except Exception:
-        return operand, None, False
-
-
-def _comparison(test: ast.Comparison):
-    operand, bound, folded = _bound(test)
-    holds = _ORDER_HOLDS[test.op]
+        bound, folded = operand({}), True  # variable-free: evaluated once
+    except Exception:  # raised again, after the value checks, on every call
+        bound, folded = None, False
+    holds = _ORDER_HOLDS[op]
 
     def comparison(value):
         _defined_scalar(value)
@@ -555,31 +545,18 @@ _TEST_COMPILERS = {
 
 
 def compile_scalar_unary(test: ast.UnaryTest) -> Callable[[object], bool] | None:
-    """`compile_unary(test)` for a value whose exact class is in _SCALARS,
-    which passes every value check: None for a dash, which holds for every
-    such value. An equality, and an ordering against a folded bound, call
-    no check and compare inline where `equals` and `compare` would
-    (`_inline_classes`); every other test is `compile_unary`'s closure."""
-    cls = type(test)
-    if cls is ast.Dash:
+    """`compile_unary(test)` for a value of an exact class in _SCALARS, which
+    passes every value check: None for a dash, which holds; an equality or a
+    folded ordering that checks nothing; else `compile_unary(test)`."""
+    if type(test) is ast.Dash:
         return None
-    if cls is ast.EqualsConst:
-        const = test.value
-        inline = _inline_classes(const)
-
-        def scalar_equals(value):
-            return value == const if type(value) in inline else equals(value, const)
-        return scalar_equals
-    if cls is ast.Comparison:
-        _, bound, folded = _bound(test)
-        if folded:
-            op = test.op
-            holds, inline = _ORDER_HOLDS[op], _inline_classes(bound)
-            below, negated = op in ("<", ">="), op in ("<=", ">=")  # as in _var_order_lit
-
-            def scalar_order(value):
-                if type(value) in inline:
-                    return (value < bound if below else value > bound) is not negated
-                return holds[compare(value, bound)]
-            return scalar_order
+    if type(test) is ast.EqualsConst:
+        const, inline = test.value, _inline_classes(test.value)
+        return lambda value: value == const if type(value) in inline else equals(value, const)
+    if type(test) is ast.Comparison:
+        try:
+            bound, holds = compile_expr(test.operand)({}), _ORDER_HOLDS[test.op]
+        except Exception:  # the checked test raises it again on every call
+            return compile_unary(test)
+        return lambda value: holds[compare(value, bound)]
     return compile_unary(test)

@@ -18,9 +18,7 @@ Lowering runs with the cyclic collector paused, as set-up does
 built on the first run that keeps a trace, and every later run shares
 them; a model that only ever runs in campaigns without run files never
 builds them. Expressions inside are compiled closures too, and decision
-tables compile themselves once with their output entries folded; a table
-call whose arguments are all plain scalars skips the dash cells and checks
-no value (`dmn._compile_table`).
+tables compile once: outputs folded, cells check-free on plain scalars.
 
 A run owns a variable store (every declared variable starts undefined),
 per-variable input cursors, FIFO message channels (each made on its first
@@ -44,9 +42,7 @@ each step to a runnable branch drawn with a random generator seeded from
 the run (a lone runnable branch needs no draw and keeps the step), so
 every interleaving is reproducible from the seed, and a run whose live
 branches all wait on empty channels ends as a deadlock. Both deadlocks
-are engine faults naming the blocked receive nodes, a parallel one in
-node order, so that the message does not depend on the schedule that
-reached it. Parallel mode also
+are engine faults naming each blocked receive node. Parallel mode also
 notes a variable written by two branches that no fork or join edge
 orders. Trace length is bounded by the step budget and the wall-clock
 timeout rather than any call stack. The clock is read on the first step
@@ -619,12 +615,11 @@ class _Engine:
         except _Aborted:
             pass
         if self._outcome is None and self._waiting:
-            node_index = _program(self.model).node_index
-            receives = sorted((node_index[node], node, channel)  # node order, not blocking order
-                              for channel, waiters in self._waiting.items()
-                              for _, _, node in waiters)
+            index = _program(self.model).node_index  # node order: one message per deadlock
             blocked = "; ".join(f"receive {node!r} blocked on empty channel {channel!r}"
-                                for _, node, channel in receives)
+                                for _, node, channel in sorted(
+                                    (index[node], node, channel) for channel, waiters
+                                    in self._waiting.items() for _, _, node in waiters))
             self._set_outcome("fault", "ENGINE_FAULT",
                               f"deadlock: every branch is waiting: {blocked}")
         elif self._outcome is None:
