@@ -205,7 +205,7 @@ def evaluate_table(table: DecisionTable, args: dict[str, object]) -> dict[str, o
     the default when nothing else matches; with no default, NoMatchError is
     raised and the caller must end the decision with a failure. Every rule
     is matched, so a cell that cannot judge its argument raises under every
-    policy.
+    policy, on the scalar cells for plain scalars too (`_compile_table`).
     """
     missing = [label for label, _ in table.inputs if label not in args]
     if missing:

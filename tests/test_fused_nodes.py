@@ -172,8 +172,8 @@ def test_a_plain_table_call_and_a_literal_equality_check_no_value():
     assert calls[0] == "evaluate" and len(calls) <= 1 + cells + 1
     # a checked argument (here a str subclass) still takes the checked cells
     assert "_defined_scalar" in python_calls(table.evaluator, [Text("m")])
-    # a variable compared equal to a literal is one closure, which calls
-    # `equals` only for a pair that Python's `==` does not settle alike
+    # a variable compared equal to a literal is one closure; it calls
+    # `equals` for any pair but two strings or two numbers
     condition = compile_expr(parse_expr('sMode = "air"'))
     for mode in ("air", "car"):
         assert python_calls(condition, {"sMode": mode}) == ["var_equals_lit"]
