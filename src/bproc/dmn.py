@@ -215,13 +215,9 @@ def evaluate_table(table: DecisionTable, args: dict[str, object]) -> dict[str, o
 
 def _fold(entry: ast.FeelExpr) -> tuple[object, Callable | None]:
     evaluate = feel.compile_expr(entry)
-    try:
-        value = evaluate({})
-    except Exception:  # raised again at each use
-        return None, evaluate
-    if isinstance(value, (list, dict)):  # each use gets a list or context of its own
-        return None, evaluate
-    return value, None
+    answer = feel.constant(entry, evaluate)
+    # a list or context is built afresh, and an error raised again, at each use
+    return (answer.value, None) if answer.shared else (None, evaluate)
 
 
 def _outputs_builder(names: tuple[str, ...], folded) -> Callable[[], dict[str, object]]:

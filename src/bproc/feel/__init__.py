@@ -3,7 +3,7 @@ expression subset used in gateway conditions, script tasks, decision-table
 cells and message parts."""
 
 from . import ast
-from .evaluator import compile_expr, compile_unary, evaluate, match_unary
+from .evaluator import compile_expr, compile_unary, constant, evaluate, match_unary
 from .parser import parse_expr, parse_unary_test
 from .render import render, render_unary_test
 from .types import StaticType, infer_types, synthesize, type_of_constant
@@ -17,6 +17,7 @@ __all__ = [
     "match_unary",
     "compile_expr",
     "compile_unary",
+    "constant",
     "render",
     "render_unary_test",
     "render_value",

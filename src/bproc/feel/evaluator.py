@@ -9,9 +9,16 @@ operands in the same left-to-right order. Environments map variable names
 to values (UNDEFINED is a legal binding, but any operation reading it
 raises). `evaluate` and `match_unary` compile and call in one go.
 
-An ordering or a `+`, `-` or `*` with a variable on the left and a
-literal on the right (`n > 0`, `n + 1`: loop counters and their
-conditions) compiles to one closure that reads the variable itself and
+Compiling folds constants (Aho, Lam, Sethi & Ullman, *Compilers*, 2nd
+ed.): `constant` evaluates each subtree that reads no variable once, and
+one that gives a value becomes a closure that returns it. Two kinds stay
+unfolded and are evaluated at each call: a subtree that raises, so that
+its error comes in its place among the operands, and one that gives a
+list or a context, which each evaluation builds afresh.
+
+An ordering, `=`, `!=`, `+`, `-` or `*` with a variable on the left and
+a literal or a folded constant on the right (`n > 0`, `n + 1`, `n = -1`)
+compiles to one closure that reads the variable itself and
 holds the literal's value, a superoperator (Proebsting, "Optimizing an
 ANSI C interpreter with superoperators", 1995): two calls fewer per
 evaluation, with the same values and errors. When both operands are plain
@@ -34,7 +41,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from ..errors import (DivisionByZeroError, FeelTypeError, IndexOutOfRangeError,
                       UndefinedValueError, ValueTooLargeError)
@@ -71,10 +78,45 @@ def match_unary(test: ast.UnaryTest, value) -> bool:
 
 
 def compile_expr(expr: ast.FeelExpr) -> Compiled:
-    """A function of an environment that evaluates `expr`."""
-    compile_node = _COMPILERS.get(type(expr))
-    if compile_node is not None:
-        return compile_node(expr)
+    """A function of an environment that evaluates `expr`, folded."""
+    compiled = _COMPILERS.get(type(expr), _unknown)(expr)
+    operands = ast.CHILDREN.get(type(expr))
+    if operands is None or ast.Var in map(type, operands(expr)):
+        return compiled  # a leaf (a literal's closure is not called here), or it reads a name
+    answer = constant(expr, compiled)
+    value = answer.value
+    return (lambda env: value) if answer.shared else compiled
+
+
+class Constant(NamedTuple):
+    """`constant`'s answer: the expression reads `variable` (the first by
+    name), so is no constant; or it gives `value`; or it raises `error`."""
+
+    variable: str | None = None
+    value: object = None
+    error: Exception | None = None
+
+    @property
+    def shared(self) -> bool:
+        """A value, and not a list or a context, which each evaluation builds afresh."""
+        return self.variable is None and self.error is None \
+            and not isinstance(self.value, (list, dict))
+
+
+def constant(expr: ast.FeelExpr, compiled: Compiled | None = None) -> Constant:
+    """Is `expr` a constant, and which? A variable it names makes it none,
+    even one never read (`y` in `false and y`); else it is evaluated once,
+    by calling `compiled`, `expr` compiled, when given."""
+    names = ast.free_variables(expr)
+    if names:
+        return Constant(min(names))
+    try:
+        return Constant(value=(compiled or _COMPILERS.get(type(expr), _unknown)(expr))({}))
+    except Exception as error:
+        return Constant(error=error)
+
+
+def _unknown(expr: ast.FeelExpr) -> Compiled:
     name = type(expr).__name__
 
     def unknown(env):
@@ -124,16 +166,14 @@ def _not(expr: ast.Not) -> Compiled:
 
 
 def _binop(expr: ast.BinOp) -> Compiled:
-    op = expr.op
-    if type(expr.left) is ast.Var and type(expr.right) is ast.Lit:
-        if op in _ORDER_HOLDS:
-            return _var_order_lit(op, expr.left.name, expr.right.value)
-        if op in ("=", "!="):
-            return _var_equals_lit(op == "!=", expr.left.name, expr.right.value)
-        if op in _NUMERIC:
-            return _var_arith_lit(op, expr.left.name, expr.right.value)
-    left = compile_expr(expr.left)
-    right = compile_expr(expr.right)
+    op, fused = expr.op, type(expr.left) is ast.Var and _FUSED.get(expr.op)
+    if fused and type(expr.right) is ast.Lit:
+        return fused(op, expr.left.name, expr.right.value)
+    left, right = compile_expr(expr.left), compile_expr(expr.right)
+    if fused and type(expr.right) is not ast.Var:
+        b = constant(expr.right, right)  # calls a literal, when compiling folded it
+        if b.shared:
+            return fused(op, expr.left.name, b.value)
     if op in ("and", "or"):
         return _logic(op, left, right)
     if op in ("=", "!="):
@@ -204,9 +244,9 @@ def _inline_classes(b) -> frozenset:
 _STRINGS = frozenset((str,))
 
 
-def _var_equals_lit(negated: bool, name: str, b) -> Compiled:
+def _var_equals_lit(op: str, name: str, b) -> Compiled:
     """`_equality` of `_var(name)` and `_lit(b)` in one closure (see `_inline_classes`)."""
-    inline = _inline_classes(b)
+    inline, negated = _inline_classes(b), op == "!="
 
     def var_equals_lit(env):
         try:
@@ -250,6 +290,9 @@ def _product(left, right):
 
 
 _NUMERIC = {"+": operator.add, "-": operator.sub, "*": _product}
+#: operator -> the compiler of its one closure for a variable and a literal
+_FUSED = {**dict.fromkeys(_ORDER_HOLDS, _var_order_lit), "=": _var_equals_lit,
+          "!=": _var_equals_lit, **dict.fromkeys(_NUMERIC, _var_arith_lit)}
 
 
 def _arithmetic(op: str, left, right):
@@ -497,17 +540,11 @@ def _equals_const(test: ast.EqualsConst):
 
 
 def _comparison(test: ast.Comparison):
-    op = test.op
-    operand = compile_expr(test.operand)
-    try:
-        bound, folded = operand({}), True  # variable-free: evaluated once
-    except Exception:  # raised again, after the value checks, on every call
-        bound, folded = None, False
-    holds = _ORDER_HOLDS[op]
+    operand, holds = compile_expr(test.operand), _ORDER_HOLDS[test.op]
 
     def comparison(value):
-        _defined_scalar(value)
-        return holds[compare(value, bound if folded else operand({}))]
+        _defined_scalar(value)  # then the operand, folded or raising again
+        return holds[compare(value, operand({}))]
     return comparison
 
 
@@ -554,9 +591,8 @@ def compile_scalar_unary(test: ast.UnaryTest) -> Callable[[object], bool] | None
         const, inline = test.value, _inline_classes(test.value)
         return lambda value: value == const if type(value) in inline else equals(value, const)
     if type(test) is ast.Comparison:
-        try:
-            bound, holds = compile_expr(test.operand)({}), _ORDER_HOLDS[test.op]
-        except Exception:  # the checked test raises it again on every call
-            return compile_unary(test)
-        return lambda value: holds[compare(value, bound)]
+        answer, holds = constant(test.operand), _ORDER_HOLDS[test.op]
+        if answer.shared:
+            bound = answer.value
+            return lambda value: holds[compare(value, bound)]
     return compile_unary(test)

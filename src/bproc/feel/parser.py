@@ -23,7 +23,7 @@ import re
 
 from ..errors import FeelSyntaxError, SchemaError
 from . import ast
-from .evaluator import evaluate
+from .evaluator import constant
 from .values import FeelRange, Temporal
 
 MAX_DEPTH = 100
@@ -395,11 +395,13 @@ class _Parser:
         self.i += op is not None
         expr, _ = self.expression(1, 0)
         source = self.text[column - 1:self.end_of_test(nots) - 1].rstrip()
-        names = ast.free_variables(expr)
-        if names:  # even one never read, as `y` in `false and y`
+        answer = constant(expr)
+        if answer.variable is not None:
             raise SchemaError(f"cell {source!r} is not a constant: "
-                              f"variable {min(names)!r} is not bound")
-        value = evaluate(expr, {})
+                              f"variable {answer.variable!r} is not bound")
+        if answer.error is not None:
+            raise answer.error
+        value = answer.value
         if op is not None:
             return ast.Comparison(op, expr)
         if isinstance(value, FeelRange):

@@ -110,16 +110,6 @@ class _Fact:
     source: str = ""
 
 
-def _constant_value(expr: ast.FeelExpr):
-    """Evaluate a variable-free operand; None when it has free variables."""
-    if ast.free_variables(expr):
-        return None, False
-    try:
-        return feel.evaluate(expr, {}), True
-    except Exception:
-        return None, False
-
-
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
@@ -151,10 +141,10 @@ def _collect_facts(node, expr: ast.FeelExpr, input_vars: set[str], facts: list) 
         return
     if cls is ast.InTest and type(node.item) is ast.Var \
             and node.item.name in input_vars:
-        container, ok = _constant_value(node.container)
-        if ok and isinstance(container, feel.FeelRange):
+        container = feel.constant(node.container).value  # None unless known
+        if isinstance(container, feel.FeelRange):
             facts.append((node.item.name, _Fact("range", value=container)))
-        elif ok and kind_of(container) == "list":
+        elif kind_of(container) == "list":
             for element in container:
                 facts.append((node.item.name, _Fact("eq", value=element)))
         else:
@@ -170,9 +160,9 @@ def _bound_fact(left, right, op: str, expr: ast.FeelExpr, input_vars: set[str],
                 facts: list) -> bool:
     """Append the fact of `left op right` when `left` is an input variable."""
     if isinstance(left, ast.Var) and left.name in input_vars:
-        const, ok = _constant_value(right)
-        if ok:
-            facts.append((left.name, _classify(op, const)))
+        const = feel.constant(right)
+        if const.variable is None and const.error is None:
+            facts.append((left.name, _classify(op, const.value)))
         else:
             facts.append((left.name, _Fact("other", source=feel.render(expr))))
         return True
@@ -223,15 +213,17 @@ def _combine(name: str, facts: list[_Fact], diagnostics: list[str]) -> Domain:
             return EnumDomain(tuple(sorted(unique, key=lambda v: (kind_of(v), str(v)))))
         return UnhandledDomain(())
 
-    constants = {f.value for f in cmps} | set(eqs)
-    for r in ranges:
-        constants |= {r.lo, r.hi}
+    # distinct by `==`, the first of equal ones kept, as in a set; a list cannot be hashed
+    constants: list = []
+    for c in [f.value for f in cmps] + eqs + [end for r in ranges for end in (r.lo, r.hi)]:
+        if c not in constants:
+            constants.append(c)
     if any(kind_of(c) != "number" for c in constants):
         diagnostics.append(f"{name}: mixed numeric and non-numeric constraints")
         return UnhandledDomain(tuple(sorted(
             feel.render_value(c) for c in constants)))
     if not ranges and len(constants) == 1:
-        return BallDomain(next(iter(constants)))
+        return BallDomain(constants[0])
 
     lowers = [(f.value, f.op == ">=") for f in cmps if f.op in (">", ">=")]
     uppers = [(f.value, f.op == "<=") for f in cmps if f.op in ("<", "<=")]

@@ -42,6 +42,25 @@ def test_translate_writes_all_artifacts(tmp_path):
     assert "BALL(9)" in (base / "shipment.inputs").read_text()
 
 
+def test_translate_with_a_list_constant_in_a_condition_or_a_cell(tmp_path):
+    # inference meets a list it cannot hash: an UNHANDLED domain, not a traceback
+    quote = (FIXTURES / "quote.bpmn").read_text()
+    (tmp_path / "quote.bpmn").write_text(
+        quote.replace("base in [1..10]", "base in [1..10] and base != [1, 2]"))
+    cell = '<dmn:text>"unknown"</dmn:text>'
+    dmn = (FIXTURES / "shipment.dmn").read_text()
+    assert cell in dmn
+    (tmp_path / "shipment.dmn").write_text(
+        dmn.replace(cell, '<dmn:text>"unknown", &lt; [1, 2]</dmn:text>'))
+    for argv, inputs, line in (
+            (["quote.bpmn"], "quote/quote.inputs", "base : Integer : UNHANDLED(1;10;[1, 2])"),
+            ([SHIPMENT[0], "shipment.dmn"], "shipment/shipment.inputs",
+             'pType : String : UNHANDLED("l";"m";"s";"unknown";"xl";[1, 2])')):
+        code, _, err = run_cli("translate", *argv, "--seed", "42", cwd=tmp_path)
+        assert code == 0, err
+        assert line in (tmp_path / "out" / inputs).read_text()
+
+
 def test_graph_and_inputs_commands(tmp_path):
     assert run_cli("graph", *SHIPMENT, "--out", "g", cwd=tmp_path)[0] == 0
     assert (tmp_path / "g" / "shipment.graph").read_text().startswith("node ")

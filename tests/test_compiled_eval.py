@@ -10,6 +10,7 @@ exception type with the same message.
 
 import dataclasses
 import math
+import random
 import time
 
 import pytest
@@ -22,8 +23,8 @@ from bproc.feel import ast, evaluator, values as kernel
 from bproc.feel.values import UNDEFINED, Temporal
 
 import oracles
-from generators import (NAMES, Level, Text, expressions, small, tables, unary_tests,
-                        values)
+from generators import (NAMES, Level, Text, expressions, random_constant, small, tables,
+                        unary_tests, values)
 from oracles import reference_evaluate, reference_evaluate_table, reference_match_unary
 
 ENV = {"a": 3, "b": 2.5, "s": "x", "u": UNDEFINED, "l": [1, 2.0, "x"], "c": {"k": 1}}
@@ -58,11 +59,42 @@ def _shape(value):
 @example(ast.BinOp("or", ast.Lit(False), ast.Var("s")), {})
 @example(ast.BinOp("/", ast.Var("a"), ast.Lit(0)), {})
 @example(ast.BinOp("!=", ast.Var("a"), ast.Var("s")), {})  # kinds that never compare
+# a subtree that raises is not folded: its error comes in its place, and at run time
+@example(ast.BinOp("+", ast.Var("zz"), ast.BinOp("/", ast.Lit(1), ast.Lit(0))), {})
+@example(ast.Neg(ast.Lit(True)), {})
+@example(ast.BinOp("**", ast.Lit(3), ast.Lit(100000000000)), {})
 def test_compiled_expressions_agree_with_the_reference(expr, extra):
     env = {**ENV, **extra}  # a and b stay numbers
     compiled = feel.compile_expr(expr)  # compiling never raises
     assert outcome(compiled, env) == outcome(reference_evaluate, expr, env)
     assert outcome(feel.evaluate, expr, env) == outcome(reference_evaluate, expr, env)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_constant_agrees_with_the_reference(seed, leaves):
+    # a variable-free expression: its value, or the class and message of
+    # the error evaluating it raises
+    expr = random_constant(random.Random(seed), leaves)
+    answer = feel.constant(expr)
+    assert answer.variable is None
+    got = outcome(lambda: answer.value) if answer.error is None else \
+        ("raised", type(answer.error), str(answer.error))
+    assert got == outcome(reference_evaluate, expr, {})
+
+
+@given(expressions)
+@settings(max_examples=200, deadline=None)
+def test_an_expression_that_reads_a_variable_is_no_constant(expr):
+    names = ast.free_variables(expr)
+    if names:
+        assert feel.constant(expr) == evaluator.Constant(variable=min(names))
+
+
+def test_a_constant_list_is_fresh_on_every_evaluation():
+    compiled = feel.compile_expr(ast.ListLit((ast.Lit(1), ast.Neg(ast.Lit(2)))))
+    assert compiled({}) == [1, -2]
+    assert compiled({}) is not compiled({})
 
 
 @given(unary_tests, values)

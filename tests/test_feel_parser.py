@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import generators
 from bproc import evaluate, parse_expr, parse_unary_test, render
-from bproc.errors import BprocError, FeelSyntaxError, SchemaError
+from bproc.errors import BprocError, DivisionByZeroError, FeelSyntaxError, SchemaError
 from bproc.feel import ast, compile_expr, compile_unary, infer_types, render_value, synthesize
 from bproc.feel.ast import free_variables
 from bproc.feel.parser import MAX_DEPTH, MAX_INT_DIGITS
@@ -164,6 +164,14 @@ def test_a_cell_that_names_a_variable_is_refused_even_if_it_never_reads_it(cell)
             parse(cell)
         assert str(exc_info.value) == f"cell {cell!r} is not a constant: " \
                                       "variable 'y' is not bound"
+
+
+def test_a_cell_names_its_first_variable_and_raises_its_operand_error():
+    with pytest.raises(SchemaError, match="variable 'a' is not bound"):
+        parse_unary_test("< b + a")
+    for cell in ("< 1 / 0", "1 / 0"):
+        with pytest.raises(DivisionByZeroError, match="^division by zero$"):
+            parse_unary_test(cell)
 
 
 _CELL_VOCABULARY = (

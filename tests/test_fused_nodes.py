@@ -117,19 +117,18 @@ def test_each_loop_node_is_one_closure_call(mode, traced):
 def test_each_shipment_node_is_one_closure_call(shipment):
     # the closure of every node and the calls it makes itself (a table call:
     # its arguments, the evaluation, the writes); a table's own evaluation
-    # (depth 3 on) is the decision table's business. `pLength = -1` reads a
-    # negation, so only `var = literal` conditions are one fused closure
+    # (depth 3 on) is the decision table's business. Compiling folds the
+    # negation in `pLength = -1`, so each condition is one fused closure
     calls, trace, summary = node_calls(shipment, {"pType": ["l"], "pWeight": [9.0]},
                                        RunOptions(mode="sequential"))
     assert summary.code == "NO_SHIPMENT"
     consume = [(1, "consume"), (2, "_write")]
     invoke = [(1, "invoke"), (2, "var"), (2, "evaluate"), (2, "_write_outputs")]
     invoke_two = [(1, "invoke"), (2, "var"), (2, "var"), (2, "evaluate"), (2, "_write_outputs")]
-    one_condition = [(1, "branch_one"), (2, "<lambda>")]
     expected = [
         ("StartEvent_Package", consume),
         ("Activity_GetLength", invoke),
-        ("Gateway_LengthCheck", one_condition),
+        ("Gateway_LengthCheck", [(1, "branch_one"), (2, "var_equals_lit")]),
         ("Activity_MeasureWeight", consume),
         ("Gateway_WeightCheck", [(1, "branch_one"), (2, "var_order_lit")]),
         ("Activity_DetermineMode", invoke_two),
@@ -178,6 +177,9 @@ def test_a_plain_table_call_and_a_literal_equality_check_no_value():
     for mode in ("air", "car"):
         assert python_calls(condition, {"sMode": mode}) == ["var_equals_lit"]
     assert python_calls(condition, {"sMode": None})[:2] == ["var_equals_lit", "equals"]
+    # a folded negation is a literal too
+    condition = compile_expr(parse_expr("pLength = -1"))
+    assert python_calls(condition, {"pLength": 3}) == ["var_equals_lit"]
 
 
 def test_a_send_node_is_one_closure_call():

@@ -59,6 +59,15 @@ def test_disjoint_ranges_collapse_to_hull_with_diagnostic():
     assert any("convex hull" in d for d in diags)
 
 
+def test_a_list_or_context_constant_is_no_number():
+    # a constant that cannot be hashed gets the diagnostic a string gets
+    cases = (("x in [[1], 2] or x > 3", ("2", "3", "[1]")), ("x < {a: 1}", ("{a: 1}",)))
+    for text, sources in cases:
+        domains, diags = domains_of([text], {"x"})
+        assert domains["x"] == UnhandledDomain(sources)
+        assert diags == ["x: mixed numeric and non-numeric constraints"]
+
+
 def test_order_independence():
     texts = ["v > 11", "v <= 50", 'p = "a"', 'p = "b"', "w < abs(v)"]
     for shuffled in (texts, texts[::-1], texts[2:] + texts[:2]):
