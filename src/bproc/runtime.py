@@ -8,11 +8,12 @@ step that names its successor (inputs, assign, table, send, receive, or a
 pass-through continue) is fused with the edge to it, and a gateway with one
 condition and a default is tested without a loop (superoperators:
 Proebsting, POPL 1995). A receive on an empty channel returns a `_Wait`
-instead, and the walker calls the same closure again once resumed. Every
-(source, target) pair a branch can take is one `_Edge`: its target node
-and its coverage index; every node has a coverage index too. So the walker
-makes one call per node and follows edges with no lookup (Ertl & Gregg,
-"The Structure and Performance of Efficient Interpreters", 2003).
+instead, and the engine calls the same closure again once a send wakes
+it. Every (source, target) pair a branch can take is one `_Edge`: its
+target node and its coverage index; every node has a coverage index too.
+So the engine makes one call per node and follows edges with no lookup
+(Ertl & Gregg, "The Structure and Performance of Efficient Interpreters",
+2003).
 Lowering runs with the cyclic collector paused, as set-up does
 (`bpmn.collector_paused`). The trace records of the nodes and edges are
 built on the first run that keeps a trace, and every later run shares
@@ -29,22 +30,19 @@ run builds no trace and no record: it marks each node and edge it reaches
 in the campaign's `CoverageHits`, so its memory does not grow with its
 length. With run files a run keeps its trace as `run_once` does; the
 campaign folds that trace into its hits and writes the trace file
-TRACE_CHUNK_LINES lines at a time. One walker, the only code that records
-or marks nodes and edges, serves both modes: each branch of a run is a
-generator that hands its later children over at a fork, going on as the
-first itself, and yields while the channel of its receive is empty; in
-parallel mode it also yields at a node boundary when another branch is
-ready. A scheduler on a single OS thread decides which branch steps next.
-Sequential mode runs the branches one at a time in case order, so a
-receive that waits for a later branch is a deadlock. Parallel mode gives
-each step to a runnable branch drawn with a random generator seeded from
-`RunOptions.seed`, or from the seed a campaign passes `run_covering` for
-the run (a lone runnable branch needs no draw and keeps the step), so
-every interleaving is reproducible from the seed, and a run whose live
-branches all wait on empty channels ends as a deadlock. Both deadlocks
-are engine faults naming each blocked receive node. Parallel mode also
-notes a variable written by two branches that no fork or join edge
-orders. Trace length is bounded by the step budget and the wall-clock
+TRACE_CHUNK_LINES lines at a time. One loop, `_Engine.run`, steps every
+branch of a run on a single OS thread, in both modes, and is the only code
+that records or marks nodes and edges; between two picks, a branch is a
+plain record (`_Branch`). Sequential mode runs the branches one at a time
+in case order, so a receive that waits for a later branch is a deadlock.
+Parallel mode gives each step to a runnable branch drawn with a random
+generator seeded from `RunOptions.seed`, or from the seed a campaign passes
+`run_covering` for the run (a lone runnable branch needs no draw and keeps
+the step), so every interleaving is reproducible from the seed, and a run
+whose live branches all wait on empty channels ends as a deadlock. Both
+deadlocks are engine faults naming each blocked receive node. Parallel
+mode also notes a variable written by two branches that no fork or join
+edge orders. Trace length is bounded by the step budget and the wall-clock
 timeout rather than any call stack. The clock is read on the first step
 and then every CLOCK_EVERY steps, so a run that exhausts its step budget
 ends the same way on any machine; only a TIMEOUT depends on the machine's
@@ -173,7 +171,7 @@ class _Node:
     faults. Lowering builds the edges once, shared by every run; the
     activation record is built on the first run that keeps a trace and
     shared by every later one, which is why node and edge records stay
-    frozen (and compare by value). Only the walker records or marks them.
+    frozen (and compare by value). Only `_Engine.run` records or marks them.
     `index` is the node's coverage index.
     """
 
@@ -325,7 +323,7 @@ def _lower_fork(step: Fork, node: _Node, model: ExecutableModel, program: _Progr
 
 def _lower_join(step: JoinBarrier, node: _Node, model: ExecutableModel, program: _Program):
     edge = program.edge(node.id, step.next)
-    node.passed = lambda engine: edge  # the last arrival from its fork (see _Engine._walk)
+    node.passed = lambda engine: edge  # the last arrival from its fork (see _Engine.run)
     message = f"join {node.id!r} reached outside its fork"
 
     def fault(engine):
@@ -390,23 +388,27 @@ def _lower_send(step: Send, node: _Node, model: ExecutableModel, program: _Progr
         engine._channels[channel].append((msg_type, payload))
         waiting = engine._waiting
         if channel in waiting:  # the waiters compete for the message again
-            waiters = waiting.pop(channel)
-            engine._ready.extend((branch, walker) for branch, walker, _ in waiters)
+            engine._ready.extend(waiting.pop(channel))
         return edge
     return send
 
 
-class _Wait(tuple):
-    """What a receive on an empty channel returns: (node id, channel)."""
+class _Wait:
+    """What a receive on an empty channel returns, having done nothing: the
+    channel it waits on."""
 
-    __slots__ = ()
+    __slots__ = ("channel",)
+
+    def __init__(self, channel: str):
+        self.channel = channel
 
 
 def _lower_receive(step: Receive, node: _Node, model: ExecutableModel, program: _Program):
-    """Takes the message and returns the edge that follows, or returns a
-    `_Wait` while the channel is empty."""
+    """Takes the message, writes its parts as `_lower_assign` writes, and
+    returns the edge that follows; or returns a `_Wait` while the channel is
+    empty."""
     node_id, channel, expected, targets = node.id, step.channel, step.msg_type, step.targets
-    wait, edge = _Wait((node_id, channel)), program.edge(node_id, step.next)
+    wait, edge = _Wait(channel), program.edge(node_id, step.next)
 
     def receive(engine):
         queue = engine._channels[channel]
@@ -417,11 +419,16 @@ def _lower_receive(step: Receive, node: _Node, model: ExecutableModel, program: 
             raise MessageTypeMismatchError(
                 f"receive {node_id!r} expected message type {expected!r}, "
                 f"got {msg_type!r}")
+        bindings = engine.bindings
         for part, var in targets:
             if part not in payload:
                 raise MessageTypeMismatchError(
                     f"message on channel {channel!r} has no part {part!r}")
-            engine._write(var, payload[part])
+            value = bindings[var] = payload[part]
+            if engine._record is not None:
+                engine._record(VarWritten(var, value))
+            if engine._forked:
+                engine._note_writer(var)
         return edge
     return receive
 
@@ -438,31 +445,25 @@ class _Aborted(Exception):
     """Internal: the timeout or the step budget decided the run outcome."""
 
 
-_ENDED = object()  # what `next` returns for a branch that has finished
-
-
 class _Barrier:
-    """Where the children of one fork meet, at the `join` node: `edges` are
-    the fork edges they start over, in case order; `pending` counts the
-    children that have yet to arrive at the join."""
+    """Where the cases of one fork meet, at the `join` node: `pending`
+    counts the cases that have yet to arrive there, and `parent` is the
+    barrier the forking branch was inside. `_Engine.run` sets the three."""
 
-    __slots__ = ("join", "edges", "pending", "parent")
-
-    def __init__(self, join: _Node, edges, parent: "_Barrier | None"):
-        self.join = join
-        self.edges = edges
-        self.pending = len(edges)
-        self.parent = parent
+    __slots__ = ("join", "pending", "parent")
 
 
 class _Branch:
-    """A branch of a run, named by its path: one (fork barrier, branch
-    index) pair per fork it is inside, outermost first."""
+    """A branch of a run, as `_Engine.run` leaves it between two picks:
+    `node`, the next node to step; `barrier`, the innermost fork barrier it
+    is inside; `resume`, what it does first on its next pick, if anything:
+    record the fork edge it entered by (that `_Edge`), or run its receive
+    node again, in the same step, once a send has woken it (the `_Wait` the
+    receive returned); and `path`, one (fork barrier, case index) pair per
+    fork it is inside, outermost first. `_Engine.run` sets them, with no
+    `__init__` frame per fork case."""
 
-    __slots__ = ("path",)
-
-    def __init__(self, path: tuple):
-        self.path = path
+    __slots__ = ("node", "barrier", "resume", "path")
 
 
 def _concurrent(a: tuple, b: tuple) -> bool:
@@ -481,7 +482,9 @@ class _Engine:
     record (shared, frozen) and a record of each variable write and table
     result (its own, built in bulk, not frozen). With a CoverageHits it keeps
     no trace and marks each node and edge the run reaches in the
-    campaign's hit arrays instead."""
+    campaign's hit arrays instead. `run` steps every branch in one loop;
+    between two picks a branch is a `_Branch` in `_ready`, or in
+    `_waiting` while its receive waits."""
 
     def __init__(self, model: ExecutableModel, input_lists: dict, options: RunOptions,
                  hits: CoverageHits | None, seed: int | None):
@@ -506,13 +509,11 @@ class _Engine:
         self._parallel = options.mode == "parallel"
         # parallel mode, from the first fork on: only then can two writes race
         self._forked = False
-        self._steps = 0  # steps taken; a walker keeps its own count until it yields
-        self._next_check = 1  # the next step that calls _check_limits
         self._max_steps = options.max_steps
         self._last_writer: dict[str, tuple] = {}  # variable -> path of its last writer
         self._branch: _Branch | None = None  # the branch being stepped
-        self._ready: list[tuple] = []  # (branch, walker) that can step
-        self._waiting: dict[str, list] = {}  # channel -> (branch, walker, receive node)
+        self._ready: list[_Branch] = []  # the branches that can step
+        self._waiting: dict[str, list] = {}  # channel -> the branches its receives block
         self._channels = collections.defaultdict(collections.deque)  # channel -> messages
         self._started = time.monotonic()
         self._deadline = self._started + options.timeout_s
@@ -524,10 +525,10 @@ class _Engine:
             self._outcome = (status, code, message)
 
     def _check_limits(self, steps: int) -> int:
-        """Called by the walker on the step that reads the clock (the first,
-        then every CLOCK_EVERY, so the step budget, not the machine's speed,
-        ends a run that exhausts it) and on the first step past the budget.
-        Returns the next such step, which it also keeps in `_next_check`."""
+        """Called by `run` on the step that reads the clock (the first, then
+        every CLOCK_EVERY, so the step budget, not the machine's speed, ends
+        a run that exhausts it) and on the first step past the budget.
+        Returns the next such step."""
         if steps % CLOCK_EVERY == 1 and time.monotonic() > self._deadline:
             self._set_outcome("timeout", "TIMEOUT",
                               f"execution exceeded {self.options.timeout_s:g}s")
@@ -536,8 +537,7 @@ class _Engine:
             self._set_outcome("fault", "ENGINE_FAULT",
                               f"step budget of {self._max_steps} exceeded")
             raise _Aborted()
-        self._next_check = min(steps + CLOCK_EVERY, self._max_steps + 1)
-        return self._next_check
+        return min(steps + CLOCK_EVERY, self._max_steps + 1)
 
     def _write_outputs(self, table_id: str, outputs: dict, out_bindings: tuple):
         if self._record is not None:
@@ -564,19 +564,37 @@ class _Engine:
             if note not in self.diagnostics:
                 self.diagnostics.append(note)
 
-    # --- scheduling ---
+    # --- scheduling and stepping ---
 
     def run(self):
-        """Step the branches, from the entry node, until the run has an outcome."""
-        parallel = self._parallel
-        ready = self._ready
-        walk = self._walk
-        root = _Branch(())
-        ready.append((root, walk(_program(self.model).nodes[self.model.entry], None, None,
-                                 root)))
+        """Step the branches, from the entry node, until the run has an
+        outcome. Records, or marks in the campaign's hit arrays, a fork
+        case's entry edge, each activated node and each edge taken, in that
+        order; this loop is the only code that does.
+
+        Each pick takes one ready branch (sequential: the top of the stack;
+        parallel: a `randrange(n)` draw, made only when n > 1) and steps its
+        nodes until it ends, waits, forks or, in parallel mode only, has
+        taken a node's edge while another branch is ready (a send can make
+        waiters ready in the middle of a node). A fork appends its cases
+        k - 1 down to 1, then the forking branch as case 0; each records its
+        fork edge on its first pick. The last case to arrive at the join goes
+        on past it; the others end there without taking a step. A receive
+        that waits leaves the ready list until a send on its channel wakes
+        it, then runs again in the same step: no step count, no second
+        activation record. One step count serves the whole run, compared
+        with one step: the next to check limits.
+        """
+        parallel, ready, record = self._parallel, self._ready, self._record
+        node_hits, edge_hits = self._node_hits, self._edge_hits
+        root = _Branch()
+        root.node, root.barrier, root.resume, root.path = (
+            _program(self.model).nodes[self.model.entry], None, None, ())
+        ready.append(root)
         getrandbits = None  # bound when two branches first compete for a step
+        steps, next_check = 0, 1
         try:
-            while ready and self._outcome is None:
+            while ready:
                 index = -1  # sequential: the top of the stack
                 n = len(ready)
                 if parallel and n > 1:
@@ -587,132 +605,106 @@ class _Engine:
                     index = getrandbits(k)
                     while index >= n:
                         index = getrandbits(k)
-                branch, walker = ready[index]
-                self._branch = branch
-                event = next(walker, _ENDED)
-                if event is None:  # a node boundary: the branch stays runnable
+                branch = self._branch = ready[index]
+                node, barrier, resume = branch.node, branch.barrier, branch.resume
+                join = None if barrier is None else barrier.join
+                if resume is not None:
+                    if resume.__class__ is _Edge:  # a fork case's first pick
+                        branch.resume = None
+                        if edge_hits is None:
+                            record(resume.record)
+                        else:
+                            edge_hits[resume.index] = 1
+                    else:  # a send woke the receive: it runs again, in the same step
+                        taken = node.run(self)
+                        if taken.__class__ is _Wait:  # another waiter took the message
+                            del ready[index]
+                            self._waiting.setdefault(taken.channel, []).append(branch)
+                            continue
+                        branch.resume = None
+                        if edge_hits is None:
+                            record(taken.record)
+                        else:
+                            edge_hits[taken.index] = 1
+                        node = branch.node = taken.node
+                        if len(ready) > 1:
+                            continue
+                while True:
+                    run = node.run
+                    if node is join:
+                        barrier.pending -= 1
+                        if barrier.pending:  # the last arrival will go on past the join
+                            taken = None
+                            break
+                        barrier = branch.barrier = barrier.parent
+                        join = None if barrier is None else barrier.join
+                        branch.path = branch.path[:-1]  # the fork's own branch again
+                        run = node.passed
+                    steps += 1
+                    if steps >= next_check:
+                        next_check = self._check_limits(steps)
+                    if node_hits is None:
+                        record(node.activated)
+                    else:
+                        node_hits[node.index] = 1
+                    taken = run(self)
+                    if taken.__class__ is not _Edge:
+                        break
+                    if edge_hits is None:
+                        record(taken.record)
+                    else:
+                        edge_hits[taken.index] = 1
+                    node = taken.node
+                    if parallel and len(ready) > 1:
+                        break
+                if taken.__class__ is _Edge:  # a node boundary: the branch stays ready
+                    branch.node = node
                     continue
                 del ready[index]
-                if event is _ENDED:
+                if taken is None:  # the branch ended, at a join or with the run's outcome
+                    if self._outcome is not None:
+                        break
                     continue
-                if event.__class__ is _Barrier:  # a fork: its walker goes on as the first case
-                    self._forked = parallel
-                    path, edges = branch.path, event.edges
-                    for i in range(len(edges) - 1, 0, -1):
-                        edge = edges[i]
-                        child = _Branch(path + ((event, i),))
-                        ready.append((child, walk(edge.node, event, edge, child)))
-                    branch.path = path + ((event, 0),)
-                    ready.append((branch, walker))
-                else:  # the _Wait of a receive on an empty channel
-                    node, channel = event
-                    if parallel:
-                        self._waiting.setdefault(channel, []).append((branch, walker, node))
-                    else:
+                if taken.__class__ is _Wait:  # the receive's channel is empty
+                    if not parallel:
                         self._set_outcome("fault", "ENGINE_FAULT",
-                                          f"sequential deadlock: receive {node!r} blocked "
-                                          f"on empty channel {channel!r}")
+                                          f"sequential deadlock: receive {node.id!r} blocked "
+                                          f"on empty channel {taken.channel!r}")
+                        break
+                    branch.node, branch.resume = node, taken
+                    self._waiting.setdefault(taken.channel, []).append(branch)
+                    continue
+                # a fork: its cases after the first, last first, then the branch as the first
+                self._forked = parallel
+                parent, barrier = barrier, _Barrier()
+                barrier.join, barrier.pending, barrier.parent = node.join, len(taken), parent
+                path = branch.path
+                for i in range(len(taken) - 1, 0, -1):
+                    child, edge = _Branch(), taken[i]
+                    child.node, child.barrier, child.resume = edge.node, barrier, edge
+                    child.path = path + ((barrier, i),)
+                    ready.append(child)
+                edge = taken[0]
+                branch.node, branch.barrier, branch.resume = edge.node, barrier, edge
+                branch.path = path + ((barrier, 0),)
+                ready.append(branch)
         except _Aborted:
             pass
+        except BprocError as exc:
+            self._set_outcome("fault", "ENGINE_FAULT", f"{node.id}: {exc}")
         if self._outcome is None and self._waiting:
-            index = _program(self.model).node_index  # node order: one message per deadlock
+            # in node order: one message per deadlock
             blocked = "; ".join(f"receive {node!r} blocked on empty channel {channel!r}"
                                 for _, node, channel in sorted(
-                                    (index[node], node, channel) for channel, waiters
-                                    in self._waiting.items() for _, _, node in waiters))
+                                    (branch.node.index, branch.node.id, channel)
+                                    for channel, waiters in self._waiting.items()
+                                    for branch in waiters))
             self._set_outcome("fault", "ENGINE_FAULT",
                               f"deadlock: every branch is waiting: {blocked}")
         elif self._outcome is None:
             self._set_outcome("fault", "ENGINE_FAULT",
                               "all branches ended without an outcome" if parallel
                               else "run ended without an outcome")
-
-    # --- one branch ---
-
-    def _walk(self, node: _Node, barrier: _Barrier | None, entry: _Edge | None,
-              branch: _Branch):
-        """Run one branch from `node`, entered over the fork edge `entry`
-        when it has one. Records, or marks in the campaign's hit arrays, the
-        fork edge, each activated node and each edge taken, in that order.
-
-        In parallel mode, yields None after a node and its edge when another
-        branch is ready (a send can make waiters ready in the middle of a
-        node); a lone branch keeps the step, as the scheduler would give it
-        back without a draw. In both modes, yields the `_Wait` of a receive
-        on an empty channel, and calls the receive node's `run` again once
-        resumed, in the same step; and yields the barrier of the children
-        at a fork: the scheduler starts a walker for every case but the
-        first, and this one goes on as the first once resumed. Ends at a
-        join some other branch still has to reach, or once the run has an
-        outcome. A sequential branch keeps the only step until it yields,
-        so it needs no node boundaries. The step count is a local, read
-        from the engine on every resume and written back where the walker
-        yields or waits at a join (once the run has an outcome, it is not
-        read again), and compared with one step: the next to check limits.
-        """
-        record = self._record
-        node_hits, edge_hits = self._node_hits, self._edge_hits
-        parallel = self._parallel
-        ready = self._ready
-        join = None if barrier is None else barrier.join
-        if entry is not None:
-            if edge_hits is None:
-                record(entry.record)
-            else:
-                edge_hits[entry.index] = 1
-        steps, next_check = self._steps, self._next_check
-        while True:
-            run = node.run
-            if node is join:
-                barrier.pending -= 1
-                if barrier.pending:
-                    self._steps = steps
-                    return  # the last arrival will continue past the join
-                barrier = barrier.parent  # the last arrival: on over the join's edge
-                join = None if barrier is None else barrier.join
-                branch.path = branch.path[:-1]  # the fork's own branch again
-                run = node.passed
-            steps += 1
-            if steps >= next_check:
-                self._steps = steps
-                next_check = self._check_limits(steps)
-            if node_hits is None:
-                record(node.activated)
-            else:
-                node_hits[node.index] = 1
-            try:
-                taken = run(self)
-                if taken.__class__ is not _Edge:
-                    if taken is None:  # the outcome is set
-                        return
-                    self._steps = steps
-                    if taken.__class__ is not _Wait:  # a fork: on as its first case
-                        barrier = _Barrier(node.join, taken, barrier)
-                        yield barrier
-                        steps, next_check = self._steps, self._next_check
-                        join, entry = barrier.join, taken[0]
-                        if edge_hits is None:
-                            record(entry.record)
-                        else:
-                            edge_hits[entry.index] = 1
-                        node = entry.node
-                        continue
-                    while taken.__class__ is _Wait:  # an empty channel: run again once resumed
-                        yield taken
-                        taken = run(self)
-                    steps, next_check = self._steps, self._next_check
-            except BprocError as exc:
-                self._set_outcome("fault", "ENGINE_FAULT", f"{node.id}: {exc}")
-                return
-            if edge_hits is None:
-                record(taken.record)
-            else:
-                edge_hits[taken.index] = 1
-            node = taken.node
-            if parallel and len(ready) > 1:
-                self._steps = steps
-                yield
-                steps, next_check = self._steps, self._next_check
 
 
 def run_once(model: ExecutableModel, input_lists: dict[str, list],

@@ -46,12 +46,12 @@ COMPREHENSIONS = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
 
 
 def node_calls(model, lists, options, hits=None):
-    """Run the model under `sys.setprofile` and list, per node the walker
-    runs, the Python functions called: (depth, name), from the node's
+    """Run the model under `sys.setprofile` and list, per node the engine
+    steps, the Python functions called: (depth, name), from the node's
     closure (depth 1) down. C functions are not counted, and neither is
     the frame of a list, dict or set comprehension: what it calls counts
     as called by its caller, as on every Python version."""
-    walk = runtime._Engine._walk.__code__
+    engine = runtime._Engine.run.__code__
     calls: list[tuple[str, list]] = []
     frames: list[bool] = []  # the frames open below the node's closure: counted or not
     depth = 0
@@ -65,12 +65,14 @@ def node_calls(model, lists, options, hits=None):
                 if counted:
                     depth += 1
                     calls[-1][1].append((depth, _name(frame)))
-            elif frame.f_back is not None and frame.f_back.f_code is walk:
-                walker = frame.f_back.f_locals
-                if frame.f_code is walker["run"].__code__:  # not _check_limits
+            elif frame.f_back is not None and frame.f_back.f_code is engine:
+                stepping = frame.f_back.f_locals
+                run = stepping.get("run")
+                # the node's closure; not _check_limits, a _Branch or a _Barrier
+                if run is not None and frame.f_code is run.__code__:
                     frames.append(True)
                     depth = 1
-                    calls.append((walker["node"].id, [(1, _name(frame))]))
+                    calls.append((stepping["node"].id, [(1, _name(frame))]))
         elif event == "return" and frames and frames.pop():
             depth -= 1
 

@@ -21,6 +21,7 @@ from bproc.runtime import (TableEvaluated, VarWritten, parse_summary_inputs,
 from bproc.verifier import draw_input_lists
 
 from conftest import compile_fixture
+from generators import models
 from golden_support import FIXTURE_PLAN, compiled
 from test_pins import SEED, diamonds
 
@@ -328,6 +329,16 @@ def test_sequential_fork_runs_branches_in_case_order():
     nodes = trace.node_sequence()
     assert nodes.index("Activity_Send") < nodes.index("Activity_Await")
     assert nodes.count("Gateway_Sync") == 1
+    # a fork appends its cases last first, then the forking branch, so the
+    # top of the stack takes them in case order at any width; an early
+    # arrival at a join is not activated
+    for body, nodes in (
+            (_wide_fork(), ["s", "split", *(f"t{i}" for i in range(WIDE_FORK)), "join", "e"]),
+            (NESTED_FORKS, ["s", "outer", "a", "inner", "b0", "b1", "b2", "inner_join",
+                            "outer_join", "e"])):
+        trace, summary = run_once(compile_inline(body), {}, RunOptions(mode="sequential"))
+        assert summary.status == "success"
+        assert trace.node_sequence() == nodes
 
 
 def test_sequential_receive_before_send_deadlocks():
@@ -894,64 +905,74 @@ def _wide_fork() -> str:
     return "".join(body)
 
 
-class _Resumes:
-    """Stands in for `_Engine._walk`: counts each walker started and each
-    resume of a walker, and notes, when several branches are ready, how
+class _Picks:
+    """Stands in for `_Engine`, `_Branch` and `random.Random`: counts each
+    branch made, each pick of a branch to step and each random generator
+    made for the draws, and notes, when several branches are ready, how
     many there are and which one the scheduler picked."""
 
     def __init__(self, monkeypatch):
-        self.started = self.count = 0
-        self.picks = []  # (ready branches, index of the one resumed)
-        walk = runtime._Engine._walk
-        resumes = self
+        self.started = self.count = self.generators = 0
+        self.picks = []  # (ready branches, index of the one picked)
+        picks = self
 
-        class Counted:
-            def __init__(self, engine, walker):
-                self.engine, self.walker = engine, walker
+        class Branch(runtime._Branch):
+            __slots__ = ()
 
-            def __iter__(self):
-                return self
+            def __init__(self):
+                picks.started += 1
 
-            def __next__(self):
-                resumes.count += 1
-                ready = self.engine._ready
-                if len(ready) > 1:
-                    walkers = [walker for _, walker in ready]
-                    resumes.picks.append((len(ready), walkers.index(self)))
-                return next(self.walker)
+        def generator(seed):
+            picks.generators += 1
+            return random.Random(seed)
 
-        def start(engine, *args):
-            resumes.started += 1
-            return Counted(engine, walk(engine, *args))
-        monkeypatch.setattr(runtime._Engine, "_walk", start)
+        class Engine(runtime._Engine):
+            @property
+            def _branch(self):
+                return self.__dict__["_branch"]
+
+            @_branch.setter
+            def _branch(self, branch):  # `run` sets it once per pick
+                if branch is not None:
+                    picks.count += 1
+                    ready = self._ready
+                    if len(ready) > 1:
+                        picks.picks.append((len(ready), ready.index(branch)))
+                self.__dict__["_branch"] = branch
+
+        monkeypatch.setattr(runtime, "_Branch", Branch)
+        monkeypatch.setattr(runtime, "_Engine", Engine)
+        monkeypatch.setattr(runtime, "random", types.SimpleNamespace(Random=generator))
 
 
 def test_scheduler_draws_as_randrange(monkeypatch):
     # every pick among n ready branches, n from WIDE_FORK down to 2, is the
     # next `random.Random(seed).randrange(n)`
     x = compile_inline(_wide_fork())
-    resumes = _Resumes(monkeypatch)
+    picks = _Picks(monkeypatch)
     sizes = set()
     for seed in range(200):
-        resumes.picks.clear()
+        picks.picks.clear()
         _, summary = run_once(x, {}, RunOptions(mode="parallel", seed=seed))
         assert summary.status == "success"
         rng = random.Random(seed)
-        assert resumes.picks == [(n, rng.randrange(n)) for n, _ in resumes.picks]
-        sizes.update(n for n, _ in resumes.picks)
+        assert picks.picks == [(n, rng.randrange(n)) for n, _ in picks.picks]
+        sizes.update(n for n, _ in picks.picks)
     assert sizes == set(range(2, WIDE_FORK + 1))
 
 
 @pytest.mark.parametrize("name,dmns", [("shipment", ("shipment",)), ("triage", ()),
                                        ("loop", ())])
 def test_a_lone_branch_is_resumed_once_per_run(monkeypatch, name, dmns):
+    # a fork-free parallel run makes no draw and never gives up its step
     x = compile_fixture(name, *dmns, sample_seed=42)
     lists = {spec.name: [spec.sample] for spec in x.input_vars}
-    resumes = _Resumes(monkeypatch)
+    picks = _Picks(monkeypatch)
     for seed in range(5):
-        before = resumes.count
+        before = picks.count
         _, summary = run_once(x, lists, RunOptions(mode="parallel", seed=seed, max_steps=300))
-        assert resumes.count - before == 1, summary
+        assert picks.count - before == 1, summary
+    assert picks.generators == 0
 
 
 NESTED_FORKS = """
@@ -979,18 +1000,18 @@ NESTED_FORKS = """
 @pytest.mark.parametrize("body", (_wide_fork(), NESTED_FORKS), ids=("wide", "nested"))
 @pytest.mark.parametrize("mode", ("sequential", "parallel"))
 def test_a_fork_keeps_its_walker(monkeypatch, body, mode):
-    # the walker that reaches a fork goes on as its first case, so a run
-    # starts one walker for the entry and one per case after the first
+    # the branch that reaches a fork goes on as its first case, so a run
+    # makes one branch for the entry and one per case after the first
     x = compile_inline(body)
     cases = [len(routine.step.targets) for routine in x.routines.values()
              if isinstance(routine.step, Fork)]
     assert cases in ([WIDE_FORK], [2, 3])
-    resumes = _Resumes(monkeypatch)
+    picks = _Picks(monkeypatch)
     for seed in range(3):
-        resumes.started = 0
+        picks.started = 0
         trace, summary = run_once(x, {}, RunOptions(mode=mode, seed=seed))
         assert summary.status == "success"
-        assert resumes.started == 1 + sum(n - 1 for n in cases)
+        assert picks.started == 1 + sum(n - 1 for n in cases)
         assert len(trace.node_sequence()) == len(x.routines)  # each node once
 
 
@@ -1065,3 +1086,29 @@ def test_send_first_parallel_run_matches_sequential(seed):
     assert sorted(par_trace.node_sequence()) == sorted(seq_trace.node_sequence())
     assert dict(par_trace.writes()) == dict(seq_trace.writes())
     assert (par.status, par.code, par.message) == (seq.status, seq.code, seq.message)
+
+
+@given(drawn=models(forks=True), x=st.integers(-10, 10), seed=st.integers(0, 2**32))
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_generated_forked_models_run_to_an_outcome(drawn, x, seed):
+    # parallel, inclusive and exclusive splits nested in gateways and loops:
+    # a parallel run repeats exactly for its seed, and each mode reaches an
+    # outcome. A run that succeeds at `end` passes every join as often as its
+    # split; one that succeeds at an end event inside a split's case (an arm
+    # of an exclusive gateway there may end the run) misses that join once
+    model = compile_model(parse_bpmn(drawn.xml), ())
+    for mode in ("sequential", "parallel"):
+        options = RunOptions(mode=mode, seed=seed, max_steps=2000)
+        trace, summary = run_once(model, {"x": [x]}, options)
+        assert summary.message not in ("run ended without an outcome",
+                                       "all branches ended without an outcome")
+        if summary.status == "success":
+            nodes = trace.node_sequence()
+            missed = (0,) if nodes[-1] == "end" else (0, 1)
+            for split, join in drawn.joins.items():
+                assert nodes.count(split) - nodes.count(join) in missed, (mode, split)
+        if mode == "parallel":
+            again, repeat = run_once(model, {"x": [x]}, options)
+            assert (again.records, repeat.status, repeat.code, repeat.message,
+                    repeat.diagnostics) == (trace.records, summary.status, summary.code,
+                                            summary.message, summary.diagnostics)
