@@ -447,29 +447,41 @@ class _Aborted(Exception):
 
 class _Barrier:
     """Where the cases of one fork meet, at the `join` node: `pending`
-    counts the cases that have yet to arrive there, and `parent` is the
-    barrier the forking branch was inside. `_Engine.run` sets the three."""
+    counts the cases that have yet to arrive there; `parent` and `case` are
+    the forking branch's barrier and case index, which the last arrival
+    takes on past the join. `_Engine.run` sets the four."""
 
-    __slots__ = ("join", "pending", "parent")
+    __slots__ = ("join", "pending", "parent", "case")
 
 
 class _Branch:
     """A branch of a run, as `_Engine.run` leaves it between two picks:
-    `node`, the next node to step; `barrier`, the innermost fork barrier it
-    is inside; `resume`, what it does first on its next pick, if anything:
-    record the fork edge it entered by (that `_Edge`), or run its receive
-    node again, in the same step, once a send has woken it (the `_Wait` the
-    receive returned); and `path`, one (fork barrier, case index) pair per
-    fork it is inside, outermost first. `_Engine.run` sets them, with no
-    `__init__` frame per fork case."""
+    `node`, the next node to step; `barrier` and `case`, the innermost fork
+    barrier it is inside (None outside every fork) and its case index there;
+    and `resume`, what it does first on its next pick, if anything: record
+    the fork edge it entered by (that `_Edge`), or run its receive node
+    again, in the same step, once a send has woken it (the `_Wait` the
+    receive returned). `_Engine.run` sets them, with no `__init__` frame per
+    fork case."""
 
-    __slots__ = ("node", "barrier", "resume", "path")
+    __slots__ = ("node", "barrier", "case", "resume")
+
+
+def _path(barrier: _Barrier | None, case: int) -> list:
+    """The fork path of a branch in case `case` of `barrier`: one (fork
+    barrier, case index) pair per fork it is inside, outermost first."""
+    path = []
+    while barrier is not None:
+        path.append((barrier, case))
+        barrier, case = barrier.parent, barrier.case
+    return path[::-1]
 
 
 def _concurrent(a: tuple, b: tuple) -> bool:
-    """Do two branch paths lie in different branches of one fork? Only
-    then does no fork or join edge order what the two branches do."""
-    for (fork_a, i), (fork_b, j) in zip(a, b):
+    """Do two writers, each a (barrier, case) pair as a `_Branch` holds
+    them, lie in different cases of one fork? Only then does no fork or
+    join edge order what the two do."""
+    for (fork_a, i), (fork_b, j) in zip(_path(*a), _path(*b)):
         if fork_a is not fork_b:
             return False
         if i != j:
@@ -510,7 +522,7 @@ class _Engine:
         # parallel mode, from the first fork on: only then can two writes race
         self._forked = False
         self._max_steps = options.max_steps
-        self._last_writer: dict[str, tuple] = {}  # variable -> path of its last writer
+        self._last_writer: dict[str, tuple] = {}  # variable -> (barrier, case) of its last writer
         self._branch: _Branch | None = None  # the branch being stepped
         self._ready: list[_Branch] = []  # the branches that can step
         self._waiting: dict[str, list] = {}  # channel -> the branches its receives block
@@ -556,10 +568,11 @@ class _Engine:
         """Parallel mode, once forked: note `name` if no fork or join orders
         its writes. A write before the first fork has the empty path, which
         is concurrent with none, so it need not be noted."""
-        path = self._branch.path
+        branch = self._branch
+        writer = (branch.barrier, branch.case)
         last = self._last_writer.get(name)
-        self._last_writer[name] = path
-        if last is not None and _concurrent(last, path):
+        self._last_writer[name] = writer
+        if last is not None and _concurrent(last, writer):
             note = f"variable {name!r} written by several parallel branches"
             if note not in self.diagnostics:
                 self.diagnostics.append(note)
@@ -568,9 +581,9 @@ class _Engine:
 
     def run(self):
         """Step the branches, from the entry node, until the run has an
-        outcome. Records, or marks in the campaign's hit arrays, a fork
+        outcome, recording (or marking in the campaign's hit arrays) a fork
         case's entry edge, each activated node and each edge taken, in that
-        order; this loop is the only code that does.
+        order.
 
         Each pick takes one ready branch (sequential: the top of the stack;
         parallel: a `randrange(n)` draw, made only when n > 1) and steps its
@@ -579,17 +592,15 @@ class _Engine:
         waiters ready in the middle of a node). A fork appends its cases
         k - 1 down to 1, then the forking branch as case 0; each records its
         fork edge on its first pick. The last case to arrive at the join goes
-        on past it; the others end there without taking a step. A receive
-        that waits leaves the ready list until a send on its channel wakes
-        it, then runs again in the same step: no step count, no second
-        activation record. One step count serves the whole run, compared
-        with one step: the next to check limits.
+        on past it; the others end there without taking a step. A woken
+        receive runs again in the same step: no step count, no second
+        activation record. One step count serves the whole run.
         """
         parallel, ready, record = self._parallel, self._ready, self._record
         node_hits, edge_hits = self._node_hits, self._edge_hits
         root = _Branch()
-        root.node, root.barrier, root.resume, root.path = (
-            _program(self.model).nodes[self.model.entry], None, None, ())
+        root.node, root.barrier, root.case, root.resume = (
+            _program(self.model).nodes[self.model.entry], None, 0, None)
         ready.append(root)
         getrandbits = None  # bound when two branches first compete for a step
         steps, next_check = 0, 1
@@ -608,27 +619,22 @@ class _Engine:
                 branch = self._branch = ready[index]
                 node, barrier, resume = branch.node, branch.barrier, branch.resume
                 join = None if barrier is None else barrier.join
-                if resume is not None:
-                    if resume.__class__ is _Edge:  # a fork case's first pick
-                        branch.resume = None
-                        if edge_hits is None:
-                            record(resume.record)
-                        else:
-                            edge_hits[resume.index] = 1
-                    else:  # a send woke the receive: it runs again, in the same step
-                        taken = node.run(self)
-                        if taken.__class__ is _Wait:  # another waiter took the message
+                if resume is not None:  # a fork case's first pick, or a woken receive
+                    woken = resume.__class__ is _Wait
+                    if woken:  # a send woke the receive: it runs again, in the same step
+                        resume = node.run(self)  # the edge it takes, or another _Wait
+                        if resume.__class__ is _Wait:  # another waiter took the message
                             del ready[index]
-                            self._waiting.setdefault(taken.channel, []).append(branch)
+                            self._waiting.setdefault(resume.channel, []).append(branch)
                             continue
-                        branch.resume = None
-                        if edge_hits is None:
-                            record(taken.record)
-                        else:
-                            edge_hits[taken.index] = 1
-                        node = branch.node = taken.node
-                        if len(ready) > 1:
-                            continue
+                        node = branch.node = resume.node
+                    branch.resume = None
+                    if edge_hits is None:
+                        record(resume.record)
+                    else:
+                        edge_hits[resume.index] = 1
+                    if woken and len(ready) > 1:  # a node boundary, as in the loop below
+                        continue
                 while True:
                     run = node.run
                     if node is join:
@@ -636,9 +642,9 @@ class _Engine:
                         if barrier.pending:  # the last arrival will go on past the join
                             taken = None
                             break
+                        branch.case = barrier.case  # on as the forking branch
                         barrier = branch.barrier = barrier.parent
                         join = None if barrier is None else barrier.join
-                        branch.path = branch.path[:-1]  # the fork's own branch again
                         run = node.passed
                     steps += 1
                     if steps >= next_check:
@@ -677,16 +683,16 @@ class _Engine:
                 # a fork: its cases after the first, last first, then the branch as the first
                 self._forked = parallel
                 parent, barrier = barrier, _Barrier()
-                barrier.join, barrier.pending, barrier.parent = node.join, len(taken), parent
-                path = branch.path
+                barrier.join, barrier.pending = node.join, len(taken)
+                barrier.parent, barrier.case = parent, branch.case
                 for i in range(len(taken) - 1, 0, -1):
                     child, edge = _Branch(), taken[i]
-                    child.node, child.barrier, child.resume = edge.node, barrier, edge
-                    child.path = path + ((barrier, i),)
+                    child.node, child.barrier, child.case, child.resume = (
+                        edge.node, barrier, i, edge)
                     ready.append(child)
                 edge = taken[0]
-                branch.node, branch.barrier, branch.resume = edge.node, barrier, edge
-                branch.path = path + ((barrier, 0),)
+                branch.node, branch.barrier, branch.case, branch.resume = (
+                    edge.node, barrier, 0, edge)
                 ready.append(branch)
         except _Aborted:
             pass

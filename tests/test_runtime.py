@@ -1015,6 +1015,22 @@ def test_a_fork_keeps_its_walker(monkeypatch, body, mode):
         assert len(trace.node_sequence()) == len(x.routines)  # each node once
 
 
+def test_a_write_after_a_nested_join_races_with_the_other_outer_case():
+    # past the inner join the branch is in the outer fork's second case
+    # again, whichever inner case arrived last, so its write of v races with
+    # the first case's
+    body = NESTED_FORKS.replace('resultVariable="va"', 'resultVariable="v"').replace(
+        '<sequenceFlow id="f9" sourceRef="inner_join" targetRef="outer_join"/>',
+        '<scriptTask id="c" resultVariable="v"><script>2</script></scriptTask>'
+        '<sequenceFlow id="f9" sourceRef="inner_join" targetRef="c"/>'
+        '<sequenceFlow id="f12" sourceRef="c" targetRef="outer_join"/>')
+    x = compile_inline(body)
+    for seed in range(30):
+        _, summary = run_once(x, {}, RunOptions(mode="parallel", seed=seed))
+        assert summary.status == "success"
+        assert summary.diagnostics == ["variable 'v' written by several parallel branches"], seed
+
+
 READ_IF_SET = """
   <dataObject id="d"/>
   <dataObjectReference id="dr" name="g" dataObjectRef="d"/>
