@@ -179,10 +179,6 @@ def adjacency(flows) -> tuple[dict[str, list[SequenceFlow]], dict[str, list[Sequ
     return out, inc
 
 
-def _local(tag) -> str:
-    return tag.rsplit("}", 1)[-1]
-
-
 def _strip_expr(text: str) -> str:
     text = (text or "").strip()
     return text[1:].strip() if text.startswith("=") else text
@@ -491,7 +487,7 @@ class _Builder:
         if body is not None and (body.text or "").strip():
             expr_text = body.text.strip()
             target = el.get("resultVariable") or next(
-                (el.get(k) for k in el.keys() if _local(k) == "resultVariable"), None)
+                (el.get(k) for k in el.keys() if self.local[k] == "resultVariable"), None)
         elif found.script:
             expr_text, target = found.script
         elif found.io_outputs:

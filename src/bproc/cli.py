@@ -131,14 +131,11 @@ def _dispatch(args) -> int:
         print(path)
         return EXIT_OK
 
-    overrides: dict[str, list] = {}
     inputs_file = getattr(args, "inputs_file", None)
-    if inputs_file:
-        parsed = inputs_mod.parse_inputs_file(inputs_file)
-        overrides = parsed.overrides
+    parsed = inputs_mod.parse_inputs_file(inputs_file) if inputs_file else inputs_mod.InputsFile()
+    overrides = parsed.overrides
 
-    executable = compiler.compile_model(model, tables, sample_seed=seed,
-                                        overrides=overrides)
+    executable = compiler.compile_model(model, tables, sample_seed=seed)
     if inputs_file:
         # the (possibly hand-edited) file overrides the inferred specs
         by_name = parsed.by_name()

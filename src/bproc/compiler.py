@@ -171,14 +171,8 @@ def _display_name(node) -> str:
 
 
 @collector_paused
-def compile_model(model: ProcessModel, tables, *, sample_seed: int = 0,
-                  overrides: dict[str, list] | None = None) -> ExecutableModel:
+def compile_model(model: ProcessModel, tables, *, sample_seed: int = 0) -> ExecutableModel:
     """Translate a validated model and its tables into the executable form.
-
-    `overrides` (variable -> values) serve UNHANDLED input domains only: the
-    sample of such a variable is drawn from its list. An inferred ENUM, BALL
-    or RANGE domain ignores them, so one that holds no value still raises
-    DomainMismatchError.
 
     Deterministic: identical inputs (including sample_seed) give identical
     results and byte-identical rendered source. Runs with the cyclic
@@ -204,7 +198,7 @@ def compile_model(model: ProcessModel, tables, *, sample_seed: int = 0,
     diagnostics.extend(domain_diags)
 
     rng = random.Random(sample_seed)
-    input_specs = inputs_mod.build_input_specs(roles, types, domains, rng, overrides)
+    input_specs = inputs_mod.build_input_specs(roles, types, domains, rng)
     string = StaticType.STRING
     process_vars = [(name, types.get(name, string))
                     for name in sorted(roles) if roles[name].role == "process"]

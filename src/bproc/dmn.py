@@ -214,10 +214,9 @@ def evaluate_table(table: DecisionTable, args: dict[str, object]) -> dict[str, o
 
 
 def _fold(entry: ast.FeelExpr) -> tuple[object, Callable | None]:
-    evaluate = feel.compile_expr(entry)
-    answer = feel.constant(entry, evaluate)
+    answer = feel.constant(entry)
     # a list or context is built afresh, and an error raised again, at each use
-    return (answer.value, None) if answer.shared else (None, evaluate)
+    return (answer.value, None) if answer.shared else (None, feel.compile_expr(entry))
 
 
 def _outputs_builder(names: tuple[str, ...], folded) -> Callable[[], dict[str, object]]:

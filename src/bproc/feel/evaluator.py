@@ -9,12 +9,16 @@ operands in the same left-to-right order. Environments map variable names
 to values (UNDEFINED is a legal binding, but any operation reading it
 raises). `evaluate` and `match_unary` compile and call in one go.
 
-Compiling folds constants (Aho, Lam, Sethi & Ullman, *Compilers*, 2nd
-ed.): `constant` evaluates each subtree that reads no variable once, and
-one that gives a value becomes a closure that returns it. Two kinds stay
-unfolded and are evaluated at each call: a subtree that raises, so that
-its error comes in its place among the operands, and one that gives a
-list or a context, which each evaluation builds afresh.
+Compiling folds constants in the same bottom-up walk (Aho, Lam, Sethi &
+Ullman, *Compilers*, 2nd ed.): each subtree's answer, whether it reads a
+variable, gives a value or raises (`constant`), comes from its operands'
+answers, and a subtree that reads no variable is evaluated once. One that
+gives a value becomes a closure that returns it. Two kinds stay unfolded
+and are evaluated at each call: a subtree that raises, so that a fresh
+error comes in its place among the operands, and one that gives a list or
+a context, which each evaluation builds afresh. This module alone decides
+what a constant is: table cells, domain facts and type evidence all ask
+`constant`.
 
 An ordering, `=`, `!=`, `+`, `-` or `*` with a variable on the left and
 a literal or a folded constant on the right (`n > 0`, `n + 1`, `n = -1`)
@@ -79,13 +83,7 @@ def match_unary(test: ast.UnaryTest, value) -> bool:
 
 def compile_expr(expr: ast.FeelExpr) -> Compiled:
     """A function of an environment that evaluates `expr`, folded."""
-    compiled = _COMPILERS.get(type(expr), _unknown)(expr)
-    operands = ast.CHILDREN.get(type(expr))
-    if operands is None or ast.Var in map(type, operands(expr)):
-        return compiled  # a leaf (a literal's closure is not called here), or it reads a name
-    answer = constant(expr, compiled)
-    value = answer.value
-    return (lambda env: value) if answer.shared else compiled
+    return _compile(expr)[0]
 
 
 class Constant(NamedTuple):
@@ -103,20 +101,82 @@ class Constant(NamedTuple):
             and not isinstance(self.value, (list, dict))
 
 
-def constant(expr: ast.FeelExpr, compiled: Compiled | None = None) -> Constant:
+def constant(expr: ast.FeelExpr) -> Constant:
     """Is `expr` a constant, and which? A variable it names makes it none,
-    even one never read (`y` in `false and y`); else it is evaluated once,
-    by calling `compiled`, `expr` compiled, when given."""
-    names = ast.free_variables(expr)
-    if names:
-        return Constant(min(names))
+    even one never read (`y` in `false and y`). The answer of `_compile`."""
+    return _compile(expr)[1]
+
+
+def _compile(expr: ast.FeelExpr) -> tuple[Compiled, Constant, str | None]:
+    """`expr` compiled and folded, its `constant` answer, and the first name
+    it reads other than `item`, which a filter's predicate binds. A node's
+    answer comes from its operands' answers (`_evaluated`), so the walk
+    visits and evaluates each subtree once."""
+    cls = type(expr)
+    compile_node = _COMPILERS.get(cls, _unknown)
+    if cls is ast.Lit:
+        return compile_node(expr), Constant(None, expr.value), None
+    if cls is ast.Var:
+        name = expr.name
+        return compile_node(expr), Constant(name), None if name == "item" else name
+    fused = cls is ast.BinOp and type(expr.left) is ast.Var and _FUSED.get(expr.op)
+    if fused and type(expr.right) is ast.Lit:  # one closure reads the name and holds the value
+        return (fused(expr.op, expr.left.name, expr.right.value), *_compile(expr.left)[1:])
+    children = ast.CHILDREN.get(cls)
+    parts = tuple(map(_compile, children(expr))) if children is not None else ()
+    if fused and parts[1][1].shared:  # so does one for a folded right operand
+        return (fused(expr.op, expr.left.name, parts[1][1].value), *parts[0][1:])
+    if cls is ast.Filter:
+        (_, seq, seq_other), (_, _, other) = parts
+        variable, other = _first(seq.variable, other), _first(seq_other, other)
+    else:
+        variable = other = None
+        for _, answer, part_other in parts:
+            variable, other = _first(variable, answer.variable), _first(other, part_other)
+    if variable is None:
+        answer = _evaluated(compile_node, expr, parts)
+        if answer.shared:
+            value = answer.value
+            return (lambda env: value), answer, None
+    else:
+        answer = Constant(variable)
+    return compile_node(expr, *[compiled for compiled, _, _ in parts]), answer, other
+
+
+def _first(a: str | None, b: str | None) -> str | None:
+    """The first by name of two names, either of which may be None."""
+    return a if b is None or (a is not None and a <= b) else b
+
+
+class _Raised(Exception):
+    """Raised in place of an operand's error by `_evaluated`; holds its answer."""
+
+
+def _evaluated(compile_node, expr: ast.FeelExpr, parts) -> Constant:
+    """The answer of `expr`, which names no variable: `expr` compiled over
+    closures that give its operands' answers, called once. An operand's
+    `_Raised` that reaches here makes `expr` raise the operand's error, so
+    a raising chain is evaluated once."""
     try:
-        return Constant(value=(compiled or _COMPILERS.get(type(expr), _unknown)(expr))({}))
+        return Constant(None, compile_node(expr, *map(_given, parts))({}))
+    except _Raised as raised:
+        return raised.args[0]
     except Exception as error:
-        return Constant(error=error)
+        return Constant(None, None, error)
 
 
-def _unknown(expr: ast.FeelExpr) -> Compiled:
+def _given(part) -> Compiled:
+    compiled, answer, _ = part
+    if answer.error is not None:
+        def raised(env):
+            raise _Raised(answer)
+        return raised
+    value = answer.value
+    # a filter's predicate, which reads `item`, runs compiled
+    return compiled if answer.variable is not None else lambda env: value
+
+
+def _unknown(expr: ast.FeelExpr, *operands: Compiled) -> Compiled:
     name = type(expr).__name__
 
     def unknown(env):
@@ -143,9 +203,7 @@ def _var(expr: ast.Var) -> Compiled:
     return var
 
 
-def _neg(expr: ast.Neg) -> Compiled:
-    operand = compile_expr(expr.operand)
-
+def _neg(expr: ast.Neg, operand: Compiled) -> Compiled:
     def neg(env):
         v = operand(env)
         if kind_of(v) != "number":
@@ -154,9 +212,7 @@ def _neg(expr: ast.Neg) -> Compiled:
     return neg
 
 
-def _not(expr: ast.Not) -> Compiled:
-    operand = compile_expr(expr.operand)
-
+def _not(expr: ast.Not, operand: Compiled) -> Compiled:
     def not_(env):
         v = operand(env)
         if v is True or v is False:
@@ -165,15 +221,8 @@ def _not(expr: ast.Not) -> Compiled:
     return not_
 
 
-def _binop(expr: ast.BinOp) -> Compiled:
-    op, fused = expr.op, type(expr.left) is ast.Var and _FUSED.get(expr.op)
-    if fused and type(expr.right) is ast.Lit:
-        return fused(op, expr.left.name, expr.right.value)
-    left, right = compile_expr(expr.left), compile_expr(expr.right)
-    if fused and type(expr.right) is not ast.Var:
-        b = constant(expr.right, right)  # calls a literal, when compiling folded it
-        if b.shared:
-            return fused(op, expr.left.name, b.value)
+def _binop(expr: ast.BinOp, left: Compiled, right: Compiled) -> Compiled:
+    op = expr.op
     if op in ("and", "or"):
         return _logic(op, left, right)
     if op in ("=", "!="):
@@ -337,9 +386,8 @@ def _arithmetic(op: str, left, right):
     raise FeelTypeError(f"unknown operator {op!r}")
 
 
-def _call(expr: ast.Call) -> Compiled:
+def _call(expr: ast.Call, *args: Compiled) -> Compiled:
     name = expr.name
-    args = tuple(compile_expr(a) for a in expr.args)
     return lambda env: _apply(name, [a(env) for a in args])
 
 
@@ -387,14 +435,11 @@ def _overlaps_before(a: FeelRange, b: FeelRange) -> bool:
     return starts_before and overlap and ends_inside
 
 
-def _list(expr: ast.ListLit) -> Compiled:
-    items = tuple(compile_expr(item) for item in expr.items)
+def _list(expr: ast.ListLit, *items: Compiled) -> Compiled:
     return lambda env: [item(env) for item in items]
 
 
-def _index(expr: ast.Index) -> Compiled:
-    seq_of, index_of = compile_expr(expr.seq), compile_expr(expr.index)
-
+def _index(expr: ast.Index, seq_of: Compiled, index_of: Compiled) -> Compiled:
     def index(env):
         seq = seq_of(env)
         if kind_of(seq) != "list":
@@ -408,9 +453,7 @@ def _index(expr: ast.Index) -> Compiled:
     return index
 
 
-def _filter(expr: ast.Filter) -> Compiled:
-    seq_of, predicate = compile_expr(expr.seq), compile_expr(expr.predicate)
-
+def _filter(expr: ast.Filter, seq_of: Compiled, predicate: Compiled) -> Compiled:
     def filter_(env):
         seq = seq_of(env)
         if kind_of(seq) != "list":
@@ -428,13 +471,13 @@ def _filter(expr: ast.Filter) -> Compiled:
     return filter_
 
 
-def _context(expr: ast.ContextLit) -> Compiled:
-    entries = tuple((key, compile_expr(value)) for key, value in expr.entries)
+def _context(expr: ast.ContextLit, *values: Compiled) -> Compiled:
+    entries = tuple(zip([key for key, _ in expr.entries], values))
     return lambda env: {key: value(env) for key, value in entries}
 
 
-def _path(expr: ast.Path) -> Compiled:
-    base_of, key = compile_expr(expr.base), expr.key
+def _path(expr: ast.Path, base_of: Compiled) -> Compiled:
+    key = expr.key
 
     def path(env):
         base = base_of(env)
@@ -446,8 +489,7 @@ def _path(expr: ast.Path) -> Compiled:
     return path
 
 
-def _range(expr: ast.RangeLit) -> Compiled:
-    lo_of, hi_of = compile_expr(expr.lo), compile_expr(expr.hi)
+def _range(expr: ast.RangeLit, lo_of: Compiled, hi_of: Compiled) -> Compiled:
     lo_incl, hi_incl = expr.lo_incl, expr.hi_incl
 
     def range_(env):
@@ -458,9 +500,7 @@ def _range(expr: ast.RangeLit) -> Compiled:
     return range_
 
 
-def _in(expr: ast.InTest) -> Compiled:
-    item_of, container_of = compile_expr(expr.item), compile_expr(expr.container)
-
+def _in(expr: ast.InTest, item_of: Compiled, container_of: Compiled) -> Compiled:
     def in_(env):
         item = item_of(env)
         container = container_of(env)
@@ -472,8 +512,8 @@ def _in(expr: ast.InTest) -> Compiled:
     return in_
 
 
-def _instance_of(expr: ast.InstanceOf) -> Compiled:
-    operand, type_name = compile_expr(expr.operand), expr.type_name
+def _instance_of(expr: ast.InstanceOf, operand: Compiled) -> Compiled:
+    type_name = expr.type_name
 
     def instance_of(env):
         v = operand(env)

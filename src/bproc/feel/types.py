@@ -12,6 +12,7 @@ from typing import Iterable, Mapping
 
 from ..errors import TypeConflictError
 from . import ast
+from .evaluator import constant
 from .values import kind_of
 
 
@@ -88,8 +89,9 @@ def scan(expr: ast.FeelExpr) -> tuple[set[str], Evidence]:
     """The free variables of `expr` (as `ast.free_variables` gives them) and
     its type evidence, from one walk. The evidence lists, in source order,
     (name, None) for every name read, `item` in a filter included, and
-    (name, type) for every constant a name is compared with or combined
-    with; `apply_evidence` folds it into a type map."""
+    (name, type) for every constant (`constant`) a name is compared with,
+    combined with or tested against; `apply_evidence` folds it into a type
+    map."""
     free: set[str] = set()
     evidence: Evidence = []
     _scan(expr, False, free, evidence)
@@ -106,85 +108,56 @@ def apply_evidence(types: dict[str, StaticType], evidence: Evidence) -> None:
             types[name] = join(types.get(name, _UNKNOWN), t, name)
 
 
-def _scan(expr: ast.FeelExpr, item_bound: bool, free: set[str], evidence: Evidence) -> None:
+def _scan(expr: ast.FeelExpr, item_bound: bool, free: set[str], evidence: Evidence) -> bool:
     """Add the free variables and the evidence of `expr` and of its parts,
-    in source order; `item_bound` inside a filter's predicate. Names and
-    literals among a node's operands are handled in place, not by a call.
-    Recursion at module level, so that a call leaves no reference cycle
-    behind."""
+    in source order, and tell whether `expr` reads a free variable;
+    `item_bound` inside a filter's predicate. A node's own evidence goes
+    in front of its parts'. Recursion at module level, so that a call
+    leaves no reference cycle behind."""
     cls = type(expr)
     if cls is ast.Var:
         name = expr.name
         evidence.append((name, None))
-        if not item_bound or name != "item":
-            free.add(name)
-        return
-    if cls is ast.BinOp:
-        _note_comparison(expr, evidence)
-        operands = (expr.left, expr.right)
-    elif cls is ast.Filter:
-        _scan(expr.seq, item_bound, free, evidence)
-        _scan(expr.predicate, True, free, evidence)
-        return
+        if item_bound and name == "item":
+            return False
+        free.add(name)
+        return True
+    if cls is ast.Filter:
+        reads = _scan(expr.seq, item_bound, free, evidence)
+        return _scan(expr.predicate, True, free, evidence) or reads
+    children = ast.CHILDREN.get(cls)
+    if children is None:
+        return False
+    operands, mark, reads = children(expr), len(evidence), False
+    if cls is ast.InTest and type(expr.item) is ast.Var and type(expr.container) in _CONTAINERS:
+        # each element or end of the container is an operand of the item
+        operands = (expr.item, *ast.CHILDREN[type(expr.container)](expr.container))
+        subjects = (None, *[expr.item] * (len(operands) - 1))
+    elif cls is ast.BinOp and expr.op in _TYPED_OPS:  # each operand is the other one's
+        subjects = operands[::-1]
     else:
-        if cls is ast.InTest:
-            _note_membership(expr, evidence)
-        children = ast.CHILDREN.get(cls)
-        if children is None:
-            return
-        operands = children(expr)
-    for operand in operands:
-        operand_cls = type(operand)
-        if operand_cls is ast.Var:
-            name = operand.name
-            evidence.append((name, None))
-            if not item_bound or name != "item":
-                free.add(name)
-        elif operand_cls is not ast.Lit:
-            _scan(operand, item_bound, free, evidence)
-
-
-def _constant_of(expr: ast.FeelExpr):
-    """The literal value of a constant-shaped operand, or None."""
-    if isinstance(expr, ast.Lit) and expr.value is not None:
-        return expr.value
-    if isinstance(expr, ast.Neg) and isinstance(expr.operand, ast.Lit) \
-            and kind_of(expr.operand.value) == "number":
-        return -expr.operand.value
-    return None
+        subjects = [None] * len(operands)
+    for operand, subject in zip(operands, subjects):
+        read = type(operand) is not ast.Lit and _scan(operand, item_bound, free, evidence)
+        t = None if read or type(subject) is not ast.Var else _type_of(operand)
+        if t is not None:  # in front of the parts' evidence, in order
+            evidence.insert(mark, (subject.name, t))
+            mark += 1
+        reads = reads or read
+    return reads
 
 
 _TYPED_OPS = frozenset(("<", "<=", ">", ">=", "=", "!=", "+", "-", "*", "/", "**"))
+_CONTAINERS = (ast.ListLit, ast.RangeLit)
 
 
-def _note_comparison(expr: ast.BinOp, evidence: Evidence):
-    if expr.op not in _TYPED_OPS:
-        return
-    left, right = expr.left, expr.right
-    if type(left) is ast.Var:
-        const = right.value if type(right) is ast.Lit else _constant_of(right)
-        if const is not None:
-            evidence.append((left.name, type_of_constant(const)))
-    if type(right) is ast.Var:
-        const = left.value if type(left) is ast.Lit else _constant_of(left)
-        if const is not None:
-            evidence.append((right.name, type_of_constant(const)))
-
-
-def _note_membership(expr: ast.InTest, evidence: Evidence):
-    if not isinstance(expr.item, ast.Var):
-        return
-    name = expr.item.name
-    if isinstance(expr.container, ast.ListLit):
-        for element in expr.container.items:
-            const = _constant_of(element)
-            if const is not None:
-                evidence.append((name, type_of_constant(const)))
-    if isinstance(expr.container, ast.RangeLit):
-        for end in (expr.container.lo, expr.container.hi):
-            const = _constant_of(end)
-            if const is not None:
-                evidence.append((name, type_of_constant(const)))
+def _type_of(operand: ast.FeelExpr) -> StaticType | None:
+    """The type of a name's operand that `constant` finds gives a value
+    other than null, else None."""
+    answer = constant(operand)
+    if answer.variable is None and answer.error is None and answer.value is not None:
+        return type_of_constant(answer.value)
+    return None
 
 
 _BOOLEAN_OPS = frozenset(("and", "or", "<", "<=", ">", ">=", "=", "!="))

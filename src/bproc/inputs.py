@@ -537,20 +537,17 @@ def _ball_sampler(domain: BallDomain, static_type, name: str):
     return draw_double
 
 
-def build_input_specs(roles, types, domains, rng: random.Random,
-                      overrides: dict[str, list] | None = None) -> list[InputSpec]:
+def build_input_specs(roles, types, domains, rng: random.Random) -> list[InputSpec]:
     """Assemble the (name, type, domain, sample) triplets for every
-    input-role variable, in name order. `overrides` serve UNHANDLED
-    domains only, whose sample they give; any other domain is sampled
-    from itself, and raises DomainMismatchError when it holds no value."""
+    input-role variable, in name order. An UNHANDLED domain's sample is
+    its type's default; any other domain is sampled from itself, and
+    raises DomainMismatchError when it holds no value."""
     specs = []
-    overrides = overrides or {}
     for name in sorted(n for n, role in roles.items() if role.role == "input"):
         static_type = types.get(name, StaticType.UNKNOWN)
         domain = domains.get(name, UnhandledDomain(()))
         if isinstance(domain, UnhandledDomain):
-            pool = overrides.get(name)
-            sample = rng.choice(pool) if pool else type_default(static_type)
+            sample = type_default(static_type)
         else:
             sample = sample_domain(domain, static_type, rng, name=name)
         specs.append(InputSpec(name, static_type, domain, sample))

@@ -27,9 +27,12 @@ with the least maximum distance, ties broken on id.
 
 `reference_infer_types` is the original type inference: one walk per
 expression, noting each name's constant evidence into the type map as it
-goes. `feel.infer_types` (and compile_model's inference, which replays the
-evidence `feel.types.scan` records at parse time) must agree with it type
-for type, in the same key order, and error for error.
+goes. An operand is a constant when it names no free variable and
+`reference_evaluate` gives it a value other than null without raising;
+bproc's own folder is never asked. `feel.infer_types` (and
+compile_model's inference, which replays the evidence `feel.types.scan`
+records at parse time) must agree with it type for type, in the same key
+order, and error for error.
 
 `reference_sample_domain` is the original input sampler, which works out
 a domain's kind, bounds and bias thresholds again on every draw.
@@ -210,12 +213,14 @@ def reference_infer_types(exprs) -> dict:
         types[name] = join(types.get(name, StaticType.UNKNOWN), t, name)
 
     def constant_of(expr):
-        if isinstance(expr, ast.Lit) and expr.value is not None:
-            return expr.value
-        if isinstance(expr, ast.Neg) and isinstance(expr.operand, ast.Lit) \
-                and kind_of(expr.operand.value) == "number":
-            return -expr.operand.value
-        return None
+        # a constant names no free variable and evaluates without raising;
+        # null, like no constant, is no evidence
+        if ast.free_variables(expr):
+            return None
+        try:
+            return reference_evaluate(expr, {})
+        except Exception:
+            return None
 
     def walk(expr):
         if isinstance(expr, ast.Var):

@@ -11,12 +11,14 @@ exception type with the same message.
 import dataclasses
 import math
 import random
+import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from bproc import feel
+from bproc import feel, inputs
 from bproc.dmn import DecisionTable, Rule, evaluate_table
 from bproc.errors import FeelTypeError, ValueTooLargeError
 from bproc.feel import ast, evaluator, values as kernel
@@ -89,6 +91,99 @@ def test_an_expression_that_reads_a_variable_is_no_constant(expr):
     names = ast.free_variables(expr)
     if names:
         assert feel.constant(expr) == evaluator.Constant(variable=min(names))
+
+
+def test_a_filter_binds_item_in_its_answer():
+    # the first name a filter reads skips the `item` its predicate binds
+    answers = {text: feel.constant(feel.parse_expr(text))
+               for text in ("[1, 2, 3][item > 1]", "[1, 2][item > z]", "item[item > z]",
+                            "[1][item > b] + a", "[1][item > 1] = a")}
+    assert answers["[1, 2, 3][item > 1]"] == evaluator.Constant(value=[2, 3])
+    assert [answer.variable for answer in answers.values()][1:] == ["z", "item", "a", "a"]
+
+
+def _reference_value(expr):
+    """The reference value of a variable-free `expr`, and whether it raised."""
+    try:
+        return reference_evaluate(expr, {}), False
+    except Exception:
+        return None, True
+
+
+NAME_AND_CONSTANT = (lambda op, c: ast.BinOp(op, ast.Var("x"), c),
+                     lambda op, c: ast.InTest(ast.Var("x"), ast.RangeLit(c, c, True, True)),
+                     lambda op, c: ast.InTest(ast.Var("x"), ast.ListLit((c, c))))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8),
+       st.sampled_from(("<", "<=", ">", ">=", "=", "!=")), st.integers(0, 2))
+@settings(max_examples=300, deadline=None)
+def test_type_evidence_and_domain_facts_share_one_notion_of_constant(seed, leaves, op, shape):
+    # `x op C`, `x in [C..C]` and `x in [C, C]`: type inference gives `x`
+    # the type of C's value exactly when C evaluates to a value other than
+    # null without raising; domain inference takes the operand it reads (C,
+    # or the container) as a constant, with C's value, exactly when that
+    # operand evaluates without raising
+    c = random_constant(random.Random(seed), leaves)
+    expr = NAME_AND_CONSTANT[shape](op, c)
+    value, raised = _reference_value(c)
+    given_type = feel.StaticType.UNKNOWN if raised or value is None \
+        else feel.type_of_constant(value)
+    assert feel.infer_types([expr]) == {"x": given_type}
+    _, container_raised = _reference_value(c if shape == 0 else expr.container)
+    # the source an "other" fact quotes is not under test, and `render`
+    # cannot write the generator's Temporal("date", 0)
+    with mock.patch.object(feel, "render", repr):
+        facts = [fact for _, fact in inputs.facts_from_expr(expr, {"x"})]
+    kinds = [fact.kind for fact in facts]
+    if container_raised:
+        assert kinds == ["other"]
+    elif shape == 1:
+        assert kinds == ["range"]
+    else:
+        assert "other" not in kinds
+        assert [_shape(fact.value) for fact in facts] == [_shape(value)] * (1 if shape == 0 else 2)
+
+
+def python_calls(fn, text: str) -> int:
+    """The Python calls `fn` makes on the expression `text` parses to."""
+    expr, calls = feel.parse_expr(text), 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        fn(expr)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("shape, small, large", [
+    (lambda n: " + ".join(["1"] * n), 25, 99),
+    (lambda n: "x" + " + 1" * (n - 1), 25, 99),
+    (lambda n: "-(" * n + "true" + ")" * n, 12, 49)],  # raises at every level
+    ids=["constant sum", "variable sum", "negations"])
+def test_compiling_is_linear_in_depth(shape, small, large):
+    # the deterministic measure of one bottom-up walk: 4x the depth makes
+    # about 4x the calls, where a walk of each subtree per level makes 11-14x
+    ratio = python_calls(feel.compile_expr, shape(large)) / python_calls(
+        feel.compile_expr, shape(small))
+    assert ratio < 6, ratio
+
+
+@pytest.mark.parametrize("shape, small, large", [
+    (lambda n: " + ".join(f"v{i}" for i in range(n)), 25, 99),
+    (lambda n: "v0" + " * (v1" * (n - 1) + ")" * (n - 1), 12, 49)],
+    ids=["left-nested", "right-nested"])
+def test_type_evidence_is_linear_in_depth(shape, small, large):
+    # the operand of a name is asked for its answer only when it reads no
+    # name, so no subtree is compiled at every level
+    ratio = python_calls(feel.types.scan, shape(large)) / python_calls(
+        feel.types.scan, shape(small))
+    assert ratio < 6, ratio
 
 
 def test_a_constant_list_is_fresh_on_every_evaluation():

@@ -101,11 +101,18 @@ def test_business_rule_explicit_io_mapping():
 
 
 def _counting_entry_evaluations(monkeypatch, tables):
-    """Count, per output entry of `tables`, the calls of its compiled form."""
+    """Count, per output entry of `tables`, its evaluations: the walk that
+    folds it (`feel.constant`, which evaluates a variable-free entry once)
+    and the calls of its compiled form."""
     entries = {id(entry): entry for table in tables for rule in table.rules
                for entry in rule.output_entries}
     calls = {key: 0 for key in entries}
-    compile_expr = feel.compile_expr
+    compile_expr, constant = feel.compile_expr, feel.constant
+
+    def counting_constant(expr):
+        if id(expr) in entries:
+            calls[id(expr)] += 1
+        return constant(expr)
 
     def counting(expr):
         compiled = compile_expr(expr)
@@ -119,6 +126,7 @@ def _counting_entry_evaluations(monkeypatch, tables):
 
     monkeypatch.setattr(feel, "compile_expr", counting)
     monkeypatch.setattr(feel.evaluator, "compile_expr", counting)  # inside feel.evaluate
+    monkeypatch.setattr(feel, "constant", counting_constant)
     return calls
 
 
