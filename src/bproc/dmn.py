@@ -1,8 +1,9 @@
 """Decision-table model: DMN XML parsing and hit-policy evaluation.
 
 Tables are immutable after parse; evaluate_table is pure and thread-safe.
-A table compiles itself on first use: each cell test becomes a closure,
-and each variable-free output entry is evaluated once.
+A table compiles itself on first use: `DecisionTable.select`, whose cell
+tests are closures, gives the index of the rule the hit policy chooses, and
+each variable-free output entry is evaluated once.
 """
 
 from __future__ import annotations
@@ -77,15 +78,34 @@ class DecisionTable:
         value, evaluate = self.folded_outputs[rule_index][column]
         return value if evaluate is None else evaluate({})
 
+    def rule_outputs(self, rule_index: int) -> dict[str, object]:
+        """The outputs of one rule by name, each entry evaluated in column
+        order (a name given twice keeps its last column's value)."""
+        return {name: self.output_value(rule_index, column)
+                for column, name in enumerate(self.outputs)}
+
+    def bound_outputs(self, rule_index: int, out_bindings: tuple) -> tuple:
+        """What a task binding `out_bindings` (output -> variable) writes
+        when the rule is chosen: (variable, value) pairs in that order and
+        the sorted (output, value) items of its record; or, when an output
+        is a list or a context or raises, so is evaluated at each use, a
+        function that gives both, and None."""
+        def bound(outputs: dict) -> tuple:
+            return (tuple((var, outputs[name]) for name, var in out_bindings),
+                    tuple(sorted(outputs.items())))
+        if all(evaluate is None for _, evaluate in self.folded_outputs[rule_index]):
+            return bound(self.rule_outputs(rule_index))
+        return (lambda: bound(self.rule_outputs(rule_index))), None
+
     @cached_property
-    def evaluator(self) -> Callable[[list], dict[str, object]]:
-        """`evaluate_table` on arguments in input-column order, compiled
-        once: every cell test a closure, the output entries folded."""
+    def select(self) -> Callable[[list], int]:
+        """The index of the rule the hit policy chooses for arguments in
+        input-column order, compiled once (`_compile_table`)."""
         return _compile_table(self)
 
     def __getstate__(self):
         return {key: value for key, value in self.__dict__.items()
-                if key not in ("folded_outputs", "evaluator")}
+                if key not in ("folded_outputs", "select")}
 
 
 def _children_named(element, name: str, local: LocalNames) -> list:
@@ -210,7 +230,7 @@ def evaluate_table(table: DecisionTable, args: dict[str, object]) -> dict[str, o
     missing = [label for label, _ in table.inputs if label not in args]
     if missing:
         raise SchemaError(f"table {table.id!r} called without arguments {missing}")
-    return table.evaluator([args[label] for label, _ in table.inputs])
+    return table.rule_outputs(table.select([args[label] for label, _ in table.inputs]))
 
 
 def _fold(entry: ast.FeelExpr) -> tuple[object, Callable | None]:
@@ -219,61 +239,53 @@ def _fold(entry: ast.FeelExpr) -> tuple[object, Callable | None]:
     return (answer.value, None) if answer.shared else (None, feel.compile_expr(entry))
 
 
-def _outputs_builder(names: tuple[str, ...], folded) -> Callable[[], dict[str, object]]:
-    """A function that gives a fresh output dict of one rule."""
-    if all(evaluate is None for _, evaluate in folded):
-        items = tuple(zip(names, (value for value, _ in folded)))
-        return lambda: dict(items)
-    entries = tuple(zip(names, folded))
-    return lambda: {name: value if evaluate is None else evaluate({})
-                    for name, (value, evaluate) in entries}
-
-
-def _compile_table(table: DecisionTable) -> Callable[[list], dict[str, object]]:
-    """`evaluate_table` on arguments in column order. A rule is its (column,
-    cell) pairs: without dashes and value checks when every argument's exact
-    class is in _SCALARS, else checked; both give the same value or error."""
-    default = table.default_rule()
+def _compile_table(table: DecisionTable) -> Callable[[list], int]:
+    """`DecisionTable.select`: an index into `table.rules`, the default row
+    when no other rule matches. A rule is its index and its (column, cell)
+    pairs: without dashes and value checks when every argument's exact
+    class is in _SCALARS, else checked; both give the same index or error.
+    Every policy takes the first match; Unique and Any list the matches
+    only once a second one matches, then raise, or compare the matches'
+    outputs (`rule_outputs`, in match order)."""
+    default = len(table.rules) - 1 if table.default_rule() is not None else None
     candidates = table.rules[:-1] if default is not None else table.rules
-    checked = tuple(tuple(enumerate(map(feel.compile_unary, rule.input_entries)))
-                    for rule in candidates)
-    scalar = tuple(tuple((j, cell) for j, cell in enumerate(map(compile_scalar_unary,
-                                                                rule.input_entries)) if cell)
-                   for rule in candidates)
-    outputs = tuple(_outputs_builder(table.outputs, folded) for folded in table.folded_outputs)
-    default_outputs = outputs[-1] if default is not None else None
+    checked = tuple((i, tuple(enumerate(map(feel.compile_unary, rule.input_entries))))
+                    for i, rule in enumerate(candidates))
+    scalar = tuple((i, tuple((j, cell) for j, cell in enumerate(map(compile_scalar_unary,
+                                                                    rule.input_entries))
+                             if cell))
+                   for i, rule in enumerate(candidates))
     table_id, policy = table.id, table.hit_policy
+    listed, unique = policy != "First", policy == "Unique"
 
-    def evaluate(ordered: list) -> dict[str, object]:
+    def select(ordered: list) -> int:
         rules = scalar
         for value in ordered:
             if type(value) not in _SCALARS:
                 rules = checked
                 break
-        matches = []
-        for i, cells in enumerate(rules):
+        chosen, matches = -1, None
+        for i, cells in rules:
             for j, cell in cells:
                 if not cell(ordered[j]):
                     break
             else:
-                matches.append(i)
-
-        if not matches:
-            if default_outputs is not None:
-                return default_outputs()
-            raise NoMatchError(table_id)
-        if policy == "First":
-            return outputs[matches[0]]()
-        if policy == "Unique":
-            if len(matches) > 1:
+                if chosen < 0:
+                    chosen = i
+                elif listed:
+                    if matches is None:
+                        matches = [chosen]
+                    matches.append(i)
+        if matches is not None:
+            if unique:
                 raise UniquenessViolationError(table_id, [m + 1 for m in matches])
-            return outputs[matches[0]]()
-        # Any
-        outcomes = [outputs[i]() for i in matches]
-        first = outcomes[0]
-        for other in outcomes[1:]:
-            if set(other) != set(first) or not all(feel.equals(other[k], first[k])
-                                                   for k in first):
-                raise AnyConflictError(table_id)
-        return first
-    return evaluate
+            outcomes = [table.rule_outputs(i) for i in matches]  # Any
+            for other in outcomes[1:]:
+                if not all(feel.equals(other[k], outcomes[0][k]) for k in outcomes[0]):
+                    raise AnyConflictError(table_id)
+        if chosen >= 0:
+            return chosen
+        if default is None:
+            raise NoMatchError(table_id)
+        return default
+    return select

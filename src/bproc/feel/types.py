@@ -153,11 +153,16 @@ _CONTAINERS = (ast.ListLit, ast.RangeLit)
 
 def _type_of(operand: ast.FeelExpr) -> StaticType | None:
     """The type of a name's operand that `constant` finds gives a value
-    other than null, else None."""
-    answer = constant(operand)
-    if answer.variable is None and answer.error is None and answer.value is not None:
-        return type_of_constant(answer.value)
-    return None
+    other than null, else None. A literal's answer is its value, read
+    without asking."""
+    if type(operand) is ast.Lit:
+        value = operand.value
+    else:
+        answer = constant(operand)
+        if answer.variable is not None or answer.error is not None:
+            return None
+        value = answer.value
+    return None if value is None else type_of_constant(value)
 
 
 _BOOLEAN_OPS = frozenset(("and", "or", "<", "<=", ">", ">=", "=", "!="))

@@ -18,35 +18,36 @@ Lowering runs with the cyclic collector paused, as set-up does
 (`bpmn.collector_paused`). The trace records of the nodes and edges are
 built on the first run that keeps a trace, and every later run shares
 them; a model that only ever runs in campaigns without run files never
-builds them. Expressions inside are compiled closures too, and decision
-tables compile once: outputs folded, cells check-free on plain scalars.
+builds them. Expressions inside are compiled closures too; a table task
+calls its table's selector (`dmn.DecisionTable.select`) and writes the
+chosen rule's outputs, folded once per task as (variable, value) pairs.
 
 A run owns a variable store (every declared variable starts undefined),
 per-variable input cursors, FIFO message channels (each made on its first
-use) and a trace. Every run enters through `run_covering`: `run_once`'s
-with `RunOptions.seed`, a campaign's with the run's own scheduler seed and
-the campaign's options, shared by all its runs. Without run files a
-run builds no trace and no record: it marks each node and edge it reaches
-in the campaign's `CoverageHits`, so its memory does not grow with its
-length. With run files a run keeps its trace as `run_once` does; the
-campaign folds that trace into its hits and writes the trace file
-TRACE_CHUNK_LINES lines at a time. One loop, `_Engine.run`, steps every
-branch of a run on a single OS thread, in both modes, and is the only code
-that records or marks nodes and edges; between two picks, a branch is a
-plain record (`_Branch`). Sequential mode runs the branches one at a time
-in case order, so a receive that waits for a later branch is a deadlock.
-Parallel mode gives each step to a runnable branch drawn with a random
-generator seeded from `RunOptions.seed`, or from the seed a campaign passes
-`run_covering` for the run (a lone runnable branch needs no draw and keeps
-the step), so every interleaving is reproducible from the seed, and a run
-whose live branches all wait on empty channels ends as a deadlock. Both
-deadlocks are engine faults naming each blocked receive node. Parallel
-mode also notes a variable written by two branches that no fork or join
-edge orders. Trace length is bounded by the step budget and the wall-clock
-timeout rather than any call stack. The clock is read on the first step
-and then every CLOCK_EVERY steps, so a run that exhausts its step budget
-ends the same way on any machine; only a TIMEOUT depends on the machine's
-speed, and it can come up to CLOCK_EVERY - 1 steps after the limit.
+use) and a trace. An engine (`_Engine`) holds what runs share and resets
+the rest at the start of each run: `run_once` runs a new one once, with
+`RunOptions.seed`; a campaign runs every run on one, with the run's own
+scheduler seed. Without run files a run builds no trace and no record: it
+marks each node and edge it reaches in the campaign's `CoverageHits`, so
+its memory does not grow with its length. With run files a run keeps its
+trace as `run_once` does; the campaign folds that trace into its hits and
+writes the trace file TRACE_CHUNK_LINES lines at a time. One loop,
+`_Engine.run`, steps every branch of a run on a single OS thread, in both
+modes, and is the only code that records or marks nodes and edges; between
+two picks, a branch is a plain record (`_Branch`). Sequential mode runs the
+branches one at a time in case order, so a receive that waits for a later
+branch is a deadlock. Parallel mode gives each step to a runnable branch
+drawn with a random generator seeded from `RunOptions.seed`, or from the
+seed a campaign draws for the run (a lone runnable branch needs no draw and
+keeps the step), so every interleaving is reproducible from the seed, and a
+run whose live branches all wait on empty channels ends as a deadlock. Both
+deadlocks are engine faults naming each blocked receive node. Parallel mode
+also notes a variable written by two branches that no fork or join edge
+orders. Trace length is bounded by the step budget and the wall-clock
+timeout rather than any call stack. The clock is read on the first step and
+then every CLOCK_EVERY steps, so a run that exhausts its step budget ends
+the same way on any machine; only a TIMEOUT depends on the machine's speed,
+and it can come up to CLOCK_EVERY - 1 steps after the limit.
 """
 
 from __future__ import annotations
@@ -333,21 +334,30 @@ def _lower_join(step: JoinBarrier, node: _Node, model: ExecutableModel, program:
 
 def _lower_consume(step: ConsumeInputs, node: _Node, model: ExecutableModel,
                    program: _Program):
+    """Writes each variable's next input value (its last once the list is
+    exhausted) as `_lower_assign` writes."""
     variables, edge = step.vars, program.edge(node.id, step.next)
 
     def consume(engine):
-        input_lists, cursors = engine.input_lists, engine.cursors
+        input_lists, cursors, bindings = engine.input_lists, engine.cursors, engine.bindings
         for var in variables:
             values = input_lists[var]
             j = cursors[var]
-            cursors[var] = min(j + 1, len(values))
-            engine._write(var, values[min(j, len(values) - 1)])
+            if j < len(values):
+                cursors[var] = j + 1
+            else:
+                j -= 1
+            value = bindings[var] = values[j]
+            if engine._record is not None:
+                engine._record(VarWritten(var, value))
+            if engine._forked:
+                engine._note_writer(var)
         return edge
     return consume
 
 
 def _lower_assign(step: Assign, node: _Node, model: ExecutableModel, program: _Program):
-    """Writes as `_Engine._write` does, without calling it."""
+    """Writes, records the write in a traced run, and notes the writer once forked."""
     var, evaluate = step.var, feel.compile_expr(step.expr)
     edge = program.edge(node.id, step.next)
 
@@ -362,15 +372,28 @@ def _lower_assign(step: Assign, node: _Node, model: ExecutableModel, program: _P
 
 
 def _lower_invoke(step: InvokeTable, node: _Node, model: ExecutableModel, program: _Program):
+    """Selects the table's rule and writes its `bound_outputs` as `_lower_assign` writes."""
     table, edge = model.tables[step.table_ref], program.edge(node.id, step.next)
-    # every input column bound, in column order, as the compiled table takes them
+    # every input column bound, in column order, as the selector takes them
     args = tuple(feel.compile_expr(expr) for _, expr in step.arg_bindings)
-    evaluator, out_bindings = table.evaluator, step.out_bindings
+    select, table_id = table.select, table.id
+    outcomes = tuple(table.bound_outputs(rule, step.out_bindings)
+                     for rule in range(len(table.rules)))
 
     def invoke(engine):
         bindings = engine.bindings
-        engine._write_outputs(table.id, evaluator([arg(bindings) for arg in args]),
-                              out_bindings)
+        writes, items = outcomes[select([arg(bindings) for arg in args])]
+        if items is None:  # an output fresh at each use
+            writes, items = writes()
+        record = engine._record
+        if record is not None:
+            record(TableEvaluated(table_id, items))
+        for var, value in writes:
+            bindings[var] = value
+            if record is not None:
+                record(VarWritten(var, value))
+            if engine._forked:
+                engine._note_writer(var)
         return edge
     return invoke
 
@@ -490,45 +513,32 @@ def _concurrent(a: tuple, b: tuple) -> bool:
 
 
 class _Engine:
-    """One run. Without `hits` it keeps a trace: every node and edge
-    record (shared, frozen) and a record of each variable write and table
-    result (its own, built in bulk, not frozen). With a CoverageHits it keeps
-    no trace and marks each node and edge the run reaches in the
-    campaign's hit arrays instead. `run` steps every branch in one loop;
-    between two picks a branch is a `_Branch` in `_ready`, or in
+    """Runs of a model, one at a time, under one set of options. Without
+    `hits` a run keeps a trace: every node and edge record (shared, frozen)
+    and a record of each write and table result (its own, built in bulk,
+    not frozen); with a CoverageHits it marks each node and edge it reaches
+    in the campaign's hit arrays instead. `run` steps every branch in one
+    loop; between two picks a branch is a `_Branch` in `_ready`, or in
     `_waiting` while its receive waits."""
 
-    def __init__(self, model: ExecutableModel, input_lists: dict, options: RunOptions,
-                 hits: CoverageHits | None, seed: int | None):
+    def __init__(self, model: ExecutableModel, options: RunOptions,
+                 hits: CoverageHits | None = None):
         self.model = model
         self.options = options
-        self._seed = seed  # of the scheduler
-        self.input_lists = input_lists
-        program = _program(model)
-        self.bindings = program.bindings.copy()
-        self.cursors = dict.fromkeys(input_lists, 0)
+        program = self._program = _program(model)
         if hits is None:
             if not program.traced:
                 program.build_records()
-            self.trace = Trace()
-            self._record = self.trace.records.append
             self._node_hits = self._edge_hits = None
         else:
-            self.trace = self._record = None
             self._node_hits, self._edge_hits = hits.nodes, hits.edges
-        self.diagnostics: list[str] = []
-        self._outcome: tuple[str, str, str] | None = None
+        self.trace = self._record = None
         self._parallel = options.mode == "parallel"
-        # parallel mode, from the first fork on: only then can two writes race
-        self._forked = False
         self._max_steps = options.max_steps
         self._last_writer: dict[str, tuple] = {}  # variable -> (barrier, case) of its last writer
-        self._branch: _Branch | None = None  # the branch being stepped
         self._ready: list[_Branch] = []  # the branches that can step
         self._waiting: dict[str, list] = {}  # channel -> the branches its receives block
         self._channels = collections.defaultdict(collections.deque)  # channel -> messages
-        self._started = time.monotonic()
-        self._deadline = self._started + options.timeout_s
 
     # --- bookkeeping ---
 
@@ -551,19 +561,6 @@ class _Engine:
             raise _Aborted()
         return min(steps + CLOCK_EVERY, self._max_steps + 1)
 
-    def _write_outputs(self, table_id: str, outputs: dict, out_bindings: tuple):
-        if self._record is not None:
-            self._record(TableEvaluated(table_id, tuple(sorted(outputs.items()))))
-        for out_name, var in out_bindings:
-            self._write(var, outputs[out_name])
-
-    def _write(self, name: str, value):
-        self.bindings[name] = value
-        if self._record is not None:
-            self._record(VarWritten(name, value))
-        if self._forked:
-            self._note_writer(name)
-
     def _note_writer(self, name: str):
         """Parallel mode, once forked: note `name` if no fork or join orders
         its writes. A write before the first fork has the empty path, which
@@ -579,11 +576,12 @@ class _Engine:
 
     # --- scheduling and stepping ---
 
-    def run(self):
-        """Step the branches, from the entry node, until the run has an
-        outcome, recording (or marking in the campaign's hit arrays) a fork
-        case's entry edge, each activated node and each edge taken, in that
-        order.
+    def run(self, input_lists: dict, seed: int | None) -> str:
+        """Run once, `seed` seeding the scheduler, and return the status
+        (`summary` gives the rest): reset all that a run owns, then step the
+        branches, from the entry node, until the run has an outcome,
+        recording (or marking in the campaign's hit arrays) a fork case's
+        entry edge, each activated node and each edge taken, in that order.
 
         Each pick takes one ready branch (sequential: the top of the stack;
         parallel: a `randrange(n)` draw, made only when n > 1) and steps its
@@ -596,11 +594,23 @@ class _Engine:
         receive runs again in the same step: no step count, no second
         activation record. One step count serves the whole run.
         """
-        parallel, ready, record = self._parallel, self._ready, self._record
+        self.input_lists, self.cursors = input_lists, dict.fromkeys(input_lists, 0)
+        self.bindings = self._program.bindings.copy()
         node_hits, edge_hits = self._node_hits, self._edge_hits
+        if node_hits is None:
+            self.trace = Trace()
+            self._record = self.trace.records.append
+        self.diagnostics, self._outcome, self._branch = [], None, None  # _branch: being stepped
+        # parallel mode, from the first fork on: only then can two writes race
+        self._forked = False
+        parallel, ready, record = self._parallel, self._ready, self._record
+        for left in (ready, self._waiting, self._channels, self._last_writer):
+            left.clear()  # what the last run left, if it ended early
+        self._started = time.monotonic()
+        self._deadline = self._started + self.options.timeout_s
         root = _Branch()
         root.node, root.barrier, root.case, root.resume = (
-            _program(self.model).nodes[self.model.entry], None, 0, None)
+            self._program.nodes[self.model.entry], None, 0, None)
         ready.append(root)
         getrandbits = None  # bound when two branches first compete for a step
         steps, next_check = 0, 1
@@ -610,7 +620,7 @@ class _Engine:
                 n = len(ready)
                 if parallel and n > 1:
                     if getrandbits is None:
-                        getrandbits = random.Random(self._seed).getrandbits
+                        getrandbits = random.Random(seed).getrandbits
                     # Random.randrange(n), inlined: the same draws, one for one
                     k = n.bit_length()
                     index = getrandbits(k)
@@ -711,6 +721,14 @@ class _Engine:
             self._set_outcome("fault", "ENGINE_FAULT",
                               "all branches ended without an outcome" if parallel
                               else "run ended without an outcome")
+        self.elapsed_s = time.monotonic() - self._started
+        return self._outcome[0]
+
+    def summary(self) -> RunSummary:
+        """The last run's summary, with the first value of each input."""
+        lists = self.input_lists
+        return RunSummary({s.name: lists[s.name][0] for s in self.model.input_vars},
+                          *self._outcome, self.elapsed_s, self.diagnostics)
 
 
 def run_once(model: ExecutableModel, input_lists: dict[str, list],
@@ -732,7 +750,9 @@ def run_once(model: ExecutableModel, input_lists: dict[str, list],
                if not input_lists.get(s.name)]
     if missing:
         raise ConfigError(f"no input values supplied for {missing}")
-    return run_covering(model, input_lists, options, options.seed)
+    engine = _Engine(model, options)
+    engine.run(input_lists, options.seed)
+    return engine.trace, engine.summary()
 
 
 class CoverageHits:
@@ -759,26 +779,6 @@ class CoverageHits:
                 nodes[node_index[record.node]] = 1
             elif record.__class__ is EdgeTraversed:
                 edges[edge_of[record.source, record.target].index] = 1
-
-
-def run_covering(model: ExecutableModel, input_lists: dict[str, list], options: RunOptions,
-                 seed: int | None,
-                 hits: CoverageHits | None = None) -> tuple[Trace | None, RunSummary]:
-    """Execute the model once as run_once does, with `seed` seeding the
-    scheduler: run_once's one engine entry, after its checks, with
-    `options.seed`, and a campaign's for each of its runs, with the
-    campaign's options and the run's seed (the campaign has already made
-    run_once's checks). With `hits`, the run marks the nodes and edges it
-    reaches in them and builds no trace (the trace returned is None);
-    without, it keeps its trace."""
-    engine = _Engine(model, input_lists, options, hits, seed)
-    engine.run()
-    status, code, message = engine._outcome
-    inputs_used = {s.name: input_lists[s.name][0] for s in model.input_vars}
-    summary = RunSummary(inputs_used, status, code, message,
-                         elapsed_s=time.monotonic() - engine._started,
-                         diagnostics=engine.diagnostics)
-    return engine.trace, summary
 
 
 # --- artifact files ----------------------------------------------------------

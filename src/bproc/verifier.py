@@ -12,16 +12,19 @@ of (seed, k), so a verdict is reproducible from the configuration.
 
 Once per campaign, before its first run, it works out what no run changes:
 one sampler per input variable (inputs.sampler), one runtime.RunOptions,
-the stopping rule's constants, and which hit indexes name a node or edge
-the graph lacks. Each run then only seeds the random generator with
-seed * 1_000_003 + k, draws its inputs, takes its scheduler seed from the
-same stream and runs (runtime.run_covering). Runs build no trace: each
-marks the nodes and edges it reaches in one campaign-wide pair of hit
-arrays (runtime.CoverageHits), whose counts the stopping rules read; the
-coverage report is built once, after the last run. A campaign that writes
-run files keeps each run's trace instead, writes it in chunks, in the
-formats of `bproc run`, and folds it into the same arrays. Run times are
-kept as a running mean and variance, in constant memory.
+one engine (runtime._Engine), the stopping rule's constants, and which hit
+indexes name a node or edge the graph lacks. Each run then only seeds the
+random generator with seed * 1_000_003 + k, draws its inputs, takes its
+scheduler seed from the same stream and runs on that engine, which resets
+the run's own state first. Runs build no trace: each marks the nodes and
+edges it reaches in one campaign-wide pair of hit arrays
+(runtime.CoverageHits), whose counts the stopping rules read; the coverage
+report is built once, after the last run. A run's summary is built only
+for a run the campaign keeps: the failing run that decides an error
+seeking or smc verdict, and every run when the campaign writes run files.
+Such a campaign keeps each run's trace instead, writes it in chunks, in
+the formats of `bproc run`, and folds it into the same arrays. Run times
+are kept as a running mean and variance, in constant memory.
 """
 
 from __future__ import annotations
@@ -309,6 +312,7 @@ def run_campaign(model: ExecutableModel, cfg: CampaignConfig,
     draw_lists = _input_draw(model.input_vars, overrides)
     options = runtime.RunOptions(mode="sequential" if cfg.sequential else "parallel",
                                  timeout_s=cfg.timeout_s)
+    engine = runtime._Engine(model, options, hits if out_dir is None else None)
     seed_base = cfg.seed * 1_000_003
     run_rng = random.Random()  # reseeded per run: as good as a fresh Random(seed)
     for index in range(budget):
@@ -316,13 +320,12 @@ def run_campaign(model: ExecutableModel, cfg: CampaignConfig,
         lists = draw_lists(run_rng)
         # the scheduler seed comes after the inputs from the same stream, so a
         # run is a function of (cfg.seed, index) and the inputs stay as drawn
-        seed = run_rng.getrandbits(64)
-        if out_dir is None:
-            summary = runtime.run_covering(model, lists, options, seed, hits)[1]
-        else:
-            trace, summary = runtime.run_covering(model, lists, options, seed)
-            hits.fold(trace)
-            runtime.write_artifacts(trace, summary, graph, out_dir,
+        failed = engine.run(lists, run_rng.getrandbits(64)) != "success"
+        summary = None  # built only for a run the campaign keeps
+        if out_dir is not None:
+            summary = engine.summary()
+            hits.fold(engine.trace)
+            runtime.write_artifacts(engine.trace, summary, graph, out_dir,
                                     stem=os.path.join("runs", f"run_{index}"),
                                     include_graph=False)
         grown = (node_hits.count(1), edge_hits.count(1))
@@ -334,10 +337,10 @@ def run_campaign(model: ExecutableModel, cfg: CampaignConfig,
                 covered = _thresholds_hold(
                     mode, 100.0 * counts[0] / total_nodes if total_nodes else 0.0,
                     100.0 * counts[1] / total_edges if total_edges else 0.0)
-        durations.add(summary.elapsed_s * 1000.0)
-        if covered or stop_on_failure and summary.failed:
+        durations.add(engine.elapsed_s * 1000.0)
+        if covered or stop_on_failure and failed:
             if not isinstance(mode, FixedBudget):
-                failing = _RunResult(index, summary)
+                failing = _RunResult(index, summary or engine.summary())
             stopped_early = index + 1 < budget
             break
 

@@ -18,15 +18,15 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from bproc import feel, inputs
+from bproc import RunOptions, compile_model, feel, inputs, parse_bpmn, runtime
 from bproc.dmn import DecisionTable, Rule, evaluate_table
 from bproc.errors import FeelTypeError, ValueTooLargeError
 from bproc.feel import ast, evaluator, values as kernel
 from bproc.feel.values import UNDEFINED, Temporal
 
 import oracles
-from generators import (NAMES, Level, Text, expressions, random_constant, small, tables,
-                        unary_tests, values)
+from generators import (DEFINITIONS, FOOTER, NAMES, Level, Text, expressions,
+                        random_constant, small, tables, unary_tests, values)
 from oracles import reference_evaluate, reference_evaluate_table, reference_match_unary
 
 ENV = {"a": 3, "b": 2.5, "s": "x", "u": UNDEFINED, "l": [1, 2.0, "x"], "c": {"k": 1}}
@@ -425,6 +425,106 @@ def test_scalar_and_checked_cells_agree_with_the_reference(table, rows):
             args = {f"in{j}": value for j, value in enumerate(row[:len(table.inputs)])}
             assert outcome(evaluate_table, table, args) == \
                 outcome(reference_evaluate_table, table, args), (policy, args)
+
+
+def _one_task_model(table: DecisionTable):
+    """Start (consumes in0, in1, ...), one business rule task `t` calling
+    `table` with every output written to the variable of its name, end.
+    It is compiled against a table of the same columns with one all-dash
+    rule, so that inference reads none of `table`'s cells (a column may mix
+    kinds); the task runs `table` itself."""
+    n = len(table.inputs)
+    consumed = "".join(f'<ext:output source="in{j}" target="in{j}"/>' for j in range(n))
+    xml = (DEFINITIONS + '<startEvent id="s"><extensionElements><ext:ioMapping>'
+           f'{consumed}</ext:ioMapping></extensionElements></startEvent>'
+           '<businessRuleTask id="t"><extensionElements><ext:calledDecision decisionId="T"/>'
+           '</extensionElements></businessRuleTask><endEvent id="e"/>'
+           '<sequenceFlow id="f1" sourceRef="s" targetRef="t"/>'
+           '<sequenceFlow id="f2" sourceRef="t" targetRef="e"/>' + FOOTER)
+    dashes = Rule((ast.Dash(),) * n, (ast.Lit(0),) * len(table.outputs))
+    model = compile_model(parse_bpmn(xml), [dataclasses.replace(table, rules=(dashes,))])
+    return lambda policy: dataclasses.replace(
+        model, tables={"T": dataclasses.replace(table, hit_policy=policy)})
+
+
+def _task_records(trace) -> list:
+    """The table and write records of task `t`, values by `_shape`."""
+    records = trace.records[trace.records.index(runtime.NodeActivated("t")) + 1:]
+    shown = []
+    for r in records:
+        if isinstance(r, runtime.TableEvaluated):
+            shown.append((r.table, [(k, type(v), _shape(v)) for k, v in r.outputs]))
+        elif isinstance(r, runtime.VarWritten):
+            shown.append((r.name, type(r.value), _shape(r.value)))
+        else:
+            break
+    return shown
+
+
+def _spoil(value):
+    """Change a list or context in place, as a later step could."""
+    if isinstance(value, list):
+        value.append("changed")
+    elif isinstance(value, dict):
+        value["changed"] = True
+
+
+# what an argument can be once a start event has consumed it: no undefined value
+TASK_ARGS = st.sampled_from(SCALAR_ARGS + CHECKED_ARGS[1:]) | small
+NO_MATCH_TABLE = DecisionTable(id="T", name="T", hit_policy="First",
+                               inputs=(("in0", ast.Var("in0")),), outputs=("o1",),
+                               rules=(Rule((ast.EqualsConst(1),), (ast.Lit("one"),)),))
+
+
+def _two_hits(last: int, outputs=("o1", "o2", "o1")) -> DecisionTable:
+    """Two rules that both match 0 (the first matches any value, but is no
+    default row, which comes last), with a list and a context output each:
+    First takes the first, Unique raises, Any agrees unless the last
+    columns differ (`last`)."""
+    def rule(test, value):
+        return Rule((test,), (ast.ListLit((ast.Lit(1),)), ast.ContextLit((("k", ast.Lit(2)),)),
+                              ast.Lit(value)))
+    return DecisionTable(id="T", name="T", hit_policy="First",
+                         inputs=(("in0", ast.Var("in0")),), outputs=outputs,
+                         rules=(rule(ast.Dash(), 3), rule(ast.EqualsConst(0), last)))
+
+
+@given(tables(), st.lists(st.lists(TASK_ARGS, min_size=3, max_size=3), min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(NO_MATCH_TABLE, [[0, 0, 0], [1, 0, 0]])
+@example(_two_hits(3), [[0, 0, 0], [5, 0, 0]])
+@example(_two_hits(4), [[0, 0, 0]])
+@example(_two_hits(3, outputs=("o1", "o2", "o3")), [[0, 0, 0], [5, 0, 0]])
+def test_a_table_task_writes_what_the_reference_table_gives(table, rows):
+    # under every hit policy and in both modes, a business rule task's
+    # table record, writes and fault are the reference's, each run on one
+    # engine, twice, with each list or context it wrote changed in between:
+    # so a task builds no output dict, yet an output fresh at each hit stays fresh
+    with_policy = _one_task_model(table)
+    for policy in ("First", "Unique", "Any"):
+        model = with_policy(policy)
+        for mode in ("sequential", "parallel"):
+            engine = runtime._Engine(model, RunOptions(mode=mode))
+            for row in rows:
+                args = {f"in{j}": value for j, value in enumerate(row[:len(table.inputs)])}
+                lists = {name: [value] for name, value in args.items()}
+                want = outcome(reference_evaluate_table, model.tables["T"], args)
+                for _ in range(2):
+                    status = engine.run(lists, 0)
+                    summary, trace = engine.summary(), engine.trace
+                    if want[0] == "raised":
+                        assert (status, summary.code, summary.message) == (
+                            "fault", "ENGINE_FAULT", f"t: {want[2]}"), (policy, mode, args)
+                        assert _task_records(trace) == []
+                        continue
+                    outputs = reference_evaluate_table(model.tables["T"], args)
+                    assert (status, summary.code) == ("success", "e"), (policy, mode, args)
+                    assert _task_records(trace) == [
+                        ("T", [(k, type(v), _shape(v)) for k, v in sorted(outputs.items())])
+                    ] + [(name, type(outputs[name]), _shape(outputs[name]))
+                         for name in table.outputs], (policy, mode, args)
+                    for name in table.outputs:
+                        _spoil(engine.bindings[name])
 
 
 def test_list_and_context_outputs_are_fresh_on_every_hit():

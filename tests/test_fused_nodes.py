@@ -25,6 +25,7 @@ from bproc import RunOptions, compile_model, parse_bpmn, parse_expr, run_once, r
 from bproc.compiler import Step
 from bproc.feel import ast, compile_expr
 from bproc.inputs import UnhandledDomain
+from bproc.verifier import CampaignConfig, ErrorSeek, FixedBudget, run_campaign
 
 from conftest import compile_fixture, load_fixture
 from generators import DEFINITIONS, FOOTER, Text, models
@@ -80,8 +81,10 @@ def node_calls(model, lists, options, hits=None):
     try:
         if hits is None:
             trace, summary = run_once(model, lists, options)
-        else:
-            trace, summary = runtime.run_covering(model, lists, options, 0, hits)
+        else:  # a campaign's run
+            campaign = runtime._Engine(model, options, hits)
+            campaign.run(lists, 0)
+            trace, summary = campaign.trace, campaign.summary()
     finally:
         sys.setprofile(None)
     return calls, trace, summary
@@ -117,30 +120,36 @@ def test_each_loop_node_is_one_closure_call(mode, traced):
 
 
 def test_each_shipment_node_is_one_closure_call(shipment):
-    # the closure of every node and the calls it makes itself (a table call:
-    # its arguments, the evaluation, the writes); a table's own evaluation
-    # (depth 3 on) is the decision table's business. Compiling folds the
-    # negation in `pLength = -1`, so each condition is one fused closure
-    calls, trace, summary = node_calls(shipment, {"pType": ["l"], "pWeight": [9.0]},
-                                       RunOptions(mode="sequential"))
-    assert summary.code == "NO_SHIPMENT"
-    consume = [(1, "consume"), (2, "_write")]
-    invoke = [(1, "invoke"), (2, "var"), (2, "evaluate"), (2, "_write_outputs")]
-    invoke_two = [(1, "invoke"), (2, "var"), (2, "var"), (2, "evaluate"), (2, "_write_outputs")]
-    expected = [
-        ("StartEvent_Package", consume),
-        ("Activity_GetLength", invoke),
-        ("Gateway_LengthCheck", [(1, "branch_one"), (2, "var_equals_lit")]),
-        ("Activity_MeasureWeight", consume),
-        ("Gateway_WeightCheck", [(1, "branch_one"), (2, "var_order_lit")]),
-        ("Activity_DetermineMode", invoke_two),
-        ("Gateway_ModeCheck", [(1, "branch"), (2, "var_equals_lit")]),
-        ("Activity_ChooseConsent", invoke_two),
-        ("Gateway_ConsentCheck", [(1, "branch"), (2, "var_equals_lit")]),
-        ("EndEvent_NoShipment", [(1, "<lambda>"), (2, "_set_outcome")]),
-    ]
-    assert [(node, [c for c in made if c[0] <= 2]) for node, made in calls] == expected
-    assert [node for node, _ in calls] == trace.node_sequence()
+    # the closure of every node and the calls it makes itself: a consume
+    # writes inline, a table call is its arguments and its table's selector,
+    # and a traced run adds only its records; the selector's own calls
+    # (depth 3 on) are the decision table's business. Compiling folds the negation
+    # in `pLength = -1`, so each condition is one fused closure
+    for traced in (True, False):
+        hits = None if traced else runtime.CoverageHits(shipment)
+        calls, trace, summary = node_calls(shipment, {"pType": ["l"], "pWeight": [9.0]},
+                                           RunOptions(mode="sequential"), hits)
+        assert summary.code == "NO_SHIPMENT"
+        write = [(2, "VarWritten.__init__")] if traced else []
+        table = [(2, "TableEvaluated.__init__")] if traced else []
+        consume = [(1, "consume")] + write
+        invoke_two = [(1, "invoke"), (2, "var"), (2, "var"), (2, "select")] + table + write
+        expected = [
+            ("StartEvent_Package", consume),
+            ("Activity_GetLength",
+             [(1, "invoke"), (2, "var"), (2, "select")] + table + write),
+            ("Gateway_LengthCheck", [(1, "branch_one"), (2, "var_equals_lit")]),
+            ("Activity_MeasureWeight", consume),
+            ("Gateway_WeightCheck", [(1, "branch_one"), (2, "var_order_lit")]),
+            ("Activity_DetermineMode", invoke_two),
+            ("Gateway_ModeCheck", [(1, "branch"), (2, "var_equals_lit")]),
+            ("Activity_ChooseConsent", invoke_two),
+            ("Gateway_ConsentCheck", [(1, "branch"), (2, "var_equals_lit")]),
+            ("EndEvent_NoShipment", [(1, "<lambda>"), (2, "_set_outcome")]),
+        ]
+        assert [(node, [c for c in made if c[0] <= 2]) for node, made in calls] == expected
+        if traced:
+            assert [node for node, _ in calls] == trace.node_sequence()
 
 
 def python_calls(fn, *args) -> list[str]:
@@ -161,18 +170,18 @@ def python_calls(fn, *args) -> list[str]:
 
 
 def test_a_plain_table_call_and_a_literal_equality_check_no_value():
-    # a GetLengthDT call on a plain string: the table's closure, one call
-    # per cell of its five one-cell rules (Unique matches every rule), and
-    # the outputs of the rule that matched; no value check and no dash
+    # a GetLengthDT selection on a plain string: the table's selector and
+    # one call per cell of its five one-cell rules (Unique matches every
+    # rule); no value check, no dash and no output built
     _, tables = load_fixture("shipment", "shipment")
     (table,) = [t for t in tables if t.id == "GetLengthDT"]
-    calls = python_calls(table.evaluator, ["m"])
+    calls = python_calls(table.select, ["m"])
     assert not {"_defined_scalar", "_scalar", "dash"} & set(calls)
     cells = sum(not isinstance(test, ast.Dash) for rule in table.rules
                 for test in rule.input_entries)
-    assert calls[0] == "evaluate" and len(calls) <= 1 + cells + 1
+    assert calls[0] == "select" and len(calls) <= 1 + cells
     # a checked argument (here a str subclass) still takes the checked cells
-    assert "_defined_scalar" in python_calls(table.evaluator, [Text("m")])
+    assert "_defined_scalar" in python_calls(table.select, [Text("m")])
     # a variable compared equal to a literal is one closure; it calls
     # `equals` for any pair but two strings or two numbers
     condition = compile_expr(parse_expr('sMode = "air"'))
@@ -182,6 +191,24 @@ def test_a_plain_table_call_and_a_literal_equality_check_no_value():
     # a folded negation is a literal too
     condition = compile_expr(parse_expr("pLength = -1"))
     assert python_calls(condition, {"pLength": 3}) == ["var_equals_lit"]
+
+
+@pytest.mark.parametrize("name, dmns, rule", [("discount", ("discount",), FixedBudget(n=40)),
+                                              ("discount", ("discount",), ErrorSeek(n=40)),
+                                              ("triage", (), ErrorSeek(n=40))])
+def test_a_campaign_builds_a_summary_only_for_a_run_it_keeps(name, dmns, rule, tmp_path):
+    # without run files, a run the verdict does not name builds no
+    # RunSummary: every discount run succeeds, and error seeking keeps only
+    # the failing triage run it stops at; with run files every run is kept
+    x = compile_fixture(name, *dmns, sample_seed=42)
+    cfg = CampaignConfig(mode=rule, seed=1, sequential=True)
+    calls = python_calls(run_campaign, x, cfg)
+    verdict = run_campaign(x, cfg)
+    kept = int(verdict.result == "FAIL")
+    assert verdict.coverage.runs_executed > 1 and kept == (name == "triage")
+    assert calls.count("RunSummary.__init__") == kept
+    calls = python_calls(run_campaign, x, cfg, None, str(tmp_path))
+    assert calls.count("RunSummary.__init__") == verdict.coverage.runs_executed
 
 
 def test_a_send_node_is_one_closure_call():

@@ -113,9 +113,8 @@ def test_input_cursor_never_exceeds_list_length():
     from bproc.runtime import _Engine
 
     x = compile_inline(LOOP_TWICE)
-    engine = _Engine(x, {"v": [5]}, RunOptions(mode="sequential"), None, None)
-    engine.run()
-    assert engine._outcome[0] == "success"
+    engine = _Engine(x, RunOptions(mode="sequential"))
+    assert engine.run({"v": [5]}, None) == "success"
     assert engine.cursors["v"] == 1  # consumed twice, list of one
 
 

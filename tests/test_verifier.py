@@ -24,6 +24,8 @@ from bproc.runtime import Trace, NodeActivated, EdgeTraversed
 from bproc.verifier import empty_report
 
 from conftest import compile_fixture
+from generators import models
+from test_runtime import CROSS_RECEIVE, LEFTOVER, MSG_PRELUDE, compile_inline
 
 DIAMOND = """<?xml version="1.0"?>
 <definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL">
@@ -408,6 +410,113 @@ def test_campaign_matches_the_trace_campaign(name, ticking_clock, sequential, mo
         if ticking_clock:
             assert files[1]["run_0.out"].endswith(
                 b"status: timeout\ncode: TIMEOUT\nmessage: execution exceeded 5s\n")
+
+
+# two branches write v when x > 0 (a race), else v and w
+SOMETIMES_RACE = """
+  <startEvent id="s"><extensionElements><ext:ioMapping>
+    <ext:output source="x" target="x"/></ext:ioMapping></extensionElements></startEvent>
+  <parallelGateway id="split"/>
+  <scriptTask id="a" resultVariable="v"><script>1</script></scriptTask>
+  <exclusiveGateway id="g" default="f_w"/>
+  <scriptTask id="b" resultVariable="v"><script>2</script></scriptTask>
+  <scriptTask id="c" resultVariable="w"><script>3</script></scriptTask>
+  <exclusiveGateway id="m"/>
+  <parallelGateway id="join"/>
+  <endEvent id="e"/>
+  <sequenceFlow id="f1" sourceRef="s" targetRef="split"/>
+  <sequenceFlow id="f2" sourceRef="split" targetRef="a"/>
+  <sequenceFlow id="f3" sourceRef="split" targetRef="g"/>
+  <sequenceFlow id="f_v" sourceRef="g" targetRef="b">
+    <conditionExpression>x &gt; 0</conditionExpression></sequenceFlow>
+  <sequenceFlow id="f_w" sourceRef="g" targetRef="c"/>
+  <sequenceFlow id="f4" sourceRef="b" targetRef="m"/>
+  <sequenceFlow id="f5" sourceRef="c" targetRef="m"/>
+  <sequenceFlow id="f6" sourceRef="m" targetRef="join"/>
+  <sequenceFlow id="f7" sourceRef="a" targetRef="join"/>
+  <sequenceFlow id="f8" sourceRef="join" targetRef="e"/>
+"""
+
+
+def _runs_on_one_engine(make, runs, mode: str, max_steps: int):
+    """Run each (input lists, scheduler seed) of `runs` in order on one
+    engine that marks hits, as a campaign does, and on one that keeps
+    traces, as a campaign with run files does; each run must end as
+    `run_once` ends it on a fresh model (`make()`), with the same hit
+    arrays and trace, so no run leaves state to the next."""
+    model = make()
+    options = RunOptions(mode=mode, max_steps=max_steps)
+    hits = runtime.CoverageHits(model)
+    marking, tracing = runtime._Engine(model, options, hits), runtime._Engine(model, options)
+    seen = set()
+    for lists, seed in runs:
+        hits.nodes[:] = bytes(len(hits.nodes))
+        hits.edges[:] = bytes(len(hits.edges))
+        marking.run(lists, seed)
+        tracing.run(lists, seed)
+        trace, want = run_once(make(), lists, dataclasses.replace(options, seed=seed))
+        expected = runtime.CoverageHits(model)
+        expected.fold(trace)
+        for engine in (marking, tracing):
+            got = engine.summary()
+            assert (got.inputs_used, got.status, got.code, got.message, got.diagnostics) == (
+                want.inputs_used, want.status, want.code, want.message, want.diagnostics), \
+                (lists, seed)
+        assert (hits.nodes, hits.edges) == (expected.nodes, expected.edges), (lists, seed)
+        assert tracing.trace.records == trace.records, (lists, seed)
+        seen.add((want.code, tuple(want.diagnostics)))
+    return seen
+
+
+def _fixture_runs(model, count: int) -> list:
+    """The input lists and scheduler seeds of a campaign's first runs."""
+    draw, runs = verifier._input_draw(model.input_vars, {}), []
+    for k in range(count):
+        rng = random.Random(k)
+        runs.append((draw(rng), rng.getrandbits(64)))
+    return runs
+
+
+@pytest.mark.parametrize("mode", ("sequential", "parallel"))
+@pytest.mark.parametrize("name", sorted(CAMPAIGN_FIXTURES))
+def test_a_reused_engine_runs_each_fixture_run_as_run_once(name, mode):
+    # a budget of 9 steps ends many runs early, in a fork of pingpong and
+    # onboarding with other branches still ready
+    def make():
+        return compile_fixture(name, *CAMPAIGN_FIXTURES[name], sample_seed=42)
+    runs = _fixture_runs(make(), 12)
+    for max_steps in (9, 2_000):
+        _runs_on_one_engine(make, runs, mode, max_steps)
+
+
+@pytest.mark.parametrize("mode", ("sequential", "parallel"))
+def test_a_reused_engine_leaves_no_message_deadlock_or_race_to_the_next_run(mode):
+    # every LEFTOVER run ends with two messages unread
+    for body, ending in ((LEFTOVER, "e"), (CROSS_RECEIVE, "ENGINE_FAULT")):
+        seen = _runs_on_one_engine(lambda: compile_inline(body, prelude=MSG_PRELUDE),
+                                   [({}, seed) for seed in range(6)], mode, 1_000)
+        assert {code for code, _ in seen} == {ending}
+    # a run that races on v comes before each run that does not, and one
+    # that ends at its step budget, its other branch still ready, before each
+    runs = [({"x": [x]}, seed) for seed in range(8) for x in (1, -1)]
+    for max_steps in (3, 1_000):
+        seen = _runs_on_one_engine(lambda: compile_inline(SOMETIMES_RACE), runs, mode, max_steps)
+        if max_steps == 3:
+            assert seen == {("ENGINE_FAULT", ())}
+        elif mode == "parallel":
+            race = "variable 'v' written by several parallel branches"
+            assert seen == {("e", ()), ("e", (race,))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=models(forks=True),
+       runs=st.lists(st.tuples(st.integers(-10, 10), st.integers(0, 2**64 - 1)),
+                     min_size=2, max_size=5),
+       max_steps=st.sampled_from([6, 15, 10_000]))
+def test_a_reused_engine_runs_each_generated_run_as_run_once(drawn, runs, max_steps):
+    for mode in ("sequential", "parallel"):
+        _runs_on_one_engine(lambda: compile_model(parse_bpmn(drawn.xml), ()),
+                            [({"x": [x]}, seed) for x, seed in runs], mode, max_steps)
 
 
 @pytest.mark.parametrize("keep_files", (False, True), ids=("marked", "with_files"))
