@@ -7,24 +7,27 @@ a task with several outgoing flows gets an inserted exclusive gateway
 (`autogw_<taskId>`) carrying those flows, keeping traces traceable to the
 original diagram.
 
-Parsing walks the document once for its process, messages, errors and
-data objects (elements of other kinds are passed over in C), then reads
-each element of the process in one pass over its children and builds its
-node or flow record once: a gateway's record waits until every flow is
-read, when its degree tells a split from a join, and a flow read before
-the element that names it its default, or moved to an inserted gateway,
-is built again (`_Builder.finished_flows`). The gateways are inserted
-while the records are finished, before anything indexes them, so the
-flow index (`ProcessModel.adjacency`) and the variable uses that roles
-are classified from (`ProcessModel.variable_uses`) are computed once for
-every model, and `compile_model` reuses them. Computing the variable
-uses walks each expression once (`feel.types.scan`), for its free
-variables and its type evidence together; the walk's result is kept
-there, so type inference in `compile_model` walks no expression of the
-model again. Domain inference walks again each expression that reads an
-input variable (`inputs.facts_from_expr`).
-Validation checks whole lists with comprehensions, and walks the nodes
-in order only to report the first fault of a kind it found.
+Parsing reads each element where BPMN puts it, and no other: the process,
+its messages and errors among the root's children, the pools among a
+collaboration's children, and the nodes, flows and data objects among the
+process's own children. Each child of the process is read by what its tag
+maps to, worked out once per distinct tag (`_Handlers`); the flows and
+gateways, the commonest children, are read in that loop itself. Each node
+and flow record is built once. A gateway's record waits until every flow
+is read, when its degree tells a split from a join. The flow index
+(`ProcessModel.adjacency`) is built once, over the flows as read, and
+finishing the records reads it and patches it in place
+(`_Builder.finish`): a flow named default by an element read after it is
+marked, and the flows out of a task with several move to its inserted
+gateway. Validation reads the same index, and walks the nodes or flows
+in order only to name the first fault of a kind it found. The variable
+uses that roles are classified from (`ProcessModel.variable_uses`) are
+computed once, and `compile_model` reuses them and the index. Computing
+the variable uses walks each expression once (`feel.types.scan`), for
+its free variables and its type evidence together; the walk's result is
+kept there, so type inference in `compile_model` walks no expression of
+the model again. Domain inference walks again each expression that reads
+an input variable (`inputs.facts_from_expr`).
 
 Set-up runs with the cyclic garbage collector paused (`collector_paused`):
 nearly every object a model's construction allocates survives it, so a
@@ -37,10 +40,8 @@ import functools
 import gc
 import logging
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
-from functools import cached_property
-from itertools import compress
-from operator import attrgetter
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 from . import dmn, feel, safexml
 from .safexml import LocalNames
@@ -171,12 +172,19 @@ class ProcessModel:
 def adjacency(flows) -> tuple[dict[str, list[SequenceFlow]], dict[str, list[SequenceFlow]]]:
     """(outgoing, incoming): node id -> its flows, in document order. A node
     without flows on a side maps to an empty list."""
-    out: dict[str, list[SequenceFlow]] = defaultdict(list)
-    inc: dict[str, list[SequenceFlow]] = defaultdict(list)
-    for flow in flows:
-        out[flow.source].append(flow)
-        inc[flow.target].append(flow)
-    return out, inc
+    out: dict[str, list[SequenceFlow]] = {}
+    inc: dict[str, list[SequenceFlow]] = {}
+    for flow in flows:  # a plain dict's lookups are quicker than a defaultdict's
+        source, target = flow.source, flow.target
+        if source in out:
+            out[source].append(flow)
+        else:
+            out[source] = [flow]
+        if target in inc:
+            inc[target].append(flow)
+        else:
+            inc[target] = [flow]
+    return defaultdict(list, out), defaultdict(list, inc)
 
 
 def _strip_expr(text: str) -> str:
@@ -203,23 +211,8 @@ def collector_paused(fn):
     return paused
 
 
-_DOCUMENT_TAGS = frozenset({"process", "participant", "message", "error", "dataObjectReference",
-                            "dataObject"})
-_TAG = attrgetter("tag")
-
-
-class _DocumentKinds(dict):
-    """Element tag -> its local name if that is one of `_DOCUMENT_TAGS`,
-    else the empty string; worked out once per distinct tag."""
-
-    def __init__(self, local: LocalNames):
-        super().__init__()
-        self.local = local
-
-    def __missing__(self, tag: str) -> str:
-        name = self.local[tag]
-        kind = self[tag] = name if name in _DOCUMENT_TAGS else ""
-        return kind
+#: the process children that declare data objects
+_DATA_KINDS = frozenset({"dataObjectReference", "dataObject"})
 
 
 @collector_paused
@@ -228,24 +221,21 @@ def parse_bpmn(data: bytes | str) -> ProcessModel:
     root = safexml.fromstring(data, "BPMN")
     local = LocalNames()
 
-    processes, messages, errors, data_names = [], [], {}, {}
+    # the process, messages, errors and collaborations are the root's
+    # children; the pools are a collaboration's participants
+    processes, messages, errors = [], [], {}
     has_participant = False
-    # one walk over the document collects every kind; the elements of the
-    # other kinds are passed over in C, one local-name lookup per element
-    kinds = _DocumentKinds(local)
-    for el in compress(root.iter(), map(kinds.__getitem__, map(_TAG, root.iter()))):
-        tag = kinds[el.tag]
+    for el in root:
+        tag = local[el.tag]
         if tag == "process":
             processes.append(el)
-        elif tag == "participant":
-            has_participant = True
         elif tag == "message":
             messages.append(MessageDef(el.get("id") or el.get("name"),
                                        el.get("name") or el.get("id")))
         elif tag == "error":
             errors[el.get("id")] = (el.get("errorCode"), el.get("name"))
-        elif tag in ("dataObjectReference", "dataObject"):
-            data_names[el.get("id")] = el.get("name") or el.get("id")
+        elif tag == "collaboration" and not has_participant:
+            has_participant = any(local[child.tag] == "participant" for child in el)
     if not processes:
         raise SchemaError("document contains no process element")
     if len(processes) > 1:
@@ -257,21 +247,21 @@ def parse_bpmn(data: bytes | str) -> ProcessModel:
 
     message_names = {m.id: m.name for m in messages}
 
-    builder = _Builder(errors, data_names, message_names, local)
+    builder = _Builder(errors, message_names, local)
     builder.add_all(process)
 
-    flows = builder.finished_flows()
-    index = adjacency(flows)
+    index = adjacency(builder.flows)
+    nodes, flows = builder.finish(*index)
     model = ProcessModel(
         process_id=process.get("id") or "process",
         name=process.get("name") or process.get("id") or "process",
-        nodes=builder.finished_nodes(*index),
+        nodes=nodes,
         flows=flows,
         messages=messages,
         diagnostics=builder.diagnostics,
         adjacency=index,
     )
-    _validate(model)
+    _validate(model, builder.split_gateways)
     _check_roles(model.variable_uses)
     return model
 
@@ -284,101 +274,149 @@ _JOIN_KINDS = {kind: kind.removesuffix("_gateway") for kind in _GATEWAY_KINDS}
 class _Builder:
     """Builds the records of one process's elements, read in document order.
 
-    Each element is read in one pass over its children (`_children`), and
-    its record is built once. The code for the commonest elements (flows,
-    gateways, tasks) loops where a comprehension or generator expression
-    would be a function call of its own. A task's `Node` gets its leading
-    fields by position and its kind's own fields set right after, before
-    anything else sees it: matching keywords against the 18 fields costs
-    about as much as the rest of the call."""
+    Each child of the process is read by the handler its tag maps to
+    (`_Handlers`), and its record is built once. An element's own children
+    are read in one pass (`_children`, or `_io_mapping` for the send and
+    receive tasks, which read only their ioMapping). The code for the
+    commonest elements (flows, gateways, tasks) loops where a comprehension
+    or generator expression would be a function call of its own. A task's
+    `Node` gets its leading fields by position and its kind's own fields set
+    right after, before anything else sees it: matching keywords against the
+    18 fields costs about as much as the rest of the call."""
 
-    def __init__(self, errors, data_names, message_names, local: LocalNames):
+    def __init__(self, errors, message_names, local: LocalNames):
         self.errors = errors
-        self.data_names = data_names
         self.message_names = message_names
         self.local = local
+        self.process = None  # the element whose children `add_all` reads
+        # data object (reference) id -> its variable; read when a data
+        # association first needs it (`_association`)
+        self.data_names: dict[str, str] | None = None
         # a gateway stays (id, label, kind) until its flows are all known;
         # `gateways` holds the positions of those tuples in `nodes`
         self.nodes: list[Node | tuple[str, str, str]] = []
         self.gateways: list[int] = []
         self.flows: list[SequenceFlow] = []
         self.default_ids: set[str] = set()  # the flows elements read so far name as default
-        self.split: set[str] = set()  # the tasks and events with several outgoing flows
+        self.split_gateways: list[Node] = []  # every split gateway, once `finish` made them
         self.diagnostics: list[str] = []
 
     def add_all(self, process) -> None:
-        """Read every child element of `process`, in document order."""
-        local, handlers = self.local, _HANDLERS
+        """Read every child element of `process`, in document order, by what
+        its tag maps to (`_Handlers`): a sequence flow or a gateway is read
+        here, any other element by its function."""
+        self.process = process
+        handlers = _Handlers(self)
+        flows, nodes, gateways, default_ids = self.flows, self.nodes, self.gateways, \
+            self.default_ids
         for el in process:
-            tag = local[el.tag]
-            handler = handlers.get(tag)
-            if handler is not None:
-                handler(self, el)
-            elif tag in _SKIPPED:
-                if tag in ("laneSet", "lane", "textAnnotation", "association"):
-                    log.warning("skipping %s element (no execution semantics)", tag)
-                    self.diagnostics.append(f"skipped {tag}")
-            elif tag in _UNSUPPORTED:
-                raise UnsupportedElementError(f"element kind {tag!r} is not supported")
+            handler = handlers[el.tag]
+            if handler is _FLOW:
+                attrib = el.attrib  # a dict: its `get` is cheaper than the element's
+                flow_id = attrib.get("id")
+                source, target = attrib.get("sourceRef"), attrib.get("targetRef")
+                if not (flow_id and source and target):
+                    raise SchemaError("sequence flow needs id, sourceRef and targetRef")
+                condition = self._condition(el) if len(el) else None
+                flows.append(SequenceFlow(flow_id, source, target, condition,
+                                          flow_id in default_ids))
+            elif handler.__class__ is str:  # the kind of a gateway
+                attrib = el.attrib
+                node_id = attrib.get("id")
+                if not node_id:
+                    raise SchemaError(f"{self.local[el.tag]} without id")
+                default = attrib.get("default")
+                if default:
+                    default_ids.add(default)
+                gateways.append(len(nodes))
+                nodes.append((node_id, attrib.get("name") or node_id, handler))
             else:
-                log.warning("ignoring unknown element %r", tag)
-                self.diagnostics.append(f"ignored unknown element {tag}")
+                handler(el)
 
-    def finished_flows(self) -> list[SequenceFlow]:
-        """The flows in document order, with the multiple-outgoing-flow fix:
-        the flows out of a task or event with several of them (`split`)
-        leave the exclusive gateway `autogw_<id>` instead, and the flow
-        `autoflow_<id>` into that gateway comes right before the first of
-        them. A flow is marked default when it is read; one read before the
-        element that names it, or moved to an inserted gateway, gets a
-        second record here, the only records built twice."""
-        flows, default_ids = self.flows, self.default_ids
-        degree: dict[str, int] = defaultdict(int)  # node id -> its outgoing flows
-        for flow in flows:
-            degree[flow.source] += 1
-        self.split = split = {node.id for node in self.nodes
-                              if type(node) is Node and degree[node.id] > 1}
+    def _handler(self, name: str):
+        """What reads a process child of local name `name`: `_FLOW` for a
+        sequence flow, its kind for a gateway, else a function of the
+        element."""
+        if name == "sequenceFlow":
+            return _FLOW
+        if name in _GATEWAYS:
+            return _GATEWAYS[name]
+        if name in _READERS:
+            reader, kind = _READERS[name]
+            return reader.__get__(self) if kind is None else partial(reader, self, kind)
+        if name in _SKIPPED:
+            if name in ("laneSet", "lane", "textAnnotation", "association"):
+                return partial(self._skipped, name)
+            return _ignored
+        if name in _UNSUPPORTED:
+            return partial(_unsupported, name)
+        return partial(self._unknown, name)
+
+    def _skipped(self, name: str, el) -> None:
+        log.warning("skipping %s element (no execution semantics)", name)
+        self.diagnostics.append(f"skipped {name}")
+
+    def _unknown(self, name: str, el) -> None:
+        log.warning("ignoring unknown element %r", name)
+        self.diagnostics.append(f"ignored unknown element {name}")
+
+    def finish(self, outgoing, incoming) -> tuple[list[Node], list[SequenceFlow]]:
+        """The nodes and flows in document order, finished against the flow
+        index `adjacency` built over the flows as read, which is patched to
+        match. Every record is built once; a flow is changed in place:
+        - a flow is marked default when it is read, or here when the element
+          naming it is read after it;
+        - the flows out of a task or event with several of them leave an
+          inserted exclusive gateway `autogw_<id>` instead, with their
+          conditions and default marks; the gateway comes right after the
+          node, and the flow `autoflow_<id>` into it right before the first
+          of them (the multiple-outgoing-flow fix);
+        - each gateway with two or more incoming flows and one outgoing flow
+          is made a join, any other a split (`split_gateways`, in node
+          order, then the inserted ones); `_validate` checks their degrees.
+        """
+        nodes, flows, default_ids = self.nodes, self.flows, self.default_ids
         if default_ids:
-            for i, flow in enumerate(flows):
-                if not flow.is_default and flow.id in default_ids:
-                    flows[i] = replace(flow, is_default=True)
-        if not split:
-            return flows
-        finished = []
-        rerouted = set()
-        for flow in flows:
-            source = flow.source
-            if source in split:
-                gw_id = f"autogw_{source}"
-                if source not in rerouted:
-                    rerouted.add(source)
-                    finished.append(SequenceFlow(f"autoflow_{source}", source, gw_id))
-                flow = replace(flow, source=gw_id)  # conditions and default flags move along
-            finished.append(flow)
-        return finished
-
-    def finished_nodes(self, outgoing, incoming) -> list[Node]:
-        """The nodes in document order, each gateway with two or more
-        incoming flows and one outgoing flow made a join, and each node in
-        `split` followed by its inserted gateway (see `finished_flows`)."""
-        nodes = self.nodes
+            for flow in flows:
+                if flow.id in default_ids:
+                    flow.is_default = True
+        split = dict.fromkeys([node.id for node in nodes
+                               if type(node) is Node and len(outgoing[node.id]) > 1])
+        autoflows = {}  # inserted gateway id -> the flow into it
+        for source in split:
+            gw_id = f"autogw_{source}"
+            autoflows[gw_id] = into = SequenceFlow(f"autoflow_{source}", source, gw_id)
+            moved = outgoing[gw_id] = outgoing[source]
+            for flow in moved:
+                flow.source = gw_id
+            outgoing[source] = incoming[gw_id] = [into]
+        splits = self.split_gateways
         for i in self.gateways:
             node_id, label, kind = nodes[i]
             if len(incoming[node_id]) >= 2 and len(outgoing[node_id]) == 1:
-                nodes[i] = Node(node_id, label, "join_gateway", join_kind=_JOIN_KINDS[kind])
-            else:  # a split; _validate rejects any other degree
-                nodes[i] = Node(node_id, label, kind)
-        split = self.split
+                nodes[i] = node = Node(node_id, label, "join_gateway")
+                node.join_kind = _JOIN_KINDS[kind]
+            else:
+                nodes[i] = node = Node(node_id, label, kind)
+                splits.append(node)
         if not split:
-            return nodes
-        finished = []
+            return nodes, flows
+        finished_nodes = []
         for node in nodes:
-            finished.append(node)
+            finished_nodes.append(node)
             if node.id in split:
                 gw_id = f"autogw_{node.id}"
-                finished.append(Node(gw_id, node.label, "exclusive_gateway"))
+                gateway = Node(gw_id, node.label, "exclusive_gateway")
+                finished_nodes.append(gateway)
+                splits.append(gateway)
                 self.diagnostics.append(f"inserted {gw_id} for multi-output node {node.id}")
-        return finished
+        finished_flows = []
+        for flow in flows:
+            into = autoflows.pop(flow.source, None)
+            if into is not None:
+                finished_flows.append(into)
+            finished_flows.append(flow)
+        return finished_nodes, finished_flows
 
     # --- common pieces ---
 
@@ -414,6 +452,10 @@ class _Builder:
 
     def _association(self, assoc, ref_name: str, names: list[str]) -> None:
         local, data_names = self.local, self.data_names
+        if data_names is None:  # a data object may come after the tasks that use it
+            data_names = self.data_names = {
+                el.get("id"): el.get("name") or el.get("id")
+                for el in self.process if local[el.tag] in _DATA_KINDS}
         for ref in assoc:
             if local[ref.tag] == ref_name:
                 data_name = data_names.get((ref.text or "").strip())
@@ -438,12 +480,26 @@ class _Builder:
             elif name == "script":
                 found.script = (item.get("expression") or "", item.get("resultVariable") or "")
 
-    # --- element handlers, one per element local name (see _HANDLERS) ---
+    def _io_mapping(self, el, side: str) -> tuple[str | None, list[tuple[str, str]]]:
+        """The channel, and the (source, target) pairs of the `side` entries
+        ("input" or "output"), that the ioMappings among `el`'s extension
+        elements declare, as `_children` reads them."""
+        local = self.local
+        channel, pairs = None, []
+        for child in el:
+            if local[child.tag] == "extensionElements":
+                for item in child:
+                    if local[item.tag] == "ioMapping":
+                        channel = item.get("channel") or channel
+                        for entry in item:
+                            if local[entry.tag] == side:
+                                pairs.append((entry.get("source") or "",
+                                              entry.get("target") or ""))
+        return channel, pairs
 
-    def _on_startEvent(self, el):
-        self._plain_task(el, "start")
+    # --- element readers, one per element local name (see _READERS) ---
 
-    def _on_endEvent(self, el):
+    def _end_event(self, el):
         node_id, label = self._base(el)
         error_def = self._children(el).error
         if error_def is not None:
@@ -455,16 +511,7 @@ class _Builder:
         else:
             self.nodes.append(Node(node_id, label, "end_success"))
 
-    def _on_task(self, el):
-        self._plain_task(el, "manual_task")  # untyped tasks behave like manual ones
-
-    def _on_userTask(self, el):
-        self._plain_task(el, "user_task")
-
-    def _on_manualTask(self, el):
-        self._plain_task(el, "manual_task")
-
-    def _plain_task(self, el, kind):
+    def _plain_task(self, kind, el):
         node_id, label = self._base(el)
         found = self._children(el)
         writes = found.writes
@@ -473,13 +520,7 @@ class _Builder:
                 writes.append(target)
         self.nodes.append(Node(node_id, label, kind, tuple(writes), tuple(found.reads)))
 
-    def _on_scriptTask(self, el):
-        self._expr_task(el, "script_task")
-
-    def _on_serviceTask(self, el):
-        self._expr_task(el, "service_task")
-
-    def _expr_task(self, el, kind):
+    def _expr_task(self, kind, el):
         node_id, label = self._base(el)
         found = self._children(el)
         expr_text, target = None, None
@@ -498,7 +539,7 @@ class _Builder:
         node.expr, node.target = feel.parse_expr(_strip_expr(expr_text)), target
         self.nodes.append(node)
 
-    def _on_businessRuleTask(self, el):
+    def _rule_task(self, el):
         node_id, label = self._base(el)
         found = self._children(el)
         if not found.decision:
@@ -512,15 +553,14 @@ class _Builder:
         node.table_ref, node.input_map, node.output_map = found.decision, input_map, output_map
         self.nodes.append(node)
 
-    def _on_sendTask(self, el):
+    def _send_task(self, el):
         node_id, label = self._base(el)
-        found = self._children(el)
-        channel = found.channel
+        channel, inputs = self._io_mapping(el, "input")
         if not channel:
             raise SchemaError(f"send task {node_id!r} has no channel")
         msg_type = self.message_names.get(el.get("messageRef"), f"M_{channel}")
         parts = []
-        for source, target in found.io_inputs:
+        for source, target in inputs:
             parts.append((target, feel.parse_expr(_strip_expr(source))))
         if not parts:
             raise SchemaError(f"send task {node_id!r} declares no message parts")
@@ -528,14 +568,12 @@ class _Builder:
         node.channel, node.msg_type, node.send_parts = channel, msg_type, tuple(parts)
         self.nodes.append(node)
 
-    def _on_receiveTask(self, el):
+    def _receive_task(self, el):
         node_id, label = self._base(el)
-        found = self._children(el)
-        channel = found.channel
+        channel, parts = self._io_mapping(el, "output")
         if not channel:
             raise SchemaError(f"receive task {node_id!r} has no channel")
         msg_type = self.message_names.get(el.get("messageRef"), f"M_{channel}")
-        parts = found.io_outputs
         if not parts:
             raise SchemaError(f"receive task {node_id!r} declares no message parts")
         writes = []
@@ -545,36 +583,17 @@ class _Builder:
         node.channel, node.msg_type, node.receive_parts = channel, msg_type, tuple(parts)
         self.nodes.append(node)
 
-    def _gateway(self, el, kind):
-        node_id, label = self._base(el)
-        self.gateways.append(len(self.nodes))
-        self.nodes.append((node_id, label, kind))
-
-    def _on_exclusiveGateway(self, el):
-        self._gateway(el, "exclusive_gateway")
-
-    def _on_parallelGateway(self, el):
-        self._gateway(el, "parallel_gateway")
-
-    def _on_inclusiveGateway(self, el):
-        self._gateway(el, "inclusive_gateway")
-
-    def _on_sequenceFlow(self, el):
-        attrib = el.attrib  # a dict: its `get` is cheaper than the element's
-        flow_id = attrib.get("id")
-        source, target = attrib.get("sourceRef"), attrib.get("targetRef")
-        if not (flow_id and source and target):
-            raise SchemaError("sequence flow needs id, sourceRef and targetRef")
+    def _condition(self, flow) -> ast.FeelExpr | None:
+        """The condition of a sequence flow element: its last
+        conditionExpression child with text."""
         condition = None
-        if len(el):
-            local = self.local
-            for cond in el:
-                if local[cond.tag] == "conditionExpression":
-                    text = _strip_expr(cond.text or "")
-                    if text:
-                        condition = feel.parse_expr(text)
-        self.flows.append(SequenceFlow(flow_id, source, target, condition,
-                                       flow_id in self.default_ids))
+        local = self.local
+        for cond in flow:
+            if local[cond.tag] == "conditionExpression":
+                text = _strip_expr(cond.text or "")
+                if text:
+                    condition = feel.parse_expr(text)
+        return condition
 
 
 class _Children:
@@ -595,9 +614,47 @@ class _Children:
         self.error = None  # the first <errorEventDefinition> child
 
 
-#: element local name -> its handler
-_HANDLERS = {name.removeprefix("_on_"): handler for name, handler in vars(_Builder).items()
-             if name.startswith("_on_")}
+#: element local name -> (the `_Builder` method that reads it, the node kind
+#: it is passed first, or None for a method that reads one kind)
+_READERS = {
+    "startEvent": (_Builder._plain_task, "start"),
+    "userTask": (_Builder._plain_task, "user_task"),
+    "manualTask": (_Builder._plain_task, "manual_task"),
+    "task": (_Builder._plain_task, "manual_task"),  # untyped tasks behave like manual ones
+    "endEvent": (_Builder._end_event, None),
+    "scriptTask": (_Builder._expr_task, "script_task"),
+    "serviceTask": (_Builder._expr_task, "service_task"),
+    "businessRuleTask": (_Builder._rule_task, None),
+    "sendTask": (_Builder._send_task, None),
+    "receiveTask": (_Builder._receive_task, None),
+}
+#: gateway local name -> its node kind; `_Builder.add_all` reads gateways
+_GATEWAYS = {"exclusiveGateway": "exclusive_gateway", "parallelGateway": "parallel_gateway",
+             "inclusiveGateway": "inclusive_gateway"}
+#: what `_Builder.handler` gives for a sequence flow, which `add_all` reads
+_FLOW = object()
+
+
+class _Handlers(dict):
+    """Element tag -> the function that reads a process child of that tag
+    (`_Builder._handler`), worked out once per distinct tag of a document."""
+
+    def __init__(self, builder: _Builder):
+        super().__init__()
+        self.builder = builder
+
+    def __missing__(self, tag: str):
+        builder = self.builder
+        handler = self[tag] = builder._handler(builder.local[tag])
+        return handler
+
+
+def _ignored(el) -> None:
+    """Reads a process child that carries nothing bproc uses."""
+
+
+def _unsupported(name: str, el) -> None:
+    raise UnsupportedElementError(f"element kind {name!r} is not supported")
 
 
 _END_KINDS = frozenset(("end_success", "end_error"))
@@ -605,19 +662,22 @@ _CONDITIONAL_KINDS = frozenset(("exclusive_gateway", "inclusive_gateway"))
 _TASK_KINDS = frozenset(TASK_KINDS)
 
 
-def _validate(model: ProcessModel) -> None:
+def _validate(model: ProcessModel, gateways: list[Node]) -> None:
     """Raise SchemaError for the first fault, taking the checks in this
     order: duplicate node ids, dangling flows, the start and end events,
     gateway degrees (in node order), the outgoing flows of each node (in
-    node order), connectedness."""
+    node order), connectedness. `gateways` are the splits (`_Builder.finish`
+    made the joins), the document's in node order. The checks read the
+    flow index (`ProcessModel.adjacency`): its keys are the node ids and the
+    flows' endpoints, so the flows are walked only to name a dangling one."""
     nodes, flows = model.nodes, model.flows
     out, inc = model.adjacency
     ids = {node.id for node in nodes}
     if len(ids) != len(nodes):
         raise SchemaError("duplicate node ids")
-    for flow in flows:
-        if flow.source not in ids or flow.target not in ids:
-            raise SchemaError(f"flow {flow.id!r} has a dangling endpoint")
+    if not (out.keys() <= ids and inc.keys() <= ids):
+        flow = next(flow for flow in flows if flow.source not in ids or flow.target not in ids)
+        raise SchemaError(f"flow {flow.id!r} has a dangling endpoint")
 
     kinds = [node.kind for node in nodes]
     starts = kinds.count("start")
@@ -634,8 +694,6 @@ def _validate(model: ProcessModel) -> None:
             raise SchemaError(f"end event {end.id!r} must have one incoming and no "
                               f"outgoing flow")
 
-    # the joins are made when the nodes are built, so every gateway left is a split
-    gateways = [node for node in nodes if node.kind in _GATEWAY_KINDS]
     for gateway in gateways:
         n_in, n_out = len(inc[gateway.id]), len(out[gateway.id])
         if n_in != 1 or n_out < 2:
@@ -657,15 +715,14 @@ def _check_flows(model: ProcessModel, gateways: list[Node]) -> None:
     conditional = {node.id for node in gateways if node.kind in _CONDITIONAL_KINDS}
     faulty = set()
     defaults = set()
-    for flow in model.flows:
-        if flow.is_default:
-            if flow.source in defaults and flow.source in conditional:
-                faulty.add(flow.source)
-            defaults.add(flow.source)
-    faulty.update(flow.source for flow in model.flows
-                  if flow.condition is not None and flow.source not in conditional)
-    faulty.update(node.id for node in model.nodes
-                  if node.kind in _TASK_KINDS and not out[node.id])
+    for flow in [flow for flow in model.flows if flow.is_default]:
+        if flow.source in defaults and flow.source in conditional:
+            faulty.add(flow.source)
+        defaults.add(flow.source)
+    faulty.update([flow.source for flow in model.flows
+                   if flow.condition is not None and flow.source not in conditional])
+    faulty.update([node.id for node in model.nodes
+                   if node.kind in _TASK_KINDS and not out[node.id]])
     if not faulty:
         return
     node = next(node for node in model.nodes if node.id in faulty)
@@ -742,51 +799,71 @@ def _variable_uses(model: ProcessModel) -> _VariableUses:
     readers: dict[str, set[str]] = {}
     rule_tasks = []
     writers = []
+    conditions = []
 
-    def read_expr(expr, node_id) -> Scanned:
+    def scanned(expr, node_id: str) -> Scanned:
         free, evidence = scan(expr)
         for name in free:
-            readers.setdefault(name, set()).add(node_id)
+            ids = readers.get(name)
+            if ids is None:
+                readers[name] = {node_id}
+            else:
+                ids.add(node_id)
         return expr, free, evidence
 
     for node in model.nodes:
         kind = node.kind
+        if kind in _GATEWAY_OR_END_KINDS and not node.reads:
+            continue  # writes nothing and reads nothing
+        node_id = node.id
         if kind in INPUT_WRITER_KINDS:
-            for name in node.writes:
-                input_writers.setdefault(name, set()).add(node.id)
+            _note(input_writers, node.writes, node_id)
         elif kind == "script_task" or kind == "service_task":
-            process_writers.setdefault(node.target, set()).add(node.id)
-            writers.append((node, [read_expr(node.expr, node.id)]))
+            _note(process_writers, (node.target,), node_id)
+            writers.append((node, [scanned(node.expr, node_id)]))
         elif kind == "send_task":
-            scanned = []
+            parts = []
             for _, expr in node.send_parts:
-                scanned.append(read_expr(expr, node.id))
-            writers.append((node, scanned))
+                parts.append(scanned(expr, node_id))
+            writers.append((node, parts))
         elif kind == "receive_task":
             for _, var in node.receive_parts:
-                process_writers.setdefault(var, set()).add(node.id)
+                _note(process_writers, (var,), node_id)
             writers.append((node, []))
         elif kind == "business_rule_task":
             if node.output_map is not None:
                 for _, var in node.output_map:
-                    process_writers.setdefault(var, set()).add(node.id)
-            scanned = None
+                    _note(process_writers, (var,), node_id)
+            inputs = None
             if node.input_map is not None:
-                scanned = []
+                inputs = []
                 for _, expr in node.input_map:
-                    scanned.append(read_expr(expr, node.id))
+                    inputs.append(scanned(expr, node_id))
             if node.output_map is None or node.input_map is None:
                 rule_tasks.append(node)
-            writers.append((node, scanned))
-        for name in node.reads:
-            readers.setdefault(name, set()).add(node.id)
+            writers.append((node, inputs))
+        if node.reads:
+            _note(readers, node.reads, node_id)
 
-    conditions = []
     for flow in model.flows:
         if flow.condition is not None:
-            conditions.append(read_expr(flow.condition, flow.source))
+            conditions.append(scanned(flow.condition, flow.source))
     return _VariableUses(input_writers, process_writers, readers, tuple(rule_tasks),
                          conditions, writers)
+
+
+#: the node kinds that write no variable: a node of one reads only `reads`
+_GATEWAY_OR_END_KINDS = frozenset((*_GATEWAY_KINDS, "join_gateway", *_END_KINDS))
+
+
+def _note(uses: dict[str, set[str]], names, node_id: str) -> None:
+    """Add `node_id` to the set of each of `names` in `uses`."""
+    for name in names:
+        ids = uses.get(name)
+        if ids is None:
+            uses[name] = {node_id}
+        else:
+            ids.add(node_id)
 
 
 def _check_roles(uses: _VariableUses) -> None:

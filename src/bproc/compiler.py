@@ -7,7 +7,10 @@ table compiles itself once into a closure with its output entries folded
 (`dmn` module), which type inference reads too.
 
 Compiling is one pass over the nodes, each lowered by the `_Lowering`
-method of its kind, then type and domain inference over one list of
+method of its kind and named by the display prefix of its kind, both
+found in one lookup (`_LOWERERS`); each parallel or inclusive split finds
+its join in a search over the flow index that parsing built
+(`_matching_join`). Then come type and domain inference over one list of
 expressions. Type inference reads what parsing found when it walked each
 expression (`ProcessModel.variable_uses`: free variables and type
 evidence), so only the input expressions of a table and the expressions
@@ -17,7 +20,11 @@ each expression that reads an input variable (`inputs.facts_from_expr`)
 and skips the rest. Each business rule task is
 resolved once, when it is lowered, into its `InvokeTable` step (every
 binding, an ioMapping side it leaves out defaulted to the table's
-columns); inference reads the task from that step and its table.
+columns); inference reads the task from that step and its table. Output
+type inference evaluates every entry of each table column a task writes,
+so such an entry that raises fails compilation, its message starting
+with its table, rule and output column, as a cell the DMN parser cannot
+read does.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import dmn, feel, inputs as inputs_mod
 from .bpmn import (ProcessGraph, ProcessModel, Scanned, SequenceFlow, classify_variables,
@@ -157,17 +165,10 @@ class ExecutableModel:
         return next(s for s in self.input_vars if s.name == name)
 
 
-_DISPLAY_PREFIX = {"start": "EVENT", "end_success": "EVENT", "end_error": "EVENT",
-                   "exclusive_gateway": "GATEWAY", "parallel_gateway": "GATEWAY",
-                   "inclusive_gateway": "GATEWAY", "join_gateway": "GATEWAY"}
-
-
-def _display_name(node) -> str:
-    name = f"{_DISPLAY_PREFIX.get(node.kind, 'TASK')}_{node.id}"
-    if node.label and node.label != node.id:
-        safe = "".join(c if c.isalnum() else "_" for c in node.label)
-        name += f"_{safe}"
-    return name
+def _safe_label(label: str) -> str:
+    """A label as it ends a display name: `<PREFIX>_<id>_<label>`, each
+    character that is not a letter or digit made `_`."""
+    return "".join(c if c.isalnum() else "_" for c in label)
 
 
 @collector_paused
@@ -185,11 +186,15 @@ def compile_model(model: ProcessModel, tables, *, sample_seed: int = 0) -> Execu
     lowering = _Lowering(model, dmn.by_reference(tables))
     routines: dict[str, Routine] = {}
     for node in model.nodes:
-        lower = _LOWERERS.get(node.kind)
-        if lower is None:
-            raise SchemaError(f"cannot lower node kind {node.kind!r}")
-        routines[node.id] = Routine(node.id, _display_name(node),
-                                    lower(lowering, node, out[node.id]))
+        kind, node_id, label = node.kind, node.id, node.label
+        try:
+            lower, prefix = _LOWERERS[kind]
+        except KeyError:
+            raise SchemaError(f"cannot lower node kind {kind!r}") from None
+        name = f"{prefix}_{node_id}"
+        if label and label != node_id:
+            name += f"_{_safe_label(label)}"
+        routines[node_id] = Routine(node_id, name, lower(lowering, node, out[node_id]))
 
     calls = lowering.table_calls
     expressions, opaque = _expressions(model, calls)
@@ -295,7 +300,10 @@ class _Lowering:
 
     def fork(self, node, outgoing) -> Step:
         join_id = _matching_join(node.id, self.out, self.barriers)
-        targets = tuple([flow.target for flow in outgoing])
+        targets = []
+        for flow in outgoing:
+            targets.append(flow.target)
+        targets = tuple(targets)
         if node.kind == "parallel_gateway":
             return Fork(targets, join_id)
         conditions = []
@@ -312,15 +320,19 @@ class _Lowering:
         return Continue(outgoing[0].target)
 
 
-#: node kind -> the `_Lowering` method that lowers it
+#: node kind -> (the `_Lowering` method that lowers it, the prefix of its
+#: routine's display name)
 _LOWERERS = {
-    "start": _Lowering.inputs, "user_task": _Lowering.inputs, "manual_task": _Lowering.inputs,
-    "end_success": _Lowering.end_success, "end_error": _Lowering.end_error,
-    "script_task": _Lowering.assign, "service_task": _Lowering.assign,
-    "business_rule_task": _Lowering.invoke_table,
-    "send_task": _Lowering.send, "receive_task": _Lowering.receive,
-    "exclusive_gateway": _Lowering.branch, "parallel_gateway": _Lowering.fork,
-    "inclusive_gateway": _Lowering.fork, "join_gateway": _Lowering.join,
+    "start": (_Lowering.inputs, "EVENT"), "user_task": (_Lowering.inputs, "TASK"),
+    "manual_task": (_Lowering.inputs, "TASK"),
+    "end_success": (_Lowering.end_success, "EVENT"), "end_error": (_Lowering.end_error, "EVENT"),
+    "script_task": (_Lowering.assign, "TASK"), "service_task": (_Lowering.assign, "TASK"),
+    "business_rule_task": (_Lowering.invoke_table, "TASK"),
+    "send_task": (_Lowering.send, "TASK"), "receive_task": (_Lowering.receive, "TASK"),
+    "exclusive_gateway": (_Lowering.branch, "GATEWAY"),
+    "parallel_gateway": (_Lowering.fork, "GATEWAY"),
+    "inclusive_gateway": (_Lowering.fork, "GATEWAY"),
+    "join_gateway": (_Lowering.join, "GATEWAY"),
 }
 
 
@@ -523,7 +535,9 @@ def _propagate_assigned_types(model, calls: TableCalls, roles, types) -> None:
                 for out_name, var in step.out_bindings:
                     col = table.outputs.index(out_name)
                     for rule in range(len(table.rules)):
-                        value = table.output_value(rule, col)  # folded once per table
+                        # folded once per table; an entry that raises is located
+                        value = dmn._located(partial(table.output_value, rule), col,
+                                             f"table {table.id!r} rule {rule + 1} output {col + 1}")
                         if value is not None:
                             note(var, feel.type_of_constant(value))
             else:

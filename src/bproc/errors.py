@@ -32,6 +32,10 @@ class DivisionByZeroError(BprocError):
     pass
 
 
+class DateOutOfRangeError(BprocError):
+    """A date outside 0001-01-01 to 9999-12-31, which no literal writes."""
+
+
 class ValueTooLargeError(BprocError):
     """An operation would build an integer or string past the size limit
     (`feel.values.MAX_INT_BITS`, `MAX_STRING_LENGTH`)."""

@@ -18,9 +18,10 @@ import datetime
 import re
 from dataclasses import dataclass
 
-from ..errors import FeelTypeError, UndefinedValueError
+from ..errors import DateOutOfRangeError, FeelTypeError, UndefinedValueError
 
 SECONDS_PER_DAY = 86_400
+_LAST_ORDINAL = datetime.date.max.toordinal()
 #: The largest integer (in bits) and string (in characters) an operation may
 #: build; `**` and `*` on two integers and `+` on two strings check first.
 #: 2**13 bits is at most 2,467 decimal digits, under the 4,300 that Python
@@ -65,6 +66,9 @@ class Temporal:
 
     def to_text(self) -> str:
         if self.kind == "date":
+            if not 1 <= self.scalar <= _LAST_ORDINAL:
+                raise DateOutOfRangeError(f"date ordinal {self.scalar} is outside "
+                                          f"0001-01-01 to 9999-12-31")
             return datetime.date.fromordinal(self.scalar).isoformat()
         h, rest = divmod(self.scalar, 3600)
         m, s = divmod(rest, 60)

@@ -16,11 +16,12 @@ So the engine makes one call per node and follows edges with no lookup
 2003).
 Lowering runs with the cyclic collector paused, as set-up does
 (`bpmn.collector_paused`). The trace records of the nodes and edges are
-built on the first run that keeps a trace, and every later run shares
-them; a model that only ever runs in campaigns without run files never
-builds them. Expressions inside are compiled closures too; a table task
-calls its table's selector (`dmn.DecisionTable.select`) and writes the
-chosen rule's outputs, folded once per task as (variable, value) pairs.
+built on the first run that keeps a trace, also with the collector
+paused, and every later run shares them; a model that only ever runs in
+campaigns without run files never builds them. Expressions inside are
+compiled closures too; a table task calls its table's selector
+(`dmn.DecisionTable.select`) and writes the chosen rule's outputs, folded
+once per task as (variable, value) pairs.
 
 A run owns a variable store (every declared variable starts undefined),
 per-variable input cursors, FIFO message channels (each made on its first
@@ -222,10 +223,13 @@ class _Program:
             edge = self.edges[source, target] = _Edge(len(self.edges))
         return edge
 
+    @collector_paused
     def build_records(self):
         """Give every node its activation record and every edge its
         traversal record: on the first run that keeps a trace, for it and
-        every later run to share."""
+        every later run to share. Like lowering, it runs with the cyclic
+        collector paused: every record it builds lives as long as the
+        program."""
         for node_id, node in self.nodes.items():
             node.activated = NodeActivated(node_id)
         for (source, target), edge in self.edges.items():

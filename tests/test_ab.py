@@ -60,6 +60,11 @@ def fake(monkeypatch, tmp_path):
         tree, seed = Path(cwd), int(args[args.index("--seed") + 1])
         assert (tree / "perfbench/run.py").is_file() and not (tree / "perfbench/stale.py").exists()
         state["runs"].append((tree.name, seed))
+        if "kernel_s" in state:  # the results file each workload's run leaves
+            (tree / ".perfbench_out").mkdir(exist_ok=True)
+            for w in SPEC["workloads"]:
+                (tree / ".perfbench_out" / f"results_{w['name']}_seed{seed}.json").write_text(
+                    json.dumps({"workload": w["name"], "metrics": {"kernel_s": state["kernel_s"]}}))
         code, out = state["outcomes"].get((tree.name, seed), (0, last_line(tree.name, seed)))
         return subprocess.CompletedProcess(args, code, "== progress\n" + out, "")
 
@@ -96,3 +101,26 @@ def test_a_failed_run_is_named_by_side_and_seed(fake, capsys, side, seed, code, 
 def test_an_unknown_revision_is_one_line_and_exit_2(fake, capsys):
     assert ab.main(["--base", "nope"]) == 2
     assert capsys.readouterr() == ("", "ab.py: git archive --format=tar nope: fatal: bad\n")
+
+
+def test_json_holds_the_table_the_machine_and_each_sides_kernel_spread(
+        fake, capsys, tmp_path_factory):
+    path = tmp_path_factory.mktemp("bench") / "BENCH.json"
+    fake["kernel_s"] = [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert ab.main(["--base", "OLD", "--pairs", "2", "--json", str(path)]) == 0
+    data = json.loads(path.read_text())
+    assert list(data) == ["base", "pairs", "machine", "rows", "operations", "speed_kernel"]
+    assert (data["base"], data["pairs"]) == ("OLD", 2)
+    assert sorted(data["machine"]) == ["cpus", "loadavg", "loadavg_after", "python"]
+    assert len(data["rows"]) == len(SPEC["workloads"]) * len(SPEC["end_to_end"])
+    assert {"workload": "loop_budget", "metric": "steps_per_s", "unit": "1/s",
+            "base": {"median": 101.5, "q1": 100.75, "q3": 102.25, "values": [101, 102]},
+            "work": {"median": 151.5, "q1": 150.75, "q3": 152.25, "values": [151, 152]},
+            "gap": 50 / 101.5, "won_work": 2, "won_base": 0, "call": "none",
+            "bound": "ok"} in data["rows"]
+    assert data["operations"] == {side: {"failed": 0, "attempted": 20} for side in ab.SIDES}
+    spread = {"median_s": 3.0, "iqr_share": 2.5 / 3.0, "samples": 10}
+    assert data["speed_kernel"] == {side: {w["name"]: spread for w in SPEC["workloads"]}
+                                    for side in ab.SIDES}
+    # the printed table is the same with or without the file
+    assert "| loop_budget | steps_per_s (1/s) | 101.5 [100.8, 102.2] |" in capsys.readouterr().out

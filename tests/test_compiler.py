@@ -8,7 +8,8 @@ from bproc import (RunOptions, StaticType, compile_model, feel, parse_bpmn, rend
 from bproc.compiler import (Assign, Branch, Continue, ConsumeInputs, Fork, InvokeTable,
                             JoinBarrier, Step, Terminate)
 from bproc.dmn import DecisionTable, Rule
-from bproc.errors import DivisionByZeroError, SchemaError, UnresolvedTableError
+from bproc.errors import (DateOutOfRangeError, DivisionByZeroError, SchemaError,
+                          UnresolvedTableError)
 from bproc.feel import ast, parse_expr, render
 from bproc.inputs import render_domain
 
@@ -371,3 +372,34 @@ def test_a_cell_kind_infers_the_type_and_domain_of_its_column(cell, static_type,
     spec = x.input_spec("x")
     assert (spec.static_type, render_domain(spec.domain)) == (static_type, domain)
     assert not any("mixed numeric" in note for note in x.diagnostics)
+
+
+def test_a_raising_output_entry_is_named_by_its_table_rule_and_column():
+    # inferring the output types evaluates every entry of a used table, so an
+    # entry that raises fails compilation, located as the DMN parser locates
+    # a cell it cannot read
+    model, (length, *others) = load_fixture("shipment", "shipment")
+    rules = list(length.rules)
+    rules[2] = replace(rules[2], output_entries=(parse_expr("1 / 0"),))
+    broken = replace(length, rules=tuple(rules))
+    with pytest.raises(DivisionByZeroError) as raised:
+        compile_model(model, [broken, *others])
+    assert str(raised.value) == "table 'GetLengthDT' rule 3 output 1: division by zero"
+
+
+OUT_OF_RANGE_DATE = feel.Temporal("date", 0)  # no date literal parses to it
+
+
+def test_an_out_of_range_date_in_a_cell_gives_a_domain_or_a_bproc_error():
+    def compiled(cell):
+        table = DecisionTable("T", "T", "First", (("x", ast.Var("x")),), ("o",),
+                              (Rule((cell,), (ast.Lit(1),)),))
+        return compile_model(parse_bpmn(ONE_TABLE), [table])
+
+    spec = compiled(ast.EqualsConst(OUT_OF_RANGE_DATE)).input_spec("x")
+    assert (spec.static_type, spec.domain.values) == (StaticType.DATE, (OUT_OF_RANGE_DATE,))
+    with pytest.raises(DateOutOfRangeError, match="date ordinal 0 is outside"):
+        render_domain(spec.domain)
+    # a comparison's domain fact quotes the date it compares with
+    with pytest.raises(DateOutOfRangeError):
+        compiled(ast.Comparison("<", ast.Lit(OUT_OF_RANGE_DATE)))

@@ -1,11 +1,13 @@
+from datetime import date
+
 import pytest
 from hypothesis import given, strategies as st
 
 from bproc import evaluate, match_unary, parse_expr, parse_unary_test
-from bproc.errors import (DivisionByZeroError, FeelTypeError, IndexOutOfRangeError,
-                          UndefinedValueError)
+from bproc.errors import (DateOutOfRangeError, DivisionByZeroError, FeelTypeError,
+                          IndexOutOfRangeError, UndefinedValueError)
 from bproc.feel import ast
-from bproc.feel.values import UNDEFINED, Temporal
+from bproc.feel.values import UNDEFINED, Temporal, render_value
 
 
 def ev(text, env=None):
@@ -173,3 +175,11 @@ def test_match_unary_kinds():
         match_unary(parse_unary_test('"a"'), 1)
     with pytest.raises(FeelTypeError):
         match_unary(parse_unary_test("-"), [1, 2])  # lists are not scalar
+
+
+@pytest.mark.parametrize("scalar", [0, -5, date.max.toordinal() + 1])
+def test_a_date_without_a_literal_renders_as_a_bproc_error(scalar):
+    # parsed text never reaches such a date; a value built in code does
+    with pytest.raises(DateOutOfRangeError, match=f"date ordinal {scalar} is outside"):
+        render_value(Temporal("date", scalar))
+    assert render_value(Temporal("date", 1)) == 'date("0001-01-01")'

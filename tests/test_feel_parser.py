@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import generators
 from bproc import evaluate, parse_expr, parse_unary_test, render
-from bproc.errors import BprocError, DivisionByZeroError, FeelSyntaxError, SchemaError
+from bproc.errors import (BprocError, DateOutOfRangeError, DivisionByZeroError, FeelSyntaxError,
+                          SchemaError)
 from bproc.feel import ast, compile_expr, compile_unary, infer_types, render_value, synthesize
 from bproc.feel.ast import free_variables
 from bproc.feel.parser import MAX_DEPTH, MAX_INT_DIGITS
@@ -189,7 +190,7 @@ def _rendered(test) -> str | None:
     the generators draw for the evaluator's sake."""
     try:
         return render_unary_test(test)
-    except ValueError:
+    except DateOutOfRangeError:
         return None
 
 

@@ -121,6 +121,18 @@ def test_parse_and_compile_call_counts_scale_linearly(small, large):
     assert ratio <= 4.2, ratio
 
 
+#: the Python calls parse_bpmn + compile_model make for `pins.diamonds(300, 7)`
+#: (1,204 nodes): 21,898 when the document was walked twice over and every
+#: process child was read through a handler call, 16,191 since flows and
+#: gateways are read in the child loop and each pass reads the flow index
+SET_UP_CALLS = 16_191
+
+
+def test_set_up_keeps_to_its_call_budget():
+    calls = setup_calls(pins.diamonds(300, 7))
+    assert calls <= SET_UP_CALLS * 1.05, f"{calls} calls, budget {SET_UP_CALLS} + 5%"
+
+
 SET_UPS = {
     "diamonds": lambda: (pins.diamonds(50, seed=3), ()),
     "quote": lambda: ((FIXTURES / "quote.bpmn").read_bytes(), ()),

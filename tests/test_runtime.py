@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import math
@@ -1127,3 +1128,28 @@ def test_generated_forked_models_run_to_an_outcome(drawn, x, seed):
             assert (again.records, repeat.status, repeat.code, repeat.message,
                     repeat.diagnostics) == (trace.records, summary.status, summary.code,
                                             summary.message, summary.diagnostics)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+def test_trace_records_are_built_with_the_collector_paused(monkeypatch, enabled):
+    # every record lives as long as the program, so a collection while they
+    # are built would only walk them; the caller's setting comes back after
+    x = compile_inline('<startEvent id="s"/><endEvent id="e"/>'
+                       '<sequenceFlow id="f" sourceRef="s" targetRef="e"/>')
+    seen = []
+
+    class Noting(runtime.NodeActivated):
+        def __init__(self, *args):
+            seen.append(gc.isenabled())
+            super().__init__(*args)
+
+    monkeypatch.setattr(runtime, "NodeActivated", Noting)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        trace, _ = run_once(x, {}, RunOptions(mode="sequential"))
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False] and after is enabled
+    assert trace.node_sequence() == ["s", "e"]

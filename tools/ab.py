@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of a git revision against the working tree.
 
-    python tools/ab.py --base REV [--pairs N]
+    python tools/ab.py --base REV [--pairs N] [--json PATH]
 
 Builds `base/` (`git archive REV`) and `work/` (the working tree's tracked
 and untracked, non-ignored files) in one temporary directory, both with the
@@ -11,7 +11,11 @@ the side that goes first alternating: about 35 s a pair on 2 CPUs.
 
 Prints a Markdown row per end-to-end metric and workload (both medians with
 their quartiles, the gap, the pairs each side won, the call, the bound),
-then each side's failed-operation share. The call is "gain" or "loss" only
+then each side's failed-operation share. `--json PATH` also writes the
+table to PATH as JSON, with the machine (CPUs, load averages before and
+after, Python) and each side's speed-kernel times per workload (median
+and inter-quartile range over median), read from the `.perfbench_out/`
+files its runs wrote. The call is "gain" or "loss" only
 when one side wins nine tenths of the pairs, and at least nine, and the gap
 is wider than the base's inter-quartile range (Kalibera & Jones, ISMM 2013).
 The bound is "unresolved" when that range is wider than the metric's bound,
@@ -25,6 +29,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -88,7 +94,9 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
 
 
-def row(workload: str, metric: dict, base: list[float], work: list[float]) -> str:
+def compare(workload: str, metric: dict, base: list[float], work: list[float]) -> dict:
+    """One metric of one workload on both sides: quartiles, gap, pairs won,
+    the call and the bound (see the module docstring)."""
     sign = 1 if metric["better"] == "higher" else -1
     (b1, bm, b3), (w1, wm, w3) = quartiles(base), quartiles(work)
     won = [sum(sign * (w - b) > 0 for b, w in zip(base, work)),
@@ -98,20 +106,53 @@ def row(workload: str, metric: dict, base: list[float], work: list[float]) -> st
             "loss" if won[1] >= enough and sign * (bm - wm) > b3 - b1 else "none")
     bound = ("unresolved" if b3 - b1 > metric["bound"] * abs(bm) else
              "past bound" if sign * (bm - wm) > metric["bound"] * abs(bm) else "ok")
-    return (f"| {workload} | {metric['name']} ({metric['unit']}) | {bm:.4g} [{b1:.4g}, {b3:.4g}]"
-            f" | {wm:.4g} [{w1:.4g}, {w3:.4g}] | {(wm - bm) / abs(bm):+.1%} | {won[0]}–{won[1]}"
-            f" | {call} | {bound} |")
+    return {"workload": workload, "metric": metric["name"], "unit": metric["unit"],
+            "base": {"median": bm, "q1": b1, "q3": b3, "values": base},
+            "work": {"median": wm, "q1": w1, "q3": w3, "values": work},
+            "gap": (wm - bm) / abs(bm), "won_work": won[0], "won_base": won[1],
+            "call": call, "bound": bound}
+
+
+def row(workload: str, metric: dict, base: list[float], work: list[float]) -> str:
+    c = compare(workload, metric, base, work)
+    b, w = c["base"], c["work"]
+    return (f"| {workload} | {metric['name']} ({metric['unit']}) | {b['median']:.4g} "
+            f"[{b['q1']:.4g}, {b['q3']:.4g}] | {w['median']:.4g} [{w['q1']:.4g}, {w['q3']:.4g}]"
+            f" | {c['gap']:+.1%} | {c['won_work']}–{c['won_base']} | {c['call']} | {c['bound']} |")
+
+
+def kernel_spread(tree: Path) -> dict:
+    """Workload -> the median and inter-quartile range over median of the
+    speed-kernel times in every results file of `tree/.perfbench_out/`."""
+    times: dict[str, list[float]] = {}
+    for path in sorted((tree / ".perfbench_out").glob("results_*.json")):
+        result = json.loads(path.read_text())
+        times.setdefault(result["workload"], []).extend(result["metrics"]["kernel_s"])
+    spread = {}
+    for workload, values in times.items():
+        q1, median, q3 = quartiles(values)
+        spread[workload] = {"median_s": median, "iqr_share": (q3 - q1) / median,
+                            "samples": len(values)}
+    return spread
+
+
+def machine() -> dict:
+    return {"cpus": os.cpu_count(), "loadavg": list(os.getloadavg()),
+            "python": platform.python_version()}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--pairs", type=int, default=10, help="pairs of runs (default 10)")
+    parser.add_argument("--json", type=Path, metavar="PATH",
+                        help="also write the table and machine information here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     results = {side: [] for side in SIDES}
+    before = machine()
     try:
         with tempfile.TemporaryDirectory(prefix="ab_") as tmp:
             build(args.base, Path(tmp), spec)
@@ -119,22 +160,31 @@ def main(argv=None) -> int:
                 for side in SIDES[::1 if k % 2 else -1]:
                     results[side].append(bench(Path(tmp) / side, k, spec))
                 print(f"pair {k} of {args.pairs} done", file=sys.stderr, flush=True)
+            kernels = {side: kernel_spread(Path(tmp) / side) for side in SIDES}
     except Stop as stop:
         print(f"ab.py: {stop.args[0]}", file=sys.stderr)
         return stop.args[1]
     print(f"base = {args.base}, work = working tree, {args.pairs} pairs\n\n| workload | metric"
           " | base median [q1, q3] | work median [q1, q3] | gap | won work–base | call |"
           " bound |\n| --- | --- | --- | --- | --- | --- | --- | --- |")
+    rows = []
     for workload in (w["name"] for w in spec["workloads"]):
         for metric in spec["end_to_end"]:
             key = f"{workload}/{metric['name']}"
-            print(row(workload, metric, *([r["metrics"][key]["value"] for r in results[side]]
-                                          for side in SIDES)))
+            values = [[r["metrics"][key]["value"] for r in results[side]] for side in SIDES]
+            print(row(workload, metric, *values))
+            rows.append(compare(workload, metric, *values))
     print()
+    failed = {}
     for side in SIDES:
-        failed, attempted = (sum(r[k] for r in results[side]) for k in ("failed", "attempted"))
-        print(f"{side}: {failed} of {attempted} operations failed "
-              f"({failed / max(attempted, 1):.3g})")
+        failed[side] = {k: sum(r[k] for r in results[side]) for k in ("failed", "attempted")}
+        print(f"{side}: {failed[side]['failed']} of {failed[side]['attempted']} operations "
+              f"failed ({failed[side]['failed'] / max(failed[side]['attempted'], 1):.3g})")
+    if args.json is not None:
+        args.json.write_text(json.dumps({
+            "base": args.base, "pairs": args.pairs,
+            "machine": {**before, "loadavg_after": machine()["loadavg"]},
+            "rows": rows, "operations": failed, "speed_kernel": kernels}, indent=1) + "\n")
     return 0
 
 
