@@ -31,7 +31,18 @@ an input variable (`inputs.facts_from_expr`).
 
 Set-up runs with the cyclic garbage collector paused (`collector_paused`):
 nearly every object a model's construction allocates survives it, so a
-collection during construction only walks the growing model again.
+collection during construction only walks the growing model again. The
+pause defers that walk rather than saving it: the first young collection
+after a paused call walks every tracked object the call built that is
+still alive. For `diamonds(300)` of `tests/test_pins.py` (1,204 nodes),
+`parse_bpmn` leaves about 10,860, which a young collection walks in about
+0.6 ms (2 CPUs, Python 3.11). In `compile_model(parse_bpmn(...))` no
+collection runs between the two calls (seen with `gc.callbacks`): no new
+tracked object is allocated before `compile_model` pauses the collector,
+and most parsed records die when it returns, which leaves 7,845 objects.
+The first collection after lowering (`runtime`) walks those and the
+lowered program: 14,186 objects, where it walked 20,828 while the lowered
+closures held their names in cells.
 """
 
 from __future__ import annotations
@@ -198,6 +209,10 @@ def collector_paused(fn):
     The collector's previous state comes back when `fn` returns or
     raises, so a caller that had disabled it keeps it disabled. What `fn`
     allocates must hold no reference cycles: nothing collects them later.
+    The pause costs later what it saves now: the first collection after
+    `fn` returns walks every tracked object `fn` built that is still alive
+    (see the module docstring for the figures), so a paused call should
+    build few.
     """
     @functools.wraps(fn)
     def paused(*args, **kwargs):

@@ -9,6 +9,15 @@ operands in the same left-to-right order. Environments map variable names
 to values (UNDEFINED is a legal binding, but any operation reading it
 raises). `evaluate` and `match_unary` compile and call in one go.
 
+A closure holds what it reads (its operands' closures, names, values and
+flags) as default parameters, not as free variables, and is called with
+the environment or the cell value alone. CPython gives a closure one cell
+per free name and a tuple of the cells, each an object the cyclic
+collector tracks and walks again at the next collection, where defaults
+are one tuple; they are read with LOAD_FAST. A closure is then at most
+two tracked objects, whatever it holds: a model's lowered program is built
+from them (`runtime`), and all of them survive.
+
 Compiling folds constants in the same bottom-up walk (Aho, Lam, Sethi &
 Ullman, *Compilers*, 2nd ed.): each subtree's answer, whether it reads a
 variable, gives a value or raises (`constant`), comes from its operands'
@@ -121,7 +130,9 @@ def _compile(expr: ast.FeelExpr) -> tuple[Compiled, Constant, str | None]:
         return compile_node(expr), Constant(name), None if name == "item" else name
     fused = cls is ast.BinOp and type(expr.left) is ast.Var and _FUSED.get(expr.op)
     if fused and type(expr.right) is ast.Lit:  # one closure reads the name and holds the value
-        return (fused(expr.op, expr.left.name, expr.right.value), *_compile(expr.left)[1:])
+        name = expr.left.name
+        return (fused(expr.op, name, expr.right.value), Constant(name),
+                None if name == "item" else name)
     children = ast.CHILDREN.get(cls)
     parts = tuple(map(_compile, children(expr))) if children is not None else ()
     if fused and parts[1][1].shared:  # so does one for a folded right operand
@@ -137,7 +148,7 @@ def _compile(expr: ast.FeelExpr) -> tuple[Compiled, Constant, str | None]:
         answer = _evaluated(compile_node, expr, parts)
         if answer.shared:
             value = answer.value
-            return (lambda env: value), answer, None
+            return (lambda env, value=value: value), answer, None
     else:
         answer = Constant(variable)
     return compile_node(expr, *[compiled for compiled, _, _ in parts]), answer, other
@@ -168,31 +179,30 @@ def _evaluated(compile_node, expr: ast.FeelExpr, parts) -> Constant:
 def _given(part) -> Compiled:
     compiled, answer, _ = part
     if answer.error is not None:
-        def raised(env):
+        def raised(env, answer=answer):
             raise _Raised(answer)
         return raised
-    value = answer.value
     # a filter's predicate, which reads `item`, runs compiled
-    return compiled if answer.variable is not None else lambda env: value
+    return compiled if answer.variable is not None else lambda env, value=answer.value: value
 
 
 def _unknown(expr: ast.FeelExpr, *operands: Compiled) -> Compiled:
     name = type(expr).__name__
 
-    def unknown(env):
+    def unknown(env, name=name):
         raise FeelTypeError(f"cannot evaluate node {name}")
     return unknown
 
 
 def _lit(expr: ast.Lit) -> Compiled:
     value = expr.value
-    return lambda env: value
+    return lambda env, value=value: value
 
 
 def _var(expr: ast.Var) -> Compiled:
     name = expr.name
 
-    def var(env):
+    def var(env, name=name):
         try:
             value = env[name]
         except KeyError:
@@ -204,7 +214,7 @@ def _var(expr: ast.Var) -> Compiled:
 
 
 def _neg(expr: ast.Neg, operand: Compiled) -> Compiled:
-    def neg(env):
+    def neg(env, operand=operand):
         v = operand(env)
         if kind_of(v) != "number":
             raise FeelTypeError(f"cannot negate a {kind_of(v)}")
@@ -213,7 +223,7 @@ def _neg(expr: ast.Neg, operand: Compiled) -> Compiled:
 
 
 def _not(expr: ast.Not, operand: Compiled) -> Compiled:
-    def not_(env):
+    def not_(env, operand=operand):
         v = operand(env)
         if v is True or v is False:
             return not v
@@ -236,7 +246,7 @@ def _logic(op: str, left: Compiled, right: Compiled) -> Compiled:
     stop = op == "or"  # the left value that decides the result alone
     go_on = not stop
 
-    def logic(env):
+    def logic(env, op=op, stop=stop, go_on=go_on, left=left, right=right):
         v = left(env)
         if v is stop:
             return stop
@@ -250,15 +260,17 @@ def _logic(op: str, left: Compiled, right: Compiled) -> Compiled:
 
 
 def _equality(negated: bool, left: Compiled, right: Compiled) -> Compiled:
-    return lambda env: equals(left(env), right(env)) is not negated
+    return lambda env, negated=negated, left=left, right=right: \
+        equals(left(env), right(env)) is not negated
 
 
 def _order(holds: tuple, left: Compiled, right: Compiled) -> Compiled:
-    return lambda env: holds[compare(left(env), right(env))]
+    return lambda env, holds=holds, left=left, right=right: \
+        holds[compare(left(env), right(env))]
 
 
 def _arith(op: str, left: Compiled, right: Compiled) -> Compiled:
-    return lambda env: _arithmetic(op, left(env), right(env))
+    return lambda env, op=op, left=left, right=right: _arithmetic(op, left(env), right(env))
 
 
 def _var_order_lit(op: str, name: str, b) -> Compiled:
@@ -271,7 +283,8 @@ def _var_order_lit(op: str, name: str, b) -> Compiled:
     negated = op in ("<=", ">=")
     b_number = type(b) in _NUMBERS
 
-    def var_order_lit(env):
+    def var_order_lit(env, name=name, b=b, holds=holds, below=below, negated=negated,
+                      b_number=b_number):
         try:
             a = env[name]
         except KeyError:
@@ -297,7 +310,7 @@ def _var_equals_lit(op: str, name: str, b) -> Compiled:
     """`_equality` of `_var(name)` and `_lit(b)` in one closure (see `_inline_classes`)."""
     inline, negated = _inline_classes(b), op == "!="
 
-    def var_equals_lit(env):
+    def var_equals_lit(env, name=name, b=b, inline=inline, negated=negated):
         try:
             a = env[name]
         except KeyError:
@@ -314,7 +327,7 @@ def _var_arith_lit(op: str, name: str, b) -> Compiled:
     numeric = _NUMERIC[op]
     b_number = type(b) in _NUMBERS
 
-    def var_arith_lit(env):
+    def var_arith_lit(env, op=op, name=name, b=b, numeric=numeric, b_number=b_number):
         try:
             a = env[name]
         except KeyError:
@@ -388,7 +401,7 @@ def _arithmetic(op: str, left, right):
 
 def _call(expr: ast.Call, *args: Compiled) -> Compiled:
     name = expr.name
-    return lambda env: _apply(name, [a(env) for a in args])
+    return lambda env, name=name, args=args: _apply(name, [a(env) for a in args])
 
 
 def _apply(name: str, args: list):
@@ -436,11 +449,11 @@ def _overlaps_before(a: FeelRange, b: FeelRange) -> bool:
 
 
 def _list(expr: ast.ListLit, *items: Compiled) -> Compiled:
-    return lambda env: [item(env) for item in items]
+    return lambda env, items=items: [item(env) for item in items]
 
 
 def _index(expr: ast.Index, seq_of: Compiled, index_of: Compiled) -> Compiled:
-    def index(env):
+    def index(env, seq_of=seq_of, index_of=index_of):
         seq = seq_of(env)
         if kind_of(seq) != "list":
             raise FeelTypeError(f"cannot index a {kind_of(seq)}")
@@ -454,7 +467,7 @@ def _index(expr: ast.Index, seq_of: Compiled, index_of: Compiled) -> Compiled:
 
 
 def _filter(expr: ast.Filter, seq_of: Compiled, predicate: Compiled) -> Compiled:
-    def filter_(env):
+    def filter_(env, seq_of=seq_of, predicate=predicate):
         seq = seq_of(env)
         if kind_of(seq) != "list":
             raise FeelTypeError(f"cannot filter a {kind_of(seq)}")
@@ -473,13 +486,13 @@ def _filter(expr: ast.Filter, seq_of: Compiled, predicate: Compiled) -> Compiled
 
 def _context(expr: ast.ContextLit, *values: Compiled) -> Compiled:
     entries = tuple(zip([key for key, _ in expr.entries], values))
-    return lambda env: {key: value(env) for key, value in entries}
+    return lambda env, entries=entries: {key: value(env) for key, value in entries}
 
 
 def _path(expr: ast.Path, base_of: Compiled) -> Compiled:
     key = expr.key
 
-    def path(env):
+    def path(env, key=key, base_of=base_of):
         base = base_of(env)
         if kind_of(base) != "context":
             raise FeelTypeError(f"cannot access '.{key}' on a {kind_of(base)}")
@@ -492,7 +505,7 @@ def _path(expr: ast.Path, base_of: Compiled) -> Compiled:
 def _range(expr: ast.RangeLit, lo_of: Compiled, hi_of: Compiled) -> Compiled:
     lo_incl, hi_incl = expr.lo_incl, expr.hi_incl
 
-    def range_(env):
+    def range_(env, lo_of=lo_of, hi_of=hi_of, lo_incl=lo_incl, hi_incl=hi_incl):
         lo = lo_of(env)
         hi = hi_of(env)
         compare(lo, hi)  # endpoints must be mutually ordered
@@ -501,7 +514,7 @@ def _range(expr: ast.RangeLit, lo_of: Compiled, hi_of: Compiled) -> Compiled:
 
 
 def _in(expr: ast.InTest, item_of: Compiled, container_of: Compiled) -> Compiled:
-    def in_(env):
+    def in_(env, item_of=item_of, container_of=container_of):
         item = item_of(env)
         container = container_of(env)
         if isinstance(container, FeelRange):
@@ -515,7 +528,7 @@ def _in(expr: ast.InTest, item_of: Compiled, container_of: Compiled) -> Compiled
 def _instance_of(expr: ast.InstanceOf, operand: Compiled) -> Compiled:
     type_name = expr.type_name
 
-    def instance_of(env):
+    def instance_of(env, type_name=type_name, operand=operand):
         v = operand(env)
         kind = kind_of(v)
         check_defined(v)
@@ -540,7 +553,7 @@ def compile_unary(test: ast.UnaryTest) -> Callable[[object], bool]:
         return compile_test(test)
     name = type(test).__name__
 
-    def unknown(value):
+    def unknown(value, name=name):
         _defined_scalar(value)
         raise FeelTypeError(f"unknown test {name}")
     return unknown
@@ -573,7 +586,7 @@ def _dash(test: ast.Dash):
 def _equals_const(test: ast.EqualsConst):
     const = test.value
 
-    def equals_const(value):
+    def equals_const(value, const=const):
         _defined_scalar(value)
         return equals(value, const)
     return equals_const
@@ -582,7 +595,7 @@ def _equals_const(test: ast.EqualsConst):
 def _comparison(test: ast.Comparison):
     operand, holds = compile_expr(test.operand), _ORDER_HOLDS[test.op]
 
-    def comparison(value):
+    def comparison(value, operand=operand, holds=holds):
         _defined_scalar(value)  # then the operand, folded or raising again
         return holds[compare(value, operand({}))]
     return comparison
@@ -591,7 +604,7 @@ def _comparison(test: ast.Comparison):
 def _range_test(test: ast.RangeTest):
     r = test.range
 
-    def range_test(value):
+    def range_test(value, r=r):
         _defined_scalar(value)
         return r.contains(value)
     return range_test
@@ -600,7 +613,7 @@ def _range_test(test: ast.RangeTest):
 def _negation(test: ast.Negation):
     inner = compile_unary(test.inner)
 
-    def negation(value):
+    def negation(value, inner=inner):
         _defined_scalar(value)
         return not inner(value)
     return negation
@@ -609,7 +622,7 @@ def _negation(test: ast.Negation):
 def _disjunction(test: ast.Disjunction):
     alternatives = tuple(compile_unary(t) for t in test.alternatives)
 
-    def disjunction(value):
+    def disjunction(value, alternatives=alternatives):
         _defined_scalar(value)
         return any(alternative(value) for alternative in alternatives)
     return disjunction
@@ -629,10 +642,10 @@ def compile_scalar_unary(test: ast.UnaryTest) -> Callable[[object], bool] | None
         return None
     if type(test) is ast.EqualsConst:
         const, inline = test.value, _inline_classes(test.value)
-        return lambda value: value == const if type(value) in inline else equals(value, const)
+        return lambda value, const=const, inline=inline: \
+            value == const if type(value) in inline else equals(value, const)
     if type(test) is ast.Comparison:
         answer, holds = constant(test.operand), _ORDER_HOLDS[test.op]
         if answer.shared:
-            bound = answer.value
-            return lambda value: holds[compare(value, bound)]
+            return lambda value, holds=holds, bound=answer.value: holds[compare(value, bound)]
     return compile_unary(test)

@@ -91,7 +91,10 @@ def scan(expr: ast.FeelExpr) -> tuple[set[str], Evidence]:
     (name, None) for every name read, `item` in a filter included, and
     (name, type) for every constant (`constant`) a name is compared with,
     combined with or tested against; `apply_evidence` folds it into a type
-    map."""
+    map. A name tested to be in a list or range meets each of its elements
+    or ends, unless the whole list or range raises: domain inference
+    (`inputs.facts_from_expr`) reads the same answer, so `x in [1, 1/0]`
+    gives `x` neither a type nor a domain fact."""
     free: set[str] = set()
     evidence: Evidence = []
     _scan(expr, False, free, evidence)
@@ -129,8 +132,10 @@ def _scan(expr: ast.FeelExpr, item_bound: bool, free: set[str], evidence: Eviden
     if children is None:
         return False
     operands, mark, reads = children(expr), len(evidence), False
-    if cls is ast.InTest and type(expr.item) is ast.Var and type(expr.container) in _CONTAINERS:
-        # each element or end of the container is an operand of the item
+    if cls is ast.InTest and type(expr.item) is ast.Var and type(expr.container) in _CONTAINERS \
+            and constant(expr.container).error is None:
+        # each element or end of the container is an operand of the item,
+        # unless the whole container raises, as domain inference reads it
         operands = (expr.item, *ast.CHILDREN[type(expr.container)](expr.container))
         subjects = (None, *[expr.item] * (len(operands) - 1))
     elif cls is ast.BinOp and expr.op in _TYPED_OPS:  # each operand is the other one's

@@ -13,13 +13,29 @@ it. Every (source, target) pair a branch can take is one `_Edge`: its
 target node and its coverage index; every node has a coverage index too.
 So the engine makes one call per node and follows edges with no lookup
 (Ertl & Gregg, "The Structure and Performance of Efficient Interpreters",
-2003).
+2003). A join makes none: the last branch to arrive from
+its fork takes the join's edge (`_Node.passed`) itself, and every join's
+closure is the one shared `_join_fault`.
+
+A closure holds what it reads (edges, compiled expressions, names) as
+default parameters, not as free variables. CPython gives a closure one
+cell per free name and a tuple of the cells, each an object the cyclic
+collector tracks, where the defaults are one tuple, read with LOAD_FAST.
+`_Node` and `_Edge` are built with no `__init__` frame. Lowering
+`diamonds(300)` of `tests/test_pins.py` (1,204 nodes) makes 6,334 tracked
+objects, 5.3 per node, where closures over free variables made 12,976
+(10.8); the lowered program holds 591 B per node at 1,204 nodes and 608 B
+at 19,204 nodes (`tracemalloc`; 890 B and 905 B with free variables).
 Lowering runs with the cyclic collector paused, as set-up does
-(`bpmn.collector_paused`). The trace records of the nodes and edges are
-built on the first run that keeps a trace, also with the collector
-paused, and every later run shares them; a model that only ever runs in
-campaigns without run files never builds them. Expressions inside are
-compiled closures too; a table task calls its table's selector
+(`bpmn.collector_paused`), so the first young collection after it walks
+all of them: in a campaign on that model straight after
+`compile_model(parse_bpmn(...))`, it walks the 7,845 objects compiling
+left and the lowered program, 14,186 objects in about 0.8 ms, where it was
+20,828 in about 1.1 ms (2 CPUs, Python 3.11). The trace records of the
+nodes and edges are built on the first run that keeps a trace, also with
+the collector paused, and every later run shares them; a model that only
+ever runs in campaigns without run files never builds them. Expressions
+inside are compiled closures too; a table task calls its table's selector
 (`dmn.DecisionTable.select`) and writes the chosen rule's outputs, folded
 once per task as (variable, value) pairs.
 
@@ -44,7 +60,11 @@ keeps the step), so every interleaving is reproducible from the seed, and a
 run whose live branches all wait on empty channels ends as a deadlock. Both
 deadlocks are engine faults naming each blocked receive node. Parallel mode
 also notes a variable written by two branches that no fork or join edge
-orders. Trace length is bounded by the step budget and the wall-clock
+orders: each branch carries its writer token, its (fork barrier, case)
+pair, and a forked write keeps it as the variable's last token, with no new
+tuple (see `_Engine._note_writer`). A channel's message
+queue is made on its first use and kept, emptied, for the engine's later
+runs. Trace length is bounded by the step budget and the wall-clock
 timeout rather than any call stack. The clock is read on the first step and
 then every CLOCK_EVERY steps, so a run that exhausts its step budget ends
 the same way on any machine; only a TIMEOUT depends on the machine's speed,
@@ -150,14 +170,10 @@ class RunOptions:
 class _Edge:
     """A (source, target) pair a branch can take: the target's `_Node` (set
     once every routine is lowered), the pair's coverage index and, from the
-    first run that keeps a trace on, its trace record."""
+    first run that keeps a trace on, its trace record. Built with no
+    `__init__` frame, as `_Node` is."""
 
     __slots__ = ("node", "index", "record")
-
-    def __init__(self, index: int):
-        self.node: _Node | None = None
-        self.index = index
-        self.record: EdgeTraversed | None = None
 
 
 class _Node:
@@ -167,23 +183,19 @@ class _Node:
     the `_Edge` taken, None (the branch ended and the outcome is set), the
     children of a fork, one `_Edge` each, or a `_Wait` (a receive on an
     empty channel, which did nothing); it is the node's one closure, with
-    no wrapper around it (see `_lower`). A fork's children meet at its
-    `join` node; the last of them to arrive there calls the join's
-    `passed`, which returns the join's edge, instead of its `run`, which
-    faults. Lowering builds the edges once, shared by every run; the
-    activation record is built on the first run that keeps a trace and
-    shared by every later one, which is why node and edge records stay
-    frozen (and compare by value). Only `_Engine.run` records or marks them.
-    `index` is the node's coverage index.
+    no wrapper around it, and holds what it reads as its default
+    parameters. A fork's children meet at its `join` node; the last of
+    them to arrive there takes the join's `passed`, the join's `_Edge`,
+    with no call; its `run` is `_join_fault`, which only a branch that
+    reached the join outside its fork calls. Lowering builds the edges
+    once, shared by every run; the activation record is built on the first
+    run that keeps a trace and shared by every later one, which is why
+    node and edge records stay frozen (and compare by value). Only
+    `_Engine.run` records or marks them. `index` is the node's coverage
+    index. `_Program` sets the six, with no `__init__` frame per node.
     """
 
     __slots__ = ("id", "activated", "index", "run", "join", "passed")
-
-    def __init__(self, node_id: str, index: int):
-        self.id = node_id
-        self.activated: NodeActivated | None = None
-        self.index = index
-        self.run = self.join = self.passed = None
 
 
 class _Program:
@@ -193,24 +205,30 @@ class _Program:
     (`edges`, in coverage index order): the graph's nodes and pairs first,
     in document order, then any the routines reach outside the graph.
     Every run starts from a copy of `bindings`, which holds every declared
-    variable undefined. `traced` tells whether the trace records are
-    built."""
+    variable undefined. `traced` tells whether the trace records are built."""
 
     __slots__ = ("nodes", "node_index", "edges", "bindings", "traced")
 
     def __init__(self, model: ExecutableModel):
         self.bindings = dict.fromkeys(model.declared_variables(), UNDEFINED)
-        self.node_index: dict[str, int] = {}
-        self.edges: dict[tuple[str, str], _Edge] = {}
-        self.traced = False
+        node_index: dict[str, int] = {}
+        edges: dict[tuple[str, str], _Edge] = {}
+        self.node_index, self.edges, self.traced = node_index, edges, False
         for node_id, _ in model.graph.nodes:
-            self.node_index.setdefault(node_id, len(self.node_index))
-        edges = self.edges
+            node_index.setdefault(node_id, len(node_index))
         for pair in model.graph.edges:
             if pair not in edges:
-                edges[pair] = _Edge(len(edges))
-        nodes = self.nodes = {node_id: _lower(routine, model, self)
-                              for node_id, routine in model.routines.items()}
+                edge = edges[pair] = _Edge()
+                edge.index, edge.record = len(edges) - 1, None
+        nodes: dict[str, _Node] = {}
+        self.nodes = nodes
+        for node_id, routine in model.routines.items():
+            # the routine's one step as one closure, by the lowerer of its class
+            node = nodes[node_id] = _Node()
+            node.id, node.index, node.activated, node.join, node.passed = (
+                node_id, node_index.setdefault(node_id, len(node_index)), None, None, None)
+            step = routine.step
+            node.run = _LOWER[step.__class__](step, node, model, self)
         for (_, target), edge in edges.items():
             edge.node = nodes.get(target)
         for node in nodes.values():
@@ -218,9 +236,11 @@ class _Program:
                 node.join = nodes.get(node.join)
 
     def edge(self, source: str, target: str) -> _Edge:
-        edge = self.edges.get((source, target))
+        edges = self.edges
+        edge = edges.get((source, target))
         if edge is None:
-            edge = self.edges[source, target] = _Edge(len(self.edges))
+            edge = edges[source, target] = _Edge()
+            edge.index, edge.record = len(edges) - 1, None
         return edge
 
     @collector_paused
@@ -251,27 +271,19 @@ def _lowered(model: ExecutableModel) -> _Program:
     return _Program(model)
 
 
-def _lower(routine, model: ExecutableModel, program: _Program) -> _Node:
-    """The routine's one step as one closure, by the lowerer of its class."""
-    node_id = routine.id
-    node_index = program.node_index
-    node = _Node(node_id, node_index.setdefault(node_id, len(node_index)))
-    step = routine.step
-    node.run = _LOWER[step.__class__](step, node, model, program)
-    return node
-
-
 # --- lowerers: each returns the node's `run` (see `_Node`); a step that names
-# its successor returns a closure that does the step and returns that edge ---
+# its successor returns a closure that does the step and returns that edge.
+# A closure takes what it reads as default parameters, not free variables ---
 
 def _lower_terminate(step: Terminate, node: _Node, model: ExecutableModel, program: _Program):
-    outcome = ("success" if step.status == "success" else "error", step.code, step.message)
-    return lambda engine: engine._set_outcome(*outcome)
+    status = "success" if step.status == "success" else "error"
+    return lambda engine, status=status, code=step.code, message=step.message: \
+        engine._set_outcome(status, code, message)
 
 
 def _lower_continue(step: Continue, node: _Node, model: ExecutableModel, program: _Program):
     edge = program.edge(node.id, step.target)
-    return lambda engine: edge
+    return lambda engine, edge=edge: edge
 
 
 def _lower_branch(step: Branch, node: _Node, model: ExecutableModel, program: _Program):
@@ -281,7 +293,7 @@ def _lower_branch(step: Branch, node: _Node, model: ExecutableModel, program: _P
     if len(cases) == 1 and default is not None:  # one condition and the default
         ((condition, edge),) = cases
 
-        def branch_one(engine):
+        def branch_one(engine, condition=condition, edge=edge, default=default):
             verdict = condition(engine.bindings)
             if verdict is True:
                 return edge
@@ -290,7 +302,7 @@ def _lower_branch(step: Branch, node: _Node, model: ExecutableModel, program: _P
             raise BprocError("condition is not boolean")
         return branch_one
 
-    def branch(engine):
+    def branch(engine, cases=cases, default=default):
         bindings = engine.bindings
         for condition, edge in cases:
             verdict = condition(bindings)
@@ -308,10 +320,10 @@ def _lower_fork(step: Fork, node: _Node, model: ExecutableModel, program: _Progr
     node.join = step.join_id  # its _Node once every routine is lowered
     children = tuple(program.edge(node.id, target) for target in step.targets)
     if step.conditions is None:
-        return lambda engine: children
+        return lambda engine, children=children: children
     guarded = tuple(zip(map(feel.compile_expr, step.conditions), children))
 
-    def inclusive_fork(engine):
+    def inclusive_fork(engine, guarded=guarded):
         bindings = engine.bindings
         selected = []
         for condition, child in guarded:
@@ -326,23 +338,28 @@ def _lower_fork(step: Fork, node: _Node, model: ExecutableModel, program: _Progr
     return inclusive_fork
 
 
-def _lower_join(step: JoinBarrier, node: _Node, model: ExecutableModel, program: _Program):
-    edge = program.edge(node.id, step.next)
-    node.passed = lambda engine: edge  # the last arrival from its fork (see _Engine.run)
-    message = f"join {node.id!r} reached outside its fork"
+class _OutsideFork(Exception):
+    """Internal: a branch reached a join outside the fork it closes."""
 
-    def fault(engine):
-        engine._set_outcome("fault", "ENGINE_FAULT", message)
-    return fault
+
+def _join_fault(engine):
+    """Every join's `run`: the last arrival from its fork takes the join's
+    `passed` instead (see `_Engine.run`), so only a branch outside that
+    fork calls this. `_Engine.run` ends the run with the fault."""
+    raise _OutsideFork()
+
+
+def _lower_join(step: JoinBarrier, node: _Node, model: ExecutableModel, program: _Program):
+    node.passed = program.edge(node.id, step.next)
+    return _join_fault
 
 
 def _lower_consume(step: ConsumeInputs, node: _Node, model: ExecutableModel,
                    program: _Program):
     """Writes each variable's next input value (its last once the list is
     exhausted) as `_lower_assign` writes."""
-    variables, edge = step.vars, program.edge(node.id, step.next)
 
-    def consume(engine):
+    def consume(engine, variables=step.vars, edge=program.edge(node.id, step.next)):
         input_lists, cursors, bindings = engine.input_lists, engine.cursors, engine.bindings
         for var in variables:
             values = input_lists[var]
@@ -361,11 +378,11 @@ def _lower_consume(step: ConsumeInputs, node: _Node, model: ExecutableModel,
 
 
 def _lower_assign(step: Assign, node: _Node, model: ExecutableModel, program: _Program):
-    """Writes, records the write in a traced run, and notes the writer once forked."""
-    var, evaluate = step.var, feel.compile_expr(step.expr)
-    edge = program.edge(node.id, step.next)
+    """Writes, records the write in a traced run and, once forked, keeps the
+    variable's last writer token (`_Engine._note_writer`)."""
 
-    def assign(engine):
+    def assign(engine, var=step.var, evaluate=feel.compile_expr(step.expr),
+               edge=program.edge(node.id, step.next)):
         value = engine.bindings[var] = evaluate(engine.bindings)
         if engine._record is not None:
             engine._record(VarWritten(var, value))
@@ -377,14 +394,14 @@ def _lower_assign(step: Assign, node: _Node, model: ExecutableModel, program: _P
 
 def _lower_invoke(step: InvokeTable, node: _Node, model: ExecutableModel, program: _Program):
     """Selects the table's rule and writes its `bound_outputs` as `_lower_assign` writes."""
-    table, edge = model.tables[step.table_ref], program.edge(node.id, step.next)
+    table = model.tables[step.table_ref]
     # every input column bound, in column order, as the selector takes them
     args = tuple(feel.compile_expr(expr) for _, expr in step.arg_bindings)
-    select, table_id = table.select, table.id
     outcomes = tuple(table.bound_outputs(rule, step.out_bindings)
                      for rule in range(len(table.rules)))
 
-    def invoke(engine):
+    def invoke(engine, args=args, select=table.select, table_id=table.id, outcomes=outcomes,
+               edge=program.edge(node.id, step.next)):
         bindings = engine.bindings
         writes, items = outcomes[select([arg(bindings) for arg in args])]
         if items is None:  # an output fresh at each use
@@ -403,11 +420,10 @@ def _lower_invoke(step: InvokeTable, node: _Node, model: ExecutableModel, progra
 
 
 def _lower_send(step: Send, node: _Node, model: ExecutableModel, program: _Program):
-    channel, msg_type = step.channel, step.msg_type
     parts = tuple((part, feel.compile_expr(expr)) for part, expr in step.parts)
-    edge = program.edge(node.id, step.next)
 
-    def send(engine):
+    def send(engine, channel=step.channel, msg_type=step.msg_type, parts=parts,
+             edge=program.edge(node.id, step.next)):
         bindings = engine.bindings
         payload = {}
         for part, evaluate in parts:
@@ -434,10 +450,10 @@ def _lower_receive(step: Receive, node: _Node, model: ExecutableModel, program: 
     """Takes the message, writes its parts as `_lower_assign` writes, and
     returns the edge that follows; or returns a `_Wait` while the channel is
     empty."""
-    node_id, channel, expected, targets = node.id, step.channel, step.msg_type, step.targets
-    wait, edge = _Wait(channel), program.edge(node_id, step.next)
 
-    def receive(engine):
+    def receive(engine, node_id=node.id, channel=step.channel, expected=step.msg_type,
+                targets=step.targets, wait=_Wait(step.channel),
+                edge=program.edge(node.id, step.next)):
         queue = engine._channels[channel]
         if not queue:
             return wait
@@ -474,24 +490,26 @@ class _Aborted(Exception):
 
 class _Barrier:
     """Where the cases of one fork meet, at the `join` node: `pending`
-    counts the cases that have yet to arrive there; `parent` and `case` are
-    the forking branch's barrier and case index, which the last arrival
-    takes on past the join. `_Engine.run` sets the four."""
+    counts the cases that have yet to arrive there; `writer` is the forking
+    branch's writer token (see `_Branch`), which the last arrival takes on
+    past the join. `_Engine.run` sets the three."""
 
-    __slots__ = ("join", "pending", "parent", "case")
+    __slots__ = ("join", "pending", "writer")
 
 
 class _Branch:
     """A branch of a run, as `_Engine.run` leaves it between two picks:
-    `node`, the next node to step; `barrier` and `case`, the innermost fork
-    barrier it is inside (None outside every fork) and its case index there;
-    and `resume`, what it does first on its next pick, if anything: record
-    the fork edge it entered by (that `_Edge`), or run its receive node
-    again, in the same step, once a send has woken it (the `_Wait` the
-    receive returned). `_Engine.run` sets them, with no `__init__` frame per
-    fork case."""
+    `node`, the next node to step; `writer`, its writer token, the pair of
+    the innermost fork barrier it is inside (None outside every fork) and
+    its case index there; and `resume`, what it does first on its next
+    pick, if anything: record the fork edge it entered by (that `_Edge`),
+    or run its receive node again, in the same step, once a send has woken
+    it (the `_Wait` the receive returned). The token is made once, where
+    the branch enters a fork case, and taken back from the barrier where
+    it passes a join, so a write shares it instead of building one.
+    `_Engine.run` sets them, with no `__init__` frame per fork case."""
 
-    __slots__ = ("node", "barrier", "case", "resume")
+    __slots__ = ("node", "writer", "resume")
 
 
 def _path(barrier: _Barrier | None, case: int) -> list:
@@ -500,13 +518,13 @@ def _path(barrier: _Barrier | None, case: int) -> list:
     path = []
     while barrier is not None:
         path.append((barrier, case))
-        barrier, case = barrier.parent, barrier.case
+        barrier, case = barrier.writer
     return path[::-1]
 
 
 def _concurrent(a: tuple, b: tuple) -> bool:
-    """Do two writers, each a (barrier, case) pair as a `_Branch` holds
-    them, lie in different cases of one fork? Only then does no fork or
+    """Do two writers, each a writer token (barrier, case) as a `_Branch`
+    holds it, lie in different cases of one fork? Only then does no fork or
     join edge order what the two do."""
     for (fork_a, i), (fork_b, j) in zip(_path(*a), _path(*b)):
         if fork_a is not fork_b:
@@ -539,10 +557,12 @@ class _Engine:
         self.trace = self._record = None
         self._parallel = options.mode == "parallel"
         self._max_steps = options.max_steps
-        self._last_writer: dict[str, tuple] = {}  # variable -> (barrier, case) of its last writer
+        self._last_writer: dict[str, tuple] = {}  # variable -> its last writer's token
         self._ready: list[_Branch] = []  # the branches that can step
         self._waiting: dict[str, list] = {}  # channel -> the branches its receives block
-        self._channels = collections.defaultdict(collections.deque)  # channel -> messages
+        # channel -> messages; each queue is made on the channel's first use
+        # and kept, emptied, for the engine's later runs
+        self._channels = collections.defaultdict(collections.deque)
 
     # --- bookkeeping ---
 
@@ -566,14 +586,16 @@ class _Engine:
         return min(steps + CLOCK_EVERY, self._max_steps + 1)
 
     def _note_writer(self, name: str):
-        """Parallel mode, once forked: note `name` if no fork or join orders
-        its writes. A write before the first fork has the empty path, which
-        is concurrent with none, so it need not be noted."""
-        branch = self._branch
-        writer = (branch.barrier, branch.case)
-        last = self._last_writer.get(name)
+        """Parallel mode, once forked: the current branch wrote `name`; keep
+        its writer token as the variable's last and note `name` if no fork
+        or join orders this write and the last one. The token is the
+        branch's own (`_Branch.writer`), so a write builds no tuple. A
+        write before the first fork has the empty path, which is concurrent
+        with none, so it need not be kept."""
+        writer = self._branch.writer
+        last = self._last_writer.get(name, writer)
         self._last_writer[name] = writer
-        if last is not None and _concurrent(last, writer):
+        if last is not writer and _concurrent(last, writer):
             note = f"variable {name!r} written by several parallel branches"
             if note not in self.diagnostics:
                 self.diagnostics.append(note)
@@ -594,7 +616,8 @@ class _Engine:
         waiters ready in the middle of a node). A fork appends its cases
         k - 1 down to 1, then the forking branch as case 0; each records its
         fork edge on its first pick. The last case to arrive at the join goes
-        on past it; the others end there without taking a step. A woken
+        on past it, taking the join's edge with no call; the others end
+        there without taking a step. A woken
         receive runs again in the same step: no step count, no second
         activation record. One step count serves the whole run.
         """
@@ -608,13 +631,15 @@ class _Engine:
         # parallel mode, from the first fork on: only then can two writes race
         self._forked = False
         parallel, ready, record = self._parallel, self._ready, self._record
-        for left in (ready, self._waiting, self._channels, self._last_writer):
+        for left in (ready, self._waiting, self._last_writer):
             left.clear()  # what the last run left, if it ended early
+        for queue in self._channels.values():
+            if queue:
+                queue.clear()
         self._started = time.monotonic()
         self._deadline = self._started + self.options.timeout_s
         root = _Branch()
-        root.node, root.barrier, root.case, root.resume = (
-            self._program.nodes[self.model.entry], None, 0, None)
+        root.node, root.writer, root.resume = self._program.nodes[self.model.entry], (None, 0), None
         ready.append(root)
         getrandbits = None  # bound when two branches first compete for a step
         steps, next_check = 0, 1
@@ -631,7 +656,7 @@ class _Engine:
                     while index >= n:
                         index = getrandbits(k)
                 branch = self._branch = ready[index]
-                node, barrier, resume = branch.node, branch.barrier, branch.resume
+                node, barrier, resume = branch.node, branch.writer[0], branch.resume
                 join = None if barrier is None else barrier.join
                 if resume is not None:  # a fork case's first pick, or a woken receive
                     woken = resume.__class__ is _Wait
@@ -656,10 +681,10 @@ class _Engine:
                         if barrier.pending:  # the last arrival will go on past the join
                             taken = None
                             break
-                        branch.case = barrier.case  # on as the forking branch
-                        barrier = branch.barrier = barrier.parent
+                        branch.writer = barrier.writer  # on as the forking branch
+                        barrier = barrier.writer[0]
                         join = None if barrier is None else barrier.join
-                        run = node.passed
+                        run = None  # it takes the join's edge
                     steps += 1
                     if steps >= next_check:
                         next_check = self._check_limits(steps)
@@ -667,9 +692,12 @@ class _Engine:
                         record(node.activated)
                     else:
                         node_hits[node.index] = 1
-                    taken = run(self)
-                    if taken.__class__ is not _Edge:
-                        break
+                    if run is None:
+                        taken = node.passed
+                    else:
+                        taken = run(self)
+                        if taken.__class__ is not _Edge:
+                            break
                     if edge_hits is None:
                         record(taken.record)
                     else:
@@ -696,20 +724,19 @@ class _Engine:
                     continue
                 # a fork: its cases after the first, last first, then the branch as the first
                 self._forked = parallel
-                parent, barrier = barrier, _Barrier()
-                barrier.join, barrier.pending = node.join, len(taken)
-                barrier.parent, barrier.case = parent, branch.case
+                barrier = _Barrier()
+                barrier.join, barrier.pending, barrier.writer = node.join, len(taken), branch.writer
                 for i in range(len(taken) - 1, 0, -1):
                     child, edge = _Branch(), taken[i]
-                    child.node, child.barrier, child.case, child.resume = (
-                        edge.node, barrier, i, edge)
+                    child.node, child.writer, child.resume = edge.node, (barrier, i), edge
                     ready.append(child)
                 edge = taken[0]
-                branch.node, branch.barrier, branch.case, branch.resume = (
-                    edge.node, barrier, 0, edge)
+                branch.node, branch.writer, branch.resume = edge.node, (barrier, 0), edge
                 ready.append(branch)
         except _Aborted:
             pass
+        except _OutsideFork:
+            self._set_outcome("fault", "ENGINE_FAULT", f"join {node.id!r} reached outside its fork")
         except BprocError as exc:
             self._set_outcome("fault", "ENGINE_FAULT", f"{node.id}: {exc}")
         if self._outcome is None and self._waiting:

@@ -119,18 +119,18 @@ NAME_AND_CONSTANT = (lambda op, c: ast.BinOp(op, ast.Var("x"), c),
        st.sampled_from(("<", "<=", ">", ">=", "=", "!=")), st.integers(0, 2))
 @settings(max_examples=300, deadline=None)
 def test_type_evidence_and_domain_facts_share_one_notion_of_constant(seed, leaves, op, shape):
-    # `x op C`, `x in [C..C]` and `x in [C, C]`: type inference gives `x`
-    # the type of C's value exactly when C evaluates to a value other than
-    # null without raising; domain inference takes the operand it reads (C,
-    # or the container) as a constant, with C's value, exactly when that
-    # operand evaluates without raising
+    # `x op C`, `x in [C..C]` and `x in [C, C]`: both inferences read the
+    # operand of `x` (C, or the container). Type inference gives `x` the
+    # type of C's value exactly when that operand evaluates without raising
+    # and C's value is not null; domain inference takes the operand as a
+    # constant, with C's value, exactly when it evaluates without raising
     c = random_constant(random.Random(seed), leaves)
     expr = NAME_AND_CONSTANT[shape](op, c)
-    value, raised = _reference_value(c)
-    given_type = feel.StaticType.UNKNOWN if raised or value is None \
+    value, _ = _reference_value(c)
+    _, container_raised = _reference_value(c if shape == 0 else expr.container)
+    given_type = feel.StaticType.UNKNOWN if container_raised or value is None \
         else feel.type_of_constant(value)
     assert feel.infer_types([expr]) == {"x": given_type}
-    _, container_raised = _reference_value(c if shape == 0 else expr.container)
     # the source an "other" fact quotes is not under test, and `render`
     # cannot write the generator's Temporal("date", 0)
     with mock.patch.object(feel, "render", repr):

@@ -3,6 +3,7 @@ import pytest
 from bproc import StaticType, infer_types, parse_expr
 from bproc.errors import TypeConflictError
 from bproc.feel.types import join, synthesize
+from bproc.inputs import facts_from_expr
 
 
 def infer(*texts):
@@ -37,6 +38,19 @@ def test_membership_contributes_types():
     assert infer("v in [1, 2, 3]")["v"] is StaticType.INTEGER
     assert infer("v in [1..5]")["v"] is StaticType.INTEGER
     assert infer('p in ["a", "b"]')["p"] is StaticType.STRING
+
+
+@pytest.mark.parametrize("text", ["x in [true..true]", "x in [1, 1/0]"])
+def test_a_container_that_always_raises_gives_no_type(text):
+    # type evidence reads the whole list or range, as domain inference does:
+    # one that raises at every evaluation types nothing and is an opaque fact
+    assert infer(text) == {"x": StaticType.UNKNOWN}
+    assert [fact.kind for _, fact in facts_from_expr(parse_expr(text), {"x"})] == ["other"]
+
+
+def test_a_container_that_reads_a_name_types_by_its_constant_elements():
+    assert infer("x in [1, y]") == {"x": StaticType.INTEGER, "y": StaticType.UNKNOWN}
+    assert infer("x in [1, y, 1/0]")["x"] is StaticType.INTEGER
 
 
 def test_conflict_between_string_and_number():

@@ -30,6 +30,7 @@ from bproc.verifier import CampaignConfig, ErrorSeek, FixedBudget, run_campaign
 from conftest import compile_fixture, load_fixture
 from generators import DEFINITIONS, FOOTER, Text, models
 from oracles import walk_process
+from test_pins import diamonds
 from test_runtime import compile_inline
 
 MODES = ("sequential", "parallel")
@@ -218,6 +219,23 @@ def test_a_send_node_is_one_closure_call():
     sends = [made for node, made in calls if node == "Activity_Send"]
     assert sends and all(made[0] == (1, "send") and all(d == 2 for d, _ in made[1:])
                          for made in sends)
+
+
+#: the Python calls of one warm parallel campaign run of `diamonds(300, 7)`
+#: (1,204 nodes; x = 50, seed 2): 1,672, with a join's `passed` its edge,
+#: taken without a call, and one `_Engine._note_writer` call per forked write
+WARM_RUN_CALLS = 1_672
+
+
+def test_a_warm_parallel_run_keeps_to_its_call_budget():
+    x = compile_model(parse_bpmn(diamonds(300, 7)), ())
+    engine = runtime._Engine(x, RunOptions(), runtime.CoverageHits(x))
+    assert engine.run({"x": [50]}, 1) == "success"
+    calls = python_calls(engine.run, {"x": [50]}, 2)
+    assert engine.summary().status == "success" and engine.diagnostics == []
+    assert calls.count("receive") > 300  # some receives waited for their sends
+    assert calls.count("_note_writer") == 300
+    assert len(calls) <= WARM_RUN_CALLS * 1.05, f"{len(calls)} calls, budget {WARM_RUN_CALLS} + 5%"
 
 
 # --- fault paths of the fused nodes -------------------------------------------

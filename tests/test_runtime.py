@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -1013,6 +1014,17 @@ def test_a_fork_keeps_its_walker(monkeypatch, body, mode):
         assert summary.status == "success"
         assert picks.started == 1 + sum(n - 1 for n in cases)
         assert len(trace.node_sequence()) == len(x.routines)  # each node once
+
+
+@pytest.mark.parametrize("mode", ("sequential", "parallel"))
+def test_a_join_reached_outside_its_fork_faults(mode):
+    # no compiled model reaches a join outside its fork; one that enters at a join does
+    x = dataclasses.replace(compile_model(parse_bpmn(diamonds(1, 1)), ()), entry="Join1")
+    trace, summary = run_once(x, {"x": [50]}, RunOptions(mode=mode, seed=3))
+    assert (summary.status, summary.code, summary.message) == (
+        "fault", "ENGINE_FAULT", "join 'Join1' reached outside its fork")
+    assert [repr(r) for r in trace.records] == ["NodeActivated(node='Join1')"]
+    assert summary.diagnostics == []
 
 
 def test_a_write_after_a_nested_join_races_with_the_other_outer_case():
