@@ -62,13 +62,16 @@ deadlocks are engine faults naming each blocked receive node. Parallel mode
 also notes a variable written by two branches that no fork or join edge
 orders: each branch carries its writer token, its (fork barrier, case)
 pair, and a forked write keeps it as the variable's last token, with no new
-tuple (see `_Engine._note_writer`). A channel's message
-queue is made on its first use and kept, emptied, for the engine's later
-runs. Trace length is bounded by the step budget and the wall-clock
-timeout rather than any call stack. The clock is read on the first step and
-then every CLOCK_EVERY steps, so a run that exhausts its step budget ends
-the same way on any machine; only a TIMEOUT depends on the machine's speed,
-and it can come up to CLOCK_EVERY - 1 steps after the limit.
+tuple (see `_Engine._note_writer`). A channel's message queue and its
+list of waiting receives are made on the channel's first use and kept,
+emptied, for the engine's later runs; a run's reset clears only what the
+last run left, and an end event sets the run's outcome itself, with no
+second call. Trace length is bounded by the step budget and the
+wall-clock timeout rather than any call stack. The clock is read on the
+first step and then every CLOCK_EVERY steps, so a run that exhausts its
+step budget ends the same way on any machine; only a TIMEOUT depends on
+the machine's speed, and it can come up to CLOCK_EVERY - 1 steps after
+the limit.
 """
 
 from __future__ import annotations
@@ -277,8 +280,10 @@ def _lowered(model: ExecutableModel) -> _Program:
 
 def _lower_terminate(step: Terminate, node: _Node, model: ExecutableModel, program: _Program):
     status = "success" if step.status == "success" else "error"
-    return lambda engine, status=status, code=step.code, message=step.message: \
-        engine._set_outcome(status, code, message)
+
+    def terminate(engine, outcome=(status, step.code, step.message)):
+        engine._outcome = outcome  # a node runs only while its run has no outcome
+    return terminate
 
 
 def _lower_continue(step: Continue, node: _Node, model: ExecutableModel, program: _Program):
@@ -429,9 +434,10 @@ def _lower_send(step: Send, node: _Node, model: ExecutableModel, program: _Progr
         for part, evaluate in parts:
             payload[part] = evaluate(bindings)
         engine._channels[channel].append((msg_type, payload))
-        waiting = engine._waiting
-        if channel in waiting:  # the waiters compete for the message again
-            engine._ready.extend(waiting.pop(channel))
+        waiters = engine._waiting[channel]
+        if waiters:  # the waiters compete for the message again
+            engine._ready.extend(waiters)
+            waiters.clear()
         return edge
     return send
 
@@ -546,8 +552,8 @@ class _Engine:
     def __init__(self, model: ExecutableModel, options: RunOptions,
                  hits: CoverageHits | None = None):
         self.model = model
-        self.options = options
-        program = self._program = _program(model)
+        program = _program(model)
+        self._bindings, self._entry = program.bindings, program.nodes[model.entry]
         if hits is None:
             if not program.traced:
                 program.build_records()
@@ -556,13 +562,16 @@ class _Engine:
             self._node_hits, self._edge_hits = hits.nodes, hits.edges
         self.trace = self._record = None
         self._parallel = options.mode == "parallel"
-        self._max_steps = options.max_steps
+        self._max_steps, self._timeout_s = options.max_steps, options.timeout_s
+        # parallel mode, from a run's first fork on: only then can two writes race
+        self._forked = False
         self._last_writer: dict[str, tuple] = {}  # variable -> its last writer's token
         self._ready: list[_Branch] = []  # the branches that can step
-        self._waiting: dict[str, list] = {}  # channel -> the branches its receives block
-        # channel -> messages; each queue is made on the channel's first use
-        # and kept, emptied, for the engine's later runs
+        # channel -> its messages, and channel -> the branches its receives
+        # block; each queue and list is made on the channel's first use and
+        # kept, emptied, for the engine's later runs
         self._channels = collections.defaultdict(collections.deque)
+        self._waiting = collections.defaultdict(list)
 
     # --- bookkeeping ---
 
@@ -576,8 +585,7 @@ class _Engine:
         a run that exhausts it) and on the first step past the budget.
         Returns the next such step."""
         if steps % CLOCK_EVERY == 1 and time.monotonic() > self._deadline:
-            self._set_outcome("timeout", "TIMEOUT",
-                              f"execution exceeded {self.options.timeout_s:g}s")
+            self._set_outcome("timeout", "TIMEOUT", f"execution exceeded {self._timeout_s:g}s")
             raise _Aborted()
         if steps > self._max_steps:
             self._set_outcome("fault", "ENGINE_FAULT",
@@ -622,24 +630,30 @@ class _Engine:
         activation record. One step count serves the whole run.
         """
         self.input_lists, self.cursors = input_lists, dict.fromkeys(input_lists, 0)
-        self.bindings = self._program.bindings.copy()
+        self.bindings = self._bindings.copy()
         node_hits, edge_hits = self._node_hits, self._edge_hits
         if node_hits is None:
             self.trace = Trace()
             self._record = self.trace.records.append
-        self.diagnostics, self._outcome, self._branch = [], None, None  # _branch: being stepped
-        # parallel mode, from the first fork on: only then can two writes race
-        self._forked = False
+        self.diagnostics, self._outcome = [], None
         parallel, ready, record = self._parallel, self._ready, self._record
-        for left in (ready, self._waiting, self._last_writer):
-            left.clear()  # what the last run left, if it ended early
-        for queue in self._channels.values():
-            if queue:
+        # what the last run left, if anything: branches still ready, the
+        # writer tokens of a forked run, unread messages and blocked receives
+        if ready:
+            ready.clear()
+        if self._forked:
+            self._forked = False
+            self._last_writer.clear()
+        if any(self._channels.values()):
+            for queue in self._channels.values():
                 queue.clear()
-        self._started = time.monotonic()
-        self._deadline = self._started + self.options.timeout_s
-        root = _Branch()
-        root.node, root.writer, root.resume = self._program.nodes[self.model.entry], (None, 0), None
+        if any(self._waiting.values()):
+            for waiters in self._waiting.values():
+                waiters.clear()
+        started = time.monotonic()
+        self._deadline = started + self._timeout_s
+        root = _Branch()  # the entry node's branch, outside every fork
+        root.node, root.writer, root.resume = self._entry, (None, 0), None
         ready.append(root)
         getrandbits = None  # bound when two branches first compete for a step
         steps, next_check = 0, 1
@@ -664,7 +678,7 @@ class _Engine:
                         resume = node.run(self)  # the edge it takes, or another _Wait
                         if resume.__class__ is _Wait:  # another waiter took the message
                             del ready[index]
-                            self._waiting.setdefault(resume.channel, []).append(branch)
+                            self._waiting[resume.channel].append(branch)
                             continue
                         node = branch.node = resume.node
                     branch.resume = None
@@ -720,7 +734,7 @@ class _Engine:
                                           f"on empty channel {taken.channel!r}")
                         break
                     branch.node, branch.resume = node, taken
-                    self._waiting.setdefault(taken.channel, []).append(branch)
+                    self._waiting[taken.channel].append(branch)
                     continue
                 # a fork: its cases after the first, last first, then the branch as the first
                 self._forked = parallel
@@ -739,21 +753,24 @@ class _Engine:
             self._set_outcome("fault", "ENGINE_FAULT", f"join {node.id!r} reached outside its fork")
         except BprocError as exc:
             self._set_outcome("fault", "ENGINE_FAULT", f"{node.id}: {exc}")
-        if self._outcome is None and self._waiting:
+        outcome = self._outcome
+        if outcome is None:
             # in node order: one message per deadlock
             blocked = "; ".join(f"receive {node!r} blocked on empty channel {channel!r}"
                                 for _, node, channel in sorted(
                                     (branch.node.index, branch.node.id, channel)
                                     for channel, waiters in self._waiting.items()
                                     for branch in waiters))
-            self._set_outcome("fault", "ENGINE_FAULT",
-                              f"deadlock: every branch is waiting: {blocked}")
-        elif self._outcome is None:
-            self._set_outcome("fault", "ENGINE_FAULT",
-                              "all branches ended without an outcome" if parallel
-                              else "run ended without an outcome")
-        self.elapsed_s = time.monotonic() - self._started
-        return self._outcome[0]
+            if blocked:
+                self._set_outcome("fault", "ENGINE_FAULT",
+                                  f"deadlock: every branch is waiting: {blocked}")
+            else:
+                self._set_outcome("fault", "ENGINE_FAULT",
+                                  "all branches ended without an outcome" if parallel
+                                  else "run ended without an outcome")
+            outcome = self._outcome
+        self.elapsed_s = time.monotonic() - started
+        return outcome[0]
 
     def summary(self) -> RunSummary:
         """The last run's summary, with the first value of each input."""

@@ -125,7 +125,8 @@ def test_each_shipment_node_is_one_closure_call(shipment):
     # writes inline, a table call is its arguments and its table's selector,
     # and a traced run adds only its records; the selector's own calls
     # (depth 3 on) are the decision table's business. Compiling folds the negation
-    # in `pLength = -1`, so each condition is one fused closure
+    # in `pLength = -1`, so each condition is one fused closure, and an end
+    # event sets the outcome itself
     for traced in (True, False):
         hits = None if traced else runtime.CoverageHits(shipment)
         calls, trace, summary = node_calls(shipment, {"pType": ["l"], "pWeight": [9.0]},
@@ -146,7 +147,7 @@ def test_each_shipment_node_is_one_closure_call(shipment):
             ("Gateway_ModeCheck", [(1, "branch"), (2, "var_equals_lit")]),
             ("Activity_ChooseConsent", invoke_two),
             ("Gateway_ConsentCheck", [(1, "branch"), (2, "var_equals_lit")]),
-            ("EndEvent_NoShipment", [(1, "<lambda>"), (2, "_set_outcome")]),
+            ("EndEvent_NoShipment", [(1, "terminate")]),
         ]
         assert [(node, [c for c in made if c[0] <= 2]) for node, made in calls] == expected
         if traced:
@@ -222,19 +223,24 @@ def test_a_send_node_is_one_closure_call():
 
 
 #: the Python calls of one warm parallel campaign run of `diamonds(300, 7)`
-#: (1,204 nodes; x = 50, seed 2): 1,672, with a join's `passed` its edge,
-#: taken without a call, and one `_Engine._note_writer` call per forked write
-WARM_RUN_CALLS = 1_672
+#: (1,204 nodes; x = 50, seed 2): 1,671, with a join's `passed` its edge,
+#: taken without a call, one `_Engine._note_writer` call per forked write,
+#: and an end event that sets the outcome itself
+WARM_RUN_CALLS = 1_671
 
 
 def test_a_warm_parallel_run_keeps_to_its_call_budget():
     x = compile_model(parse_bpmn(diamonds(300, 7)), ())
     engine = runtime._Engine(x, RunOptions(), runtime.CoverageHits(x))
     assert engine.run({"x": [50]}, 1) == "success"
+    waiters = dict(engine._waiting)  # a list per channel a receive waited on
     calls = python_calls(engine.run, {"x": [50]}, 2)
     assert engine.summary().status == "success" and engine.diagnostics == []
     assert calls.count("receive") > 300  # some receives waited for their sends
     assert calls.count("_note_writer") == 300
+    # the engine keeps each channel's waiter list, emptied, for its later runs
+    assert waiters and all(engine._waiting[channel] is kept and not kept
+                           for channel, kept in waiters.items())
     assert len(calls) <= WARM_RUN_CALLS * 1.05, f"{len(calls)} calls, budget {WARM_RUN_CALLS} + 5%"
 
 

@@ -352,6 +352,46 @@ def test_samplers_draw_as_the_reference(domain, static_type, overrides, seed):
     assert rngs[2].getstate() == rngs[0].getstate()
 
 
+# the samplers that inline Random.choice: enums and override lists of 1-9 values
+CHOICES = [tuple(range(10, 10 + n)) for n in range(1, 10)]
+
+
+def test_inlined_draws_are_random_choice():
+    # over 1,000 seeds, each sampler makes the getrandbits calls that
+    # Random.choice makes, one for one, and gives its value
+    samplers = ([sampler(EnumDomain(values), StaticType.UNKNOWN) for values in CHOICES]
+                + [sampler(UnhandledDomain(()), StaticType.UNKNOWN, list(values))
+                   for values in CHOICES])
+    for seed in range(1000):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        got = [draw(ours) for draw in samplers]
+        assert got == [theirs.choice(values) for values in CHOICES + CHOICES], seed
+        assert ours.getstate() == theirs.getstate(), seed
+
+
+class _BoundedRandom(random.Random):
+    """A generator that fails on its 100th `getrandbits` call, so that a
+    draw that never ends fails instead of hanging."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        assert self.calls < 100, "the draw does not end"
+        return super().getrandbits(k)
+
+
+def test_an_empty_choice_raises_as_random_choice_does():
+    # getrandbits(0) is always 0, so an inlined rejection loop would never end
+    with pytest.raises(IndexError) as want:
+        random.Random(0).choice(())
+    draw = sampler(EnumDomain(()), StaticType.UNKNOWN)
+    rng = _BoundedRandom(0)
+    with pytest.raises(IndexError) as got:
+        draw(rng)
+    assert str(got.value) == str(want.value) and rng.calls == 0
+
+
 # strings with the characters that line-based files treat specially
 awkward = st.text(alphabet=st.sampled_from(list('ab :",)\\\n\r\t(;=#')), max_size=12)
 

@@ -656,19 +656,27 @@ def test_a_campaign_builds_its_samplers_options_and_stop_rule_once(shipment, seq
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_run_time_statistics_match_the_statistics_module(seed):
+def test_run_time_statistics_match_the_statistics_module(seed, diamond, monkeypatch):
+    # each run of the campaign takes the next of the numbers, in ms, as its time
     rng = random.Random(seed)
     spreads = (lambda: rng.uniform(0.001, 50.0), lambda: rng.lognormvariate(-3.0, 2.0),
                lambda: 0.02 + rng.random() * 1e-4)  # a spread far below the mean
+    times = iter(())
+
+    class Timed(runtime._Engine):
+        def run(self, input_lists, seed):
+            self.elapsed_s = next(times) / 1000.0
+            return "success"
+
+    monkeypatch.setattr(runtime, "_Engine", Timed)
     for size in (2, 3, 10, 1000):
         for draw in spreads:
             numbers = [draw() for _ in range(size)]
-            stats = verifier._RunningStats()
-            for number in numbers:
-                stats.add(number)
-            assert stats.n == size
-            assert math.isclose(stats.mean, statistics.fmean(numbers), rel_tol=1e-9)
-            assert math.isclose(stats.stdev, statistics.stdev(numbers), rel_tol=1e-9)
+            times = iter(numbers)
+            verdict = run_campaign(diamond, CampaignConfig(mode=FixedBudget(n=size)))
+            assert verdict.coverage.runs_executed == size
+            assert math.isclose(verdict.mean_run_ms, statistics.fmean(numbers), rel_tol=1e-9)
+            assert math.isclose(verdict.stddev_run_ms, statistics.stdev(numbers), rel_tol=1e-9)
 
 
 def test_one_run_has_no_spread(diamond):
@@ -676,3 +684,28 @@ def test_one_run_has_no_spread(diamond):
     assert verdict.coverage.runs_executed == 1
     assert verdict.mean_run_ms > 0.0
     assert verdict.stddev_run_ms == 0.0
+
+
+# --- a run's fixed cost: the reseed and the draws --------------------------------------------
+
+@pytest.mark.parametrize("seed", (0, 1, -1, 2**32, 2**64 + 5))
+def test_the_direct_reseed_leaves_the_state_of_a_fresh_random(seed):
+    rng = random.Random(7)
+    rng.random(), rng.getrandbits(64), rng.choice("ab")  # a used generator, as after a run
+    verifier._reseeder(rng)(seed)
+    assert rng.getstate() == random.Random(seed).getstate()
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGN_FIXTURES))
+def test_draw_input_lists_draws_as_the_reference_samplers(name):
+    # the inputs of 1,000 runs, as perfbench's `campaign_draws` takes them:
+    # the same values, by type, and the same generator state after them
+    x = compile_fixture(name, *CAMPAIGN_FIXTURES[name], sample_seed=42)
+    for k in range(1000):
+        ours, theirs = random.Random(k), random.Random(k)
+        got = verifier.draw_input_lists(x.input_vars, {}, ours)
+        want = {spec.name: [oracles.reference_sample_domain(spec.domain, spec.static_type,
+                                                            theirs, None, spec.name)]
+                for spec in x.input_vars}
+        assert repr(got) == repr(want), k
+        assert ours.getstate() == theirs.getstate(), k
