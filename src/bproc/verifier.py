@@ -110,11 +110,9 @@ def _check_known(nodes, edges, graph: ProcessGraph):
 
 def _hits_report(hits: runtime.CoverageHits, graph: ProcessGraph,
                  runs: int) -> CoverageReport:
-    """The report of a campaign's hit arrays; raises UnknownIdError as
-    accumulate_coverage does."""
+    """The report of a campaign's hit arrays."""
     nodes = frozenset(compress(hits.node_ids, hits.nodes))
     edges = frozenset(compress(hits.edge_pairs, hits.edges))
-    _check_known(nodes, edges, graph)
     return CoverageReport(nodes, edges, len(graph.nodes), len(graph.edges), runs)
 
 
@@ -349,9 +347,10 @@ def run_campaign(model: ExecutableModel, cfg: CampaignConfig,
             grown = (node_hits.count(1), edge_hits.count(1))
             if grown != counts:
                 counts = grown
-                if any(node_hits[i] for i in stray_nodes) \
-                        or any(edge_hits[i] for i in stray_edges):
-                    _hits_report(hits, graph, index + 1)  # raises UnknownIdError
+                if stray_nodes or stray_edges:  # raises as accumulate_coverage does
+                    _check_known({hits.node_ids[i] for i in stray_nodes if node_hits[i]},
+                                 {hits.edge_pairs[i] for i in stray_edges if edge_hits[i]},
+                                 graph)
                 if stop_on_coverage:
                     covered = _thresholds_hold(
                         mode, 100.0 * counts[0] / total_nodes if total_nodes else 0.0,

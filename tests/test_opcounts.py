@@ -1,5 +1,9 @@
 """`tools/opcounts.py`: opcode and call counts that do not depend on the host,
-and the per-run budget of a warm shipment campaign they back."""
+and the budgets on them that keep the lowered program lean. Each budget is
+the count measured on CPython 3.11 plus at most 2%. An opcode budget is
+checked on 3.11 only, since other versions compile the same code to other
+counts; a call budget holds on every version (3.12 on runs a comprehension
+without a frame of its own, so it counts fewer calls)."""
 
 import importlib.util
 import json
@@ -8,21 +12,58 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bproc import CampaignConfig, FixedBudget
+import pytest
 
-from conftest import compile_fixture
+from bproc import (CampaignConfig, FixedBudget, RunOptions, compile_model, parse_bpmn,
+                   parse_expr, run_once, runtime)
+from bproc.feel import compile_expr
+
+from conftest import compile_fixture, load_fixture
+from generators import Text
+from test_pins import diamonds
 
 ROOT = Path(__file__).resolve().parent.parent
 loader = importlib.util.spec_from_file_location("opcounts", ROOT / "tools" / "opcounts.py")
 opcounts = importlib.util.module_from_spec(loader)
 loader.loader.exec_module(opcounts)
 
-#: a warm sequential shipment campaign run (200 runs, campaign seed 1,
-#: sample seed 1): the C reseed, two draws, one of them an enum draw that
-#: repeats Random.choice's calls one for one, and ten steps. Opcodes are
-#: CPython 3.11's; other versions compile the same code to other counts
-RUN_OPCODES, RUN_CALLS = 1_330, 28
 OPCODES_MEASURED_ON = (3, 11)
+
+#: (opcodes, calls) budgets, each beside what it measured when it was set.
+#: A warm sequential shipment campaign run (200 runs, campaign seed 1,
+#: sample seed 1): the C reseed, two draws, one of them an enum draw that
+#: repeats Random.choice's calls one for one, and ten steps (1,317 and 27.2)
+CAMPAIGN_RUN = (1_330, 28)
+#: a warm parallel run of `diamonds(300, 7)` (1,204 nodes; x = 50, seed 2)
+#: on a campaign's engine: a join's `passed` is its edge, taken without a
+#: call, and an end event sets the outcome itself (249,157 and 1,671)
+WARM_PARALLEL_RUN = (252_000, 1_700)
+#: one step of `loop`, over a run ended by a budget of LOOP_STEPS steps:
+#: a node's closure, with the fused `n + 1` closure and a write record
+#: under Activity_Spin; a campaign run builds no record, and a parallel
+#: run that never forks keeps no write-race bookkeeping
+LOOP_STEPS = 1_500
+LOOP_STEP = {  # (traced, mode) -> budget (measured)
+    (True, "sequential"): (91.2, 2.03),  # 89.84 and 2.003
+    (True, "parallel"): (98.3, 2.03),  # 96.85 and 2.003
+    (False, "sequential"): (79.0, 1.69),  # 77.83 and 1.669
+    (False, "parallel"): (86.1, 1.69),  # 84.83 and 1.669
+}
+#: a traced sequential `run_once`: shipment on ("l", 9.0) takes ten nodes to
+#: NO_SHIPMENT and calls two tables (2,171 and 54); pingpong_sendfirst sends
+#: and receives each message once (1,232 and 20)
+TRACED_RUN = {"shipment": (2_200, 55), "pingpong_sendfirst": (1_250, 20)}
+#: `GetLengthDT.select` on one argument: a plain string is the selector and
+#: one call per cell of its five one-cell rules (201 and 6); a checked one
+#: (here a str subclass) takes the checked cells (1,298 and 61)
+SELECT = {"plain": (204, 6), "checked": (1_320, 62)}
+
+
+def _keeps_to(counts, budget: tuple, per: float = 1):
+    opcodes, calls = (sum(tally[i] for tally in counts.values()) / per for i in (0, 1))
+    if sys.version_info[:2] == OPCODES_MEASURED_ON:
+        assert opcodes <= budget[0], f"{opcodes:.2f} opcodes, budget {budget[0]}"
+    assert calls <= budget[1], f"{calls:.3f} calls, budget {budget[1]}"
 
 
 def _calls(counts, path: str, qualname: str) -> int:
@@ -38,28 +79,77 @@ def test_a_warm_sequential_shipment_run_keeps_to_its_budget():
     x = compile_fixture("shipment", "shipment", sample_seed=1)
     cfg = CampaignConfig(mode=FixedBudget(n=runs), seed=1, sequential=True)
     counts = opcounts.warm_counts(x, cfg)
-    opcodes = sum(tally[0] for tally in counts.values()) / runs
-    calls = sum(tally[1] for tally in counts.values()) / runs
-    if sys.version_info[:2] == OPCODES_MEASURED_ON:
-        assert opcodes <= RUN_OPCODES, f"{opcodes:.1f} opcodes a run, budget {RUN_OPCODES}"
-    assert calls <= RUN_CALLS, f"{calls:.2f} calls a run, budget {RUN_CALLS}"
+    _keeps_to(counts, CAMPAIGN_RUN, runs)
     # `Random.seed` runs once, when the campaign makes its generator; no run
     # calls it, and no enum draw calls `Random.choice`
     assert _calls(counts, "random.py", "Random.seed") == 1
     assert _calls(counts, "random.py", "Random.choice") == 0
 
 
-def _totals(*args: str) -> dict:
+def test_a_warm_parallel_run_keeps_to_its_budget():
+    x = compile_model(parse_bpmn(diamonds(300, 7)), ())
+    engine = runtime._Engine(x, RunOptions(), runtime.CoverageHits(x))
+    assert engine.run({"x": [50]}, 1) == "success"
+    counts = opcounts.count(engine.run, {"x": [50]}, 2)
+    assert engine.summary().status == "success" and engine.diagnostics == []
+    _keeps_to(counts, WARM_PARALLEL_RUN)
+
+
+@pytest.mark.parametrize("traced, mode", list(LOOP_STEP))
+def test_a_loop_step_keeps_to_its_budget(traced, mode):
+    loop = compile_fixture("loop")
+    engine = runtime._Engine(loop, RunOptions(mode=mode, max_steps=LOOP_STEPS),
+                             None if traced else runtime.CoverageHits(loop))
+    engine.run({}, 0)  # lowers the program and builds its records
+    counts = opcounts.count(engine.run, {}, 0)
+    assert engine.summary().message == f"step budget of {LOOP_STEPS} exceeded"
+    _keeps_to(counts, LOOP_STEP[traced, mode], LOOP_STEPS)
+
+
+@pytest.mark.parametrize("name, dmns, lists, code", [
+    ("shipment", ("shipment",), {"pType": ["l"], "pWeight": [9.0]}, "NO_SHIPMENT"),
+    ("pingpong_sendfirst", (), {}, "EndEvent_PingPong")], ids=("shipment", "sendfirst"))
+def test_a_traced_run_keeps_to_its_budget(name, dmns, lists, code):
+    x = compile_fixture(name, *dmns)
+    options = RunOptions(mode="sequential")
+    assert run_once(x, lists, options)[1].code == code  # lowers the program
+    counts = opcounts.count(run_once, x, lists, options)
+    _keeps_to(counts, TRACED_RUN[name])
+
+
+@pytest.mark.parametrize("argument", ("plain", "checked"))
+def test_a_table_selection_keeps_to_its_budget(argument):
+    _, tables = load_fixture("shipment", "shipment")
+    (table,) = [t for t in tables if t.id == "GetLengthDT"]
+    value = "m" if argument == "plain" else Text("m")
+    table.select([value])  # compiles the table's cells
+    _keeps_to(opcounts.count(table.select, [value]), SELECT[argument])
+
+
+@pytest.mark.parametrize("text, bindings", [('sMode = "air"', {"sMode": "air"}),
+                                            ('sMode = "air"', {"sMode": "car"}),
+                                            ("pLength = -1", {"pLength": 3})],
+                         ids=("equal", "unequal", "negative"))
+def test_a_variable_compared_to_a_literal_is_one_call(text, bindings):
+    # a folded negation is a literal too; 24 opcodes on 3.11
+    _keeps_to(opcounts.count(compile_expr(parse_expr(text)), bindings), (24, 1))
+
+
+def _fresh_totals(*args: str) -> dict:
     env = dict(os.environ, PYTHONHASHSEED="random")
-    done = subprocess.run([sys.executable, str(ROOT / "tools" / "opcounts.py"),
-                           str(ROOT / "fixtures" / "shipment.bpmn"),
-                           str(ROOT / "fixtures" / "shipment.dmn"), "-n", "50", *args],
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "opcounts.py"), *args],
                           capture_output=True, text=True, env=env, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def test_two_fresh_processes_count_the_same():
-    for mode in ((), ("--parallel",)):
-        first = _totals(*mode)
-        assert first["runs"] == 50 and first["opcodes"] > 0 and first["calls"] > 0
-        assert _totals(*mode) == first, mode
+def test_two_fresh_processes_count_the_same(tmp_path):
+    # as the budgets above need: the counts depend on neither the host nor
+    # the hash seed, for a parallel diamonds campaign too
+    model = tmp_path / "diamonds.bpmn"
+    model.write_bytes(diamonds(300, 7))
+    shipment = [str(ROOT / "fixtures" / "shipment.bpmn"), str(ROOT / "fixtures" / "shipment.dmn")]
+    for args in ((*shipment, "-n", "50"), (*shipment, "-n", "50", "--parallel"),
+                 (str(model), "-n", "2", "--parallel")):
+        first = _fresh_totals(*args)
+        assert first["opcodes"] > 0 and first["calls"] > 0
+        assert _fresh_totals(*args) == first, args

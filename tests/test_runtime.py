@@ -908,14 +908,20 @@ def _wide_fork() -> str:
 
 class _Picks:
     """Stands in for `_Engine`, `_Branch` and `random.Random`: counts each
-    branch made, each pick of a branch to step and each random generator
-    made for the draws, and notes, when several branches are ready, how
-    many there are and which one the scheduler picked."""
+    branch made and each random generator made for the draws, and notes each
+    draw the generator makes as (branches ready, index drawn). A draw is the
+    `getrandbits(n.bit_length())` below n that ends a `randrange(n)`, n read
+    from the ready list of the engine made last."""
 
     def __init__(self, monkeypatch):
-        self.started = self.count = self.generators = 0
-        self.picks = []  # (ready branches, index of the one picked)
+        self.started = self.generators = 0
+        self.picks = []  # (ready branches, index drawn)
         picks = self
+
+        class Engine(runtime._Engine):
+            def __init__(self, *args):
+                super().__init__(*args)
+                picks.engine = self
 
         class Branch(runtime._Branch):
             __slots__ = ()
@@ -923,23 +929,17 @@ class _Picks:
             def __init__(self):
                 picks.started += 1
 
+        class Recording(random.Random):
+            def getrandbits(self, k):
+                index = super().getrandbits(k)
+                n = len(picks.engine._ready)
+                if index < n:
+                    picks.picks.append((n, index))
+                return index
+
         def generator(seed):
             picks.generators += 1
-            return random.Random(seed)
-
-        class Engine(runtime._Engine):
-            @property
-            def _branch(self):
-                return self.__dict__["_branch"]
-
-            @_branch.setter
-            def _branch(self, branch):  # `run` sets it once per pick
-                if branch is not None:
-                    picks.count += 1
-                    ready = self._ready
-                    if len(ready) > 1:
-                        picks.picks.append((len(ready), ready.index(branch)))
-                self.__dict__["_branch"] = branch
+            return Recording(seed)
 
         monkeypatch.setattr(runtime, "_Branch", Branch)
         monkeypatch.setattr(runtime, "_Engine", Engine)
@@ -965,14 +965,15 @@ def test_scheduler_draws_as_randrange(monkeypatch):
 @pytest.mark.parametrize("name,dmns", [("shipment", ("shipment",)), ("triage", ()),
                                        ("loop", ())])
 def test_a_lone_branch_is_resumed_once_per_run(monkeypatch, name, dmns):
-    # a fork-free parallel run makes no draw and never gives up its step
+    # a fork-free parallel run makes one branch and no draw; what a lone
+    # branch costs per step is `tests/test_opcounts.py`'s loop budget
     x = compile_fixture(name, *dmns, sample_seed=42)
     lists = {spec.name: [spec.sample] for spec in x.input_vars}
     picks = _Picks(monkeypatch)
     for seed in range(5):
-        before = picks.count
+        picks.started = 0
         _, summary = run_once(x, lists, RunOptions(mode="parallel", seed=seed, max_steps=300))
-        assert picks.count - before == 1, summary
+        assert picks.started == 1, summary
     assert picks.generators == 0
 
 

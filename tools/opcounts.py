@@ -10,8 +10,14 @@ the same campaign again under `sys.settrace` with
 `frame.f_trace_opcodes` set. It prints each code object's opcodes and
 Python calls per run, by `(co_filename, co_qualname)` (`co_name` before
 Python 3.11), the heaviest 25 first, then the totals per run, and last a
-JSON line with the totals. A call is a Python frame entered (a
-comprehension's frame counts, a C function does not); an opcode is a
+JSON line with the totals.
+
+The counting primitive is `count(fn, *args)`: the opcodes and calls one
+call `fn(*args)` makes, by `(co_filename, co_qualname)`; `warm_counts`,
+behind the command, is a `count` of a warm campaign, and the budgets of
+`tests/test_opcounts.py` are `count`s of runs, steps and table calls. A
+call is a Python frame entered (a comprehension's frame counts on Python
+3.11, which gives it one; a C function does not); an opcode is a
 bytecode instruction a traced frame runs. Neither depends on the host or
 its load, so two runs of one tree print the same numbers; but neither
 weighs work done in C, such as `Random.seed`, and the opcodes depend on
@@ -49,11 +55,11 @@ def _where(code) -> tuple[str, str]:
     return path, getattr(code, "co_qualname", code.co_name)  # Python 3.11 on
 
 
-def warm_counts(model, cfg: CampaignConfig) -> dict[tuple[str, str], list[int]]:
-    """(file, qualified name) -> [opcodes, calls] of a traced
-    `run_campaign(model, cfg)`, with no run files, run after an untraced
-    one of the same configuration."""
-    run_campaign(model, cfg)
+def count(fn, *args) -> dict[tuple[str, str], list[int]]:
+    """(file, qualified name) -> [opcodes, calls] of one call `fn(*args)`,
+    made under `sys.settrace` with `frame.f_trace_opcodes` set: `fn`'s own
+    frame, if it is a Python function, and every Python frame it enters.
+    The tracer in place before the call is put back after it."""
     counts: dict[object, list[int]] = {}
 
     def local(frame, event, arg):
@@ -75,7 +81,7 @@ def warm_counts(model, cfg: CampaignConfig) -> dict[tuple[str, str], list[int]]:
     previous = sys.gettrace()
     sys.settrace(on_call)
     try:
-        run_campaign(model, cfg)
+        fn(*args)
     finally:
         sys.settrace(previous)
     by_name: dict[tuple[str, str], list[int]] = {}
@@ -84,6 +90,13 @@ def warm_counts(model, cfg: CampaignConfig) -> dict[tuple[str, str], list[int]]:
         tally[0] += opcodes
         tally[1] += calls
     return by_name
+
+
+def warm_counts(model, cfg: CampaignConfig) -> dict[tuple[str, str], list[int]]:
+    """The `count` of `run_campaign(model, cfg)`, with no run files, made
+    after an untraced call of the same configuration."""
+    run_campaign(model, cfg)
+    return count(run_campaign, model, cfg)
 
 
 def main(argv=None) -> int:
