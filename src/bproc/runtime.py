@@ -4,24 +4,27 @@ On its first run, a model's routines are lowered once into a node program
 (Feeley & Lapalme, "Using Closures for Code Generation", 1987): each
 routine is one step, and the lowerer of its class (`_LOWER`) makes it one
 closure over the engine that returns the edge to take, with no wrapper. A
-step that names its successor (inputs, assign, table, send, receive, or a
-pass-through continue) is fused with the edge to it, and a gateway with one
-condition and a default is tested without a loop (superoperators:
-Proebsting, POPL 1995). A receive on an empty channel returns a `_Wait`
-instead, and the engine calls the same closure again once a send wakes
-it. Every (source, target) pair a branch can take is one `_Edge`: its
-target node and its coverage index; every node has a coverage index too.
-So the engine makes one call per node and follows edges with no lookup
-(Ertl & Gregg, "The Structure and Performance of Efficient Interpreters",
-2003). A join makes none: the last branch to arrive from
-its fork takes the join's edge (`_Node.passed`) itself, and every join's
-closure is the one shared `_join_fault`.
+step that names its successor (inputs, assign, table, send, receive) is
+fused with the edge to it, and a gateway with one condition and a default
+is tested without a loop (superoperators: Proebsting, POPL 1995). A
+receive on an empty channel returns a `_Wait` instead, and the engine
+calls the same closure again once a send wakes it. Every (source, target)
+pair a branch can take is one `_Edge`: its target node and its coverage
+index; every node has a coverage index too. So the engine makes one call
+per node and follows edges with no lookup (Ertl & Gregg, "The Structure
+and Performance of Efficient Interpreters", 2003). Two kinds of node make
+none. A pass-through node (a start event or task that reads no input, or
+an exclusive merge) has no closure: the engine takes its one edge
+(`_Node.passed`) itself. A join is taken the same way by the last branch
+to arrive from its fork, and every join's closure is the one shared
+`_join_fault`, which only a branch outside that fork calls.
 
 A closure holds what it reads (edges, compiled expressions, names) as
 default parameters, not as free variables. CPython gives a closure one
 cell per free name and a tuple of the cells, each an object the cyclic
 collector tracks, where the defaults are one tuple, read with LOAD_FAST.
-`_Node` and `_Edge` are built with no `__init__` frame. Lowering
+`_Node` and `_Edge`, and the write and table records of a traced run, are
+built with no `__init__` frame: `object.__new__` and slot stores. Lowering
 `diamonds(300)` of `tests/test_pins.py` (1,204 nodes) makes 6,334 tracked
 objects, 5.3 per node, where closures over free variables made 12,976
 (10.8); the lowered program holds 591 B per node at 1,204 nodes and 608 B
@@ -111,10 +114,11 @@ class EdgeTraversed:
 
 # A run builds one of these per table result or variable write and never
 # shares it, so, like the other records built in bulk (see the `bproc`
-# package docstring), they are not frozen. They still compare and hash by
-# value, so they must not be modified once built: a record assigned to
-# would no longer be what the run did, and would change its hash in any
-# set or dict that holds it.
+# package docstring), they are not frozen; the lowered closures build them
+# with `object.__new__` and two slot stores, with no `__init__` frame. They
+# still compare and hash by value, so they must not be modified once built:
+# a record assigned to would no longer be what the run did, and would
+# change its hash in any set or dict that holds it.
 @dataclass(slots=True, unsafe_hash=True)
 class TableEvaluated:
     table: str
@@ -187,15 +191,18 @@ class _Node:
     children of a fork, one `_Edge` each, or a `_Wait` (a receive on an
     empty channel, which did nothing); it is the node's one closure, with
     no wrapper around it, and holds what it reads as its default
-    parameters. A fork's children meet at its `join` node; the last of
-    them to arrive there takes the join's `passed`, the join's `_Edge`,
-    with no call; its `run` is `_join_fault`, which only a branch that
-    reached the join outside its fork calls. Lowering builds the edges
-    once, shared by every run; the activation record is built on the first
-    run that keeps a trace and shared by every later one, which is why
-    node and edge records stay frozen (and compare by value). Only
-    `_Engine.run` records or marks them. `index` is the node's coverage
-    index. `_Program` sets the six, with no `__init__` frame per node.
+    parameters. A pass-through node (a start event or task that reads no
+    input, or an exclusive merge) has no `run` (None): `_Engine.run`
+    takes its `passed`, its one `_Edge`, with no call. A fork's children
+    meet at its `join` node; the last of them to arrive there takes the
+    join's `passed` the same way; a join's `run` is `_join_fault`, which
+    only a branch that reached the join outside its fork calls. Lowering
+    builds the edges once, shared by every run; the activation record is
+    built on the first run that keeps a trace and shared by every later
+    one, which is why node and edge records stay frozen (and compare by
+    value). Only `_Engine.run` records or marks them. `index` is the
+    node's coverage index. `_Program` sets the six, with no `__init__`
+    frame per node.
     """
 
     __slots__ = ("id", "activated", "index", "run", "join", "passed")
@@ -274,9 +281,10 @@ def _lowered(model: ExecutableModel) -> _Program:
     return _Program(model)
 
 
-# --- lowerers: each returns the node's `run` (see `_Node`); a step that names
-# its successor returns a closure that does the step and returns that edge.
-# A closure takes what it reads as default parameters, not free variables ---
+# --- lowerers: each returns the node's `run` (see `_Node`), None for a
+# pass-through node; a step that names its successor returns a closure that
+# does the step and returns that edge. A closure takes what it reads as
+# default parameters, not free variables ---
 
 def _lower_terminate(step: Terminate, node: _Node, model: ExecutableModel, program: _Program):
     status = "success" if step.status == "success" else "error"
@@ -287,8 +295,8 @@ def _lower_terminate(step: Terminate, node: _Node, model: ExecutableModel, progr
 
 
 def _lower_continue(step: Continue, node: _Node, model: ExecutableModel, program: _Program):
-    edge = program.edge(node.id, step.target)
-    return lambda engine, edge=edge: edge
+    """No closure: the engine takes `passed`, as at a join's last arrival."""
+    node.passed = program.edge(node.id, step.target)
 
 
 def _lower_branch(step: Branch, node: _Node, model: ExecutableModel, program: _Program):
@@ -364,7 +372,8 @@ def _lower_consume(step: ConsumeInputs, node: _Node, model: ExecutableModel,
     """Writes each variable's next input value (its last once the list is
     exhausted) as `_lower_assign` writes."""
 
-    def consume(engine, variables=step.vars, edge=program.edge(node.id, step.next)):
+    def consume(engine, variables=step.vars, edge=program.edge(node.id, step.next),
+                new=object.__new__, VarWritten=VarWritten):
         input_lists, cursors, bindings = engine.input_lists, engine.cursors, engine.bindings
         for var in variables:
             values = input_lists[var]
@@ -375,7 +384,10 @@ def _lower_consume(step: ConsumeInputs, node: _Node, model: ExecutableModel,
                 j -= 1
             value = bindings[var] = values[j]
             if engine._record is not None:
-                engine._record(VarWritten(var, value))
+                write = new(VarWritten)
+                write.name = var
+                write.value = value
+                engine._record(write)
             if engine._forked:
                 engine._note_writer(var)
         return edge
@@ -387,10 +399,14 @@ def _lower_assign(step: Assign, node: _Node, model: ExecutableModel, program: _P
     variable's last writer token (`_Engine._note_writer`)."""
 
     def assign(engine, var=step.var, evaluate=feel.compile_expr(step.expr),
-               edge=program.edge(node.id, step.next)):
+               edge=program.edge(node.id, step.next), new=object.__new__,
+               VarWritten=VarWritten):
         value = engine.bindings[var] = evaluate(engine.bindings)
         if engine._record is not None:
-            engine._record(VarWritten(var, value))
+            write = new(VarWritten)
+            write.name = var
+            write.value = value
+            engine._record(write)
         if engine._forked:
             engine._note_writer(var)
         return edge
@@ -406,18 +422,25 @@ def _lower_invoke(step: InvokeTable, node: _Node, model: ExecutableModel, progra
                      for rule in range(len(table.rules)))
 
     def invoke(engine, args=args, select=table.select, table_id=table.id, outcomes=outcomes,
-               edge=program.edge(node.id, step.next)):
+               edge=program.edge(node.id, step.next), new=object.__new__,
+               TableEvaluated=TableEvaluated, VarWritten=VarWritten):
         bindings = engine.bindings
         writes, items = outcomes[select([arg(bindings) for arg in args])]
         if items is None:  # an output fresh at each use
             writes, items = writes()
         record = engine._record
         if record is not None:
-            record(TableEvaluated(table_id, items))
+            evaluated = new(TableEvaluated)
+            evaluated.table = table_id
+            evaluated.outputs = items
+            record(evaluated)
         for var, value in writes:
             bindings[var] = value
             if record is not None:
-                record(VarWritten(var, value))
+                write = new(VarWritten)
+                write.name = var
+                write.value = value
+                record(write)
             if engine._forked:
                 engine._note_writer(var)
         return edge
@@ -459,7 +482,8 @@ def _lower_receive(step: Receive, node: _Node, model: ExecutableModel, program: 
 
     def receive(engine, node_id=node.id, channel=step.channel, expected=step.msg_type,
                 targets=step.targets, wait=_Wait(step.channel),
-                edge=program.edge(node.id, step.next)):
+                edge=program.edge(node.id, step.next), new=object.__new__,
+                VarWritten=VarWritten):
         queue = engine._channels[channel]
         if not queue:
             return wait
@@ -475,7 +499,10 @@ def _lower_receive(step: Receive, node: _Node, model: ExecutableModel, program: 
                     f"message on channel {channel!r} has no part {part!r}")
             value = bindings[var] = payload[part]
             if engine._record is not None:
-                engine._record(VarWritten(var, value))
+                write = new(VarWritten)
+                write.name = var
+                write.value = value
+                engine._record(write)
             if engine._forked:
                 engine._note_writer(var)
         return edge
@@ -624,10 +651,11 @@ class _Engine:
         waiters ready in the middle of a node). A fork appends its cases
         k - 1 down to 1, then the forking branch as case 0; each records its
         fork edge on its first pick. The last case to arrive at the join goes
-        on past it, taking the join's edge with no call; the others end
-        there without taking a step. A woken
-        receive runs again in the same step: no step count, no second
-        activation record. One step count serves the whole run.
+        on past it, taking the join's edge with no call, as every branch
+        takes a pass-through node's edge; the others end there without
+        taking a step. A woken receive runs again in the same step: no step
+        count, no second activation record. One step count serves the whole
+        run.
         """
         self.input_lists, self.cursors = input_lists, dict.fromkeys(input_lists, 0)
         self.bindings = self._bindings.copy()

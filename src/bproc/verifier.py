@@ -31,7 +31,7 @@ then the steps. The engine's reset clears only what the last run left; the
 hit counts are read only for a stopping rule on coverage or a stray index;
 the run times' running mean and variance are kept in locals, in constant
 memory. A warm sequential shipment run (200 runs, seed 1, `sample_seed=1`)
-costs 1,317 CPython 3.11 opcodes and 27.2 Python calls, steps included
+costs 1,313 CPython 3.11 opcodes and 26.8 Python calls, steps included
 (`tools/opcounts.py`).
 
 Runs build no trace: each marks the nodes and edges it reaches in one

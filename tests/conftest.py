@@ -1,3 +1,5 @@
+import functools
+import importlib.util
 import os
 import pathlib
 
@@ -7,6 +9,16 @@ import bproc
 from bproc import compile_model, parse_bpmn, parse_dmn
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+TOOLS = FIXTURES.parent / "tools"
+
+
+@functools.cache
+def load_tool(name: str):
+    """The script `tools/<name>.py`, imported once as a module."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_fixture(name: str, *dmn_names: str):

@@ -11,7 +11,6 @@ exception type with the same message.
 import dataclasses
 import math
 import random
-import sys
 import time
 from unittest import mock
 
@@ -25,9 +24,12 @@ from bproc.feel import ast, evaluator, values as kernel
 from bproc.feel.values import UNDEFINED, Temporal
 
 import oracles
+from conftest import load_tool
 from generators import (DEFINITIONS, FOOTER, NAMES, Level, Text, expressions,
                         random_constant, small, tables, unary_tests, values)
 from oracles import reference_evaluate, reference_evaluate_table, reference_match_unary
+
+opcounts = load_tool("opcounts")
 
 ENV = {"a": 3, "b": 2.5, "s": "x", "u": UNDEFINED, "l": [1, 2.0, "x"], "c": {"k": 1}}
 
@@ -147,18 +149,8 @@ def test_type_evidence_and_domain_facts_share_one_notion_of_constant(seed, leave
 
 def python_calls(fn, text: str) -> int:
     """The Python calls `fn` makes on the expression `text` parses to."""
-    expr, calls = feel.parse_expr(text), 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-
-    sys.setprofile(count)
-    try:
-        fn(expr)
-    finally:
-        sys.setprofile(None)
-    return calls
+    counts = opcounts.count(fn, feel.parse_expr(text), opcodes=False)
+    return sum(calls for _, calls in counts.values())
 
 
 @pytest.mark.parametrize("shape, small, large", [

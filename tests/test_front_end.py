@@ -3,7 +3,6 @@ drawn with forks from the block grammar of `tests/generators.py` and on
 arbitrary graphs; and linear front-end cost."""
 
 import statistics
-import sys
 import time
 
 import pytest
@@ -15,9 +14,11 @@ from bproc.compiler import Fork, _matching_join
 from bproc.errors import SchemaError
 
 import test_pins as pins
-from conftest import FIXTURES, load_fixture
+from conftest import FIXTURES, load_fixture, load_tool
 from generators import DEFINITIONS, FOOTER, diamonds_xml, graphs, models
 from oracles import reference_matching_join
+
+opcounts = load_tool("opcounts")
 
 
 def forks(x) -> dict[str, str]:
@@ -93,22 +94,14 @@ def test_parse_and_compile_scale_linearly():
     assert large / small < 10, f"250 diamonds: {small:.3f}s, 1000 diamonds: {large:.3f}s"
 
 
+def set_up(xml, tables=()):
+    return compile_model(parse_bpmn(xml), tables)
+
+
 def setup_calls(xml) -> int:
-    """The Python calls parse_bpmn + compile_model make for `xml`."""
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        compile_model(parse_bpmn(xml), ())
-    finally:
-        sys.setprofile(previous)
-    return calls
+    """The Python calls `set_up` makes for `xml`, its own included."""
+    counts = opcounts.count(set_up, xml, opcodes=False)
+    return sum(calls for _, calls in counts.values())
 
 
 @pytest.mark.parametrize("small, large", [(diamonds_xml(250), diamonds_xml(1000)),
@@ -121,11 +114,12 @@ def test_parse_and_compile_call_counts_scale_linearly(small, large):
     assert ratio <= 4.2, ratio
 
 
-#: the Python calls parse_bpmn + compile_model make for `pins.diamonds(300, 7)`
-#: (1,204 nodes): 21,898 when the document was walked twice over and every
-#: process child was read through a handler call, 16,191 since flows and
-#: gateways are read in the child loop and each pass reads the flow index
-SET_UP_CALLS = 16_191
+#: the Python calls `set_up` makes for `pins.diamonds(300, 7)` (1,204
+#: nodes): 21,898 when the document was walked twice over and every process
+#: child was read through a handler call, 16,191 since flows and gateways
+#: are read in the child loop and each pass reads the flow index; 16,193
+#: counted by `tools/opcounts.count`, `set_up`'s own frame included
+SET_UP_CALLS = 16_193
 
 
 def test_set_up_keeps_to_its_call_budget():
@@ -154,19 +148,15 @@ def test_set_up_builds_each_record_and_index_once(name):
                SequenceFlow.__init__.__code__: "SequenceFlow",
                VariableRole.__init__.__code__: "VariableRole",
                compiler._cell_facts.__code__: "cells"}
-    calls = dict.fromkeys(counted.values(), 0)
+    made = {}
 
-    def count(frame, event, arg):
-        if event == "call" and frame.f_code in counted:
-            calls[counted[frame.f_code]] += 1
+    def set_up_model():
+        made["model"] = parse_bpmn(xml)
+        made["x"] = compile_model(made["model"], tables)
 
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        model = parse_bpmn(xml)
-        x = compile_model(model, tables)
-    finally:
-        sys.setprofile(previous)
+    counts = opcounts.count(set_up_model, key=lambda code: code, opcodes=False)
+    model, x = made["model"], made["x"]
+    calls = {name: counts.get(code, (0, 0))[1] for code, name in counted.items()}
     rule_tasks = sum(node.kind == "business_rule_task" for node in model.nodes)
     assert (calls["adjacency"], calls["uses"], calls["roles"], calls["cells"]) == \
         (1, 1, 1, rule_tasks)

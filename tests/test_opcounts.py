@@ -5,7 +5,6 @@ checked on 3.11 only, since other versions compile the same code to other
 counts; a call budget holds on every version (3.12 on runs a comprehension
 without a frame of its own, so it counts fewer calls)."""
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -18,41 +17,41 @@ from bproc import (CampaignConfig, FixedBudget, RunOptions, compile_model, parse
                    parse_expr, run_once, runtime)
 from bproc.feel import compile_expr
 
-from conftest import compile_fixture, load_fixture
+from conftest import compile_fixture, load_fixture, load_tool
 from generators import Text
 from test_pins import diamonds
 
 ROOT = Path(__file__).resolve().parent.parent
-loader = importlib.util.spec_from_file_location("opcounts", ROOT / "tools" / "opcounts.py")
-opcounts = importlib.util.module_from_spec(loader)
-loader.loader.exec_module(opcounts)
+opcounts = load_tool("opcounts")
 
 OPCODES_MEASURED_ON = (3, 11)
 
 #: (opcodes, calls) budgets, each beside what it measured when it was set.
 #: A warm sequential shipment campaign run (200 runs, campaign seed 1,
 #: sample seed 1): the C reseed, two draws, one of them an enum draw that
-#: repeats Random.choice's calls one for one, and ten steps (1,317 and 27.2)
-CAMPAIGN_RUN = (1_330, 28)
+#: repeats Random.choice's calls one for one, and ten steps (1,313 and 26.83)
+CAMPAIGN_RUN = (1_330, 27.3)
 #: a warm parallel run of `diamonds(300, 7)` (1,204 nodes; x = 50, seed 2)
 #: on a campaign's engine: a join's `passed` is its edge, taken without a
 #: call, and an end event sets the outcome itself (249,157 and 1,671)
 WARM_PARALLEL_RUN = (252_000, 1_700)
 #: one step of `loop`, over a run ended by a budget of LOOP_STEPS steps:
-#: a node's closure, with the fused `n + 1` closure and a write record
-#: under Activity_Spin; a campaign run builds no record, and a parallel
+#: a node's closure, with the fused `n + 1` closure under Activity_Spin,
+#: and no call at Gateway_Cycle, a pass-through node; a traced run's write
+#: record is built with no call, a campaign run builds none, and a parallel
 #: run that never forks keeps no write-race bookkeeping
 LOOP_STEPS = 1_500
 LOOP_STEP = {  # (traced, mode) -> budget (measured)
-    (True, "sequential"): (91.2, 2.03),  # 89.84 and 2.003
-    (True, "parallel"): (98.3, 2.03),  # 96.85 and 2.003
-    (False, "sequential"): (79.0, 1.69),  # 77.83 and 1.669
-    (False, "parallel"): (86.1, 1.69),  # 84.83 and 1.669
+    (True, "sequential"): (88.3, 1.36),  # 86.84 and 1.336
+    (True, "parallel"): (95.4, 1.36),  # 93.84 and 1.336
+    (False, "sequential"): (76.3, 1.36),  # 74.82 and 1.335
+    (False, "parallel"): (83.4, 1.36),  # 81.82 and 1.335
 }
 #: a traced sequential `run_once`: shipment on ("l", 9.0) takes ten nodes to
-#: NO_SHIPMENT and calls two tables (2,171 and 54); pingpong_sendfirst sends
-#: and receives each message once (1,232 and 20)
-TRACED_RUN = {"shipment": (2_200, 55), "pingpong_sendfirst": (1_250, 20)}
+#: NO_SHIPMENT and calls three tables (2,171 and 46); pingpong_sendfirst sends
+#: and receives each message once (1,223 and 17); no write or table record
+#: is built through a call
+TRACED_RUN = {"shipment": (2_200, 46), "pingpong_sendfirst": (1_245, 17)}
 #: `GetLengthDT.select` on one argument: a plain string is the selector and
 #: one call per cell of its five one-cell rules (201 and 6); a checked one
 #: (here a str subclass) takes the checked cells (1,298 and 61)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bproc import RunOptions, compile_model, parse_bpmn, run_once, runtime
-from bproc.compiler import Fork
+from bproc.compiler import Continue, Fork
 from bproc.errors import ConfigError
 from bproc.feel.values import MAX_STRING_LENGTH
 from bproc.runtime import (TableEvaluated, VarWritten, parse_summary_inputs,
@@ -889,6 +889,81 @@ def test_record_streams_are_pinned():
                                     summary.message, summary.diagnostics)).encode())
     assert digest.hexdigest() == \
         "1832db45a53be97331ef814d47c075d2a156f9304d83cbbf967a900571ebf0e3"
+
+
+# a fork whose cases pass through nodes that run no step: case 0 through an
+# exclusive merge right before the join, case 2 through a task that reads no
+# input as its first node; the start event passes through too
+MERGE_IN_FORK = """
+  <dataObject id="d"/>
+  <dataObjectReference id="dr" name="x" dataObjectRef="d"/>
+  <startEvent id="s"/>
+  <userTask id="ask">
+    <dataOutputAssociation id="a1"><targetRef>dr</targetRef></dataOutputAssociation>
+  </userTask>
+  <parallelGateway id="split"/>
+  <sendTask id="send" messageRef="M1">
+    <extensionElements><ext:ioMapping channel="c">
+      <ext:input source="=x + 1" target="v"/>
+    </ext:ioMapping></extensionElements>
+  </sendTask>
+  <exclusiveGateway id="gate" default="f_lo"/>
+  <scriptTask id="hi" resultVariable="a"><script>x * 2</script></scriptTask>
+  <scriptTask id="lo" resultVariable="a"><script>x</script></scriptTask>
+  <exclusiveGateway id="merge"/>
+  <receiveTask id="recv" messageRef="M1">
+    <extensionElements><ext:ioMapping channel="c">
+      <ext:output source="v" target="b"/>
+    </ext:ioMapping></extensionElements>
+  </receiveTask>
+  <scriptTask id="inc" resultVariable="c"><script>b + 1</script></scriptTask>
+  <manualTask id="pass"/>
+  <scriptTask id="dec" resultVariable="d"><script>x - 1</script></scriptTask>
+  <parallelGateway id="join"/>
+  <scriptTask id="sum" resultVariable="total"><script>a + c + d</script></scriptTask>
+  <endEvent id="e"/>
+  <sequenceFlow id="f0" sourceRef="s" targetRef="ask"/>
+  <sequenceFlow id="f1" sourceRef="ask" targetRef="split"/>
+  <sequenceFlow id="f2" sourceRef="split" targetRef="send"/>
+  <sequenceFlow id="f3" sourceRef="split" targetRef="recv"/>
+  <sequenceFlow id="f4" sourceRef="split" targetRef="pass"/>
+  <sequenceFlow id="f5" sourceRef="send" targetRef="gate"/>
+  <sequenceFlow id="f_hi" sourceRef="gate" targetRef="hi">
+    <conditionExpression>x &gt; 4</conditionExpression>
+  </sequenceFlow>
+  <sequenceFlow id="f_lo" sourceRef="gate" targetRef="lo"/>
+  <sequenceFlow id="f6" sourceRef="hi" targetRef="merge"/>
+  <sequenceFlow id="f7" sourceRef="lo" targetRef="merge"/>
+  <sequenceFlow id="f8" sourceRef="merge" targetRef="join"/>
+  <sequenceFlow id="f9" sourceRef="recv" targetRef="inc"/>
+  <sequenceFlow id="f10" sourceRef="inc" targetRef="join"/>
+  <sequenceFlow id="f11" sourceRef="pass" targetRef="dec"/>
+  <sequenceFlow id="f12" sourceRef="dec" targetRef="join"/>
+  <sequenceFlow id="f13" sourceRef="join" targetRef="sum"/>
+  <sequenceFlow id="f14" sourceRef="sum" targetRef="e"/>
+"""
+
+
+@pytest.mark.parametrize("mode, expected", [
+    ("sequential", "75e50b1b5fcd7a1119ae1e2b4c7d8d2c4110c9910721af22d77f17cb604c5e91"),
+    ("parallel", "b68923daf3cf6394ed7115b2a5bebd538846a899511d6caf6755bfc9e09e192a")])
+def test_a_fork_case_through_an_exclusive_merge_is_pinned(mode, expected):
+    # One digest of every record, the status, code, message and diagnostics
+    # of seeds 0-49, x alternating between the gate's two sides. The
+    # expected values were computed while every pass-through node was a
+    # closure that returned its edge.
+    x = compile_inline(MERGE_IN_FORK, prelude=MSG_PRELUDE)
+    assert [node for node, routine in x.routines.items()
+            if routine.step.__class__ is Continue] == ["s", "merge", "pass"]
+    digest = hashlib.sha256()
+    for seed in range(50):
+        trace, summary = run_once(x, {"x": [3 + 5 * (seed % 2)]},
+                                  RunOptions(mode=mode, seed=seed))
+        assert (summary.status, dict(trace.writes())["total"]) == \
+            ("success", (10, 33)[seed % 2])
+        digest.update(repr((trace.records, summary.status, summary.code,
+                            summary.message, summary.diagnostics)).encode())
+    assert digest.hexdigest() == expected
 
 
 WIDE_FORK = 64

@@ -6,7 +6,6 @@ import math
 import os
 import random
 import statistics
-import sys
 import tracemalloc
 import types
 
@@ -23,9 +22,11 @@ from bproc.feel import values
 from bproc.runtime import Trace, NodeActivated, EdgeTraversed
 from bproc.verifier import empty_report
 
-from conftest import compile_fixture
+from conftest import compile_fixture, load_tool
 from generators import models
 from test_runtime import CROSS_RECEIVE, LEFTOVER, MSG_PRELUDE, compile_inline
+
+opcounts = load_tool("opcounts")
 
 DIAMOND = """<?xml version="1.0"?>
 <definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL">
@@ -603,21 +604,11 @@ def test_a_shipment_campaign_rarely_asks_for_a_kind():
     # literal in `pLength = -1`, once per run
     x = compile_fixture("shipment", "shipment")
     cfg = CampaignConfig(mode=FixedBudget(n=200), seed=0, sequential=True)
-    kind_of = values.kind_of.__code__
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code is kind_of:
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        verdict = run_campaign(x, cfg)
-    finally:
-        sys.setprofile(previous)
-    assert verdict.coverage.runs_executed == 200
+    verdicts = []
+    counts = opcounts.count(lambda: verdicts.append(run_campaign(x, cfg)),
+                            key=lambda code: code, opcodes=False)
+    assert verdicts[0].coverage.runs_executed == 200
+    calls = counts.get(values.kind_of.__code__, (0, 0))[1]
     assert calls <= 250  # the isinstance cascade alone made 5,160
 
 
@@ -626,30 +617,26 @@ def test_a_shipment_campaign_rarely_asks_for_a_kind():
 @pytest.mark.parametrize("sequential", (True, False), ids=("sequential", "parallel"))
 @pytest.mark.parametrize("keep_files", (False, True), ids=("marked", "with_files"))
 def test_a_campaign_builds_its_samplers_options_and_stop_rule_once(shipment, sequential,
-                                                                   keep_files, tmp_path):
+                                                                   keep_files, tmp_path,
+                                                                   monkeypatch):
     counted = {inputs.sampler.__code__: "sampler", runtime.RunOptions.__init__.__code__: "options",
                verifier._meaningful_thresholds.__code__: "meaningful",
                verifier._hits_report.__code__: "report"}
-    calls = dict.fromkeys(counted.values(), 0)
-    sampled = []
-
-    def count(frame, event, arg):
-        if event == "call" and frame.f_code in counted:
-            calls[counted[frame.f_code]] += 1
-            if frame.f_code is inputs.sampler.__code__:
-                sampled.append(frame.f_locals["name"])
-
+    sampled = []  # the name of each sampler built
+    sampler = inputs.sampler
+    monkeypatch.setattr(inputs, "sampler",
+                        lambda *args: sampled.append(args[3]) or sampler(*args))
     # thresholds out of shipment's reach: all 200 runs, the stop rule read after each
     cfg = CampaignConfig(mode=FixedBudget(n=200, theta_nodes=100, theta_edges=100), seed=3,
                          sequential=sequential)
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        verdict = run_campaign(shipment, cfg, out_dir=str(tmp_path) if keep_files else None)
-    finally:
-        sys.setprofile(previous)
-    assert verdict.coverage.runs_executed == 200
+    verdicts = []
+    counts = opcounts.count(lambda: verdicts.append(run_campaign(
+        shipment, cfg, out_dir=str(tmp_path) if keep_files else None)),
+        key=lambda code: code, opcodes=False)
+    calls = {name: counts.get(code, (0, 0))[1] for code, name in counted.items()}
+    assert verdicts[0].coverage.runs_executed == 200
     assert sorted(sampled) == sorted(spec.name for spec in shipment.input_vars)
+    assert calls["sampler"] == len(sampled)
     assert calls["options"] <= 1
     assert calls["meaningful"] <= 1
     assert calls["report"] == 1  # the verdict's, after the last run

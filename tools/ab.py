@@ -5,23 +5,28 @@
 
 Builds `base/` (`git archive REV`) and `work/` (the working tree's tracked
 and untracked, non-ignored files) in one temporary directory, both with the
-working tree's BENCHMARK.json and the paths it lists. For k = 1..N it runs
-the benchmark command with `--workload all --seed k --seconds 3` in both,
-the side that goes first alternating: about 35 s a pair on 2 CPUs.
+working tree's BENCHMARK.json, the paths it lists and `tools/opcounts.py`.
+In each it first counts a 50-run sequential and a 50-run parallel shipment
+campaign with that `tools/opcounts.py` (about 2 s). For k = 1..N it then
+runs the benchmark command with `--workload all --seed k --seconds 3` in
+both, the side that goes first alternating: about 35 s a pair on 2 CPUs.
 
 Prints a Markdown row per end-to-end metric and workload (both medians with
-their quartiles, the gap, the pairs each side won, the call, the bound),
-then each side's failed-operation share. `--json PATH` also writes the
-table to PATH as JSON, with the machine (CPUs, load averages before and
-after, Python) and each side's speed-kernel times per workload (median
-and inter-quartile range over median), read from the `.perfbench_out/`
-files its runs wrote. The call is "gain" or "loss" only
+their quartiles, the gap, the pairs each side won, the call, the bound);
+under it a row per counted campaign (opcodes and Python calls per run on
+each side, and the work side's delta, which depends on neither the host
+nor its load); then each side's failed-operation share. `--json PATH` also
+writes both tables to PATH as JSON, with the machine (CPUs, load averages
+before and after, Python) and each side's speed-kernel times per workload
+(median and inter-quartile range over median), read from the
+`.perfbench_out/` files its runs wrote. The call is "gain" or "loss" only
 when one side wins nine tenths of the pairs, and at least nine, and the gap
 is wider than the base's inter-quartile range (Kalibera & Jones, ISMM 2013).
 The bound is "unresolved" when that range is wider than the metric's bound,
 "past bound" when the work side is worse by more than it, else "ok". Exits
-2 when REV cannot be exported, or 1, naming side and seed, when a run exits
-non-zero, prints no JSON last line or reports `correct: false`. Stdlib only.
+2 when REV cannot be exported, or 1, naming side and seed (or campaign),
+when a run exits non-zero, prints no JSON last line or reports `correct:
+false`. Stdlib only.
 """
 
 from __future__ import annotations
@@ -41,6 +46,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "work")
+#: the campaigns counted on each side: `tools/opcounts.py` arguments
+COUNTED = {"shipment sequential": ("fixtures/shipment.bpmn", "fixtures/shipment.dmn", "-n", "50"),
+           "shipment parallel": ("fixtures/shipment.bpmn", "fixtures/shipment.dmn", "-n", "50",
+                                 "--parallel")}
 
 
 class Stop(Exception):
@@ -57,8 +66,8 @@ def git(*args: str) -> bytes:
 
 def build(rev: str, tmp: Path, spec: dict) -> None:
     """`tmp/base` from REV and `tmp/work` from the working tree, both with
-    the working tree's benchmark."""
-    ours = ["BENCHMARK.json", *spec["paths"]]
+    the working tree's benchmark and opcode counter."""
+    ours = ["BENCHMARK.json", *spec["paths"], "tools/opcounts.py"]
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
         theirs = [m for m in tar if not any(f"{m.name}/".startswith(f"{p}/") for p in ours)]
         tar.extractall(tmp / "base", theirs, filter="data")
@@ -87,6 +96,40 @@ def bench(tree: Path, seed: int, spec: dict) -> dict:
         raise Stop(f"{tree.name} run at seed {seed} failed (exit {done.returncode}): "
                    f"{last[:300] or done.stderr.strip()[-300:]}", 1)
     return result
+
+
+def opcounts(tree: Path) -> dict:
+    """Campaign -> the last line of its `tools/opcounts.py` run in `tree`
+    (runs, opcodes and calls), checked."""
+    totals = {}
+    for campaign, args in COUNTED.items():
+        done = subprocess.run([sys.executable, "tools/opcounts.py", *args], cwd=tree,
+                              capture_output=True, text=True)
+        last = (done.stdout.strip().splitlines() or [""])[-1]
+        try:
+            totals[campaign] = json.loads(last)
+            ok = done.returncode == 0 and totals[campaign]["runs"] > 0
+        except (ValueError, TypeError, KeyError):
+            ok = False
+        if not ok:
+            raise Stop(f"{tree.name} count of {campaign} failed (exit {done.returncode}): "
+                       f"{last[:300] or done.stderr.strip()[-300:]}", 1)
+    return totals
+
+
+def count_rows(counts: dict) -> list[dict]:
+    """A row per counted campaign: each side's opcodes and calls per run,
+    and the work side's delta, taken from the integer totals of the same
+    number of runs, so that equal counts give a delta of exactly 0."""
+    rows = []
+    for campaign in COUNTED:
+        base, work = counts["base"][campaign], counts["work"][campaign]
+        rows.append({"campaign": campaign,
+                     **{side: {k: totals[k] / totals["runs"] for k in ("opcodes", "calls")}
+                        for side, totals in (("base", base), ("work", work))},
+                     "delta": {k: (work[k] - base[k]) / base["runs"]
+                               for k in ("opcodes", "calls")}})
+    return rows
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -156,6 +199,7 @@ def main(argv=None) -> int:
     try:
         with tempfile.TemporaryDirectory(prefix="ab_") as tmp:
             build(args.base, Path(tmp), spec)
+            counts = {side: opcounts(Path(tmp) / side) for side in SIDES}
             for k in range(1, args.pairs + 1):
                 for side in SIDES[::1 if k % 2 else -1]:
                     results[side].append(bench(Path(tmp) / side, k, spec))
@@ -174,6 +218,13 @@ def main(argv=None) -> int:
             values = [[r["metrics"][key]["value"] for r in results[side]] for side in SIDES]
             print(row(workload, metric, *values))
             rows.append(compare(workload, metric, *values))
+    print("\n| campaign (per run) | base opcodes | work opcodes | delta | base calls | work calls"
+          " | delta |\n| --- | ---: | ---: | ---: | ---: | ---: | ---: |")
+    counted = count_rows(counts)
+    for c in counted:
+        b, w, d = c["base"], c["work"], c["delta"]
+        print(f"| {c['campaign']} | {b['opcodes']:,.1f} | {w['opcodes']:,.1f} "
+              f"| {d['opcodes']:+,.1f} | {b['calls']:.2f} | {w['calls']:.2f} | {d['calls']:+.2f} |")
     print()
     failed = {}
     for side in SIDES:
@@ -184,7 +235,8 @@ def main(argv=None) -> int:
         args.json.write_text(json.dumps({
             "base": args.base, "pairs": args.pairs,
             "machine": {**before, "loadavg_after": machine()["loadavg"]},
-            "rows": rows, "operations": failed, "speed_kernel": kernels}, indent=1) + "\n")
+            "rows": rows, "counts": counted, "operations": failed,
+            "speed_kernel": kernels}, indent=1) + "\n")
     return 0
 
 

@@ -13,17 +13,20 @@ Python 3.11), the heaviest 25 first, then the totals per run, and last a
 JSON line with the totals.
 
 The counting primitive is `count(fn, *args)`: the opcodes and calls one
-call `fn(*args)` makes, by `(co_filename, co_qualname)`; `warm_counts`,
-behind the command, is a `count` of a warm campaign, and the budgets of
-`tests/test_opcounts.py` are `count`s of runs, steps and table calls. A
-call is a Python frame entered (a comprehension's frame counts on Python
-3.11, which gives it one; a C function does not); an opcode is a
-bytecode instruction a traced frame runs. Neither depends on the host or
-its load, so two runs of one tree print the same numbers; but neither
-weighs work done in C, such as `Random.seed`, and the opcodes depend on
-the CPython version, which compiles the same code differently. The
-tracer makes a campaign about 60 times slower. Stdlib only; run it from
-the repository root, or anywhere with `src/` on the path.
+call `fn(*args)` makes, by `(co_filename, co_qualname)`, or by code object
+with `key=`; `warm_counts`, behind the command, is a `count` of a warm
+campaign, and every cost check of the tests is a `count`: the budgets of
+`tests/test_opcounts.py` on runs, steps and table calls, and the checks
+on how many calls set-up, compiling and a campaign make, which pass
+`opcodes=False` to count calls alone, at about the speed of
+`sys.setprofile`. A call is a Python frame entered (a comprehension's
+frame counts on Python 3.11, which gives it one; a C function does not);
+an opcode is a bytecode instruction a traced frame runs. Neither depends
+on the host or its load, so two runs of one tree print the same numbers;
+but neither weighs work done in C, such as `Random.seed`, and the opcodes
+depend on the CPython version, which compiles the same code differently.
+The opcode tracer makes a campaign about 60 times slower. Stdlib only;
+run it from the repository root, or anywhere with `src/` on the path.
 """
 
 from __future__ import annotations
@@ -55,11 +58,16 @@ def _where(code) -> tuple[str, str]:
     return path, getattr(code, "co_qualname", code.co_name)  # Python 3.11 on
 
 
-def count(fn, *args) -> dict[tuple[str, str], list[int]]:
-    """(file, qualified name) -> [opcodes, calls] of one call `fn(*args)`,
-    made under `sys.settrace` with `frame.f_trace_opcodes` set: `fn`'s own
-    frame, if it is a Python function, and every Python frame it enters.
-    The tracer in place before the call is put back after it."""
+def count(fn, *args, key=_where, opcodes: bool = True) -> dict:
+    """key(code object) -> [opcodes, calls] of one call `fn(*args)`, made
+    under `sys.settrace`: `fn`'s own frame, if it is a Python function, and
+    every Python frame it enters. `key` names a code object, by default as
+    (file, qualified name); two code objects of one name, such as the
+    `__init__` that `dataclasses` generates for each class, share a key,
+    so pass `key=lambda code: code` to tell them apart. With `opcodes`
+    false no frame traces its opcodes: the calls are counted by the same
+    rule, the opcodes stay 0. The tracer in place before the call is put
+    back after it."""
     counts: dict[object, list[int]] = {}
 
     def local(frame, event, arg):
@@ -74,6 +82,8 @@ def count(fn, *args) -> dict[tuple[str, str], list[int]]:
         if tally is None:
             tally = counts[frame.f_code] = [0, 0]
         tally[1] += 1
+        if not opcodes:
+            return None
         frame.f_trace_lines = False
         frame.f_trace_opcodes = True
         return local
@@ -84,12 +94,12 @@ def count(fn, *args) -> dict[tuple[str, str], list[int]]:
         fn(*args)
     finally:
         sys.settrace(previous)
-    by_name: dict[tuple[str, str], list[int]] = {}
-    for code, (opcodes, calls) in counts.items():
-        tally = by_name.setdefault(_where(code), [0, 0])
-        tally[0] += opcodes
+    by_key: dict = {}
+    for code, (ops, calls) in counts.items():
+        tally = by_key.setdefault(key(code), [0, 0])
+        tally[0] += ops
         tally[1] += calls
-    return by_name
+    return by_key
 
 
 def warm_counts(model, cfg: CampaignConfig) -> dict[tuple[str, str], list[int]]:
