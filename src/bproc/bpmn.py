@@ -29,20 +29,19 @@ kept there, so type inference in `compile_model` walks no expression of
 the model again. Domain inference walks again each expression that reads
 an input variable (`inputs.facts_from_expr`).
 
-Set-up runs with the cyclic garbage collector paused (`collector_paused`):
-nearly every object a model's construction allocates survives it, so a
-collection during construction only walks the growing model again. The
-pause defers that walk rather than saving it: the first young collection
-after a paused call walks every tracked object the call built that is
-still alive. For `diamonds(300)` of `tests/test_pins.py` (1,204 nodes),
-`parse_bpmn` leaves about 10,860, which a young collection walks in about
-0.6 ms (2 CPUs, Python 3.11). In `compile_model(parse_bpmn(...))` no
-collection runs between the two calls (seen with `gc.callbacks`): no new
-tracked object is allocated before `compile_model` pauses the collector,
-and most parsed records die when it returns, which leaves 7,845 objects.
-The first collection after lowering (`runtime`) walks those and the
-lowered program: 14,186 objects, where it walked 20,828 while the lowered
-closures held their names in cells.
+Set-up runs with the cyclic garbage collector paused
+(`collector_paused`): nearly every object a model's construction
+allocates survives it, so a collection during construction only walks
+the growing model again. The pause defers that walk rather than saving
+it: the first young collection after a paused call walks every tracked
+object the call built that is still alive. In
+`compile_model(parse_bpmn(...))` no collection runs between the two
+calls (seen with `gc.callbacks`): no new tracked object is allocated
+before `compile_model` pauses the collector, and most parsed records die
+when it returns. The first collection after lowering (`runtime`) walks
+what is left and the lowered program, fewer objects since the lowered
+closures stopped holding their names in cells (the counts and times:
+CHANGES.md).
 """
 
 from __future__ import annotations

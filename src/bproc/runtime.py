@@ -20,21 +20,15 @@ to arrive from its fork, and every join's closure is the one shared
 `_join_fault`, which only a branch outside that fork calls.
 
 A closure holds what it reads (edges, compiled expressions, names) as
-default parameters, not as free variables. CPython gives a closure one
-cell per free name and a tuple of the cells, each an object the cyclic
-collector tracks, where the defaults are one tuple, read with LOAD_FAST.
-`_Node` and `_Edge`, and the write and table records of a traced run, are
-built with no `__init__` frame: `object.__new__` and slot stores. Lowering
-`diamonds(300)` of `tests/test_pins.py` (1,204 nodes) makes 6,334 tracked
-objects, 5.3 per node, where closures over free variables made 12,976
-(10.8); the lowered program holds 591 B per node at 1,204 nodes and 608 B
-at 19,204 nodes (`tracemalloc`; 890 B and 905 B with free variables).
-Lowering runs with the cyclic collector paused, as set-up does
-(`bpmn.collector_paused`), so the first young collection after it walks
-all of them: in a campaign on that model straight after
-`compile_model(parse_bpmn(...))`, it walks the 7,845 objects compiling
-left and the lowered program, 14,186 objects in about 0.8 ms, where it was
-20,828 in about 1.1 ms (2 CPUs, Python 3.11). The trace records of the
+default parameters, not as free variables. CPython gives a closure one cell
+per free name and a tuple of the cells, each an object the cyclic collector
+tracks, where the defaults are one tuple, read with LOAD_FAST: lowering
+makes about half the objects and two thirds of the bytes (the object budget
+of `tests/test_construction.py`; the figures in CHANGES.md). `_Node` and
+`_Edge`, and the write and table records of a traced run, are built with no
+`__init__` frame: `object.__new__` and slot stores. Lowering runs with the
+cyclic collector paused, as set-up does (`bpmn.collector_paused`), so the
+first young collection after it walks all of them. The trace records of the
 nodes and edges are built on the first run that keeps a trace, also with
 the collector paused, and every later run shares them; a model that only
 ever runs in campaigns without run files never builds them. Expressions
@@ -47,11 +41,11 @@ per-variable input cursors, FIFO message channels (each made on its first
 use) and a trace. An engine (`_Engine`) holds what runs share and resets
 the rest at the start of each run: `run_once` runs a new one once, with
 `RunOptions.seed`; a campaign runs every run on one, with the run's own
-scheduler seed. Without run files a run builds no trace and no record: it
-marks each node and edge it reaches in the campaign's `CoverageHits`, so
-its memory does not grow with its length. With run files a run keeps its
-trace as `run_once` does; the campaign folds that trace into its hits and
-writes the trace file TRACE_CHUNK_LINES lines at a time. One loop,
+scheduler seed. A campaign's run builds no trace and no record: it marks
+each node and edge it reaches in the campaign's `CoverageHits`, so its
+memory does not grow with its length. A campaign with run files replays
+each run on a second engine, `_Replay`, which keeps a trace and reads no
+clock, and writes the trace TRACE_CHUNK_LINES lines at a time. One loop,
 `_Engine.run`, steps every branch of a run on a single OS thread, in both
 modes, and is the only code that records or marks nodes and edges; between
 two picks, a branch is a plain record (`_Branch`). Sequential mode runs the
@@ -74,7 +68,7 @@ wall-clock timeout rather than any call stack. The clock is read on the
 first step and then every CLOCK_EVERY steps, so a run that exhausts its
 step budget ends the same way on any machine; only a TIMEOUT depends on
 the machine's speed, and it can come up to CLOCK_EVERY - 1 steps after
-the limit.
+the limit; a replay of such a run times out at the step the run did.
 """
 
 from __future__ import annotations
@@ -587,7 +581,8 @@ class _Engine:
             self._node_hits = self._edge_hits = None
         else:
             self._node_hits, self._edge_hits = hits.nodes, hits.edges
-        self.trace = self._record = None
+        self.trace = self._record = self.timed_out_at = None
+        self._clock = time.monotonic
         self._parallel = options.mode == "parallel"
         self._max_steps, self._timeout_s = options.max_steps, options.timeout_s
         # parallel mode, from a run's first fork on: only then can two writes race
@@ -611,7 +606,8 @@ class _Engine:
         every CLOCK_EVERY, so the step budget, not the machine's speed, ends
         a run that exhausts it) and on the first step past the budget.
         Returns the next such step."""
-        if steps % CLOCK_EVERY == 1 and time.monotonic() > self._deadline:
+        if steps % CLOCK_EVERY == 1 and self._clock() > self._deadline:
+            self.timed_out_at = steps  # read only by a replay of this run (`_Replay`)
             self._set_outcome("timeout", "TIMEOUT", f"execution exceeded {self._timeout_s:g}s")
             raise _Aborted()
         if steps > self._max_steps:
@@ -678,7 +674,7 @@ class _Engine:
         if any(self._waiting.values()):
             for waiters in self._waiting.values():
                 waiters.clear()
-        started = time.monotonic()
+        started = self._clock()
         self._deadline = started + self._timeout_s
         root = _Branch()  # the entry node's branch, outside every fork
         root.node, root.writer, root.resume = self._entry, (None, 0), None
@@ -797,7 +793,7 @@ class _Engine:
                                   "all branches ended without an outcome" if parallel
                                   else "run ended without an outcome")
             outcome = self._outcome
-        self.elapsed_s = time.monotonic() - started
+        self.elapsed_s = self._clock() - started
         return outcome[0]
 
     def summary(self) -> RunSummary:
@@ -805,6 +801,21 @@ class _Engine:
         lists = self.input_lists
         return RunSummary({s.name: lists[s.name][0] for s in self.model.input_vars},
                           *self._outcome, self.elapsed_s, self.diagnostics)
+
+
+class _Replay(_Engine):
+    """Replays a campaign's runs from their input lists and scheduler seeds,
+    keeping traces for their run files. Its clock, `float`, reads 0.0, so it
+    times out only at `timed_out_at`, where the run timed out (None: never)."""
+
+    def __init__(self, model: ExecutableModel, options: RunOptions):
+        super().__init__(model, options)
+        self._clock = float
+
+    def _check_limits(self, steps: int) -> int:
+        if steps == self.timed_out_at:
+            self._deadline = -1.0  # the clock's 0.0 is past it
+        return super()._check_limits(steps)
 
 
 def run_once(model: ExecutableModel, input_lists: dict[str, list],
@@ -840,21 +851,10 @@ class CoverageHits:
 
     def __init__(self, model: ExecutableModel):
         program = _program(model)
-        self._node_index, self._edges = program.node_index, program.edges
         self.node_ids = tuple(program.node_index)
         self.edge_pairs = tuple(program.edges)
         self.nodes = bytearray(len(self.node_ids))
         self.edges = bytearray(len(self.edge_pairs))
-
-    def fold(self, trace: Trace):
-        """Mark the nodes and edges of a `run_once` trace; skip its writes."""
-        node_index, edge_of = self._node_index, self._edges
-        nodes, edges = self.nodes, self.edges
-        for record in trace.records:
-            if record.__class__ is NodeActivated:
-                nodes[node_index[record.node]] = 1
-            elif record.__class__ is EdgeTraversed:
-                edges[edge_of[record.source, record.target].index] = 1
 
 
 # --- artifact files ----------------------------------------------------------

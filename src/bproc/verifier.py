@@ -19,9 +19,8 @@ mode takes its scheduler seed from the same stream, and runs on that
 engine, which resets the run's own state first.
 
 What a run costs besides its steps is, in order:
-  the reseed    the C seeding that `Random.seed` wraps (`_reseeder`): about
-                6 us, some 40% of a warm shipment run, and the one cost that
-                fixes every run's draws
+  the reseed    the C seeding that `Random.seed` wraps (`_reseeder`), the
+                one cost that fixes every run's draws
   the draws     one frame per run and one per input; an enum draw makes
                 on the generator exactly the calls `Random.choice` makes,
                 without its frames (inputs.sampler)
@@ -30,18 +29,17 @@ What a run costs besides its steps is, in order:
 then the steps. The engine's reset clears only what the last run left; the
 hit counts are read only for a stopping rule on coverage or a stray index;
 the run times' running mean and variance are kept in locals, in constant
-memory. A warm sequential shipment run (200 runs, seed 1, `sample_seed=1`)
-costs 1,313 CPython 3.11 opcodes and 26.8 Python calls, steps included
-(`tools/opcounts.py`).
+memory. A warm run's cost is held to `CAMPAIGN_RUN` in tests/test_opcounts.py.
 
 Runs build no trace: each marks the nodes and edges it reaches in one
 campaign-wide pair of hit arrays (runtime.CoverageHits), whose counts the
 stopping rules read; the coverage report is built once, after the last
 run. A run's summary is built only for a run the campaign keeps: the
 failing run that decides an error seeking or smc verdict, and every run
-when the campaign writes run files. Such a campaign keeps each run's trace
-instead, writes it in chunks, in the formats of `bproc run`, and folds it
-into the same arrays.
+when the campaign writes run files. Such a campaign writes each run's
+files, in the formats of `bproc run`, from a replay with the run's input
+lists and scheduler seed on a second engine (runtime._Replay) that keeps
+a trace and reads no clock; a timed-out run's replay stops at its step.
 """
 
 from __future__ import annotations
@@ -322,7 +320,8 @@ def run_campaign(model: ExecutableModel, cfg: CampaignConfig,
     draw_lists = _input_draw(model.input_vars, overrides)
     options = runtime.RunOptions(mode="sequential" if cfg.sequential else "parallel",
                                  timeout_s=cfg.timeout_s)
-    engine = runtime._Engine(model, options, hits if out_dir is None else None)
+    engine = runtime._Engine(model, options, hits)
+    replay = None if out_dir is None else runtime._Replay(model, options)
     run, sequential, seed_base = engine.run, cfg.sequential, cfg.seed * 1_000_003
     run_rng = random.Random()  # reseeded per run: as good as a fresh Random(seed)
     reseed, getrandbits = _reseeder(run_rng), run_rng.getrandbits
@@ -336,11 +335,13 @@ def run_campaign(model: ExecutableModel, cfg: CampaignConfig,
         # parallel mode: the scheduler seed comes after the inputs from the same
         # stream, so a run is a function of (cfg.seed, index) and the inputs stay
         # as drawn; a sequential run reads none, and the next run reseeds
-        failed = run(lists, None if sequential else getrandbits(64)) != "success"
-        if out_dir is not None:
-            summary = engine.summary()  # built only for a run the campaign keeps
-            hits.fold(engine.trace)
-            runtime.write_artifacts(engine.trace, summary, graph, out_dir,
+        seed = None if sequential else getrandbits(64)
+        status = run(lists, seed)
+        if replay is not None:
+            replay.timed_out_at = engine.timed_out_at if status == "timeout" else None
+            replay.run(lists, seed)
+            summary = replay.summary()  # built only for a run the campaign keeps
+            runtime.write_artifacts(replay.trace, summary, graph, out_dir,
                                     stem=os.path.join("runs", f"run_{index}"),
                                     include_graph=False)
         if watch_hits:
@@ -359,10 +360,9 @@ def run_campaign(model: ExecutableModel, cfg: CampaignConfig,
         delta = ms - mean
         mean += delta / (index + 1)
         m2 += delta * (ms - mean)
-        if covered or stop_on_failure and failed:
+        if covered or stop_on_failure and status != "success":
             if not isinstance(mode, FixedBudget):
-                failing = _RunResult(index, summary if out_dir is not None
-                                     else engine.summary())
+                failing = _RunResult(index, engine.summary() if replay is None else summary)
             stopped_early = index + 1 < budget
             break
 

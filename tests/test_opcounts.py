@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from bproc import (CampaignConfig, FixedBudget, RunOptions, compile_model, parse_bpmn,
-                   parse_expr, run_once, runtime)
+                   parse_expr, run_campaign, run_once, runtime)
 from bproc.feel import compile_expr
 
 from conftest import compile_fixture, load_fixture, load_tool
@@ -31,6 +31,10 @@ OPCODES_MEASURED_ON = (3, 11)
 #: sample seed 1): the C reseed, two draws, one of them an enum draw that
 #: repeats Random.choice's calls one for one, and ten steps (1,313 and 26.83)
 CAMPAIGN_RUN = (1_330, 27.3)
+#: the same run in a 50-run campaign with run files: the run, its replay on
+#: the engine that keeps traces and reads no clock, its summary and its two
+#: files (3,554.66 and 87.24)
+CAMPAIGN_RUN_WITH_FILES = (3_620, 88.8)
 #: a warm parallel run of `diamonds(300, 7)` (1,204 nodes; x = 50, seed 2)
 #: on a campaign's engine: a join's `passed` is its edge, taken without a
 #: call, and an end event sets the outcome itself (249,157 and 1,671)
@@ -83,6 +87,16 @@ def test_a_warm_sequential_shipment_run_keeps_to_its_budget():
     # calls it, and no enum draw calls `Random.choice`
     assert _calls(counts, "random.py", "Random.seed") == 1
     assert _calls(counts, "random.py", "Random.choice") == 0
+
+
+def test_a_warm_sequential_shipment_run_with_files_keeps_to_its_budget(tmp_path):
+    runs = 50
+    x = compile_fixture("shipment", "shipment", sample_seed=1)
+    cfg = CampaignConfig(mode=FixedBudget(n=runs), seed=1, sequential=True)
+    run_campaign(x, cfg, None, str(tmp_path / "warm"))
+    counts = opcounts.count(run_campaign, x, cfg, None, str(tmp_path / "counted"))
+    assert len(os.listdir(tmp_path / "counted" / "runs")) == 2 * runs
+    _keeps_to(counts, CAMPAIGN_RUN_WITH_FILES, runs)
 
 
 def test_a_warm_parallel_run_keeps_to_its_budget():

@@ -149,14 +149,7 @@ def test_fixed_budget_early_stop_is_sound(diamond, tmp_path):
     assert verdict.result == "PASS"
     assert verdict.coverage.runs_executed < 500
     # recompute coverage from the stored traces
-    nodes, edges = set(), set()
-    for k in range(verdict.coverage.runs_executed):
-        for line in (tmp_path / "runs" / f"run_{k}.trace").read_text().splitlines():
-            parts = line.split()
-            if parts[0] == "node":
-                nodes.add(parts[1])
-            else:
-                edges.add((parts[1], parts[2]))
+    nodes, edges = _trace_file_hits(tmp_path / "runs", verdict.coverage.runs_executed)
     assert 100.0 * len(nodes) / len(diamond.graph.nodes) == verdict.coverage.c_n
     assert 100.0 * len(edges) / len(diamond.graph.edges) == verdict.coverage.c_e
 
@@ -413,6 +406,95 @@ def test_campaign_matches_the_trace_campaign(name, ticking_clock, sequential, mo
                 b"status: timeout\ncode: TIMEOUT\nmessage: execution exceeded 5s\n")
 
 
+def _trace_file_hits(runs_dir, runs: int) -> tuple[set, set]:
+    """The nodes and edges named in the trace files of a campaign's runs."""
+    nodes, edges = set(), set()
+    for k in range(runs):
+        for line in (runs_dir / f"run_{k}.trace").read_text().splitlines():
+            kind, *ids = line.split()
+            if kind == "node":
+                nodes.add(ids[0])
+            else:
+                edges.add(tuple(ids))
+    return nodes, edges
+
+
+@pytest.mark.parametrize("sequential", (True, False), ids=("sequential", "parallel"))
+def test_a_timed_out_run_is_replayed_to_the_step_it_stopped_at(sequential, monkeypatch,
+                                                               tmp_path):
+    # the start and steps 1 and 1,025 read 0, later reads an hour on: the run
+    # times out at step 2,049, before that node is recorded. A replay that
+    # read the clock would start an hour on and run to its step budget
+    _with_step_budget(monkeypatch, 10_000)
+    reads = itertools.count()
+    monkeypatch.setattr(runtime, "time",
+                        types.SimpleNamespace(monotonic=lambda: 3600.0 * (next(reads) >= 3)))
+    x = compile_fixture("loop")
+    run_campaign(x, CampaignConfig(mode=FixedBudget(n=1), sequential=sequential),
+                 out_dir=str(tmp_path))
+    lines = (tmp_path / "runs" / "run_0.trace").read_text().splitlines()
+    assert sum(line.startswith("node ") for line in lines) == 2 * runtime.CLOCK_EVERY == 2_048
+    assert (tmp_path / "runs" / "run_0.out").read_bytes().endswith(
+        b"status: timeout\ncode: TIMEOUT\nmessage: execution exceeded 5s\n")
+
+
+@pytest.mark.parametrize("keep_files", (False, True), ids=("marked", "with_files"))
+def test_a_timeout_leaves_the_next_run_to_its_clock(diamond, keep_files, monkeypatch, tmp_path):
+    # run 0 reads an expired clock on its first step, run 1 never does
+    reads = itertools.count()  # run 0's start, its step 1, then the rest
+    monkeypatch.setattr(runtime, "time",
+                        types.SimpleNamespace(monotonic=lambda: 3600.0 * (next(reads) == 1)))
+    statuses = []
+
+    class Noted(runtime._Engine):
+        def run(self, input_lists, seed):
+            statuses.append(super().run(input_lists, seed))
+            return statuses[-1]
+
+    monkeypatch.setattr(runtime, "_Engine", Noted)
+    verdict = run_campaign(diamond, CampaignConfig(mode=FixedBudget(n=2), sequential=True),
+                           out_dir=str(tmp_path) if keep_files else None)
+    assert statuses == ["timeout", "success"]
+    assert verdict.coverage.c_n > 0
+    if keep_files:
+        for k, status in enumerate(statuses):
+            assert f"status: {status}\n" in (tmp_path / "runs" / f"run_{k}.out").read_text()
+
+
+@pytest.mark.parametrize("sequential", (True, False), ids=("sequential", "parallel"))
+@pytest.mark.parametrize("name", ("loop", "pingpong", "shipment", "triage"))
+def test_run_files_change_no_verdict_and_no_run_time(name, sequential, monkeypatch, tmp_path):
+    # under a clock that ticks 3 s a read (every loop run times out), a
+    # campaign reads the clock as often with run files as without, and
+    # gives the same verdict, its run-time statistics included: replays
+    # read no clock and are not timed
+    _with_step_budget(monkeypatch, 2_000)
+    x = compile_fixture(name, *CAMPAIGN_FIXTURES[name], sample_seed=42)
+    for i, rule in enumerate(CAMPAIGN_RULES):
+        cfg = CampaignConfig(mode=rule, seed=3, sequential=sequential)
+        verdicts, reads = [], []
+        for out_dir in (None, str(tmp_path / str(i))):
+            _with_ticking_clock(monkeypatch, 3.0)
+            verdicts.append(run_campaign(x, cfg, out_dir=out_dir))
+            reads.append(runtime.time.monotonic())  # one read past the campaign's
+        assert dataclasses.replace(verdicts[1], failing_trace=None) == verdicts[0], rule
+        assert reads[0] == reads[1], rule
+
+
+@settings(max_examples=25, deadline=None)
+@given(drawn=models(forks=True), seed=st.integers(0, 2**32))
+def test_the_hit_arrays_are_the_union_of_the_run_files(drawn, seed, tmp_path_factory):
+    x = compile_model(parse_bpmn(drawn.xml), ())
+    for sequential in (True, False):
+        out_dir = tmp_path_factory.mktemp("campaign")
+        verdict = run_campaign(x, CampaignConfig(mode=FixedBudget(n=8), seed=seed,
+                                                 sequential=sequential),
+                               overrides={"x": list(range(-10, 11))}, out_dir=str(out_dir))
+        coverage = verdict.coverage
+        assert _trace_file_hits(out_dir / "runs", coverage.runs_executed) == \
+            (coverage.visited_nodes, coverage.visited_edges)
+
+
 # two branches write v when x > 0 (a race), else v and w
 SOMETIMES_RACE = """
   <startEvent id="s"><extensionElements><ext:ioMapping>
@@ -439,16 +521,22 @@ SOMETIMES_RACE = """
 """
 
 
+def _hit(ids, marks) -> set:
+    """The ids of a campaign's hit array that a run marked."""
+    return set(itertools.compress(ids, marks))
+
+
 def _runs_on_one_engine(make, runs, mode: str, max_steps: int):
     """Run each (input lists, scheduler seed) of `runs` in order on one
     engine that marks hits, as a campaign does, and on one that keeps
-    traces, as a campaign with run files does; each run must end as
-    `run_once` ends it on a fresh model (`make()`), with the same hit
-    arrays and trace, so no run leaves state to the next."""
+    traces, as `run_once` and a campaign's replays do; each run must end as
+    `run_once` ends it on a fresh model (`make()`), marking the nodes and
+    edges of its trace and keeping the same trace, so no run leaves state
+    to the next."""
     model = make()
     options = RunOptions(mode=mode, max_steps=max_steps)
     hits = runtime.CoverageHits(model)
-    marking, tracing = runtime._Engine(model, options, hits), runtime._Engine(model, options)
+    marking, tracing = runtime._Engine(model, options, hits), runtime._Replay(model, options)
     seen = set()
     for lists, seed in runs:
         hits.nodes[:] = bytes(len(hits.nodes))
@@ -456,14 +544,13 @@ def _runs_on_one_engine(make, runs, mode: str, max_steps: int):
         marking.run(lists, seed)
         tracing.run(lists, seed)
         trace, want = run_once(make(), lists, dataclasses.replace(options, seed=seed))
-        expected = runtime.CoverageHits(model)
-        expected.fold(trace)
         for engine in (marking, tracing):
             got = engine.summary()
             assert (got.inputs_used, got.status, got.code, got.message, got.diagnostics) == (
                 want.inputs_used, want.status, want.code, want.message, want.diagnostics), \
                 (lists, seed)
-        assert (hits.nodes, hits.edges) == (expected.nodes, expected.edges), (lists, seed)
+        assert _hit(hits.node_ids, hits.nodes) == set(trace.node_sequence()), (lists, seed)
+        assert _hit(hits.edge_pairs, hits.edges) == set(trace.edges()), (lists, seed)
         assert tracing.trace.records == trace.records, (lists, seed)
         seen.add((want.code, tuple(want.diagnostics)))
     return seen
