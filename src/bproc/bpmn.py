@@ -127,13 +127,21 @@ class ProcessGraph:
     nodes: tuple[tuple[str, str], ...]  # (id, label) in document order
     edges: tuple[tuple[str, str], ...]  # (source id, target id) in document order
 
-    @cached_property
-    def node_ids(self) -> frozenset[str]:
-        return frozenset(node_id for node_id, _ in self.nodes)
+    # The model's one numbering of coverage: a node's or a (source, target)
+    # pair's index is its position among the distinct ones, in document
+    # order. The runtime lowers every node and pair to these indexes, and a
+    # campaign's hit arrays are sized and named by them.
 
     @cached_property
-    def edge_set(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self.edges)
+    def node_index(self) -> dict[str, int]:
+        """Distinct node id -> its coverage index."""
+        return {node_id: i for i, node_id in enumerate(dict.fromkeys(
+            node_id for node_id, _ in self.nodes))}
+
+    @cached_property
+    def edge_index(self) -> dict[tuple[str, str], int]:
+        """Distinct (source, target) pair -> its coverage index."""
+        return {pair: i for i, pair in enumerate(dict.fromkeys(self.edges))}
 
     @cached_property
     def node_lines(self) -> dict[str, str]:
@@ -167,12 +175,6 @@ class ProcessModel:
         if self.adjacency is None:
             self.adjacency = adjacency(self.flows)
         self.variable_uses = _variable_uses(self)
-
-    def node(self, node_id: str) -> Node:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
 
     @property
     def start(self) -> Node:

@@ -161,9 +161,6 @@ class ExecutableModel:
     def declared_variables(self) -> list[str]:
         return [s.name for s in self.input_vars] + [n for n, _ in self.process_vars]
 
-    def input_spec(self, name: str) -> inputs_mod.InputSpec:
-        return next(s for s in self.input_vars if s.name == name)
-
 
 def _safe_label(label: str) -> str:
     """A label as it ends a display name: `<PREFIX>_<id>_<label>`, each

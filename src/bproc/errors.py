@@ -136,7 +136,9 @@ class MessageTypeMismatchError(BprocError):
 
 
 class UnknownIdError(BprocError):
-    """A trace mentions a node or edge that is not part of the process graph."""
+    """A node or (source, target) pair outside the process graph, which
+    numbers coverage: lowering refuses a model whose routines reach one,
+    before its first run, and `accumulate_coverage` a trace that names one."""
 
 
 class ConfigError(BprocError):

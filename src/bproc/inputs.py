@@ -206,18 +206,12 @@ def _combine(name: str, facts: list[_Fact], diagnostics: list[str]) -> Domain:
 
     if not cmps and not ranges:
         if eqs:
-            unique = []
-            for v in eqs:
-                if not any(_soft_equals(v, u) for u in unique):
-                    unique.append(v)
-            return EnumDomain(tuple(sorted(unique, key=lambda v: (kind_of(v), str(v)))))
+            return EnumDomain(tuple(sorted(_distinct(eqs),
+                                           key=lambda v: (kind_of(v), str(v)))))
         return UnhandledDomain(())
 
-    # distinct by `==`, the first of equal ones kept, as in a set; a list cannot be hashed
-    constants: list = []
-    for c in [f.value for f in cmps] + eqs + [end for r in ranges for end in (r.lo, r.hi)]:
-        if c not in constants:
-            constants.append(c)
+    constants = _distinct([f.value for f in cmps] + eqs
+                          + [end for r in ranges for end in (r.lo, r.hi)])
     if any(kind_of(c) != "number" for c in constants):
         diagnostics.append(f"{name}: mixed numeric and non-numeric constraints")
         return UnhandledDomain(tuple(sorted(
@@ -250,6 +244,29 @@ def _combine(name: str, facts: list[_Fact], diagnostics: list[str]) -> Domain:
         diagnostics.append(f"{name}: contradictory bounds; using the hull of all constants")
         return RangeDomain(constants_sorted[0], constants_sorted[-1], True, True)
     return RangeDomain(lo, hi, lo_incl, hi_incl)
+
+
+def _distinct(values: list) -> list:
+    """`values` without repeats, the first of equal ones kept, in order.
+    Equal is `feel.equals`: a value's key is its (kind, value) pair, hashed,
+    so `1` and `1.0` are one value and `true` is not `1`; only a value that
+    cannot be hashed (a list or a context) is compared, with the kept ones
+    that cannot be hashed either."""
+    seen: set = set()
+    unhashable: list = []
+    kept: list = []
+    for value in values:
+        key = (kind_of(value), value)
+        try:
+            if key in seen:
+                continue
+            seen.add(key)
+        except TypeError:
+            if any(_soft_equals(value, other) for other in unhashable):
+                continue
+            unhashable.append(value)
+        kept.append(value)
+    return kept
 
 
 # --- rendering and parsing -------------------------------------------------
@@ -432,10 +449,10 @@ def sampler(domain: Domain, static_type: StaticType, overrides: list | None = No
     for n choices, drawn again while the value is n or more
     (`Random._randbelow`). So it gives `choice`'s value and leaves the
     generator as `choice` leaves it, in one Python frame instead of three;
-    an empty enum is drawn by `rng.choice`, which raises IndexError. On a
-    warm sequential shipment campaign an enum draw costs 21 CPython 3.11
-    opcodes (`tools/opcounts.py`). Other draws call `rng.randint` and
-    `rng.random` themselves.
+    an empty enum is drawn by `rng.choice`, which raises IndexError. What
+    a warm campaign run costs, its draws included, is held to the budget
+    `CAMPAIGN_RUN` in tests/test_opcounts.py. Other draws call
+    `rng.randint` and `rng.random` themselves.
     """
     if isinstance(domain, EnumDomain):
         values = domain.values

@@ -19,6 +19,12 @@ an exclusive merge) has no closure: the engine takes its one edge
 to arrive from its fork, and every join's closure is the one shared
 `_join_fault`, which only a branch outside that fork calls.
 
+The model's graph numbers coverage (`bpmn.ProcessGraph.node_index` and
+`edge_index`), and lowering takes every node's and edge's index from it: a
+model whose routines reach a node or (source, target) pair its graph lacks
+is refused with UnknownIdError before its first run, so no run reaches
+outside its graph.
+
 A closure holds what it reads (edges, compiled expressions, names) as
 default parameters, not as free variables. CPython gives a closure one cell
 per free name and a tuple of the cells, each an object the cyclic collector
@@ -42,10 +48,11 @@ use) and a trace. An engine (`_Engine`) holds what runs share and resets
 the rest at the start of each run: `run_once` runs a new one once, with
 `RunOptions.seed`; a campaign runs every run on one, with the run's own
 scheduler seed. A campaign's run builds no trace and no record: it marks
-each node and edge it reaches in the campaign's `CoverageHits`, so its
-memory does not grow with its length. A campaign with run files replays
-each run on a second engine, `_Replay`, which keeps a trace and reads no
-clock, and writes the trace TRACE_CHUNK_LINES lines at a time. One loop,
+each node and edge it reaches in the campaign's two hit arrays, one byte
+per index of the graph, so its memory does not grow with its length. A
+campaign with run files replays each run on a second engine, `_Replay`,
+which keeps a trace and reads no clock, and writes the trace
+TRACE_CHUNK_LINES lines at a time. One loop,
 `_Engine.run`, steps every branch of a run on a single OS thread, in both
 modes, and is the only code that records or marks nodes and edges; between
 two picks, a branch is a plain record (`_Branch`). Sequential mode runs the
@@ -81,10 +88,10 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from . import feel
-from .bpmn import _label_token, collector_paused
+from .bpmn import collector_paused
 from .compiler import (Assign, Branch, Continue, ConsumeInputs, ExecutableModel, Fork,
                        InvokeTable, JoinBarrier, Receive, Send, Terminate)
-from .errors import BprocError, ConfigError, MessageTypeMismatchError
+from .errors import BprocError, ConfigError, MessageTypeMismatchError, UnknownIdError
 from .feel.values import UNDEFINED
 
 DEFAULT_TIMEOUT_S = 5.0
@@ -153,10 +160,6 @@ class RunSummary:
     elapsed_s: float
     diagnostics: list = field(default_factory=list)
 
-    @property
-    def failed(self) -> bool:
-        return self.status != "success"
-
 
 @dataclass
 class RunOptions:
@@ -204,33 +207,37 @@ class _Node:
 
 class _Program:
     """A model's routines lowered to closures (`nodes`: node id -> _Node),
-    with the coverage index of every node (`node_index`) and the one
-    `_Edge` of every distinct (source, target) pair they can reach
-    (`edges`, in coverage index order): the graph's nodes and pairs first,
-    in document order, then any the routines reach outside the graph.
-    Every run starts from a copy of `bindings`, which holds every declared
-    variable undefined. `traced` tells whether the trace records are built."""
+    with the one `_Edge` of every distinct (source, target) pair of the
+    model's graph (`edges`, in coverage index order). Every node and edge
+    takes its coverage index from the graph (`bpmn.ProcessGraph.node_index`
+    and `edge_index`), and a routine that is no node of the graph, or that
+    reaches a pair the graph lacks, is refused with UnknownIdError before
+    any run. Every run starts from a copy of `bindings`, which holds every
+    declared variable undefined. `traced` tells whether the trace records
+    are built."""
 
-    __slots__ = ("nodes", "node_index", "edges", "bindings", "traced")
+    __slots__ = ("nodes", "edges", "bindings", "traced")
 
     def __init__(self, model: ExecutableModel):
         self.bindings = dict.fromkeys(model.declared_variables(), UNDEFINED)
-        node_index: dict[str, int] = {}
+        graph = model.graph
         edges: dict[tuple[str, str], _Edge] = {}
-        self.node_index, self.edges, self.traced = node_index, edges, False
-        for node_id, _ in model.graph.nodes:
-            node_index.setdefault(node_id, len(node_index))
-        for pair in model.graph.edges:
-            if pair not in edges:
-                edge = edges[pair] = _Edge()
-                edge.index, edge.record = len(edges) - 1, None
+        self.edges, self.traced = edges, False
+        for pair, index in graph.edge_index.items():
+            edge = edges[pair] = _Edge()
+            edge.index, edge.record = index, None
+        node_index = graph.node_index
         nodes: dict[str, _Node] = {}
         self.nodes = nodes
         for node_id, routine in model.routines.items():
+            index = node_index.get(node_id)
+            if index is None:
+                raise UnknownIdError(f"the process graph lacks a node the model runs: "
+                                     f"unknown nodes {[node_id]}")
             # the routine's one step as one closure, by the lowerer of its class
             node = nodes[node_id] = _Node()
             node.id, node.index, node.activated, node.join, node.passed = (
-                node_id, node_index.setdefault(node_id, len(node_index)), None, None, None)
+                node_id, index, None, None, None)
             step = routine.step
             node.run = _LOWER[step.__class__](step, node, model, self)
         for (_, target), edge in edges.items():
@@ -240,11 +247,10 @@ class _Program:
                 node.join = nodes.get(node.join)
 
     def edge(self, source: str, target: str) -> _Edge:
-        edges = self.edges
-        edge = edges.get((source, target))
+        edge = self.edges.get((source, target))
         if edge is None:
-            edge = edges[source, target] = _Edge()
-            edge.index, edge.record = len(edges) - 1, None
+            raise UnknownIdError(f"the process graph lacks a flow the model takes: "
+                                 f"unknown edges {[(source, target)]}")
         return edge
 
     @collector_paused
@@ -539,25 +545,28 @@ class _Branch:
     __slots__ = ("node", "writer", "resume")
 
 
-def _path(barrier: _Barrier | None, case: int) -> list:
-    """The fork path of a branch in case `case` of `barrier`: one (fork
-    barrier, case index) pair per fork it is inside, outermost first."""
-    path = []
-    while barrier is not None:
-        path.append((barrier, case))
-        barrier, case = barrier.writer
-    return path[::-1]
-
-
 def _concurrent(a: tuple, b: tuple) -> bool:
     """Do two writers, each a writer token (barrier, case) as a `_Branch`
     holds it, lie in different cases of one fork? Only then does no fork or
-    join edge order what the two do."""
-    for (fork_a, i), (fork_b, j) in zip(_path(*a), _path(*b)):
-        if fork_a is not fork_b:
-            return False
-        if i != j:
-            return True
+    join edge order what the two do. The fork that decides is the two
+    writers' innermost common one: the tokens walk up the fork nesting
+    (`_Barrier.writer`) in turn, each noting its case at every barrier it
+    passes, until one reaches a barrier the other has passed. So the check
+    costs the writers' distance to their common fork, not the depth of the
+    nesting (tests/oracles.py keeps the whole-path check it replaces)."""
+    (fork_a, i), (fork_b, j) = a, b
+    cases_a, cases_b = {}, {}
+    while fork_a is not None or fork_b is not None:
+        if fork_a is not None:
+            if fork_a in cases_b:
+                return cases_b[fork_a] != i
+            cases_a[fork_a] = i
+            fork_a, i = fork_a.writer
+        if fork_b is not None:
+            if fork_b in cases_a:
+                return cases_a[fork_b] != j
+            cases_b[fork_b] = j
+            fork_b, j = fork_b.writer
     return False
 
 
@@ -565,13 +574,17 @@ class _Engine:
     """Runs of a model, one at a time, under one set of options. Without
     `hits` a run keeps a trace: every node and edge record (shared, frozen)
     and a record of each write and table result (its own, built in bulk,
-    not frozen); with a CoverageHits it marks each node and edge it reaches
-    in the campaign's hit arrays instead. `run` steps every branch in one
-    loop; between two picks a branch is a `_Branch` in `_ready`, or in
-    `_waiting` while its receive waits."""
+    not frozen). With `hits`, a campaign's pair of byte arrays, one byte
+    per node and one per distinct (source, target) pair of the model's
+    graph in the graph's numbering (`ProcessGraph.node_index` and
+    `edge_index`), it sets the byte of each node and edge it reaches to 1
+    instead. `run` steps every branch in one loop; between
+    two picks a branch is a `_Branch` in `_ready`, or in `_waiting` while
+    its receive waits. Lowering the model, on its first engine, refuses a
+    model that reaches outside its graph (`_Program`)."""
 
     def __init__(self, model: ExecutableModel, options: RunOptions,
-                 hits: CoverageHits | None = None):
+                 hits: tuple[bytearray, bytearray] | None = None):
         self.model = model
         program = _program(model)
         self._bindings, self._entry = program.bindings, program.nodes[model.entry]
@@ -580,7 +593,7 @@ class _Engine:
                 program.build_records()
             self._node_hits = self._edge_hits = None
         else:
-            self._node_hits, self._edge_hits = hits.nodes, hits.edges
+            self._node_hits, self._edge_hits = hits
         self.trace = self._record = self.timed_out_at = None
         self._clock = time.monotonic
         self._parallel = options.mode == "parallel"
@@ -842,21 +855,6 @@ def run_once(model: ExecutableModel, input_lists: dict[str, list],
     return engine.trace, engine.summary()
 
 
-class CoverageHits:
-    """A campaign's coverage of a model: one byte per node and one per
-    distinct (source, target) pair, set to 1 once a run reaches it, in
-    the manner of AFL's edge bitmap (Zalewski, "AFL technical details").
-    `node_ids` and `edge_pairs` name the indexes; the graph's own nodes
-    and pairs come first, in document order."""
-
-    def __init__(self, model: ExecutableModel):
-        program = _program(model)
-        self.node_ids = tuple(program.node_index)
-        self.edge_pairs = tuple(program.edges)
-        self.nodes = bytearray(len(self.node_ids))
-        self.edges = bytearray(len(self.edge_pairs))
-
-
 # --- artifact files ----------------------------------------------------------
 
 def render_graph_file(graph) -> str:
@@ -882,8 +880,7 @@ def _trace_lines(trace: Trace, graph):
     node_lines = graph.node_lines
     for record in trace.records:
         if isinstance(record, NodeActivated):
-            node_id = record.node
-            yield node_lines.get(node_id) or f"node {node_id} {_label_token('', node_id)}"
+            yield node_lines[record.node]
         elif isinstance(record, EdgeTraversed):
             yield f"edge {record.source} {record.target}"
 
@@ -918,15 +915,3 @@ def write_artifacts(trace: Trace, summary: RunSummary, graph, out_dir,
             fh.writelines(chunks)
         paths[suffix] = path
     return paths
-
-
-def parse_summary_inputs(path) -> dict[str, object]:
-    """Read back the `input <name> = <value>` lines of a summary file."""
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("input ") and " = " in line:
-                head, value_text = line[len("input "):].split(" = ", 1)
-                values[head.strip()] = feel.evaluate(feel.parse_expr(value_text), {})
-    return values

@@ -12,11 +12,12 @@ of (seed, k), so a verdict is reproducible from the configuration.
 
 Once per campaign, before its first run, it works out what no run changes:
 one sampler per input variable (inputs.sampler), one runtime.RunOptions,
-one engine (runtime._Engine), the stopping rule's constants, and which hit
-indexes name a node or edge the graph lacks. Each run then only seeds the
-random generator with seed * 1_000_003 + k, draws its inputs, in parallel
-mode takes its scheduler seed from the same stream, and runs on that
-engine, which resets the run's own state first.
+one engine (runtime._Engine), and the stopping rule's constants. Making
+the engine lowers the model, which refuses a model whose routines reach a
+node or edge its graph lacks, before any run or file. Each run then only
+seeds the random generator with seed * 1_000_003 + k, draws its inputs, in
+parallel mode takes its scheduler seed from the same stream, and runs on
+that engine, which resets the run's own state first.
 
 What a run costs besides its steps is, in order:
   the reseed    the C seeding that `Random.seed` wraps (`_reseeder`), the
@@ -27,19 +28,23 @@ What a run costs besides its steps is, in order:
   the scheduler `getrandbits(64)`, in parallel mode only: a sequential run
   seed          reads no seed, and the next run reseeds
 then the steps. The engine's reset clears only what the last run left; the
-hit counts are read only for a stopping rule on coverage or a stray index;
-the run times' running mean and variance are kept in locals, in constant
-memory. A warm run's cost is held to `CAMPAIGN_RUN` in tests/test_opcounts.py.
+hit counts are read only for a stopping rule on coverage; the run times'
+running mean and variance are kept in locals, in constant memory. A warm
+run's cost is held to `CAMPAIGN_RUN` in tests/test_opcounts.py.
 
 Runs build no trace: each marks the nodes and edges it reaches in one
-campaign-wide pair of hit arrays (runtime.CoverageHits), whose counts the
-stopping rules read; the coverage report is built once, after the last
-run. A run's summary is built only for a run the campaign keeps: the
-failing run that decides an error seeking or smc verdict, and every run
-when the campaign writes run files. Such a campaign writes each run's
-files, in the formats of `bproc run`, from a replay with the run's input
-lists and scheduler seed on a second engine (runtime._Replay) that keeps
-a trace and reads no clock; a timed-out run's replay stops at its step.
+campaign-wide pair of hit arrays, one byte per node and one per distinct
+(source, target) pair of the process graph, in the graph's numbering
+(bpmn.ProcessGraph.node_index and edge_index), in the manner of AFL's edge
+bitmap (Zalewski, "AFL technical details"). The stopping rules read
+their counts, and the coverage report is built from them and the graph
+once, after the last run. A run's summary is built only for a run the
+campaign keeps: the failing run that decides an error seeking or smc
+verdict, and every run when the campaign writes run files. Such a
+campaign writes each run's files, in the formats of `bproc run`, from a
+replay with the run's input lists and scheduler seed on a second engine
+(runtime._Replay) that keeps a trace and reads no clock; a timed-out
+run's replay stops at its step.
 """
 
 from __future__ import annotations
@@ -74,20 +79,12 @@ class CoverageReport:
         return 100.0 * len(self.visited_edges) / self.total_edges if self.total_edges else 0.0
 
 
-def empty_report(graph: ProcessGraph) -> CoverageReport:
-    # the denominators are the extracted graph's node and flow counts; visited
-    # edges are (source, target) pairs, so parallel flows between one node
-    # pair can never be told apart in a trace and cap C_e below 100
-    return CoverageReport(total_nodes=len(graph.nodes),
-                          total_edges=len(graph.edges))
-
-
 def accumulate_coverage(report: CoverageReport, trace: runtime.Trace,
                         graph: ProcessGraph) -> CoverageReport:
     """Union the trace's nodes and edges into the report.
 
     Raises UnknownIdError when the trace mentions anything outside the
-    graph; that signals a compiler/runtime mismatch, not bad luck.
+    graph: a trace not made by a run of a model with this graph.
     """
     nodes = set(trace.node_sequence())
     edges = set(trace.edges())
@@ -99,28 +96,22 @@ def accumulate_coverage(report: CoverageReport, trace: runtime.Trace,
 
 
 def _check_known(nodes, edges, graph: ProcessGraph):
-    stray_nodes = nodes - graph.node_ids
-    stray_edges = edges - graph.edge_set
+    stray_nodes = nodes - graph.node_index.keys()
+    stray_edges = edges - graph.edge_index.keys()
     if stray_nodes or stray_edges:
         raise UnknownIdError(f"trace mentions unknown nodes {sorted(stray_nodes)} "
                              f"or edges {sorted(stray_edges)}")
 
 
-def _hits_report(hits: runtime.CoverageHits, graph: ProcessGraph,
+def _hits_report(node_hits: bytearray, edge_hits: bytearray, graph: ProcessGraph,
                  runs: int) -> CoverageReport:
-    """The report of a campaign's hit arrays."""
-    nodes = frozenset(compress(hits.node_ids, hits.nodes))
-    edges = frozenset(compress(hits.edge_pairs, hits.edges))
+    """The report of a campaign's hit arrays. The denominators are the
+    graph's node and flow counts; visited edges are (source, target) pairs,
+    so parallel flows between one node pair can never be told apart and
+    cap C_e below 100."""
+    nodes = frozenset(compress(graph.node_index, node_hits))
+    edges = frozenset(compress(graph.edge_index, edge_hits))
     return CoverageReport(nodes, edges, len(graph.nodes), len(graph.edges), runs)
-
-
-def _unknown_indexes(ids: tuple, known: frozenset) -> list[int]:
-    """The indexes of the hit ids that `known` lacks: a program lowered
-    against another graph, or a compiler/runtime mismatch. There are almost
-    never any, so a set test in C comes first."""
-    if known.issuperset(ids):
-        return []
-    return [i for i, id_ in enumerate(ids) if id_ not in known]
 
 
 # --- configuration -----------------------------------------------------------
@@ -296,10 +287,7 @@ def run_campaign(model: ExecutableModel, cfg: CampaignConfig,
         budget = mode.n
 
     graph = model.graph
-    hits = runtime.CoverageHits(model)
-    node_hits, edge_hits = hits.nodes, hits.edges
-    stray_nodes = _unknown_indexes(hits.node_ids, graph.node_ids)
-    stray_edges = _unknown_indexes(hits.edge_pairs, graph.edge_set)
+    node_hits, edge_hits = bytearray(len(graph.node_index)), bytearray(len(graph.edge_index))
     total_nodes, total_edges = len(graph.nodes), len(graph.edges)
     counts = (0, 0)  # nodes and edges hit so far
     smc_coverage = isinstance(mode, Smc) and mode.property == "coverage-unreachable"
@@ -310,18 +298,15 @@ def run_campaign(model: ExecutableModel, cfg: CampaignConfig,
                                         and _meaningful_thresholds(mode))
     stop_on_failure = not smc_coverage and not isinstance(mode, FixedBudget)
     covered = stop_on_coverage and _thresholds_hold(mode, 0.0, 0.0)
-    # the hit counts are read after a run only for a stopping rule on coverage,
-    # or to catch a run that reaches a node or edge the graph lacks
-    watch_hits = stop_on_coverage or bool(stray_nodes or stray_edges)
     failing: _RunResult | None = None
     stopped_early = False
+    options = runtime.RunOptions(mode="sequential" if cfg.sequential else "parallel",
+                                 timeout_s=cfg.timeout_s)
+    engine = runtime._Engine(model, options, (node_hits, edge_hits))
+    replay = None if out_dir is None else runtime._Replay(model, options)
     if out_dir is not None:
         os.makedirs(os.path.join(out_dir, "runs"), exist_ok=True)
     draw_lists = _input_draw(model.input_vars, overrides)
-    options = runtime.RunOptions(mode="sequential" if cfg.sequential else "parallel",
-                                 timeout_s=cfg.timeout_s)
-    engine = runtime._Engine(model, options, hits)
-    replay = None if out_dir is None else runtime._Replay(model, options)
     run, sequential, seed_base = engine.run, cfg.sequential, cfg.seed * 1_000_003
     run_rng = random.Random()  # reseeded per run: as good as a fresh Random(seed)
     reseed, getrandbits = _reseeder(run_rng), run_rng.getrandbits
@@ -344,18 +329,13 @@ def run_campaign(model: ExecutableModel, cfg: CampaignConfig,
             runtime.write_artifacts(replay.trace, summary, graph, out_dir,
                                     stem=os.path.join("runs", f"run_{index}"),
                                     include_graph=False)
-        if watch_hits:
+        if stop_on_coverage:
             grown = (node_hits.count(1), edge_hits.count(1))
             if grown != counts:
                 counts = grown
-                if stray_nodes or stray_edges:  # raises as accumulate_coverage does
-                    _check_known({hits.node_ids[i] for i in stray_nodes if node_hits[i]},
-                                 {hits.edge_pairs[i] for i in stray_edges if edge_hits[i]},
-                                 graph)
-                if stop_on_coverage:
-                    covered = _thresholds_hold(
-                        mode, 100.0 * counts[0] / total_nodes if total_nodes else 0.0,
-                        100.0 * counts[1] / total_edges if total_edges else 0.0)
+                covered = _thresholds_hold(
+                    mode, 100.0 * counts[0] / total_nodes if total_nodes else 0.0,
+                    100.0 * counts[1] / total_edges if total_edges else 0.0)
         ms = engine.elapsed_s * 1000.0
         delta = ms - mean
         mean += delta / (index + 1)
@@ -367,7 +347,7 @@ def run_campaign(model: ExecutableModel, cfg: CampaignConfig,
             break
 
     runs = index + 1
-    report = _hits_report(hits, graph, runs)
+    report = _hits_report(node_hits, edge_hits, graph, runs)
     verdict = _decide(mode, report, failing, stopped_early)
     verdict.mean_run_ms = mean
     verdict.stddev_run_ms = math.sqrt(m2 / (runs - 1)) if runs > 1 else 0.0  # the sample's

@@ -2,23 +2,32 @@ import functools
 import importlib.util
 import os
 import pathlib
+import sys
 
 import pytest
 
 import bproc
-from bproc import compile_model, parse_bpmn, parse_dmn
+from bproc import compile_model, feel, parse_bpmn, parse_dmn
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-TOOLS = FIXTURES.parent / "tools"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 @functools.cache
-def load_tool(name: str):
-    """The script `tools/<name>.py`, imported once as a module."""
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
+def load_script(path: str):
+    """The script at `path` under the repository root (such as
+    `tools/opcounts.py`), imported once as a module of its own dotted name
+    (`tools.opcounts`), under which `dataclasses` finds it."""
+    name = pathlib.PurePath(path).with_suffix("").as_posix().replace("/", ".")
+    spec = importlib.util.spec_from_file_location(name, ROOT / path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tool(name: str):
+    """The script `tools/<name>.py`, imported once as a module."""
+    return load_script(f"tools/{name}.py")
 
 
 def load_fixture(name: str, *dmn_names: str):
@@ -33,6 +42,29 @@ def load_fixture(name: str, *dmn_names: str):
 def compile_fixture(name: str, *dmn_names: str, sample_seed: int = 0):
     model, tables = load_fixture(name, *dmn_names)
     return compile_model(model, tables, sample_seed=sample_seed)
+
+
+def input_spec(model, name: str):
+    """The InputSpec of a compiled model's input variable `name`."""
+    return next(s for s in model.input_vars if s.name == name)
+
+
+def hit_arrays(model) -> tuple[bytearray, bytearray]:
+    """A campaign's pair of hit arrays for `model`, as `run_campaign` makes
+    them: one byte per node and one per distinct pair of its graph."""
+    return bytearray(len(model.graph.node_index)), bytearray(len(model.graph.edge_index))
+
+
+def parse_summary_inputs(path) -> dict[str, object]:
+    """Read back the `input <name> = <value>` lines of a summary file."""
+    values = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line.startswith("input ") and " = " in line:
+                head, value_text = line[len("input "):].split(" = ", 1)
+                values[head.strip()] = feel.evaluate(feel.parse_expr(value_text), {})
+    return values
 
 
 def child_env() -> dict[str, str]:

@@ -9,7 +9,8 @@ the fallback clause. It never calls evaluate_table and matches cells with
 plain comparisons.
 
 `outgoing` and `incoming` are linear scans over a parsed model's flows,
-independent of the adjacency index the front end builds.
+independent of the adjacency index the front end builds, and `node_of`
+one over its nodes.
 
 `walk_process` interprets a parsed process model and its tables directly
 and yields the unique node path, write sequence and outcome for a concrete
@@ -40,10 +41,21 @@ a domain's kind, bounds and bias thresholds again on every draw.
 the same values with the same calls on the random generator, and raise the
 same errors.
 
+`reference_combine` is the original fact combiner of input-domain
+inference, which removes repeated constants by comparing each with every
+one kept. `inputs._combine` must give the same domain and diagnostics on
+constraint sets that do not mix booleans with numbers (the original's
+numeric branch compares with Python `==`, so it takes `true` for `1`).
+
+`reference_concurrent` is the original race check of parallel runs: it
+builds both writers' whole fork paths, outermost first, and compares them
+pair by pair. `runtime._concurrent` must answer as it does.
+
 `reference_campaign` is the campaign loop that builds every run's full
-trace with `run_once` and merges it with `accumulate_coverage`, with the
-same per-run draws (through `reference_sample_domain`), stopping rules,
-run files and verdict as `run_campaign`.
+trace with `run_once` and merges it with `accumulate_coverage`, starting
+from `empty_report`, with the same per-run draws (through
+`reference_sample_domain`), stopping rules, run files and verdict as
+`run_campaign`.
 
 `reference_evaluate`, `reference_match_unary` and `reference_evaluate_table`
 are the original tree-walking evaluators of expressions, cell tests and
@@ -66,14 +78,15 @@ import sys
 from dataclasses import dataclass
 from typing import Mapping
 
-from bproc import dmn, runtime, verifier
+from bproc import dmn, feel, runtime, verifier
 from bproc.errors import (AnyConflictError, BprocError, DivisionByZeroError, DomainMismatchError,
                           FeelTypeError, IndexOutOfRangeError, MissingOverrideError,
                           NoMatchError, SchemaError, UndefinedValueError,
                           UniquenessViolationError, ValueTooLargeError)
 from bproc.feel import ast
 from bproc.feel.types import StaticType, join, type_of_constant
-from bproc.inputs import (BallDomain, Domain, EnumDomain, RangeDomain, render_domain)
+from bproc.inputs import (BallDomain, Domain, EnumDomain, RangeDomain, UnhandledDomain,
+                          render_domain)
 from bproc.feel.values import (MAX_INT_BITS, MAX_STRING_LENGTH, SECONDS_PER_DAY, UNDEFINED,
                                FeelRange, Temporal)
 
@@ -134,6 +147,13 @@ def outgoing(model, node_id: str) -> list:
     return [f for f in model.flows if f.source == node_id]
 
 
+def node_of(model, node_id: str):
+    for n in model.nodes:
+        if n.id == node_id:
+            return n
+    raise KeyError(node_id)
+
+
 def incoming(model, node_id: str) -> list:
     return [f for f in model.flows if f.target == node_id]
 
@@ -168,7 +188,7 @@ def walk_process(model, tables, input_values: dict, max_nodes: int = 10_000) -> 
 
     current = model.start.id
     while len(nodes) < max_nodes:
-        node = model.node(current)
+        node = node_of(model, current)
         nodes.append(current)
         flows = outgoing(model, current)
         try:
@@ -760,7 +780,97 @@ def _sample_ball(domain: BallDomain, static_type, rng: random.Random, name: str)
     return rng.uniform(float(lo), float(hi))
 
 
+# --- reference domain combiner -------------------------------------------------------
+
+def _soft_equals(a, b) -> bool:
+    try:
+        return feel.equals(a, b)
+    except Exception:
+        return False
+
+
+def reference_combine(name: str, facts: list, diagnostics: list[str]) -> Domain:
+    others = sorted({f.source for f in facts if f.kind == "other"})
+    if others:
+        return UnhandledDomain(tuple(others))
+    eqs = [f.value for f in facts if f.kind == "eq" and f.value is not None]
+    cmps = [f for f in facts if f.kind == "cmp"]
+    ranges = [f.value for f in facts if f.kind == "range"]
+
+    if not cmps and not ranges:
+        if eqs:
+            unique = []
+            for v in eqs:
+                if not any(_soft_equals(v, u) for u in unique):
+                    unique.append(v)
+            return EnumDomain(tuple(sorted(unique, key=lambda v: (kind_of(v), str(v)))))
+        return UnhandledDomain(())
+
+    # distinct by `==`, the first of equal ones kept, as in a set; a list cannot be hashed
+    constants: list = []
+    for c in [f.value for f in cmps] + eqs + [end for r in ranges for end in (r.lo, r.hi)]:
+        if c not in constants:
+            constants.append(c)
+    if any(kind_of(c) != "number" for c in constants):
+        diagnostics.append(f"{name}: mixed numeric and non-numeric constraints")
+        return UnhandledDomain(tuple(sorted(
+            feel.render_value(c) for c in constants)))
+    if not ranges and len(constants) == 1:
+        return BallDomain(constants[0])
+
+    lowers = [(f.value, f.op == ">=") for f in cmps if f.op in (">", ">=")]
+    uppers = [(f.value, f.op == "<=") for f in cmps if f.op in ("<", "<=")]
+    lowers += [(r.lo, r.lo_incl) for r in ranges]
+    uppers += [(r.hi, r.hi_incl) for r in ranges]
+    lowers += [(v, True) for v in eqs]
+    uppers += [(v, True) for v in eqs]
+
+    if len(ranges) > 1 or (ranges and cmps):
+        diagnostics.append(f"{name}: several range constraints merged into their convex hull")
+
+    if not lowers or not uppers:
+        bounds = uppers or lowers
+        center = min(v for v, _ in bounds) if uppers else max(v for v, _ in bounds)
+        diagnostics.append(f"{name}: one-sided comparisons; using a ball around {center}")
+        return BallDomain(center)
+
+    lo, lo_incl = min(lowers, key=lambda p: (p[0], not p[1]))
+    hi, hi_incl = max(uppers, key=lambda p: (p[0], p[1]))
+    if lo > hi:
+        constants_sorted = sorted(constants)
+        diagnostics.append(f"{name}: contradictory bounds; using the hull of all constants")
+        return RangeDomain(constants_sorted[0], constants_sorted[-1], True, True)
+    return RangeDomain(lo, hi, lo_incl, hi_incl)
+
+
+# --- reference race check ---------------------------------------------------------------
+
+def _fork_path(barrier, case: int) -> list:
+    """The fork path of a branch in case `case` of `barrier`: one (fork
+    barrier, case index) pair per fork it is inside, outermost first."""
+    path = []
+    while barrier is not None:
+        path.append((barrier, case))
+        barrier, case = barrier.writer
+    return path[::-1]
+
+
+def reference_concurrent(a: tuple, b: tuple) -> bool:
+    """Do two writer tokens lie in different cases of one fork?"""
+    for (fork_a, i), (fork_b, j) in zip(_fork_path(*a), _fork_path(*b)):
+        if fork_a is not fork_b:
+            return False
+        if i != j:
+            return True
+    return False
+
+
 # --- campaign oracle -----------------------------------------------------------------
+
+def empty_report(graph) -> verifier.CoverageReport:
+    """No run's coverage: the graph's node and flow counts as denominators."""
+    return verifier.CoverageReport(total_nodes=len(graph.nodes), total_edges=len(graph.edges))
+
 
 def reference_campaign(model, cfg, overrides=None, out_dir=None):
     """run_campaign as a loop of run_once and accumulate_coverage."""
@@ -770,7 +880,7 @@ def reference_campaign(model, cfg, overrides=None, out_dir=None):
         budget = verifier.smc_sample_size(mode.epsilon, mode.delta)
     else:
         budget = mode.n
-    report = verifier.empty_report(model.graph)
+    report = empty_report(model.graph)
     durations_ms = []
     failing = None
     stopped_early = False
@@ -795,7 +905,7 @@ def reference_campaign(model, cfg, overrides=None, out_dir=None):
         elif smc_coverage:
             stop = verifier._thresholds_hold(mode, report.c_n, report.c_e)
         else:
-            stop = summary.failed
+            stop = summary.status != "success"
         if stop:
             if not isinstance(mode, verifier.FixedBudget):
                 failing = verifier._RunResult(index, summary)

@@ -27,10 +27,10 @@ import pytest
 
 from bproc import (CampaignConfig, ErrorSeek, FixedBudget, RunOptions, compile_model,
                    parse_bpmn, parse_dmn, run_campaign, run_once, smc_sample_size)
-from bproc.runtime import render_summary_file, parse_summary_inputs
+from bproc.runtime import render_summary_file
 
 import golden_support
-from conftest import compile_fixture
+from conftest import compile_fixture, parse_summary_inputs
 from generators import random_table
 from oracles import boundary_vectors, walk_process
 from test_dmn import assert_table_matches_formula

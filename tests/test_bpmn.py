@@ -4,7 +4,7 @@ from bproc import classify_variables, extract_graph, parse_bpmn
 from bproc.errors import RoleConflictError, SchemaError, UnsupportedElementError
 
 from conftest import DTD_BPMN, PROLOG_ITEMS, after_declaration, with_doctype
-from oracles import incoming, outgoing
+from oracles import incoming, node_of, outgoing
 
 HEADER = '<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL" ' \
          'xmlns:ext="http://x/ext">'
@@ -113,7 +113,7 @@ def test_multi_output_task_gets_inserted_gateway():
       </sequenceFlow>
       <sequenceFlow id="f3" sourceRef="t" targetRef="e2"/>
     """))
-    gw = model.node("autogw_t")
+    gw = node_of(model, "autogw_t")
     assert gw.kind == "exclusive_gateway"
     assert [f.target for f in outgoing(model, "t")] == ["autogw_t"]
     assert [f.source for f in incoming(model, "autogw_t")] == ["t"]
@@ -256,7 +256,7 @@ def test_vendor_namespace_prefixes_accepted():
       </bpmn:process>
     </bpmn:definitions>"""
     model = parse_bpmn(xml)
-    task = model.node("t")
+    task = node_of(model, "t")
     assert task.kind == "service_task"
     assert task.target == "x"
 
@@ -288,7 +288,7 @@ def test_multi_output_fix_keeps_document_order():
     """))
     assert [n.id for n in model.nodes] == ["s", "a", "autogw_a", "b", "autogw_b",
                                            "e1", "e2", "e3"]
-    assert model.node("autogw_b").label == "second"
+    assert node_of(model, "autogw_b").label == "second"
     assert [(f.id, f.source, f.target, f.is_default) for f in model.flows] == [
         ("f0", "s", "a", False),
         ("autoflow_a", "a", "autogw_a", False),
@@ -377,9 +377,9 @@ def test_document_level_definitions_anywhere_in_the_document(caplog):
     assert any("pools/lanes" in m for m in caplog.messages)
     assert [(m.id, m.name) for m in model.messages] == [("M2", "Second"),
                                                         ("First", "First")]
-    end = model.node("e")
+    end = node_of(model, "e")
     assert (end.error_code, end.error_description) == ("LATE", "late error")  # last wins
-    assert model.node("s").writes == ("amount",)
+    assert node_of(model, "s").writes == ("amount",)
 
 
 @pytest.mark.parametrize("processes, message", [

@@ -6,12 +6,12 @@ import sys
 
 import pytest
 
-from bproc import runtime
 from bproc.cli import main
 from bproc.feel.parser import MAX_DEPTH, MAX_INT_DIGITS
 from bproc.inputs import parse_inputs_file
 
-from conftest import DTD_BPMN, DTD_DMN, FIXTURES, child_env, with_doctype
+from conftest import (DTD_BPMN, DTD_DMN, FIXTURES, child_env, parse_summary_inputs,
+                      with_doctype)
 
 SHIPMENT = [str(FIXTURES / "shipment.bpmn"), str(FIXTURES / "shipment.dmn")]
 
@@ -341,13 +341,13 @@ def test_a_ball_past_the_largest_double_draws_finite_values(tmp_path):
         code, _, err = run_cli("run", "huge.bpmn", "--inputs-file", "i/p.inputs",
                                "--sequential", cwd=tmp_path)
         assert code == 0, err
-        assert runtime.parse_summary_inputs(tmp_path / "out" / "p" / "p.out") == {"x": sample}
+        assert parse_summary_inputs(tmp_path / "out" / "p" / "p.out") == {"x": sample}
     code, _, err = run_cli("test", "huge.bpmn", "-n", "100", "--sequential", "--out", "t",
                            cwd=tmp_path)
     assert code == 0, err
     runs = sorted((tmp_path / "t" / "runs").glob("*.out"))
     assert len(runs) == 100
-    assert all(math.isfinite(runtime.parse_summary_inputs(run)["x"]) for run in runs)
+    assert all(math.isfinite(parse_summary_inputs(run)["x"]) for run in runs)
 
 
 @pytest.mark.parametrize("condition, domain", [("x in [1..1e400]", "RANGE([1,1e999])"),
@@ -363,7 +363,7 @@ def test_an_infinite_bound_or_value_round_trips_through_inputs_and_summary(
     code, _, err = run_cli("run", "inf.bpmn", "--inputs-file", "i/p.inputs", "--sequential",
                            cwd=tmp_path)
     assert code == 0, err
-    assert runtime.parse_summary_inputs(tmp_path / "out" / "p" / "p.out") == {"x": sample}
+    assert parse_summary_inputs(tmp_path / "out" / "p" / "p.out") == {"x": sample}
 
 
 def test_module_entry_point(tmp_path):

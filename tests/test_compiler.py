@@ -13,7 +13,7 @@ from bproc.errors import (DateOutOfRangeError, DivisionByZeroError, SchemaError,
 from bproc.feel import ast, parse_expr, render
 from bproc.inputs import render_domain
 
-from conftest import FIXTURES, compile_fixture, load_fixture
+from conftest import FIXTURES, compile_fixture, input_spec, load_fixture
 from test_runtime import INCLUSIVE, compile_inline
 
 
@@ -201,8 +201,8 @@ def test_variable_typing(shipment):
     assert types["pLength"] is StaticType.INTEGER
     assert types["sMode"] is StaticType.STRING
     assert types["consent"] is StaticType.STRING
-    assert shipment.input_spec("pWeight").static_type is StaticType.DOUBLE
-    assert shipment.input_spec("pType").static_type is StaticType.STRING
+    assert input_spec(shipment, "pWeight").static_type is StaticType.DOUBLE
+    assert input_spec(shipment, "pType").static_type is StaticType.STRING
 
 
 def test_assignment_types_propagate():
@@ -369,7 +369,7 @@ def test_a_cell_kind_infers_the_type_and_domain_of_its_column(cell, static_type,
     table = DecisionTable("T", "T", "First", (("x", ast.Var("x")),), ("o",),
                           (Rule((feel.parse_unary_test(cell),), (ast.Lit(1),)),))
     x = compile_model(parse_bpmn(ONE_TABLE), [table])
-    spec = x.input_spec("x")
+    spec = input_spec(x, "x")
     assert (spec.static_type, render_domain(spec.domain)) == (static_type, domain)
     assert not any("mixed numeric" in note for note in x.diagnostics)
 
@@ -396,7 +396,7 @@ def test_an_out_of_range_date_in_a_cell_gives_a_domain_or_a_bproc_error():
                               (Rule((cell,), (ast.Lit(1),)),))
         return compile_model(parse_bpmn(ONE_TABLE), [table])
 
-    spec = compiled(ast.EqualsConst(OUT_OF_RANGE_DATE)).input_spec("x")
+    spec = input_spec(compiled(ast.EqualsConst(OUT_OF_RANGE_DATE)), "x")
     assert (spec.static_type, spec.domain.values) == (StaticType.DATE, (OUT_OF_RANGE_DATE,))
     with pytest.raises(DateOutOfRangeError, match="date ordinal 0 is outside"):
         render_domain(spec.domain)

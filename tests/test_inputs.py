@@ -6,12 +6,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from bproc import StaticType, parse_expr, runtime
+from bproc import StaticType, inputs, parse_expr, runtime
 from bproc.errors import DomainMismatchError, InputsParseError, MissingOverrideError
-from bproc.inputs import (BallDomain, EnumDomain, InputSpec, RangeDomain,
+from bproc.feel.values import FeelRange, Temporal
+from bproc.inputs import (BallDomain, EnumDomain, InputSpec, RangeDomain, _Fact,
                           UnhandledDomain, facts_from_expr, infer_domains,
                           parse_inputs_file, render_domain, sample_domain, sampler,
                           write_inputs_file)
+
+from conftest import parse_summary_inputs
+from generators import Text
 
 
 def domains_of(texts, input_vars):
@@ -75,6 +79,62 @@ def test_order_independence():
         assert domains["v"] == RangeDomain(11, 50, False, True)
         assert domains["p"] == EnumDomain(("a", "b"))
         assert isinstance(domains["w"], UnhandledDomain)
+
+
+def test_a_boolean_beside_numbers_is_no_number_at_either_bound():
+    # `true` is not the number 1: both constraint sets mix the kinds
+    for text, sources in (("x > 1 or x = true", ("1", "true")),
+                          ("x > 5 or x = true", ("5", "true"))):
+        domains, diags = domains_of([text], {"x"})
+        assert domains["x"] == UnhandledDomain(sources), text
+        assert diags == ["x: mixed numeric and non-numeric constraints"], text
+
+
+def test_repeated_constants_are_one_value_and_the_first_is_kept():
+    domains, _ = domains_of(["x = 1 or x = 1.0 or x = 2 or x = 2"], {"x"})
+    assert repr(domains["x"]) == repr(EnumDomain((1, 2)))
+    domains, _ = domains_of(["x = 1.0 or x = 1", 'y = [1] or y = [1.0] or y = "a"'], {"x", "y"})
+    assert repr(domains["x"]) == repr(EnumDomain((1.0,)))
+    assert repr(domains["y"]) == repr(EnumDomain(([1], "a")))
+    domains, _ = domains_of(["x < 3 or x >= 3.0 or x = 3"], {"x"})
+    assert repr(domains["x"]) == repr(BallDomain(3))
+
+
+_NUMBERS = st.sampled_from([0, 1, 2, 1.0, 0.0, -0.0, 2.5, -3, math.inf, -math.inf,
+                            10**20, 1e20])
+_OTHERS = st.sampled_from(["a", "b", "", Text("a"), Temporal("date", 5),
+                           Temporal("time", 5), FeelRange(1, 2), FeelRange(1.0, 2)])
+
+
+@st.composite
+def _constraint_sets(draw):
+    """Facts on one variable whose constants mix no booleans with numbers,
+    lists and contexts among them, drawn from small pools so they repeat."""
+    scalar = st.one_of(st.booleans() if draw(st.booleans()) else _NUMBERS, _OTHERS)
+    value = st.one_of(scalar, st.lists(scalar, max_size=2),
+                      st.dictionaries(st.sampled_from("ab"), scalar, max_size=2))
+    fact = st.one_of(
+        st.builds(lambda v: _Fact("eq", value=v), st.one_of(value, st.none())),
+        st.builds(lambda op, v: _Fact("cmp", op, v), st.sampled_from(["<", "<=", ">", ">="]),
+                  value),
+        st.builds(lambda source: _Fact("other", source=source),
+                  st.sampled_from(["x > y", "f(x)"])))
+    facts = draw(st.lists(fact, max_size=8))
+    if not any(type(f.value) is bool for f in facts):  # a range's bounds are numbers
+        facts += draw(st.lists(st.builds(
+            lambda lo, hi, lo_incl, hi_incl: _Fact("range", value=FeelRange(
+                lo, hi, lo_incl, hi_incl)), _NUMBERS, _NUMBERS, st.booleans(), st.booleans()),
+            max_size=2))
+    return draw(st.permutations(facts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(facts=_constraint_sets())
+def test_combining_facts_gives_the_domain_of_the_pairwise_original(facts):
+    ours, theirs = [], []
+    got = inputs._combine("x", facts, ours)
+    want = oracles.reference_combine("x", facts, theirs)
+    assert (repr(got), ours) == (repr(want), theirs)
 
 
 # --- inputs file ----------------------------------------------------------------
@@ -416,4 +476,4 @@ def test_every_string_round_trips_through_the_line_based_files(tmp_path_factory,
                                  code="", message="", elapsed_s=0.0)
     out = folder / "run_0.out"
     out.write_text(runtime.render_summary_file(summary), encoding="utf-8")
-    assert runtime.parse_summary_inputs(out) == {"v": sample, "w": enum[0]}
+    assert parse_summary_inputs(out) == {"v": sample, "w": enum[0]}

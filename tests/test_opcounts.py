@@ -17,8 +17,8 @@ from bproc import (CampaignConfig, FixedBudget, RunOptions, compile_model, parse
                    parse_expr, run_campaign, run_once, runtime)
 from bproc.feel import compile_expr
 
-from conftest import compile_fixture, load_fixture, load_tool
-from generators import Text
+from conftest import compile_fixture, hit_arrays, load_fixture, load_tool
+from generators import Text, gateway_xml, nested_forks_xml
 from test_pins import diamonds
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +62,11 @@ TRACED_RUN = {"shipment": (2_200, 46), "pingpong_sendfirst": (1_245, 17)}
 SELECT = {"plain": (204, 6), "checked": (1_320, 62)}
 
 
+#: how much the opcodes per unit of a generated shape may grow from 50 units
+#: to 200 (a check per unit that walked the whole model would make it about 3)
+LINEAR_GROWTH = 1.3
+
+
 def _keeps_to(counts, budget: tuple, per: float = 1):
     opcodes, calls = (sum(tally[i] for tally in counts.values()) / per for i in (0, 1))
     if sys.version_info[:2] == OPCODES_MEASURED_ON:
@@ -101,7 +106,7 @@ def test_a_warm_sequential_shipment_run_with_files_keeps_to_its_budget(tmp_path)
 
 def test_a_warm_parallel_run_keeps_to_its_budget():
     x = compile_model(parse_bpmn(diamonds(300, 7)), ())
-    engine = runtime._Engine(x, RunOptions(), runtime.CoverageHits(x))
+    engine = runtime._Engine(x, RunOptions(), hit_arrays(x))
     assert engine.run({"x": [50]}, 1) == "success"
     counts = opcounts.count(engine.run, {"x": [50]}, 2)
     assert engine.summary().status == "success" and engine.diagnostics == []
@@ -112,7 +117,7 @@ def test_a_warm_parallel_run_keeps_to_its_budget():
 def test_a_loop_step_keeps_to_its_budget(traced, mode):
     loop = compile_fixture("loop")
     engine = runtime._Engine(loop, RunOptions(mode=mode, max_steps=LOOP_STEPS),
-                             None if traced else runtime.CoverageHits(loop))
+                             None if traced else hit_arrays(loop))
     engine.run({}, 0)  # lowers the program and builds its records
     counts = opcounts.count(engine.run, {}, 0)
     assert engine.summary().message == f"step budget of {LOOP_STEPS} exceeded"
@@ -146,6 +151,34 @@ def test_a_table_selection_keeps_to_its_budget(argument):
 def test_a_variable_compared_to_a_literal_is_one_call(text, bindings):
     # a folded negation is a literal too; 24 opcodes on 3.11
     _keeps_to(opcounts.count(compile_expr(parse_expr(text)), bindings), (24, 1))
+
+
+def _opcodes_per_unit(units: int, counted) -> float:
+    """The opcodes of `counted(units)`, a `count` at that size, per unit.
+    It is a ratio of two counts on one interpreter, so it is checked on
+    every Python version."""
+    return sum(ops for ops, _ in counted(units).values()) / units
+
+
+def test_a_parallel_run_over_nested_forks_is_linear_in_their_depth():
+    # each write's race check walks only to its fork in common with the last
+    # writer, not along the whole nesting
+    def counted(levels):
+        x = compile_model(parse_bpmn(nested_forks_xml(levels)), ())
+        options = RunOptions(seed=2)
+        assert run_once(x, {}, options)[1].diagnostics != []  # lowers the program
+        return opcounts.count(run_once, x, {}, options)
+    small, large = (_opcodes_per_unit(levels, counted) for levels in (50, 200))
+    assert large <= LINEAR_GROWTH * small, f"{small:.0f} -> {large:.0f} opcodes per level"
+
+
+def test_compiling_a_wide_exclusive_gateway_is_linear_in_its_arms():
+    # inference removes repeated enum values by a hashed key, not pairwise
+    def counted(arms):
+        model = parse_bpmn(gateway_xml(arms))
+        return opcounts.count(compile_model, model, ())
+    small, large = (_opcodes_per_unit(arms, counted) for arms in (50, 200))
+    assert large <= LINEAR_GROWTH * small, f"{small:.0f} -> {large:.0f} opcodes per arm"
 
 
 def _fresh_totals(*args: str) -> dict:

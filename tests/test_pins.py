@@ -2,18 +2,16 @@
 source (`render_source`), the inputs file and the graph file.
 
 The fixtures are compiled as the goldens are (sample seed 42). The two
-generated shapes follow `perfbench/models.py` and are built here, so the
-pins hold whatever the benchmark does: `diamonds` forks a send and a
-receive task per unit behind an exclusive gate, `chain` is a sequence of
-script tasks `v<i> := v<i-1> + 1`. The pins were taken from the front end
-before it was rewritten to set a model up in one pass; any change to them
-is a change to the output formats.
+generated shapes are the benchmark's own, from `perfbench/models.py`:
+`diamonds` forks a send and a receive task per unit behind an exclusive
+gate, `chain` is a sequence of script tasks `v<i> := v<i-1> + 1`. The pins
+were taken from the front end before it was rewritten to set a model up in
+one pass; any change to them is a change to the output formats.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
 
 import pytest
 
@@ -21,69 +19,19 @@ from bproc import compile_model, parse_bpmn
 from bproc.compiler import render_source
 from bproc.inputs import write_inputs_file
 from bproc.runtime import render_graph_file
+
+from conftest import load_script
 from golden_support import FIXTURE_PLAN, compiled
 
-HEADER = ('<?xml version="1.0" encoding="UTF-8"?>\n'
-          '<bpmn:definitions xmlns:bpmn="http://www.omg.org/spec/BPMN/20100524/MODEL"'
-          ' xmlns:ext="http://bproc.dev/schema/1.0/ext" id="Definitions_{pid}"'
-          ' targetNamespace="http://bproc.dev/bench">\n'
-          '<bpmn:process id="{pid}" name="{pid}" isExecutable="true">\n')
-FOOTER = '</bpmn:process>\n</bpmn:definitions>\n'
 SEED = 7
+_shapes = load_script("perfbench/models.py")  # the benchmark's generators
 
 
 def diamonds(count: int, seed: int) -> bytes:
-    rng = random.Random(seed)
-    increments = [rng.randint(1, 9) for _ in range(count)]
-    out = [HEADER.format(pid="diamonds"),
-           '<bpmn:startEvent id="Start" name="start"><bpmn:extensionElements>'
-           '<ext:ioMapping><ext:output source="x" target="x"/></ext:ioMapping>'
-           '</bpmn:extensionElements></bpmn:startEvent>\n',
-           '<bpmn:exclusiveGateway id="Gate" name="gate"/>\n',
-           '<bpmn:endEvent id="EndEarly" name="early"/>\n',
-           '<bpmn:endEvent id="End" name="done"/>\n',
-           '<bpmn:sequenceFlow id="F_start" sourceRef="Start" targetRef="Gate"/>\n',
-           '<bpmn:sequenceFlow id="F_early" sourceRef="Gate" targetRef="EndEarly">'
-           '<bpmn:conditionExpression>x &gt;= 0 and x &lt; 10'
-           '</bpmn:conditionExpression></bpmn:sequenceFlow>\n',
-           '<bpmn:sequenceFlow id="F_go" sourceRef="Gate" targetRef="Split1">'
-           '<bpmn:conditionExpression>x &gt;= 10 and x &lt;= 99'
-           '</bpmn:conditionExpression></bpmn:sequenceFlow>\n']
-    for i, k in enumerate(increments, start=1):
-        prev = "x" if i == 1 else f"m{i - 1}"
-        after = f"Split{i + 1}" if i < count else "End"
-        out.append(
-            f'<bpmn:parallelGateway id="Split{i}"/>\n'
-            f'<bpmn:sendTask id="Send{i}"><bpmn:extensionElements>'
-            f'<ext:ioMapping channel="c{i}"><ext:input source="={prev} + {k}" target="v"/>'
-            f'</ext:ioMapping></bpmn:extensionElements></bpmn:sendTask>\n'
-            f'<bpmn:receiveTask id="Recv{i}"><bpmn:extensionElements>'
-            f'<ext:ioMapping channel="c{i}"><ext:output source="v" target="m{i}"/>'
-            f'</ext:ioMapping></bpmn:extensionElements></bpmn:receiveTask>\n'
-            f'<bpmn:parallelGateway id="Join{i}"/>\n'
-            f'<bpmn:sequenceFlow id="F{i}s" sourceRef="Split{i}" targetRef="Send{i}"/>\n'
-            f'<bpmn:sequenceFlow id="F{i}r" sourceRef="Split{i}" targetRef="Recv{i}"/>\n'
-            f'<bpmn:sequenceFlow id="F{i}a" sourceRef="Send{i}" targetRef="Join{i}"/>\n'
-            f'<bpmn:sequenceFlow id="F{i}b" sourceRef="Recv{i}" targetRef="Join{i}"/>\n'
-            f'<bpmn:sequenceFlow id="F{i}n" sourceRef="Join{i}" targetRef="{after}"/>\n')
-    out.append(FOOTER)
-    return "".join(out).encode()
+    return _shapes.diamonds(count, seed).xml
 
 
-def chain(count: int, seed: int) -> bytes:
-    start = random.Random(seed).randint(0, 999)
-    out = [HEADER.format(pid="chain"), '<bpmn:startEvent id="Start"/>\n',
-           '<bpmn:endEvent id="End"/>\n']
-    for i in range(1, count + 1):
-        expr = str(start) if i == 1 else f"v{i - 1} + 1"
-        after = f"T{i + 1}" if i < count else "End"
-        out.append(
-            f'<bpmn:scriptTask id="T{i}" resultVariable="v{i}">'
-            f'<bpmn:script>{expr}</bpmn:script></bpmn:scriptTask>\n'
-            f'<bpmn:sequenceFlow id="F{i}" sourceRef="T{i}" targetRef="{after}"/>\n')
-    out.append('<bpmn:sequenceFlow id="F0" sourceRef="Start" targetRef="T1"/>\n')
-    out.append(FOOTER)
-    return "".join(out).encode()
+chain = _shapes.chain
 
 
 def digests(x, tmp_path) -> tuple[str, str, str]:

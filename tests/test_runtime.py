@@ -17,13 +17,14 @@ from bproc import RunOptions, compile_model, parse_bpmn, run_once, runtime
 from bproc.compiler import Continue, Fork
 from bproc.errors import ConfigError
 from bproc.feel.values import MAX_STRING_LENGTH
-from bproc.runtime import (TableEvaluated, VarWritten, parse_summary_inputs,
+from bproc.runtime import (TableEvaluated, VarWritten,
                            render_graph_file, render_summary_file, render_trace_file,
                            write_artifacts)
 from bproc.verifier import draw_input_lists
 
-from conftest import compile_fixture
-from generators import models
+from conftest import compile_fixture, parse_summary_inputs
+import oracles
+from generators import models, nested_forks_xml
 from golden_support import FIXTURE_PLAN, compiled
 from test_pins import SEED, diamonds
 
@@ -564,6 +565,49 @@ def test_writes_ordered_by_fork_and_join_edges_are_not_flagged(body):
         assert summary.status == "success"
         assert [value for name, value in trace.writes() if name == "v"][-1] == 3
         assert summary.diagnostics == [], f"seed {seed}"
+
+
+def _race_checks_against_the_oracle(model, input_lists: dict, seed: int) -> int:
+    """Run `model` once in each mode with every race check also put to the
+    oracle (`oracles.reference_concurrent`), which must answer alike, then
+    again with the oracle's checks only, which must end the run alike and
+    note the same races. Returns how many checks the runs made."""
+    checks, concurrent = [], runtime._concurrent
+
+    def both(a, b):
+        answer = concurrent(a, b)
+        assert answer == oracles.reference_concurrent(a, b)
+        checks.append(answer)
+        return answer
+    for mode in ("sequential", "parallel"):
+        options = RunOptions(mode=mode, seed=seed, max_steps=20_000, timeout_s=60)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(runtime, "_concurrent", both)
+            ours = run_once(model, input_lists, options)[1]
+            patch.setattr(runtime, "_concurrent", oracles.reference_concurrent)
+            theirs = run_once(model, input_lists, options)[1]
+        assert (ours.status, ours.code, ours.message, ours.diagnostics) == (
+            theirs.status, theirs.code, theirs.message, theirs.diagnostics), (mode, seed)
+    return len(checks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=models(forks=True), x=st.integers(-10, 10), seed=st.integers(0, 2**64 - 1))
+def test_the_race_check_answers_as_the_whole_path_oracle(drawn, x, seed):
+    _race_checks_against_the_oracle(compile_model(parse_bpmn(drawn.xml), ()),
+                                    {"x": [x]}, seed)
+
+
+@pytest.mark.parametrize("levels", (1, 2, 5, 40))
+def test_the_race_check_answers_as_the_oracle_over_nested_forks(levels):
+    # every write but the first is checked against the last, which no fork
+    # or join edge orders it after
+    x = compile_model(parse_bpmn(nested_forks_xml(levels)), ())
+    for seed in range(12):
+        assert _race_checks_against_the_oracle(x, {}, seed) == levels - 1
+        _, summary = run_once(x, {}, RunOptions(seed=seed))
+        assert summary.diagnostics == (
+            ["variable 'v' written by several parallel branches"] if levels > 1 else [])
 
 
 def test_message_type_mismatch_faults():

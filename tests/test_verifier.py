@@ -20,9 +20,8 @@ from bproc.bpmn import ProcessGraph
 from bproc.errors import ConfigError, MissingOverrideError, UnknownIdError
 from bproc.feel import values
 from bproc.runtime import Trace, NodeActivated, EdgeTraversed
-from bproc.verifier import empty_report
 
-from conftest import compile_fixture, load_tool
+from conftest import compile_fixture, hit_arrays, load_tool
 from generators import models
 from test_runtime import CROSS_RECEIVE, LEFTOVER, MSG_PRELUDE, compile_inline
 
@@ -93,7 +92,7 @@ def test_smc_sample_size_tight(epsilon, delta):
 # --- coverage accumulation ----------------------------------------------------------
 
 def test_empty_trace_gives_zero(diamond):
-    report = empty_report(diamond.graph)
+    report = oracles.empty_report(diamond.graph)
     assert report.c_n == 0.0 and report.c_e == 0.0
     report = accumulate_coverage(report, Trace([]), diamond.graph)
     assert report.c_n == 0.0 and report.c_e == 0.0
@@ -103,13 +102,13 @@ def test_empty_trace_gives_zero(diamond):
 def test_full_trace_gives_hundred(diamond):
     records = [NodeActivated(n) for n, _ in diamond.graph.nodes]
     records += [EdgeTraversed(a, b) for a, b in diamond.graph.edges]
-    report = accumulate_coverage(empty_report(diamond.graph), Trace(records),
+    report = accumulate_coverage(oracles.empty_report(diamond.graph), Trace(records),
                                  diamond.graph)
     assert report.c_n == 100.0 and report.c_e == 100.0
 
 
 def test_union_not_sum_across_runs(diamond):
-    report = empty_report(diamond.graph)
+    report = oracles.empty_report(diamond.graph)
     for value in ("heads", "tails", "heads"):
         trace, _ = run_once(diamond, {"coin": [value]}, RunOptions(mode="sequential"))
         report = accumulate_coverage(report, trace, diamond.graph)
@@ -120,16 +119,16 @@ def test_union_not_sum_across_runs(diamond):
 
 def test_unknown_id_rejected(diamond):
     with pytest.raises(UnknownIdError):
-        accumulate_coverage(empty_report(diamond.graph),
+        accumulate_coverage(oracles.empty_report(diamond.graph),
                             Trace([NodeActivated("ghost")]), diamond.graph)
     entry = diamond.graph.nodes[0][0]
     with pytest.raises(UnknownIdError):  # known nodes, but no such flow
-        accumulate_coverage(empty_report(diamond.graph),
+        accumulate_coverage(oracles.empty_report(diamond.graph),
                             Trace([EdgeTraversed(entry, entry)]), diamond.graph)
 
 
 def test_coverage_monotone_over_runs(diamond):
-    report = empty_report(diamond.graph)
+    report = oracles.empty_report(diamond.graph)
     rng = random.Random(5)
     last = (0.0, 0.0)
     for _ in range(20):
@@ -535,12 +534,12 @@ def _runs_on_one_engine(make, runs, mode: str, max_steps: int):
     to the next."""
     model = make()
     options = RunOptions(mode=mode, max_steps=max_steps)
-    hits = runtime.CoverageHits(model)
+    node_hits, edge_hits = hits = hit_arrays(model)
     marking, tracing = runtime._Engine(model, options, hits), runtime._Replay(model, options)
-    seen = set()
+    graph, seen = model.graph, set()
     for lists, seed in runs:
-        hits.nodes[:] = bytes(len(hits.nodes))
-        hits.edges[:] = bytes(len(hits.edges))
+        node_hits[:] = bytes(len(node_hits))
+        edge_hits[:] = bytes(len(edge_hits))
         marking.run(lists, seed)
         tracing.run(lists, seed)
         trace, want = run_once(make(), lists, dataclasses.replace(options, seed=seed))
@@ -549,8 +548,8 @@ def _runs_on_one_engine(make, runs, mode: str, max_steps: int):
             assert (got.inputs_used, got.status, got.code, got.message, got.diagnostics) == (
                 want.inputs_used, want.status, want.code, want.message, want.diagnostics), \
                 (lists, seed)
-        assert _hit(hits.node_ids, hits.nodes) == set(trace.node_sequence()), (lists, seed)
-        assert _hit(hits.edge_pairs, hits.edges) == set(trace.edges()), (lists, seed)
+        assert _hit(graph.node_index, node_hits) == set(trace.node_sequence()), (lists, seed)
+        assert _hit(graph.edge_index, edge_hits) == set(trace.edges()), (lists, seed)
         assert tracing.trace.records == trace.records, (lists, seed)
         seen.add((want.code, tuple(want.diagnostics)))
     return seen
@@ -620,17 +619,28 @@ def test_campaign_rejects_ids_the_graph_lacks(diamond, keep_files, tmp_path):
             run_campaign(x, cfg, out_dir=str(tmp_path / str(i)) if keep_files else None)
 
 
-def test_campaign_stops_at_the_run_that_reaches_a_stray_id(diamond, tmp_path):
-    # the graph lacks the left end: the first run that goes left is the last
-    x = dataclasses.replace(diamond, graph=ProcessGraph(
-        tuple(n for n in diamond.graph.nodes if n[0] != "l"), diamond.graph.edges))
-    first_left = next(k for k in range(20) if verifier.draw_input_lists(
-        x.input_vars, {}, random.Random(k)) == {"coin": ["heads"]})
-    with pytest.raises(UnknownIdError, match=r"nodes \['l'\]"):
-        run_campaign(x, CampaignConfig(mode=FixedBudget(n=20), seed=0, sequential=True),
-                     out_dir=str(tmp_path))
-    assert 0 < first_left < 19
-    assert len(os.listdir(tmp_path / "runs")) == 2 * (first_left + 1)
+def test_a_model_that_reaches_outside_its_graph_is_refused_before_any_run(
+        diamond, monkeypatch, tmp_path):
+    # lowering refuses the model: no run starts, and a campaign writes no file
+    def no_run(*args):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(runtime._Engine, "run", no_run)
+    graph = diamond.graph
+    cfg = CampaignConfig(mode=FixedBudget(n=20), seed=0, sequential=True)
+    for i, (stray_graph, stray) in enumerate((
+            (ProcessGraph(tuple(n for n in graph.nodes if n[0] != "l"), graph.edges),
+             r"unknown nodes \['l'\]"),
+            (ProcessGraph(graph.nodes, tuple(e for e in graph.edges if e != ("g", "r"))),
+             r"unknown edges \[\('g', 'r'\)\]"))):
+        for mode in ("sequential", "parallel"):
+            with pytest.raises(UnknownIdError, match=stray):
+                run_once(dataclasses.replace(diamond, graph=stray_graph),
+                         {"coin": ["heads"]}, RunOptions(mode=mode))
+        for out_dir in (None, tmp_path / str(i)):
+            with pytest.raises(UnknownIdError, match=stray):
+                run_campaign(dataclasses.replace(diamond, graph=stray_graph), cfg,
+                             out_dir=None if out_dir is None else str(out_dir))
+        assert not (tmp_path / str(i)).exists()
 
 
 def test_campaign_runs_build_no_trace(monkeypatch):
