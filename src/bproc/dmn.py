@@ -3,7 +3,9 @@
 Tables are immutable after parse; evaluate_table is pure and thread-safe.
 A table compiles itself on first use: `DecisionTable.select`, whose cell
 tests are closures, gives the index of the rule the hit policy chooses, and
-each variable-free output entry is evaluated once.
+each variable-free output entry is evaluated once. A table keyed by
+equalities in its first column finds its candidate rules by one lookup
+(`_first_column_index`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .safexml import LocalNames
 from .errors import (AnyConflictError, BprocError, NoMatchError, SchemaError,
                      UniquenessViolationError, UnsupportedHitPolicyError)
 from .feel import ast
-from .feel.evaluator import _SCALARS, compile_scalar_unary
+from .feel.evaluator import _SCALARS, compile_scalar_unary, hashed_classes
 
 _HIT_POLICIES = {"FIRST": "First", "UNIQUE": "Unique", "ANY": "Any"}
 
@@ -225,7 +227,8 @@ def evaluate_table(table: DecisionTable, args: dict[str, object]) -> dict[str, o
     the default when nothing else matches; with no default, NoMatchError is
     raised and the caller must end the decision with a failure. Every rule
     is matched, so a cell that cannot judge its argument raises under every
-    policy, on the scalar cells for plain scalars too (`_compile_table`).
+    policy, on the scalar cells for plain scalars too (`_compile_table`,
+    whose index skips only rules that can neither match nor raise).
     """
     missing = [label for label, _ in table.inputs if label not in args]
     if missing:
@@ -246,7 +249,17 @@ def _compile_table(table: DecisionTable) -> Callable[[list], int]:
     class is in _SCALARS, else checked; both give the same index or error.
     Every policy takes the first match; Unique and Any list the matches
     only once a second one matches, then raise, or compare the matches'
-    outputs (`rule_outputs`, in match order)."""
+    outputs (`rule_outputs`, in match order).
+
+    A table whose first column holds only `= constant` and dash cells is
+    indexed by that column (`_first_column_index`): on the scalar cells,
+    when the first argument's exact class is one of the constants'
+    `hashed_classes`, one lookup gives the rules keyed by it, merged in
+    rule order with the rules whose first cell is a dash, each without its
+    first cell. Every other rule's first cell is an equality that can
+    neither match nor raise for that argument, and the scan stops a rule
+    at its first cell that fails, so the index skips no cell the scan would
+    evaluate, and gives its index or error."""
     default = len(table.rules) - 1 if table.default_rule() is not None else None
     candidates = table.rules[:-1] if default is not None else table.rules
     checked = tuple((i, tuple(enumerate(map(feel.compile_unary, rule.input_entries))))
@@ -255,6 +268,7 @@ def _compile_table(table: DecisionTable) -> Callable[[list], int]:
                                                                     rule.input_entries))
                              if cell))
                    for i, rule in enumerate(candidates))
+    hashed, index, dashes = _first_column_index(candidates, scalar)
     table_id, policy = table.id, table.hit_policy
     listed, unique = policy != "First", policy == "Unique"
 
@@ -264,6 +278,11 @@ def _compile_table(table: DecisionTable) -> Callable[[list], int]:
             if type(value) not in _SCALARS:
                 rules = checked
                 break
+        else:
+            if type(ordered[0]) in hashed:
+                rules = index.get(ordered[0], ())
+                if dashes:
+                    rules = sorted(rules + dashes)  # in rule order
         chosen, matches = -1, None
         for i, cells in rules:
             for j, cell in cells:
@@ -289,3 +308,28 @@ def _compile_table(table: DecisionTable) -> Callable[[list], int]:
             raise NoMatchError(table_id)
         return default
     return select
+
+
+def _first_column_index(candidates: tuple[Rule, ...], scalar: tuple) -> tuple:
+    """The first column's `hashed_classes`, the index of `_compile_table`
+    (constant -> its rules' (index, scalar cells after the first), in rule
+    order) and the rules whose first cell is a dash, as (index, scalar
+    cells) pairs; no classes, so no index, unless every first cell is an
+    equality or a dash. Two constants that `equals` judges equal, such as
+    1 and 1.0, are one key. Each rule is kept once, in one list, so the
+    index is linear in the table; a lookup merges a key's rules with the
+    dashes' (`sorted` on the rule index), only when there are dashes."""
+    tests = [rule.input_entries[0] for rule in candidates]
+    if not all(type(test) in (ast.EqualsConst, ast.Dash) for test in tests):
+        return frozenset(), {}, ()
+    hashed = hashed_classes([test.value for test in tests if type(test) is ast.EqualsConst])
+    if not hashed:
+        return hashed, {}, ()
+    keyed: dict[object, list] = {}
+    dashes = []
+    for test, (i, cells) in zip(tests, scalar):
+        if type(test) is ast.Dash:
+            dashes.append((i, cells))  # a dash has no scalar cell
+        else:
+            keyed.setdefault(test.value, []).append((i, cells[1:]))
+    return hashed, {key: tuple(rules) for key, rules in keyed.items()}, tuple(dashes)

@@ -306,6 +306,25 @@ def _inline_classes(b) -> frozenset:
 _STRINGS = frozenset((str,))
 
 
+def hashed_classes(constants) -> frozenset:
+    """The exact classes of the values that one lookup in a dict keyed by
+    `constants` judges as `equals` against each of them would: those that
+    `equals` settles by Python's `==` against every one (`_inline_classes`),
+    so a value of them equals a key or none, and raises against none. A
+    gateway (`runtime._lower_branch`) and a decision table
+    (`dmn._compile_table`) dispatch on such a value by hashing, and scan
+    for any other. Empty when the constants mix strings and numbers, hold
+    a boolean, null or other kind, or hold a NaN, which a lookup finds by
+    identity though it equals nothing; empty too for no constants."""
+    classes = None
+    for c in constants:
+        if type(c) is float and c != c:
+            return frozenset()
+        inline = _inline_classes(c)
+        classes = inline if classes is None else classes & inline
+    return classes or frozenset()
+
+
 def _var_equals_lit(op: str, name: str, b) -> Compiled:
     """`_equality` of `_var(name)` and `_lit(b)` in one closure (see `_inline_classes`)."""
     inline, negated = _inline_classes(b), op == "!="

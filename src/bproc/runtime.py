@@ -7,6 +7,11 @@ closure over the engine that returns the edge to take, with no wrapper. A
 step that names its successor (inputs, assign, table, send, receive) is
 fused with the edge to it, and a gateway with one condition and a default
 is tested without a loop (superoperators: Proebsting, POPL 1995). A
+gateway whose conditions all test one variable for equality with a
+constant looks its edge up by the variable's value, as a compiler's jump
+table does for a case statement (Bernstein, "Producing Good Code for the
+Case Statement", 1985), and scans its conditions only for a value the
+lookup cannot judge (`_hashed`). A
 receive on an empty channel returns a `_Wait` instead, and the engine
 calls the same closure again once a send wakes it. Every (source, target)
 pair a branch can take is one `_Edge`: its target node and its coverage
@@ -92,6 +97,8 @@ from .bpmn import collector_paused
 from .compiler import (Assign, Branch, Continue, ConsumeInputs, ExecutableModel, Fork,
                        InvokeTable, JoinBarrier, Receive, Send, Terminate)
 from .errors import BprocError, ConfigError, MessageTypeMismatchError, UnknownIdError
+from .feel import ast
+from .feel.evaluator import hashed_classes
 from .feel.values import UNDEFINED
 
 DEFAULT_TIMEOUT_S = 5.0
@@ -303,6 +310,14 @@ def _lower_branch(step: Branch, node: _Node, model: ExecutableModel, program: _P
     cases = tuple((feel.compile_expr(condition), program.edge(node.id, target))
                   for condition, target in step.cases)
     default = None if step.default is None else program.edge(node.id, step.default)
+    scan = _scan(cases, default)
+    hashed = _hashed(step, cases, default, scan)
+    return scan if hashed is None else hashed
+
+
+def _scan(cases: tuple, default: _Edge | None):
+    """A gateway that tests its cases in order: the edge of the first that
+    holds, else the default, or with none an unhandled-condition failure."""
     if len(cases) == 1 and default is not None:  # one condition and the default
         ((condition, edge),) = cases
 
@@ -327,6 +342,44 @@ def _lower_branch(step: Branch, node: _Node, model: ExecutableModel, program: _P
             engine._set_outcome("error", "UNHANDLED_CONDITION", "unhandled condition")
         return default
     return branch
+
+
+def _hashed(step: Branch, cases: tuple, default: _Edge | None, scan):
+    """A gateway whose cases all test one variable for equality with a
+    constant (`x = c`, `c` by `feel.constant`) as one closure that looks
+    the variable's value up in {constant: edge}, where a repeated constant
+    keeps its first case's edge, and takes the default on a miss. It does
+    so only for a value of the constants' `hashed_classes`, against which
+    no case raises and only the cases of its key hold. Any other value, or
+    a miss with no default, takes `scan`, which raises or ends the run as
+    it does at every gateway. None for any other gateway."""
+    name, constants = None, []
+    for condition, _ in step.cases:
+        if type(condition) is not ast.BinOp or condition.op != "=" \
+                or type(condition.left) is not ast.Var \
+                or name not in (None, condition.left.name):
+            return None
+        answer = feel.constant(condition.right)
+        if not answer.shared:
+            return None
+        name = condition.left.name
+        constants.append(answer.value)
+    classes = hashed_classes(constants)
+    if not classes:
+        return None
+    targets: dict[object, _Edge] = {}
+    for value, (_, edge) in zip(constants, cases):
+        targets.setdefault(value, edge)
+
+    def branch_hashed(engine, name=name, classes=classes, targets=targets, default=default,
+                      scan=scan):
+        value = engine.bindings.get(name)
+        if type(value) in classes:
+            edge = targets.get(value, default)
+            if edge is not None:
+                return edge
+        return scan(engine)
+    return branch_hashed
 
 
 def _lower_fork(step: Fork, node: _Node, model: ExecutableModel, program: _Program):

@@ -13,10 +13,13 @@
   is boolean; a run may still fault (nested loops can square `a` past the
   integer size limit). Elements come in a drawn order.
 - `graphs()` draws a parsed model of gateways and tasks joined at random;
-  `diamonds_xml(count)` is start, `count` parallel diamonds, end;
-  `nested_forks_xml(levels)` nests `levels` parallel forks, each with one
-  write of a shared variable beside the next fork; `gateway_xml(arms)` is
-  one exclusive gateway with `arms` arms `x = i`.
+  `diamonds_xml(count)` is start, `count` parallel diamonds, end. From
+  the shapes of `tools/scale.py`: `nested_forks_xml(levels)` nests
+  `levels` parallel forks, each with one write of a shared variable beside
+  the next fork; `gateway_xml(constants, default=False)` is one exclusive
+  gateway with a case `x = c` for each constant c, and with `default`, a
+  default flow; `table_xml(rules)` is one business rule task over a
+  Unique table with `rules` rules `x = i`.
 - `random_table(rng)` draws a First-policy table and each column's
   exhaustive domain from a seeded `random.Random`; seeded corpora depend on
   its exact calls on `rng`. `tables()` builds one from the AST constructors,
@@ -42,15 +45,16 @@ from bproc.bpmn import Node, ProcessModel, SequenceFlow
 from bproc.feel import ast
 from bproc.feel.values import UNDEFINED, FeelRange, Temporal
 
+from conftest import load_tool
+
+# the plain-XML shapes of the scale sweep, which the tests share
+_scale = load_tool("scale")
+DEFINITIONS, FOOTER, START_X = _scale.DEFINITIONS, _scale.FOOTER, _scale.START_X
+nested_forks_xml, gateway_xml, table_xml = (_scale.nested_forks_xml, _scale.gateway_xml,
+                                            _scale.table_xml)
+
 # --- models -------------------------------------------------------------------------
 
-DEFINITIONS = ('<?xml version="1.0"?><definitions '
-               'xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL" '
-               'xmlns:ext="http://x/ext"><process id="p" name="P">')
-FOOTER = '</process></definitions>'
-START_X = ('<startEvent id="start"><extensionElements><ext:ioMapping>'
-           '<ext:output source="x" target="x"/></ext:ioMapping></extensionElements>'
-           '</startEvent>')
 VARIABLES = ("x", "a", "b")
 # the literals x is ordered against: lower bounds below 0, upper bounds above
 # it, so that the domain inferred for x always holds an integer (see x_holds)
@@ -248,46 +252,6 @@ def diamonds_xml(count: int) -> str:
             f'<sequenceFlow id="fja{i}" sourceRef="A{i}" targetRef="J{i}"/>'
             f'<sequenceFlow id="fjb{i}" sourceRef="B{i}" targetRef="J{i}"/>'
             f'<sequenceFlow id="fn{i}" sourceRef="J{i}" targetRef="{after}"/>')
-    return "".join(out) + FOOTER
-
-
-def nested_forks_xml(levels: int, writes: bool = True) -> str:
-    """start -> fork S1 -> end. Fork Si's first case is fork S(i+1) and its
-    join, its second a script task Wi, `v := i`, or a manual task without
-    `writes`; the last fork's first case is a manual task. So each write
-    is inside i forks, and no fork or join edge orders two of them."""
-    out = [DEFINITIONS, '<startEvent id="start"/><endEvent id="end"/>',
-           '<sequenceFlow id="f_start" sourceRef="start" targetRef="S1"/>',
-           '<sequenceFlow id="f_end" sourceRef="J1" targetRef="end"/>']
-    for i in range(1, levels + 1):
-        if writes:
-            out.append(f'<scriptTask id="W{i}" resultVariable="v"><script>{i}</script>'
-                       '</scriptTask>')
-        else:
-            out.append(f'<manualTask id="W{i}"/>')
-        if i < levels:
-            first = f"S{i + 1}"
-            out.append(f'<sequenceFlow id="fn{i}" sourceRef="J{i + 1}" targetRef="J{i}"/>')
-        else:
-            first = f"T{i}"
-            out.append(f'<manualTask id="T{i}"/>'
-                       f'<sequenceFlow id="ft{i}" sourceRef="T{i}" targetRef="J{i}"/>')
-        out.append(f'<parallelGateway id="S{i}"/><parallelGateway id="J{i}"/>'
-                   f'<sequenceFlow id="fa{i}" sourceRef="S{i}" targetRef="{first}"/>'
-                   f'<sequenceFlow id="fb{i}" sourceRef="S{i}" targetRef="W{i}"/>'
-                   f'<sequenceFlow id="fw{i}" sourceRef="W{i}" targetRef="J{i}"/>')
-    return "".join(out) + FOOTER
-
-
-def gateway_xml(arms: int) -> str:
-    """start (writes x) -> one exclusive gateway -> arm i, `x = i`, an end
-    event, for i < `arms`; x's domain is the enum of the arms' values."""
-    out = [DEFINITIONS, START_X, '<exclusiveGateway id="g"/>',
-           '<sequenceFlow id="f_start" sourceRef="start" targetRef="g"/>']
-    for i in range(arms):
-        out.append(f'<endEvent id="e{i}"/><sequenceFlow id="f{i}" sourceRef="g" '
-                   f'targetRef="e{i}"><conditionExpression>x = {i}</conditionExpression>'
-                   '</sequenceFlow>')
     return "".join(out) + FOOTER
 
 

@@ -14,11 +14,11 @@ from pathlib import Path
 import pytest
 
 from bproc import (CampaignConfig, FixedBudget, RunOptions, compile_model, parse_bpmn,
-                   parse_expr, run_campaign, run_once, runtime)
+                   parse_dmn, parse_expr, run_campaign, run_once, runtime)
 from bproc.feel import compile_expr
 
 from conftest import compile_fixture, hit_arrays, load_fixture, load_tool
-from generators import Text, gateway_xml, nested_forks_xml
+from generators import Text, gateway_xml, nested_forks_xml, table_xml
 from test_pins import diamonds
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,12 +29,13 @@ OPCODES_MEASURED_ON = (3, 11)
 #: (opcodes, calls) budgets, each beside what it measured when it was set.
 #: A warm sequential shipment campaign run (200 runs, campaign seed 1,
 #: sample seed 1): the C reseed, two draws, one of them an enum draw that
-#: repeats Random.choice's calls one for one, and ten steps (1,313 and 26.83)
-CAMPAIGN_RUN = (1_330, 27.3)
+#: repeats Random.choice's calls one for one, and ten steps, each equality
+#: gateway and table one lookup (1,090.5 and 18.23)
+CAMPAIGN_RUN = (1_110, 18.5)
 #: the same run in a 50-run campaign with run files: the run, its replay on
 #: the engine that keeps traces and reads no clock, its summary and its two
-#: files (3,554.66 and 87.24)
-CAMPAIGN_RUN_WITH_FILES = (3_620, 88.8)
+#: files (3,115.76 and 71.6)
+CAMPAIGN_RUN_WITH_FILES = (3_170, 73.0)
 #: a warm parallel run of `diamonds(300, 7)` (1,204 nodes; x = 50, seed 2)
 #: on a campaign's engine: a join's `passed` is its edge, taken without a
 #: call, and an end event sets the outcome itself (249,157 and 1,671)
@@ -52,19 +53,25 @@ LOOP_STEP = {  # (traced, mode) -> budget (measured)
     (False, "parallel"): (83.4, 1.36),  # 81.82 and 1.335
 }
 #: a traced sequential `run_once`: shipment on ("l", 9.0) takes ten nodes to
-#: NO_SHIPMENT and calls three tables (2,171 and 46); pingpong_sendfirst sends
+#: NO_SHIPMENT and calls three tables (1,880 and 33); pingpong_sendfirst sends
 #: and receives each message once (1,223 and 17); no write or table record
 #: is built through a call
-TRACED_RUN = {"shipment": (2_200, 46), "pingpong_sendfirst": (1_245, 17)}
-#: `GetLengthDT.select` on one argument: a plain string is the selector and
-#: one call per cell of its five one-cell rules (201 and 6); a checked one
-#: (here a str subclass) takes the checked cells (1,298 and 61)
-SELECT = {"plain": (204, 6), "checked": (1_320, 62)}
+TRACED_RUN = {"shipment": (1_910, 33), "pingpong_sendfirst": (1_245, 17)}
+#: `GetLengthDT.select` on one argument: a plain string is the selector
+#: alone, which finds its one rule by the index on the first column (64 and
+#: 1); a checked one (here a str subclass) takes the checked cells of every
+#: rule (1,298 and 61)
+SELECT = {"plain": (65, 1), "checked": (1_320, 62)}
 
 
 #: how much the opcodes per unit of a generated shape may grow from 50 units
 #: to 200 (a check per unit that walked the whole model would make it about 3)
 LINEAR_GROWTH = 1.3
+#: how far the opcodes per campaign run over a wide gateway or a long table
+#: may differ between 50 and 800 arms or rules: a run visits three nodes at
+#: any width, and the campaign's one coverage report per 200 runs is all
+#: that grows with it (a scan of the arms or rules would make it about 10)
+FLAT_GROWTH = 1.1
 
 
 def _keeps_to(counts, budget: tuple, per: float = 1):
@@ -175,10 +182,27 @@ def test_a_parallel_run_over_nested_forks_is_linear_in_their_depth():
 def test_compiling_a_wide_exclusive_gateway_is_linear_in_its_arms():
     # inference removes repeated enum values by a hashed key, not pairwise
     def counted(arms):
-        model = parse_bpmn(gateway_xml(arms))
+        model = parse_bpmn(gateway_xml(range(arms)))
         return opcounts.count(compile_model, model, ())
     small, large = (_opcodes_per_unit(arms, counted) for arms in (50, 200))
     assert large <= LINEAR_GROWTH * small, f"{small:.0f} -> {large:.0f} opcodes per arm"
+
+
+@pytest.mark.parametrize("shape", ("gateway", "table"))
+def test_a_campaign_run_costs_the_same_at_any_width(shape):
+    # the gateway and the table find their case or rule by one lookup
+    def per_run(units):
+        if shape == "gateway":
+            model = compile_model(parse_bpmn(gateway_xml(range(units))), ())
+        else:
+            bpmn, dmn = table_xml(units)
+            model = compile_model(parse_bpmn(bpmn), parse_dmn(dmn))
+        runs = 200
+        cfg = CampaignConfig(mode=FixedBudget(n=runs), seed=1, sequential=True)
+        return sum(ops for ops, _ in opcounts.warm_counts(model, cfg).values()) / runs
+    narrow, wide = per_run(50), per_run(800)
+    assert max(narrow, wide) <= FLAT_GROWTH * min(narrow, wide), \
+        f"{narrow:.0f} -> {wide:.0f} opcodes per run"
 
 
 def _fresh_totals(*args: str) -> dict:
